@@ -1,0 +1,5 @@
+"""Repository benchmark: BER chains, decode service and Table-I NoC sweep.
+
+Run one workload with ``python3 perfbench/run.py --workload <name> --seed <n>
+--seconds <s> --trace <0|1>``; see ``perfbench/README.md``.
+"""
