@@ -30,10 +30,10 @@ EBN0_DB = 2.0
 BASELINE_FRAMES = 8
 
 
-def _make_llr_batch(code, batch: int, seed: int = 7) -> np.ndarray:
+def _make_llr_batch(code, batch: int, seed: int = 7, ebn0_db: float = EBN0_DB) -> np.ndarray:
     rng = np.random.default_rng(seed)
     modulator = BPSKModulator()
-    channel = AWGNChannel(ebn0_to_noise_sigma(EBN0_DB, code.rate), rng)
+    channel = AWGNChannel(ebn0_to_noise_sigma(ebn0_db, code.rate), rng)
     info = rng.integers(0, 2, (batch, code.k))
     codewords = code.encode_batch(info)
     received = channel.transmit(modulator.modulate(codewords))
@@ -124,22 +124,28 @@ def test_batch_flooding_throughput_speedup(benchmark, bench_print, bench_json):
 
 
 @pytest.mark.benchmark(group="batch-throughput")
-def test_batch_layered_throughput_speedup(benchmark, bench_print, bench_json):
-    """Layered min-sum: batch-axis amortisation must beat the seed path >= 10x."""
-    code = wimax_ldpc_code(576, "1/2")
-    llrs = _make_llr_batch(code, BATCH)
+@pytest.mark.parametrize(
+    "n, rate, ebn0_db, key",
+    [(576, "1/2", EBN0_DB, "layered"), (2304, "5/6", 4.0, "layered_2304_r5/6")],
+)
+def test_batch_layered_throughput_speedup(
+    benchmark, bench_print, bench_json, n, rate, ebn0_db, key
+):
+    """Layered min-sum, one step per layer of column-disjoint checks: >= 10x the seed path."""
+    code = wimax_ldpc_code(n, rate)
+    llrs = _make_llr_batch(code, BATCH, ebn0_db=ebn0_db)
     decoder = BatchLayeredDecoder(
         code.h, max_iterations=MAX_ITERATIONS, early_termination=False
     )
     speedup, run_batch = _compare(
         code, _seed_layered_decode, decoder, llrs, bench_print,
-        f"layered   (n={code.n}, {MAX_ITERATIONS} it)",
+        f"layered   (n={code.n} r{rate}, {MAX_ITERATIONS} it)",
     )
     bench_json(
         "batch_throughput",
-        "layered",
-        {"n": code.n, "batch": BATCH, "max_iterations": MAX_ITERATIONS,
-         "ebn0_db": EBN0_DB, "speedup": round(speedup, 2)},
+        key,
+        {"n": code.n, "rate": rate, "batch": BATCH, "max_iterations": MAX_ITERATIONS,
+         "ebn0_db": ebn0_db, "speedup": round(speedup, 2)},
     )
     benchmark(run_batch)
     assert speedup >= 10.0

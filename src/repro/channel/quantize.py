@@ -110,9 +110,21 @@ class LLRQuantizer:
         arr = np.asarray(levels, dtype=np.float64)
         return arr * self.spec.step
 
-    def quantize_to_real(self, values: np.ndarray) -> np.ndarray:
-        """Round-trip quantisation: the real values the fixed-point datapath sees."""
-        return self.dequantize(self.quantize(values))
+    def quantize_to_real(self, values: np.ndarray, *, inplace: bool = False) -> np.ndarray:
+        """Round-trip quantisation: the real values the fixed-point datapath sees.
+
+        Equal bit for bit to ``dequantize(quantize(values))``, ``-0.0``
+        included: it leaves as ``+0.0``, as it does through the integer
+        levels.  With ``inplace=True`` ``values`` must be a float64 array; it
+        is overwritten with the result and returned, with no temporaries.
+        """
+        arr = values if inplace else np.array(values, dtype=np.float64)
+        arr /= self.spec.step
+        np.round(arr, out=arr)
+        np.clip(arr, self.lowest_level, self.spec.max_level, out=arr)
+        arr += 0.0  # -0.0 + 0.0 == +0.0
+        arr *= self.spec.step
+        return arr
 
     def saturating_add(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Add two arrays of integer levels with saturation at the quantiser limits."""

@@ -24,7 +24,7 @@ import numpy as np
 
 from repro.errors import DecodingError
 from repro.ldpc.hmatrix import ParityCheckMatrix
-from repro.sim.batch import BatchFloodingDecoder
+from repro.sim.batch import BatchFloodingDecoder, validate_scaling
 from repro.sim.kernels import sum_product_update
 
 
@@ -111,7 +111,7 @@ class FloodingDecoder:
 
     @scaling.setter
     def scaling(self, value: float) -> None:
-        self._batch.scaling = float(value)
+        self._batch.scaling = validate_scaling(value)
 
     @property
     def early_termination(self) -> bool:

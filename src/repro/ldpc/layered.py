@@ -27,7 +27,7 @@ import numpy as np
 
 from repro.errors import DecodingError
 from repro.ldpc.hmatrix import ParityCheckMatrix
-from repro.sim.batch import BatchLayeredDecoder
+from repro.sim.batch import BatchLayeredDecoder, validate_scaling
 
 
 @dataclass
@@ -109,7 +109,7 @@ class LayeredMinSumDecoder:
 
     @scaling.setter
     def scaling(self, value: float) -> None:
-        self._batch.scaling = float(value)
+        self._batch.scaling = validate_scaling(value)
 
     @property
     def fixed_point(self) -> bool:

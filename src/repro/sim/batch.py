@@ -110,6 +110,14 @@ class BatchDecoder(Protocol):
         ...
 
 
+def validate_scaling(scaling: float) -> float:
+    """``scaling`` as a float; :class:`DecodingError` unless it lies in ``(0, 1]``."""
+    value = float(scaling)
+    if not 0.0 < value <= 1.0:
+        raise DecodingError(f"scaling must be in (0, 1], got {scaling}")
+    return value
+
+
 def _validate_batch(llrs: np.ndarray, n_cols: int) -> np.ndarray:
     arr = np.asarray(llrs, dtype=np.float64)
     if arr.ndim != 2 or arr.shape[1] != n_cols:
@@ -159,7 +167,7 @@ class BatchFloodingDecoder:
         self._edges = EdgeIndex(h)
         self.max_iterations = int(max_iterations)
         self.kernel = kernel
-        self.scaling = float(scaling)
+        self.scaling = validate_scaling(scaling)
         self.early_termination = bool(early_termination)
         self.backend = backend
 
@@ -293,13 +301,18 @@ class QuantizedBatchDecoder:
 
 
 class BatchLayeredDecoder:
-    """Layered (horizontal-schedule) decoder vectorised over frames.
+    """Layered (horizontal-schedule) decoder vectorised over frames and layers.
 
-    The layered schedule of paper eqs. (6)-(11) is sequential over checks by
-    construction — each check reads the a-posteriori LLRs the previous check
-    just wrote — so the check loop remains a Python loop, but every step of
-    it processes the whole batch at once: at batch 64 the per-check
-    interpreter overhead is amortised 64x.
+    The layered schedule of paper eqs. (6)-(11) is sequential over checks —
+    each check reads the a-posteriori LLRs the previous one just wrote — but
+    consecutive checks that share no column read and write disjoint LLRs.
+    The checks are therefore split once, at construction, into layers of
+    consecutive, column-disjoint, equal-degree checks
+    (:meth:`repro.sim.edges.EdgeIndex.layers`), and each layer is one
+    ``(batch, z, d)`` tensor step: in a quasi-cyclic code a layer is a block
+    row of ``z`` checks, the rows the paper's P processing elements update
+    in parallel (12 steps per iteration instead of 288 at n=576 r1/2).  The
+    results are bit-identical to the check-by-check schedule.
 
     ``converged`` matches :class:`repro.ldpc.layered.LayeredMinSumDecoder`:
     the latched "was ever a codeword" flag AND a zero final syndrome.
@@ -322,7 +335,7 @@ class BatchLayeredDecoder:
         satisfies every parity check.
     backend:
         Per-decoder array-backend override for the check kernels (the
-        schedule itself is sequential over checks and stays on host NumPy).
+        schedule itself is sequential over layers and stays on host NumPy).
     """
 
     def __init__(
@@ -337,15 +350,14 @@ class BatchLayeredDecoder:
     ):
         if max_iterations <= 0:
             raise DecodingError(f"max_iterations must be positive, got {max_iterations}")
-        if not 0.0 < scaling <= 1.0:
-            raise DecodingError(f"scaling must be in (0, 1], got {scaling}")
         if kernel not in _KERNELS:
             raise DecodingError(
                 f"kernel must be 'sum-product' or 'min-sum', got {kernel!r}"
             )
         self._edges = EdgeIndex(h)
+        self._layers = self._edges.layers()
         self.max_iterations = int(max_iterations)
-        self.scaling = float(scaling)
+        self.scaling = validate_scaling(scaling)
         self.kernel = kernel
         self.fixed_point = bool(fixed_point)
         self.early_termination = bool(early_termination)
@@ -370,14 +382,14 @@ class BatchLayeredDecoder:
         else:
             r_new = b.to_numpy(min_sum_update(q, scaling=self.scaling, backend=b))
         if self.fixed_point:
-            r_new = self._extrinsic_quantizer.quantize_to_real(r_new)
+            self._extrinsic_quantizer.quantize_to_real(r_new, inplace=True)
         return r_new
 
     def decode_batch(self, channel_llrs: np.ndarray) -> BatchDecodeResult:
         """Decode a ``(batch, n)`` array of channel LLRs with the layered schedule.
 
         Implements, for every check ``l`` and connected variable ``k`` (all
-        frames in lockstep):
+        frames and all checks of one layer in lockstep):
 
         * ``Q_lk = lambda_k - R_lk_old``                      (eq. 6)
         * ``R_lk_new = normalized min-sum over the other Q``  (eqs. 7-9, 11)
@@ -393,22 +405,21 @@ class BatchLayeredDecoder:
         act_idx = np.arange(batch)
         act_lam = lam_out.copy()
         act_r = np.zeros((batch, edges.n_edges), dtype=np.float64)
-        row_cols = edges.row_cols
-        row_ptr = edges.row_ptr
         kernel_backend = resolve(self.backend)
         for iteration in range(self.max_iterations):
             if act_idx.size == 0:
                 break
-            for check in range(edges.n_rows):
-                cols = row_cols[check]
-                span = slice(row_ptr[check], row_ptr[check + 1])
-                q_values = act_lam[:, cols] - act_r[:, span]
-                r_new = self._row_update(q_values, kernel_backend)
-                updated = q_values + r_new
+            for layer in self._layers:
+                # (active, z, d) tensors, updated in place to keep the step
+                # free of full-size temporaries.
+                q = act_lam[:, layer.cols]
+                q -= act_r[:, layer.edges].reshape(q.shape)
+                r_new = self._row_update(q, kernel_backend)
+                q += r_new
                 if self.fixed_point:
-                    updated = self._channel_quantizer.quantize_to_real(updated)
-                act_lam[:, cols] = updated
-                act_r[:, span] = r_new
+                    self._channel_quantizer.quantize_to_real(q, inplace=True)
+                act_lam[:, layer.cols] = q
+                act_r[:, layer.edges] = r_new.reshape(q.shape[0], -1)
             unsatisfied = edges.unsatisfied_counts(act_lam < 0)
             iterations[act_idx] = iteration + 1
             for local, frame in enumerate(act_idx):

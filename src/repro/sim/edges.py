@@ -9,7 +9,8 @@ check ``r`` when ``row_ptr[r] <= e < row_ptr[r + 1]`` and touches variable
 dense ``(batch, n_checks_d, d)`` tensors (one group per distinct check
 degree ``d`` — WiMAX codes have at most two), and results are scattered
 back the same way.  :class:`EdgeIndex` precomputes every index array those
-gathers and scatters need.
+gathers and scatters need, and :meth:`EdgeIndex.layers` splits the checks
+into the column-disjoint runs the layered schedule updates in one step.
 """
 
 from __future__ import annotations
@@ -43,6 +44,29 @@ class DegreeGroup(NamedTuple):
     edges: np.ndarray
 
 
+class Layer(NamedTuple):
+    """A run of consecutive checks of equal degree that share no column.
+
+    Checks in one layer read and write disjoint a-posteriori LLRs, so
+    updating them together gives bit for bit what updating them one after
+    the other does.  In a quasi-cyclic code a layer is one block row of
+    ``z`` checks: the work the paper's P processing elements share.
+
+    Attributes
+    ----------
+    rows:
+        The check indices of the layer, consecutive and ascending.
+    edges:
+        The layer's contiguous span of the flat edge axis.
+    cols:
+        ``(len(rows), degree)`` column index of every edge of the layer.
+    """
+
+    rows: range
+    edges: slice
+    cols: np.ndarray
+
+
 class EdgeIndex:
     """Precomputed flat edge indexing for one parity-check matrix.
 
@@ -63,8 +87,6 @@ class EdgeIndex:
         self.row_ptr: np.ndarray = np.concatenate(
             [[0], np.cumsum(degrees)]
         ).astype(np.int64)
-        #: Per-row column indices (shared with the matrix, row-major order).
-        self.row_cols: list[np.ndarray] = rows
         self.check_groups: tuple[DegreeGroup, ...] = self._build_check_groups(degrees)
         self.variable_groups: tuple[DegreeGroup, ...] = self._build_variable_groups()
 
@@ -92,6 +114,38 @@ class EdgeIndex:
             idx = starts[:, None] + np.arange(int(degree))[None, :]
             groups.append(DegreeGroup(int(degree), members, order[idx]))
         return tuple(groups)
+
+    def layers(self) -> tuple[Layer, ...]:
+        """Split the checks, in order, into greedy column-disjoint layers.
+
+        A check joins the current layer when it has the layer's degree and
+        shares no column with any check already in it; otherwise it opens a
+        new layer.  No quasi-cyclic metadata is needed: the runs fall out
+        of the column sets alone.
+        """
+        degrees = np.diff(self.row_ptr)
+        edge_rows = np.repeat(np.arange(self.n_rows), degrees)
+        # For every edge, the previous check touching the same column (-1 if
+        # none): sort edges by (column, row) and look one position back.
+        order = np.lexsort((edge_rows, self.edge_cols))
+        same_col = self.edge_cols[order[1:]] == self.edge_cols[order[:-1]]
+        previous = np.full(self.n_edges, -1, dtype=np.int64)
+        previous[order[1:][same_col]] = edge_rows[order[:-1][same_col]]
+        # The latest earlier check each check conflicts with.
+        conflicts = np.maximum.reduceat(previous, self.row_ptr[:-1]).tolist()
+        degree_list = degrees.tolist()
+        bounds = [0]
+        for row in range(1, self.n_rows):
+            start = bounds[-1]
+            if degree_list[row] != degree_list[start] or conflicts[row] >= start:
+                bounds.append(row)
+        bounds.append(self.n_rows)
+        layers = []
+        for start, stop in zip(bounds[:-1], bounds[1:]):
+            span = slice(int(self.row_ptr[start]), int(self.row_ptr[stop]))
+            cols = self.edge_cols[span].reshape(stop - start, degree_list[start])
+            layers.append(Layer(range(start, stop), span, cols))
+        return tuple(layers)
 
     # ------------------------------------------------------------------ #
     # Gather / scatter primitives
@@ -126,9 +180,6 @@ class EdgeIndex:
             ``(batch,)`` counts of rows whose parity sum is odd — the batched
             equivalent of ``h.syndrome(word).sum()``.
         """
-        edge_bits = hard_bits.astype(np.int64)[:, self.edge_cols]
-        counts = np.zeros(hard_bits.shape[0], dtype=np.int64)
-        for group in self.check_groups:
-            parity = edge_bits[:, group.edges].sum(axis=-1) & 1
-            counts += parity.sum(axis=-1)
-        return counts
+        edge_bits = np.asarray(hard_bits).astype(np.uint8, copy=False)[:, self.edge_cols]
+        parity = np.bitwise_xor.reduceat(edge_bits, self.row_ptr[:-1], axis=1) & 1
+        return parity.sum(axis=1, dtype=np.int64)

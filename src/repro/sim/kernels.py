@@ -3,8 +3,8 @@
 Both dense kernels operate on arrays whose *last* axis enumerates the edges
 of one check (the check degree ``d``); any number of leading axes is
 allowed.  The batch decoders call them with ``(batch, n_checks_d, d)``
-tensors (flooding, one call per degree group) or ``(batch, d)`` slices
-(layered, one call per check), and the per-frame decoders reuse exactly the
+tensors (flooding, one call per degree group; layered, one call per layer
+of column-disjoint checks), and the per-frame decoders reuse exactly the
 same code with a single leading axis so sequential and batched results are
 bit-identical.
 

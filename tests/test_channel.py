@@ -333,6 +333,17 @@ class TestQuantizer:
         recovered = quant.quantize_to_real(values)
         assert np.max(np.abs(values - recovered)) <= quant.spec.step / 2 + 1e-12
 
+    @pytest.mark.parametrize("symmetric", [True, False])
+    def test_quantize_to_real_equals_integer_round_trip(self, symmetric):
+        """Bit patterns match the int32 round-trip; -0.0 leaves as +0.0."""
+        quant = LLRQuantizer(QuantizationSpec(7, 1), symmetric=symmetric)
+        values = np.concatenate([[-0.0, -0.2, 0.2, -1e9, 1e9], np.linspace(-40, 40, 641)])
+        expected = quant.dequantize(quant.quantize(values)).view(np.int64)
+        assert np.array_equal(quant.quantize_to_real(values).view(np.int64), expected)
+        buffer = values.copy()
+        assert quant.quantize_to_real(buffer, inplace=True) is buffer
+        assert np.array_equal(buffer.view(np.int64), expected)
+
     def test_saturating_add(self):
         quant = LLRQuantizer(QuantizationSpec(5, 0))
         out = quant.saturating_add(np.array([10]), np.array([10]))

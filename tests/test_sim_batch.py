@@ -6,18 +6,40 @@ iteration counts, the same convergence flags (and the same a-posteriori LLRs
 and unsatisfied-check histories) as the per-frame ``decode`` for every frame,
 for both schedules, both kernels, with and without early termination and
 fixed-point quantisation.
+
+The per-frame layered facade delegates to the batch decoder, so that
+equivalence alone is circular.  :func:`_check_serial_layered` is the
+independent oracle: the seed's check-by-check loop over the scalar check
+kernel, with no edge index, no layers and no batch axis.  The layer-parallel
+batch decoder is pinned to it bit for bit (LLR bit patterns, ``-0.0``
+included).
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from repro.channel import AWGNChannel, BPSKModulator, QPSKModulator, ebn0_to_noise_sigma
+from repro.channel import (
+    CHANNEL_LLR_SPEC,
+    EXTRINSIC_SPEC,
+    AWGNChannel,
+    BPSKModulator,
+    LLRQuantizer,
+    QPSKModulator,
+    ebn0_to_noise_sigma,
+)
 from repro.errors import ConfigurationError, DecodingError
-from repro.ldpc import FloodingDecoder, LayeredMinSumDecoder, wimax_ldpc_code
+from repro.ldpc import (
+    FloodingDecoder,
+    LayeredMinSumDecoder,
+    ParityCheckMatrix,
+    wifi_ldpc_code,
+    wimax_ldpc_code,
+)
 from repro.ldpc.checknode import min_sum_check_update
 from repro.sim import (
     BatchDecoder,
@@ -42,6 +64,168 @@ def _llr_batch(code, batch: int, ebn0_db: float, seed: int) -> tuple[np.ndarray,
     return codewords, modulator.demodulate_llr(
         received, channel.llr_noise_variance(False)
     )
+
+
+_CHANNEL_QUANTIZER = LLRQuantizer(CHANNEL_LLR_SPEC)
+_EXTRINSIC_QUANTIZER = LLRQuantizer(EXTRINSIC_SPEC)
+
+
+def _round_trip(quantizer: LLRQuantizer, values: np.ndarray) -> np.ndarray:
+    """Quantise through the integer levels the fixed-point memories hold."""
+    return quantizer.dequantize(quantizer.quantize(values))
+
+
+def _check_serial_layered(h, channel_llrs, *, max_iterations, fixed_point,
+                          early_termination, update):
+    """Check-by-check layered decode of one frame (paper eqs. (6)-(11)).
+
+    ``update`` is the check kernel applied to the ``(d,)`` messages of one
+    check.  Returns ``(llrs, iterations, converged, unsatisfied_history)``
+    with the batch decoder's semantics: ``converged`` is "was a codeword
+    after some iteration" AND a zero final syndrome.
+    """
+    rows = [h.row(r) for r in range(h.n_rows)]
+    llrs = np.asarray(channel_llrs, dtype=np.float64)
+    lam = _round_trip(_CHANNEL_QUANTIZER, llrs) if fixed_point else llrs.copy()
+    r_messages = [np.zeros(cols.size) for cols in rows]
+    history: list[int] = []
+    was_codeword = False
+    for _ in range(max_iterations):
+        for check, cols in enumerate(rows):
+            q_values = lam[cols] - r_messages[check]
+            r_new = update(q_values)
+            if fixed_point:
+                r_new = _round_trip(_EXTRINSIC_QUANTIZER, r_new)
+            updated = q_values + r_new
+            if fixed_point:
+                updated = _round_trip(_CHANNEL_QUANTIZER, updated)
+            lam[cols] = updated
+            r_messages[check] = r_new
+        history.append(int(h.syndrome(lam < 0).sum()))
+        if history[-1] == 0:
+            was_codeword = True
+            if early_termination:
+                break
+    final_weight = int(h.syndrome(lam < 0).sum())
+    return lam, len(history), was_codeword and final_weight == 0, history
+
+
+def _min_sum_check(q_values: np.ndarray) -> np.ndarray:
+    return min_sum_check_update(q_values, scaling=0.75)
+
+
+def _assert_matches_oracle(h, llrs, result, **oracle_kwargs) -> None:
+    for frame in range(llrs.shape[0]):
+        lam, iterations, converged, history = _check_serial_layered(
+            h, llrs[frame], **oracle_kwargs
+        )
+        assert np.array_equal(result.llrs[frame].view(np.int64), lam.view(np.int64))
+        assert int(result.iterations[frame]) == iterations
+        assert bool(result.converged[frame]) == converged
+        assert result.unsatisfied_history[frame] == history
+
+
+#: The codes the oracle pins, including two-degree (1152 r2/3B) and
+#: non-WiMAX (802.11n) block rows.
+_ORACLE_CODES = {
+    "wimax576-1/2": lambda: wimax_ldpc_code(576, "1/2"),
+    "wimax576-5/6": lambda: wimax_ldpc_code(576, "5/6"),
+    "wimax1152-2/3B": lambda: wimax_ldpc_code(1152, "2/3B"),
+    "wimax2304-5/6": lambda: wimax_ldpc_code(2304, "5/6"),
+    "wifi1944-1/2": lambda: wifi_ldpc_code(1944, "1/2"),
+}
+
+
+def _mixed_snr_llrs(code, seed: int) -> np.ndarray:
+    """Four frames from clean to hopeless, so some converge and some do not."""
+    rng = np.random.default_rng(seed)
+    symbols = 1.0 - 2.0 * code.encode_batch(rng.integers(0, 2, (4, code.k)))
+    sigmas = np.array(
+        [ebn0_to_noise_sigma(ebn0, code.rate) for ebn0 in (6.0, 3.5, 0.0, -2.0)]
+    )[:, None]
+    received = symbols + sigmas * rng.standard_normal(symbols.shape)
+    return 2.0 * received / sigmas**2
+
+
+class TestLayeredOracle:
+    """Layer-parallel decoding == the check-serial schedule, bit for bit."""
+
+    @pytest.mark.parametrize("code_name", sorted(_ORACLE_CODES))
+    @pytest.mark.parametrize("fixed_point", [False, True])
+    @pytest.mark.parametrize("early_termination", [True, False])
+    def test_min_sum(self, code_name, fixed_point, early_termination):
+        code = _ORACLE_CODES[code_name]()
+        llrs = _mixed_snr_llrs(code, seed=17)
+        decoder = BatchLayeredDecoder(
+            code.h, max_iterations=6, fixed_point=fixed_point,
+            early_termination=early_termination,
+        )
+        result = decoder.decode_batch(llrs)
+        # Some frames reach a codeword and some never do.
+        assert 0 < sum(0 in h for h in result.unsatisfied_history) < llrs.shape[0]
+        _assert_matches_oracle(
+            code.h, llrs, result, max_iterations=6, fixed_point=fixed_point,
+            early_termination=early_termination, update=_min_sum_check,
+        )
+
+    @pytest.mark.parametrize("code_name", sorted(_ORACLE_CODES))
+    @pytest.mark.parametrize("fixed_point", [False, True])
+    def test_sum_product(self, code_name, fixed_point):
+        code = _ORACLE_CODES[code_name]()
+        llrs = _mixed_snr_llrs(code, seed=29)
+        decoder = BatchLayeredDecoder(
+            code.h, max_iterations=6, kernel="sum-product", fixed_point=fixed_point
+        )
+        _assert_matches_oracle(
+            code.h, llrs, decoder.decode_batch(llrs), max_iterations=6,
+            fixed_point=fixed_point, early_termination=True, update=sum_product_update,
+        )
+
+    @given(
+        rows=st.lists(
+            st.sets(st.integers(0, 7), min_size=2, max_size=4), min_size=2, max_size=8
+        ),
+        seed=st.integers(0, 2**16),
+        fixed_point=st.booleans(),
+        early_termination=st.booleans(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_random_non_qc_matrix(self, rows, seed, fixed_point, early_termination):
+        assume(any(a & b for a, b in zip(rows, rows[1:])))
+        h = ParityCheckMatrix([sorted(row) for row in rows], 8)
+        llrs = np.random.default_rng(seed).normal(1.0, 2.0, (3, 8))
+        decoder = BatchLayeredDecoder(
+            h, max_iterations=4, fixed_point=fixed_point,
+            early_termination=early_termination,
+        )
+        _assert_matches_oracle(
+            h, llrs, decoder.decode_batch(llrs), max_iterations=4,
+            fixed_point=fixed_point, early_termination=early_termination,
+            update=_min_sum_check,
+        )
+
+
+class TestScalingValidation:
+    @pytest.mark.parametrize("scaling", [-2.0, 0.0, 1.5, float("nan")])
+    def test_batch_constructors_reject(self, small_ldpc_code, scaling):
+        with pytest.raises(DecodingError):
+            BatchFloodingDecoder(small_ldpc_code.h, kernel="min-sum", scaling=scaling)
+        with pytest.raises(DecodingError):
+            BatchLayeredDecoder(small_ldpc_code.h, scaling=scaling)
+
+    @pytest.mark.parametrize("facade", [LayeredMinSumDecoder, FloodingDecoder])
+    def test_facade_setters_reject(self, small_ldpc_code, facade):
+        decoder = facade(small_ldpc_code.h)
+        with pytest.raises(DecodingError):
+            decoder.scaling = 5.0
+        assert decoder.scaling == 0.75
+        decoder.scaling = 1.0
+        assert decoder.scaling == 1.0
+
+    def test_unit_scaling_decodes_noiseless_frame(self, small_ldpc_code):
+        decoder = BatchFloodingDecoder(small_ldpc_code.h, kernel="min-sum", scaling=1.0)
+        result = decoder.decode_batch(np.ones((1, small_ldpc_code.n)))
+        assert result.converged.all() and not result.hard_bits.any()
 
 
 class TestBatchSequentialEquivalence:
@@ -191,7 +375,7 @@ class TestEdgeIndex:
         for frame in range(3):
             for row in range(edges.n_rows):
                 span = slice(edges.row_ptr[row], edges.row_ptr[row + 1])
-                expected[frame, edges.row_cols[row]] += values[frame, span]
+                expected[frame, small_ldpc_code.h.row(row)] += values[frame, span]
         assert np.allclose(accumulated, expected)
 
     def test_group_shapes_cover_every_edge(self, small_ldpc_code):
@@ -200,6 +384,65 @@ class TestEdgeIndex:
         variable_edges = np.concatenate([g.edges.ravel() for g in edges.variable_groups])
         assert np.array_equal(np.sort(check_edges), np.arange(edges.n_edges))
         assert np.array_equal(np.sort(variable_edges), np.arange(edges.n_edges))
+
+
+    @given(
+        bits=arrays(np.bool_, st.tuples(st.integers(1, 4), st.just(576))),
+        dtype=st.sampled_from([np.bool_, np.int8, np.int64]),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_unsatisfied_counts_property(self, small_ldpc_code, bits, dtype):
+        """Every hard-bit dtype the decoders pass counts like ``h.syndrome``."""
+        counts = EdgeIndex(small_ldpc_code.h).unsatisfied_counts(bits.astype(dtype))
+        assert counts.dtype == np.int64
+        for frame, word in enumerate(bits):
+            assert counts[frame] == int(small_ldpc_code.h.syndrome(word).sum())
+
+
+class TestLayers:
+    @pytest.mark.parametrize(
+        "n, rate, n_layers, size",
+        [(576, "1/2", 12, 24), (2304, "5/6", 4, 96), (1152, "2/3B", 8, 48)],
+    )
+    def test_wimax_block_rows(self, n, rate, n_layers, size):
+        layers = EdgeIndex(wimax_ldpc_code(n, rate).h).layers()
+        assert len(layers) == n_layers
+        assert all(len(layer.rows) == size for layer in layers)
+
+    @given(
+        rows=st.lists(
+            st.sets(st.integers(0, 9), min_size=2, max_size=4), min_size=1, max_size=12
+        )
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_layers_partition_checks_greedily(self, rows):
+        h = ParityCheckMatrix([sorted(row) for row in rows], 10)
+        edges = EdgeIndex(h)
+        layers = edges.layers()
+        assert [r for layer in layers for r in layer.rows] == list(range(len(rows)))
+        for layer in layers:
+            assert layer.edges == slice(
+                int(edges.row_ptr[layer.rows.start]), int(edges.row_ptr[layer.rows.stop])
+            )
+            assert np.unique(layer.cols).size == layer.cols.size
+            for i, row in enumerate(layer.rows):
+                assert np.array_equal(layer.cols[i], h.row(row))
+        # Greedy: each layer starts where its first check could not join the
+        # previous one.
+        for before, layer in zip(layers, layers[1:]):
+            first = set(rows[layer.rows.start])
+            assert len(first) != before.cols.shape[1] or first & set(
+                before.cols.ravel().tolist()
+            )
+
+    def test_chained_rows_are_singletons(self):
+        h = ParityCheckMatrix([[0, 1], [1, 2], [2, 3], [3, 0]], 4)
+        layers = EdgeIndex(h).layers()
+        assert [len(layer.rows) for layer in layers] == [1, 1, 1, 1]
+
+    def test_degree_change_splits_disjoint_rows(self):
+        h = ParityCheckMatrix([[0, 1], [2, 3], [4, 5, 6]], 7)
+        assert [len(layer.rows) for layer in EdgeIndex(h).layers()] == [2, 1]
 
 
 class TestEncodeBatch:
