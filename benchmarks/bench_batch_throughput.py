@@ -8,6 +8,11 @@ lists, one frame at a time) for both schedules; the *contender* is the
 is >= 10x frames/sec on the flooding schedule; in practice the margin is much
 larger.
 
+A last row justifies the flooding decoder's kernel choice on multi-degree
+codes: the flat segment min-sum (:func:`min_sum_update_segments`) against the
+per-degree-group dense loop it replaces, on the same ``(64, n_edges)``
+variable-to-check array of WiMAX 2304 r3/4A, timed as interleaved trials.
+
 Run with ``PYTHONPATH=src python -m pytest benchmarks/bench_batch_throughput.py -q -s``.
 """
 
@@ -21,13 +26,16 @@ import pytest
 from repro.channel import AWGNChannel, BPSKModulator, ebn0_to_noise_sigma
 from repro.ldpc import wimax_ldpc_code
 from repro.ldpc.checknode import hard_decision, min_sum_check_update
-from repro.sim import BatchFloodingDecoder, BatchLayeredDecoder
+from repro.sim import BatchFloodingDecoder, BatchLayeredDecoder, EdgeIndex
+from repro.sim.kernels import min_sum_update, min_sum_update_segments
 
 BATCH = 64
 MAX_ITERATIONS = 10
 EBN0_DB = 2.0
 #: Frames timed on the (slow) seed baseline; frames/sec extrapolates.
 BASELINE_FRAMES = 8
+#: Interleaved (segment, dense) trial pairs of the kernel-choice row.
+KERNEL_TRIALS = 31
 
 
 def _make_llr_batch(code, batch: int, seed: int = 7, ebn0_db: float = EBN0_DB) -> np.ndarray:
@@ -149,3 +157,60 @@ def test_batch_layered_throughput_speedup(
     )
     benchmark(run_batch)
     assert speedup >= 10.0
+
+
+def _quartiles(samples: list[float]) -> dict:
+    q1, median, q3 = np.percentile(samples, [25, 50, 75])
+    return {"median_s": float(median), "iqr_s": float(q3 - q1)}
+
+
+@pytest.mark.benchmark(group="batch-throughput")
+def test_segment_min_sum_beats_dense_groups(benchmark, bench_print, bench_json):
+    """Flooding check phase on a two-degree code: one segment call vs one dense call per group."""
+    code = wimax_ldpc_code(2304, "3/4A")
+    edges = EdgeIndex(code.h)
+    assert len(edges.check_groups) > 1  # the case the decoder routes to segments
+    # Row-major like the decoder's v2c (gathered posterior minus the previous
+    # check messages); the bare column gather would be Fortran-ordered.
+    v2c = np.ascontiguousarray(edges.gather(_make_llr_batch(code, BATCH)))
+
+    def segment():
+        return min_sum_update_segments(v2c, edges.row_ptr)
+
+    def dense():
+        out = np.empty_like(v2c)
+        for group in edges.check_groups:
+            out[:, group.edges] = min_sum_update(v2c[:, group.edges])
+        return out
+
+    assert np.array_equal(segment().view(np.int64), dense().view(np.int64))
+    times = {segment: [], dense: []}
+    for trial in range(KERNEL_TRIALS):
+        for fn in (segment, dense) if trial % 2 == 0 else (dense, segment):
+            start = time.perf_counter()
+            fn()
+            times[fn].append(time.perf_counter() - start)
+    seg, den = _quartiles(times[segment]), _quartiles(times[dense])
+    ratio = den["median_s"] / seg["median_s"]
+    pair_ratios = np.array(times[dense]) / np.array(times[segment])
+    won = int((pair_ratios > 1.0).sum())
+    bench_print(
+        f"check phase (n={code.n} r3/4A, batch {BATCH}, {edges.n_edges} edges): "
+        f"segment {1e3 * seg['median_s']:.2f} ms (IQR {1e3 * seg['iqr_s']:.2f}) | "
+        f"dense per group {1e3 * den['median_s']:.2f} ms (IQR {1e3 * den['iqr_s']:.2f}) | "
+        f"dense/segment {ratio:.2f}x (segment won {won}/{KERNEL_TRIALS} pairs)"
+    )
+    bench_json(
+        "batch_throughput",
+        "segment_vs_dense_2304_r3/4A",
+        {"n": code.n, "rate": "3/4A", "batch": BATCH, "n_edges": edges.n_edges,
+         "check_degrees": sorted({g.degree for g in edges.check_groups}),
+         "trials": KERNEL_TRIALS,
+         "segment": {k: round(v, 6) for k, v in seg.items()},
+         "dense_per_group": {k: round(v, 6) for k, v in den.items()},
+         "dense_over_segment": round(ratio, 3),
+         "pair_ratio_median": round(float(np.median(pair_ratios)), 3),
+         "segment_won_pairs": won},
+    )
+    benchmark(segment)
+    assert ratio >= 1.0

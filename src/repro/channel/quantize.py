@@ -115,9 +115,16 @@ class LLRQuantizer:
 
         Equal bit for bit to ``dequantize(quantize(values))``, ``-0.0``
         included: it leaves as ``+0.0``, as it does through the integer
-        levels.  With ``inplace=True`` ``values`` must be a float64 array; it
-        is overwritten with the result and returned, with no temporaries.
+        levels.  With ``inplace=True`` ``values`` must be a float64
+        :class:`numpy.ndarray` (anything else raises
+        :class:`~repro.errors.ConfigurationError`); it is overwritten with the
+        result and returned, with no temporaries.
         """
+        if inplace and not (isinstance(values, np.ndarray) and values.dtype == np.float64):
+            raise ConfigurationError(
+                "quantize_to_real(inplace=True) needs a float64 ndarray, got "
+                f"{getattr(values, 'dtype', type(values).__name__)}"
+            )
         arr = values if inplace else np.array(values, dtype=np.float64)
         arr /= self.spec.step
         np.round(arr, out=arr)

@@ -16,16 +16,6 @@ class ConfigurationError(ReproError):
     """A configuration object is inconsistent or out of the supported range."""
 
 
-class BackendUnavailableError(ConfigurationError):
-    """A registered array backend's optional dependency is not installed.
-
-    Raised when a *known* backend name (``cupy``, ``torch``, ``numba``) is
-    selected on a host without the corresponding package.  Distinct from the
-    plain :class:`ConfigurationError` an *unknown* name raises, so callers
-    (and the differential test suite) can skip cleanly instead of failing.
-    """
-
-
 class CodeDefinitionError(ReproError):
     """A channel-code definition (LDPC H matrix, turbo trellis, ...) is invalid."""
 

@@ -50,7 +50,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.backend import BackendLike, resolve
 from repro.errors import SimulationError
 from repro.noc.config import CollisionPolicy, NocConfiguration, RoutingAlgorithm
 from repro.noc.message import MessageStatistics
@@ -121,13 +120,6 @@ class BatchNocSimulator:
         Seed for the SCM deflection randomness.
     max_cycles:
         Hard safety bound on the simulated cycle count.
-    backend:
-        Array-backend override (:func:`repro.backend.resolve` semantics).
-        A backend with ``jit=True`` (the ``numba`` backend, or any
-        :class:`~repro.backend.ArrayBackend` constructed with that flag)
-        routes runs through the JIT-able array-state serve loop of
-        :mod:`repro.noc.engine_jit`, which is cycle-exact with the list
-        engine; any other backend keeps the plain-Python loop.
     """
 
     def __init__(
@@ -137,7 +129,6 @@ class BatchNocSimulator:
         routing_tables: RoutingTables | None = None,
         seed: int = 0,
         max_cycles: int = 200_000,
-        backend: BackendLike = None,
     ):
         if max_cycles <= 0:
             raise SimulationError(f"max_cycles must be positive, got {max_cycles}")
@@ -150,7 +141,6 @@ class BatchNocSimulator:
             raise SimulationError("routing tables were built for a different topology")
         self.seed = seed
         self.max_cycles = max_cycles
-        self.backend = backend
         self._static = _StaticState(topology, config, self.tables)
 
     def run(self, traffic: TrafficPattern, seed: int | None = None) -> SimulationResult:
@@ -166,13 +156,6 @@ class BatchNocSimulator:
                 f"{self.topology.n_nodes}"
             )
         run_seed = self.seed if seed is None else seed
-        if resolve(self.backend).jit:
-            from repro.noc.engine_jit import run_engine_arrays
-
-            return run_engine_arrays(
-                self._static, MessageArrays.from_traffic(traffic),
-                traffic.label, run_seed, self.max_cycles,
-            )
         return _run_engine(
             self._static, MessageArrays.from_traffic(traffic), traffic.label,
             run_seed, self.max_cycles,

@@ -70,7 +70,6 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.backend import ArrayBackend, BackendLike, resolve
 from repro.errors import SimulationError
 from repro.noc.config import CollisionPolicy, NocConfiguration, RoutingAlgorithm
 from repro.noc.engine import BatchNocSimulator, MessageArrays
@@ -270,13 +269,6 @@ class BatchedNocKernel:
         Optional precomputed tables (recomputed from the topology if omitted).
     max_cycles:
         Hard safety bound on the simulated cycle count, applied per job.
-    backend:
-        Array-backend override (:func:`repro.backend.resolve` semantics).
-        A backend with ``jit=True`` routes the scalar fallbacks — the
-        per-job scalar engine and the small-round resume replay — through
-        their JIT-able array-state twins (:mod:`repro.noc.engine_jit`) and
-        raises the vectorize/replay crossover accordingly; results stay
-        cycle-exact either way.
     """
 
     def __init__(
@@ -285,7 +277,6 @@ class BatchedNocKernel:
         config: NocConfiguration,
         routing_tables: RoutingTables | None = None,
         max_cycles: int = 200_000,
-        backend: BackendLike = None,
     ):
         if max_cycles <= 0:
             raise SimulationError(f"max_cycles must be positive, got {max_cycles}")
@@ -297,7 +288,6 @@ class BatchedNocKernel:
         if self.tables.topology is not topology:
             raise SimulationError("routing tables were built for a different topology")
         self.max_cycles = max_cycles
-        self.backend = backend
         # Both halves are built lazily: a kernel that only ever serves
         # scalar-fallback groups never pays for the dense batch state, and one
         # that only batches never builds the scalar engine's static state.
@@ -339,7 +329,6 @@ class BatchedNocKernel:
         # The job axis cannot express bounded-capacity backpressure (node n's
         # free-port view depends on node n-1's pops within the same cycle), and
         # a batch of one gains nothing from stacking: both run scalar.
-        backend = resolve(self.backend)
         if len(traffics) == 1 or self.config.fifo_capacity <= max_total:
             if self._scalar is None:
                 # Seed-independent: per-job seeds are passed to run() only.
@@ -347,9 +336,6 @@ class BatchedNocKernel:
                     self.topology, self.config, routing_tables=self.tables,
                     seed=0, max_cycles=self.max_cycles,
                 )
-            # Re-resolved per run: an active-backend switch between runs must
-            # not be shadowed by the cached engine.
-            self._scalar.backend = backend
             return [
                 self._scalar.run(traffic, seed=seed)
                 for traffic, seed in zip(traffics, seeds)
@@ -357,7 +343,7 @@ class BatchedNocKernel:
         if self._static is None:
             self._static = _BatchedStatic(self.topology, self.config, self.tables)
         return _run_batched(
-            self._static, messages, traffics, seeds, self.max_cycles, backend
+            self._static, messages, traffics, seeds, self.max_cycles
         )
 
 
@@ -370,11 +356,8 @@ def _run_batched(
     traffics: list[TrafficPattern],
     seeds: list[int],
     max_cycles: int,
-    backend: ArrayBackend | None = None,
 ) -> list[SimulationResult]:
     """Advance the stacked (J, ...) state cycle by cycle until every job drains."""
-    if backend is None:
-        backend = resolve(None)
     n = st.n_nodes
     J = len(messages)
     Jn = J * n
@@ -763,7 +746,7 @@ def _run_batched(
                     dest_flat, free, local_free, heads, occ, lens,
                     buf, L, NFp, M, J, del_cycle_flat, mis_flat, delivered_j,
                     sent, draws, send_idx_parts, send_job_parts, upd_parts,
-                    chg_parts, cycle, backend,
+                    chg_parts, cycle,
                 )
                 live[np.concatenate(susp_rows)] = True
 
@@ -888,25 +871,12 @@ def _grow(buf: np.ndarray, rows: int, L: int) -> tuple[np.ndarray, int]:
 #: crossover on the Table-I grid; see benchmarks/bench_deflection_draws.py).
 _VEC_MIN_ROUND = 96
 
-#: Same crossover for a ``jit=True`` backend, where the replay runs through
-#: the compiled :func:`repro.noc.engine_jit.resume_replay`: the replay side
-#: gets orders of magnitude cheaper while the vectorized rounds stay NumPy,
-#: so far more rounds fall to the replay.  Re-measured per host by
-#: ``benchmarks/bench_backends.py`` when numba is actually installed.
-_VEC_MIN_ROUND_JIT = 1024
-
-
-def _vec_min_round(backend: ArrayBackend) -> int:
-    """Vectorize/replay crossover for the active backend's replay path."""
-    return _VEC_MIN_ROUND_JIT if backend.jit else _VEC_MIN_ROUND
-
 
 def _resume_suspended(
     st, susp_rows, susp_wave, n_occ, serve_fid, mid_t, dest_flat,
     free_arr, local_free_arr, heads, occ, lens, buf, L, NFp, M, J,
     del_cycle_flat, mis_flat, delivered_j, sent, draws,
     send_idx_parts, send_job_parts, upd_parts, chg_parts, cycle,
-    backend,
 ):
     """Replay every suspended (job, node) pass, vectorized across jobs.
 
@@ -934,13 +904,6 @@ def _resume_suspended(
     n = st.n_nodes
     max_out = st.max_out
     asp, scm = st.asp_mode, st.scm_mode
-    vec_min = _vec_min_round(backend)
-    if backend.jit:
-        from repro.noc.engine_jit import resume_replay
-
-        replay = resume_replay
-    else:
-        replay = _resume_python
     rows = susp_rows[0] if len(susp_rows) == 1 else np.concatenate(susp_rows)
     if len(susp_rows) == 1:
         w0s = np.full(rows.size, susp_wave[0], dtype=np.int64)
@@ -976,7 +939,7 @@ def _resume_suspended(
 
     for round_k in range(n_rounds):
         sel = starts[counts > round_k] + round_k
-        if sel.size < vec_min:
+        if sel.size < _VEC_MIN_ROUND:
             # Every pass of rank >= round_k is still owed; sorted row order
             # keeps each job's passes in ascending node order, so the scalar
             # replay consumes each stream exactly where this round left it.
@@ -986,7 +949,7 @@ def _resume_suspended(
                 rest_rows, rest_w0 = rows[rest], w0s[rest]
             else:
                 rest_rows, rest_w0 = rows, w0s
-            replay(
+            _resume_python(
                 st, rest_rows, rest_w0, n_occ, serve_fid, mid_t, dest_flat,
                 free_arr, local_free_arr, sent, draws, M, NFp,
                 pops_parts, dels_parts, deljob_parts, mis_parts,

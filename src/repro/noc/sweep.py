@@ -45,7 +45,6 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
 
-from repro.backend import resolve
 from repro.errors import ConfigurationError
 from repro.noc.config import CollisionPolicy, NocConfiguration
 from repro.utils.calibration import (
@@ -389,25 +388,16 @@ def _calibrate() -> SweepCostModel:
     )
 
 
-#: Calibrated cost models keyed by :attr:`ArrayBackend.key` of the backend
-#: that was active when the probe ran.  Engine timings change when the
-#: backend does (a JIT scalar path moves the scalar/batched crossover by an
-#: order of magnitude), so each backend gets its own probe run.
-_COST_MODELS: dict[tuple[str, bool], SweepCostModel] = {}
+#: The calibrated cost model, probed once per process on first use.
+_COST_MODEL: SweepCostModel | None = None
 
 
 def scheduler_cost_model() -> SweepCostModel:
-    """The process-wide cost model for the *active* backend.
-
-    Calibrated on first use per backend: the probe engines resolve the
-    active backend at run time, so switching backends mid-session triggers
-    a fresh probe instead of reusing timings measured for another engine.
-    """
-    key = resolve(None).key
-    model = _COST_MODELS.get(key)
-    if model is None:
-        model = _COST_MODELS[key] = _calibrate()
-    return model
+    """The process-wide cost model, calibrated on first use."""
+    global _COST_MODEL
+    if _COST_MODEL is None:
+        _COST_MODEL = _calibrate()
+    return _COST_MODEL
 
 
 def run_noc_sweep(

@@ -40,7 +40,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.backend import resolve
 from repro.service.registry import CodecEntry, CodecSpec, default_registry
 from repro.utils.calibration import (
     POOL_SPINUP_S,
@@ -79,11 +78,6 @@ class DecodeCostModel:
 
     spec: CodecSpec
     curve: PiecewiseLinearCost
-    #: :attr:`ArrayBackend.key` of the backend active during calibration.
-    #: A model probed under one backend does not transfer to another (a JIT
-    #: or GPU backend shifts the whole curve), so the service re-calibrates
-    #: when this key no longer matches the active backend.
-    backend_key: tuple[str, bool] = ("numpy", False)
 
     @classmethod
     def calibrate(
@@ -116,18 +110,7 @@ class DecodeCostModel:
         return cls(
             spec=entry.spec,
             curve=PiecewiseLinearCost(tuple(samples)),
-            backend_key=resolve(None).key,
         )
-
-    def is_current(self) -> bool:
-        """Whether this model was calibrated under the *active* backend.
-
-        Callers that cache models across backend switches (the service
-        calibrates per :meth:`~repro.service.service.DecodeService.start`,
-        but benchmarks and long-lived planners may not) should drop and
-        re-calibrate when this returns ``False``.
-        """
-        return self.backend_key == resolve(None).key
 
     def saturation_fps(self, max_batch: int) -> float:
         """In-process decode ceiling at the service's batch cap, frames/sec."""

@@ -21,7 +21,6 @@ from typing import TYPE_CHECKING, Protocol, runtime_checkable
 
 import numpy as np
 
-from repro.backend import BackendLike, resolve
 from repro.channel.quantize import CHANNEL_LLR_SPEC, EXTRINSIC_SPEC, LLRQuantizer
 from repro.errors import DecodingError
 from repro.sim.edges import EdgeIndex
@@ -138,15 +137,10 @@ class BatchFloodingDecoder:
     :class:`repro.ldpc.flooding.FloodingDecoder`.
 
     Parameters mirror the per-frame decoder: ``kernel`` selects the exact
-    sum-product tanh rule or the normalized min-sum of paper eq. (11).
-    ``backend`` is a per-decoder array-backend override (name /
-    :class:`~repro.backend.ArrayBackend` / ``None`` for the process-wide
-    selection); the control loop stays on host NumPy and only the check
-    kernels run on the chosen backend, so a GPU backend pays a transfer per
-    update — profitable only for large batches.  On backends with segment
-    primitives the min-sum check phase runs as *one* flat segment-reduction
-    kernel over all edges (bit-identical to the per-degree-group path) when
-    the code has several check degrees.
+    sum-product tanh rule or the normalized min-sum of paper eq. (11).  When
+    the code has several check degrees the min-sum check phase runs as *one*
+    flat segment-reduction kernel over all edges (bit-identical to the
+    per-degree-group path).
     """
 
     def __init__(
@@ -156,7 +150,6 @@ class BatchFloodingDecoder:
         kernel: str = "sum-product",
         scaling: float = 0.75,
         early_termination: bool = True,
-        backend: BackendLike = None,
     ):
         if max_iterations <= 0:
             raise DecodingError(f"max_iterations must be positive, got {max_iterations}")
@@ -169,7 +162,6 @@ class BatchFloodingDecoder:
         self.kernel = kernel
         self.scaling = validate_scaling(scaling)
         self.early_termination = bool(early_termination)
-        self.backend = backend
 
     @property
     def n_bits(self) -> int:
@@ -178,28 +170,19 @@ class BatchFloodingDecoder:
 
     def _check_update(self, v2c: np.ndarray) -> np.ndarray:
         """Apply the check kernel: ``(batch, n_edges)`` in and out."""
-        b = resolve(self.backend)
-        # One segment-reduction launch beats one dense launch per degree
-        # group once there is more than one group to pay for.
-        if (
-            self.kernel == "min-sum"
-            and b.supports_segments
-            and len(self._edges.check_groups) > 1
-        ):
-            return b.to_numpy(
-                min_sum_update_segments(
-                    v2c, self._edges.row_ptr, scaling=self.scaling, backend=b
-                )
+        # One segment-reduction call beats one dense call per degree group
+        # once there is more than one group to pay for.
+        if self.kernel == "min-sum" and len(self._edges.check_groups) > 1:
+            return min_sum_update_segments(
+                v2c, self._edges.row_ptr, scaling=self.scaling
             )
         out = np.empty_like(v2c)
         for group in self._edges.check_groups:
             q = v2c[:, group.edges]
             if self.kernel == "sum-product":
-                out[:, group.edges] = b.to_numpy(sum_product_update(q, backend=b))
+                out[:, group.edges] = sum_product_update(q)
             else:
-                out[:, group.edges] = b.to_numpy(
-                    min_sum_update(q, scaling=self.scaling, backend=b)
-                )
+                out[:, group.edges] = min_sum_update(q, scaling=self.scaling)
         return out
 
     def decode_batch(self, channel_llrs: np.ndarray) -> BatchDecodeResult:
@@ -333,9 +316,6 @@ class BatchLayeredDecoder:
     early_termination:
         Remove a frame from the active set as soon as its hard decision
         satisfies every parity check.
-    backend:
-        Per-decoder array-backend override for the check kernels (the
-        schedule itself is sequential over layers and stays on host NumPy).
     """
 
     def __init__(
@@ -346,7 +326,6 @@ class BatchLayeredDecoder:
         kernel: str = "min-sum",
         fixed_point: bool = False,
         early_termination: bool = True,
-        backend: BackendLike = None,
     ):
         if max_iterations <= 0:
             raise DecodingError(f"max_iterations must be positive, got {max_iterations}")
@@ -361,7 +340,6 @@ class BatchLayeredDecoder:
         self.kernel = kernel
         self.fixed_point = bool(fixed_point)
         self.early_termination = bool(early_termination)
-        self.backend = backend
         self._channel_quantizer = LLRQuantizer(CHANNEL_LLR_SPEC)
         self._extrinsic_quantizer = LLRQuantizer(EXTRINSIC_SPEC)
 
@@ -375,12 +353,11 @@ class BatchLayeredDecoder:
             return llrs.astype(np.float64)
         return self._channel_quantizer.quantize_to_real(llrs)
 
-    def _row_update(self, q: np.ndarray, b=None) -> np.ndarray:
-        b = resolve(self.backend) if b is None else b
+    def _row_update(self, q: np.ndarray) -> np.ndarray:
         if self.kernel == "sum-product":
-            r_new = b.to_numpy(sum_product_update(q, backend=b))
+            r_new = sum_product_update(q)
         else:
-            r_new = b.to_numpy(min_sum_update(q, scaling=self.scaling, backend=b))
+            r_new = min_sum_update(q, scaling=self.scaling)
         if self.fixed_point:
             self._extrinsic_quantizer.quantize_to_real(r_new, inplace=True)
         return r_new
@@ -405,7 +382,6 @@ class BatchLayeredDecoder:
         act_idx = np.arange(batch)
         act_lam = lam_out.copy()
         act_r = np.zeros((batch, edges.n_edges), dtype=np.float64)
-        kernel_backend = resolve(self.backend)
         for iteration in range(self.max_iterations):
             if act_idx.size == 0:
                 break
@@ -414,7 +390,7 @@ class BatchLayeredDecoder:
                 # free of full-size temporaries.
                 q = act_lam[:, layer.cols]
                 q -= act_r[:, layer.edges].reshape(q.shape)
-                r_new = self._row_update(q, kernel_backend)
+                r_new = self._row_update(q)
                 q += r_new
                 if self.fixed_point:
                     self._channel_quantizer.quantize_to_real(q, inplace=True)

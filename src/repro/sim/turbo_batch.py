@@ -36,7 +36,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.backend import ArrayBackend, BackendLike, resolve
 from repro.errors import DecodingError
 from repro.turbo.bits import bit_to_symbol_extrinsic, symbol_to_bit_extrinsic
 from repro.turbo.encoder import TurboEncoder
@@ -71,11 +70,7 @@ class BatchBCJR:
     Parameters mirror :class:`repro.turbo.bcjr.BCJRDecoder` (which delegates
     here with ``batch=1``): ``algorithm`` selects plain maximum or the exact
     Jacobian ``max*``; ``extrinsic_scale`` is the ``sigma <= 1`` factor of
-    paper Section II-A, forced to 1.0 for Log-MAP.  ``backend`` is an array
-    backend override (see :mod:`repro.backend`): the gamma / alpha / beta
-    tensors live on the chosen backend for the duration of one activation
-    and results return as host NumPy arrays, bit-identical on the NumPy
-    backend and tolerance-pinned elsewhere.
+    paper Section II-A, forced to 1.0 for Log-MAP.
     """
 
     def __init__(
@@ -83,7 +78,6 @@ class BatchBCJR:
         trellis: DuoBinaryTrellis | None = None,
         algorithm: str = "max-log",
         extrinsic_scale: float = 0.75,
-        backend: BackendLike = None,
     ):
         if algorithm not in _ALGORITHMS:
             raise DecodingError(
@@ -101,8 +95,8 @@ class BatchBCJR:
         parity = self.trellis.parity_table()  # (8, 4, 2)
         symbols = np.arange(NUM_SYMBOLS)
         # Correlation signs (1 - 2*bit) for the systematic and parity bits.
-        self._sym_a_sign = 1 - 2 * ((symbols >> 1) & 1)  # (4,)
-        self._sym_b_sign = 1 - 2 * (symbols & 1)  # (4,)
+        self._sym_a_sign = (1 - 2 * ((symbols >> 1) & 1)).astype(np.float64)  # (4,)
+        self._sym_b_sign = (1 - 2 * (symbols & 1)).astype(np.float64)  # (4,)
         self._y_sign = 1 - 2 * parity[:, :, 0].astype(np.int64)  # (8, 4)
         self._w_sign = 1 - 2 * parity[:, :, 1].astype(np.int64)  # (8, 4)
         # The parity metric takes only four distinct values per trellis step
@@ -111,36 +105,18 @@ class BatchBCJR:
         self._parity_combo = (parity[:, :, 0].astype(np.int64) << 1) | parity[
             :, :, 1
         ].astype(np.int64)
-        self.backend = backend
-        # Trellis tables lifted into each backend's namespace, cached per
-        # backend key (for NumPy the "lifted" tables are the arrays above).
-        self._lifted: dict[tuple[str, bool], tuple] = {}
-
-    def _tables(self, b: ArrayBackend) -> tuple:
-        lifted = self._lifted.get(b.key)
-        if lifted is None:
-            lifted = (
-                b.asarray(self._next_state, dtype=np.int64),
-                b.asarray(self._in_state, dtype=np.int64),
-                b.asarray(self._in_symbol, dtype=np.int64),
-                b.asarray(self._parity_combo, dtype=np.int64),
-                b.asarray(self._sym_a_sign, dtype=np.float64),
-                b.asarray(self._sym_b_sign, dtype=np.float64),
-            )
-            self._lifted[b.key] = lifted
-        return lifted
 
     # ------------------------------------------------------------------ #
     # max* helpers
     # ------------------------------------------------------------------ #
-    def _maxstar_reduce(self, values, axis: int, xp=np):
+    def _maxstar_reduce(self, values: np.ndarray, axis: int) -> np.ndarray:
         """Reduce with max* along ``axis`` (same arithmetic as the per-frame path)."""
         if self.algorithm == "max-log":
-            return xp.amax(values, axis=axis)
-        peak = xp.amax(values, axis=axis, keepdims=True)
-        return xp.log(xp.sum(xp.exp(values - peak), axis=axis)) + xp.squeeze(peak, axis)
+            return np.amax(values, axis=axis)
+        peak = np.amax(values, axis=axis, keepdims=True)
+        return np.log(np.sum(np.exp(values - peak), axis=axis)) + np.squeeze(peak, axis)
 
-    def _logmap_reduce_states(self, values, xp=np):
+    def _logmap_reduce_states(self, values: np.ndarray) -> np.ndarray:
         """Log-MAP max* over the state axis of ``(n, batch, 8, 4)`` metrics.
 
         Only the Log-MAP a-posteriori uses this (Max-Log-MAP takes the fused
@@ -149,21 +125,20 @@ class BatchBCJR:
         of a middle-axis reduction — 3-4x faster on this layout and
         bit-identical, since ``max`` is exact under any association order.
         """
-        peak = xp.maximum(values[:, :, 0], values[:, :, 1])
+        peak = np.maximum(values[:, :, 0], values[:, :, 1])
         for state in range(2, NUM_STATES):
-            xp.maximum(peak, values[:, :, state], out=peak)
-        return xp.log(xp.sum(xp.exp(values - peak[:, :, None, :]), axis=2)) + peak
+            np.maximum(peak, values[:, :, state], out=peak)
+        return np.log(np.sum(np.exp(values - peak[:, :, None, :]), axis=2)) + peak
 
     # ------------------------------------------------------------------ #
     # Branch metrics
     # ------------------------------------------------------------------ #
     def _branch_metrics(
         self,
-        systematic_llrs,
-        parity_llrs,
-        apriori,
-        b: ArrayBackend,
-    ):
+        systematic_llrs: np.ndarray,
+        parity_llrs: np.ndarray,
+        apriori: np.ndarray,
+    ) -> np.ndarray:
         """Compute ``gamma`` in *time-major* layout ``(n, batch, 8, 4)``.
 
         Bit metrics use the symmetric correlation form ``0.5 * (1 - 2*bit) * LLR``
@@ -172,30 +147,24 @@ class BatchBCJR:
         forward/backward Python loops memory-friendly; the arithmetic (and
         hence the bit pattern of every metric) is unchanged.
         """
-        xp = b.xp
-        _, _, _, parity_combo, sym_a_sign, sym_b_sign = self._tables(b)
-        sys_tm = xp.ascontiguousarray(
-            xp.transpose(b.asarray(systematic_llrs), (1, 0, 2))
-        )  # (n, batch, 2)
-        par_tm = xp.ascontiguousarray(xp.transpose(b.asarray(parity_llrs), (1, 0, 2)))
-        apr_tm = xp.ascontiguousarray(
-            xp.transpose(b.asarray(apriori), (1, 0, 2))
-        )  # (n, batch, 4)
-        sys_metric = sym_a_sign * sys_tm[..., 0:1]
-        sys_metric += sym_b_sign * sys_tm[..., 1:2]
+        sys_tm = np.ascontiguousarray(np.transpose(systematic_llrs, (1, 0, 2)))  # (n, batch, 2)
+        par_tm = np.ascontiguousarray(np.transpose(parity_llrs, (1, 0, 2)))
+        apr_tm = np.ascontiguousarray(np.transpose(apriori, (1, 0, 2)))  # (n, batch, 4)
+        sys_metric = self._sym_a_sign * sys_tm[..., 0:1]
+        sys_metric += self._sym_b_sign * sys_tm[..., 1:2]
         sys_metric *= 0.5  # (n, batch, 4)
         # Parity contribution: only four distinct values 0.5*(±Y ± W) exist
         # per step, so compute those and spread them over (8, 4) by gather —
         # one big write instead of three (sign arithmetic is exact, so the
         # bit patterns match the naive 0.5*(y_sign*Y + w_sign*W) form).
         y_llr, w_llr = par_tm[..., 0], par_tm[..., 1]
-        combos = xp.empty((*y_llr.shape, 4), dtype=np.float64)  # (n, batch, 4)
+        combos = np.empty((*y_llr.shape, 4), dtype=np.float64)  # (n, batch, 4)
         combos[..., 0] = y_llr + w_llr  # Y=0, W=0 -> both signs +
         combos[..., 1] = y_llr - w_llr  # Y=0, W=1
         combos[..., 2] = w_llr - y_llr  # Y=1, W=0
         combos[..., 3] = -combos[..., 0]  # Y=1, W=1
         combos *= 0.5
-        gamma = combos[:, :, parity_combo]  # (n, batch, 8, 4)
+        gamma = combos[:, :, self._parity_combo]  # (n, batch, 8, 4)
         gamma += sys_metric[..., None, :]
         gamma += apr_tm[..., None, :]
         return gamma
@@ -239,8 +208,6 @@ class BatchBCJR:
             trellis (metric inheritance across turbo iterations); uniform
             when omitted.
         """
-        b = resolve(self.backend)
-        xp = b.xp
         sys_llrs = np.asarray(systematic_llrs, dtype=np.float64)
         par_llrs = np.asarray(parity_llrs, dtype=np.float64)
         if sys_llrs.ndim != 3 or sys_llrs.shape[2] != 2:
@@ -260,35 +227,36 @@ class BatchBCJR:
                     f"apriori must have shape ({batch}, {n}, {NUM_SYMBOLS}), "
                     f"got {apriori_arr.shape}"
                 )
-        gamma = self._branch_metrics(sys_llrs, par_llrs, apriori_arr, b)  # (n, batch, 8, 4)
+        gamma = self._branch_metrics(sys_llrs, par_llrs, apriori_arr)  # (n, batch, 8, 4)
 
         # State-metric lattices in time-major layout: every per-step slab
         # alpha[k] / beta[k] is a contiguous (batch, 8) array.
-        alpha = xp.empty((n + 1, batch, NUM_STATES), dtype=np.float64)
-        beta = xp.empty((n + 1, batch, NUM_STATES), dtype=np.float64)
-        alpha[0] = self._normalize_init(initial_alpha, batch, b)
-        beta[n] = self._normalize_init(initial_beta, batch, b)
+        alpha = np.empty((n + 1, batch, NUM_STATES), dtype=np.float64)
+        beta = np.empty((n + 1, batch, NUM_STATES), dtype=np.float64)
+        alpha[0] = self._normalize_init(initial_alpha, batch)
+        beta[n] = self._normalize_init(initial_beta, batch)
 
-        next_state, in_state, in_symbol, _, _, _ = self._tables(b)
+        next_state = self._next_state
+        in_state, in_symbol = self._in_state, self._in_symbol
         # Forward recursion (eq. (3)): spread alpha over the outgoing edges,
         # then gather each state's four incoming edges and reduce.
         for k in range(n):
             outgoing = alpha[k][:, :, None] + gamma[k]  # (batch, 8, 4)
             cand = outgoing[:, in_state, in_symbol]
-            new_alpha = self._maxstar_reduce(cand, axis=2, xp=xp)
-            new_alpha -= xp.amax(new_alpha, axis=1, keepdims=True)
+            new_alpha = self._maxstar_reduce(cand, axis=2)
+            new_alpha -= np.amax(new_alpha, axis=1, keepdims=True)
             alpha[k + 1] = new_alpha
         # Backward recursion (eq. (4)).  The gather owns its memory, so the
         # branch metrics accumulate in place (one fewer temporary per step).
         for k in range(n - 1, -1, -1):
             incoming = beta[k + 1][:, next_state]  # (batch, 8, 4)
             incoming += gamma[k]
-            new_beta = self._maxstar_reduce(incoming, axis=2, xp=xp)
-            new_beta -= xp.amax(new_beta, axis=1, keepdims=True)
+            new_beta = self._maxstar_reduce(incoming, axis=2)
+            new_beta -= np.amax(new_beta, axis=1, keepdims=True)
             beta[k] = new_beta
 
-        final_alpha = np.array(b.to_numpy(alpha[n]))
-        final_beta = np.array(b.to_numpy(beta[0]))
+        final_alpha = alpha[n].copy()
+        final_beta = beta[0].copy()
 
         # A-posteriori per symbol (eq. (1) before subtracting the systematic
         # part): b_metric[k] = alpha[k] + gamma[k] + beta[k+1][next_state],
@@ -304,16 +272,14 @@ class BatchBCJR:
                 if apo_tm is None:
                     apo_tm = term
                 else:
-                    xp.maximum(apo_tm, term, out=apo_tm)
+                    np.maximum(apo_tm, term, out=apo_tm)
         else:
             # Log-MAP needs every branch metric for the Jacobian sum, so the
             # b_metric is materialised by consuming gamma in place.
             gamma += alpha[:-1][:, :, :, None]
             gamma += beta[1:][:, :, next_state]
-            apo_tm = self._logmap_reduce_states(gamma, xp=xp)
-        apo_raw = b.to_numpy(
-            xp.ascontiguousarray(xp.transpose(apo_tm, (1, 0, 2)))
-        )  # (batch, n, 4)
+            apo_tm = self._logmap_reduce_states(gamma)
+        apo_raw = np.ascontiguousarray(np.transpose(apo_tm, (1, 0, 2)))  # (batch, n, 4)
         apo = apo_raw - apo_raw[..., 0:1]
 
         sys_diff = self.systematic_symbol_metric(sys_llrs)
@@ -333,17 +299,16 @@ class BatchBCJR:
     # Internals
     # ------------------------------------------------------------------ #
     @staticmethod
-    def _normalize_init(init, batch: int, b: ArrayBackend):
-        xp = b.xp
+    def _normalize_init(init, batch: int) -> np.ndarray:
         if init is None:
-            return xp.zeros((batch, NUM_STATES), dtype=np.float64)
-        arr = b.asarray(init, dtype=np.float64)
+            return np.zeros((batch, NUM_STATES), dtype=np.float64)
+        arr = np.asarray(init, dtype=np.float64)
         if arr.shape != (batch, NUM_STATES):
             raise DecodingError(
                 f"state-metric init must have shape ({batch}, {NUM_STATES}), "
                 f"got {tuple(arr.shape)}"
             )
-        return arr - xp.amax(arr, axis=1, keepdims=True)
+        return arr - np.amax(arr, axis=1, keepdims=True)
 
 
 @dataclass
@@ -432,10 +397,6 @@ class BatchTurboDecoder:
     early_termination:
         Remove a frame from the active set as soon as its hard symbol
         decisions are identical in two successive iterations.
-    backend:
-        Array-backend override forwarded to the SISO kernel (the iteration
-        control loop — interleaving, early exit, compaction — stays on host
-        NumPy).
     """
 
     def __init__(
@@ -446,7 +407,6 @@ class BatchTurboDecoder:
         extrinsic_scale: float = 0.75,
         bit_level_exchange: bool = False,
         early_termination: bool = True,
-        backend: BackendLike = None,
     ):
         if max_iterations <= 0:
             raise DecodingError(f"max_iterations must be positive, got {max_iterations}")
@@ -458,7 +418,6 @@ class BatchTurboDecoder:
             encoder.trellis,
             algorithm=algorithm,
             extrinsic_scale=extrinsic_scale,
-            backend=backend,
         )
         self._n_couples = encoder.n_couples
         self._perm = encoder.interleaver.permutation()

@@ -344,6 +344,22 @@ class TestQuantizer:
         assert quant.quantize_to_real(buffer, inplace=True) is buffer
         assert np.array_equal(buffer.view(np.int64), expected)
 
+    @pytest.mark.parametrize(
+        "buffer",
+        [
+            np.linspace(-4.0, 4.0, 9, dtype=np.float32),
+            np.arange(-4, 5),
+            [0.2, -1.3, 2.6],
+        ],
+        ids=["float32", "int", "list"],
+    )
+    def test_quantize_to_real_inplace_rejects_non_float64_buffers(self, buffer):
+        quant = LLRQuantizer(QuantizationSpec(7, 1))
+        before = np.array(buffer).copy()
+        with pytest.raises(ConfigurationError, match="float64 ndarray"):
+            quant.quantize_to_real(buffer, inplace=True)
+        assert np.array_equal(np.array(buffer), before)  # left untouched
+
     def test_saturating_add(self):
         quant = LLRQuantizer(QuantizationSpec(5, 0))
         out = quant.saturating_add(np.array([10]), np.array([10]))

@@ -177,6 +177,25 @@ class TestDifferentialKernelVsEngine:
         kernel = BatchedNocKernel(topology, config, routing_tables=tables)
         assert [_observables(r) for r in kernel.run(traffics, seeds)] == expected
 
+    @pytest.mark.parametrize("spec", TOPOLOGY_SPECS)
+    @pytest.mark.parametrize("policy", list(CollisionPolicy))
+    def test_kernel_matches_engine_on_bounded_fifos(self, spec, policy):
+        """``fifo_capacity=3`` backpressure runs the kernel's scalar fallback."""
+        topology, tables = _topology_and_tables(spec)
+        config = NocConfiguration(collision_policy=policy, fifo_capacity=3)
+        traffics = [
+            random_traffic(topology.n_nodes, 10, seed=70 + index) for index in range(3)
+        ]
+        seeds = [0, 4, 9]
+        expected = [
+            _observables(
+                BatchNocSimulator(topology, config, routing_tables=tables, seed=s).run(t)
+            )
+            for t, s in zip(traffics, seeds)
+        ]
+        kernel = BatchedNocKernel(topology, config, routing_tables=tables)
+        assert [_observables(r) for r in kernel.run(traffics, seeds)] == expected
+
     @pytest.mark.parametrize("batch", [2, 8, 256])
     @pytest.mark.parametrize("algorithm", list(RoutingAlgorithm))
     def test_scm_cycle_exact_across_batch_sizes(self, batch, algorithm):
@@ -231,6 +250,35 @@ class TestDifferentialKernelVsEngine:
         assert [_observables(r) for r in results] == expected
         if spec[0] == "generalized-kautz":
             # the degree-3 graph must actually deflect under this load
+            assert sum(r.statistics.misrouted for r in results) > 0
+
+    @pytest.mark.parametrize("algorithm", list(RoutingAlgorithm))
+    @pytest.mark.parametrize(
+        "spec", [("generalized-kautz", 8, 3), ("generalized-de-bruijn", 24, 15)]
+    )
+    def test_scm_scalar_replay_rounds_cycle_exact(self, spec, algorithm, monkeypatch):
+        """Force every resume round through the scalar replay, with a
+        two-word stream chunk so refills re-enter mid-draw, and pin it
+        against per-job scalar runs."""
+        import repro.noc.engine_batch as engine_batch
+
+        monkeypatch.setattr(engine_batch, "_VEC_MIN_ROUND", 1 << 30)
+        monkeypatch.setattr(DeflectionStreams, "CHUNK", 2)
+        topology, tables = _topology_and_tables(spec)
+        n = topology.n_nodes
+        config = NocConfiguration(collision_policy=CollisionPolicy.SCM).with_routing(
+            algorithm
+        )
+        traffics = [random_traffic(n, 25, seed=500 + i) for i in range(4)]
+        seeds = [31, 32, 33, 34]
+        kernel = BatchedNocKernel(topology, config, routing_tables=tables)
+        results = kernel.run(traffics, seeds)
+        engine = BatchNocSimulator(topology, config, routing_tables=tables, seed=0)
+        expected = [
+            _observables(engine.run(t, seed=s)) for t, s in zip(traffics, seeds)
+        ]
+        assert [_observables(r) for r in results] == expected
+        if spec[0] == "generalized-kautz":
             assert sum(r.statistics.misrouted for r in results) > 0
 
     def test_deflection_draw_counts_match_scalar_streams(self):

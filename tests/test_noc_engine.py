@@ -76,6 +76,23 @@ def _observables(result):
     }
 
 
+#: Pinned non-default configurations: DCM head-of-line blocking under SSP-RR,
+#: bounded FIFOs with throttled ASP-FT injection, and two-slot FIFOs with
+#: local messages routed through the network.
+STRESS_CONFIGS = {
+    "ssp-rr-dcm": NocConfiguration(
+        routing_algorithm=RoutingAlgorithm.SSP_RR,
+        collision_policy=CollisionPolicy.DCM,
+    ),
+    "asp-ft-fifo3-half-rate": NocConfiguration(
+        routing_algorithm=RoutingAlgorithm.ASP_FT,
+        fifo_capacity=3,
+        injection_rate=0.5,
+    ),
+    "fifo2-route-local": NocConfiguration(fifo_capacity=2, route_local=True),
+}
+
+
 config_strategy = st.builds(
     NocConfiguration,
     routing_algorithm=st.sampled_from(list(RoutingAlgorithm)),
@@ -144,6 +161,25 @@ class TestDifferentialEngineVsReference:
         )
         assert actual == expected
 
+    @pytest.mark.parametrize("spec", TOPOLOGY_SPECS)
+    @pytest.mark.parametrize("config_name", list(STRESS_CONFIGS))
+    def test_engine_matches_reference_on_stress_configs(self, spec, config_name):
+        """Deterministic grid over the pinned non-default configurations."""
+        topology, tables = _topology_and_tables(spec)
+        config = STRESS_CONFIGS[config_name]
+        traffic = random_traffic(topology.n_nodes, 14, seed=31)
+        expected = _observables(
+            ReferenceNocSimulator(topology, config, routing_tables=tables, seed=5).run(
+                traffic
+            )
+        )
+        actual = _observables(
+            BatchNocSimulator(topology, config, routing_tables=tables, seed=5).run(
+                traffic
+            )
+        )
+        assert actual == expected
+
     def test_engine_matches_reference_on_hotspot_traffic(self):
         """All nodes hammering node 0 maximizes contention and deflections."""
         from repro.noc import NodeTraffic, TrafficPattern
@@ -202,6 +238,20 @@ class TestEngineContract:
         )
         with pytest.raises(SimulationError):
             simulator.run(random_traffic(6, 30, seed=2))
+
+    def test_max_cycles_message_matches_reference(self):
+        topology, tables = _topology_and_tables(("ring", 6, None))
+        traffic = random_traffic(6, 30, seed=2)
+        messages = []
+        for simulator_cls in (ReferenceNocSimulator, BatchNocSimulator):
+            simulator = simulator_cls(
+                topology, NocConfiguration(), routing_tables=tables, max_cycles=3
+            )
+            with pytest.raises(SimulationError) as excinfo:
+                simulator.run(traffic)
+            messages.append(str(excinfo.value))
+        assert messages[0] == messages[1]
+        assert "exceeded 3 cycles" in messages[0]
 
     def test_seed_override_matches_fresh_engine(self):
         topology, tables = _topology_and_tables(("generalized-kautz", 8, 3))

@@ -310,9 +310,7 @@ class TestAdaptiveDispatch:
                 CollisionPolicy.SCM: _affine_samples(8e-3, 2e-3),  # never batches
             },
         )
-        monkeypatch.setattr(
-            sweep_mod, "_COST_MODELS", {sweep_mod.resolve(None).key: model}
-        )
+        monkeypatch.setattr(sweep_mod, "_COST_MODEL", model)
         built = []
         real_kernel = sweep_mod.BatchedNocKernel
 
@@ -377,7 +375,7 @@ class TestAdaptiveDispatch:
         from repro.noc import scheduler_cost_model
 
         calls = []
-        monkeypatch.setattr(sweep_mod, "_COST_MODELS", {})
+        monkeypatch.setattr(sweep_mod, "_COST_MODEL", None)
         real = sweep_mod._calibrate
         monkeypatch.setattr(
             sweep_mod, "_calibrate", lambda: calls.append(1) or real()
