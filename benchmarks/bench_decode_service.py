@@ -13,7 +13,10 @@ without the service):
 * ``saturating``— a burst of concurrent clients deep enough to keep full
   batches forming (the design point; acceptance: >= 5x the per-frame
   baseline with the p99 *queueing* delay inside the latency budget);
-* ``saturating_sharded`` — same burst through the process-shard executor.
+* ``saturating_sharded`` — a 768-frame burst through the thread executor
+  and through the process-shard executor (2 shards), as interleaved pairs;
+  the row records both medians, their IQRs, n and the process/thread
+  ratio.
 
 Queueing delay (``queued_s``: enqueue -> dispatch) is the quantity the
 latency budget governs; end-to-end latency additionally includes the decode
@@ -40,6 +43,8 @@ BUDGET_S = 0.005
 #: (CI runners stall event loops for tens of milliseconds at a time).
 BUDGET_SLACK_S = 0.050
 BURST_FRAMES = 192
+SHARD_BURST_FRAMES = 768
+SHARD_PAIRS = 7
 TRICKLE_FRAMES = 8
 BASELINE_FRAMES = 12
 EBN0_DB = 2.0
@@ -55,6 +60,14 @@ def frames(registry):
     entry = registry.resolve(*CODEC)
     rng = np.random.default_rng(2012)
     llrs, _ = generate_llr_frames(entry, BURST_FRAMES, EBN0_DB, rng)
+    return llrs
+
+
+@pytest.fixture(scope="module")
+def shard_frames(registry):
+    entry = registry.resolve(*CODEC)
+    rng = np.random.default_rng(2013)
+    llrs, _ = generate_llr_frames(entry, SHARD_BURST_FRAMES, EBN0_DB, rng)
     return llrs
 
 
@@ -93,12 +106,21 @@ def _run_service(frames, *, concurrent: bool, registry, **service_kwargs):
             registry=registry,
             max_batch=MAX_BATCH,
             max_delay_s=BUDGET_S,
-            queue_capacity=2 * BURST_FRAMES,
+            queue_capacity=2 * len(frames),
             **service_kwargs,
         ) as service:
             return await _drive(service, frames, concurrent)
 
     return asyncio.run(scenario())
+
+
+def _spread(values) -> dict:
+    q1, median, q3 = np.percentile(values, [25, 50, 75])
+    return {
+        "median_fps": round(float(median), 1),
+        "iqr_fps": round(float(q3 - q1), 1),
+        "n": len(values),
+    }
 
 
 def _row(label, fps, baseline_fps, snapshot):
@@ -172,31 +194,57 @@ def test_decode_service_throughput_vs_per_frame(
 
 @pytest.mark.benchmark(group="decode-service")
 def test_decode_service_sharded_throughput(
-    registry, frames, benchmark, bench_print, bench_json
+    registry, frames, shard_frames, benchmark, bench_print, bench_json
 ):
-    """Process-shard mode sustains the speedup target at saturating load."""
+    """Process sharding (2 workers) vs the thread executor on one burst.
+
+    Interleaved pairs on the same 768 frames; the process side still has to
+    sustain the speedup target at saturating load.
+    """
     baseline_fps = _per_frame_fps(registry, frames)
-    sharded_fps, sharded_snap = _run_service(
-        frames, concurrent=True, registry=registry, executor="process", shards=2,
-    )
+    thread_fps, process_fps = [], []
+    for _ in range(SHARD_PAIRS):
+        fps, _ = _run_service(
+            shard_frames, concurrent=True, registry=registry, executor="thread",
+        )
+        thread_fps.append(fps)
+        fps, sharded_snap = _run_service(
+            shard_frames, concurrent=True, registry=registry,
+            executor="process", shards=2,
+        )
+        process_fps.append(fps)
+    sharded_fps = float(np.median(process_fps))
+    thread = _spread(thread_fps)
+    process = _spread(process_fps)
+    ratio = process["median_fps"] / thread["median_fps"]
+    wins = sum(p > t for p, t in zip(process_fps, thread_fps))
     bench_json(
         "decode_service",
         "saturating_sharded",
         {
             "codec": ":".join(str(part) for part in CODEC),
             "shards": 2,
+            "burst_frames": SHARD_BURST_FRAMES,
+            "thread": thread,
+            "process": process,
+            "process_over_thread": round(ratio, 3),
+            "process_wins": f"{wins}/{SHARD_PAIRS}",
             **_row("saturating_sharded", sharded_fps, baseline_fps, sharded_snap),
         },
     )
     bench_print(
-        f"  sharded (2 proc)   {sharded_fps:8.1f} frames/s "
-        f"(queued p99 {1e3 * sharded_snap.queue_p99_s:6.2f} ms, "
-        f"speedup {sharded_fps / baseline_fps:5.1f}x)"
+        f"  {SHARD_BURST_FRAMES}-frame burst, {SHARD_PAIRS} interleaved pairs:\n"
+        f"  thread             {thread['median_fps']:8.1f} frames/s "
+        f"(IQR {thread['iqr_fps']:.1f})\n"
+        f"  sharded (2 proc)   {process['median_fps']:8.1f} frames/s "
+        f"(IQR {process['iqr_fps']:.1f}, {ratio:.2f}x thread, won {wins}/{SHARD_PAIRS}; "
+        f"queued p99 {1e3 * sharded_snap.queue_p99_s:6.2f} ms)"
     )
 
     def run_sharded():
         _run_service(
-            frames, concurrent=True, registry=registry, executor="process", shards=2
+            shard_frames, concurrent=True, registry=registry,
+            executor="process", shards=2,
         )
 
     benchmark(run_sharded)

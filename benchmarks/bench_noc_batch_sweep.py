@@ -20,12 +20,12 @@ are largest for DCM cells (pure vector path); SCM cells also pay for the
 per-job deflection-draw replay, which PR 5 vectorized across jobs
 (:meth:`repro.utils.rng.DeflectionStreams.draw_batch` + the kernel's resume
 rounds), so their single-core ratio now clears 1.5x at J = 256 instead of
-losing to the scalar engine.  Small batches dispatch through the adaptive
-scheduler's measured cost model, which routes them to the scalar engine —
-the J = 8 row records parity, not the former 0.6x regression.  The
-scheduler's ``parallel="process"`` mode multiplies the serial ratio by the
-worker count on multi-core hosts (and quietly stays serial at one worker);
-its row records the workers used.
+losing to the scalar engine.  Groups below the scheduler's fixed per-policy
+crossover run the scalar engine — the J = 8 row records parity, not the
+former 0.6x regression — and the ``crossover`` row records the grid those
+crossovers were sized from.  The scheduler's ``parallel="process"`` mode
+multiplies the serial ratio by the worker count on multi-core hosts (and
+stays serial at one worker); its row records the workers used.
 """
 
 from __future__ import annotations
@@ -36,10 +36,12 @@ import time
 import pytest
 
 from repro.noc import (
+    BatchedNocKernel,
     BatchNocSimulator,
     CollisionPolicy,
     NocConfiguration,
     NocSweepJob,
+    NocSweepOutcome,
     ReferenceNocSimulator,
     RoutingAlgorithm,
     build_routing_tables,
@@ -54,6 +56,12 @@ from benchmarks.conftest import full_benchmarks_enabled
 #: n=2304 rate-1/2 WiMAX LDPC code partitioned over P PEs (~2304/P each).
 SWEEP_SCALES = [(16, 3, 144), (22, 3, 105)]
 TIMING_REPEATS = 2
+
+#: Crossover grid: group sizes J and messages per PE timed on generalized
+#: Kautz D=3, P=16 (the Table-I scale).  The sweep scheduler's fixed
+#: crossovers (:class:`repro.noc.sweep.SweepCostModel`) cite this row.
+CROSSOVER_SIZES = [8, 16, 24, 32, 48, 64, 128]
+CROSSOVER_MESSAGES = [48, 144]
 
 
 def _batch_sizes() -> list[int]:
@@ -142,12 +150,6 @@ def test_batched_sweep_throughput(benchmark, bench_print, bench_json):
     per_batch: dict[str, dict] = {}
     lines = ["Job-batched NoC sweep vs PR 3 scalar engine (kautz D=3, best of "
              f"{TIMING_REPEATS}):"]
-
-    # Calibrate the scheduler's cost model up front so its one-time probe
-    # stays out of every timed region.
-    from repro.noc import scheduler_cost_model
-
-    scheduler_cost_model()
 
     def run_sizes():
         largest = _batch_sizes()[-1]
@@ -242,6 +244,82 @@ def test_batched_sweep_throughput(benchmark, bench_print, bench_json):
 
 
 @pytest.mark.benchmark(group="noc-batch-sweep")
+def test_crossover_grid(benchmark, bench_print, bench_json):
+    """Scalar/batched time ratio per (policy, routing, messages) cell and J.
+
+    Each cell times the scalar engine (one reused engine, jobs in turn)
+    against one batched-kernel run over the same J jobs, interleaved and
+    best of :data:`TIMING_REPEATS`.  A ratio above 1 means batching wins.
+    ``measured_crossover`` is, per policy, the smallest J at which every
+    routing algorithm and message count wins, and keeps winning at every
+    larger J of the grid — the rule the scheduler's constants were sized
+    by (``None`` when no J qualifies).  Recorded only; nothing is gated.
+    """
+    parallelism, degree = 16, 3
+    topology = build_topology("generalized-kautz", parallelism, degree)
+    tables = build_routing_tables(topology)
+    largest = max(CROSSOVER_SIZES)
+    seeds = list(range(largest))
+    ratios: dict[str, dict[str, float]] = {}
+
+    def measure():
+        for messages in CROSSOVER_MESSAGES:
+            streams = random_traffic_streams(
+                parallelism, messages, seed=17, count=largest
+            )
+            for policy in CollisionPolicy:
+                for algorithm in RoutingAlgorithm:
+                    config = NocConfiguration(
+                        collision_policy=policy
+                    ).with_routing(algorithm)
+                    engine = BatchNocSimulator(topology, config, routing_tables=tables)
+                    kernel = BatchedNocKernel(topology, config, routing_tables=tables)
+                    engine.run(streams[0], seed=0)  # warm both paths
+                    kernel.run(streams[:2], seeds[:2])
+                    row = {}
+                    for size in CROSSOVER_SIZES:
+                        scalar_s = batched_s = float("inf")
+                        for _ in range(TIMING_REPEATS):
+                            start = time.perf_counter()
+                            for traffic, seed in zip(streams[:size], seeds[:size]):
+                                engine.run(traffic, seed=seed)
+                            scalar_s = min(scalar_s, time.perf_counter() - start)
+                            start = time.perf_counter()
+                            kernel.run(streams[:size], seeds[:size])
+                            batched_s = min(batched_s, time.perf_counter() - start)
+                        row[str(size)] = round(scalar_s / batched_s, 3)
+                    ratios[f"{policy.value}/{algorithm.value}/{messages}"] = row
+
+    benchmark.pedantic(measure, rounds=1, iterations=1)
+    measured = {}
+    for policy in CollisionPolicy:
+        cells = [row for key, row in ratios.items() if key.startswith(policy.value + "/")]
+        measured[policy.value] = None
+        for size in reversed(CROSSOVER_SIZES):
+            if not all(row[str(size)] > 1.0 for row in cells):
+                break
+            measured[policy.value] = size
+    lines = ["Crossover grid, scalar/batched time ratio (kautz D=3, P=16):"]
+    lines.append("  " + " " * 22 + "".join(f"J={size:<6d}" for size in CROSSOVER_SIZES))
+    for key, row in ratios.items():
+        lines.append(f"  {key:22s}" + "".join(f"{row[str(s)]:<8.2f}" for s in CROSSOVER_SIZES))
+    lines.append(f"  smallest J where every cell wins: {measured}")
+    bench_print("\n".join(lines))
+    bench_json(
+        "noc_batch_sweep",
+        "crossover",
+        {
+            "graph": ["generalized-kautz", parallelism, degree],
+            "sizes": CROSSOVER_SIZES,
+            "messages_per_pe": CROSSOVER_MESSAGES,
+            "timing": f"interleaved, best of {TIMING_REPEATS}",
+            "scalar_over_batched": ratios,
+            "measured_crossover": measured,
+        },
+    )
+
+
+@pytest.mark.benchmark(group="noc-batch-sweep")
 def test_parallel_process_mode(benchmark, bench_print, bench_json):
     """parallel="process" must be bit-identical; its speedup scales with
     workers — and at one worker the scheduler dispatches serially with no
@@ -288,15 +366,17 @@ def test_parallel_process_mode(benchmark, bench_print, bench_json):
 
 @pytest.mark.benchmark(group="noc-batch-sweep")
 def test_scm_batched_smoke(benchmark, bench_print, bench_json):
-    """CI smoke: force an SCM-policy group through the batched kernel.
+    """CI smoke: run SCM-policy groups through the batched kernel directly.
 
-    The main sweep smoke lets the adaptive scheduler pick engines, which on a
-    loaded CI runner can route everything scalar — this step pins the SCM
-    *batched* path (vectorized deflection replay included) cycle-exact
-    against per-job scalar runs on every CI run.
+    Groups this small run scalar under the scheduler's crossover, so the
+    kernel is driven by hand — pinning the SCM *batched* path (vectorized
+    deflection replay included) cycle-exact against per-job scalar runs on
+    every CI run.
     """
     parallelism, degree, messages = SWEEP_SCALES[0]
     batch = 12
+    topology = build_topology("generalized-kautz", parallelism, degree)
+    tables = build_routing_tables(topology)
     policy_jobs = []
     for algorithm in RoutingAlgorithm:
         config = NocConfiguration(
@@ -315,9 +395,17 @@ def test_scm_batched_smoke(benchmark, bench_print, bench_json):
             for stream, traffic in enumerate(streams)
         )
     pr3_results = _run_pr3_engine(policy_jobs)
-    outcomes = benchmark.pedantic(
-        lambda: run_noc_sweep(policy_jobs, min_batch=2), rounds=1, iterations=1
-    )
+
+    def run_kernel():
+        outcomes = []
+        for lo in range(0, len(policy_jobs), batch):
+            group = policy_jobs[lo : lo + batch]
+            kernel = BatchedNocKernel(topology, group[0].config, routing_tables=tables)
+            results = kernel.run([j.traffic for j in group], [j.seed for j in group])
+            outcomes.extend(NocSweepOutcome(job=j, result=r) for j, r in zip(group, results))
+        return outcomes
+
+    outcomes = benchmark.pedantic(run_kernel, rounds=1, iterations=1)
     _assert_identical(policy_jobs, pr3_results, outcomes)
     misrouted = sum(o.result.statistics.misrouted for o in outcomes)
     assert misrouted > 0, "SCM smoke drew no deflections — not exercising the replay"

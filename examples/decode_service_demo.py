@@ -13,7 +13,7 @@ This is a thin CLI wrapper around :mod:`repro.service.demo`; the same entry
 point is installed as ``python -m repro.service``.  Try::
 
     python examples/decode_service_demo.py --requests 100
-    python examples/decode_service_demo.py --requests 200 --executor process --shards auto
+    python examples/decode_service_demo.py --requests 200 --executor process --shards 2
     python examples/decode_service_demo.py --backpressure reject --max-batch 8
 """
 

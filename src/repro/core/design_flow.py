@@ -15,8 +15,9 @@ Simulation goes through the NoC sweep scheduler
 (:func:`~repro.noc.sweep.run_noc_sweep`): the whole grid is submitted as one
 batch of :class:`~repro.noc.sweep.NocSweepJob`s, the scheduler groups them by
 (graph, configuration) — dispatching each group to the job-axis cycle kernel
-or the scalar engine, whichever its measured cost model projects faster, and
-optionally sharding group chunks across worker processes — and every
+when it reaches its collision policy's fixed crossover and to the scalar
+engine otherwise, and optionally sharding group chunks across worker
+processes — and every
 returned :class:`~repro.noc.sweep.NocSweepOutcome` carries its job, so design
 points are assembled from the job identity rather than input ordering.
 Topologies, routing tables and code mappings are each built once per sweep
@@ -332,10 +333,10 @@ class DesignSpaceExplorer:
         practice of only reporting feasible points.
 
         The whole grid is submitted to the sweep scheduler as one batch; the
-        scheduler's cost model picks the fastest engine per (graph,
-        configuration) group.  ``parallel="process"`` shards the simulation
-        group chunks across up to ``max_workers`` worker processes when the
-        grid is big enough to amortize the pool (mapping and cost models stay
+        scheduler picks the engine per (graph, configuration) group by its
+        size.  ``parallel="process"`` shards the simulation group chunks
+        across up to ``max_workers`` worker processes when there are at
+        least two chunks to share (mapping and cost models stay
         in-process).  Design points are assembled from each outcome's
         attached job, not from positional bookkeeping.
         """

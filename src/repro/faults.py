@@ -257,11 +257,11 @@ def faulty_decode_in_worker(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Process-pool entry point with fault application (picklable, top level).
 
-    The clean twin is :func:`repro.service.sharding.decode_in_worker`; this
+    The clean twin is :func:`repro.service.resilience.decode_in_worker`; this
     wrapper applies ``action`` first — a ``crash`` kills the worker process
     for real — then decodes through the same per-worker codec cache.
     """
-    from repro.service.sharding import decode_in_worker
+    from repro.service.resilience import decode_in_worker
 
     _apply_blocking_fault(action, can_really_crash=True)
     return decode_in_worker(spec_key, llrs)

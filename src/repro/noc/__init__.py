@@ -20,8 +20,9 @@ This package reproduces the intra-IP NoC studied in Section III of the paper:
   (:class:`BatchedNocKernel`) advancing many independent jobs one cycle per
   vectorized step,
 * :mod:`~repro.noc.sweep` — the sweep scheduler (:func:`run_noc_sweep`):
-  jobs grouped by (graph, configuration), dispatched to the batched kernel,
-  optionally sharded across worker processes,
+  jobs grouped by (graph, configuration), each group dispatched to the
+  batched kernel or the scalar engine by a fixed per-policy crossover
+  (:class:`SweepCostModel`), optionally sharded across worker processes,
 * :mod:`~repro.noc.simulator` — the public :class:`NocSimulator` facade plus
   the per-object :class:`ReferenceNocSimulator` the engines are pinned against.
 """

@@ -7,20 +7,19 @@ engine per (graph, configuration).  This module replaces it with an
 1. jobs are **grouped** by ``(family, parallelism, degree, configuration,
    max_cycles)`` — everything the batched kernel shares across a group;
 2. each group is dispatched to the job-batched cycle kernel
-   (:class:`~repro.noc.engine_batch.BatchedNocKernel`) **or** the scalar
-   engine, whichever a measured :class:`SweepCostModel` — calibrated once per
-   process on a probe workload and cached — projects to be faster for the
-   group's size and collision policy.  Configurations the job axis cannot
-   express (bounded-capacity backpressure) always run scalar, inside the
-   kernel's own fallback;
-3. with ``parallel="process"`` the groups are sharded across a
-   :class:`concurrent.futures.ProcessPoolExecutor` — but only when the cost
-   model projects the sweep is big enough to amortize the pool: one worker
-   (or a sweep projected to finish faster than the pool spins up) dispatches
-   serially with no executor at all.  Oversized groups are split into
-   worker-sized chunks so the work spreads across the pool and no single
-   pickle payload carries a whole grid; chunked results are bit-identical
-   because the kernel is cycle-exact *per job* regardless of batch mates.
+   (:class:`~repro.noc.engine_batch.BatchedNocKernel`) when it holds at
+   least its collision policy's fixed crossover (:class:`SweepCostModel`,
+   sized from a committed benchmark grid), and to the scalar engine
+   otherwise.  Configurations the job axis cannot express (bounded-capacity
+   backpressure) always run scalar, inside the kernel's own fallback;
+3. with ``parallel="process"`` and more than one worker, oversized groups
+   are split into worker-sized chunks, and the chunks are sharded across a
+   :class:`concurrent.futures.ProcessPoolExecutor` when there are at least
+   two of them; otherwise the sweep dispatches serially with no executor at
+   all.  Chunking spreads the work across the pool and keeps any single
+   pickle payload from carrying a whole grid; chunked results are
+   bit-identical because the kernel is cycle-exact *per job* regardless of
+   batch mates.
    Each worker process builds (and caches) topologies and routing tables
    once, so graph construction is paid per worker, not per job.
 
@@ -47,19 +46,13 @@ from typing import Iterable
 
 from repro.errors import ConfigurationError
 from repro.noc.config import CollisionPolicy, NocConfiguration
-from repro.utils.calibration import (
-    POOL_SPINUP_S,
-    PiecewiseLinearCost,
-    best_time,
-    pool_amortizes,
-)
 from repro.noc.engine import BatchNocSimulator
 from repro.noc.engine_batch import BatchedNocKernel
 from repro.noc.message import MessageStatistics
 from repro.noc.results import SimulationResult
 from repro.noc.routing import build_routing_tables
 from repro.noc.topologies import build_topology
-from repro.noc.traffic import TrafficPattern, random_traffic_streams
+from repro.noc.traffic import TrafficPattern
 
 __all__ = [
     "NocSweepCache",
@@ -98,10 +91,6 @@ class NocSweepOutcome:
     job: NocSweepJob
     result: SimulationResult
 
-
-#: Hard floor under which batching is never attempted (a batch of one gains
-#: nothing from stacking); also the legacy default for explicit ``min_batch``.
-MIN_BATCH = 2
 
 #: Version stamp of the *simulation semantics* behind cached sweep results.
 #: Bump whenever an engine change may alter any measurement for the same job
@@ -252,29 +241,6 @@ def _result_from_payload(payload: dict) -> SimulationResult:
         traffic_label=str(payload["traffic_label"]),
     )
 
-#: Calibration probe: a Table-I-scale generalized-Kautz workload per
-#: collision policy, timed once per process.  The probe must run at the
-#: paper's network size *and* sample batch sizes on both sides of the
-#: kernel's vectorized-resume threshold (``_VEC_MIN_ROUND``) — the SCM cost
-#: curve kinks there, so an affine fit through small batches alone would
-#: spuriously conclude SCM batching can never win.  The whole calibration
-#: costs well under a second, cached for every later sweep of the process.
-_PROBE_SPEC = ("generalized-kautz", 16, 3)
-_PROBE_MESSAGES = 48
-_PROBE_SIZES = (8, 24, 128)
-
-#: Groups smaller than this always run the scalar engine, with no
-#: calibration: every recorded host loses on batches this small (the stacked
-#: bookkeeping cannot amortize), and skipping the probe keeps tiny sweeps —
-#: single design points, unit tests — free of the calibration cost.
-_ADAPTIVE_SCALAR_UNDER = 8
-
-#: Sweeps projected to finish serially faster than this never pay for a
-#: process pool (executor spin-up plus per-task pickling costs this order of
-#: magnitude on its own).  Shared with the decode service's sharding planner
-#: through :mod:`repro.utils.calibration`.
-_PROCESS_MIN_SERIAL_S = POOL_SPINUP_S
-
 #: Chunks per worker when sharding groups across a pool: more than one chunk
 #: per worker keeps the pool busy when group runtimes differ.
 _CHUNKS_PER_WORKER = 2
@@ -282,121 +248,40 @@ _CHUNKS_PER_WORKER = 2
 
 @dataclass(frozen=True)
 class SweepCostModel:
-    """Measured per-process cost model behind the scheduler's dispatch choices.
+    """The scheduler's dispatch rule: one fixed crossover per collision policy.
 
-    All times come from one probe workload (:data:`_PROBE_SPEC`):
-    ``scalar_point_s`` is the scalar engine's per-point cost, and
-    ``batch_samples`` holds the batched kernel's measured whole-group cost at
-    each probe batch size.  The batched cost curve is *not* affine — it kinks
-    where the kernel's vectorized resume rounds start to engage — so the
-    model interpolates it piecewise-linearly between samples (extrapolating
-    the outermost segments) and dispatch simply picks, per group, the engine
-    with the lower projected cost.
+    A group runs the batched kernel iff it holds at least its policy's
+    crossover jobs.  Each constant is the smallest group size J at which the
+    batched kernel beat the scalar engine for every routing algorithm and
+    message count, and kept winning at every larger J, in the ``crossover``
+    row of ``benchmarks/BENCH_noc_batch_sweep.json`` (generalized Kautz D=3,
+    P=16, 48 and 144 messages per PE, 2-core x86 host).  SCM crosses over
+    later than DCM because a batched SCM group also funds the deflection-draw
+    replay.  Near the crossover both engines are within noise of each other,
+    so the exact value only moves a few groups between two engines that
+    return bit-identical results.  The rule is fixed rather than measured
+    per process so that dispatch is deterministic and costs nothing.
     """
 
-    scalar_point_s: dict[CollisionPolicy, float]
-    #: Per policy: ascending ``(J, measured whole-group seconds)`` samples.
-    batch_samples: dict[CollisionPolicy, tuple[tuple[int, float], ...]]
-    probe_parallelism: int = _PROBE_SPEC[1]
+    dcm_crossover: int = 24
+    scm_crossover: int = 64
 
-    #: Batching must project at least this relative win before it is picked:
-    #: around the bare crossover either engine is within noise of the other,
-    #: and the probe's piecewise fit is least trustworthy exactly there, so
-    #: the scheduler only leaves the scalar engine for a clear projected win.
-    #: SCM's cost curve is the flatter and noisier of the two (the deflection
-    #: replay mixes scalar and vectorized regimes), hence its wider margin.
-    WIN_MARGIN = {CollisionPolicy.DCM: 0.9, CollisionPolicy.SCM: 0.85}
-
-    #: Dispatch never projects beyond this group size (groups larger than any
-    #: crossover the probe could witness simply batch).
-    SEARCH_LIMIT = 2048
-
-    def batch_cost_s(self, policy: CollisionPolicy, group_size: int) -> float:
-        """Projected batched-kernel cost of one group, piecewise-linear.
-
-        Delegates to :class:`repro.utils.calibration.PiecewiseLinearCost`,
-        which scales proportionally below the first probe sample instead of
-        extrapolating the first segment downward — a noisy super-linear
-        segment would otherwise project negative (i.e. bogusly winning)
-        costs for tiny groups.
-        """
-        return PiecewiseLinearCost(self.batch_samples[policy]).cost(group_size)
+    def crossover(self, policy: CollisionPolicy) -> int:
+        """Smallest group size that runs batched under ``policy``."""
+        if policy is CollisionPolicy.DCM:
+            return self.dcm_crossover
+        return self.scm_crossover
 
     def batch_wins(self, policy: CollisionPolicy, group_size: int) -> bool:
-        """Whether the batched kernel clearly wins a group of this size."""
-        scalar = self.scalar_point_s[policy] * self.WIN_MARGIN[policy]
-        return self.batch_cost_s(policy, group_size) < scalar * group_size
-
-    def min_batch(self, policy: CollisionPolicy) -> int:
-        """Smallest group size the batched kernel is projected to clearly win at."""
-        for group_size in range(MIN_BATCH, self.SEARCH_LIMIT + 1):
-            if self.batch_wins(policy, group_size):
-                return group_size
-        return 1 << 30
-
-    def projected_serial_s(self, policy: CollisionPolicy, group_size: int,
-                           parallelism: int) -> float:
-        """Projected serial cost of one group, on whichever engine dispatch picks.
-
-        Scaled linearly from the probe's node count — a deliberately crude
-        floor used only to decide whether a process pool is worth spinning up.
-        """
-        scale = max(parallelism, 1) / self.probe_parallelism
-        scalar = self.scalar_point_s[policy] * group_size
-        return min(scalar, self.batch_cost_s(policy, group_size)) * scale
+        """Whether a group of this size runs the batched kernel."""
+        return group_size >= self.crossover(policy)
 
 
-def _calibrate() -> SweepCostModel:
-    """Time the probe workload through both engines, once per process."""
-    family, parallelism, degree = _PROBE_SPEC
-    topology = build_topology(family, parallelism, degree)
-    tables = build_routing_tables(topology)
-    count = max(_PROBE_SIZES)
-    scalar_point_s: dict[CollisionPolicy, float] = {}
-    batch_samples: dict[CollisionPolicy, tuple[tuple[int, float], ...]] = {}
-    scalar_jobs = _PROBE_SIZES[0]
-    for policy in CollisionPolicy:
-        config = NocConfiguration(collision_policy=policy)
-        traffics = random_traffic_streams(
-            parallelism, _PROBE_MESSAGES, seed=17, count=count
-        )
-        seeds = list(range(count))
-        engine = BatchNocSimulator(topology, config, routing_tables=tables, seed=0)
-        kernel = BatchedNocKernel(topology, config, routing_tables=tables)
-        # Warm both paths so one-time lazy state stays out of the timings.
-        engine.run(traffics[0], seed=seeds[0])
-        kernel.run(traffics[:2], seeds[:2])
-        scalar_s = best_time(
-            lambda: [
-                engine.run(t, seed=s)
-                for t, s in zip(traffics[:scalar_jobs], seeds[:scalar_jobs])
-            ]
-        )
-        scalar_point_s[policy] = scalar_s / scalar_jobs
-        samples = []
-        for size in _PROBE_SIZES:
-            # Best-of-2 everywhere: the largest sample sets the slope the
-            # whole-grid extrapolation rides on, so its noise matters most.
-            group_s = best_time(
-                lambda size=size: kernel.run(traffics[:size], seeds[:size])
-            )
-            samples.append((size, group_s))
-        batch_samples[policy] = tuple(samples)
-    return SweepCostModel(
-        scalar_point_s=scalar_point_s,
-        batch_samples=batch_samples,
-    )
-
-
-#: The calibrated cost model, probed once per process on first use.
-_COST_MODEL: SweepCostModel | None = None
+_COST_MODEL = SweepCostModel()
 
 
 def scheduler_cost_model() -> SweepCostModel:
-    """The process-wide cost model, calibrated on first use."""
-    global _COST_MODEL
-    if _COST_MODEL is None:
-        _COST_MODEL = _calibrate()
+    """The scheduler's dispatch rule (a constant; nothing is measured)."""
     return _COST_MODEL
 
 
@@ -405,7 +290,6 @@ def run_noc_sweep(
     topology_cache: dict | None = None,
     parallel: str | None = None,
     max_workers: int | None = None,
-    min_batch: int | None = None,
     cache: NocSweepCache | None = None,
 ) -> list[NocSweepOutcome]:
     """Run many sweep points through grouped, adaptively batched engines.
@@ -414,9 +298,10 @@ def run_noc_sweep(
     ----------
     jobs:
         The sweep points.  Jobs sharing ``(family, parallelism, degree,
-        config, max_cycles)`` form one group and advance in lockstep through
-        the batched kernel; jobs with different graphs or configurations fall
-        back to separate grouped batches.
+        config, max_cycles)`` form one group.  A group of at least its
+        collision policy's crossover (:class:`SweepCostModel`) advances in
+        lockstep through the batched kernel; a smaller one runs the scalar
+        engine job by job.
     topology_cache:
         Optional dict mapping ``(family, parallelism, degree)`` to
         ``(topology, routing_tables)``; pass one to share built graphs across
@@ -425,18 +310,10 @@ def run_noc_sweep(
     parallel:
         ``None`` (serial, default) or ``"process"`` to shard group chunks
         across a process pool.  Both paths produce bit-identical outcomes,
-        and ``"process"`` quietly dispatches serially when only one worker is
-        available or the sweep is projected to finish before a pool would
-        spin up.
+        and ``"process"`` dispatches serially when only one worker is
+        available or the sweep splits into fewer than two chunks.
     max_workers:
         Worker count for ``parallel="process"`` (default: ``os.cpu_count()``).
-    min_batch:
-        ``None`` (default) lets the measured per-process
-        :class:`SweepCostModel` pick scalar vs batched per group (the
-        crossover depends on the collision policy: SCM groups fund the
-        deflection replay and cross over later than DCM groups).  An explicit
-        integer restores the static threshold: groups of at least
-        ``min_batch`` jobs batch, smaller ones run the scalar engine.
     cache:
         Optional :class:`NocSweepCache`.  Jobs whose exact description was
         simulated before return their persisted result without simulating;
@@ -454,8 +331,6 @@ def run_noc_sweep(
         raise ConfigurationError(
             f"parallel must be None or 'process', got {parallel!r}"
         )
-    if min_batch is not None and min_batch < 1:
-        raise ConfigurationError(f"min_batch must be positive, got {min_batch}")
     if cache is not None:
         cached: list[SimulationResult | None] = [cache.get(job) for job in jobs]
         miss_indices = [i for i, result in enumerate(cached) if result is None]
@@ -465,7 +340,6 @@ def run_noc_sweep(
                 topology_cache=topology_cache,
                 parallel=parallel,
                 max_workers=max_workers,
-                min_batch=min_batch,
             )
             for index, outcome in zip(miss_indices, fresh):
                 cache.put(outcome.job, outcome.result)
@@ -480,54 +354,13 @@ def run_noc_sweep(
         key = (job.family, job.parallelism, job.degree, job.config, job.max_cycles)
         groups.setdefault(key, []).append(index)
 
-    # Resolve every group's engine up front (the decision is cheap and the
-    # worker processes then never need their own calibration).  Calibration
-    # itself only triggers once a group is big enough that batching could
-    # plausibly win.  ``floors`` records, per batched group, the smallest
-    # chunk that should still run batched, so process sharding never splits a
-    # batched group into chunks the model would route scalar.
-    model: SweepCostModel | None = None
-    thresholds: dict[CollisionPolicy, int] = {}
-    decisions: dict[tuple, bool] = {}
-    floors: dict[tuple, int] = {}
-    for key, indices in groups.items():
-        policy = key[3].collision_policy
-        if min_batch is not None:
-            floor = max(min_batch, MIN_BATCH)
-            decisions[key] = len(indices) >= floor
-            floors[key] = floor
-            continue
-        if len(indices) < _ADAPTIVE_SCALAR_UNDER:
-            decisions[key] = False
-            floors[key] = 1
-            continue
-        if model is None:
-            model = scheduler_cost_model()
-        decisions[key] = model.batch_wins(policy, len(indices))
-        if decisions[key]:
-            floor = thresholds.get(policy)
-            if floor is None:
-                floor = thresholds[policy] = model.min_batch(policy)
-            floors[key] = floor
-        else:
-            floors[key] = 1
-
-    use_pool = False
+    model = scheduler_cost_model()
     workers = 1
     if parallel == "process":
         workers = max_workers if max_workers is not None else (os.cpu_count() or 1)
-        if workers > 1:
-            if model is None:
-                model = scheduler_cost_model()
-            projected = sum(
-                model.projected_serial_s(
-                    key[3].collision_policy, len(indices), key[1]
-                )
-                for key, indices in groups.items()
-            )
-            use_pool = pool_amortizes(projected, _PROCESS_MIN_SERIAL_S)
+    chunks = _shard_groups(groups, model, len(jobs), workers) if workers > 1 else []
     results: list[SimulationResult | None] = [None] * len(jobs)
-    if not use_pool:
+    if len(chunks) < 2:
         cache: dict = topology_cache if topology_cache is not None else {}
         for key, indices in groups.items():
             family, parallelism, degree, config, max_cycles = key
@@ -540,12 +373,11 @@ def run_noc_sweep(
                 topology, tables, config, max_cycles,
                 [jobs[i].traffic for i in indices],
                 [jobs[i].seed for i in indices],
-                decisions[key],
+                model.batch_wins(config.collision_policy, len(indices)),
             )
             for i, result in zip(indices, group_results):
                 results[i] = result
     else:
-        chunks = _shard_groups(groups, decisions, floors, len(jobs), workers)
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = {
                 pool.submit(
@@ -565,8 +397,7 @@ def run_noc_sweep(
 
 def _shard_groups(
     groups: dict[tuple, list[int]],
-    decisions: dict[tuple, bool],
-    floors: dict[tuple, int],
+    model: SweepCostModel,
     total_jobs: int,
     workers: int,
 ) -> list[tuple[tuple, list[int], bool]]:
@@ -575,25 +406,22 @@ def _shard_groups(
     The cap targets :data:`_CHUNKS_PER_WORKER` chunks per worker across the
     whole sweep, so a single huge group spreads over the pool instead of
     serializing on one worker — and no single task pickles the entire grid.
-    Batched groups are never split below their ``floors[key]`` (the smallest
-    size the cost model still projects a batched win at), and a sub-floor
-    tail chunk is re-dispatched scalar rather than inheriting the full
-    group's decision.  Chunking preserves results exactly: the kernel is
-    cycle-exact per job, so a group's jobs can batch in any partition.
+    A batched group is never split below its policy's crossover, so every
+    chunk keeps its group's dispatch.  Chunking preserves results exactly:
+    the kernel is cycle-exact per job, so a group's jobs can batch in any
+    partition.
     """
     cap = max(total_jobs // (workers * _CHUNKS_PER_WORKER), 1)
     chunks: list[tuple[tuple, list[int], bool]] = []
     for key, indices in groups.items():
-        batched = decisions[key]
-        size_cap = max(cap, floors[key]) if batched else cap
-        if len(indices) <= size_cap:
-            chunks.append((key, indices, batched))
-            continue
-        n_chunks = -(-len(indices) // size_cap)
-        size = -(-len(indices) // n_chunks)
-        for lo in range(0, len(indices), size):
-            chunk = indices[lo : lo + size]
-            chunks.append((key, chunk, batched and len(chunk) >= floors[key]))
+        policy = key[3].collision_policy
+        batched = model.batch_wins(policy, len(indices))
+        floor = max(cap, model.crossover(policy)) if batched else cap
+        # Even split into chunks of at least ``floor`` jobs each.
+        n_chunks = max(len(indices) // floor, 1)
+        bounds = [len(indices) * i // n_chunks for i in range(n_chunks + 1)]
+        for lo, hi in zip(bounds, bounds[1:]):
+            chunks.append((key, indices[lo:hi], batched))
     return chunks
 
 
@@ -606,7 +434,7 @@ def _run_group(
     all; the scalar engine gets ``seed=0`` and per-job seeds at ``run`` only),
     so reuse across same-group jobs with different seeds is exact.
     """
-    if batched and len(traffics) >= MIN_BATCH:
+    if batched:
         kernel = BatchedNocKernel(
             topology, config, routing_tables=tables, max_cycles=max_cycles
         )

@@ -4,12 +4,13 @@ The serving path of the reproduction's "millions of users" north star:
 per-frame decode requests from many concurrent clients aggregate into the
 large batches :mod:`repro.sim`'s engines were built for, under an explicit
 latency budget, with typed boundary validation, bounded queues with
-configurable backpressure, live metrics and an optional calibrated
-process-shard mode.  The resilience layer
-(:mod:`repro.service.resilience`) keeps the service serving through worker
-crashes, hangs and decode failures — supervised executor rebuilds, bounded
-retries, per-request deadlines, a calibrated hang watchdog and a circuit
-breaker that degrades to a slower but bit-correct path — and the
+configurable backpressure, live metrics and an optional process-shard mode
+(``executor="process"`` with an explicit ``shards`` count).  The resilience
+layer (:mod:`repro.service.resilience`) keeps the service serving through
+worker crashes, hangs and decode failures — supervised executor rebuilds,
+bounded retries, per-request deadlines, an optional hang watchdog (one
+explicit timeout, sized by the caller to cover the slowest lane) and a
+circuit breaker that degrades to a slower but bit-correct path — and the
 deterministic fault-injection harness in :mod:`repro.faults` provokes every
 one of those failure modes on demand.  See ``docs/decode-service.md`` for
 the request lifecycle and policies, and ``python -m repro.service`` for a
@@ -40,7 +41,6 @@ from repro.service.resilience import (
     SupervisedExecutor,
 )
 from repro.service.service import DecodeResponse, DecodeService
-from repro.service.sharding import DecodeCostModel, plan_shards
 
 __all__ = [
     "CircuitBreaker",
@@ -48,7 +48,6 @@ __all__ = [
     "CodecRegistry",
     "CodecSpec",
     "DecodeClient",
-    "DecodeCostModel",
     "DecodeResponse",
     "DecodeService",
     "DispatchResult",
@@ -67,5 +66,4 @@ __all__ = [
     "ServiceThread",
     "SupervisedExecutor",
     "default_registry",
-    "plan_shards",
 ]

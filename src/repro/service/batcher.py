@@ -21,6 +21,7 @@ same decoder) ever share a batch.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Generic, TypeVar
 
@@ -50,6 +51,7 @@ class DynamicBatcher(Generic[T]):
     max_delay_s:
         Latency budget: an item is released no later than this long after
         arrival, full batch or not (``0`` degenerates to per-item flushes).
+        Must be finite: an infinite or NaN deadline would never flush.
     capacity:
         Hard bound on queued items, or ``None`` for unbounded.  ``offer``
         returns ``None`` *without enqueuing* when the bound is hit.
@@ -63,9 +65,9 @@ class DynamicBatcher(Generic[T]):
     ) -> None:
         if max_batch < 1:
             raise ConfigurationError(f"max_batch must be >= 1, got {max_batch}")
-        if max_delay_s < 0.0:
+        if not 0.0 <= max_delay_s < math.inf:
             raise ConfigurationError(
-                f"max_delay_s must be >= 0, got {max_delay_s}"
+                f"max_delay_s must be finite and >= 0, got {max_delay_s}"
             )
         if capacity is not None and capacity < 1:
             raise ConfigurationError(f"capacity must be >= 1, got {capacity}")

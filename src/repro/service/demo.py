@@ -123,14 +123,14 @@ def run_demo(
     max_delay_s: float = 0.005,
     backpressure: str = "wait",
     executor: str = "thread",
-    shards: int | str = 0,
+    shards: int = 0,
     seed: int = 2012,
     registry: CodecRegistry | None = None,
     quiet: bool = False,
     fault_plan: FaultPlan | str | None = None,
     attempts: int | None = None,
     deadline_s: float | None = None,
-    watchdog_s: float | str | None = None,
+    watchdog_s: float | None = None,
     wall_s: float = DEMO_WALL_S,
 ) -> dict:
     """Fire ``requests`` frames (split across ``codecs``) at one service.
@@ -222,7 +222,7 @@ def run_demo(
         "elapsed_s": timing["elapsed_s"],
         "throughput_fps": total_frames / timing["elapsed_s"],
         "executor": service.executor_mode,
-        "planned_shards": service.planned_shards,
+        "shards": service.shards,
         "fault_plan": fault_plan.describe() if fault_plan else "",
         "metrics": snapshot.as_dict(),
         "health": health.as_dict(),
@@ -230,7 +230,7 @@ def run_demo(
     }
     if not quiet:
         print(f"decode service demo: {total_frames} frames at Eb/N0 = {ebn0_db} dB")
-        print(f"  executor={service.executor_mode} shards={service.planned_shards}")
+        print(f"  executor={service.executor_mode} shards={service.shards}")
         if fault_plan:
             print(f"  fault plan: {fault_plan.describe()}")
         print(f"  metrics: {snapshot}")
@@ -276,8 +276,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--backpressure", choices=("wait", "reject"), default="wait")
     parser.add_argument("--executor", choices=("thread", "process", "inline"),
                         default="thread")
-    parser.add_argument("--shards", default="0",
-                        help="worker processes for --executor process, or 'auto'")
+    parser.add_argument("--shards", type=int, default=0,
+                        help="worker processes for --executor process")
     parser.add_argument("--ldpc-only", action="store_true",
                         help="serve only the LDPC lane (default: LDPC + turbo mix)")
     parser.add_argument("--seed", type=int, default=2012)
@@ -289,14 +289,10 @@ def main(argv: list[str] | None = None) -> int:
                              "config default)")
     parser.add_argument("--deadline-ms", type=float, default=None,
                         help="per-request deadline in ms (default: none)")
-    parser.add_argument("--watchdog", default=None, metavar="S",
-                        help="hang-watchdog timeout in seconds, or 'auto' "
-                             "(default: disabled)")
+    parser.add_argument("--watchdog", type=float, default=None, metavar="S",
+                        help="hang-watchdog timeout in seconds, covering the "
+                             "slowest codec's full batch (default: disabled)")
     args = parser.parse_args(argv)
-    shards: int | str = args.shards if args.shards == "auto" else int(args.shards)
-    watchdog: float | str | None = args.watchdog
-    if watchdog is not None and watchdog != "auto":
-        watchdog = float(watchdog)
     codecs = DEFAULT_CODECS[:1] if args.ldpc_only else DEFAULT_CODECS
     payload = run_demo(
         requests=args.requests,
@@ -306,11 +302,11 @@ def main(argv: list[str] | None = None) -> int:
         max_delay_s=args.delay_ms / 1e3,
         backpressure=args.backpressure,
         executor=args.executor,
-        shards=shards,
+        shards=args.shards,
         seed=args.seed,
         fault_plan=args.inject_faults or None,
         attempts=args.attempts,
         deadline_s=None if args.deadline_ms is None else args.deadline_ms / 1e3,
-        watchdog_s=watchdog,
+        watchdog_s=args.watchdog,
     )
     return 0 if payload["resolved"] == payload["requests"] else 1

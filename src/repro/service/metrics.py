@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import time
 from collections import Counter, deque
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -96,37 +96,12 @@ class MetricsSnapshot:
     breaker_state: str
 
     def as_dict(self) -> dict:
-        """JSON-friendly dict (histogram keys become strings)."""
-        return {
-            "submitted": self.submitted,
-            "completed": self.completed,
-            "rejected": self.rejected,
-            "validation_failures": self.validation_failures,
-            "in_flight": self.in_flight,
-            "queue_depths": dict(self.queue_depths),
-            "batch_count": self.batch_count,
-            "batch_size_histogram": {
-                str(k): v for k, v in sorted(self.batch_size_histogram.items())
-            },
-            "mean_batch_size": self.mean_batch_size,
-            "queue_p50_s": self.queue_p50_s,
-            "queue_p99_s": self.queue_p99_s,
-            "total_p50_s": self.total_p50_s,
-            "total_p99_s": self.total_p99_s,
-            "throughput_fps": self.throughput_fps,
-            "uptime_s": self.uptime_s,
-            "failed": self.failed,
-            "cancelled": self.cancelled,
-            "deadline_exceeded": self.deadline_exceeded,
-            "retries": self.retries,
-            "pool_rebuilds": self.pool_rebuilds,
-            "watchdog_timeouts": self.watchdog_timeouts,
-            "breaker_opens": self.breaker_opens,
-            "degraded_batches": self.degraded_batches,
-            "degraded_s": self.degraded_s,
-            "faults_injected": self.faults_injected,
-            "breaker_state": self.breaker_state,
+        """JSON-friendly dict (histogram keys become sorted strings)."""
+        data = asdict(self)
+        data["batch_size_histogram"] = {
+            str(k): v for k, v in sorted(self.batch_size_histogram.items())
         }
+        return data
 
     def __str__(self) -> str:
         text = (
@@ -187,22 +162,7 @@ class HealthSnapshot:
 
     def as_dict(self) -> dict:
         """JSON-friendly dict."""
-        return {
-            "healthy": self.healthy,
-            "running": self.running,
-            "breaker_state": self.breaker_state,
-            "decode_path": self.decode_path,
-            "consecutive_failures": self.consecutive_failures,
-            "in_flight": self.in_flight,
-            "retries": self.retries,
-            "pool_rebuilds": self.pool_rebuilds,
-            "watchdog_timeouts": self.watchdog_timeouts,
-            "deadline_exceeded": self.deadline_exceeded,
-            "degraded_batches": self.degraded_batches,
-            "degraded_s": self.degraded_s,
-            "faults_injected": self.faults_injected,
-            "uptime_s": self.uptime_s,
-        }
+        return asdict(self)
 
 
 @dataclass

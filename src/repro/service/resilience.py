@@ -29,6 +29,9 @@ turns that observation into machinery:
   :class:`~repro.service.metrics.ServiceMetrics`, and retries within a
   bounded attempt budget.  Exhausting the budget raises
   :class:`~repro.errors.RetryExhaustedError` carrying the last cause.
+* :func:`decode_in_worker` — the process-pool entry point: workers receive
+  a picklable codec key plus the LLR array, and build (then cache) the
+  decoder once per worker process.
 
 Degradation chain: ``process`` executors fall back to a supervised thread
 executor, ``thread`` executors fall back to inline (event-loop) decoding —
@@ -55,8 +58,7 @@ from repro.faults import (
     faulty_decode_in_worker,
 )
 from repro.service.metrics import ServiceMetrics
-from repro.service.registry import CodecEntry
-from repro.service.sharding import decode_in_worker
+from repro.service.registry import CodecEntry, default_registry
 
 __all__ = [
     "CircuitBreaker",
@@ -65,6 +67,7 @@ __all__ = [
     "ResilienceConfig",
     "ResilientDispatcher",
     "SupervisedExecutor",
+    "decode_in_worker",
 ]
 
 #: Exceptions that mean "the execution infrastructure failed", as opposed to
@@ -350,6 +353,30 @@ class DispatchResult:
     converged: np.ndarray
     attempts: int
     path: str
+
+
+#: Per-worker decoder cache, keyed by ``CodecSpec.key``: each shard worker
+#: builds a codec's decoder once, then reuses it for every batch it decodes.
+_WORKER_ENTRIES: dict[tuple[str, int, str], CodecEntry] = {}
+
+
+def decode_in_worker(
+    spec_key: tuple[str, int, str], llrs: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Process-pool entry point: decode one stacked batch in a shard worker.
+
+    Workers never receive decoder objects, only the picklable codec key and
+    the LLR array.  Returns ``(hard_bits, iterations, converged)`` arrays —
+    the only fields the service needs to resolve futures, kept small to
+    minimise pickling.
+    """
+    entry = _WORKER_ENTRIES.get(spec_key)
+    if entry is None:
+        family, block, rate = spec_key
+        entry = default_registry().resolve(family, block, rate)
+        _WORKER_ENTRIES[spec_key] = entry
+    result = entry.decoder.decode_batch(llrs)
+    return result.hard_bits, result.iterations, result.converged
 
 
 def _decode_entry(entry: CodecEntry, llrs: np.ndarray):

@@ -14,13 +14,13 @@ built for:
   configurable latency budget;
 * each flushed batch is stacked into one ``(B, n)`` array and dispatched
   through the :class:`~repro.service.resilience.ResilientDispatcher`, which
-  owns the executors (an in-process worker thread by default, a process-
-  shard pool when the calibration-driven planner says sharding pays — see
-  :mod:`repro.service.sharding`) and survives their failures: dead pools
-  are rebuilt with capped backoff and the batch re-dispatched (decode is
-  pure, so retry is idempotent), wedged batches are timed out by a
-  calibrated hang watchdog, and a circuit breaker degrades to a slower but
-  bit-correct fallback path after repeated primary-path failures;
+  owns the executors (an in-process worker thread by default, a pool of
+  ``shards`` worker processes with ``executor="process"``) and survives
+  their failures: dead pools are rebuilt with capped backoff and the batch
+  re-dispatched (decode is pure, so retry is idempotent), wedged batches
+  are timed out by the optional hang watchdog, and a circuit breaker
+  degrades to a slower but bit-correct fallback path after repeated
+  primary-path failures;
 * every caller's future resolves with its own decoded bits, iteration
   count, convergence flag and a queue/decode latency breakdown — or a typed
   error: requests carry optional *deadlines*
@@ -44,6 +44,8 @@ hand results back through the loop, so no locks are needed anywhere.
 from __future__ import annotations
 
 import asyncio
+import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -61,8 +63,6 @@ from repro.service.batcher import DynamicBatcher, QueuedItem
 from repro.service.metrics import HealthSnapshot, MetricsSnapshot, ServiceMetrics
 from repro.service.registry import CodecEntry, CodecRegistry, default_registry
 from repro.service.resilience import ResilienceConfig, ResilientDispatcher
-from repro.service.sharding import DecodeCostModel, plan_shards
-from repro.utils.calibration import watchdog_timeout_s
 
 __all__ = ["DecodeResponse", "DecodeService"]
 
@@ -123,6 +123,21 @@ class _CodecLane:
     slots: asyncio.Semaphore | None  # wait-mode queue bound (None in reject mode)
 
 
+def _require_int(name: str, value: Any, minimum: int) -> None:
+    """Raise :class:`ConfigurationError` unless ``value`` is an int >= ``minimum``."""
+    if not isinstance(value, numbers.Integral) or value < minimum:
+        raise ConfigurationError(f"{name} must be an int >= {minimum}, got {value!r}")
+
+
+def _require_real(name: str, value: Any, allow_zero: bool) -> None:
+    """Raise :class:`ConfigurationError` unless ``value`` is a finite real
+    number > 0 (or >= 0 when ``allow_zero``)."""
+    ok = isinstance(value, numbers.Real) and math.isfinite(value)
+    if not ok or value < 0.0 or (value == 0.0 and not allow_zero):
+        bound = ">= 0" if allow_zero else "> 0"
+        raise ConfigurationError(f"{name} must be finite and {bound}, got {value!r}")
+
+
 class DecodeService:
     """Asyncio decode service over the registry's batch engines.
 
@@ -133,12 +148,13 @@ class DecodeService:
         (the WiMAX code set) when omitted.
     max_batch:
         Largest batch dispatched to a decoder (the engines' amortization
-        sweet spot; PR 1/2 benches use 64).
+        sweet spot; PR 1/2 benches use 64); at least 1.
     max_delay_s:
         Latency budget: a request waits at most this long in the queue
-        before its batch flushes, full or not.
+        before its batch flushes, full or not.  Finite and >= 0.
     queue_capacity:
-        Per-codec bound on queued requests — the backpressure threshold.
+        Per-codec bound on queued requests — the backpressure threshold;
+        at least 1.
     backpressure:
         ``"wait"`` (submit awaits a slot, default) or ``"reject"``
         (submit raises :class:`~repro.errors.ServiceOverloadError` with a
@@ -149,23 +165,18 @@ class DecodeService:
         (shard batches across ``shards`` worker processes) or ``"inline"``
         (decode on the loop; deterministic, for tests and tiny workloads).
     shards:
-        Worker-process count for ``executor="process"``, or ``"auto"`` to
-        let the calibration planner decide from ``offered_fps_hint`` —
-        ``"auto"`` may resolve to staying in-process (see
-        :func:`repro.service.sharding.plan_shards`); it probes
-        ``probe_codec`` (family, block, rate), default WiMAX LDPC n=576
-        rate 1/2.
-    offered_fps_hint:
-        Expected offered load in frames/sec, consumed by ``shards="auto"``.
+        Worker-process count; ``executor="process"`` needs at least 1, the
+        other executors ignore it.
     resilience:
         :class:`~repro.service.resilience.ResilienceConfig` governing retry
         budget, rebuild backoff and the circuit breaker; defaults when
         omitted.
     watchdog_s:
-        Hang-watchdog timeout per decode attempt: a float in seconds,
-        ``"auto"`` to derive one from the ``probe_codec``'s calibrated
-        decode-cost curve (:func:`repro.utils.calibration.watchdog_timeout_s`),
-        or ``None`` (default) to disable the watchdog.
+        Hang-watchdog timeout per decode attempt in seconds (finite, > 0),
+        or ``None`` (default) to disable the watchdog.  One timeout covers
+        every codec lane, so it must exceed the slowest lane's decode of a
+        full ``max_batch`` batch: a healthy batch that overruns it is killed
+        and retried as if it had hung.
     fault_plan:
         Optional :class:`~repro.faults.FaultPlan` injected into the
         dispatch path — the deterministic chaos hook used by the resilience
@@ -180,11 +191,9 @@ class DecodeService:
         queue_capacity: int = 256,
         backpressure: str = "wait",
         executor: str = "thread",
-        shards: int | str = 0,
-        offered_fps_hint: float | None = None,
-        probe_codec: tuple[str, int, str] = ("ldpc", 576, "1/2"),
+        shards: int = 0,
         resilience: ResilienceConfig | None = None,
-        watchdog_s: float | str | None = None,
+        watchdog_s: float | None = None,
         fault_plan: FaultPlan | None = None,
     ) -> None:
         if backpressure not in _BACKPRESSURE_MODES:
@@ -195,38 +204,24 @@ class DecodeService:
             raise ConfigurationError(
                 f"executor must be one of {_EXECUTOR_MODES}, got {executor!r}"
             )
-        if isinstance(shards, str):
-            if shards != "auto":
-                raise ConfigurationError(f"shards must be an int or 'auto', got {shards!r}")
-        elif shards < 0:
-            raise ConfigurationError(f"shards must be >= 0, got {shards}")
-        if queue_capacity < 1:
-            raise ConfigurationError(
-                f"queue_capacity must be >= 1, got {queue_capacity}"
-            )
-        if isinstance(watchdog_s, str):
-            if watchdog_s != "auto":
-                raise ConfigurationError(
-                    f"watchdog_s must be a float, 'auto' or None, got {watchdog_s!r}"
-                )
-        elif watchdog_s is not None and watchdog_s <= 0.0:
-            raise ConfigurationError(f"watchdog_s must be > 0, got {watchdog_s}")
+        _require_int("shards", shards, minimum=0)
+        if executor == "process" and shards < 1:
+            raise ConfigurationError("executor='process' needs shards >= 1")
+        _require_int("max_batch", max_batch, minimum=1)
+        _require_real("max_delay_s", max_delay_s, allow_zero=True)
+        _require_int("queue_capacity", queue_capacity, minimum=1)
+        if watchdog_s is not None:
+            _require_real("watchdog_s", watchdog_s, allow_zero=False)
         self.registry = registry if registry is not None else default_registry()
-        self.max_batch = int(max_batch)  # DynamicBatcher validates >= 1
+        self.max_batch = int(max_batch)
         self.max_delay_s = float(max_delay_s)
         self.queue_capacity = int(queue_capacity)
         self.backpressure = backpressure
         self.executor_mode = executor
-        self.shards = shards
-        self.offered_fps_hint = offered_fps_hint
-        self.probe_codec = probe_codec
+        self.shards = int(shards) if executor == "process" else 0
         self.resilience = resilience if resilience is not None else ResilienceConfig()
-        self.watchdog_s = watchdog_s
+        self.watchdog_s = None if watchdog_s is None else float(watchdog_s)
         self.fault_plan = fault_plan
-        #: Shard count the planner actually resolved to (set by ``start``).
-        self.planned_shards: int = 0
-        #: Watchdog timeout ``start`` resolved to (float seconds or None).
-        self.resolved_watchdog_s: float | None = None
         self.metrics = ServiceMetrics()
         self._lanes: dict[tuple[str, int, str], _CodecLane] = {}
         self._dispatcher: ResilientDispatcher | None = None
@@ -240,35 +235,16 @@ class DecodeService:
     # Lifecycle
     # ------------------------------------------------------------------ #
     async def start(self) -> None:
-        """Resolve the executor (running shard planning if asked) and go live."""
+        """Build the dispatcher and go live."""
         if self._running:
             return
-        mode = self.executor_mode
-        shards = self.shards
-        model: DecodeCostModel | None = None
-        if shards == "auto" or self.watchdog_s == "auto":
-            family, block, rate = self.probe_codec
-            model = DecodeCostModel.calibrate(self.registry.resolve(family, block, rate))
-        if shards == "auto":
-            shards = plan_shards(
-                model, self.offered_fps_hint or 0.0, self.max_batch
-            )
-            mode = "process" if shards else "thread"
-        if mode == "process" and not shards:
-            raise ConfigurationError("executor='process' needs shards >= 1 or 'auto'")
-        self.planned_shards = int(shards) if mode == "process" else 0
-        if self.watchdog_s == "auto":
-            self.resolved_watchdog_s = watchdog_timeout_s(model.curve, self.max_batch)
-        else:
-            self.resolved_watchdog_s = self.watchdog_s
-        self.executor_mode = mode
         self.metrics = ServiceMetrics()
         self._dispatcher = ResilientDispatcher(
-            mode=mode,
-            shards=self.planned_shards,
+            mode=self.executor_mode,
+            shards=self.shards,
             config=self.resilience,
             metrics=self.metrics,
-            watchdog_s=self.resolved_watchdog_s,
+            watchdog_s=self.watchdog_s,
             injector=(
                 FaultInjector(self.fault_plan) if self.fault_plan is not None else None
             ),
@@ -362,9 +338,9 @@ class DecodeService:
         """
         if not self._running:
             raise ServiceClosedError("decode service is not running; call start()")
-        if deadline_s is not None and deadline_s <= 0.0:
+        if deadline_s is not None and not (0.0 < deadline_s < math.inf):
             raise RequestValidationError(
-                f"deadline_s must be > 0 (or None), got {deadline_s}"
+                f"deadline_s must be finite and > 0 (or None), got {deadline_s}"
             )
         entry = self.registry.resolve(family, block, rate)
         arr = self._validate_llrs(llrs, entry)

@@ -4,7 +4,8 @@
 dispatches groups to the job-batched kernel and returns outcomes that carry
 their jobs.  These tests pin the scheduler-level contracts: grouping across
 mixed families/configurations is correct, engine reuse is seed-independent,
-``parallel="process"`` is bit-identical to the serial path, and topology
+``parallel="process"`` is bit-identical to the serial path, group size
+alone decides the engine (at each policy's fixed crossover), and topology
 caches are shared across sweeps.
 """
 
@@ -114,11 +115,15 @@ class TestGrouping:
         for outcome in outcomes:
             assert _signature(outcome.result) == _fresh_engine_signature(outcome.job)
 
-    def test_min_batch_routes_small_groups_to_scalar_engine(self):
+    def test_batched_dispatch_matches_scalar_dispatch(self, monkeypatch):
+        import repro.noc.sweep as sweep_mod
+        from repro.noc import SweepCostModel
+
         jobs = _mixed_jobs()
+        scalar = run_noc_sweep(jobs)  # groups of 3: below every crossover
+        monkeypatch.setattr(sweep_mod, "_COST_MODEL", SweepCostModel(2, 2))
         batched = run_noc_sweep(jobs)
-        scalar_only = run_noc_sweep(jobs, min_batch=10**9)
-        for b, s in zip(batched, scalar_only):
+        for b, s in zip(batched, scalar):
             assert _signature(b.result) == _signature(s.result)
 
     def test_rejects_unknown_parallel_mode(self):
@@ -163,12 +168,7 @@ class TestSeedIndependence:
 
 
 class TestProcessParallel:
-    def test_process_mode_bit_identical_to_serial(self, monkeypatch):
-        import repro.noc.sweep as sweep_mod
-
-        # Force the pool even though this sweep is small enough that the
-        # scheduler would otherwise (correctly) dispatch it serially.
-        monkeypatch.setattr(sweep_mod, "_PROCESS_MIN_SERIAL_S", 0.0)
+    def test_process_mode_bit_identical_to_serial(self):
         jobs = _mixed_jobs()
         serial = run_noc_sweep(jobs)
         parallel = run_noc_sweep(jobs, parallel="process", max_workers=2)
@@ -189,26 +189,25 @@ class TestProcessParallel:
         for outcome in outcomes:
             assert _signature(outcome.result) == _fresh_engine_signature(outcome.job)
 
-    def test_small_sweep_projected_serial_skips_the_pool(self, monkeypatch):
-        """A sweep projected to finish before the pool spins up runs serially
-        even with several workers available."""
+    def test_single_chunk_sweep_never_spins_up_a_pool(self, monkeypatch):
+        """A sweep that yields one chunk runs serially even with several
+        workers available."""
         import repro.noc.sweep as sweep_mod
 
         def boom(*args, **kwargs):
             raise AssertionError("ProcessPoolExecutor must not be constructed")
 
         monkeypatch.setattr(sweep_mod, "ProcessPoolExecutor", boom)
-        jobs = _mixed_jobs()  # a couple dozen tiny sims: far below the floor
+        jobs = _mixed_jobs()[:1]
         outcomes = run_noc_sweep(jobs, parallel="process", max_workers=4)
-        for outcome in outcomes:
-            assert _signature(outcome.result) == _fresh_engine_signature(outcome.job)
+        assert _signature(outcomes[0].result) == _fresh_engine_signature(jobs[0])
 
-    def test_oversized_groups_shard_into_chunks(self, monkeypatch):
+    def test_oversized_groups_shard_into_chunks(self):
         """More workers than groups: groups split into worker-sized chunks,
         results stay bit-identical."""
         import repro.noc.sweep as sweep_mod
+        from repro.noc import SweepCostModel
 
-        monkeypatch.setattr(sweep_mod, "_PROCESS_MIN_SERIAL_S", 0.0)
         config = NocConfiguration(collision_policy=CollisionPolicy.SCM)
         streams = random_traffic_streams(8, 10, seed=90, count=12)
         jobs = [
@@ -221,8 +220,7 @@ class TestProcessParallel:
         key = ("k", 8, 3, config, 200_000)
         chunks = sweep_mod._shard_groups(
             {key: list(range(12))},
-            {key: True},
-            {key: 2},
+            SweepCostModel(scm_crossover=2),
             total_jobs=12,
             workers=4,
         )
@@ -232,7 +230,10 @@ class TestProcessParallel:
         assert all(batched == (len(idx) >= 2) for _, idx, batched in chunks)
         # a batched group is never split below its floor
         floored = sweep_mod._shard_groups(
-            {key: list(range(12))}, {key: True}, {key: 6}, total_jobs=12, workers=12
+            {key: list(range(12))},
+            SweepCostModel(scm_crossover=6),
+            total_jobs=12,
+            workers=12,
         )
         assert all(len(idx) >= 6 for _, idx, _ in floored)
         serial = run_noc_sweep(jobs)
@@ -241,149 +242,63 @@ class TestProcessParallel:
             assert _signature(s.result) == _signature(p.result)
 
 
-def _affine_samples(fixed_s: float, point_s: float) -> tuple[tuple[int, float], ...]:
-    """Synthetic batched-cost samples lying on ``fixed + point * J``."""
-    return tuple((j, fixed_s + point_s * j) for j in (8, 24, 128))
-
-
-class TestAdaptiveDispatch:
-    def test_cost_model_crossover_math(self):
-        from repro.noc import SweepCostModel
-
-        model = SweepCostModel(
-            scalar_point_s={p: 1e-3 for p in CollisionPolicy},
-            batch_samples={
-                CollisionPolicy.DCM: _affine_samples(10e-3, 0.3e-3),
-                # slower than scalar per point: never batches
-                CollisionPolicy.SCM: _affine_samples(10e-3, 2e-3),
-            },
-        )
-        # crossover with the DCM 0.9 win margin: 10 / (0.9 - 0.3) = 16.7 ->
-        # the first group size whose projected batched cost clearly wins is 17
-        assert model.min_batch(CollisionPolicy.DCM) == 17
-        assert model.min_batch(CollisionPolicy.SCM) == 1 << 30
-
-    def test_cost_model_sees_the_vectorized_kink(self):
-        """A cost curve that only wins past the resume threshold must yield a
-        crossover in the last probe segment, not 'never'."""
-        from repro.noc import SweepCostModel
-
-        model = SweepCostModel(
-            scalar_point_s={p: 1e-3 for p in CollisionPolicy},
-            batch_samples={
-                # flat-per-point until J=24, then steeply amortizing
-                p: ((8, 10e-3), (24, 26e-3), (128, 52e-3))
-                for p in CollisionPolicy
-            },
-        )
-        crossover = model.min_batch(CollisionPolicy.SCM)
-        assert 24 < crossover < 128
-        # and the piecewise projection is what dispatch would compare
-        assert model.batch_cost_s(CollisionPolicy.SCM, 128) == pytest.approx(52e-3)
-        assert model.batch_cost_s(CollisionPolicy.SCM, 256) == pytest.approx(
-            52e-3 + (256 - 128) * (52e-3 - 26e-3) / (128 - 24)
-        )
-
-    def test_projected_serial_scales_with_parallelism(self):
-        from repro.noc import SweepCostModel
-
-        model = SweepCostModel(
-            scalar_point_s={p: 1e-3 for p in CollisionPolicy},
-            batch_samples={p: _affine_samples(1e-3, 0.1e-3) for p in CollisionPolicy},
-            probe_parallelism=16,
-        )
-        small = model.projected_serial_s(CollisionPolicy.DCM, 100, 16)
-        large = model.projected_serial_s(CollisionPolicy.DCM, 100, 32)
-        assert large == pytest.approx(2 * small)
-        # the projection takes whichever engine is cheaper for the group
-        assert small == pytest.approx(min(100 * 1e-3, 1e-3 + 100 * 0.1e-3))
-
-    def test_adaptive_routes_groups_by_measured_crossover(self, monkeypatch):
-        """With a synthetic model, group size decides the engine per policy."""
+class TestDispatchRule:
+    @pytest.mark.parametrize("policy", list(CollisionPolicy))
+    def test_group_size_decides_the_engine_at_the_crossover(
+        self, monkeypatch, policy
+    ):
+        """crossover - 1 jobs run the scalar engine, crossover jobs run the
+        batched kernel; both bit-identical to fresh per-job engines."""
         import repro.noc.sweep as sweep_mod
-        from repro.noc import SweepCostModel
+        from repro.noc import scheduler_cost_model
 
-        model = SweepCostModel(
-            scalar_point_s={p: 1e-3 for p in CollisionPolicy},
-            batch_samples={
-                CollisionPolicy.DCM: _affine_samples(8e-3, 0.1e-3),  # crossover ~11
-                CollisionPolicy.SCM: _affine_samples(8e-3, 2e-3),  # never batches
-            },
-        )
-        monkeypatch.setattr(sweep_mod, "_COST_MODEL", model)
-        built = []
+        batched_runs = []
         real_kernel = sweep_mod.BatchedNocKernel
 
         class SpyKernel(real_kernel):
-            def __init__(self, topology, config, **kwargs):
-                built.append(config.collision_policy)
-                super().__init__(topology, config, **kwargs)
+            def run(self, traffics, seeds=None):
+                batched_runs.append(len(traffics))
+                return super().run(traffics, seeds)
 
         monkeypatch.setattr(sweep_mod, "BatchedNocKernel", SpyKernel)
+        crossover = scheduler_cost_model().crossover(policy)
+        config = NocConfiguration(collision_policy=policy)
+        streams = random_traffic_streams(8, 10, seed=77, count=crossover)
 
-        def jobs_for(policy, count):
-            config = NocConfiguration(collision_policy=policy)
-            streams = random_traffic_streams(8, 10, seed=77, count=count)
+        def jobs(count):
             return [
                 NocSweepJob(
                     family="generalized-kautz", parallelism=8, degree=3,
                     config=config, traffic=traffic, seed=stream,
                 )
-                for stream, traffic in enumerate(streams)
+                for stream, traffic in enumerate(streams[:count])
             ]
 
-        outcomes = run_noc_sweep(
-            jobs_for(CollisionPolicy.DCM, 12) + jobs_for(CollisionPolicy.SCM, 12)
-        )
-        # DCM group (12 >= 9) batched; SCM group never batches.
-        assert built == [CollisionPolicy.DCM]
-        for outcome in outcomes:
+        below = run_noc_sweep(jobs(crossover - 1))
+        assert batched_runs == []
+        at = run_noc_sweep(jobs(crossover))
+        assert batched_runs == [crossover]
+        for outcome in below + at:
             assert _signature(outcome.result) == _fresh_engine_signature(outcome.job)
 
-    def test_explicit_min_batch_overrides_the_model(self, monkeypatch):
+    def test_scheduler_cost_model_is_a_constant(self, monkeypatch):
+        """No probe: the model is one fixed object, and asking for it runs
+        no engine."""
         import repro.noc.sweep as sweep_mod
+        from repro.noc import SweepCostModel, scheduler_cost_model
 
-        built = []
-        real_kernel = sweep_mod.BatchedNocKernel
+        def boom(*args, **kwargs):
+            raise AssertionError("no engine may run to pick the dispatch")
 
-        class SpyKernel(real_kernel):
-            def __init__(self, topology, config, **kwargs):
-                built.append(config.collision_policy)
-                super().__init__(topology, config, **kwargs)
-
-        monkeypatch.setattr(sweep_mod, "BatchedNocKernel", SpyKernel)
-        config = NocConfiguration(collision_policy=CollisionPolicy.SCM)
-        streams = random_traffic_streams(8, 10, seed=78, count=3)
-        jobs = [
-            NocSweepJob(
-                family="generalized-kautz", parallelism=8, degree=3,
-                config=config, traffic=traffic, seed=stream,
-            )
-            for stream, traffic in enumerate(streams)
-        ]
-        run_noc_sweep(jobs, min_batch=2)
-        assert built == [CollisionPolicy.SCM]
-
-    def test_rejects_bad_min_batch(self):
-        from repro.errors import ConfigurationError as CfgErr
-
-        with pytest.raises(CfgErr):
-            run_noc_sweep([], min_batch=0)
-
-    def test_scheduler_cost_model_is_cached(self, monkeypatch):
-        import repro.noc.sweep as sweep_mod
-        from repro.noc import scheduler_cost_model
-
-        calls = []
-        monkeypatch.setattr(sweep_mod, "_COST_MODEL", None)
-        real = sweep_mod._calibrate
-        monkeypatch.setattr(
-            sweep_mod, "_calibrate", lambda: calls.append(1) or real()
-        )
+        monkeypatch.setattr(sweep_mod, "BatchedNocKernel", boom)
+        monkeypatch.setattr(sweep_mod, "BatchNocSimulator", boom)
         first = scheduler_cost_model()
-        second = scheduler_cost_model()
-        assert first is second
-        assert len(calls) == 1
+        assert scheduler_cost_model() is first
+        assert first == SweepCostModel()
+        for policy in CollisionPolicy:
+            crossover = first.crossover(policy)
+            assert first.batch_wins(policy, crossover)
+            assert not first.batch_wins(policy, crossover - 1)
 
 
 class TestTopologyCache:

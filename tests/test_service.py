@@ -25,6 +25,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import (
+    ConfigurationError,
     RequestValidationError,
     ServiceClosedError,
     ServiceOverloadError,
@@ -203,6 +204,57 @@ async def test_boundary_validation_raises_typed_errors(registry):
     assert snapshot.submitted == 0
 
 
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"max_batch": 0},
+        {"max_batch": -3},
+        {"max_delay_s": float("nan")},
+        {"max_delay_s": float("inf")},
+        {"max_delay_s": -0.001},
+        {"queue_capacity": 2.5},
+        {"watchdog_s": float("nan")},
+        {"watchdog_s": float("inf")},
+    ],
+    ids=lambda kwargs: ",".join(f"{k}={v}" for k, v in kwargs.items()),
+)
+def test_invalid_service_parameters_fail_at_construction(registry, kwargs):
+    """Bad knobs raise a typed error up front, not at the first submit
+    (where a NaN flush delay would wedge the event loop)."""
+    with pytest.raises(ConfigurationError):
+        DecodeService(registry=registry, **kwargs)
+
+
+@pytest.mark.parametrize(
+    "kwargs", [{"shards": "auto"}, {"watchdog_s": "auto"}], ids=["shards", "watchdog"]
+)
+def test_auto_modes_are_gone(registry, kwargs):
+    """Shard count and watchdog are explicit: ``"auto"`` is a typed error."""
+    with pytest.raises(ConfigurationError):
+        DecodeService(registry=registry, **kwargs)
+
+
+@pytest.mark.parametrize("argv", [["--shards", "auto"], ["--watchdog", "auto"]])
+def test_demo_cli_rejects_auto(argv):
+    from repro.service.demo import main
+
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 2  # argparse usage error
+
+
+@pytest.mark.asyncio
+@pytest.mark.parametrize("deadline_s", [float("nan"), float("inf")])
+async def test_non_finite_deadline_is_rejected(registry, deadline_s):
+    async with DecodeService(
+        registry=registry, max_batch=1, max_delay_s=0.0, executor="inline"
+    ) as service:
+        with pytest.raises(RequestValidationError, match="finite"):
+            await service.submit(np.zeros(576), *LDPC, deadline_s=deadline_s)
+        snapshot = service.metrics_snapshot()
+    assert snapshot.submitted == 0
+
+
 @pytest.mark.asyncio
 async def test_submit_after_stop_raises(registry):
     service = DecodeService(registry=registry, executor="inline")
@@ -224,7 +276,7 @@ async def test_process_shard_mode_bit_identical(registry, ldpc_entry):
         executor="process",
         shards=2,
     ) as service:
-        assert service.planned_shards == 2
+        assert service.shards == 2
         responses = await asyncio.gather(
             *(service.submit(row, *LDPC) for row in llrs)
         )

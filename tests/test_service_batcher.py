@@ -153,3 +153,10 @@ def test_constructor_validation():
         DynamicBatcher(max_batch=1, max_delay_s=-0.1)
     with pytest.raises(ConfigurationError):
         DynamicBatcher(max_batch=1, max_delay_s=0.1, capacity=0)
+
+
+@pytest.mark.parametrize("max_delay_s", [float("nan"), float("inf")])
+def test_non_finite_delay_rejected(max_delay_s):
+    """A NaN or infinite deadline would never flush its batch."""
+    with pytest.raises(ConfigurationError, match="finite"):
+        DynamicBatcher(max_batch=1, max_delay_s=max_delay_s)

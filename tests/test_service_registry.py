@@ -1,18 +1,13 @@
-"""Registry, boundary-validation and shard-planning tests for the service."""
+"""Registry and shard-worker decode tests for the service."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.errors import ConfigurationError, UnknownCodecError
+from repro.errors import UnknownCodecError
 from repro.service.registry import CodecSpec, default_registry
-from repro.service.sharding import (
-    DecodeCostModel,
-    decode_in_worker,
-    plan_shards,
-)
-from repro.utils.calibration import PiecewiseLinearCost, best_time, pool_amortizes
+from repro.service.resilience import decode_in_worker
 
 
 @pytest.fixture(scope="module")
@@ -72,71 +67,7 @@ class TestRegistry:
         assert spec.key == ("ldpc", 576, "2/3A")
 
 
-class TestCalibrationPrimitives:
-    def test_piecewise_linear_interpolates_and_extrapolates(self):
-        curve = PiecewiseLinearCost(samples=((2, 1.0), (4, 1.5), (8, 3.5)))
-        assert curve.cost(2) == pytest.approx(1.0)
-        assert curve.cost(3) == pytest.approx(1.25)  # between samples
-        assert curve.cost(6) == pytest.approx(2.5)
-        assert curve.cost(16) == pytest.approx(7.5)  # last-segment extrapolation
-        assert curve.cost(1) == pytest.approx(0.5)  # proportional below first
-        assert curve.per_item(8) == pytest.approx(3.5 / 8)
-
-    def test_piecewise_linear_validation(self):
-        with pytest.raises(ConfigurationError):
-            PiecewiseLinearCost(samples=())
-        with pytest.raises(ConfigurationError):
-            PiecewiseLinearCost(samples=((4, 1.0), (2, 0.5)))  # not ascending
-        with pytest.raises(ConfigurationError):
-            PiecewiseLinearCost(samples=((0, 1.0),))
-
-    def test_best_time_returns_minimum(self):
-        assert best_time(lambda: None, repeats=3) >= 0.0
-
-    def test_pool_amortizes_threshold(self):
-        assert pool_amortizes(1.0, spinup_s=0.25)
-        assert not pool_amortizes(0.1, spinup_s=0.25)
-
-
-class TestShardPlanning:
-    def _model(self, registry, sizes=(1, 2, 4)):
-        entry = registry.resolve("ldpc", 576, "1/2")
-        return DecodeCostModel.calibrate(entry, sizes=sizes)
-
-    def test_calibration_produces_positive_monotone_curve(self, registry):
-        model = self._model(registry)
-        assert model.curve.cost(1) > 0.0
-        assert model.curve.cost(4) >= model.curve.cost(1)
-        assert model.saturation_fps(4) > 0.0
-
-    def test_tiny_load_never_shards(self, registry):
-        model = self._model(registry)
-        assert plan_shards(model, offered_fps=0.0, max_batch=4) == 0
-        assert plan_shards(model, offered_fps=1e-3, max_batch=4) == 0
-
-    def test_saturating_load_shards_and_caps_at_workers(self, registry):
-        model = self._model(registry)
-        saturating = 100.0 * model.saturation_fps(4)
-        workers = plan_shards(model, saturating, max_batch=4, max_workers=3)
-        assert 2 <= workers <= 3
-
-    def test_spinup_threshold_blocks_small_workloads(self, registry):
-        model = self._model(registry)
-        saturating = 10.0 * model.saturation_fps(4)
-        # An absurd spin-up cost means no finite workload amortizes a pool.
-        assert (
-            plan_shards(model, saturating, max_batch=4, spinup_s=1e9) == 0
-        )
-
-    def test_more_load_never_fewer_workers(self, registry):
-        model = self._model(registry)
-        base = model.saturation_fps(4)
-        counts = [
-            plan_shards(model, scale * base, max_batch=4, max_workers=64)
-            for scale in (0.1, 2.0, 8.0, 32.0)
-        ]
-        assert counts == sorted(counts)
-
+class TestShardWorker:
     def test_decode_in_worker_matches_direct_decode(self, registry):
         entry = registry.resolve("ldpc", 576, "1/2")
         rng = np.random.default_rng(7)

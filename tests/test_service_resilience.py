@@ -25,6 +25,7 @@ The load-bearing claims:
 from __future__ import annotations
 
 import asyncio
+import json
 import time
 
 import numpy as np
@@ -263,6 +264,57 @@ async def test_injected_error_and_delay_survived_on_thread_path(
     assert snapshot.faults_injected == 2
     assert snapshot.retries == 1  # the error cost one retry; the delay none
     _assert_conserved(snapshot)
+
+
+#: Key order of ``MetricsSnapshot.as_dict`` / ``HealthSnapshot.as_dict`` as
+#: the hand-written exporters emitted them; JSON consumers may rely on it.
+METRICS_KEYS = [
+    "submitted", "completed", "rejected", "validation_failures", "in_flight",
+    "queue_depths", "batch_count", "batch_size_histogram", "mean_batch_size",
+    "queue_p50_s", "queue_p99_s", "total_p50_s", "total_p99_s",
+    "throughput_fps", "uptime_s", "failed", "cancelled", "deadline_exceeded",
+    "retries", "pool_rebuilds", "watchdog_timeouts", "breaker_opens",
+    "degraded_batches", "degraded_s", "faults_injected", "breaker_state",
+]
+HEALTH_KEYS = [
+    "healthy", "running", "breaker_state", "decode_path",
+    "consecutive_failures", "in_flight", "retries", "pool_rebuilds",
+    "watchdog_timeouts", "deadline_exceeded", "degraded_batches",
+    "degraded_s", "faults_injected", "uptime_s",
+]
+
+
+@pytest.mark.asyncio
+async def test_snapshot_export_after_faulted_run(registry, turbo_entry):
+    """``as_dict`` keeps its exact shape: key order, sorted string histogram
+    keys, plain-dict queue depths and every value unchanged."""
+    rng = np.random.default_rng(14)
+    llrs, _ = generate_llr_frames(turbo_entry, 3, 1.5, rng)
+    async with DecodeService(
+        registry=registry,
+        max_batch=2,
+        max_delay_s=0.001,
+        executor="inline",
+        fault_plan=FaultPlan.from_string("error@1"),
+        resilience=ResilienceConfig(max_attempts=3, **FAST),
+    ) as service:
+        await asyncio.gather(*(service.submit(row, *TURBO) for row in llrs))
+        snapshot = service.metrics_snapshot()
+        health = service.health_snapshot()
+    exported = snapshot.as_dict()
+    assert list(exported) == METRICS_KEYS
+    expected = {key: getattr(snapshot, key) for key in METRICS_KEYS}
+    expected["batch_size_histogram"] = {"1": 1, "2": 1}
+    assert exported == expected
+    assert list(exported["batch_size_histogram"]) == ["1", "2"]
+    assert exported["queue_depths"] == {"turbo:24:1/2": 0}
+    assert exported["queue_depths"] is not snapshot.queue_depths
+    assert exported["retries"] == 1 and exported["faults_injected"] == 1
+    health_exported = health.as_dict()
+    assert list(health_exported) == HEALTH_KEYS
+    assert health_exported == {key: getattr(health, key) for key in HEALTH_KEYS}
+    json.dumps(exported)
+    json.dumps(health_exported)
 
 
 @pytest.mark.asyncio
