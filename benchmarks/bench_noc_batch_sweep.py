@@ -17,15 +17,15 @@ job, and records the numbers in ``benchmarks/BENCH_noc_batch_sweep.json``.
 
 Reading the recorded numbers: batching wins grow with the batch size J and
 are largest for DCM cells (pure vector path); SCM cells also pay for the
-per-job deflection-draw replay, which PR 5 vectorized across jobs
-(:meth:`repro.utils.rng.DeflectionStreams.draw_batch` + the kernel's resume
-rounds), so their single-core ratio now clears 1.5x at J = 256 instead of
-losing to the scalar engine.  Groups below the scheduler's fixed per-policy
-crossover run the scalar engine — the J = 8 row records parity, not the
-former 0.6x regression — and the ``crossover`` row records the grid those
-crossovers were sized from.  The scheduler's ``parallel="process"`` mode
-multiplies the serial ratio by the worker count on multi-core hosts (and
-stays serial at one worker); its row records the workers used.
+deflection-draw replay, one scalar walk per cycle over the suspended
+(job, node) passes drawing from each job's own ``random.Random`` stream, so
+their single-core ratio stays below DCM's.  Groups below the scheduler's
+fixed per-policy crossover run the scalar engine — the J = 8 row records
+parity, not the former 0.6x regression — and the ``crossover`` row records
+the grid those crossovers were sized from.  The scheduler's
+``parallel="process"`` mode multiplies the serial ratio by the worker count
+on multi-core hosts (and stays serial at one worker); its row records the
+workers used.
 """
 
 from __future__ import annotations
@@ -167,7 +167,7 @@ def test_batched_sweep_throughput(benchmark, bench_print, bench_json):
             if batch == largest:
                 # Per-policy split only at the largest batch (the headline):
                 # DCM cells run the pure vector path, SCM cells also fund the
-                # job-vectorized deflection-draw replay.
+                # scalar deflection-draw replay.
                 for policy in CollisionPolicy:
                     sub = [j for j in jobs if j.config.collision_policy is policy]
                     pr3_p, _ = _best_time(lambda: _run_pr3_engine(sub))
@@ -369,8 +369,8 @@ def test_scm_batched_smoke(benchmark, bench_print, bench_json):
     """CI smoke: run SCM-policy groups through the batched kernel directly.
 
     Groups this small run scalar under the scheduler's crossover, so the
-    kernel is driven by hand — pinning the SCM *batched* path (vectorized
-    deflection replay included) cycle-exact against per-job scalar runs on
+    kernel is driven by hand — pinning the SCM *batched* path (deflection
+    replay included) cycle-exact against per-job scalar runs on
     every CI run.
     """
     parallelism, degree, messages = SWEEP_SCALES[0]

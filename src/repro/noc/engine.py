@@ -45,6 +45,7 @@ configurations), so its per-run cost is as load-bearing as the kernel's.
 
 from __future__ import annotations
 
+import operator
 import random
 from dataclasses import dataclass
 
@@ -99,6 +100,22 @@ class MessageArrays:
         )
 
 
+def as_seed(seed) -> int:
+    """The deflection-stream seed as a plain ``int``.
+
+    Any integral value (``int``, NumPy integers, ``bool``) is accepted via
+    :func:`operator.index`, so every engine seeds ``random.Random`` with the
+    same integer; anything else (floats included) raises
+    :class:`~repro.errors.SimulationError`.
+    """
+    try:
+        return operator.index(seed)
+    except TypeError:
+        raise SimulationError(
+            f"seed must be an integer, got {seed!r} ({type(seed).__name__})"
+        ) from None
+
+
 class BatchNocSimulator:
     """Struct-of-arrays cycle engine for the message-passing phase.
 
@@ -139,7 +156,7 @@ class BatchNocSimulator:
         )
         if self.tables.topology is not topology:
             raise SimulationError("routing tables were built for a different topology")
-        self.seed = seed
+        self.seed = as_seed(seed)
         self.max_cycles = max_cycles
         self._static = _StaticState(topology, config, self.tables)
 
@@ -155,7 +172,7 @@ class BatchNocSimulator:
                 f"traffic references {traffic.n_nodes} nodes but the topology has "
                 f"{self.topology.n_nodes}"
             )
-        run_seed = self.seed if seed is None else seed
+        run_seed = self.seed if seed is None else as_seed(seed)
         return _run_engine(
             self._static, MessageArrays.from_traffic(traffic), traffic.label,
             run_seed, self.max_cycles,

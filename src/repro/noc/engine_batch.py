@@ -16,8 +16,9 @@ pairs:
 1. **link arrivals** — occupancy increments and high-water marks for every
    message sent on the previous cycle (one scatter, one max);
 2. **serving order** — FL keys ``(-occupancy, port)`` or RR rotation
-   positions per (job, node), maintained *incrementally*: only rows whose
-   FIFO occupancies changed since the last cycle are re-keyed and re-sorted
+   positions per (job, node), stacked into one integer key per slot and
+   ordered by ``argsort``, maintained *incrementally*: only rows whose FIFO
+   occupancies changed since the last cycle are re-keyed and re-sorted
    (falling back to one full ``argsort`` when most rows changed), followed by
    gathers of every candidate's head message, destination and SSP output
    port from the dense routing matrices, restricted to the serving positions
@@ -31,21 +32,16 @@ pairs:
    ``(J, P)`` array updates.
 
 SCM deflection draws are the one place the job axis meets a *sequential*
-contract: each job's randomness is defined as its own ``random.Random``
-stream consumed in (cycle, node, serving-position) order (see
-:class:`repro.utils.rng.DeflectionStreams`), and a draw changes how the rest
-of that node's pass unfolds.  Nodes that need a draw are therefore
+contract: each job's randomness is defined as its own ``random.Random(seed)``
+stream consumed in (cycle, node, serving-position) order through the bounded
+rejection draw of :func:`repro.utils.rng.bounded_draw`, and a draw changes how
+the rest of that node's pass unfolds.  Nodes that need a draw are therefore
 *suspended* at their first drawing serving position, masked out of the
-remaining waves, and replayed after the wave loop by a **vectorized resume**:
-suspended (job, node) passes are ordered per job, split into rounds of at
-most one pass per job (round k replays each job's k-th suspended node), and
-every round advances all of its passes in lockstep — port selection, free-
-mask updates and the bounded rejection draws themselves
-(:meth:`~repro.utils.rng.DeflectionStreams.draw_batch`) are all batched
-across jobs.  Within a job, rounds replay nodes in ascending node order and
-each batched draw advances that job's word counter by exactly its rejection
-count, so the per-job streams stay bit-identical to the scalar engines no
-matter how many jobs draw at once.
+remaining waves, and replayed after the wave loop by one scalar walk over the
+suspended (job, node) passes in flat (job, node) order — each job's passes in
+ascending node order, so every job draws from its own ``getrandbits`` exactly
+where the scalar engines would.  The replay's pops, deliveries and pushes are
+then scattered back in one batch.
 
 Jobs that finish early are masked out (their FIFOs are empty, their serving
 orders vanish, their rows stop changing — so the incremental serve-order
@@ -66,19 +62,19 @@ FIFO high-water marks, hop/latency totals and deflection decisions for every
 
 from __future__ import annotations
 
+import random
 from typing import Sequence
 
 import numpy as np
 
 from repro.errors import SimulationError
 from repro.noc.config import CollisionPolicy, NocConfiguration, RoutingAlgorithm
-from repro.noc.engine import BatchNocSimulator, MessageArrays
+from repro.noc.engine import BatchNocSimulator, MessageArrays, as_seed
 from repro.noc.message import MessageStatistics
 from repro.noc.results import SimulationResult
 from repro.noc.routing import RoutingTables, build_routing_tables
 from repro.noc.topologies import Topology
 from repro.noc.traffic import TrafficPattern
-from repro.utils.rng import DeflectionStreams
 
 __all__ = ["BatchedNocKernel"]
 
@@ -148,107 +144,19 @@ class _BatchedStatic:
         self.rr_mode = config.routing_algorithm is RoutingAlgorithm.SSP_RR
         self.asp_mode = config.routing_algorithm.uses_all_paths
         self.scm_mode = config.collision_policy is CollisionPolicy.SCM
-        # Word shift per deflection-candidate count (32 - bit_length), for
-        # the batched rejection draws; index 0 is never consulted (a drawing
-        # candidate always has at least one free port).
-        self.shift_tab = np.array(
-            [32] + [32 - k.bit_length() for k in range(1, self.max_out + 1)],
-            dtype=np.int64,
-        )
-        # Scalar-replay lowerings (plain nested lists) for resume rounds too
-        # small to amortize vectorized dispatch, plus the memoized free-port
-        # bitmask -> ascending candidate tuple map of the scalar engines.
+        # Scalar-replay lowerings (plain nested lists) for the suspended SCM
+        # passes, plus the memoized free-port bitmask -> ascending candidate
+        # tuple map and the bit width per candidate count of the scalar
+        # engines' bounded draw.
         self.out_deg = out_deg.tolist()
         self.sp_list: list[list[int]] = tables.next_port_matrix.tolist()
         self.tgt_list: list[list[int]] = tgt.tolist()
         self.ap_rows = tables.next_ports
         self.deflect_sets: dict[int, tuple[int, ...]] = {}
-        # Dense bitmask lookups shared by the vectorized resume rounds
-        # (free-port mask -> deflection candidate count, and (mask, draw) ->
-        # the draw-th set bit, i.e. the scalar engines' ascending candidate
-        # list) and by the table-driven RR serve order below (occupied-slot
-        # mask -> n_occ).  Tiny for the paper's fan-outs; wide graphs fall
-        # back to on-the-fly bit math / argsort.
-        popcount_bits = 0
-        if self.rr_mode and self.fmax <= 8:
-            popcount_bits = 8
-        if self.scm_mode and self.max_out <= 10:
-            popcount_bits = max(popcount_bits, self.max_out)
-        self.popcount: np.ndarray | None = None
-        if popcount_bits:
-            self.popcount = np.array(
-                [bin(mask).count("1") for mask in range(1 << popcount_bits)],
-                dtype=np.int64,
-            )
-        self.defl_pick: np.ndarray | None = None
-        if self.scm_mode and self.max_out <= 10:
-            n_masks = 1 << self.max_out
-            pick = np.zeros((n_masks, self.max_out), dtype=np.int64)
-            for mask in range(n_masks):
-                ports = [q for q in range(self.max_out) if mask >> q & 1]
-                pick[mask, : len(ports)] = ports
-            self.defl_pick = pick
+        self.bitlen = [0] + [k.bit_length() for k in range(1, self.max_out + 1)]
         self.config = config
         self.topology = topology
         self.tables = tables
-
-        # RR serving order depends only on (node, pointer, occupied-slot
-        # bitmask) — a finite space — so for the paper's small fan-ins the
-        # whole rotate-and-partition sort is precomputed: ``rr_fid_tab`` maps
-        # ``(node * fmax + ptr) * 256 + mask`` to the fids in serving order
-        # (occupied slots rotation-first, empties after; empty order is
-        # immaterial because serving position w only exists while w <
-        # occupied count).  ``popcount`` above turns the same mask into n_occ.
-        self.rr_fid_tab: np.ndarray | None = None
-        if self.rr_mode and self.fmax <= 8:
-            tab = np.empty((n * self.fmax * 256, self.fmax), dtype=np.int32)
-            for node in range(n):
-                fc = int(self.fcount[node])
-                fids = fid_mat[node]
-                for ptr in range(self.fmax):
-                    base = (node * self.fmax + ptr) * 256
-                    for mask in range(256):
-                        occ_slots = sorted(
-                            (s for s in range(fc) if mask >> s & 1),
-                            key=lambda s: (s - ptr) % fc,
-                        )
-                        rest = [s for s in range(self.fmax) if not (mask >> s & 1) or s >= fc]
-                        tab[base + mask] = fids[occ_slots + rest]
-            self.rr_fid_tab = tab
-
-        # FL serving order is a pure function of the pairwise occupancy
-        # comparisons (longest first, ties by slot rank), so for small
-        # fan-ins the per-cycle argsort collapses to: compute the
-        # fmax*(fmax-1)/2 comparison bits, look the permutation up.
-        self.fl_pairs: list[tuple[int, int]] | None = None
-        self.fl_perm_tab: np.ndarray | None = None
-        if not self.rr_mode and 2 <= self.fmax <= 4:
-            import functools
-
-            pairs = [
-                (i, j) for i in range(self.fmax) for j in range(i + 1, self.fmax)
-            ]
-
-            def build_cmp(code):
-                def cmp(a, b):
-                    if a == b:
-                        return 0
-                    i, j = (a, b) if a < b else (b, a)
-                    bit = code >> pairs.index((i, j)) & 1
-                    first = j if bit else i
-                    return -1 if first == a else 1
-
-                return cmp
-
-            perm = np.empty((1 << len(pairs), self.fmax), dtype=np.int8)
-            for code in range(1 << len(pairs)):
-                # Inconsistent (cyclic) codes cannot arise from real keys;
-                # sorted() still yields some permutation for their rows.
-                perm[code] = sorted(
-                    range(self.fmax), key=functools.cmp_to_key(build_cmp(code))
-                )
-            self.fl_pairs = pairs
-            self.fl_perm_tab = perm
 
 
 class BatchedNocKernel:
@@ -311,7 +219,7 @@ class BatchedNocKernel:
         traffics = list(traffics)
         if seeds is None:
             seeds = [0] * len(traffics)
-        seeds = [int(seed) for seed in seeds]
+        seeds = [as_seed(seed) for seed in seeds]
         if len(seeds) != len(traffics):
             raise SimulationError(
                 f"got {len(traffics)} traffic patterns but {len(seeds)} seeds"
@@ -367,11 +275,13 @@ def _run_batched(
     rr_mode, asp_mode, scm_mode = st.rr_mode, st.asp_mode, st.scm_mode
     route_local = st.config.route_local
     rate = st.config.injection_rate
-    # Serve-order key packing: FL keys are ``rank - (occ << occ_shift)`` and
-    # RR keys penalize empty slots by ``empty_penalty``; both require the
-    # serving-slot rank to fit below 1 << occ_shift, for any in-degree.
+    # Serve-order key packing: FL keys are ``rank - (occ << occ_shift)``; RR
+    # keys are ``rank`` plus ``wrap_bit`` for slots before the pointer plus
+    # ``empty_bit`` for empty slots.  Both require the serving-slot rank to
+    # fit below 1 << occ_shift, for any in-degree.
     occ_shift = fmax.bit_length()
-    empty_penalty = 1 << occ_shift
+    wrap_bit = 1 << occ_shift
+    empty_bit = 2 << occ_shift
 
     totals = np.array([arrays.total for arrays in messages], dtype=np.int64)
 
@@ -439,8 +349,7 @@ def _run_batched(
     jbase_nf = job_row * NFp
     jbase_m = job_row * M
     sp_base = node_row * n
-    fid_tiled = st.fid_mat[node_row].astype(np.int32)  # (Jn, fmax)
-    fid_idx_all = jbase_nf[:, None] + fid_tiled
+    fid_idx_all = jbase_nf[:, None] + st.fid_mat[node_row].astype(np.int32)  # (Jn, fmax)
     rank_tiled = np.broadcast_to(np.arange(fmax, dtype=np.int32), (Jn, fmax))
     rank_ap = np.broadcast_to(np.arange(st.ap_k, dtype=np.int32), (Jn, st.ap_k))
     fcount_row = st.fcount[node_row].astype(np.int32)
@@ -474,7 +383,8 @@ def _run_batched(
     hops_j = np.zeros(J, dtype=np.int64)
     ncycles_j = np.zeros(J, dtype=np.int64)
     active = totals > 0
-    draws = DeflectionStreams(seeds)
+    # One scalar-engine deflection stream per job (only SCM ever draws).
+    draws = [random.Random(seed).getrandbits for seed in seeds] if scm_mode else None
 
     # ---- persistent serving order, maintained incrementally ------------ #
     # Serve keys depend only on a row's FIFO occupancies (plus its RR pointer,
@@ -483,89 +393,29 @@ def _run_batched(
     # All occupancies start at zero, where both FL and RR keys sort to the
     # identity permutation.
     n_occ = np.zeros(Jn, dtype=np.int32)
-    serve_fid = fid_tiled.copy()
-    idx_all = jbase_nf[:, None] + serve_fid
+    idx_all = fid_idx_all.copy()  # flat fifo index per (row, serving position)
     chg_parts: list[np.ndarray] = []  # fifo ids whose occupancy changed
-    rr_tab = st.rr_fid_tab if rr_mode else None
-    if rr_tab is not None:
-        rr_nodebase = node_row.astype(np.int64) * (fmax * 256)
-    fl_tab = st.fl_perm_tab
-    fl_pairs = st.fl_pairs
-    # Transposed copy of the serve-slot fifo indices: gathering through it
-    # yields C-contiguous (fmax, Jn) occupancies, so the per-slot compares of
-    # the table paths below run on contiguous rows instead of strided columns.
-    fid_idx_allT = np.ascontiguousarray(fid_idx_all.T)
 
     def _refresh_serve(ch: np.ndarray) -> None:
-        """Re-key and re-sort the serve rows owning the changed fifos."""
-        if 2 * ch.size >= Jn:
-            rows = None
-            ofT = occ[fid_idx_allT]  # (fmax, Jn)
-        else:
-            rows = np.unique(fid2row[ch])
-            ofT = occ[fid_idx_allT[:, rows]]  # (fmax, k)
-        if fl_tab is not None:
-            # Table-driven FL: the permutation is determined by which slot of
-            # each comparison pair holds the longer fifo.
-            i0, j0 = fl_pairs[0]
-            code = (ofT[j0] > ofT[i0]) * 1
-            for b in range(1, len(fl_pairs)):
-                i, j = fl_pairs[b]
-                code += (ofT[j] > ofT[i]) * (1 << b)
-            order = fl_tab[code]
-            if rows is None:
-                n_occ[:] = (ofT > 0).sum(axis=0)
-                serve_fid[:] = np.take_along_axis(fid_tiled, order, axis=1)
-                idx_all[:] = jbase_nf[:, None] + serve_fid
-            else:
-                n_occ[rows] = (ofT > 0).sum(axis=0)
-                sf = np.take_along_axis(fid_tiled[rows], order, axis=1)
-                serve_fid[rows] = sf
-                idx_all[rows] = jbase_nf[rows, None] + sf
-            return
-        if rr_tab is not None:
-            # Table-driven RR: pack the occupied slots into a bitmask and
-            # look the rotated occupied-first order straight up.
-            occupied = ofT > 0
-            mask = np.packbits(occupied, axis=0, bitorder="little")[0]
-            if rows is None:
-                tabidx = rr_nodebase + rr_ptr * np.int64(256) + mask
-                n_occ[:] = st.popcount[mask]
-                serve_fid[:] = rr_tab[tabidx]
-                idx_all[:] = jbase_nf[:, None] + serve_fid
-            else:
-                tabidx = rr_nodebase[rows] + rr_ptr[rows] * np.int64(256) + mask
-                n_occ[rows] = st.popcount[mask]
-                sf = rr_tab[tabidx]
-                serve_fid[rows] = sf
-                idx_all[rows] = jbase_nf[rows, None] + sf
-            return
-        of = ofT.T
+        """Re-key and re-sort the serve rows owning the changed fifos (all
+        rows at once when most of them changed)."""
+        rows = slice(None) if 2 * ch.size >= Jn else np.unique(fid2row[ch])
+        of = occ[fid_idx_all[rows]]  # (k, fmax)
         occupied = of > 0
-        if rows is None:
-            n_occ[:] = occupied.sum(axis=1)
-            if rr_mode:
-                rot = rank_tiled - rr_ptr[:, None]
-                key = np.where(rot < 0, rot + fcount_row[:, None], rot)
-                key += (~occupied) * empty_penalty
-            else:
-                key = rank_tiled - (of << occ_shift)
-            order = np.argsort(key, axis=1)
-            serve_fid[:] = np.take_along_axis(fid_tiled, order, axis=1)
-            idx_all[:] = jbase_nf[:, None] + serve_fid
-            return
         n_occ[rows] = occupied.sum(axis=1)
-        rank_k = rank_tiled[: rows.size]
+        rank_k = rank_tiled[: of.shape[0]]
         if rr_mode:
-            rot = rank_k - rr_ptr[rows, None]
-            key = np.where(rot < 0, rot + fcount_row[rows, None], rot)
-            key += (~occupied) * empty_penalty
+            # Occupied slots from the pointer on, then those before it (the
+            # rotation), then the empty ones.
+            key = rank_k + (rank_k < rr_ptr[rows, None]) * wrap_bit
+            key += (~occupied) * empty_bit
         else:
             key = rank_k - (of << occ_shift)
-        order = np.argsort(key, axis=1)
-        sf = np.take_along_axis(fid_tiled[rows], order, axis=1)
-        serve_fid[rows] = sf
-        idx_all[rows] = jbase_nf[rows, None] + sf
+        # Only each row's occupied prefix is ever served, and its keys are
+        # distinct (the slot rank is packed in), so any sort serves the same
+        # order; the stable one is the fastest for these short rows.
+        order = np.argsort(key, axis=1, kind="stable")
+        idx_all[rows] = np.take_along_axis(fid_idx_all[rows], order, axis=1)
 
     # Reusable per-cycle wave buffers: mask rows [w] are written in wave
     # order (the commit sweep only sees rows zeroed at cycle start), and the
@@ -737,12 +587,11 @@ def _run_batched(
                 send_idx_parts.append(sidx)
                 send_job_parts.append(job_row[rs])
 
-            # 2c. Vectorized resume of draw-needing nodes: rounds of at most
-            # one pass per job, in exact per-job (node, serving-position)
-            # stream order, with deferred scatters.
+            # 2c. Scalar replay of the draw-needing nodes, in exact per-job
+            # (node, serving-position) stream order, with deferred scatters.
             if susp_rows:
                 buf, L = _resume_suspended(
-                    st, susp_rows, susp_wave, n_occ, serve_fid, mid_t,
+                    st, susp_rows, susp_wave, n_occ, idx_all, mid_t,
                     dest_flat, free, local_free, heads, occ, lens,
                     buf, L, NFp, M, J, del_cycle_flat, mis_flat, delivered_j,
                     sent, draws, send_idx_parts, send_job_parts, upd_parts,
@@ -865,263 +714,52 @@ def _grow(buf: np.ndarray, rows: int, L: int) -> tuple[np.ndarray, int]:
     return new, new_l
 
 
-#: Smallest resume round worth vectorizing: below this many passes the NumPy
-#: dispatch overhead of the lockstep exceeds a plain scalar replay, so the
-#: remaining passes run through :func:`_resume_python` instead (measured
-#: crossover on the Table-I grid; see benchmarks/bench_deflection_draws.py).
-_VEC_MIN_ROUND = 96
-
-
 def _resume_suspended(
-    st, susp_rows, susp_wave, n_occ, serve_fid, mid_t, dest_flat,
+    st, susp_rows, susp_wave, n_occ, idx_all, mid_t, dest_flat,
     free_arr, local_free_arr, heads, occ, lens, buf, L, NFp, M, J,
     del_cycle_flat, mis_flat, delivered_j, sent, draws,
     send_idx_parts, send_job_parts, upd_parts, chg_parts, cycle,
 ):
-    """Replay every suspended (job, node) pass, vectorized across jobs.
+    """Replay every suspended SCM (job, node) pass and scatter its effects back.
 
-    A suspended pass must consume its job's deflection words *after* every
+    A suspended pass must consume its job's deflection stream *after* every
     suspended pass of the same job at a lower node id and *before* every one
-    at a higher node id — but passes of different jobs are fully independent.
-    The replay therefore runs in **rounds**: suspended rows are sorted by
-    flat (job, node) id and round k replays the k-th suspended pass of every
-    job that has one.  Each round walks its passes' serving positions in
-    lockstep — the per-candidate gathers, port selection against the evolving
-    free masks, and the bounded rejection draws
-    (:meth:`~repro.utils.rng.DeflectionStreams.draw_batch`, one distinct job
-    per pass) are all batched — and each draw advances its job's word counter
-    by exactly its rejection count, which is what makes round k+1 start at
-    the very word a scalar replay would.
-
-    Round sizes shrink fast (most jobs suspend at most one node per cycle),
-    and a lockstep over a handful of passes costs more in NumPy dispatch than
-    it saves: once the current round falls under ``_VEC_MIN_ROUND`` passes,
-    all passes still owed (every not-yet-replayed rank, in sorted row order —
-    which is exactly the per-job stream order) run through the scalar
-    :func:`_resume_python` instead.  All pops / deliveries / pushes from both
-    paths are scattered back in one batch at the end.
+    at a higher node id; passes of different jobs are independent.  Sorting
+    the suspended rows by flat (job, node) id yields exactly that per-job
+    order, so one walk over the sorted rows — a direct port of the scalar
+    engine's serve loop over plain Python lists, drawing inline from each
+    job's ``getrandbits`` — reproduces the scalar engines draw for draw.  The
+    per-candidate values are gathered in a handful of batched reads up front,
+    and all pops / deliveries / misroutes / pushes are scattered back in one
+    batch at the end.
     """
     n = st.n_nodes
-    max_out = st.max_out
-    asp, scm = st.asp_mode, st.scm_mode
-    rows = susp_rows[0] if len(susp_rows) == 1 else np.concatenate(susp_rows)
-    if len(susp_rows) == 1:
-        w0s = np.full(rows.size, susp_wave[0], dtype=np.int64)
-    else:
-        w0s = np.repeat(
-            np.array(susp_wave, dtype=np.int64), [len(r) for r in susp_rows]
-        )
+    asp = st.asp_mode
+    rows = np.concatenate(susp_rows)
+    w0s = np.repeat(np.array(susp_wave, dtype=np.int64), [len(r) for r in susp_rows])
     order = np.argsort(rows)  # rows are unique: one suspension per pass
     rows = rows[order]
     w0s = w0s[order]
-    all_jobs = rows // n
-    k_total = rows.size
-    # Rank within job: rows are sorted, so each job's passes are contiguous
-    # and the round-k pass of the job starting at ``starts[g]`` sits at
-    # ``starts[g] + k`` whenever that job has more than k passes.
-    newjob = np.empty(k_total, dtype=bool)
-    newjob[0] = True
-    np.not_equal(all_jobs[1:], all_jobs[:-1], out=newjob[1:])
-    starts = np.flatnonzero(newjob)
-    counts = np.diff(np.append(starts, k_total))
-    n_rounds = int(counts.max())
-
-    int32_max = np.iinfo(np.int32).max
-    arange_out = np.arange(max_out, dtype=np.int64)
-    one64 = np.int64(1)
-    pops_parts: list[np.ndarray] = []
-    dels_parts: list[np.ndarray] = []
-    deljob_parts: list[np.ndarray] = []
-    mis_parts: list[np.ndarray] = []
-    ssidx_parts: list[np.ndarray] = []
-    smid_parts: list[np.ndarray] = []
-    sjob_parts: list[np.ndarray] = []
-
-    for round_k in range(n_rounds):
-        sel = starts[counts > round_k] + round_k
-        if sel.size < _VEC_MIN_ROUND:
-            # Every pass of rank >= round_k is still owed; sorted row order
-            # keeps each job's passes in ascending node order, so the scalar
-            # replay consumes each stream exactly where this round left it.
-            if round_k:
-                rank = np.arange(k_total) - np.repeat(starts, counts)
-                rest = rank >= round_k
-                rest_rows, rest_w0 = rows[rest], w0s[rest]
-            else:
-                rest_rows, rest_w0 = rows, w0s
-            _resume_python(
-                st, rest_rows, rest_w0, n_occ, serve_fid, mid_t, dest_flat,
-                free_arr, local_free_arr, sent, draws, M, NFp,
-                pops_parts, dels_parts, deljob_parts, mis_parts,
-                ssidx_parts, smid_parts, sjob_parts,
-            )
-            break
-        rrows = rows[sel]
-        rjobs = all_jobs[sel]
-        rnodes = rrows - rjobs * n
-        pos = w0s[sel].copy()
-        end = n_occ[rrows].astype(np.int64)
-        fr = free_arr[rrows].astype(np.int64)
-        lf = local_free_arr[rrows].copy()
-        jb_nf = rjobs * NFp
-        jb_m = rjobs * M
-        spb = rnodes.astype(np.int64) * n
-        tgt_base = rnodes * max_out
-        sfid = serve_fid[rrows]  # (k, fmax)
-        arange_k = np.arange(rrows.size)
-        popcount, defl_pick = st.popcount, st.defl_pick
-        while True:
-            # All per-pass columns stay compressed to the passes still
-            # walking their serving positions, so every op below is dense.
-            m = mid_t[pos, rrows]
-            d = dest_flat[jb_m + m]
-            isloc = d == rnodes
-            dlv = isloc & lf
-            if asp:
-                ap_idx = spb + d
-                ports = st.ap_flat[ap_idx]  # (k, K)
-                kr = np.arange(st.ap_k, dtype=np.int32)
-                usable = (kr < st.ap_cnt_flat[ap_idx][:, None]) & (
-                    ((fr[:, None] >> ports) & 1) > 0
-                )
-                cost = sent[(rrows[:, None].astype(np.int64) * max_out) + ports]
-                score = np.where(usable, cost * (st.ap_k + 1) + kr, int32_max)
-                best = np.argmin(score, axis=1)
-                ar = arange_k[: rrows.size]
-                has_port = score[ar, best] != int32_max
-                out_q = ports[ar, best].astype(np.int64)
-                can = ~isloc & has_port
-            else:
-                out_q = st.sp_flat[spb + d].astype(np.int64)
-                can = ~isloc & (((fr >> out_q) & 1) > 0)
-            send_m = can
-            if scm:
-                needs = ~(isloc | can) & (fr != 0)
-                ni = np.flatnonzero(needs)
-                if ni.size:
-                    fm = fr[ni]
-                    if defl_pick is not None:
-                        # The drawn port is the r-th set bit of the free mask
-                        # (ascending, as the scalar candidate lists) — both
-                        # count and pick come from the dense mask lookups.
-                        ncand = popcount[fm]
-                        rdraw = draws.draw_batch(
-                            rjobs[ni], ncand, shifts=st.shift_tab[ncand]
-                        )
-                        out_q[ni] = defl_pick[fm, rdraw]
-                    else:
-                        bits = (fm[:, None] >> arange_out) & 1  # (kn, max_out)
-                        ncand = bits.sum(axis=1)
-                        rdraw = draws.draw_batch(
-                            rjobs[ni], ncand, shifts=st.shift_tab[ncand]
-                        )
-                        csum = np.cumsum(bits, axis=1)
-                        out_q[ni] = np.argmax(
-                            (csum == (rdraw + 1)[:, None]) & (bits > 0), axis=1
-                        )
-                    send_m = send_m | needs
-                    mis_parts.append(jb_m[ni] + m[ni])
-            di = np.flatnonzero(dlv)
-            si = np.flatnonzero(send_m)
-            if di.size:
-                pops_parts.append(jb_nf[di] + sfid[di, pos[di]])
-                dels_parts.append(jb_m[di] + m[di])
-                deljob_parts.append(rjobs[di])
-                lf &= ~dlv
-            if si.size:
-                qo = out_q[si]
-                fr &= ~((one64 << out_q) * send_m)
-                pops_parts.append(jb_nf[si] + sfid[si, pos[si]])
-                if asp:
-                    sent[rrows[si].astype(np.int64) * max_out + qo] += 1
-                ssidx_parts.append(jb_nf[si] + st.tgt_flat[tgt_base[si] + qo])
-                smid_parts.append(m[si])
-                sjob_parts.append(rjobs[si])
-            pos += 1
-            keep = pos < end
-            if not keep.any():
-                break
-            if not keep.all():
-                rrows = rrows[keep]
-                rjobs = rjobs[keep]
-                rnodes = rnodes[keep]
-                pos = pos[keep]
-                end = end[keep]
-                fr = fr[keep]
-                lf = lf[keep]
-                jb_nf = jb_nf[keep]
-                jb_m = jb_m[keep]
-                spb = spb[keep]
-                tgt_base = tgt_base[keep]
-                sfid = sfid[keep]
-        # free / local-port state is per cycle; nothing else to write back.
-
-    if pops_parts:
-        parr = np.concatenate(pops_parts)
-        heads[parr] += 1
-        occ[parr] -= 1
-        upd_parts.append(parr)
-        chg_parts.append(parr)
-    if dels_parts:
-        del_cycle_flat[np.concatenate(dels_parts)] = cycle
-        delivered_j += np.bincount(
-            np.concatenate(deljob_parts), minlength=J
-        ).astype(np.int64)
-    if mis_parts:
-        mis_flat[np.concatenate(mis_parts)] = 1
-    if ssidx_parts:
-        sarr = np.concatenate(ssidx_parts).astype(np.int32)
-        pos = lens[sarr]
-        if int(pos.max()) >= L:
-            buf, L = _grow(buf, len(lens), L)
-        buf[sarr * L + pos] = np.concatenate(smid_parts)
-        lens[sarr] += 1
-        send_idx_parts.append(sarr)
-        send_job_parts.append(np.concatenate(sjob_parts).astype(np.int32))
-    return buf, L
-
-
-def _resume_python(
-    st, rows, w0s, n_occ, serve_fid, mid_t, dest_flat, free_arr,
-    local_free_arr, sent, draws, M, NFp,
-    pops_parts, dels_parts, deljob_parts, mis_parts,
-    ssidx_parts, smid_parts, sjob_parts,
-):
-    """Scalar replay of a small set of suspended passes, in sorted row order.
-
-    A direct port of the scalar engine's serve loop over plain Python lists:
-    the per-candidate values are gathered in a handful of batched reads, the
-    loop itself touches no NumPy state, and its pops / deliveries / pushes
-    are appended to the caller's scatter lists.  ``rows`` must be sorted by
-    flat (job, node) id — the per-job stream order — and each drawing
-    candidate consumes its job's word stream through the shared
-    :class:`~repro.utils.rng.DeflectionStreams` scalar path, so the replay is
-    interchangeable with the vectorized rounds draw for draw.
-    """
-    n = st.n_nodes
-    asp, scm = st.asp_mode, st.scm_mode
-    sub_l = rows.tolist()
     jobs = rows // n
-    w0_l = w0s.tolist()
-    sf_l = serve_fid[rows].tolist()
-    mids = mid_t[:, rows]  # (wmax, r)
-    mid_l = mids.T.tolist()
-    dest_l = dest_flat[(jobs * M)[None, :] + mids].T.tolist()
+    # Flat row-major lists (row i's values at i * stride + w): one container
+    # per column instead of one per row keeps the cyclic GC out of the loop.
+    mids = mid_t[:, rows].T  # (r, wmax)
+    wmax = mids.shape[1]
+    mid_l = mids.ravel().tolist()
+    dest_l = dest_flat[(jobs * M)[:, None] + mids].ravel().tolist()
+    fmax = idx_all.shape[1]
+    fidx_l = idx_all[rows].ravel().tolist()
     free_l = free_arr[rows].tolist()
     lf_l = local_free_arr[rows].tolist()
     nocc_l = n_occ[rows].tolist()
+    w0_l = w0s.tolist()
     if asp:
-        sent2 = sent.reshape(-1, st.max_out)
-        sent_l = sent2[rows].tolist()
+        max_out = st.max_out
+        sent2 = sent.reshape(-1, max_out)
+        sent_l = sent2[rows].ravel().tolist()
     sp_list, tgt_list = st.sp_list, st.tgt_list
     deflect_sets = st.deflect_sets
-    # Inlined DeflectionStreams state: the bounded word walk below is the
-    # scalar draw() with the per-call overhead stripped (the cursor array and
-    # word matrix are shared with the vectorized rounds, draw for draw).
-    shift_l = st.shift_tab.tolist()
-    cursors = draws._cursors
-    chunk = draws.chunk
-    counts = draws.draw_counts
+    bitlen = st.bitlen
     pops: list[int] = []
     dels: list[int] = []
     deljobs: list[int] = []
@@ -1130,25 +768,28 @@ def _resume_python(
     s_mid: list[int] = []
     s_job: list[int] = []
 
-    for i, row in enumerate(sub_l):
-        j, node = divmod(row, n)
+    for i, row in enumerate(rows.tolist()):
+        j = row // n
+        node = row - j * n
         free = free_l[i]
         lf = lf_l[i]
-        sf, ml, dl = sf_l[i], mid_l[i], dest_l[i]
+        mw = i * wmax
+        fw = i * fmax
         jb_m = j * M
         jb_nf = j * NFp
         sp_row = sp_list[node]
         tgt_row = tgt_list[node]
+        getrandbits = draws[j]
         if asp:
             ap_row = st.ap_rows[node]
-            se = sent_l[i]
+            se = i * max_out
         out_deg = st.out_deg[node]
         for w in range(w0_l[i], nocc_l[i]):
-            mid = ml[w]
-            dest = dl[w]
+            mid = mid_l[mw + w]
+            dest = dest_l[mw + w]
             if dest == node:
                 if lf:
-                    pops.append(jb_nf + sf[w])
+                    pops.append(fidx_l[fw + w])
                     dels.append(jb_m + mid)
                     deljobs.append(j)
                     lf = False
@@ -1158,7 +799,7 @@ def _resume_python(
                 best_count = -1
                 for q in ap_row[dest]:
                     if free >> q & 1:
-                        c = se[q]
+                        c = sent_l[se + q]
                         if best_count < 0 or c < best_count:
                             best_count = c
                             out = q
@@ -1167,54 +808,52 @@ def _resume_python(
                 if free >> q & 1:
                     out = q
             if out < 0:
-                if not scm or not free:
+                if not free:
                     continue
                 candidates = deflect_sets.get(free)
                 if candidates is None:
                     candidates = tuple(q for q in range(out_deg) if free >> q & 1)
                     deflect_sets[free] = candidates
+                # Inlined bounded_draw over the job's getrandbits stream.
                 n_cand = len(candidates)
-                shift = shift_l[n_cand]
-                cursor = int(cursors[j])
-                if cursor == chunk:
-                    word_row = draws._refill(j)[j]
-                    cursor = 0
-                else:
-                    word_row = draws._words[j]
-                while True:
-                    r = int(word_row[cursor]) >> shift
-                    cursor += 1
-                    if r < n_cand:
-                        break
-                    if cursor == chunk:
-                        word_row = draws._refill(j)[j]
-                        cursor = 0
-                cursors[j] = cursor
-                counts[j] += 1
+                k = bitlen[n_cand]
+                r = getrandbits(k)
+                while r >= n_cand:
+                    r = getrandbits(k)
                 out = candidates[r]
                 mis.append(jb_m + mid)
-            pops.append(jb_nf + sf[w])
+            pops.append(fidx_l[fw + w])
             free &= ~(1 << out)
             if asp:
-                se[out] += 1
+                sent_l[se + out] += 1
             s_sidx.append(jb_nf + tgt_row[out])
             s_mid.append(mid)
             s_job.append(j)
         # free / local-port state is per cycle; nothing else to write back.
 
-    if pops:
-        pops_parts.append(np.array(pops, dtype=np.int64))
-    if dels:
-        dels_parts.append(np.array(dels, dtype=np.int64))
-        deljob_parts.append(np.array(deljobs, dtype=np.int64))
-    if mis:
-        mis_parts.append(np.array(mis, dtype=np.int64))
-    if s_sidx:
-        ssidx_parts.append(np.array(s_sidx, dtype=np.int64))
-        smid_parts.append(np.array(s_mid, dtype=np.int32))
-        sjob_parts.append(np.array(s_job, dtype=np.int64))
     if asp:
-        sent2[rows] = sent_l
+        sent2[rows] = np.array(sent_l, dtype=sent.dtype).reshape(-1, max_out)
+    if pops:
+        parr = np.array(pops, dtype=np.int64)
+        heads[parr] += 1
+        occ[parr] -= 1
+        upd_parts.append(parr)
+        chg_parts.append(parr)
+    if dels:
+        del_cycle_flat[dels] = cycle
+        delivered_j += np.bincount(deljobs, minlength=J)
+    if mis:
+        mis_flat[mis] = 1
+    if s_sidx:
+        sarr = np.array(s_sidx, dtype=np.int32)
+        pos = lens[sarr]
+        if int(pos.max()) >= L:
+            buf, L = _grow(buf, len(lens), L)
+        buf[sarr * L + pos] = s_mid
+        lens[sarr] += 1
+        send_idx_parts.append(sarr)
+        send_job_parts.append(np.array(s_job, dtype=np.int32))
+    return buf, L
 
 
 def _collect_batched(

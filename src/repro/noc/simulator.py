@@ -86,7 +86,7 @@ class NocSimulator:
         self.topology = topology
         self.config = config
         self.tables = self._engine.tables
-        self.seed = seed
+        self.seed = self._engine.seed
         self.max_cycles = max_cycles
 
     def run(self, traffic: TrafficPattern) -> SimulationResult:

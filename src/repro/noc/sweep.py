@@ -46,7 +46,7 @@ from typing import Iterable
 
 from repro.errors import ConfigurationError
 from repro.noc.config import CollisionPolicy, NocConfiguration
-from repro.noc.engine import BatchNocSimulator
+from repro.noc.engine import BatchNocSimulator, as_seed
 from repro.noc.engine_batch import BatchedNocKernel
 from repro.noc.message import MessageStatistics
 from repro.noc.results import SimulationResult
@@ -82,6 +82,11 @@ class NocSweepJob:
     traffic: TrafficPattern
     seed: int = 0
     max_cycles: int = 200_000
+
+    def __post_init__(self):
+        # One integer seed whatever integral type the caller passed, so the
+        # scalar engine, the batched kernel and the cache key all agree.
+        object.__setattr__(self, "seed", as_seed(self.seed))
 
 
 @dataclass(frozen=True)
@@ -254,8 +259,9 @@ class SweepCostModel:
     crossover jobs.  Each constant is the smallest group size J at which the
     batched kernel beat the scalar engine for every routing algorithm and
     message count, and kept winning at every larger J, in the ``crossover``
-    row of ``benchmarks/BENCH_noc_batch_sweep.json`` (generalized Kautz D=3,
-    P=16, 48 and 144 messages per PE, 2-core x86 host).  SCM crosses over
+    row of ``benchmarks/BENCH_noc_batch_sweep.json`` as first recorded
+    (generalized Kautz D=3, P=16, 48 and 144 messages per PE, 2-core x86
+    host; re-runs move the boundary by a grid step or two).  SCM crosses over
     later than DCM because a batched SCM group also funds the deflection-draw
     replay.  Near the crossover both engines are within noise of each other,
     so the exact value only moves a few groups between two engines that
@@ -313,7 +319,8 @@ def run_noc_sweep(
         and ``"process"`` dispatches serially when only one worker is
         available or the sweep splits into fewer than two chunks.
     max_workers:
-        Worker count for ``parallel="process"`` (default: ``os.cpu_count()``).
+        Worker count for ``parallel="process"`` (default: ``os.cpu_count()``);
+        a positive ``int`` when given.
     cache:
         Optional :class:`NocSweepCache`.  Jobs whose exact description was
         simulated before return their persisted result without simulating;
@@ -330,6 +337,12 @@ def run_noc_sweep(
     if parallel not in (None, "process"):
         raise ConfigurationError(
             f"parallel must be None or 'process', got {parallel!r}"
+        )
+    if max_workers is not None and (
+        isinstance(max_workers, bool) or not isinstance(max_workers, int) or max_workers < 1
+    ):
+        raise ConfigurationError(
+            f"max_workers must be a positive int or None, got {max_workers!r}"
         )
     if cache is not None:
         cached: list[SimulationResult | None] = [cache.get(job) for job in jobs]

@@ -1,14 +1,14 @@
 """Deterministic random-number-generation helpers.
 
 Every stochastic component of the library (AWGN channel, random information
-bits, tie-breaking in the partitioner, SCM random output-port selection)
-receives an explicit :class:`numpy.random.Generator`.  These helpers create
-such generators from integer seeds so experiments are reproducible bit-for-bit.
+bits, tie-breaking in the partitioner) receives an explicit
+:class:`numpy.random.Generator`.  These helpers create such generators from
+integer seeds so experiments are reproducible bit-for-bit.  The one exception
+is the NoC's SCM random output-port selection, which draws from a
+``random.Random(seed)`` stream through :func:`bounded_draw`.
 """
 
 from __future__ import annotations
-
-import random
 
 import numpy as np
 
@@ -27,173 +27,17 @@ def bounded_draw(getrandbits, n: int) -> int:
 
     This is the NoC simulators' *defined* deflection-draw algorithm, written
     against :meth:`random.Random.getrandbits` (Mersenne Twister, reproducible
-    across Python versions).  Both the object reference simulator and the
-    struct-of-arrays engine consume bits through this exact procedure — the
-    engine inlines it in its hot loop — so their deflection streams coincide
-    bit for bit for a given seed.
+    across Python versions).  The object reference simulator, the
+    struct-of-arrays engine and the job-batched kernel (one stream per job)
+    all consume bits through this exact procedure — the engines inline it in
+    their hot loops — so their deflection streams coincide bit for bit for a
+    given seed.
     """
     k = n.bit_length()
     r = getrandbits(k)
     while r >= n:
         r = getrandbits(k)
     return r
-
-
-class DeflectionStreams:
-    """Counter-based per-job deflection-draw streams for the batched NoC kernel.
-
-    The batched cycle kernel (:class:`repro.noc.engine_batch.BatchedNocKernel`)
-    advances J independent simulations in lockstep, but each job's SCM
-    deflection randomness is *defined* as the scalar engines' stream: one
-    ``random.Random(seed)`` per job, consumed through :func:`bounded_draw` in
-    (cycle, node, serving-position) order.
-
-    This class reproduces those streams from pregenerated blocks of raw
-    Mersenne-Twister output.  CPython's ``getrandbits(k)`` for ``k <= 32``
-    returns the top ``k`` bits of the next 32-bit MT word, and one
-    ``getrandbits(32 * N)`` call packs ``N`` successive words little-endian —
-    so a block decodes into the exact word sequence the scalar engines consume
-    regardless of the block size ``N`` (every deflection draw uses ``k <= 3``
-    bits: the fan-out of the paper's topologies).  All jobs' word blocks live
-    in one ``(J, chunk)`` NumPy matrix, and each job advances a plain integer
-    cursor (the *counter*) through its row; blocks are generated lazily, so
-    jobs that never draw (every DCM run) cost nothing.
-
-    Draws come in two bit-identical flavours:
-
-    * :meth:`draw` — one scalar draw from one job's stream;
-    * :meth:`draw_batch` — one draw from each of several *distinct* jobs at
-      once, with the rejection loop vectorized across jobs.  Jobs are
-      independent streams, so the job axis is embarrassingly parallel; within
-      a job the caller sequences its calls in stream order (the batched
-      kernel's resume rounds do exactly that).
-
-    ``draw_counts`` (an ``int64`` array, one slot per job) tallies the
-    completed draws per job so differential tests can assert
-    stream-consumption parity with the scalar engines.
-    """
-
-    #: Default number of 32-bit MT words pregenerated per refill of one job's
-    #: stream.  Any chunk size yields the same word stream (blocks concatenate
-    #: seamlessly); tests shrink it to force draws across block boundaries.
-    CHUNK = 2048
-
-    def __init__(self, seeds, chunk: int | None = None):
-        self.chunk = int(chunk if chunk is not None else self.CHUNK)
-        if self.chunk <= 0:
-            raise ValueError(f"chunk must be positive, got {self.chunk}")
-        self._rngs = [random.Random(seed) for seed in seeds]
-        # Cursor == chunk marks an exhausted (or never-generated) block; the
-        # word matrix is materialized on the first refill so DCM batches pay
-        # neither the generation nor the memory.
-        self._words: np.ndarray | None = None
-        self._cursors = np.full(len(self._rngs), self.chunk, dtype=np.int64)
-        self.draw_counts = np.zeros(len(self._rngs), dtype=np.int64)
-
-    def _refill(self, job: int) -> np.ndarray:
-        """Regenerate job's word block in place and reset its cursor.
-
-        Called only when the cursor has reached the end of the block, so the
-        whole block is consumed and memory stays bounded at one block per job.
-        Returns the (shared) word matrix.
-        """
-        words = self._words
-        if words is None:
-            words = self._words = np.zeros((len(self._rngs), self.chunk), dtype=np.int64)
-        block = self._rngs[job].getrandbits(32 * self.chunk)
-        raw = block.to_bytes(4 * self.chunk, "little")
-        words[job] = np.frombuffer(raw, dtype="<u4")
-        self._cursors[job] = 0
-        return words
-
-    def draw(self, job: int, n: int) -> int:
-        """Uniform integer in ``[0, n)`` from job ``job``'s stream.
-
-        Bit-identical to ``bounded_draw(random.Random(seed_job).getrandbits,
-        n)`` at the same point of the stream, for ``n < 2**32``.
-        """
-        shift = 32 - n.bit_length()
-        chunk = self.chunk
-        cursor = int(self._cursors[job])
-        words = self._words
-        row = None if words is None else words[job]
-        while True:
-            if cursor == chunk:
-                row = self._refill(job)[job]
-                cursor = 0
-            r = int(row[cursor]) >> shift
-            cursor += 1
-            if r < n:
-                break
-        self._cursors[job] = cursor
-        self.draw_counts[job] += 1
-        return r
-
-    def draw_batch(
-        self,
-        jobs: np.ndarray,
-        bounds: np.ndarray,
-        shifts: np.ndarray | None = None,
-    ) -> np.ndarray:
-        """One uniform integer in ``[0, bounds[i])`` per job of ``jobs``, at once.
-
-        ``jobs`` must be *distinct* (one pending draw per stream): each job's
-        cursor advances by however many words its own rejection loop consumed,
-        exactly as a sequence of scalar :meth:`draw` calls would, so the
-        result is bit-identical per job — element ``i`` equals
-        ``self.draw(jobs[i], bounds[i])`` no matter how the batch interleaves
-        the underlying word reads.  The first rejection-sampling attempt is
-        one vectorized gather across all jobs (most draws accept immediately:
-        the acceptance probability is at least 1/2); the rejected few retry
-        with plain integer word walks.
-
-        ``shifts`` optionally supplies the precomputed per-draw word shifts
-        ``32 - bounds[i].bit_length()`` (hot callers keep them in a lookup
-        table); it is derived from ``bounds`` when omitted.
-        """
-        if not isinstance(jobs, np.ndarray):
-            jobs = np.asarray(jobs, dtype=np.int64)
-        if not isinstance(bounds, np.ndarray):
-            bounds = np.asarray(bounds, dtype=np.int64)
-        if shifts is None:
-            # bit_length via frexp (exact for bounds < 2**53): n = m * 2**e
-            # with m in [0.5, 1), so e is exactly n.bit_length().
-            shifts = 32 - np.frexp(bounds.astype(np.float64))[1]
-        cursors, chunk = self._cursors, self.chunk
-        cur = cursors[jobs]
-        words = self._words
-        try:
-            # A cursor at the block end would index one past its row: block
-            # boundaries are rare (one in ``chunk`` words), so the fast path
-            # simply attempts the gather and refills only on the exception
-            # (also raised on the very first draw, when no block exists yet).
-            out = words[jobs, cur] >> shifts
-        except (IndexError, TypeError):
-            for job in jobs[cur == chunk].tolist():
-                words = self._refill(job)
-            cur = cursors[jobs]
-            out = words[jobs, cur] >> shifts
-        cursors[jobs] = cur + 1
-        rejected = out >= bounds
-        if rejected.any():
-            for i in np.flatnonzero(rejected).tolist():
-                job = int(jobs[i])
-                n = int(bounds[i])
-                shift = int(shifts[i])
-                cursor = int(cursors[job])
-                row = words[job]
-                while True:
-                    if cursor == chunk:
-                        row = self._refill(job)[job]
-                        cursor = 0
-                    r = int(row[cursor]) >> shift
-                    cursor += 1
-                    if r < n:
-                        break
-                cursors[job] = cursor
-                out[i] = r
-        self.draw_counts[jobs] += 1
-        return out
 
 
 def spawn_rngs(seed: int, count: int) -> list[np.random.Generator]:

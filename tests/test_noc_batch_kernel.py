@@ -13,8 +13,6 @@ every observable, including the both-raise behaviour when a job exceeds
 
 from __future__ import annotations
 
-import random
-
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -32,7 +30,6 @@ from repro.noc import (
     build_topology,
     random_traffic,
 )
-from repro.utils.rng import DeflectionStreams, bounded_draw
 
 TOPOLOGY_SPECS = [
     ("generalized-kautz", 8, 3),
@@ -198,15 +195,24 @@ class TestDifferentialKernelVsEngine:
 
     @pytest.mark.parametrize("batch", [2, 8, 256])
     @pytest.mark.parametrize("algorithm", list(RoutingAlgorithm))
-    def test_scm_cycle_exact_across_batch_sizes(self, batch, algorithm):
-        """SCM batches stay cycle-exact at every replay regime: tiny batches
-        (pure scalar replay), mid batches, and J=256 (vectorized resume
-        rounds engage above their minimum round size)."""
-        topology, tables = _topology_and_tables(("generalized-kautz", 8, 3))
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            ("generalized-kautz", 8, 3),
+            # wide fan-out: deflection candidate sets of up to 15 ports
+            ("generalized-de-bruijn", 24, 15),
+        ],
+    )
+    def test_scm_cycle_exact_across_batch_sizes(self, batch, algorithm, spec):
+        """SCM batches stay cycle-exact from tiny batches (a few suspended
+        passes per cycle) up to J=256 (hundreds of replayed passes per
+        cycle, many jobs suspending several nodes)."""
+        topology, tables = _topology_and_tables(spec)
+        n = topology.n_nodes
         config = NocConfiguration(collision_policy=CollisionPolicy.SCM).with_routing(
             algorithm
         )
-        traffics = [random_traffic(8, 6, seed=400 + i) for i in range(batch)]
+        traffics = [random_traffic(n, 6, seed=400 + i) for i in range(batch)]
         seeds = [i * 7 + 1 for i in range(batch)]
         kernel = BatchedNocKernel(topology, config, routing_tables=tables)
         results = kernel.run(traffics, seeds)
@@ -218,52 +224,12 @@ class TestDifferentialKernelVsEngine:
 
     @pytest.mark.parametrize("algorithm", list(RoutingAlgorithm))
     @pytest.mark.parametrize(
-        "spec",
-        [
-            # small fan-out: dense deflection mask lookups
-            ("generalized-kautz", 8, 3),
-            # fan-out beyond the mask-table gate: on-the-fly bit math
-            ("generalized-de-bruijn", 24, 15),
-        ],
-    )
-    def test_scm_vectorized_resume_rounds_cycle_exact(
-        self, spec, algorithm, monkeypatch
-    ):
-        """Force every resume round through the vectorized lockstep (no
-        scalar fallback) and pin it against per-job scalar runs."""
-        import repro.noc.engine_batch as engine_batch
-
-        monkeypatch.setattr(engine_batch, "_VEC_MIN_ROUND", 1)
-        topology, tables = _topology_and_tables(spec)
-        n = topology.n_nodes
-        config = NocConfiguration(collision_policy=CollisionPolicy.SCM).with_routing(
-            algorithm
-        )
-        traffics = [random_traffic(n, 25, seed=500 + i) for i in range(4)]
-        seeds = [31, 32, 33, 34]
-        kernel = BatchedNocKernel(topology, config, routing_tables=tables)
-        results = kernel.run(traffics, seeds)
-        engine = BatchNocSimulator(topology, config, routing_tables=tables, seed=0)
-        expected = [
-            _observables(engine.run(t, seed=s)) for t, s in zip(traffics, seeds)
-        ]
-        assert [_observables(r) for r in results] == expected
-        if spec[0] == "generalized-kautz":
-            # the degree-3 graph must actually deflect under this load
-            assert sum(r.statistics.misrouted for r in results) > 0
-
-    @pytest.mark.parametrize("algorithm", list(RoutingAlgorithm))
-    @pytest.mark.parametrize(
         "spec", [("generalized-kautz", 8, 3), ("generalized-de-bruijn", 24, 15)]
     )
-    def test_scm_scalar_replay_rounds_cycle_exact(self, spec, algorithm, monkeypatch):
-        """Force every resume round through the scalar replay, with a
-        two-word stream chunk so refills re-enter mid-draw, and pin it
-        against per-job scalar runs."""
-        import repro.noc.engine_batch as engine_batch
-
-        monkeypatch.setattr(engine_batch, "_VEC_MIN_ROUND", 1 << 30)
-        monkeypatch.setattr(DeflectionStreams, "CHUNK", 2)
+    def test_scm_scalar_replay_rounds_cycle_exact(self, spec, algorithm):
+        """Heavier per-job load makes jobs suspend several nodes per cycle,
+        so each job's stream is consumed across many replayed passes; pin the
+        replay against per-job scalar runs."""
         topology, tables = _topology_and_tables(spec)
         n = topology.n_nodes
         config = NocConfiguration(collision_policy=CollisionPolicy.SCM).with_routing(
@@ -401,31 +367,3 @@ class TestKernelContract:
         assert [_observables(r) for r in results] == [_observables(r) for r in singles]
         assert results[2].ncycles == 0
         assert results[0].ncycles < results[1].ncycles
-
-
-class TestDeflectionStreams:
-    def test_reproduces_bounded_draw_stream(self):
-        """The counter-based word stream equals bounded_draw over getrandbits."""
-        seeds = [0, 1, 12345]
-        streams = DeflectionStreams(seeds)
-        references = [random.Random(seed).getrandbits for seed in seeds]
-        draw_pattern = [1, 2, 3, 4, 2, 2, 3, 1, 4, 3] * 40
-        for job, reference in enumerate(references):
-            for n in draw_pattern:
-                assert streams.draw(job, n) == bounded_draw(reference, n)
-        assert streams.draw_counts.tolist() == [len(draw_pattern)] * len(seeds)
-
-    def test_streams_are_independent_per_job(self):
-        streams = DeflectionStreams([7, 7])
-        a = [streams.draw(0, 3) for _ in range(50)]
-        b = [streams.draw(1, 3) for _ in range(50)]
-        assert a == b  # same seed, same stream
-        reference = random.Random(7).getrandbits
-        assert a == [bounded_draw(reference, 3) for _ in range(50)]
-
-    def test_refill_crosses_chunk_boundary(self):
-        streams = DeflectionStreams([3])
-        reference = random.Random(3).getrandbits
-        total = DeflectionStreams.CHUNK + 100  # force at least one refill
-        for _ in range(total):
-            assert streams.draw(0, 4) == bounded_draw(reference, 4)

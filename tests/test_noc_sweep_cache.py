@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import json
 
+import numpy as np
 import pytest
 
 from repro.core import DecoderSpec, DesignSpaceExplorer
@@ -143,6 +144,12 @@ class TestKeying:
     def test_any_field_change_changes_key(self, cache, mutate):
         job = _jobs(1)[0]
         assert cache.key(mutate(job)) != cache.key(job)
+
+    def test_numpy_integer_seed_keys_like_plain_int(self, cache):
+        job = _jobs(1)[0]
+        numpy_seeded = dataclasses.replace(job, seed=np.int64(job.seed))
+        assert type(numpy_seeded.seed) is int
+        assert cache.key(numpy_seeded) == cache.key(job)
 
     def test_code_version_invalidates(self, tmp_path, cache):
         job = _jobs(1)[0]

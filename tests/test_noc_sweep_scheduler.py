@@ -11,10 +11,12 @@ caches are shared across sweeps.
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, SimulationError
 from repro.noc import (
+    BatchedNocKernel,
     BatchNocSimulator,
     CollisionPolicy,
     NocConfiguration,
@@ -130,6 +132,13 @@ class TestGrouping:
         with pytest.raises(ConfigurationError):
             run_noc_sweep([], parallel="thread")
 
+    @pytest.mark.parametrize("max_workers", [0, -1, 2.0, "2", True])
+    def test_rejects_bad_max_workers(self, max_workers):
+        """A worker count that cannot size a pool fails instead of
+        silently running serially."""
+        with pytest.raises(ConfigurationError):
+            run_noc_sweep(_mixed_jobs(), parallel="process", max_workers=max_workers)
+
 
 class TestSeedIndependence:
     def test_same_group_different_seeds_match_fresh_engines(self):
@@ -165,6 +174,68 @@ class TestSeedIndependence:
         backward = run_noc_sweep([job(2), job(1)])
         assert _signature(forward[0].result) == _signature(backward[1].result)
         assert _signature(forward[1].result) == _signature(backward[0].result)
+
+
+class TestSeedTypes:
+    """Integral seeds of any type drive every engine identically; float
+    seeds are rejected everywhere (Kautz 8/3, 6 messages per PE, SCM)."""
+
+    @staticmethod
+    def _setup():
+        topology, tables = _graph("generalized-kautz", 8, 3)
+        return topology, tables, NocConfiguration(), random_traffic(8, 6, seed=1)
+
+    def test_numpy_seed_matches_int_seed_in_both_engines(self):
+        topology, tables, config, traffic = self._setup()
+        expected = _signature(
+            BatchNocSimulator(topology, config, routing_tables=tables, seed=3).run(traffic)
+        )
+        engine = BatchNocSimulator(topology, config, routing_tables=tables)
+        assert _signature(engine.run(traffic, seed=np.int64(3))) == expected
+        seeded = BatchNocSimulator(
+            topology, config, routing_tables=tables, seed=np.int64(3)
+        )
+        assert _signature(seeded.run(traffic)) == expected
+        kernel = BatchedNocKernel(topology, config, routing_tables=tables)
+        results = kernel.run([traffic, traffic], [np.int64(3), np.int32(3)])
+        assert [_signature(r) for r in results] == [expected, expected]
+
+    @pytest.mark.parametrize("offset", [-1, 0])
+    def test_numpy_seed_sweeps_at_the_crossover(self, offset):
+        """crossover - 1 jobs (scalar engine) and crossover jobs (batched
+        kernel) both accept NumPy seeds and match plain-int fresh engines."""
+        from repro.noc import scheduler_cost_model
+
+        _, _, config, traffic = self._setup()
+        count = scheduler_cost_model().crossover(config.collision_policy) + offset
+        jobs = [
+            NocSweepJob(
+                family="generalized-kautz", parallelism=8, degree=3,
+                config=config, traffic=traffic, seed=np.int64(seed),
+            )
+            for seed in range(count)
+        ]
+        for outcome, seed in zip(run_noc_sweep(jobs), range(count)):
+            assert outcome.job.seed == seed and type(outcome.job.seed) is int
+            assert _signature(outcome.result) == _fresh_engine_signature(outcome.job)
+
+    @pytest.mark.parametrize("seed", [1.5, 3.0, "3", None])
+    def test_non_integral_seed_rejected_everywhere(self, seed):
+        topology, tables, config, traffic = self._setup()
+        with pytest.raises(SimulationError):
+            BatchNocSimulator(topology, config, routing_tables=tables, seed=seed)
+        engine = BatchNocSimulator(topology, config, routing_tables=tables)
+        if seed is not None:  # run(seed=None) means "the constructor seed"
+            with pytest.raises(SimulationError):
+                engine.run(traffic, seed=seed)
+        kernel = BatchedNocKernel(topology, config, routing_tables=tables)
+        with pytest.raises(SimulationError):
+            kernel.run([traffic, traffic], [seed, 0])
+        with pytest.raises(SimulationError):
+            NocSweepJob(
+                family="generalized-kautz", parallelism=8, degree=3,
+                config=config, traffic=traffic, seed=seed,
+            )
 
 
 class TestProcessParallel:
