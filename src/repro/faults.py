@@ -17,12 +17,13 @@ reproducibly*.  This module supplies that chaos-under-test discipline:
   per dispatch attempt.  Because the decode service's event loop is single
   threaded, attempt numbering — and therefore the whole chaos run — is
   reproducible for a fixed arrival schedule and seed.
-* :func:`faulty_decode_in_worker` / :func:`faulty_decode_in_thread` — the
-  instrumented executor entry points that *apply* an action on the process
-  and thread paths.  A process-path ``crash`` calls ``os._exit``, killing
-  the worker for real so the parent sees a genuine
-  ``BrokenProcessPool``; thread and inline paths simulate the same failure
-  with :class:`~repro.errors.WorkerCrashError` (threads cannot be killed).
+* :func:`fault_delay` — the one rule that *applies* an action, on every
+  dispatch path.  ``error`` raises :class:`~repro.errors.InjectedFaultError`;
+  ``crash`` calls ``os._exit`` inside a process worker, killing it for real
+  so the parent sees a genuine ``BrokenProcessPool``, and raises
+  :class:`~repro.errors.WorkerCrashError` on the thread and inline paths
+  (threads cannot be killed); ``hang`` and ``delay`` return their stall,
+  which the caller sleeps off before decoding.
 
 Faults are injected per *dispatch attempt*, not per batch: a batch whose
 first attempt crashed consumes a fresh schedule slot on its retry, so a
@@ -34,9 +35,8 @@ fail-once/recover shape resilience tests need.
 from __future__ import annotations
 
 import os
-import time
 from dataclasses import dataclass
-from typing import Callable, Mapping
+from typing import Mapping
 
 import numpy as np
 
@@ -47,8 +47,7 @@ __all__ = [
     "FaultAction",
     "FaultInjector",
     "FaultPlan",
-    "faulty_decode_in_thread",
-    "faulty_decode_in_worker",
+    "fault_delay",
 ]
 
 #: The injectable fault kinds, in severity order.
@@ -238,40 +237,21 @@ class FaultInjector:
 # ---------------------------------------------------------------------- #
 # Executor-side fault application
 # ---------------------------------------------------------------------- #
-def _apply_blocking_fault(action: FaultAction | None, can_really_crash: bool) -> None:
-    """Apply ``action`` inside a worker (thread or process) before decoding."""
+def fault_delay(action: FaultAction | None, can_really_crash: bool) -> float:
+    """Apply ``action`` before a decode; return the stall in seconds.
+
+    ``crash`` and ``error`` raise (a crash with ``can_really_crash`` — inside
+    a process worker — exits the worker instead); ``hang`` and ``delay``
+    both return their duration, and only the caller's watchdog tells them
+    apart.  Sync paths sleep the stall off with ``time.sleep``, the inline
+    path with ``await asyncio.sleep`` so its watchdog can cancel a hang.
+    """
     if action is None:
-        return
+        return 0.0
     if action.kind == "crash":
         if can_really_crash:
             os._exit(CRASH_EXIT_CODE)  # a real worker death: parent sees BrokenProcessPool
         raise WorkerCrashError("injected worker crash")
     if action.kind == "error":
         raise InjectedFaultError("injected decode failure")
-    # hang and delay both sleep; only the caller's watchdog tells them apart.
-    time.sleep(action.duration_s)
-
-
-def faulty_decode_in_worker(
-    spec_key: tuple[str, int, str], llrs: np.ndarray, action: FaultAction | None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Process-pool entry point with fault application (picklable, top level).
-
-    The clean twin is :func:`repro.service.resilience.decode_in_worker`; this
-    wrapper applies ``action`` first — a ``crash`` kills the worker process
-    for real — then decodes through the same per-worker codec cache.
-    """
-    from repro.service.resilience import decode_in_worker
-
-    _apply_blocking_fault(action, can_really_crash=True)
-    return decode_in_worker(spec_key, llrs)
-
-
-def faulty_decode_in_thread(
-    decode: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray, np.ndarray]],
-    llrs: np.ndarray,
-    action: FaultAction | None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Thread-executor entry point: apply ``action`` (simulated crash), then decode."""
-    _apply_blocking_fault(action, can_really_crash=False)
-    return decode(llrs)
+    return action.duration_s

@@ -16,9 +16,11 @@ the registry *does* serve — the service surfaces that message verbatim at
 its boundary instead of letting a bad spec die as a NumPy broadcast error
 deep inside a kernel.
 
-Specs are plain picklable data, so the process-shard executor ships a spec
-to each worker and the worker rebuilds (and caches) the decoder locally —
-decoders themselves never cross a process boundary.
+Specs are plain picklable data, so the process-shard executor ships only a
+spec key with each batch.  The registry itself reaches every shard worker
+once, through the process pool's initializer, and each worker resolves (and
+caches) its decoders through it — decoders never cross a process boundary
+per batch.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from repro.errors import CodeDefinitionError, UnknownCodecError
+from repro.utils.validation import require_int
 
 __all__ = [
     "CodecEntry",
@@ -167,7 +170,13 @@ class CodecRegistry:
         return [spec for specs in self._known.values() for spec in specs]
 
     def resolve(self, family: str, block: int, rate: str) -> CodecEntry:
-        """The cached entry for ``(family, block, rate)``, building it on miss."""
+        """The cached entry for ``(family, block, rate)``, building it on miss.
+
+        ``block`` must be integral (an ``int`` or a NumPy integer): a float,
+        bool or string raises :class:`~repro.errors.UnknownCodecError`
+        rather than being truncated onto another codec.
+        """
+        require_int("block", block, minimum=1, error=UnknownCodecError)
         return self.resolve_spec(CodecSpec(str(family), int(block), str(rate)))
 
     def resolve_spec(self, spec: CodecSpec) -> CodecEntry:

@@ -16,11 +16,12 @@ turns that observation into machinery:
   the factory.  A generation counter makes concurrent failures converge on
   one rebuild.
 * :class:`CircuitBreaker` — a pure (clock-passed-in) closed → open →
-  half-open state machine.  ``failure_threshold`` consecutive primary-path
+  half-open state machine.  ``breaker_failures`` consecutive primary-path
   failures open it; while open the dispatcher degrades to the fallback
-  path; after ``reset_timeout_s`` a bounded number of half-open probes are
-  let through and one success closes it again.  Every transition is
-  recorded so tests can assert the machine never jumps an illegal edge.
+  path; after ``breaker_reset_s`` a bounded number (``breaker_probes``) of
+  half-open probes are let through and one success closes it again.  Every
+  transition is recorded so tests can assert the machine never jumps an
+  illegal edge.
 * :class:`ResilientDispatcher` — the piece the service calls: given a codec
   entry and a stacked ``(B, n)`` LLR batch, it picks the current path
   (primary executor, or the degraded fallback while the breaker is open),
@@ -30,8 +31,15 @@ turns that observation into machinery:
   bounded attempt budget.  Exhausting the budget raises
   :class:`~repro.errors.RetryExhaustedError` carrying the last cause.
 * :func:`decode_in_worker` — the process-pool entry point: workers receive
-  a picklable codec key plus the LLR array, and build (then cache) the
-  decoder once per worker process.
+  a picklable codec key, the LLR array and the attempt's fault action, and
+  resolve the codec through the service's own registry, which
+  :func:`install_worker_registry` (the pool's ``initializer``) put into
+  every worker, including after each rebuild.  Thread and process workers
+  run the same decode body, and :func:`repro.faults.fault_delay` is the one
+  rule for what an injected fault does on every path.
+
+:class:`ResilienceConfig` is the only place the knobs are named and
+checked; the backoff and the breaker are built from it.
 
 Degradation chain: ``process`` executors fall back to a supervised thread
 executor, ``thread`` executors fall back to inline (event-loop) decoding —
@@ -43,6 +51,7 @@ from __future__ import annotations
 
 import asyncio
 import random
+import time
 from concurrent.futures import BrokenExecutor, Executor, ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
@@ -51,14 +60,10 @@ from typing import Callable
 import numpy as np
 
 from repro.errors import ConfigurationError, RetryExhaustedError, WorkerCrashError
-from repro.faults import (
-    FaultAction,
-    FaultInjector,
-    faulty_decode_in_thread,
-    faulty_decode_in_worker,
-)
+from repro.faults import FaultAction, FaultInjector, fault_delay
 from repro.service.metrics import ServiceMetrics
-from repro.service.registry import CodecEntry, default_registry
+from repro.service.registry import CodecEntry, CodecRegistry, CodecSpec
+from repro.utils.validation import require_int, require_real
 
 __all__ = [
     "CircuitBreaker",
@@ -68,6 +73,7 @@ __all__ = [
     "ResilientDispatcher",
     "SupervisedExecutor",
     "decode_in_worker",
+    "install_worker_registry",
 ]
 
 #: Exceptions that mean "the execution infrastructure failed", as opposed to
@@ -86,7 +92,9 @@ class ResilienceConfig:
     Backoff parameters govern executor rebuild pacing; the jitter stream is
     seeded, so a given config replays identically.  Breaker parameters are
     the classic trio: consecutive failures to open, open dwell before
-    half-open, and how many half-open probes may fly at once.
+    half-open, and how many half-open probes may fly at once.  This is the
+    one place the knobs are checked: counts must be ints (never bools or
+    fractions), durations finite reals.
     """
 
     max_attempts: int = 4
@@ -98,52 +106,42 @@ class ResilienceConfig:
     breaker_probes: int = 1
 
     def __post_init__(self) -> None:
-        if self.max_attempts < 1:
-            raise ConfigurationError(
-                f"max_attempts must be >= 1, got {self.max_attempts}"
-            )
-        if self.backoff_base_s < 0.0 or self.backoff_cap_s < self.backoff_base_s:
+        require_int("max_attempts", self.max_attempts, minimum=1)
+        require_real("backoff_base_s", self.backoff_base_s, allow_zero=True)
+        require_real("backoff_cap_s", self.backoff_cap_s, allow_zero=True)
+        if self.backoff_cap_s < self.backoff_base_s:
             raise ConfigurationError(
                 "backoff must satisfy 0 <= base <= cap, got "
                 f"base={self.backoff_base_s}, cap={self.backoff_cap_s}"
             )
-        if self.breaker_failures < 1:
-            raise ConfigurationError(
-                f"breaker_failures must be >= 1, got {self.breaker_failures}"
-            )
-        if self.breaker_reset_s <= 0.0:
-            raise ConfigurationError(
-                f"breaker_reset_s must be > 0, got {self.breaker_reset_s}"
-            )
-        if self.breaker_probes < 1:
-            raise ConfigurationError(
-                f"breaker_probes must be >= 1, got {self.breaker_probes}"
-            )
+        require_int("backoff_seed", self.backoff_seed, minimum=0)
+        require_int("breaker_failures", self.breaker_failures, minimum=1)
+        require_real("breaker_reset_s", self.breaker_reset_s, allow_zero=False)
+        require_int("breaker_probes", self.breaker_probes, minimum=1)
 
 
 class ExponentialBackoff:
     """Capped exponential backoff with deterministic (seeded) jitter.
 
-    ``next_delay`` yields ``min(cap, base * 2**k)`` scaled by a jitter
-    factor in ``[0.5, 1.0]`` drawn from a seeded stream — two services built
-    with the same seed back off identically, which is what makes chaos runs
-    reproducible.  ``reset`` rewinds the exponent (a healthy stretch earns
-    back fast recovery) but deliberately not the jitter stream.
+    Built from a :class:`ResilienceConfig`: ``next_delay`` yields
+    ``min(backoff_cap_s, backoff_base_s * 2**k)`` scaled by a jitter factor
+    in ``[0.5, 1.0]`` drawn from a stream seeded with ``backoff_seed`` — two
+    services built with the same seed back off identically, which is what
+    makes chaos runs reproducible.  ``reset`` rewinds the exponent (a healthy
+    stretch earns back fast recovery) but deliberately not the jitter stream.
     """
 
-    def __init__(self, base_s: float, cap_s: float, seed: int = 2012) -> None:
-        if base_s < 0.0 or cap_s < base_s:
-            raise ConfigurationError(
-                f"backoff must satisfy 0 <= base <= cap, got base={base_s}, cap={cap_s}"
-            )
-        self.base_s = float(base_s)
-        self.cap_s = float(cap_s)
-        self._rng = random.Random(seed)
+    def __init__(self, config: ResilienceConfig) -> None:
+        self.config = config
+        self._rng = random.Random(config.backoff_seed)
         self._exponent = 0
 
     def next_delay(self) -> float:
         """The next delay in seconds, advancing the exponent."""
-        delay = min(self.cap_s, self.base_s * (2.0 ** self._exponent))
+        delay = min(
+            self.config.backoff_cap_s,
+            self.config.backoff_base_s * (2.0 ** self._exponent),
+        )
         self._exponent += 1
         return delay * (0.5 + 0.5 * self._rng.random())
 
@@ -155,10 +153,11 @@ class ExponentialBackoff:
 class CircuitBreaker:
     """Closed → open → half-open breaker; pure, with the clock passed in.
 
-    All methods take ``now`` (any monotonic seconds source) so tests can
-    drive the machine through time without sleeping.  ``transitions``
-    records every ``(from, to)`` edge taken; the legal set is
-    :data:`CircuitBreaker.LEGAL_TRANSITIONS`.
+    Built from a :class:`ResilienceConfig` (``breaker_failures``,
+    ``breaker_reset_s``, ``breaker_probes``).  All methods take ``now`` (any
+    monotonic seconds source) so tests can drive the machine through time
+    without sleeping.  ``transitions`` records every ``(from, to)`` edge
+    taken; the legal set is :data:`CircuitBreaker.LEGAL_TRANSITIONS`.
     """
 
     CLOSED = "closed"
@@ -174,27 +173,8 @@ class CircuitBreaker:
         ]
     )
 
-    def __init__(
-        self,
-        failure_threshold: int = 3,
-        reset_timeout_s: float = 1.0,
-        half_open_probes: int = 1,
-    ) -> None:
-        if failure_threshold < 1:
-            raise ConfigurationError(
-                f"failure_threshold must be >= 1, got {failure_threshold}"
-            )
-        if reset_timeout_s <= 0.0:
-            raise ConfigurationError(
-                f"reset_timeout_s must be > 0, got {reset_timeout_s}"
-            )
-        if half_open_probes < 1:
-            raise ConfigurationError(
-                f"half_open_probes must be >= 1, got {half_open_probes}"
-            )
-        self.failure_threshold = int(failure_threshold)
-        self.reset_timeout_s = float(reset_timeout_s)
-        self.half_open_probes = int(half_open_probes)
+    def __init__(self, config: ResilienceConfig) -> None:
+        self.config = config
         self.consecutive_failures = 0
         self.opens = 0
         self.transitions: list[tuple[str, str]] = []
@@ -209,7 +189,7 @@ class CircuitBreaker:
 
     def state(self, now: float) -> str:
         """Current state, resolving the open → half-open timer transition."""
-        if self._state == self.OPEN and now - self._opened_at >= self.reset_timeout_s:
+        if self._state == self.OPEN and now - self._opened_at >= self.config.breaker_reset_s:
             self._move(self.HALF_OPEN)
             self._probes_out = 0
         return self._state
@@ -221,7 +201,7 @@ class CircuitBreaker:
             return True
         if state == self.OPEN:
             return False
-        if self._probes_out < self.half_open_probes:
+        if self._probes_out < self.config.breaker_probes:
             self._probes_out += 1
             return True
         return False
@@ -239,7 +219,7 @@ class CircuitBreaker:
         self.consecutive_failures += 1
         if state == self.HALF_OPEN or (
             state == self.CLOSED
-            and self.consecutive_failures >= self.failure_threshold
+            and self.consecutive_failures >= self.config.breaker_failures
         ):
             self._move(self.OPEN)
             self._opened_at = now
@@ -355,39 +335,60 @@ class DispatchResult:
     path: str
 
 
-#: Per-worker decoder cache, keyed by ``CodecSpec.key``: each shard worker
-#: builds a codec's decoder once, then reuses it for every batch it decodes.
-_WORKER_ENTRIES: dict[tuple[str, int, str], CodecEntry] = {}
+#: The registry shard workers resolve codecs through (and whose entry cache
+#: keeps each decoder built once per worker); set by the pool initializer.
+_worker_registry: CodecRegistry | None = None
+
+
+def install_worker_registry(registry: CodecRegistry) -> None:
+    """Process-pool ``initializer``: make ``registry`` the worker's registry.
+
+    The dispatcher passes its service's own registry, so a shard decodes with
+    exactly the codecs the thread and inline paths use.
+    """
+    global _worker_registry
+    _worker_registry = registry
+
+
+def _decode(
+    decoder, llrs: np.ndarray, action: FaultAction | None, can_really_crash: bool
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The executor-side decode body: apply ``action``, then decode.
+
+    Returns ``(hard_bits, iterations, converged)`` arrays — the only fields
+    the service needs to resolve futures, kept small to minimise pickling.
+    """
+    stall = fault_delay(action, can_really_crash)
+    if stall:
+        time.sleep(stall)
+    result = decoder.decode_batch(llrs)
+    return result.hard_bits, result.iterations, result.converged
 
 
 def decode_in_worker(
-    spec_key: tuple[str, int, str], llrs: np.ndarray
+    spec_key: tuple[str, int, str],
+    llrs: np.ndarray,
+    action: FaultAction | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Process-pool entry point: decode one stacked batch in a shard worker.
 
-    Workers never receive decoder objects, only the picklable codec key and
-    the LLR array.  Returns ``(hard_bits, iterations, converged)`` arrays —
-    the only fields the service needs to resolve futures, kept small to
-    minimise pickling.
+    Workers never receive decoder objects, only the picklable codec key, the
+    LLR array and the attempt's fault action; the codec resolves through the
+    registry :func:`install_worker_registry` installed.  A ``crash`` action
+    kills the worker for real.
     """
-    entry = _WORKER_ENTRIES.get(spec_key)
-    if entry is None:
-        family, block, rate = spec_key
-        entry = default_registry().resolve(family, block, rate)
-        _WORKER_ENTRIES[spec_key] = entry
-    result = entry.decoder.decode_batch(llrs)
-    return result.hard_bits, result.iterations, result.converged
+    if _worker_registry is None:
+        raise ConfigurationError(
+            "no worker registry: start the pool with "
+            "initializer=install_worker_registry"
+        )
+    entry = _worker_registry.resolve_spec(CodecSpec(*spec_key))
+    return _decode(entry.decoder, llrs, action, can_really_crash=True)
 
 
-def _decode_entry(entry: CodecEntry, llrs: np.ndarray):
-    """Thread/inline decode, normalised to the process-worker tuple."""
-    result = entry.decoder.decode_batch(llrs)
-    return result.hard_bits, result.iterations, result.converged
-
-
-@dataclass
+@dataclass(frozen=True)
 class _Path:
-    """One dispatch path: a label, and how to run a batch on it."""
+    """One dispatch path: a label, and the executor it runs on."""
 
     name: str
     executor: SupervisedExecutor | None  # None = inline on the event loop
@@ -400,6 +401,9 @@ class ResilientDispatcher:
     ----------
     mode:
         ``"process"``, ``"thread"`` or ``"inline"`` — the primary path.
+    registry:
+        The service's :class:`~repro.service.registry.CodecRegistry`;
+        process shards resolve codecs through it.
     shards:
         Worker-process count for ``mode="process"``.
     config:
@@ -417,6 +421,7 @@ class ResilientDispatcher:
     def __init__(
         self,
         mode: str,
+        registry: CodecRegistry,
         shards: int = 0,
         config: ResilienceConfig | None = None,
         metrics: ServiceMetrics | None = None,
@@ -432,37 +437,37 @@ class ResilientDispatcher:
         self.metrics = metrics if metrics is not None else ServiceMetrics()
         self.watchdog_s = watchdog_s
         self.injector = injector
-        backoff = lambda: ExponentialBackoff(  # noqa: E731 — one stream per executor
-            self.config.backoff_base_s,
-            self.config.backoff_cap_s,
-            self.config.backoff_seed,
+        # The thread executor is the primary in thread mode and the degraded
+        # fallback in process mode; every executor is built lazily.
+        thread = SupervisedExecutor(
+            partial(ThreadPoolExecutor, max_workers=1, thread_name_prefix="decode-service"),
+            ExponentialBackoff(self.config),
         )
-        self._process: SupervisedExecutor | None = None
-        self._thread: SupervisedExecutor | None = None
+        self._fallback: _Path | None
         if mode == "process":
-            self._process = SupervisedExecutor(
-                partial(ProcessPoolExecutor, max_workers=shards), backoff()
-            )
-        if mode in ("process", "thread"):
-            # The thread executor is the primary in thread mode and the
-            # degraded fallback in process mode; built lazily either way.
-            self._thread = SupervisedExecutor(
-                partial(
-                    ThreadPoolExecutor, max_workers=1,
-                    thread_name_prefix="decode-service",
+            self._primary = _Path(
+                "process",
+                SupervisedExecutor(
+                    partial(
+                        ProcessPoolExecutor,
+                        max_workers=shards,
+                        initializer=install_worker_registry,
+                        initargs=(registry,),
+                    ),
+                    ExponentialBackoff(self.config),
                 ),
-                backoff(),
             )
+            self._fallback = _Path("degraded:thread", thread)
+        elif mode == "thread":
+            self._primary = _Path("thread", thread)
+            self._fallback = _Path("degraded:inline", None)
+        else:
+            self._primary = _Path("inline", None)
+            self._fallback = None
         #: Breaker over the primary path; inline services have nothing to
         #: degrade to, so they run without one.
         self.breaker: CircuitBreaker | None = (
-            CircuitBreaker(
-                failure_threshold=self.config.breaker_failures,
-                reset_timeout_s=self.config.breaker_reset_s,
-                half_open_probes=self.config.breaker_probes,
-            )
-            if mode in ("process", "thread")
-            else None
+            CircuitBreaker(self.config) if self._fallback is not None else None
         )
 
     # ------------------------------------------------------------------ #
@@ -481,46 +486,35 @@ class ResilientDispatcher:
 
     def current_path(self, now: float | None = None) -> str:
         """The path the next dispatch would take, e.g. ``"degraded:thread"``."""
-        state = self.breaker_state(now)
-        if state in ("disabled", "closed", "half_open"):
-            return self.mode
-        return "degraded:thread" if self.mode == "process" else "degraded:inline"
+        if self.breaker_state(now) == CircuitBreaker.OPEN:
+            return self._fallback.name
+        return self._primary.name
+
+    def _executors(self) -> list[SupervisedExecutor]:
+        paths = (self._primary, self._fallback)
+        return [p.executor for p in paths if p is not None and p.executor is not None]
 
     @property
     def pool_rebuilds(self) -> int:
         """Total executor rebuilds across both supervised paths."""
-        return sum(
-            sup.rebuilds for sup in (self._process, self._thread) if sup is not None
-        )
+        return sum(sup.rebuilds for sup in self._executors())
 
     # ------------------------------------------------------------------ #
     # Dispatch
     # ------------------------------------------------------------------ #
     def _choose(self, now: float) -> _Path:
-        if self.mode == "inline":
-            return _Path("inline", None)
-        primary_ok = self.breaker.allow(now)
-        if self.mode == "process":
-            if primary_ok:
-                return _Path("process", self._process)
-            return _Path("degraded:thread", self._thread)
-        if primary_ok:
-            return _Path("thread", self._thread)
-        return _Path("degraded:inline", None)
+        if self.breaker is None or self.breaker.allow(now):
+            return self._primary
+        return self._fallback
 
-    async def _inline_attempt(
+    async def _inline(
         self, entry: CodecEntry, stacked: np.ndarray, action: FaultAction | None
     ):
         """Inline decode as a coroutine so hangs stay awaitable (watchdoggable)."""
-        if action is not None:
-            if action.kind == "crash":
-                raise WorkerCrashError("injected worker crash")
-            if action.kind == "error":
-                from repro.errors import InjectedFaultError
-
-                raise InjectedFaultError("injected decode failure")
-            await asyncio.sleep(action.duration_s)
-        return _decode_entry(entry, stacked)
+        stall = fault_delay(action, can_really_crash=False)
+        if stall:
+            await asyncio.sleep(stall)
+        return _decode(entry.decoder, stacked, None, can_really_crash=False)
 
     async def _attempt(
         self,
@@ -530,28 +524,16 @@ class ResilientDispatcher:
         action: FaultAction | None,
     ):
         if path.executor is None:
-            coro = self._inline_attempt(entry, stacked, action)
+            coro = self._inline(entry, stacked, action)
             if self.watchdog_s is None:
                 return await coro
             return await asyncio.wait_for(coro, self.watchdog_s)
         if path.name == "process":
-            if action is None:
-                return await path.executor.run(
-                    decode_in_worker, entry.spec.key, stacked, timeout=self.watchdog_s
-                )
             return await path.executor.run(
-                faulty_decode_in_worker,
-                entry.spec.key,
-                stacked,
-                action,
-                timeout=self.watchdog_s,
+                decode_in_worker, entry.spec.key, stacked, action, timeout=self.watchdog_s
             )
         return await path.executor.run(
-            faulty_decode_in_thread,
-            partial(_decode_entry, entry),
-            stacked,
-            action,
-            timeout=self.watchdog_s,
+            _decode, entry.decoder, stacked, action, False, timeout=self.watchdog_s
         )
 
     async def run(self, entry: CodecEntry, stacked: np.ndarray) -> DispatchResult:
@@ -572,7 +554,7 @@ class ResilientDispatcher:
             action = self.injector.next_action() if self.injector is not None else None
             if action is not None:
                 self.metrics.faults_injected += 1
-            on_primary = self.breaker is not None and path.name == self.mode
+            on_primary = self.breaker is not None and path is self._primary
             started = loop.time()
             try:
                 hard, iterations, converged = await self._attempt(
@@ -619,6 +601,5 @@ class ResilientDispatcher:
 
     def shutdown(self, wait: bool = True) -> None:
         """Shut down every executor this dispatcher owns."""
-        for sup in (self._process, self._thread):
-            if sup is not None:
-                sup.shutdown(wait=wait)
+        for sup in self._executors():
+            sup.shutdown(wait=wait)

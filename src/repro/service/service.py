@@ -44,8 +44,6 @@ hand results back through the loop, so no locks are needed anywhere.
 from __future__ import annotations
 
 import asyncio
-import math
-import numbers
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -63,6 +61,7 @@ from repro.service.batcher import DynamicBatcher, QueuedItem
 from repro.service.metrics import HealthSnapshot, MetricsSnapshot, ServiceMetrics
 from repro.service.registry import CodecEntry, CodecRegistry, default_registry
 from repro.service.resilience import ResilienceConfig, ResilientDispatcher
+from repro.utils.validation import require_int, require_real
 
 __all__ = ["DecodeResponse", "DecodeService"]
 
@@ -121,21 +120,6 @@ class _CodecLane:
     entry: CodecEntry
     batcher: DynamicBatcher[_PendingRequest]
     slots: asyncio.Semaphore | None  # wait-mode queue bound (None in reject mode)
-
-
-def _require_int(name: str, value: Any, minimum: int) -> None:
-    """Raise :class:`ConfigurationError` unless ``value`` is an int >= ``minimum``."""
-    if not isinstance(value, numbers.Integral) or value < minimum:
-        raise ConfigurationError(f"{name} must be an int >= {minimum}, got {value!r}")
-
-
-def _require_real(name: str, value: Any, allow_zero: bool) -> None:
-    """Raise :class:`ConfigurationError` unless ``value`` is a finite real
-    number > 0 (or >= 0 when ``allow_zero``)."""
-    ok = isinstance(value, numbers.Real) and math.isfinite(value)
-    if not ok or value < 0.0 or (value == 0.0 and not allow_zero):
-        bound = ">= 0" if allow_zero else "> 0"
-        raise ConfigurationError(f"{name} must be finite and {bound}, got {value!r}")
 
 
 class DecodeService:
@@ -204,14 +188,14 @@ class DecodeService:
             raise ConfigurationError(
                 f"executor must be one of {_EXECUTOR_MODES}, got {executor!r}"
             )
-        _require_int("shards", shards, minimum=0)
+        require_int("shards", shards, minimum=0)
         if executor == "process" and shards < 1:
             raise ConfigurationError("executor='process' needs shards >= 1")
-        _require_int("max_batch", max_batch, minimum=1)
-        _require_real("max_delay_s", max_delay_s, allow_zero=True)
-        _require_int("queue_capacity", queue_capacity, minimum=1)
+        require_int("max_batch", max_batch, minimum=1)
+        require_real("max_delay_s", max_delay_s, allow_zero=True)
+        require_int("queue_capacity", queue_capacity, minimum=1)
         if watchdog_s is not None:
-            _require_real("watchdog_s", watchdog_s, allow_zero=False)
+            require_real("watchdog_s", watchdog_s, allow_zero=False)
         self.registry = registry if registry is not None else default_registry()
         self.max_batch = int(max_batch)
         self.max_delay_s = float(max_delay_s)
@@ -241,6 +225,7 @@ class DecodeService:
         self.metrics = ServiceMetrics()
         self._dispatcher = ResilientDispatcher(
             mode=self.executor_mode,
+            registry=self.registry,
             shards=self.shards,
             config=self.resilience,
             metrics=self.metrics,
@@ -338,9 +323,9 @@ class DecodeService:
         """
         if not self._running:
             raise ServiceClosedError("decode service is not running; call start()")
-        if deadline_s is not None and not (0.0 < deadline_s < math.inf):
-            raise RequestValidationError(
-                f"deadline_s must be finite and > 0 (or None), got {deadline_s}"
+        if deadline_s is not None:
+            require_real(
+                "deadline_s", deadline_s, allow_zero=False, error=RequestValidationError
             )
         entry = self.registry.resolve(family, block, rate)
         arr = self._validate_llrs(llrs, entry)

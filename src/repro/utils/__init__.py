@@ -14,13 +14,6 @@ from repro.utils.bitops import (
     int_to_bits,
     parity,
 )
-from repro.utils.validation import (
-    check_in_range,
-    check_positive,
-    check_power_of_two,
-    check_probability,
-    check_type,
-)
 from repro.utils.tables import Table, format_float, format_ratio_cell
 from repro.utils.rng import bounded_draw, make_rng, spawn_rngs
 
@@ -32,11 +25,6 @@ __all__ = [
     "hamming_weight",
     "int_to_bits",
     "parity",
-    "check_in_range",
-    "check_positive",
-    "check_power_of_two",
-    "check_probability",
-    "check_type",
     "Table",
     "format_float",
     "format_ratio_cell",

@@ -1,64 +1,49 @@
 """Argument-validation helpers.
 
 The public API of the library validates user-facing arguments eagerly and
-raises :class:`repro.errors.ConfigurationError` with an actionable message.
-These helpers keep that validation terse and uniform.
+raises a typed :mod:`repro.errors` exception with an actionable message
+(:class:`~repro.errors.ConfigurationError` unless the caller names another).
+Booleans are rejected everywhere: ``True`` is an ``int`` to Python, never a
+count or a duration to a caller.
 """
 
 from __future__ import annotations
 
+import math
+import numbers
 from typing import Any
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, ReproError
 
 
-def check_type(name: str, value: Any, expected: type | tuple[type, ...]) -> Any:
-    """Raise unless ``value`` is an instance of ``expected``; return ``value``."""
-    if not isinstance(value, expected):
-        expected_names = (
-            expected.__name__
-            if isinstance(expected, type)
-            else " or ".join(t.__name__ for t in expected)
-        )
-        raise ConfigurationError(
-            f"{name} must be of type {expected_names}, got {type(value).__name__}"
-        )
-    return value
-
-
-def check_positive(name: str, value: float, strict: bool = True) -> float:
-    """Raise unless ``value`` is positive (``>= 0`` when ``strict`` is false)."""
-    if strict and not value > 0:
-        raise ConfigurationError(f"{name} must be > 0, got {value}")
-    if not strict and value < 0:
-        raise ConfigurationError(f"{name} must be >= 0, got {value}")
-    return value
-
-
-def check_in_range(
+def require_int(
     name: str,
-    value: float,
-    low: float,
-    high: float,
-    inclusive: bool = True,
-) -> float:
-    """Raise unless ``low <= value <= high`` (strict bounds when not inclusive)."""
-    if inclusive:
-        if not (low <= value <= high):
-            raise ConfigurationError(f"{name} must be in [{low}, {high}], got {value}")
-    else:
-        if not (low < value < high):
-            raise ConfigurationError(f"{name} must be in ({low}, {high}), got {value}")
-    return value
+    value: Any,
+    minimum: int,
+    error: type[ReproError] = ConfigurationError,
+) -> None:
+    """Raise ``error`` unless ``value`` is an integral number >= ``minimum``."""
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, numbers.Integral)
+        or value < minimum
+    ):
+        raise error(f"{name} must be an int >= {minimum}, got {value!r}")
 
 
-def check_probability(name: str, value: float) -> float:
-    """Raise unless ``value`` lies in the closed interval [0, 1]."""
-    return check_in_range(name, value, 0.0, 1.0, inclusive=True)
-
-
-def check_power_of_two(name: str, value: int) -> int:
-    """Raise unless ``value`` is a positive power of two."""
-    if value <= 0 or (value & (value - 1)) != 0:
-        raise ConfigurationError(f"{name} must be a positive power of two, got {value}")
-    return value
+def require_real(
+    name: str,
+    value: Any,
+    allow_zero: bool,
+    error: type[ReproError] = ConfigurationError,
+) -> None:
+    """Raise ``error`` unless ``value`` is a finite real number > 0 (or
+    >= 0 when ``allow_zero``)."""
+    ok = (
+        not isinstance(value, bool)
+        and isinstance(value, numbers.Real)
+        and math.isfinite(value)
+    )
+    if not ok or value < 0.0 or (value == 0.0 and not allow_zero):
+        bound = ">= 0" if allow_zero else "> 0"
+        raise error(f"{name} must be finite and {bound}, got {value!r}")

@@ -12,7 +12,8 @@ The load-bearing claims:
 * malformed payloads and unknown codecs fail at the boundary with typed
   :mod:`repro.errors` exceptions;
 * the process-shard executor and the sync (thread) client return the same
-  bits as the in-process paths.
+  bits as the in-process paths, and every executor decodes with the
+  service's own registry (a custom one included).
 """
 
 from __future__ import annotations
@@ -31,7 +32,15 @@ from repro.errors import (
     ServiceOverloadError,
     UnknownCodecError,
 )
-from repro.service import DecodeService, ServiceThread, default_registry
+from repro.faults import FaultPlan
+from repro.service import (
+    CodecEntry,
+    CodecRegistry,
+    DecodeService,
+    ResilienceConfig,
+    ServiceThread,
+    default_registry,
+)
 from repro.service.demo import generate_llr_frames, run_demo
 
 LDPC = ("ldpc", 576, "1/2")
@@ -57,6 +66,21 @@ def _direct_bits(entry, llrs: np.ndarray) -> np.ndarray:
     """Reference decode of one frame: direct batch=1 engine call."""
     bits, _, _ = entry.decoder.decode_batch(llrs[None]).frame(0)
     return bits
+
+
+def _one_iteration_ldpc(spec) -> CodecEntry:
+    """A non-default ``ldpc`` builder: one iteration, no early exit.
+
+    Module level so the registry also pickles under a spawn start method.
+    """
+    from repro.ldpc.wimax import wimax_ldpc_code
+    from repro.sim.batch import BatchLayeredDecoder
+
+    code = wimax_ldpc_code(spec.block, spec.rate)
+    decoder = BatchLayeredDecoder(code.h, max_iterations=1, early_termination=False)
+    return CodecEntry(
+        spec=spec, code=code, decoder=decoder, n_bits=code.n, k_bits=code.k
+    )
 
 
 @pytest.mark.asyncio
@@ -215,6 +239,11 @@ async def test_boundary_validation_raises_typed_errors(registry):
         {"queue_capacity": 2.5},
         {"watchdog_s": float("nan")},
         {"watchdog_s": float("inf")},
+        {"max_batch": True},
+        {"queue_capacity": True},
+        {"max_delay_s": True},
+        {"watchdog_s": True},
+        {"shards": True},
     ],
     ids=lambda kwargs: ",".join(f"{k}={v}" for k, v in kwargs.items()),
 )
@@ -244,7 +273,7 @@ def test_demo_cli_rejects_auto(argv):
 
 
 @pytest.mark.asyncio
-@pytest.mark.parametrize("deadline_s", [float("nan"), float("inf")])
+@pytest.mark.parametrize("deadline_s", [float("nan"), float("inf"), "1", True])
 async def test_non_finite_deadline_is_rejected(registry, deadline_s):
     async with DecodeService(
         registry=registry, max_batch=1, max_delay_s=0.0, executor="inline"
@@ -253,6 +282,19 @@ async def test_non_finite_deadline_is_rejected(registry, deadline_s):
             await service.submit(np.zeros(576), *LDPC, deadline_s=deadline_s)
         snapshot = service.metrics_snapshot()
     assert snapshot.submitted == 0
+
+
+@pytest.mark.asyncio
+@pytest.mark.parametrize("block", [576.9, 576.0, True, "576"])
+async def test_non_integral_block_is_an_unknown_codec(registry, block):
+    """``block=576.9`` must not be truncated onto the n=576 codec."""
+    async with DecodeService(
+        registry=registry, max_batch=1, max_delay_s=0.0, executor="inline"
+    ) as service:
+        with pytest.raises(UnknownCodecError, match="block must be an int"):
+            await service.submit(np.zeros(576), "ldpc", block, "1/2")
+        response = await service.submit(np.zeros(576), "ldpc", np.int64(576), "1/2")
+    assert response.codec == "ldpc:576:1/2"
 
 
 @pytest.mark.asyncio
@@ -282,6 +324,45 @@ async def test_process_shard_mode_bit_identical(registry, ldpc_entry):
         )
     for row, response in zip(llrs, responses):
         np.testing.assert_array_equal(response.bits, _direct_bits(ldpc_entry, row))
+
+
+@pytest.mark.asyncio
+@pytest.mark.parametrize("executor", ["inline", "thread", "process"])
+async def test_every_executor_decodes_with_the_services_registry(executor):
+    """A custom registry is honoured on every path, process shards included:
+    their workers resolve codecs through the service's registry, which the
+    pool initializer installs, not through the default one.  The first
+    dispatch crashes, so the bits come from the retry — on a rebuilt pool
+    for the process path."""
+    custom = CodecRegistry()
+    custom.register_family("ldpc", _one_iteration_ldpc)
+    entry = custom.resolve(*LDPC)
+    rng = np.random.default_rng(16)
+    llrs, _ = generate_llr_frames(entry, 4, 1.0, rng)
+    direct = entry.decoder.decode_batch(llrs)
+    async with DecodeService(
+        registry=custom,
+        max_batch=4,
+        max_delay_s=0.002,
+        executor=executor,
+        shards=1,
+        fault_plan=FaultPlan.from_string("crash@1"),
+        resilience=ResilienceConfig(
+            max_attempts=2, backoff_base_s=1e-4, backoff_cap_s=1e-3
+        ),
+    ) as service:
+        responses = await asyncio.gather(
+            *(service.submit(row, *LDPC) for row in llrs)
+        )
+        snapshot = service.metrics_snapshot()
+    assert snapshot.pool_rebuilds == (0 if executor == "inline" else 1)
+    assert [r.iterations for r in responses] == [1, 1, 1, 1]
+    assert [r.attempts for r in responses] == [2, 2, 2, 2]
+    for index, response in enumerate(responses):
+        np.testing.assert_array_equal(response.bits, direct.hard_bits[index])
+        assert response.iterations == direct.iterations[index]
+        assert response.converged == direct.converged[index]
+        assert response.decode_path == executor
 
 
 def test_sync_client_through_service_thread(registry, ldpc_entry):

@@ -5,9 +5,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.errors import UnknownCodecError
+from repro.errors import ConfigurationError, UnknownCodecError
+from repro.service import resilience
 from repro.service.registry import CodecSpec, default_registry
-from repro.service.resilience import decode_in_worker
+from repro.service.resilience import decode_in_worker, install_worker_registry
 
 
 @pytest.fixture(scope="module")
@@ -68,7 +69,13 @@ class TestRegistry:
 
 
 class TestShardWorker:
+    @pytest.fixture(autouse=True)
+    def _no_worker_registry(self, monkeypatch):
+        """Start each test as a fresh worker; restore the module state after."""
+        monkeypatch.setattr(resilience, "_worker_registry", None)
+
     def test_decode_in_worker_matches_direct_decode(self, registry):
+        install_worker_registry(registry)  # what the pool's initializer runs
         entry = registry.resolve("ldpc", 576, "1/2")
         rng = np.random.default_rng(7)
         llrs = rng.normal(0.0, 2.0, size=(3, entry.n_bits))
@@ -77,3 +84,7 @@ class TestShardWorker:
         np.testing.assert_array_equal(hard, direct.hard_bits)
         np.testing.assert_array_equal(iterations, direct.iterations)
         np.testing.assert_array_equal(converged, direct.converged)
+
+    def test_decode_in_worker_needs_the_initializer(self):
+        with pytest.raises(ConfigurationError, match="install_worker_registry"):
+            decode_in_worker(("ldpc", 576, "1/2"), np.zeros((1, 576)))

@@ -94,7 +94,9 @@ def _assert_conserved(snapshot):
 # Circuit breaker
 # ---------------------------------------------------------------------- #
 def test_breaker_opens_half_opens_and_closes():
-    breaker = CircuitBreaker(failure_threshold=2, reset_timeout_s=1.0)
+    breaker = CircuitBreaker(
+        ResilienceConfig(breaker_failures=2, breaker_reset_s=1.0)
+    )
     assert breaker.state(0.0) == "closed"
     breaker.record_failure(0.1)
     assert breaker.state(0.2) == "closed"  # one failure is not a streak
@@ -114,7 +116,9 @@ def test_breaker_opens_half_opens_and_closes():
 
 
 def test_breaker_failed_probe_reopens():
-    breaker = CircuitBreaker(failure_threshold=1, reset_timeout_s=0.5)
+    breaker = CircuitBreaker(
+        ResilienceConfig(breaker_failures=1, breaker_reset_s=0.5)
+    )
     breaker.record_failure(0.0)
     assert breaker.allow(0.6)  # half-open probe
     breaker.record_failure(0.7)  # probe failed
@@ -132,7 +136,9 @@ def test_breaker_failed_probe_reopens():
 @settings(max_examples=200, deadline=None)
 def test_breaker_transitions_always_legal(events):
     """Any event sequence: only legal edges, state always resolvable."""
-    breaker = CircuitBreaker(failure_threshold=2, reset_timeout_s=0.4)
+    breaker = CircuitBreaker(
+        ResilienceConfig(breaker_failures=2, breaker_reset_s=0.4)
+    )
     now = 0.0
     for kind, advance in events:
         now += advance
@@ -150,8 +156,9 @@ def test_breaker_transitions_always_legal(events):
 # Backoff
 # ---------------------------------------------------------------------- #
 def test_backoff_deterministic_capped_and_resettable():
-    a = ExponentialBackoff(0.05, 0.4, seed=7)
-    b = ExponentialBackoff(0.05, 0.4, seed=7)
+    config = ResilienceConfig(backoff_base_s=0.05, backoff_cap_s=0.4, backoff_seed=7)
+    a = ExponentialBackoff(config)
+    b = ExponentialBackoff(config)
     delays = [a.next_delay() for _ in range(8)]
     assert delays == [b.next_delay() for _ in range(8)]  # seeded: replayable
     assert all(d <= 0.4 for d in delays)  # cap holds through the jitter
@@ -162,6 +169,30 @@ def test_backoff_deterministic_capped_and_resettable():
         assert d >= 0.5 * min(0.4, 0.05 * 2**k) - 1e-12
     a.reset()
     assert a.next_delay() <= 0.05  # exponent rewound to the base envelope
+
+
+# ---------------------------------------------------------------------- #
+# Configuration
+# ---------------------------------------------------------------------- #
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"max_attempts": 2.5},
+        {"max_attempts": True},
+        {"backoff_base_s": True},
+        {"backoff_cap_s": float("inf")},
+        {"backoff_seed": 1.5},
+        {"backoff_seed": "7"},
+        {"breaker_failures": 1.5},
+        {"breaker_failures": True},
+        {"breaker_reset_s": "1"},
+    ],
+    ids=lambda kwargs: ",".join(f"{k}={v}" for k, v in kwargs.items()),
+)
+def test_resilience_config_rejects_bad_knobs(kwargs):
+    """Counts are ints (never bools or fractions), durations finite reals."""
+    with pytest.raises(ConfigurationError):
+        ResilienceConfig(**kwargs)
 
 
 # ---------------------------------------------------------------------- #
@@ -242,16 +273,20 @@ async def test_injected_crash_is_retried_transparently(registry, turbo_entry):
 
 
 @pytest.mark.asyncio
-async def test_injected_error_and_delay_survived_on_thread_path(
-    registry, turbo_entry
+@pytest.mark.parametrize("executor", ["inline", "thread", "process"])
+async def test_injected_error_and_delay_survived_on_every_path(
+    registry, turbo_entry, executor
 ):
+    """One fault rule on every path: the error costs a retry, the delay
+    only latency, and the bits stay exact."""
     rng = np.random.default_rng(4)
     llrs, _ = generate_llr_frames(turbo_entry, 2, 1.5, rng)
     async with DecodeService(
         registry=registry,
         max_batch=1,  # one frame per batch: two dispatches, two plan slots
         max_delay_s=0.001,
-        executor="thread",
+        executor=executor,
+        shards=1,
         fault_plan=FaultPlan.from_string("error@1,delay@2:0.01"),
         resilience=ResilienceConfig(max_attempts=3, **FAST),
     ) as service:

@@ -5,17 +5,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.errors import ConfigurationError, DecodingError
+from repro.errors import ConfigurationError, DecodingError, RequestValidationError
 from repro.utils import (
     Table,
     bits_to_bytes,
     bits_to_int,
     bytes_to_bits,
-    check_in_range,
-    check_positive,
-    check_power_of_two,
-    check_probability,
-    check_type,
     format_float,
     format_ratio_cell,
     hamming_distance,
@@ -25,6 +20,7 @@ from repro.utils import (
     parity,
     spawn_rngs,
 )
+from repro.utils.validation import require_int, require_real
 
 
 class TestBitOps:
@@ -91,46 +87,38 @@ class TestBitOps:
 
 
 class TestValidation:
-    def test_check_type_accepts(self):
-        assert check_type("x", 3, int) == 3
+    @pytest.mark.parametrize("value", [1, 7, np.int64(3), np.uint8(1)])
+    def test_require_int_accepts_integral(self, value):
+        require_int("x", value, minimum=1)
 
-    def test_check_type_rejects(self):
-        with pytest.raises(ConfigurationError):
-            check_type("x", 3.0, int)
+    @pytest.mark.parametrize(
+        "value", [0, -2, 2.0, 2.5, True, False, "3", None, np.float64(2.0)]
+    )
+    def test_require_int_rejects(self, value):
+        with pytest.raises(ConfigurationError, match="x must be an int >= 1"):
+            require_int("x", value, minimum=1)
 
-    def test_check_type_tuple_message(self):
-        with pytest.raises(ConfigurationError, match="int or float"):
-            check_type("x", "a", (int, float))
+    @pytest.mark.parametrize("value", [0.5, 2, np.float32(0.25), np.int64(4)])
+    def test_require_real_accepts_positive(self, value):
+        require_real("x", value, allow_zero=False)
 
-    def test_check_positive_strict(self):
-        assert check_positive("x", 1.0) == 1.0
-        with pytest.raises(ConfigurationError):
-            check_positive("x", 0.0)
+    @pytest.mark.parametrize(
+        "value", [0.0, -1.0, float("nan"), float("inf"), True, "1", None]
+    )
+    def test_require_real_rejects(self, value):
+        with pytest.raises(ConfigurationError, match="x must be finite and > 0"):
+            require_real("x", value, allow_zero=False)
 
-    def test_check_positive_non_strict(self):
-        assert check_positive("x", 0.0, strict=False) == 0.0
-        with pytest.raises(ConfigurationError):
-            check_positive("x", -1.0, strict=False)
+    def test_require_real_allow_zero(self):
+        require_real("x", 0.0, allow_zero=True)
+        with pytest.raises(ConfigurationError, match=">= 0"):
+            require_real("x", -0.1, allow_zero=True)
 
-    def test_check_in_range_inclusive(self):
-        assert check_in_range("x", 5, 0, 5) == 5
-        with pytest.raises(ConfigurationError):
-            check_in_range("x", 6, 0, 5)
-
-    def test_check_in_range_exclusive(self):
-        with pytest.raises(ConfigurationError):
-            check_in_range("x", 5, 0, 5, inclusive=False)
-
-    def test_check_probability(self):
-        assert check_probability("p", 0.5) == 0.5
-        with pytest.raises(ConfigurationError):
-            check_probability("p", 1.5)
-
-    def test_check_power_of_two(self):
-        assert check_power_of_two("n", 8) == 8
-        for bad in (0, -4, 6):
-            with pytest.raises(ConfigurationError):
-                check_power_of_two("n", bad)
+    def test_error_class_is_the_callers(self):
+        with pytest.raises(RequestValidationError):
+            require_int("x", True, minimum=0, error=RequestValidationError)
+        with pytest.raises(RequestValidationError):
+            require_real("x", "1", allow_zero=False, error=RequestValidationError)
 
 
 class TestTables:
