@@ -4,10 +4,15 @@ The turbo twin of ``bench_batch_throughput.py``.  The *baseline* is a
 faithful re-implementation of the seed repository's per-frame turbo decoding
 (symbol-level BCJR with a Python loop over trellis steps and a
 ``np.maximum.at`` scatter, one frame at a time); the *contender* is
-:class:`repro.sim.turbo_batch.BatchTurboDecoder` at batch 64, whose
-alpha/beta/gamma recursions run as dense ``(batch, 8, 4)`` tensor ops per
-step.  Early termination is disabled on both sides so the comparison is a
-fixed amount of work.  The acceptance target is >= 10x frames/sec.
+:class:`repro.sim.turbo_batch.BatchTurboDecoder`, whose fused alpha/beta
+recursion advances every frame of the batch on one ``(4, 16, batch)`` slab
+per trellis step.  Early termination is disabled on both sides so the
+comparison is a fixed amount of work.  The acceptance target at
+``N_COUPLES = 96``, batch 64, is >= 10x frames/sec.
+
+A second row times the ``ber_ctc2400`` operating point (CTC 2400 couples,
+batch 32, max-log, 1.0 dB) as interleaved trials: seed per-frame, batch with
+early exit and batch exhaustive, each recorded as median, IQR and n.
 
 Run with ``PYTHONPATH=src python -m pytest benchmarks/bench_turbo_batch_throughput.py -q -s``.
 """
@@ -29,6 +34,13 @@ EBN0_DB = 1.2
 N_COUPLES = 96
 #: Frames timed on the (slow) seed baseline; frames/sec extrapolates.
 BASELINE_FRAMES = 4
+
+#: The ``ber_ctc2400`` operating point: one seed frame and two batch decodes
+#: per interleaved trial.
+CTC2400_COUPLES = 2400
+CTC2400_BATCH = 32
+CTC2400_EBN0_DB = 1.0
+CTC2400_TRIALS = 5
 
 _NEG_INF = -1.0e30
 
@@ -112,11 +124,13 @@ class _SeedTurboDecoder:
         return np.argmax(self._deinterleave(apo2), axis=1)
 
 
-def _make_llr_batch(encoder: TurboEncoder, batch: int, seed: int = 7) -> np.ndarray:
+def _make_llr_batch(
+    encoder: TurboEncoder, batch: int, seed: int = 7, ebn0_db: float = EBN0_DB
+) -> np.ndarray:
     rng = np.random.default_rng(seed)
     modulator = BPSKModulator()
     channel = AWGNChannel(
-        ebn0_to_noise_sigma(EBN0_DB, resolve_code_rate(encoder.rate)), rng
+        ebn0_to_noise_sigma(ebn0_db, resolve_code_rate(encoder.rate)), rng
     )
     info = rng.integers(0, 2, (batch, encoder.k))
     codewords = encoder.encode_batch(info)
@@ -131,6 +145,17 @@ def _frames_per_second(fn, frames: int, repeats: int = 3) -> float:
         fn()
         best = min(best, time.perf_counter() - start)
     return frames / best
+
+
+def _timed_fps(fn, frames: int) -> float:
+    start = time.perf_counter()
+    fn()
+    return frames / (time.perf_counter() - start)
+
+
+def _spread(samples: list[float]) -> dict:
+    q1, median, q3 = np.percentile(samples, [25, 50, 75])
+    return {"median": round(float(median), 2), "iqr": round(float(q3 - q1), 2), "n": len(samples)}
 
 
 @pytest.mark.benchmark(group="batch-throughput")
@@ -224,3 +249,63 @@ def test_turbo_batch_early_exit_gain(benchmark, bench_print, bench_json):
     benchmark(lambda: eager.decode_batch(llrs))
     assert avg_iterations <= MAX_ITERATIONS
     assert eager_fps >= 0.9 * full_fps  # early exit must never cost throughput
+
+
+@pytest.mark.benchmark(group="batch-throughput")
+def test_turbo_ctc2400_throughput(benchmark, bench_print, bench_json):
+    """CTC 2400 at batch 32: early-exit and exhaustive frames/s vs the seed path."""
+    encoder = TurboEncoder(n_couples=CTC2400_COUPLES)
+    llrs = _make_llr_batch(encoder, CTC2400_BATCH, ebn0_db=CTC2400_EBN0_DB)
+    eager = BatchTurboDecoder(encoder, max_iterations=MAX_ITERATIONS)
+    exhaustive = BatchTurboDecoder(
+        encoder, max_iterations=MAX_ITERATIONS, early_termination=False
+    )
+    seed_decoder = _SeedTurboDecoder(encoder, max_iterations=MAX_ITERATIONS)
+    sys_llrs, par1, par2 = exhaustive.split_llrs_batch(llrs)
+
+    def run_seed():
+        return seed_decoder.decode(sys_llrs[0], par1[0], par2[0])
+
+    # The baseline decodes the timed frame to the same hard symbols.
+    assert np.array_equal(run_seed(), exhaustive.decode_batch(llrs).hard_symbols[0])
+    eager.decode_batch(llrs)  # warm-up
+    samples: dict[str, list[float]] = {"seed": [], "early_exit": [], "exhaustive": []}
+    for _ in range(CTC2400_TRIALS):
+        samples["seed"].append(_timed_fps(run_seed, 1))
+        samples["early_exit"].append(
+            _timed_fps(lambda: eager.decode_batch(llrs), CTC2400_BATCH)
+        )
+        samples["exhaustive"].append(
+            _timed_fps(lambda: exhaustive.decode_batch(llrs), CTC2400_BATCH)
+        )
+    stats = {name: _spread(values) for name, values in samples.items()}
+    seed_fps = stats["seed"]["median"]
+    ratios = {
+        f"speedup_{name}": round(stats[name]["median"] / seed_fps, 2)
+        for name in ("early_exit", "exhaustive")
+    }
+    bench_print(
+        f"turbo max-log CTC {CTC2400_COUPLES} couples, batch {CTC2400_BATCH}, "
+        f"{CTC2400_EBN0_DB} dB, {CTC2400_TRIALS} interleaved trials (median, IQR): "
+        f"seed per-frame {seed_fps:.2f} ({stats['seed']['iqr']:.2f}) | "
+        f"early exit {stats['early_exit']['median']:.1f} ({stats['early_exit']['iqr']:.1f}, "
+        f"{ratios['speedup_early_exit']:.1f}x) | "
+        f"exhaustive {stats['exhaustive']['median']:.1f} ({stats['exhaustive']['iqr']:.1f}, "
+        f"{ratios['speedup_exhaustive']:.1f}x) frames/s"
+    )
+    bench_json(
+        "turbo_batch_throughput",
+        "ctc2400_max_log",
+        {
+            "n_couples": CTC2400_COUPLES,
+            "batch": CTC2400_BATCH,
+            "max_iterations": MAX_ITERATIONS,
+            "ebn0_db": CTC2400_EBN0_DB,
+            "timing": "interleaved trials: seed frame, early-exit batch, exhaustive batch",
+            "frames_per_sec_seed": stats["seed"],
+            "frames_per_sec_early_exit": stats["early_exit"],
+            "frames_per_sec_exhaustive": stats["exhaustive"],
+            **ratios,
+        },
+    )
+    benchmark.pedantic(lambda: eager.decode_batch(llrs), rounds=1, iterations=1)

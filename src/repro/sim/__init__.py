@@ -19,8 +19,9 @@ check node of every frame; this package amortises that overhead over a
   per-frame decoders in :mod:`repro.ldpc` delegate to these with ``batch=1``,
 * :mod:`~repro.sim.turbo_batch` — the turbo half of the multi-standard
   decoder: :class:`~repro.sim.turbo_batch.BatchBCJR` runs the duo-binary
-  alpha/beta/gamma recursions as dense ``(batch, n_couples, 8, 4)`` tensor
-  ops, and :class:`~repro.sim.turbo_batch.BatchTurboDecoder` alternates the
+  alpha and beta recursions together in one loop over state-major
+  ``(4 edges, 16 states, batch)`` slabs, and
+  :class:`~repro.sim.turbo_batch.BatchTurboDecoder` alternates the
   two SISO activations with per-frame early exit on decision stability; the
   per-frame decoders in :mod:`repro.turbo` delegate with ``batch=1``,
 * :class:`~repro.sim.runner.BerRunner` — streams frames through the

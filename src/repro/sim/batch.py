@@ -29,6 +29,7 @@ from repro.sim.kernels import (
     min_sum_update_segments,
     sum_product_update,
 )
+from repro.utils.validation import require_int
 
 if TYPE_CHECKING:  # imported lazily to avoid a cycle with repro.ldpc
     from repro.ldpc.hmatrix import ParityCheckMatrix
@@ -151,8 +152,7 @@ class BatchFloodingDecoder:
         scaling: float = 0.75,
         early_termination: bool = True,
     ):
-        if max_iterations <= 0:
-            raise DecodingError(f"max_iterations must be positive, got {max_iterations}")
+        require_int("max_iterations", max_iterations, 1, DecodingError)
         if kernel not in _KERNELS:
             raise DecodingError(
                 f"kernel must be 'sum-product' or 'min-sum', got {kernel!r}"
@@ -327,8 +327,7 @@ class BatchLayeredDecoder:
         fixed_point: bool = False,
         early_termination: bool = True,
     ):
-        if max_iterations <= 0:
-            raise DecodingError(f"max_iterations must be positive, got {max_iterations}")
+        require_int("max_iterations", max_iterations, 1, DecodingError)
         if kernel not in _KERNELS:
             raise DecodingError(
                 f"kernel must be 'sum-product' or 'min-sum', got {kernel!r}"

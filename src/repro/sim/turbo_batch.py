@@ -2,10 +2,8 @@
 
 This is the turbo twin of :mod:`repro.sim.batch`.  The per-frame BCJR in
 :mod:`repro.turbo.bcjr` pays Python interpreter overhead for every trellis
-step of every frame; here the alpha/beta forward–backward recursions and the
-gamma branch metrics run as dense tensor operations over
-``(batch, n_couples, 8, 4)`` arrays, so one pass over the trellis serves the
-whole batch:
+step of every frame; here one Python loop over the trellis serves the whole
+batch, and each step advances *both* recursions at once:
 
 * :class:`BatchBCJR` — one SISO activation over ``(batch, n_couples, 2)``
   channel LLRs in Max-Log-MAP or Log-MAP flavour, with circular-state
@@ -18,20 +16,26 @@ whole batch:
   repeat across two successive iterations leaves the active set, so a batch
   costs only as many iterations as its slowest member.
 
-Memory layout: the hot arrays are ``gamma`` of shape
-``(batch, n_couples, 8, 4)`` and the state-metric lattices ``alpha`` /
-``beta`` of shape ``(batch, n_couples + 1, 8)``, all float64 and C-ordered
-with the batch axis leading, so every per-step operation touches contiguous
-``(batch, 8, 4)`` slabs.  See ``docs/turbo-batching.md``.
+Memory layout: everything is state-major with the batch axis *last*.  The
+branch metrics are kept as the 16 distinct values per trellis step (4 parity
+combinations x 4 symbols), ``(n_couples, 16, batch)``.  The state lattice is
+``(n_couples + 1, 16, batch)``: row ``k`` holds ``alpha[k]`` in its first
+eight states and ``beta[n - k]`` in its last eight, so step ``k`` of the one
+fused loop reads row ``k`` and writes row ``k + 1``, moving the forward
+recursion up and the backward recursion down the trellis together.  Every
+max* is an elementwise ``np.maximum`` over four contiguous ``(16, batch)``
+edge slabs.  See ``docs/turbo-batching.md``.
 
 The per-frame :class:`~repro.turbo.bcjr.BCJRDecoder` and
 :class:`~repro.turbo.decoder.TurboDecoder` delegate here with ``batch=1``;
-``tests/test_turbo_batch.py`` pins down that stacking frames changes nothing
-(same hard symbols, extrinsics, iteration counts, convergence flags).
+``tests/test_turbo_batch.py`` pins the kernel bit for bit to the seed
+per-frame recursion and shows that stacking frames changes nothing (same
+hard symbols, extrinsics, iteration counts, convergence flags).
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,8 +44,22 @@ from repro.errors import DecodingError
 from repro.turbo.bits import bit_to_symbol_extrinsic, symbol_to_bit_extrinsic
 from repro.turbo.encoder import TurboEncoder
 from repro.turbo.trellis import NUM_STATES, NUM_SYMBOLS, DuoBinaryTrellis
+from repro.utils.validation import require_int
 
 _ALGORITHMS = ("max-log", "log-map")
+
+#: Trellis steps whose branch-metric slabs the fused recursion gathers at
+#: once: enough to amortise the gather call, few enough to stay in cache.
+_CHUNK = 64
+
+#: Distinct branch metrics per trellis step: 4 parity combinations x 4 symbols.
+_DISTINCT = 4 * NUM_SYMBOLS
+
+#: Element order of a couple without (row 0) and with (row 1) the CTC
+#: intra-couple swap of bits A and B: symbols 1 = (0, 1) and 2 = (1, 0)
+#: trade places, and an (A, B) pair reverses.
+_SYMBOL_ORDERS = np.array([[0, 1, 2, 3], [0, 2, 1, 3]])
+_PAIR_ORDERS = np.array([[0, 1], [1, 0]])
 
 
 @dataclass
@@ -83,91 +101,74 @@ class BatchBCJR:
             raise DecodingError(
                 f"algorithm must be 'max-log' or 'log-map', got {algorithm!r}"
             )
-        if not 0.0 < extrinsic_scale <= 1.0:
+        if (
+            isinstance(extrinsic_scale, bool)
+            or not isinstance(extrinsic_scale, numbers.Real)
+            or not 0.0 < extrinsic_scale <= 1.0
+        ):
             raise DecodingError(
-                f"extrinsic_scale must be in (0, 1], got {extrinsic_scale}"
+                f"extrinsic_scale must be a number in (0, 1], got {extrinsic_scale!r}"
             )
         self.trellis = trellis if trellis is not None else DuoBinaryTrellis()
         self.algorithm = algorithm
         self.extrinsic_scale = 1.0 if algorithm == "log-map" else float(extrinsic_scale)
-        self._next_state = self.trellis.next_state_table()  # (8, 4)
-        self._in_state, self._in_symbol = self.trellis.incoming_table()  # (8, 4) each
-        parity = self.trellis.parity_table()  # (8, 4, 2)
+        next_state = self.trellis.next_state_table()  # (8, 4)
+        in_state, in_symbol = self.trellis.incoming_table()  # (8, 4) each
+        parity = self.trellis.parity_table().astype(np.int64)  # (8, 4, 2)
         symbols = np.arange(NUM_SYMBOLS)
-        # Correlation signs (1 - 2*bit) for the systematic and parity bits.
+        # Correlation signs (1 - 2*bit) for the systematic bits A and B.
         self._sym_a_sign = (1 - 2 * ((symbols >> 1) & 1)).astype(np.float64)  # (4,)
         self._sym_b_sign = (1 - 2 * (symbols & 1)).astype(np.float64)  # (4,)
-        self._y_sign = 1 - 2 * parity[:, :, 0].astype(np.int64)  # (8, 4)
-        self._w_sign = 1 - 2 * parity[:, :, 1].astype(np.int64)  # (8, 4)
-        # The parity metric takes only four distinct values per trellis step
-        # — 0.5*(±Y ± W) — so the build computes those once and gathers them
-        # through this (8, 4) combination index (bit 1: Y sign, bit 0: W sign).
-        self._parity_combo = (parity[:, :, 0].astype(np.int64) << 1) | parity[
-            :, :, 1
-        ].astype(np.int64)
-
-    # ------------------------------------------------------------------ #
-    # max* helpers
-    # ------------------------------------------------------------------ #
-    def _maxstar_reduce(self, values: np.ndarray, axis: int) -> np.ndarray:
-        """Reduce with max* along ``axis`` (same arithmetic as the per-frame path)."""
-        if self.algorithm == "max-log":
-            return np.amax(values, axis=axis)
-        peak = np.amax(values, axis=axis, keepdims=True)
-        return np.log(np.sum(np.exp(values - peak), axis=axis)) + np.squeeze(peak, axis)
-
-    def _logmap_reduce_states(self, values: np.ndarray) -> np.ndarray:
-        """Log-MAP max* over the state axis of ``(n, batch, 8, 4)`` metrics.
-
-        Only the Log-MAP a-posteriori uses this (Max-Log-MAP takes the fused
-        per-state path in :meth:`decode_batch`).  The peak runs as a chain of
-        elementwise ``np.maximum`` calls over the eight state slices instead
-        of a middle-axis reduction — 3-4x faster on this layout and
-        bit-identical, since ``max`` is exact under any association order.
-        """
-        peak = np.maximum(values[:, :, 0], values[:, :, 1])
-        for state in range(2, NUM_STATES):
-            np.maximum(peak, values[:, :, state], out=peak)
-        return np.log(np.sum(np.exp(values - peak[:, :, None, :]), axis=2)) + peak
+        # Edge (state s, symbol u) carries distinct metric number
+        # 4 * (parity combination) + u, the combination being 2*Y + W.
+        self._metric_index = ((parity[:, :, 0] << 1) | parity[:, :, 1]) * NUM_SYMBOLS + symbols
+        self._next_state = next_state
+        # One fused step over the (4 edges, 16 states) slab.  Column t < 8 is
+        # forward state t, whose j-th edge comes from in_state[t, j] with
+        # symbol in_symbol[t, j]; column 8 + s is backward state s, whose
+        # j-th edge is symbol j into next_state[s, j].  ``_step_rows`` picks
+        # each edge's source in the lattice row; ``_step_metrics`` picks its
+        # branch metric from the 32 values [metrics[k], metrics[n - 1 - k]].
+        self._step_rows = np.concatenate((in_state.T, NUM_STATES + next_state.T), axis=1)
+        self._step_metrics = np.concatenate(
+            (self._metric_index[in_state, in_symbol].T, _DISTINCT + self._metric_index.T),
+            axis=1,
+        )
 
     # ------------------------------------------------------------------ #
     # Branch metrics
     # ------------------------------------------------------------------ #
-    def _branch_metrics(
-        self,
-        systematic_llrs: np.ndarray,
-        parity_llrs: np.ndarray,
-        apriori: np.ndarray,
+    def _systematic_metrics(self, sys_t: np.ndarray) -> np.ndarray:
+        """``0.5 * (±A ± B)`` per symbol: ``(n, 2, batch)`` LLRs -> ``(n, 4, batch)``."""
+        systematic = self._sym_a_sign[:, None] * sys_t[:, 0:1]
+        systematic += self._sym_b_sign[:, None] * sys_t[:, 1:2]
+        systematic *= 0.5
+        return systematic
+
+    @staticmethod
+    def _distinct_metrics(
+        par_t: np.ndarray, systematic: np.ndarray, apr_t: np.ndarray
     ) -> np.ndarray:
-        """Compute ``gamma`` in *time-major* layout ``(n, batch, 8, 4)``.
+        """The 16 distinct branch metrics per step, ``(n, 16, batch)``.
 
         Bit metrics use the symmetric correlation form ``0.5 * (1 - 2*bit) * LLR``
-        with the convention ``LLR = log p(0)/p(1)``.  Time-major storage makes
-        every per-step slab ``gamma[k]`` contiguous, which is what keeps the
-        forward/backward Python loops memory-friendly; the arithmetic (and
-        hence the bit pattern of every metric) is unchanged.
+        with the convention ``LLR = log p(0)/p(1)``.  Metric ``4*c + u`` is
+        ``(parity_c + systematic_u) + apriori_u`` for parity combination
+        ``c = 2*Y + W`` and symbol ``u``, summed in that order; the sign
+        arithmetic is exact, so every edge's metric has the bit pattern of the
+        naive per-edge sum.
         """
-        sys_tm = np.ascontiguousarray(np.transpose(systematic_llrs, (1, 0, 2)))  # (n, batch, 2)
-        par_tm = np.ascontiguousarray(np.transpose(parity_llrs, (1, 0, 2)))
-        apr_tm = np.ascontiguousarray(np.transpose(apriori, (1, 0, 2)))  # (n, batch, 4)
-        sys_metric = self._sym_a_sign * sys_tm[..., 0:1]
-        sys_metric += self._sym_b_sign * sys_tm[..., 1:2]
-        sys_metric *= 0.5  # (n, batch, 4)
-        # Parity contribution: only four distinct values 0.5*(±Y ± W) exist
-        # per step, so compute those and spread them over (8, 4) by gather —
-        # one big write instead of three (sign arithmetic is exact, so the
-        # bit patterns match the naive 0.5*(y_sign*Y + w_sign*W) form).
-        y_llr, w_llr = par_tm[..., 0], par_tm[..., 1]
-        combos = np.empty((*y_llr.shape, 4), dtype=np.float64)  # (n, batch, 4)
-        combos[..., 0] = y_llr + w_llr  # Y=0, W=0 -> both signs +
-        combos[..., 1] = y_llr - w_llr  # Y=0, W=1
-        combos[..., 2] = w_llr - y_llr  # Y=1, W=0
-        combos[..., 3] = -combos[..., 0]  # Y=1, W=1
-        combos *= 0.5
-        gamma = combos[:, :, self._parity_combo]  # (n, batch, 8, 4)
-        gamma += sys_metric[..., None, :]
-        gamma += apr_tm[..., None, :]
-        return gamma
+        n, _, batch = par_t.shape
+        y_llr, w_llr = par_t[:, 0], par_t[:, 1]
+        parity = np.empty((n, 4, batch), dtype=np.float64)
+        np.add(y_llr, w_llr, out=parity[:, 0])  # Y=0, W=0 -> both signs +
+        np.subtract(y_llr, w_llr, out=parity[:, 1])  # Y=0, W=1
+        np.subtract(w_llr, y_llr, out=parity[:, 2])  # Y=1, W=0
+        np.negative(parity[:, 0], out=parity[:, 3])  # Y=1, W=1
+        parity *= 0.5
+        metrics = parity[:, :, None] + systematic[:, None]  # (n, 4 combos, 4 symbols, batch)
+        metrics += apr_t[:, None]
+        return metrics.reshape(n, _DISTINCT, batch)
 
     def systematic_symbol_metric(self, systematic_llrs: np.ndarray) -> np.ndarray:
         """Per-symbol systematic metric differences ``lambda_k[c_u] - lambda_k[c_0]``.
@@ -227,73 +228,96 @@ class BatchBCJR:
                     f"apriori must have shape ({batch}, {n}, {NUM_SYMBOLS}), "
                     f"got {apriori_arr.shape}"
                 )
-        gamma = self._branch_metrics(sys_llrs, par_llrs, apriori_arr)  # (n, batch, 8, 4)
+        # Everything below runs state-major, batch axis last: (n, ..., batch).
+        apr_t = apriori_arr.transpose(1, 2, 0)
+        systematic = self._systematic_metrics(sys_llrs.transpose(1, 2, 0))
+        metrics = self._distinct_metrics(par_llrs.transpose(1, 2, 0), systematic, apr_t)
+        lattice = np.empty((n + 1, 2 * NUM_STATES, batch), dtype=np.float64)
+        lattice[0, :NUM_STATES] = self._normalize_init(initial_alpha, batch).T
+        lattice[0, NUM_STATES:] = self._normalize_init(initial_beta, batch).T
+        self._recurse(metrics, lattice)
+        apo_raw = self._aposteriori(metrics, lattice)  # (n, 4, batch)
+        final_alpha = np.ascontiguousarray(lattice[n, :NUM_STATES].T)
+        final_beta = np.ascontiguousarray(lattice[n, NUM_STATES:].T)
+        del metrics, lattice  # free the two largest arrays before the outputs
 
-        # State-metric lattices in time-major layout: every per-step slab
-        # alpha[k] / beta[k] is a contiguous (batch, 8) array.
-        alpha = np.empty((n + 1, batch, NUM_STATES), dtype=np.float64)
-        beta = np.empty((n + 1, batch, NUM_STATES), dtype=np.float64)
-        alpha[0] = self._normalize_init(initial_alpha, batch)
-        beta[n] = self._normalize_init(initial_beta, batch)
-
-        next_state = self._next_state
-        in_state, in_symbol = self._in_state, self._in_symbol
-        # Forward recursion (eq. (3)): spread alpha over the outgoing edges,
-        # then gather each state's four incoming edges and reduce.
-        for k in range(n):
-            outgoing = alpha[k][:, :, None] + gamma[k]  # (batch, 8, 4)
-            cand = outgoing[:, in_state, in_symbol]
-            new_alpha = self._maxstar_reduce(cand, axis=2)
-            new_alpha -= np.amax(new_alpha, axis=1, keepdims=True)
-            alpha[k + 1] = new_alpha
-        # Backward recursion (eq. (4)).  The gather owns its memory, so the
-        # branch metrics accumulate in place (one fewer temporary per step).
-        for k in range(n - 1, -1, -1):
-            incoming = beta[k + 1][:, next_state]  # (batch, 8, 4)
-            incoming += gamma[k]
-            new_beta = self._maxstar_reduce(incoming, axis=2)
-            new_beta -= np.amax(new_beta, axis=1, keepdims=True)
-            beta[k] = new_beta
-
-        final_alpha = alpha[n].copy()
-        final_beta = beta[0].copy()
-
-        # A-posteriori per symbol (eq. (1) before subtracting the systematic
-        # part): b_metric[k] = alpha[k] + gamma[k] + beta[k+1][next_state],
-        # reduced with max* over the originating state.
-        if self.algorithm == "max-log":
-            # Fused accumulate-and-maximise per state slice: never
-            # materialises the (n, batch, 8, 4) b_metric (max is exact under
-            # any association order, so the bit patterns are unchanged).
-            apo_tm = None
-            for state in range(NUM_STATES):
-                term = gamma[:, :, state, :] + alpha[:-1][:, :, state, None]
-                term += beta[1:][:, :, next_state[state]]
-                if apo_tm is None:
-                    apo_tm = term
-                else:
-                    np.maximum(apo_tm, term, out=apo_tm)
-        else:
-            # Log-MAP needs every branch metric for the Jacobian sum, so the
-            # b_metric is materialised by consuming gamma in place.
-            gamma += alpha[:-1][:, :, :, None]
-            gamma += beta[1:][:, :, next_state]
-            apo_tm = self._logmap_reduce_states(gamma)
-        apo_raw = np.ascontiguousarray(np.transpose(apo_tm, (1, 0, 2)))  # (batch, n, 4)
-        apo = apo_raw - apo_raw[..., 0:1]
-
-        sys_diff = self.systematic_symbol_metric(sys_llrs)
-        apr_diff = apriori_arr - apriori_arr[..., 0:1]
-        extrinsic = self.extrinsic_scale * (apo - sys_diff - apr_diff)
-
-        hard_symbols = np.argmax(apo, axis=2).astype(np.int64)
+        apo = apo_raw - apo_raw[:, 0:1]
+        extrinsic = apo - (systematic - systematic[:, 0:1])
+        extrinsic -= apr_t - apr_t[:, 0:1]
+        extrinsic *= self.extrinsic_scale
+        aposteriori = np.ascontiguousarray(apo.transpose(2, 0, 1))  # (batch, n, 4)
         return BatchBCJRResult(
-            aposteriori=apo,
-            extrinsic=extrinsic,
-            hard_symbols=hard_symbols,
+            aposteriori=aposteriori,
+            extrinsic=np.ascontiguousarray(extrinsic.transpose(2, 0, 1)),
+            hard_symbols=np.argmax(aposteriori, axis=2).astype(np.int64),
             final_alpha=final_alpha,
             final_beta=final_beta,
         )
+
+    def _maxstar(self, edges: np.ndarray, axis: int, out: np.ndarray) -> None:
+        """Fold ``axis`` of ``edges`` into ``out`` with max* (``edges`` is consumed).
+
+        Log-MAP is ``peak + log(sum(exp(edge - peak)))`` with the
+        exponentials summed in index order along ``axis``.
+        """
+        if self.algorithm == "max-log":
+            np.maximum.reduce(edges, axis=axis, out=out)
+            return
+        peak = np.maximum.reduce(edges, axis=axis, keepdims=True)
+        edges -= peak
+        np.exp(edges, out=edges)
+        terms = np.moveaxis(edges, axis, 0)
+        np.add(terms[0], terms[1], out=out)
+        for term in terms[2:]:
+            out += term
+        np.log(out, out=out)
+        out += np.squeeze(peak, axis)
+
+    def _recurse(self, metrics: np.ndarray, lattice: np.ndarray) -> None:
+        """Fill ``lattice[1:]`` with the fused forward/backward recursion.
+
+        Step ``k`` runs eq. (3) for ``alpha[k + 1]`` and eq. (4) for
+        ``beta[n - 1 - k]`` on one ``(4 edges, 16 states, batch)`` slab: the
+        edge candidates are source state metric + branch metric, max* folds
+        the four edge slabs, and each half is normalised by its own maximum.
+        """
+        n = metrics.shape[0]
+        halves = lattice.reshape(n + 1, 2, NUM_STATES, -1)
+        reversed_metrics = metrics[::-1]
+        for start in range(0, n, _CHUNK):
+            stop = min(start + _CHUNK, n)
+            # Step k's 32 metrics are [metrics[k], metrics[n - 1 - k]]; one
+            # gather spreads them over the (4, 16) edge slab of every step.
+            pairs = np.concatenate(
+                (metrics[start:stop], reversed_metrics[start:stop]), axis=1
+            )
+            chunk = pairs.take(self._step_metrics, axis=1)  # (steps, 4, 16, batch)
+            for k in range(start, stop):
+                edges = lattice[k].take(self._step_rows, axis=0)  # (4, 16, batch)
+                edges += chunk[k - start]
+                self._maxstar(edges, 0, lattice[k + 1])
+                half = halves[k + 1]
+                half -= np.maximum.reduce(half, axis=1, keepdims=True)
+
+    def _aposteriori(self, metrics: np.ndarray, lattice: np.ndarray) -> np.ndarray:
+        """Unnormalised symbol a-posteriori ``(n, 4, batch)``, eq. (1).
+
+        Each edge's metric is ``(gamma + alpha[k][s]) + beta[k + 1][next]``,
+        folded over the originating state ``s`` with max*, a chunk of trellis
+        steps at a time so the ``(steps, 8, 4, batch)`` edge block stays in
+        cache.
+        """
+        n, _, batch = metrics.shape
+        alpha = lattice[:n, :NUM_STATES, None]  # alpha[k] for k < n
+        beta_next = lattice[:n][::-1, NUM_STATES:]  # beta[k + 1]
+        apo = np.empty((n, NUM_SYMBOLS, batch), dtype=np.float64)
+        for start in range(0, n, _CHUNK):
+            stop = min(start + _CHUNK, n)
+            edges = metrics[start:stop].take(self._metric_index, axis=1)
+            edges += alpha[start:stop]
+            edges += beta_next[start:stop].take(self._next_state, axis=1)
+            self._maxstar(edges, 1, apo[start:stop])
+        return apo
 
     # ------------------------------------------------------------------ #
     # Internals
@@ -309,6 +333,22 @@ class BatchBCJR:
                 f"got {tuple(arr.shape)}"
             )
         return arr - np.amax(arr, axis=1, keepdims=True)
+
+
+def _reorder(values: np.ndarray, flat_index: np.ndarray) -> np.ndarray:
+    """Gather ``(batch, n, width)`` values through a flat ``n * width`` index."""
+    return values.reshape(values.shape[0], -1).take(flat_index, axis=1).reshape(values.shape)
+
+
+def _couple_gather(source: np.ndarray, swapped: np.ndarray, orders: np.ndarray) -> np.ndarray:
+    """Flat index taking couple ``source[i]`` to couple ``i`` of a ``(n, width)`` array.
+
+    Couple ``i``'s elements follow ``orders[swapped[i]]``.
+    """
+    width = orders.shape[1]
+    index = orders.take(swapped, axis=0)  # (n, width)
+    index += (source * width)[:, None]
+    return index.ravel()
 
 
 @dataclass
@@ -408,8 +448,7 @@ class BatchTurboDecoder:
         bit_level_exchange: bool = False,
         early_termination: bool = True,
     ):
-        if max_iterations <= 0:
-            raise DecodingError(f"max_iterations must be positive, got {max_iterations}")
+        require_int("max_iterations", max_iterations, 1, DecodingError)
         self.encoder = encoder
         self.max_iterations = int(max_iterations)
         self.bit_level_exchange = bool(bit_level_exchange)
@@ -420,10 +459,18 @@ class BatchTurboDecoder:
             extrinsic_scale=extrinsic_scale,
         )
         self._n_couples = encoder.n_couples
-        self._perm = encoder.interleaver.permutation()
-        flags = encoder.interleaver.swap_flags().astype(bool)
-        self._flags = flags
-        self._flags_perm = flags[self._perm]
+        # Interleaved couple i is natural couple perm[i], its bits A and B
+        # swapped (symbols 1 and 2 exchanged) where the swap flag is set.
+        # Each reorder is one flat gather; deinterleaving is the inverse
+        # permutation of the symbol gather.
+        perm = encoder.interleaver.permutation()
+        swapped = encoder.interleaver.swap_flags()[perm]  # 0/1 per interleaved couple
+        self._interleave_symbols = _couple_gather(perm, swapped, _SYMBOL_ORDERS)
+        self._interleave_bits = _couple_gather(perm, swapped, _PAIR_ORDERS)
+        self._deinterleave_symbols = np.empty_like(self._interleave_symbols)
+        self._deinterleave_symbols[self._interleave_symbols] = np.arange(
+            self._interleave_symbols.size
+        )
 
     @property
     def algorithm(self) -> str:
@@ -444,34 +491,6 @@ class BatchTurboDecoder:
     def n_bits(self) -> int:
         """Flat channel-LLR length each frame must have (``encoder.n``)."""
         return self.encoder.n
-
-    # ------------------------------------------------------------------ #
-    # Interleaving of batched symbol-level quantities
-    # ------------------------------------------------------------------ #
-    def _interleave_vectors(self, values: np.ndarray) -> np.ndarray:
-        """Reorder ``(batch, n, 4)`` vectors from natural to interleaved order.
-
-        The intra-couple swap of step 1 exchanges the roles of bits A and B,
-        which at symbol level exchanges elements 1 (A=0,B=1) and 2 (A=1,B=0).
-        """
-        reordered = values[:, self._perm]
-        swapped = self._flags_perm
-        reordered[:, swapped] = reordered[:, swapped][:, :, [0, 2, 1, 3]]
-        return reordered
-
-    def _deinterleave_vectors(self, values: np.ndarray) -> np.ndarray:
-        """Inverse of :meth:`_interleave_vectors`."""
-        natural = np.empty_like(values)
-        natural[:, self._perm] = values
-        natural[:, self._flags] = natural[:, self._flags][:, :, [0, 2, 1, 3]]
-        return natural
-
-    def _interleave_pairs(self, values: np.ndarray) -> np.ndarray:
-        """Reorder ``(batch, n, 2)`` (A, B) pairs from natural to interleaved order."""
-        reordered = values[:, self._perm]
-        swapped = self._flags_perm
-        reordered[:, swapped] = reordered[:, swapped][:, :, ::-1]
-        return reordered
 
     def _maybe_bit_level(self, extrinsic: np.ndarray) -> np.ndarray:
         """Apply the STB -> network -> BTS round trip when bit-level exchange is on."""
@@ -558,12 +577,12 @@ class BatchTurboDecoder:
         changes_hist: list[list[int]] = [[] for _ in range(batch)]
 
         # Active working set: frames still decoding, compacted on early exit.
-        # The LLR arrays are only ever read (the SISO makes its own contiguous
-        # transposes), so the full-batch views need no defensive copies —
+        # The LLR arrays are only ever read (the SISO never writes its
+        # inputs), so the full-batch views need no defensive copies —
         # compaction by fancy indexing produces fresh arrays anyway.
         act_idx = np.arange(batch)
         act_sys = sys_llrs
-        act_sys_int = self._interleave_pairs(sys_llrs)
+        act_sys_int = _reorder(sys_llrs, self._interleave_bits)
         act_par1 = par1
         act_par2 = par2
         ext_2_to_1 = np.zeros((batch, n, NUM_SYMBOLS), dtype=np.float64)
@@ -581,8 +600,8 @@ class BatchTurboDecoder:
                 initial_beta=beta1,
             )
             alpha1, beta1 = result1.final_alpha, result1.final_beta
-            ext_1_to_2 = self._interleave_vectors(
-                self._maybe_bit_level(result1.extrinsic)
+            ext_1_to_2 = _reorder(
+                self._maybe_bit_level(result1.extrinsic), self._interleave_symbols
             )
             result2 = self._siso.decode_batch(
                 act_sys_int,
@@ -592,11 +611,11 @@ class BatchTurboDecoder:
                 initial_beta=beta2,
             )
             alpha2, beta2 = result2.final_alpha, result2.final_beta
-            ext_2_to_1 = self._deinterleave_vectors(
-                self._maybe_bit_level(result2.extrinsic)
+            ext_2_to_1 = _reorder(
+                self._maybe_bit_level(result2.extrinsic), self._deinterleave_symbols
             )
 
-            apo_natural = self._deinterleave_vectors(result2.aposteriori)
+            apo_natural = _reorder(result2.aposteriori, self._deinterleave_symbols)
             hard = np.argmax(apo_natural, axis=2).astype(np.int64)
             iterations[act_idx] = iteration + 1
             hard_symbols_out[act_idx] = hard

@@ -17,9 +17,10 @@ i.e. element ``u`` holds ``log p(u)/p(0)`` (element 0 is always 0).
 
 Since the batched turbo engine landed, this module is a thin per-frame
 facade: the recursions themselves live in
-:class:`repro.sim.turbo_batch.BatchBCJR` (dense tensor ops over
-``(batch, n_couples, 8, 4)`` arrays) and :meth:`BCJRDecoder.decode` runs
-them with ``batch=1``.  Decoding many frames?  Use the batch kernel (or
+:class:`repro.sim.turbo_batch.BatchBCJR` (one fused forward/backward loop
+over state-major ``(n_couples, 16, batch)`` arrays) and
+:meth:`BCJRDecoder.decode` runs them with ``batch=1``.  Decoding many
+frames?  Use the batch kernel (or
 :class:`repro.sim.turbo_batch.BatchTurboDecoder`) directly — stacking frames
 on the batch axis returns bit-identical results at a fraction of the
 per-frame cost.

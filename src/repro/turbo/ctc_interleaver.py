@@ -100,11 +100,8 @@ class CTCInterleaver:
         n = self.n_couples
         half = n // 2
         j = np.arange(n, dtype=np.int64)
-        offsets = np.zeros(n, dtype=np.int64)
-        offsets[j % 4 == 1] = half + self.p1
-        offsets[j % 4 == 2] = self.p2
-        offsets[j % 4 == 3] = half + self.p3
-        return (self.p0 * j + 1 + offsets) % n
+        offsets = np.array([0, half + self.p1, self.p2, half + self.p3], dtype=np.int64)
+        return (self.p0 * j + 1 + offsets[j % 4]) % n
 
     def swap_flags(self) -> np.ndarray:
         """Step-1 swap flag per *natural* couple index (1 = couple bits swapped)."""

@@ -23,6 +23,7 @@ import numpy as np
 
 from repro.errors import DecodingError
 from repro.turbo.encoder import TurboEncoder
+from repro.utils.validation import require_int
 
 if TYPE_CHECKING:  # imported lazily at runtime to avoid a cycle with repro.sim
     from repro.sim.turbo_batch import BatchTurboDecoder
@@ -98,8 +99,7 @@ class TurboDecoder:
 
     @max_iterations.setter
     def max_iterations(self, value: int) -> None:
-        if int(value) <= 0:
-            raise DecodingError(f"max_iterations must be positive, got {value}")
+        require_int("max_iterations", value, 1, DecodingError)
         self._batch.max_iterations = int(value)
 
     @property

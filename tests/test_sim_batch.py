@@ -229,6 +229,14 @@ class TestScalingValidation:
         assert result.converged.all() and not result.hard_bits.any()
 
 
+class TestIterationValidation:
+    @pytest.mark.parametrize("value", [0.5, 2.5, True, "3"])
+    @pytest.mark.parametrize("decoder_cls", [BatchLayeredDecoder, BatchFloodingDecoder])
+    def test_batch_constructors_reject_non_integers(self, small_ldpc_code, decoder_cls, value):
+        with pytest.raises(DecodingError, match="max_iterations"):
+            decoder_cls(small_ldpc_code.h, max_iterations=value)
+
+
 class TestBatchSequentialEquivalence:
     """The tentpole property: batch == per-frame, field for field."""
 

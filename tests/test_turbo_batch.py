@@ -29,6 +29,7 @@ from repro.sim import (
     BerRunner,
     resolve_code_rate,
 )
+from repro.sim.turbo_batch import _CHUNK
 from repro.turbo import BCJRDecoder, DuoBinaryTrellis, TurboDecoder, TurboEncoder
 
 _NEG_INF = -1.0e30
@@ -142,9 +143,11 @@ class TestBCJRPinnedToSeedReference:
 
     @pytest.mark.parametrize("algorithm", ["max-log", "log-map"])
     @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_bit_identical_including_extrinsics_and_state_metrics(self, algorithm, seed):
+    # The fused recursion gathers branch metrics _CHUNK steps at a time, so
+    # pin lengths on both sides of every chunk edge.
+    @pytest.mark.parametrize("n", [1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 3, 48])
+    def test_bit_identical_including_extrinsics_and_state_metrics(self, algorithm, seed, n):
         rng = np.random.default_rng(seed)
-        n = 48
         sys_llrs = rng.normal(0.0, 4.0, (n, 2))
         par_llrs = rng.normal(0.0, 4.0, (n, 2))
         par_llrs[rng.random((n, 2)) < 0.3] = 0.0  # punctured positions
@@ -166,6 +169,36 @@ class TestBCJRPinnedToSeedReference:
         assert np.array_equal(result.hard_symbols, hard)
         assert np.array_equal(result.final_alpha, falpha)
         assert np.array_equal(result.final_beta, fbeta)
+
+    @pytest.mark.parametrize("algorithm", ["max-log", "log-map"])
+    def test_ctc2400_batch_matches_seed_frame_by_frame(self, algorithm):
+        # A full WiMAX CTC 2400 activation on a batch of two frames, each
+        # compared with the seed recursion on its own.
+        rng = np.random.default_rng(2400)
+        batch, n = 2, 2400
+        sys_llrs = rng.normal(0.0, 4.0, (batch, n, 2))
+        par_llrs = rng.normal(0.0, 4.0, (batch, n, 2))
+        par_llrs[:, :, 1] = 0.0  # rate 1/2 punctures every W
+        apriori = rng.normal(0.0, 1.0, (batch, n, 4))
+        apriori[:, :, 0] = 0.0
+        init_alpha = rng.normal(0.0, 1.0, (batch, 8))
+        init_beta = rng.normal(0.0, 1.0, (batch, 8))
+
+        result = BatchBCJR(algorithm=algorithm).decode_batch(
+            sys_llrs, par_llrs, apriori=apriori,
+            initial_alpha=init_alpha, initial_beta=init_beta,
+        )
+        seed = _SeedBCJR(algorithm=algorithm)
+        for frame in range(batch):
+            apo, ext, hard, falpha, fbeta = seed.decode(
+                sys_llrs[frame], par_llrs[frame], apriori=apriori[frame],
+                initial_alpha=init_alpha[frame], initial_beta=init_beta[frame],
+            )
+            assert np.array_equal(result.aposteriori[frame], apo)
+            assert np.array_equal(result.extrinsic[frame], ext)
+            assert np.array_equal(result.hard_symbols[frame], hard)
+            assert np.array_equal(result.final_alpha[frame], falpha)
+            assert np.array_equal(result.final_beta[frame], fbeta)
 
     def test_batched_activation_matches_per_frame(self):
         rng = np.random.default_rng(5)
@@ -321,6 +354,28 @@ class TestBatchTurboEquivalence:
             )
         with pytest.raises(DecodingError):
             BatchTurboDecoder(small_turbo_encoder, max_iterations=0)
+
+    @pytest.mark.parametrize("value", [0.5, 2.5, True, "3"])
+    @pytest.mark.parametrize("decoder_cls", [BatchTurboDecoder, TurboDecoder])
+    def test_constructors_reject_non_integer_iterations(
+        self, small_turbo_encoder, decoder_cls, value
+    ):
+        with pytest.raises(DecodingError, match="max_iterations"):
+            decoder_cls(small_turbo_encoder, max_iterations=value)
+
+    @pytest.mark.parametrize("value", [2.5, True, "3"])
+    def test_facade_setter_rejects_non_integer_iterations(self, small_turbo_encoder, value):
+        decoder = TurboDecoder(small_turbo_encoder, max_iterations=4)
+        with pytest.raises(DecodingError, match="max_iterations"):
+            decoder.max_iterations = value
+        assert decoder.max_iterations == 4
+
+    @pytest.mark.parametrize("scale", [True, "0.5"])
+    def test_rejects_non_numeric_extrinsic_scale(self, small_turbo_encoder, scale):
+        with pytest.raises(DecodingError, match="extrinsic_scale"):
+            BatchBCJR(extrinsic_scale=scale)
+        with pytest.raises(DecodingError, match="extrinsic_scale"):
+            BatchTurboDecoder(small_turbo_encoder, extrinsic_scale=scale)
 
 
 class TestTurboEncodeBatch:
