@@ -18,12 +18,13 @@ from __future__ import annotations
 
 from dataclasses import replace
 
-import pytest
-
 from repro import DecoderSpec, NocDecoderArchitecture, wimax_ldpc_code
 from repro.core.throughput import ldpc_throughput_bps
+from repro.hw.area import NocAreaModel
 from repro.noc import CollisionPolicy, NocSweepJob, RoutingAlgorithm, run_noc_sweep
 from repro.utils import Table
+
+from benchmarks.harness import record
 
 
 def _sweep(decoder: NocDecoderArchitecture, traffic, configs, seed=0):
@@ -60,8 +61,7 @@ def _throughput(spec: DecoderSpec, code, ncycles: int) -> float:
     ) / 1e6
 
 
-@pytest.mark.benchmark(group="ablation")
-def test_ablation_injection_rate_and_flags(benchmark, bench_print, bench_json):
+def test_ablation_injection_rate_and_flags():
     """Sweep R, RL and DCM/SCM at the P=22 Kautz-D3 design point."""
     spec = DecoderSpec(mapping_attempts=2)
     code = wimax_ldpc_code(2304, "1/2")
@@ -76,11 +76,8 @@ def test_ablation_injection_rate_and_flags(benchmark, bench_print, bench_json):
           for policy in (CollisionPolicy.SCM, CollisionPolicy.DCM)),
     ]
 
-    def run_all():
-        by_config = _sweep(decoder, mapping.traffic, [c for _, c in labels_and_configs])
-        return [(label, by_config[config]) for label, config in labels_and_configs]
-
-    rows = benchmark.pedantic(run_all, rounds=1, iterations=1)
+    by_config = _sweep(decoder, mapping.traffic, [c for _, c in labels_and_configs])
+    rows = [(label, by_config[config]) for label, config in labels_and_configs]
 
     table = Table(
         title="Ablation of the NoC simulation parameters (LDPC n=2304 r=1/2, P=22 Kautz D=3, SSP-FL)",
@@ -98,8 +95,8 @@ def test_ablation_injection_rate_and_flags(benchmark, bench_print, bench_json):
                 f"{sim.statistics.mean_latency:.1f}",
             ]
         )
-    bench_print(table.render())
-    bench_json(
+    print("\n" + table.render())
+    record(
         "ablation_noc_params",
         "injection_rate_and_flags",
         {
@@ -120,8 +117,7 @@ def test_ablation_injection_rate_and_flags(benchmark, bench_print, bench_json):
     assert results["DCM"].ncycles >= 0.8 * results["SCM"].ncycles
 
 
-@pytest.mark.benchmark(group="ablation")
-def test_ablation_node_architecture_fifo_sizing(benchmark, bench_print, bench_json):
+def test_ablation_node_architecture_fifo_sizing():
     """AP vs PP: FIFO depth (from simulation) drives the NoC area difference."""
     spec = DecoderSpec(mapping_attempts=2)
     code = wimax_ldpc_code(2304, "1/2")
@@ -130,23 +126,16 @@ def test_ablation_node_architecture_fifo_sizing(benchmark, bench_print, bench_js
     topology = decoder.topology
 
     algorithms = (RoutingAlgorithm.SSP_RR, RoutingAlgorithm.SSP_FL, RoutingAlgorithm.ASP_FT)
-
-    def run_all():
-        from repro.hw.area import NocAreaModel
-
-        area_model = NocAreaModel()
-        configs = [spec.noc.with_routing(algorithm) for algorithm in algorithms]
-        by_config = _sweep(decoder, mapping.traffic, configs)
-        rows = []
-        for algorithm, config in zip(algorithms, configs):
-            sim = by_config[config]
-            area = area_model.noc_area_mm2(
-                topology.n_nodes, topology.crossbar_size, config, sim.per_node_max_fifo
-            )
-            rows.append((algorithm.value, config.node_architecture.value, sim, area))
-        return rows
-
-    rows = benchmark.pedantic(run_all, rounds=1, iterations=1)
+    area_model = NocAreaModel()
+    configs = [spec.noc.with_routing(algorithm) for algorithm in algorithms]
+    by_config = _sweep(decoder, mapping.traffic, configs)
+    rows = []
+    for algorithm, config in zip(algorithms, configs):
+        sim = by_config[config]
+        area = area_model.noc_area_mm2(
+            topology.n_nodes, topology.crossbar_size, config, sim.per_node_max_fifo
+        )
+        rows.append((algorithm.value, config.node_architecture.value, sim, area))
     table = Table(
         title="Node architecture ablation (AP vs PP) at the WiMAX design point",
         columns=["routing", "node arch", "ncycles", "max FIFO", "flit bits", "NoC area [mm^2]"],
@@ -159,8 +148,8 @@ def test_ablation_node_architecture_fifo_sizing(benchmark, bench_print, bench_js
             [routing, arch, sim.ncycles, sim.max_fifo_occupancy,
              config.flit_bits(22), f"{area:.2f}"]
         )
-    bench_print(table.render())
-    bench_json(
+    print("\n" + table.render())
+    record(
         "ablation_noc_params",
         "node_architecture_area",
         {arch: round(area, 3) for arch, area in areas.items()},

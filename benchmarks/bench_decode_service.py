@@ -15,12 +15,16 @@ without the service):
   baseline with the p99 *queueing* delay inside the latency budget);
 * ``saturating_sharded`` — a 768-frame burst through the thread executor
   and through the process-shard executor (2 shards), as interleaved pairs;
-  the row records both medians, their IQRs, n and the process/thread
-  ratio.
+  the row records both arms and the process/thread ratio.
 
 Queueing delay (``queued_s``: enqueue -> dispatch) is the quantity the
 latency budget governs; end-to-end latency additionally includes the decode
 itself and any executor backlog and is recorded alongside.
+
+Every arm is timed by :mod:`benchmarks.harness` as interleaved trials,
+per frame.  Both service benches (this one and ``bench_resilience.py``) run
+their bursts through :func:`run_burst`: it starts a fresh service and times
+only the submit phase.
 
 Run with ``PYTHONPATH=src python -m pytest benchmarks/bench_decode_service.py -q -s``.
 """
@@ -28,13 +32,16 @@ Run with ``PYTHONPATH=src python -m pytest benchmarks/bench_decode_service.py -q
 from __future__ import annotations
 
 import asyncio
-import time
+from dataclasses import dataclass, field
 
 import numpy as np
 import pytest
 
 from repro.service import DecodeService, default_registry
 from repro.service.demo import generate_llr_frames
+from repro.service.metrics import MetricsSnapshot
+
+from benchmarks.harness import Lap, per_item, record, row, stopwatch, trials
 
 CODEC = ("ldpc", 576, "1/2")
 MAX_BATCH = 64
@@ -47,6 +54,10 @@ SHARD_BURST_FRAMES = 768
 SHARD_PAIRS = 7
 TRICKLE_FRAMES = 8
 BASELINE_FRAMES = 12
+#: Per-frame baseline passes; its gates read the best one.
+BASELINE_TRIALS = 2
+#: Frames each burst submits untimed first (they start the executor).
+WARMUP_FRAMES = 2
 EBN0_DB = 2.0
 
 
@@ -71,36 +82,40 @@ def shard_frames(registry):
     return llrs
 
 
-def _per_frame_fps(registry, frames) -> float:
-    """Baseline: each request decoded alone, batch=1, best of 2 passes."""
-    entry = registry.resolve(*CODEC)
-    best = float("inf")
-    for _ in range(2):
-        start = time.perf_counter()
-        for row in frames[:BASELINE_FRAMES]:
-            entry.decoder.decode_batch(row[None])
-        best = min(best, time.perf_counter() - start)
-    return BASELINE_FRAMES / best
+def _per_frame(registry, frames):
+    """The baseline arm: each request decoded alone, batch=1."""
+    decoder = registry.resolve(*CODEC).decoder
+
+    def run():
+        for row_llrs in frames[:BASELINE_FRAMES]:
+            decoder.decode_batch(row_llrs[None])
+
+    return run
 
 
-async def _drive(service: DecodeService, frames, concurrent: bool):
-    """Submit every frame (as a burst or a closed loop); return (fps, snapshot)."""
-    warmup = frames[:2]
-    await asyncio.gather(*(service.submit(row, *CODEC) for row in warmup))
-    timed = frames[2:]
-    start = time.perf_counter()
-    if concurrent:
-        responses = await asyncio.gather(
-            *(service.submit(row, *CODEC) for row in timed)
-        )
-    else:
-        responses = [await service.submit(row, *CODEC) for row in timed]
-    elapsed = time.perf_counter() - start
-    assert len(responses) == len(timed)
-    return len(timed) / elapsed, service.metrics_snapshot()
+@dataclass
+class Burst(Lap):
+    """One service run: the submit phase's lap, what it timed and its outcome."""
+
+    frames: int = 0
+    # Kept out of the repr: asyncio formats a finished task's result, and
+    # formatting every response's bit array costs more than the burst.
+    responses: list = field(default_factory=list, repr=False)
+    snapshot: MetricsSnapshot | None = field(default=None, repr=False)
 
 
-def _run_service(frames, *, concurrent: bool, registry, **service_kwargs):
+def run_burst(
+    frames, *, registry, concurrent: bool = True, warmup: int = WARMUP_FRAMES,
+    **service_kwargs,
+) -> Burst:
+    """Decode ``frames`` through a fresh service; time only the submit phase.
+
+    The first ``warmup`` frames go through untimed; the rest are submitted
+    as one concurrent burst, or one at a time as a closed loop when not
+    ``concurrent``.  The returned :class:`Burst` is the lap :func:`trials`
+    records for the arm.
+    """
+
     async def scenario():
         async with DecodeService(
             registry=registry,
@@ -109,18 +124,19 @@ def _run_service(frames, *, concurrent: bool, registry, **service_kwargs):
             queue_capacity=2 * len(frames),
             **service_kwargs,
         ) as service:
-            return await _drive(service, frames, concurrent)
+            await asyncio.gather(*(service.submit(r, *CODEC) for r in frames[:warmup]))
+            timed = frames[warmup:]
+            with stopwatch() as lap:
+                if concurrent:
+                    responses = await asyncio.gather(
+                        *(service.submit(r, *CODEC) for r in timed)
+                    )
+                else:
+                    responses = [await service.submit(r, *CODEC) for r in timed]
+            assert len(responses) == len(timed)
+            return Burst(lap.seconds, len(timed), list(responses), service.metrics_snapshot())
 
     return asyncio.run(scenario())
-
-
-def _spread(values) -> dict:
-    q1, median, q3 = np.percentile(values, [25, 50, 75])
-    return {
-        "median_fps": round(float(median), 1),
-        "iqr_fps": round(float(q3 - q1), 1),
-        "n": len(values),
-    }
 
 
 def _row(label, fps, baseline_fps, snapshot):
@@ -136,20 +152,30 @@ def _row(label, fps, baseline_fps, snapshot):
     }
 
 
-@pytest.mark.benchmark(group="decode-service")
-def test_decode_service_throughput_vs_per_frame(
-    registry, frames, benchmark, bench_print, bench_json
-):
+def test_decode_service_throughput_vs_per_frame(registry, frames):
     """Saturating load must beat per-frame >= 5x inside the latency budget."""
-    baseline_fps = _per_frame_fps(registry, frames)
-
-    trickle_fps, trickle_snap = _run_service(
-        frames[:TRICKLE_FRAMES + 2], concurrent=False, registry=registry,
-        executor="thread",
+    trickle = frames[: TRICKLE_FRAMES + WARMUP_FRAMES]
+    samples, results = trials(
+        {
+            "per_frame": _per_frame(registry, frames),
+            "trickle": lambda: run_burst(
+                trickle, concurrent=False, registry=registry, executor="thread"
+            ),
+            "saturating": lambda: run_burst(frames, registry=registry, executor="thread"),
+        },
+        {"per_frame": BASELINE_TRIALS, "trickle": 1, "saturating": 1},
     )
-    burst_fps, burst_snap = _run_service(
-        frames, concurrent=True, registry=registry, executor="thread",
+    timing = row(
+        per_item(samples, {"per_frame": BASELINE_FRAMES, "trickle": TRICKLE_FRAMES,
+                           "saturating": len(frames) - WARMUP_FRAMES}),
+        "per_frame",
+        "s/frame",
     )
+    arms = timing["arms"]
+    baseline_fps = 1 / arms["per_frame"]["best"]
+    trickle_fps, burst_fps = 1 / arms["trickle"]["best"], 1 / arms["saturating"]["best"]
+    trickle_snap = results["trickle"].snapshot
+    burst_snap = results["saturating"].snapshot
 
     rows = {
         "per_frame_baseline": {
@@ -160,7 +186,7 @@ def test_decode_service_throughput_vs_per_frame(
         "trickle": _row("trickle", trickle_fps, baseline_fps, trickle_snap),
         "saturating": _row("saturating", burst_fps, baseline_fps, burst_snap),
     }
-    bench_json(
+    record(
         "decode_service",
         "offered_loads",
         {
@@ -169,10 +195,11 @@ def test_decode_service_throughput_vs_per_frame(
             "latency_budget_ms": 1e3 * BUDGET_S,
             "burst_frames": BURST_FRAMES,
             "rows": rows,
+            "timing": timing,
         },
     )
-    bench_print(
-        f"decode service (n=576 LDPC, max_batch={MAX_BATCH}, "
+    print(
+        f"\ndecode service (n=576 LDPC, max_batch={MAX_BATCH}, "
         f"budget {1e3 * BUDGET_S:.0f} ms):\n"
         f"  per-frame baseline {baseline_fps:8.1f} frames/s\n"
         f"  trickle            {trickle_fps:8.1f} frames/s "
@@ -181,72 +208,57 @@ def test_decode_service_throughput_vs_per_frame(
         f"(queued p99 {1e3 * burst_snap.queue_p99_s:6.2f} ms, "
         f"speedup {burst_fps / baseline_fps:5.1f}x)"
     )
-
-    def run_burst():
-        _run_service(frames, concurrent=True, registry=registry, executor="thread")
-
-    benchmark(run_burst)
     # Acceptance: >= 5x per-frame at saturating load, p99 queueing delay
     # within the latency budget (plus scheduler slack).
     assert burst_fps >= 5.0 * baseline_fps
     assert burst_snap.queue_p99_s <= BUDGET_S + BUDGET_SLACK_S
 
 
-@pytest.mark.benchmark(group="decode-service")
-def test_decode_service_sharded_throughput(
-    registry, frames, shard_frames, benchmark, bench_print, bench_json
-):
+def test_decode_service_sharded_throughput(registry, frames, shard_frames):
     """Process sharding (2 workers) vs the thread executor on one burst.
 
     Interleaved pairs on the same 768 frames; the process side still has to
     sustain the speedup target at saturating load.
     """
-    baseline_fps = _per_frame_fps(registry, frames)
-    thread_fps, process_fps = [], []
-    for _ in range(SHARD_PAIRS):
-        fps, _ = _run_service(
-            shard_frames, concurrent=True, registry=registry, executor="thread",
-        )
-        thread_fps.append(fps)
-        fps, sharded_snap = _run_service(
-            shard_frames, concurrent=True, registry=registry,
-            executor="process", shards=2,
-        )
-        process_fps.append(fps)
-    sharded_fps = float(np.median(process_fps))
-    thread = _spread(thread_fps)
-    process = _spread(process_fps)
-    ratio = process["median_fps"] / thread["median_fps"]
-    wins = sum(p > t for p, t in zip(process_fps, thread_fps))
-    bench_json(
+    samples, results = trials(
+        {
+            "per_frame": _per_frame(registry, frames),
+            "thread": lambda: run_burst(shard_frames, registry=registry, executor="thread"),
+            "process": lambda: run_burst(
+                shard_frames, registry=registry, executor="process", shards=2
+            ),
+        },
+        {"per_frame": BASELINE_TRIALS, "thread": SHARD_PAIRS, "process": SHARD_PAIRS},
+    )
+    timed = SHARD_BURST_FRAMES - WARMUP_FRAMES
+    timing = row(
+        per_item(samples, {"per_frame": BASELINE_FRAMES, "thread": timed, "process": timed}),
+        "thread",
+        "s/frame",
+    )
+    arms = timing["arms"]
+    baseline_fps = 1 / arms["per_frame"]["best"]
+    sharded_fps = 1 / arms["process"]["median"]
+    thread_fps = 1 / arms["thread"]["median"]
+    vs = timing["vs"]["process"]
+    sharded_snap = results["process"].snapshot
+    record(
         "decode_service",
         "saturating_sharded",
         {
             "codec": ":".join(str(part) for part in CODEC),
             "shards": 2,
             "burst_frames": SHARD_BURST_FRAMES,
-            "thread": thread,
-            "process": process,
-            "process_over_thread": round(ratio, 3),
-            "process_wins": f"{wins}/{SHARD_PAIRS}",
+            "timing": timing,
             **_row("saturating_sharded", sharded_fps, baseline_fps, sharded_snap),
         },
     )
-    bench_print(
-        f"  {SHARD_BURST_FRAMES}-frame burst, {SHARD_PAIRS} interleaved pairs:\n"
-        f"  thread             {thread['median_fps']:8.1f} frames/s "
-        f"(IQR {thread['iqr_fps']:.1f})\n"
-        f"  sharded (2 proc)   {process['median_fps']:8.1f} frames/s "
-        f"(IQR {process['iqr_fps']:.1f}, {ratio:.2f}x thread, won {wins}/{SHARD_PAIRS}; "
+    print(
+        f"\n  {SHARD_BURST_FRAMES}-frame burst, {SHARD_PAIRS} interleaved pairs (median):\n"
+        f"  thread             {thread_fps:8.1f} frames/s\n"
+        f"  sharded (2 proc)   {sharded_fps:8.1f} frames/s "
+        f"({vs['ratio']:.2f}x thread, won {vs['wins']}/{SHARD_PAIRS}; "
         f"queued p99 {1e3 * sharded_snap.queue_p99_s:6.2f} ms)"
     )
-
-    def run_sharded():
-        _run_service(
-            shard_frames, concurrent=True, registry=registry,
-            executor="process", shards=2,
-        )
-
-    benchmark(run_sharded)
     assert sharded_fps >= 5.0 * baseline_fps
     assert sharded_snap.queue_p99_s <= BUDGET_S + BUDGET_SLACK_S

@@ -15,13 +15,12 @@ this out), so these benches run short Monte-Carlo comparisons that check the
 from __future__ import annotations
 
 import numpy as np
-import pytest
 
 from repro.channel import AWGNChannel, BPSKModulator, ErrorRateAccumulator, ebn0_to_noise_sigma
 from repro.ldpc import FloodingDecoder, LayeredMinSumDecoder, wimax_ldpc_code
 from repro.turbo import TurboDecoder, TurboEncoder
 
-from benchmarks.conftest import full_benchmarks_enabled
+from benchmarks.harness import full_benchmarks_enabled, record, row, trials
 
 
 def _frames(default: int) -> int:
@@ -40,35 +39,31 @@ def _ldpc_frame_llrs(code, ebn0_db, rng):
     return codeword, llrs
 
 
-@pytest.mark.benchmark(group="functional")
-def test_layered_vs_flooding_convergence(benchmark, bench_print, bench_json):
+def test_layered_vs_flooding_convergence():
     """Layered scheduling needs roughly half the iterations of flooding (Section II-B)."""
     code = wimax_ldpc_code(576, "1/2")
     frames = _frames(12)
 
-    def measure():
-        rng = np.random.default_rng(42)
-        layered = LayeredMinSumDecoder(code.h, max_iterations=40)
-        flooding = FloodingDecoder(code.h, max_iterations=40, kernel="min-sum")
-        layered_iters, flooding_iters = [], []
-        for _ in range(frames):
-            _, llrs = _ldpc_frame_llrs(code, 2.6, rng)
-            layered_result = layered.decode(llrs)
-            flooding_result = flooding.decode(llrs)
-            if layered_result.converged and flooding_result.converged:
-                layered_iters.append(layered_result.iterations)
-                flooding_iters.append(flooding_result.iterations)
-        return float(np.mean(layered_iters)), float(np.mean(flooding_iters))
-
-    layered_mean, flooding_mean = benchmark.pedantic(measure, rounds=1, iterations=1)
+    rng = np.random.default_rng(42)
+    layered = LayeredMinSumDecoder(code.h, max_iterations=40)
+    flooding = FloodingDecoder(code.h, max_iterations=40, kernel="min-sum")
+    layered_iters, flooding_iters = [], []
+    for _ in range(frames):
+        _, llrs = _ldpc_frame_llrs(code, 2.6, rng)
+        layered_result = layered.decode(llrs)
+        flooding_result = flooding.decode(llrs)
+        if layered_result.converged and flooding_result.converged:
+            layered_iters.append(layered_result.iterations)
+            flooding_iters.append(flooding_result.iterations)
+    layered_mean, flooding_mean = float(np.mean(layered_iters)), float(np.mean(flooding_iters))
     ratio = flooding_mean / layered_mean
-    bench_print(
-        "Convergence speed (mean iterations to a valid codeword, WiMAX n=576 r=1/2 at 2.6 dB):\n"
+    print(
+        "\nConvergence speed (mean iterations to a valid codeword, WiMAX n=576 r=1/2 at 2.6 dB):\n"
         f"  layered min-sum : {layered_mean:.2f}\n"
         f"  flooding min-sum: {flooding_mean:.2f}\n"
         f"  speed-up        : {ratio:.2f}x (paper: ~2x)"
     )
-    bench_json(
+    record(
         "functional_claims",
         "layered_vs_flooding_convergence",
         {"n": code.n, "ebn0_db": 2.6, "frames": frames,
@@ -79,30 +74,26 @@ def test_layered_vs_flooding_convergence(benchmark, bench_print, bench_json):
     assert ratio > 1.4
 
 
-@pytest.mark.benchmark(group="functional")
-def test_fixed_point_quantization_loss(benchmark, bench_print, bench_json):
+def test_fixed_point_quantization_loss():
     """The 7-bit / 5-bit fixed-point datapath tracks the floating-point decoder."""
     code = wimax_ldpc_code(576, "1/2")
     frames = _frames(15)
 
-    def measure():
-        rng = np.random.default_rng(7)
-        float_decoder = LayeredMinSumDecoder(code.h, max_iterations=10)
-        fixed_decoder = LayeredMinSumDecoder(code.h, max_iterations=10, fixed_point=True)
-        float_acc, fixed_acc = ErrorRateAccumulator(), ErrorRateAccumulator()
-        for _ in range(frames):
-            codeword, llrs = _ldpc_frame_llrs(code, 2.2, rng)
-            float_acc.update(codeword, float_decoder.decode(llrs).hard_bits)
-            fixed_acc.update(codeword, fixed_decoder.decode(llrs).hard_bits)
-        return float_acc.report(), fixed_acc.report()
-
-    float_report, fixed_report = benchmark.pedantic(measure, rounds=1, iterations=1)
-    bench_print(
-        "Fixed-point (7b channel / 5b extrinsic) vs floating point, n=576 r=1/2 at 2.2 dB:\n"
+    rng = np.random.default_rng(7)
+    float_decoder = LayeredMinSumDecoder(code.h, max_iterations=10)
+    fixed_decoder = LayeredMinSumDecoder(code.h, max_iterations=10, fixed_point=True)
+    float_acc, fixed_acc = ErrorRateAccumulator(), ErrorRateAccumulator()
+    for _ in range(frames):
+        codeword, llrs = _ldpc_frame_llrs(code, 2.2, rng)
+        float_acc.update(codeword, float_decoder.decode(llrs).hard_bits)
+        fixed_acc.update(codeword, fixed_decoder.decode(llrs).hard_bits)
+    float_report, fixed_report = float_acc.report(), fixed_acc.report()
+    print(
+        "\nFixed-point (7b channel / 5b extrinsic) vs floating point, n=576 r=1/2 at 2.2 dB:\n"
         f"  floating point : {float_report}\n"
         f"  fixed point    : {fixed_report}"
     )
-    bench_json(
+    record(
         "functional_claims",
         "fixed_point_quantization",
         {"n": code.n, "ebn0_db": 2.2, "frames": frames,
@@ -115,39 +106,35 @@ def test_fixed_point_quantization_loss(benchmark, bench_print, bench_json):
     assert fixed_report.frame_errors <= float_report.frame_errors + max(2, frames // 4)
 
 
-@pytest.mark.benchmark(group="functional")
-def test_bit_level_extrinsic_exchange_loss(benchmark, bench_print, bench_json):
+def test_bit_level_extrinsic_exchange_loss():
     """Bit-level exchange (BTS/STB) degrades the turbo decoder only mildly (Section IV-B)."""
     encoder = TurboEncoder(n_couples=96)
     frames = _frames(15)
 
-    def measure():
-        rng = np.random.default_rng(11)
-        modulator = BPSKModulator()
-        sigma = ebn0_to_noise_sigma(1.6, 0.5)
-        symbol_decoder = TurboDecoder(encoder, max_iterations=8, bit_level_exchange=False)
-        bit_decoder = TurboDecoder(encoder, max_iterations=8, bit_level_exchange=True)
-        symbol_acc, bit_acc = ErrorRateAccumulator(), ErrorRateAccumulator()
-        for _ in range(frames):
-            info = rng.integers(0, 2, encoder.k)
-            channel = AWGNChannel(sigma, rng)
-            llrs = modulator.demodulate_llr(
-                channel.transmit(modulator.modulate(encoder.encode(info).to_bit_array())),
-                channel.llr_noise_variance(False),
-            )
-            inputs = symbol_decoder.split_llrs(llrs)
-            symbol_acc.update(info, symbol_decoder.decode(*inputs).hard_bits)
-            bit_acc.update(info, bit_decoder.decode(*inputs).hard_bits)
-        return symbol_acc.report(), bit_acc.report()
-
-    symbol_report, bit_report = benchmark.pedantic(measure, rounds=1, iterations=1)
-    bench_print(
-        "Turbo extrinsic exchange, WiMAX CTC N=96 couples at 1.6 dB:\n"
+    rng = np.random.default_rng(11)
+    modulator = BPSKModulator()
+    sigma = ebn0_to_noise_sigma(1.6, 0.5)
+    symbol_decoder = TurboDecoder(encoder, max_iterations=8, bit_level_exchange=False)
+    bit_decoder = TurboDecoder(encoder, max_iterations=8, bit_level_exchange=True)
+    symbol_acc, bit_acc = ErrorRateAccumulator(), ErrorRateAccumulator()
+    for _ in range(frames):
+        info = rng.integers(0, 2, encoder.k)
+        channel = AWGNChannel(sigma, rng)
+        llrs = modulator.demodulate_llr(
+            channel.transmit(modulator.modulate(encoder.encode(info).to_bit_array())),
+            channel.llr_noise_variance(False),
+        )
+        inputs = symbol_decoder.split_llrs(llrs)
+        symbol_acc.update(info, symbol_decoder.decode(*inputs).hard_bits)
+        bit_acc.update(info, bit_decoder.decode(*inputs).hard_bits)
+    symbol_report, bit_report = symbol_acc.report(), bit_acc.report()
+    print(
+        "\nTurbo extrinsic exchange, WiMAX CTC N=96 couples at 1.6 dB:\n"
         f"  symbol-level (3 values/message) : {symbol_report}\n"
         f"  bit-level    (2 values/message) : {bit_report}\n"
         "  paper claim: ~1/3 NoC payload reduction for ~0.2 dB loss"
     )
-    bench_json(
+    record(
         "functional_claims",
         "bit_level_extrinsic_exchange",
         {"n_couples": encoder.n_couples, "ebn0_db": 1.6, "frames": frames,
@@ -158,19 +145,20 @@ def test_bit_level_extrinsic_exchange_loss(benchmark, bench_print, bench_json):
     assert bit_report.bit_errors <= symbol_report.bit_errors + encoder.k * frames // 20
 
 
-@pytest.mark.benchmark(group="functional")
-def test_ldpc_decoding_throughput_software(benchmark, bench_json):
+def test_ldpc_decoding_throughput_software():
     """Software decoding speed of the layered core (context for the repro band note)."""
     code = wimax_ldpc_code(2304, "1/2")
     decoder = LayeredMinSumDecoder(code.h, max_iterations=10)
     rng = np.random.default_rng(0)
     codeword, llrs = _ldpc_frame_llrs(code, 3.0, rng)
 
-    result = benchmark(lambda: decoder.decode(llrs))
-    bench_json(
+    samples, results = trials({"decode": lambda: decoder.decode(llrs)}, 5)
+    timing = row(samples)
+    record(
         "functional_claims",
         "ldpc_software_throughput",
         {"n": code.n, "max_iterations": 10,
-         "frames_per_sec_per_frame_path": round(1.0 / benchmark.stats.stats.mean, 2)},
+         "frames_per_sec_per_frame_path": round(1.0 / timing["arms"]["decode"]["median"], 2),
+         "timing": timing},
     )
-    assert (result.hard_bits == codeword).all()
+    assert (results["decode"].hard_bits == codeword).all()

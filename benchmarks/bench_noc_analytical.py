@@ -14,25 +14,25 @@ need them identically); the timed regions isolate what differs.  The
 screened flow is timed twice: the first pass pays the one-time cycle-exact
 contention-fit probes, the second is the steady state (fits are keyed by
 (family, degree, routing, policy) only, so every later exploration — any
-code, any grid — reuses them).  The recorded headline ``speedup`` is the
-amortized one; ``speedup_cold`` records the first-run ratio.  Results land
-in ``BENCH_noc_analytical.json``.
+code, any grid — reuses them).  The row's headline ratio ``vs.screened``
+is the amortized one; ``vs.screened_cold`` is the first-run ratio.  Results
+land in ``BENCH_noc_analytical.json``.
 
-The quick smoke test (always on; CI runs it with ``--benchmark-disable``)
-exercises screened exploration on a reduced grid with the persistent sweep
-cache, twice, asserting the second pass is served entirely from cache.
+The quick smoke test (always on, and run by CI) exercises screened
+exploration on a reduced grid with the persistent sweep cache, twice,
+asserting the second pass is served entirely from cache.
 """
 
 from __future__ import annotations
-
-import time
 
 import pytest
 
 from repro import DecoderSpec, DesignSpaceExplorer, wimax_ldpc_code
 from repro.noc import NocSweepCache
 
-#: Same topology groups as the Table-I benchmark.
+from benchmarks.harness import record, row, trials
+
+#: Same topology groups as the Table-I bench.
 TOPOLOGIES = [
     ("generalized-de-bruijn", 2),
     ("generalized-kautz", 2),
@@ -56,8 +56,7 @@ SMOKE_PARALLELISMS = [8, 16]
 
 
 @pytest.mark.slow
-@pytest.mark.benchmark(group="noc-analytical")
-def test_analytical_screening_speedup(benchmark, bench_print, bench_json):
+def test_analytical_screening_speedup():
     """Screened exploration is >= 10x faster than exhaustive on a 4x grid."""
     code = wimax_ldpc_code(2304, "1/2")
     explorer = DesignSpaceExplorer(DecoderSpec(mapping_attempts=2), seed=0)
@@ -80,26 +79,26 @@ def test_analytical_screening_speedup(benchmark, bench_print, bench_json):
             except Exception:
                 continue  # infeasible cell; explore() skips it too
 
-    t0 = time.perf_counter()
-    exhaustive = explorer.explore(code, TOPOLOGIES, BIG_PARALLELISMS, screen=None)
-    exhaustive_seconds = time.perf_counter() - t0
-
-    # First screened pass pays the one-time contention fits (cycle-exact
-    # probes per (family, routing, policy) key) inside the timed region.
-    t0 = time.perf_counter()
-    screened = screened_run()
-    screened_cold_seconds = time.perf_counter() - t0
-
-    # Second pass is the steady state: the fits are keyed by (family,
-    # degree, routing, policy) only — independent of the code, the traffic
-    # and the grid — so every later exploration reuses them.
-    t0 = time.perf_counter()
-    screened_warm = benchmark.pedantic(screened_run, rounds=1, iterations=1)
-    screened_seconds = time.perf_counter() - t0
-
-    assert screened_warm.winners.keys() == screened.winners.keys()
-    speedup = exhaustive_seconds / screened_seconds
-    speedup_cold = exhaustive_seconds / screened_cold_seconds
+    # One trial runs the arms in the order given.  The first screened pass
+    # pays the one-time contention fits (cycle-exact probes per (family,
+    # routing, policy) key); the second is the steady state: the fits are
+    # keyed by (family, degree, routing, policy) only — independent of the
+    # code, the traffic and the grid — so every later exploration reuses them.
+    samples, results = trials(
+        {
+            "exhaustive": lambda: explorer.explore(
+                code, TOPOLOGIES, BIG_PARALLELISMS, screen=None
+            ),
+            "screened_cold": screened_run,
+            "screened": screened_run,
+        },
+        1,
+    )
+    exhaustive, screened = results["exhaustive"], results["screened_cold"]
+    assert results["screened"].winners.keys() == screened.winners.keys()
+    timing = row(samples, "exhaustive")
+    speedup = timing["vs"]["screened"]["ratio"]
+    speedup_cold = timing["vs"]["screened_cold"]["ratio"]
     winners_match = {
         objective: (
             exhaustive.winners[objective].topology_family,
@@ -116,19 +115,19 @@ def test_analytical_screening_speedup(benchmark, bench_print, bench_json):
         for objective in exhaustive.winners
     }
 
-    bench_print(
-        "Analytical screening on the 4x Table-I grid:\n"
+    print(
+        "\nAnalytical screening on the 4x Table-I grid:\n"
         f"  candidates           {screened.n_candidates}"
         f" (>= 4x default grid of {TABLE1_DEFAULT_POINTS})\n"
         f"  simulated (screened) {screened.n_simulated}"
         f"  skipped {screened.n_skipped}\n"
-        f"  exhaustive           {exhaustive_seconds:.2f} s\n"
-        f"  screened, first run  {screened_cold_seconds:.2f} s"
+        f"  exhaustive           {samples['exhaustive'][0]:.2f} s\n"
+        f"  screened, first run  {samples['screened_cold'][0]:.2f} s"
         f" ({speedup_cold:.1f}x, pays the one-time contention fits)\n"
-        f"  screened, amortized  {screened_seconds:.2f} s ({speedup:.1f}x)\n"
+        f"  screened, amortized  {samples['screened'][0]:.2f} s ({speedup:.1f}x)\n"
         f"  winners match        {winners_match}"
     )
-    bench_json(
+    record(
         "noc_analytical",
         "screening_speedup",
         {
@@ -140,11 +139,7 @@ def test_analytical_screening_speedup(benchmark, bench_print, bench_json):
             },
             "n_simulated": screened.n_simulated,
             "n_skipped": screened.n_skipped,
-            "exhaustive_seconds": round(exhaustive_seconds, 3),
-            "screened_seconds": round(screened_seconds, 3),
-            "screened_cold_seconds": round(screened_cold_seconds, 3),
-            "speedup": round(speedup, 2),
-            "speedup_cold": round(speedup_cold, 2),
+            "timing": timing,
             "winners_match": winners_match,
         },
     )
@@ -161,8 +156,7 @@ def test_analytical_screening_speedup(benchmark, bench_print, bench_json):
     )
 
 
-@pytest.mark.benchmark(group="noc-analytical")
-def test_analytical_screening_smoke(benchmark, tmp_path, bench_print, bench_json):
+def test_analytical_screening_smoke(tmp_path):
     """Reduced-grid screened exploration, run twice through the sweep cache."""
     code = wimax_ldpc_code(576, "1/2")
     explorer = DesignSpaceExplorer(DecoderSpec(mapping_attempts=1), seed=0)
@@ -174,7 +168,7 @@ def test_analytical_screening_smoke(benchmark, tmp_path, bench_print, bench_json
             screen="analytical", confirm_top=6, cache=cache,
         )
 
-    cold = benchmark.pedantic(screened_run, rounds=1, iterations=1)
+    cold = screened_run()
     cold_misses = cache.misses
     warm = screened_run()
 
@@ -188,12 +182,12 @@ def test_analytical_screening_smoke(benchmark, tmp_path, bench_print, bench_json
             again.topology_family, again.parallelism, again.ncycles,
         )
 
-    bench_print(
-        "Screening smoke (reduced grid, persistent cache):\n"
+    print(
+        "\nScreening smoke (reduced grid, persistent cache):\n"
         f"  {cold.describe()}\n"
         f"  cache: {cache.hits} hits / {cache.misses} misses over two passes"
     )
-    bench_json(
+    record(
         "noc_analytical",
         "screening_smoke",
         {

@@ -31,9 +31,6 @@ workers used.
 from __future__ import annotations
 
 import os
-import time
-
-import pytest
 
 from repro.noc import (
     BatchedNocKernel,
@@ -50,7 +47,7 @@ from repro.noc import (
 )
 from repro.noc.traffic import random_traffic_streams
 
-from benchmarks.conftest import full_benchmarks_enabled
+from benchmarks.harness import full_benchmarks_enabled, record, row, trials
 
 #: (parallelism, degree, messages per PE) — message counts sized like the
 #: n=2304 rate-1/2 WiMAX LDPC code partitioned over P PEs (~2304/P each).
@@ -114,17 +111,6 @@ def _run_pr3_engine(jobs: list[NocSweepJob]):
     return results
 
 
-def _best_time(fn, repeats: int = TIMING_REPEATS):
-    """(best wall time, last result) over a few repeats — robust to CI noise."""
-    best = float("inf")
-    result = None
-    for _ in range(repeats):
-        start = time.perf_counter()
-        result = fn()
-        best = min(best, time.perf_counter() - start)
-    return best, result
-
-
 def _signature(result):
     return (
         result.ncycles,
@@ -144,53 +130,51 @@ def _assert_identical(jobs, pr3_results, outcomes):
         assert _signature(by_job[id(job)]) == _signature(ref)
 
 
-@pytest.mark.benchmark(group="noc-batch-sweep")
-def test_batched_sweep_throughput(benchmark, bench_print, bench_json):
+def _scalar_vs_batched(jobs: list[NocSweepJob]) -> tuple[dict, float]:
+    """Interleaved serial-engine / scheduler trials, checked cycle-exact.
+
+    Returns the timed row and the gated statistic: the serial engine's best
+    time over the scheduler's.
+    """
+    samples, results = trials(
+        {"scalar": lambda: _run_pr3_engine(jobs), "batched": lambda: run_noc_sweep(jobs)},
+        TIMING_REPEATS,
+    )
+    _assert_identical(jobs, results["scalar"], results["batched"])
+    timing = row(samples, "scalar")
+    return timing, timing["arms"]["scalar"]["best"] / timing["arms"]["batched"]["best"]
+
+
+def test_batched_sweep_throughput():
     """Scheduler vs PR 3 engine over the Table-I grid at several batch sizes."""
     per_batch: dict[str, dict] = {}
     lines = ["Job-batched NoC sweep vs PR 3 scalar engine (kautz D=3, best of "
              f"{TIMING_REPEATS}):"]
-
-    def run_sizes():
-        largest = _batch_sizes()[-1]
-        for batch in _batch_sizes():
-            jobs = _build_jobs(batch)
-            pr3_s, pr3_results = _best_time(lambda: _run_pr3_engine(jobs))
-            sched_s, outcomes = _best_time(lambda: run_noc_sweep(jobs))
-            _assert_identical(jobs, pr3_results, outcomes)
-            entry = {
-                "jobs": len(jobs),
-                "pr3_points_per_sec": round(len(jobs) / pr3_s, 2),
-                "batched_points_per_sec": round(len(jobs) / sched_s, 2),
-                "overall_speedup": round(pr3_s / sched_s, 3),
-            }
-            if batch == largest:
-                # Per-policy split only at the largest batch (the headline):
-                # DCM cells run the pure vector path, SCM cells also fund the
-                # scalar deflection-draw replay.
-                for policy in CollisionPolicy:
-                    sub = [j for j in jobs if j.config.collision_policy is policy]
-                    pr3_p, _ = _best_time(lambda: _run_pr3_engine(sub))
-                    sched_p, _ = _best_time(lambda: run_noc_sweep(sub))
-                    entry[f"{policy.value.lower()}_speedup"] = round(pr3_p / sched_p, 3)
-            per_batch[str(batch)] = entry
-            split = ", ".join(
-                f"{p.value} {entry[f'{p.value.lower()}_speedup']:.2f}x"
-                for p in CollisionPolicy
-                if f"{p.value.lower()}_speedup" in entry
-            )
-            lines.append(
-                f"  J={batch:4d}: {entry['pr3_points_per_sec']:8.1f} -> "
-                f"{entry['batched_points_per_sec']:8.1f} pts/s "
-                f"(overall {entry['overall_speedup']:.2f}x{', ' + split if split else ''})"
-            )
-        return per_batch
-
-    benchmark.pedantic(run_sizes, rounds=1, iterations=1)
-    bench_print("\n".join(lines))
+    for batch in _batch_sizes():
+        jobs = _build_jobs(batch)
+        timing, speedup = _scalar_vs_batched(jobs)
+        entry = {"jobs": len(jobs), "overall_speedup": round(speedup, 3), "timing": timing}
+        split = ""
+        if batch == _batch_sizes()[-1]:
+            # Per-policy split only at the largest batch (the headline):
+            # DCM cells run the pure vector path, SCM cells also fund the
+            # scalar deflection-draw replay.
+            for policy in CollisionPolicy:
+                name = policy.value.lower()
+                sub = [j for j in jobs if j.config.collision_policy is policy]
+                entry[f"{name}_timing"], speedup = _scalar_vs_batched(sub)
+                entry[f"{name}_speedup"] = round(speedup, 3)
+                split += f", {policy.value} {speedup:.2f}x"
+        per_batch[str(batch)] = entry
+        best = {arm: len(jobs) / t["best"] for arm, t in timing["arms"].items()}
+        lines.append(
+            f"  J={batch:4d}: {best['scalar']:8.1f} -> {best['batched']:8.1f} pts/s "
+            f"(overall {entry['overall_speedup']:.2f}x{split})"
+        )
+    print("", *lines, sep="\n")
 
     largest = per_batch[str(_batch_sizes()[-1])]
-    bench_json(
+    record(
         "noc_batch_sweep",
         "sweep_points_per_sec",
         {
@@ -204,7 +188,6 @@ def test_batched_sweep_throughput(benchmark, bench_print, bench_json):
                 e.get("dcm_speedup", 0.0) for e in per_batch.values()
             ),
             "best_overall_speedup": max(e["overall_speedup"] for e in per_batch.values()),
-            "timing_repeats": TIMING_REPEATS,
         },
     )
 
@@ -243,129 +226,120 @@ def test_batched_sweep_throughput(benchmark, bench_print, bench_json):
         )
 
 
-@pytest.mark.benchmark(group="noc-batch-sweep")
-def test_crossover_grid(benchmark, bench_print, bench_json):
+def test_crossover_grid():
     """Scalar/batched time ratio per (policy, routing, messages) cell and J.
 
     Each cell times the scalar engine (one reused engine, jobs in turn)
-    against one batched-kernel run over the same J jobs, interleaved and
-    best of :data:`TIMING_REPEATS`.  A ratio above 1 means batching wins.
-    ``measured_crossover`` is, per policy, the smallest J at which every
-    routing algorithm and message count wins, and keeps winning at every
-    larger J of the grid — the rule the scheduler's constants were sized
-    by (``None`` when no J qualifies).  Recorded only; nothing is gated.
+    against one batched-kernel run over the same J jobs, as
+    :data:`TIMING_REPEATS` interleaved trials, and records their comparison
+    plus ``ratio_best``, the ratio of the best times.  A ratio above 1 means
+    batching wins.  ``measured_crossover`` is, per policy, the smallest J at
+    which every routing algorithm and message count wins on ``ratio_best``,
+    and keeps winning at every larger J of the grid — the rule the
+    scheduler's constants were sized by (``None`` when no J qualifies).
+    Recorded only; nothing is gated.
     """
     parallelism, degree = 16, 3
     topology = build_topology("generalized-kautz", parallelism, degree)
     tables = build_routing_tables(topology)
     largest = max(CROSSOVER_SIZES)
     seeds = list(range(largest))
-    ratios: dict[str, dict[str, float]] = {}
-
-    def measure():
-        for messages in CROSSOVER_MESSAGES:
-            streams = random_traffic_streams(
-                parallelism, messages, seed=17, count=largest
-            )
-            for policy in CollisionPolicy:
-                for algorithm in RoutingAlgorithm:
-                    config = NocConfiguration(
-                        collision_policy=policy
-                    ).with_routing(algorithm)
-                    engine = BatchNocSimulator(topology, config, routing_tables=tables)
-                    kernel = BatchedNocKernel(topology, config, routing_tables=tables)
-                    engine.run(streams[0], seed=0)  # warm both paths
-                    kernel.run(streams[:2], seeds[:2])
-                    row = {}
-                    for size in CROSSOVER_SIZES:
-                        scalar_s = batched_s = float("inf")
-                        for _ in range(TIMING_REPEATS):
-                            start = time.perf_counter()
-                            for traffic, seed in zip(streams[:size], seeds[:size]):
-                                engine.run(traffic, seed=seed)
-                            scalar_s = min(scalar_s, time.perf_counter() - start)
-                            start = time.perf_counter()
-                            kernel.run(streams[:size], seeds[:size])
-                            batched_s = min(batched_s, time.perf_counter() - start)
-                        row[str(size)] = round(scalar_s / batched_s, 3)
-                    ratios[f"{policy.value}/{algorithm.value}/{messages}"] = row
-
-    benchmark.pedantic(measure, rounds=1, iterations=1)
+    cells: dict[str, dict[str, dict]] = {}
+    for messages in CROSSOVER_MESSAGES:
+        streams = random_traffic_streams(parallelism, messages, seed=17, count=largest)
+        for policy in CollisionPolicy:
+            for algorithm in RoutingAlgorithm:
+                config = NocConfiguration(collision_policy=policy).with_routing(algorithm)
+                engine = BatchNocSimulator(topology, config, routing_tables=tables)
+                kernel = BatchedNocKernel(topology, config, routing_tables=tables)
+                engine.run(streams[0], seed=0)  # warm both paths
+                kernel.run(streams[:2], seeds[:2])
+                cell = cells[f"{policy.value}/{algorithm.value}/{messages}"] = {}
+                for size in CROSSOVER_SIZES:
+                    jobs = list(zip(streams[:size], seeds[:size]))
+                    samples, _ = trials(
+                        {
+                            "scalar": lambda: [engine.run(t, seed=s) for t, s in jobs],
+                            "batched": lambda: kernel.run(streams[:size], seeds[:size]),
+                        },
+                        TIMING_REPEATS,
+                    )
+                    timing = row(samples, "scalar")
+                    best = timing["arms"]["scalar"]["best"] / timing["arms"]["batched"]["best"]
+                    cell[str(size)] = {**timing["vs"]["batched"], "ratio_best": round(best, 3)}
     measured = {}
     for policy in CollisionPolicy:
-        cells = [row for key, row in ratios.items() if key.startswith(policy.value + "/")]
+        rows = [cell for key, cell in cells.items() if key.startswith(policy.value + "/")]
         measured[policy.value] = None
         for size in reversed(CROSSOVER_SIZES):
-            if not all(row[str(size)] > 1.0 for row in cells):
+            if not all(cell[str(size)]["ratio_best"] > 1.0 for cell in rows):
                 break
             measured[policy.value] = size
     lines = ["Crossover grid, scalar/batched time ratio (kautz D=3, P=16):"]
     lines.append("  " + " " * 22 + "".join(f"J={size:<6d}" for size in CROSSOVER_SIZES))
-    for key, row in ratios.items():
-        lines.append(f"  {key:22s}" + "".join(f"{row[str(s)]:<8.2f}" for s in CROSSOVER_SIZES))
+    for key, cell in cells.items():
+        lines.append(
+            f"  {key:22s}"
+            + "".join(f"{cell[str(s)]['ratio_best']:<8.2f}" for s in CROSSOVER_SIZES)
+        )
     lines.append(f"  smallest J where every cell wins: {measured}")
-    bench_print("\n".join(lines))
-    bench_json(
+    print("", *lines, sep="\n")
+    record(
         "noc_batch_sweep",
         "crossover",
         {
             "graph": ["generalized-kautz", parallelism, degree],
             "sizes": CROSSOVER_SIZES,
             "messages_per_pe": CROSSOVER_MESSAGES,
-            "timing": f"interleaved, best of {TIMING_REPEATS}",
-            "scalar_over_batched": ratios,
+            "trials": TIMING_REPEATS,
+            "scalar_over_batched": cells,
             "measured_crossover": measured,
         },
     )
 
 
-@pytest.mark.benchmark(group="noc-batch-sweep")
-def test_parallel_process_mode(benchmark, bench_print, bench_json):
+def test_parallel_process_mode():
     """parallel="process" must be bit-identical; its speedup scales with
     workers — and at one worker the scheduler dispatches serially with no
     executor at all, so the row records ~1.0x instead of PR 4's 0.84x pool
     penalty."""
     batch = _batch_sizes()[-1] // 2 or 4
     jobs = _build_jobs(batch)
-    serial_s, serial_outcomes = _best_time(lambda: run_noc_sweep(jobs), repeats=1)
     workers = os.cpu_count() or 1
-
-    def run_parallel():
-        return run_noc_sweep(jobs, parallel="process", max_workers=workers)
-
-    parallel_s, parallel_outcomes = benchmark.pedantic(
-        lambda: _best_time(run_parallel, repeats=1), rounds=1, iterations=1
+    samples, results = trials(
+        {
+            "serial": lambda: run_noc_sweep(jobs),
+            "parallel": lambda: run_noc_sweep(jobs, parallel="process", max_workers=workers),
+        },
+        1,
     )
-    by_job = {id(o.job): o.result for o in serial_outcomes}
-    for outcome in parallel_outcomes:
+    by_job = {id(o.job): o.result for o in results["serial"]}
+    for outcome in results["parallel"]:
         assert _signature(outcome.result) == _signature(by_job[id(outcome.job)])
 
-    bench_print(
-        f"process-parallel sweep ({workers} worker(s), J={batch}): "
-        f"{len(jobs) / serial_s:.1f} -> {len(jobs) / parallel_s:.1f} pts/s "
-        f"({serial_s / parallel_s:.2f}x vs serial scheduler)"
+    timing = row(samples, "serial")
+    speedup = timing["vs"]["parallel"]["ratio"]
+    print(
+        f"\nprocess-parallel sweep ({workers} worker(s), J={batch}): "
+        f"{speedup:.2f}x vs serial scheduler"
     )
-    bench_json(
+    record(
         "noc_batch_sweep",
         "parallel_process",
         {
             "workers": workers,
             "batch": batch,
             "jobs": len(jobs),
-            "serial_points_per_sec": round(len(jobs) / serial_s, 2),
-            "parallel_points_per_sec": round(len(jobs) / parallel_s, 2),
-            "speedup_vs_serial_scheduler": round(serial_s / parallel_s, 3),
+            "speedup_vs_serial_scheduler": round(speedup, 3),
+            "timing": timing,
         },
     )
     if not os.environ.get("CI") and workers == 1:
         # Degenerate-case guard: one worker must cost (almost) nothing.
-        assert serial_s / parallel_s >= 0.9, (
-            f"workers=1 process dispatch regressed: {serial_s / parallel_s:.2f}x"
-        )
+        assert speedup >= 0.9, f"workers=1 process dispatch regressed: {speedup:.2f}x"
 
 
-@pytest.mark.benchmark(group="noc-batch-sweep")
-def test_scm_batched_smoke(benchmark, bench_print, bench_json):
+def test_scm_batched_smoke():
     """CI smoke: run SCM-policy groups through the batched kernel directly.
 
     Groups this small run scalar under the scheduler's crossover, so the
@@ -396,32 +370,27 @@ def test_scm_batched_smoke(benchmark, bench_print, bench_json):
         )
     pr3_results = _run_pr3_engine(policy_jobs)
 
-    def run_kernel():
-        outcomes = []
-        for lo in range(0, len(policy_jobs), batch):
-            group = policy_jobs[lo : lo + batch]
-            kernel = BatchedNocKernel(topology, group[0].config, routing_tables=tables)
-            results = kernel.run([j.traffic for j in group], [j.seed for j in group])
-            outcomes.extend(NocSweepOutcome(job=j, result=r) for j, r in zip(group, results))
-        return outcomes
-
-    outcomes = benchmark.pedantic(run_kernel, rounds=1, iterations=1)
+    outcomes = []
+    for lo in range(0, len(policy_jobs), batch):
+        group = policy_jobs[lo : lo + batch]
+        kernel = BatchedNocKernel(topology, group[0].config, routing_tables=tables)
+        results = kernel.run([j.traffic for j in group], [j.seed for j in group])
+        outcomes.extend(NocSweepOutcome(job=j, result=r) for j, r in zip(group, results))
     _assert_identical(policy_jobs, pr3_results, outcomes)
     misrouted = sum(o.result.statistics.misrouted for o in outcomes)
     assert misrouted > 0, "SCM smoke drew no deflections — not exercising the replay"
-    bench_print(
-        f"SCM batched smoke: {len(policy_jobs)} jobs cycle-exact, "
+    print(
+        f"\nSCM batched smoke: {len(policy_jobs)} jobs cycle-exact, "
         f"{misrouted} deflections replayed"
     )
-    bench_json(
+    record(
         "noc_batch_sweep",
         "scm_smoke",
         {"jobs": len(policy_jobs), "misrouted": misrouted},
     )
 
 
-@pytest.mark.benchmark(group="noc-batch-sweep")
-def test_batched_vs_object_reference(benchmark, bench_print, bench_json):
+def test_batched_vs_object_reference():
     """Context row: the batched path vs the pre-engine object simulator."""
     parallelism, degree, messages = SWEEP_SCALES[0]
     batch = 16
@@ -449,20 +418,21 @@ def test_batched_vs_object_reference(benchmark, bench_print, bench_json):
             for job in jobs
         ]
 
-    reference_s, reference_results = _best_time(run_reference, repeats=1)
-    batched_s, outcomes = benchmark.pedantic(
-        lambda: _best_time(lambda: run_noc_sweep(jobs)), rounds=1, iterations=1
+    samples, results = trials(
+        {"reference": run_reference, "batched": lambda: run_noc_sweep(jobs)},
+        {"reference": 1, "batched": TIMING_REPEATS},
     )
-    _assert_identical(jobs, reference_results, outcomes)
-    speedup = reference_s / batched_s
-    bench_print(
-        f"batched sweep vs object reference simulator (J={batch}, SSP-FL SCM): "
+    _assert_identical(jobs, results["reference"], results["batched"])
+    timing = row(samples, "reference")
+    speedup = timing["arms"]["reference"]["best"] / timing["arms"]["batched"]["best"]
+    print(
+        f"\nbatched sweep vs object reference simulator (J={batch}, SSP-FL SCM): "
         f"{speedup:.1f}x"
     )
-    bench_json(
+    record(
         "noc_batch_sweep",
         "vs_object_reference",
-        {"batch": batch, "speedup": round(speedup, 2)},
+        {"batch": batch, "speedup": round(speedup, 2), "timing": timing},
     )
     if not os.environ.get("CI"):
         assert speedup >= 3.0, f"vs-reference speedup regressed to {speedup:.2f}x"

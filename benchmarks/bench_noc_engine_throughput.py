@@ -20,9 +20,6 @@ Headline numbers land in ``benchmarks/BENCH_noc_engine_throughput.json``.
 from __future__ import annotations
 
 import os
-import time
-
-import pytest
 
 from repro.noc import (
     CollisionPolicy,
@@ -36,7 +33,7 @@ from repro.noc import (
     run_noc_sweep,
 )
 
-from benchmarks.conftest import full_benchmarks_enabled
+from benchmarks.harness import full_benchmarks_enabled, record, row, trials
 
 #: (parallelism, messages per PE) — message counts sized like the n=2304
 #: rate-1/2 WiMAX LDPC code partitioned over P PEs (~2304/P messages each).
@@ -78,26 +75,15 @@ def _run_baseline(jobs: list[NocSweepJob]):
     return results
 
 
-def _best_time(fn, repeats: int = TIMING_REPEATS):
-    """(best wall time, last result) over a few repeats — robust to CI noise."""
-    best = float("inf")
-    result = None
-    for _ in range(repeats):
-        start = time.perf_counter()
-        result = fn()
-        best = min(best, time.perf_counter() - start)
-    return best, result
-
-
-@pytest.mark.benchmark(group="noc-engine")
-def test_engine_sweep_throughput(benchmark, bench_print, bench_json):
+def test_engine_sweep_throughput():
     """The engine sweep must clear >= 5x sweep-points/sec over the object simulator."""
     jobs = _build_jobs()
 
-    baseline_s, baseline_results = _best_time(lambda: _run_baseline(jobs))
-    engine_s, engine_outcomes = benchmark.pedantic(
-        lambda: _best_time(lambda: run_noc_sweep(jobs)), rounds=1, iterations=1
+    samples, results = trials(
+        {"object_simulator": lambda: _run_baseline(jobs), "engine": lambda: run_noc_sweep(jobs)},
+        TIMING_REPEATS,
     )
+    baseline_results, engine_outcomes = results["object_simulator"], results["engine"]
 
     # The two paths must agree cycle-exactly before their times mean anything;
     # outcomes carry their jobs, so pair through the job rather than position.
@@ -111,18 +97,19 @@ def test_engine_sweep_throughput(benchmark, bench_print, bench_json):
         )
 
     n_points = len(jobs)
-    baseline_pps = n_points / baseline_s
-    engine_pps = n_points / engine_s
-    speedup = baseline_pps and engine_pps / baseline_pps
+    timing = row(samples, "object_simulator")
+    baseline_s = timing["arms"]["object_simulator"]["best"]
+    engine_s = timing["arms"]["engine"]["best"]
+    speedup = baseline_s / engine_s
 
-    bench_print(
-        "NoC sweep throughput (generalized-kautz D=3, "
+    print(
+        "\nNoC sweep throughput (generalized-kautz D=3, "
         f"{n_points} points, best of {TIMING_REPEATS}):\n"
-        f"  object simulator : {baseline_pps:8.1f} points/s ({baseline_s:.3f} s)\n"
-        f"  SoA cycle engine : {engine_pps:8.1f} points/s ({engine_s:.3f} s)\n"
+        f"  object simulator : {n_points / baseline_s:8.1f} points/s ({baseline_s:.3f} s)\n"
+        f"  SoA cycle engine : {n_points / engine_s:8.1f} points/s ({engine_s:.3f} s)\n"
         f"  speedup          : {speedup:.2f}x"
     )
-    bench_json(
+    record(
         "noc_engine_throughput",
         "sweep_points_per_sec",
         {
@@ -131,10 +118,8 @@ def test_engine_sweep_throughput(benchmark, bench_print, bench_json):
                 p
                 for p, _ in (SWEEP_SCALES if full_benchmarks_enabled() else SWEEP_SCALES[:3])
             ],
-            "object_simulator_points_per_sec": round(baseline_pps, 2),
-            "engine_points_per_sec": round(engine_pps, 2),
             "speedup": round(speedup, 2),
-            "timing_repeats": TIMING_REPEATS,
+            "timing": timing,
         },
     )
 
@@ -145,14 +130,13 @@ def test_engine_sweep_throughput(benchmark, bench_print, bench_json):
     assert speedup >= floor, f"engine sweep speedup regressed to {speedup:.2f}x"
 
 
-@pytest.mark.benchmark(group="noc-engine")
-def test_single_point_engine_cost(benchmark):
-    """Cost of one engine run at the P=22 WiMAX design point (for tracking)."""
+def test_single_point_engine_cost():
+    """One engine run at the P=22 WiMAX design point delivers every message."""
     topology = build_topology("generalized-kautz", 22, 3)
     tables = build_routing_tables(topology)
     traffic = random_traffic(22, 105, seed=1)
     from repro.noc import BatchNocSimulator
 
     engine = BatchNocSimulator(topology, NocConfiguration(), routing_tables=tables)
-    result = benchmark(lambda: engine.run(traffic))
+    result = engine.run(traffic)
     assert result.all_delivered

@@ -8,8 +8,8 @@ Three questions, each one scenario:
   throughput with the resilience layer active but no faults injected,
   against the recorded ``BENCH_decode_service.json`` workload shape.
   Acceptance: the resilient path keeps >= 90% of its own clean-baseline
-  throughput measured back-to-back in this run (same machine, same
-  minute — CI-noise-proof by construction).
+  throughput measured in interleaved trials in this run (same machine,
+  same minute — CI-noise-proof by construction).
 * ``crash_recovery`` — a worker-process death mid-burst: time from the
   crash-faulted dispatch to the first successfully decoded batch on the
   rebuilt pool, plus the whole burst's wall clock vs the no-fault run.
@@ -17,28 +17,27 @@ Three questions, each one scenario:
   (every batch on the degraded fallback path) vs the primary path, i.e.
   the price of staying available instead of failing.
 
+Every burst runs through ``bench_decode_service.run_burst`` (a fresh
+service, only the submit phase timed) as interleaved trials of
+:mod:`benchmarks.harness`.
+
 Run with ``PYTHONPATH=src python -m pytest benchmarks/bench_resilience.py -q -s``.
 """
 
 from __future__ import annotations
 
-import asyncio
-import time
-
 import numpy as np
 import pytest
 
 from repro.faults import FaultPlan
-from repro.service import DecodeService, ResilienceConfig, default_registry
+from repro.service import ResilienceConfig, default_registry
 from repro.service.demo import generate_llr_frames
 
-CODEC = ("ldpc", 576, "1/2")
-MAX_BATCH = 64
-BUDGET_S = 0.005
-BURST_FRAMES = 192
-EBN0_DB = 2.0
+from benchmarks.bench_decode_service import BURST_FRAMES, CODEC, EBN0_DB, MAX_BATCH, run_burst
+from benchmarks.harness import per_item, record, row, trials
+
 #: Steady-state acceptance: resilient dispatch keeps at least this fraction
-#: of clean throughput (measured back-to-back in-process).
+#: of clean throughput (measured in interleaved trials in-process).
 MIN_NO_FAULT_RATIO = 0.90
 FAST = dict(backoff_base_s=1e-3, backoff_cap_s=5e-3)
 
@@ -56,132 +55,82 @@ def frames(registry):
     return llrs
 
 
-def _run_burst(frames, *, registry, repeats: int = 3, **service_kwargs):
-    """Best-of-``repeats`` saturating burst; returns (fps, last snapshot)."""
-
-    async def scenario():
-        async with DecodeService(
-            registry=registry,
-            max_batch=MAX_BATCH,
-            max_delay_s=BUDGET_S,
-            queue_capacity=2 * BURST_FRAMES,
-            **service_kwargs,
-        ) as service:
-            warmup = frames[:2]
-            await asyncio.gather(*(service.submit(row, *CODEC) for row in warmup))
-            timed = frames[2:]
-            start = time.perf_counter()
-            responses = await asyncio.gather(
-                *(service.submit(row, *CODEC) for row in timed)
-            )
-            elapsed = time.perf_counter() - start
-            assert len(responses) == len(timed)
-            return len(timed) / elapsed, service.metrics_snapshot()
-
-    best_fps, best_snap = 0.0, None
-    for _ in range(repeats):
-        fps, snap = asyncio.run(scenario())
-        if fps > best_fps:
-            best_fps, best_snap = fps, snap
-    return best_fps, best_snap
-
-
-@pytest.mark.benchmark(group="resilience")
-def test_resilience_no_fault_overhead(
-    registry, frames, benchmark, bench_print, bench_json
-):
+def test_resilience_no_fault_overhead(registry, frames):
     """Steady state: the resilience layer must cost < 10% throughput."""
     # The clean reference is the same service/executor stack as recorded in
     # BENCH_decode_service.json (thread executor, same burst); re-measured
-    # here so the ratio is immune to host drift.  Measurements interleave
-    # (A, B, A, B, ...) because back-to-back blocks see different host
-    # states; best-of-each then cancels the drift.
-    resilient_fps, resilient_snap, reference_fps = 0.0, None, 0.0
-    for _ in range(4):
-        fps, snap = _run_burst(
-            frames, registry=registry, executor="thread", repeats=1,
-            resilience=ResilienceConfig(),
-        )
-        if fps > resilient_fps:
-            resilient_fps, resilient_snap = fps, snap
-        fps, _ = _run_burst(
-            frames, registry=registry, executor="thread", repeats=1
-        )
-        reference_fps = max(reference_fps, fps)
-    ratio = resilient_fps / reference_fps
-    bench_json(
+    # here so the ratio is immune to host drift.  The trials interleave
+    # because back-to-back blocks see different host states; best-of-each
+    # then cancels the drift.
+    samples, results = trials(
+        {
+            "resilient": lambda: run_burst(
+                frames, registry=registry, executor="thread",
+                resilience=ResilienceConfig(),
+            ),
+            "reference": lambda: run_burst(frames, registry=registry, executor="thread"),
+        },
+        4,
+    )
+    timing = row(samples, "reference")
+    ratio = timing["arms"]["reference"]["best"] / timing["arms"]["resilient"]["best"]
+    resilient_snap = results["resilient"].snapshot
+    record(
         "resilience",
         "no_fault_overhead",
         {
             "codec": ":".join(str(part) for part in CODEC),
             "max_batch": MAX_BATCH,
             "burst_frames": BURST_FRAMES,
-            "resilient_fps": round(resilient_fps, 1),
-            "reference_fps": round(reference_fps, 1),
             "overhead_ratio": round(ratio, 4),
             "retries": resilient_snap.retries,
             "breaker_state": resilient_snap.breaker_state,
+            "timing": timing,
         },
     )
-    bench_print(
-        f"resilience no-fault overhead (n=576 LDPC, max_batch={MAX_BATCH}):\n"
-        f"  resilient dispatch {resilient_fps:8.1f} frames/s\n"
-        f"  clean reference    {reference_fps:8.1f} frames/s "
-        f"(ratio {ratio:.3f})"
+    print(
+        f"\nresilience no-fault overhead (n=576 LDPC, max_batch={MAX_BATCH}):\n"
+        f"  resilient / clean reference throughput, best of 4: {ratio:.3f}"
     )
-
-    def run_resilient():
-        _run_burst(
-            frames, registry=registry, executor="thread", repeats=1,
-            resilience=ResilienceConfig(),
-        )
-
-    benchmark(run_resilient)
     assert resilient_snap.retries == 0  # no faults => no retries
     assert ratio >= MIN_NO_FAULT_RATIO
 
 
-@pytest.mark.benchmark(group="resilience")
-def test_resilience_crash_recovery_time(
-    registry, frames, benchmark, bench_print, bench_json
-):
+def test_resilience_crash_recovery_time(registry, frames):
     """A pool-worker death mid-burst: measure rebuild + re-dispatch cost."""
-
-    async def crashed_burst():
-        async with DecodeService(
-            registry=registry,
-            max_batch=MAX_BATCH,
-            max_delay_s=BUDGET_S,
-            queue_capacity=2 * BURST_FRAMES,
-            executor="process",
-            shards=2,
-            fault_plan=FaultPlan.from_string("crash@2"),
-            resilience=ResilienceConfig(max_attempts=4, **FAST),
-        ) as service:
-            start = time.perf_counter()
-            responses = await asyncio.gather(
-                *(service.submit(row, *CODEC) for row in frames)
-            )
-            elapsed = time.perf_counter() - start
-            assert len(responses) == len(frames)
-            # Recovery time: the crashed batch's own end-to-end decode span
-            # (dispatch into the doomed pool -> bits from the rebuilt one).
-            crashed = max(
-                (r for r in responses if r.attempts > 1),
-                key=lambda r: r.decode_s,
-                default=None,
-            )
-            return elapsed, crashed, service.metrics_snapshot()
-
-    elapsed, crashed, snap = asyncio.run(crashed_burst())
-    clean_fps, _ = _run_burst(
-        frames, registry=registry, executor="process", shards=2, repeats=2,
-        resilience=ResilienceConfig(max_attempts=4, **FAST),
+    resilience = ResilienceConfig(max_attempts=4, **FAST)
+    samples, results = trials(
+        {
+            # No warm-up: the fault plan counts dispatches from the first.
+            "crashed": lambda: run_burst(
+                frames, registry=registry, warmup=0, executor="process", shards=2,
+                fault_plan=FaultPlan.from_string("crash@2"), resilience=resilience,
+            ),
+            "clean": lambda: run_burst(
+                frames, registry=registry, executor="process", shards=2,
+                resilience=resilience,
+            ),
+        },
+        2,
     )
-    crashed_fps = len(frames) / elapsed
+    crashed_burst = results["crashed"]
+    # Recovery time: the crashed batch's own end-to-end decode span
+    # (dispatch into the doomed pool -> bits from the rebuilt one).
+    crashed = max(
+        (r for r in crashed_burst.responses if r.attempts > 1),
+        key=lambda r: r.decode_s,
+        default=None,
+    )
+    snap = crashed_burst.snapshot
     assert crashed is not None  # the fault did land on a dispatched batch
     assert snap.pool_rebuilds >= 1
-    bench_json(
+    timing = row(
+        per_item(samples, {"crashed": len(frames), "clean": results["clean"].frames}),
+        "clean",
+        "s/frame",
+    )
+    slowdown = timing["vs"]["crashed"]["ratio"]
+    record(
         "resilience",
         "crash_recovery",
         {
@@ -189,75 +138,58 @@ def test_resilience_crash_recovery_time(
             "shards": 2,
             "burst_frames": BURST_FRAMES,
             "recovery_s": round(crashed.decode_s, 4),
-            "crashed_burst_fps": round(crashed_fps, 1),
-            "clean_burst_fps": round(clean_fps, 1),
-            "crash_slowdown_ratio": round(crashed_fps / clean_fps, 4),
+            "crash_slowdown_ratio": round(slowdown, 4),
             "pool_rebuilds": snap.pool_rebuilds,
             "retries": snap.retries,
+            "timing": timing,
         },
     )
-    bench_print(
-        f"resilience crash recovery (2-shard pool, crash on dispatch 2):\n"
+    print(
+        f"\nresilience crash recovery (2-shard pool, crash on dispatch 2):\n"
         f"  recovery (crash -> decoded bits) {1e3 * crashed.decode_s:8.1f} ms\n"
-        f"  burst with crash   {crashed_fps:8.1f} frames/s\n"
-        f"  burst clean        {clean_fps:8.1f} frames/s "
-        f"({crashed_fps / clean_fps:.2f}x)"
+        f"  burst with crash / clean burst throughput, median: {slowdown:.2f}x"
     )
 
-    def run_crashed():
-        asyncio.run(crashed_burst())
 
-    benchmark(run_crashed)
-
-
-@pytest.mark.benchmark(group="resilience")
-def test_resilience_degraded_throughput(
-    registry, frames, benchmark, bench_print, bench_json
-):
+def test_resilience_degraded_throughput(registry, frames):
     """Breaker open: the degraded path's availability has a measurable price."""
     # Crash the first `breaker_failures` dispatches so the breaker opens
     # immediately; with a long reset dwell the whole burst runs degraded.
-    degraded_fps, degraded_snap = _run_burst(
-        frames, registry=registry, executor="thread", repeats=2,
-        fault_plan=FaultPlan.from_string("crash@1,crash@2"),
-        resilience=ResilienceConfig(
-            max_attempts=6, breaker_failures=2, breaker_reset_s=60.0, **FAST
-        ),
+    samples, results = trials(
+        {
+            "degraded": lambda: run_burst(
+                frames, registry=registry, executor="thread",
+                fault_plan=FaultPlan.from_string("crash@1,crash@2"),
+                resilience=ResilienceConfig(
+                    max_attempts=6, breaker_failures=2, breaker_reset_s=60.0, **FAST
+                ),
+            ),
+            "primary": lambda: run_burst(frames, registry=registry, executor="thread"),
+        },
+        {"degraded": 2, "primary": 3},
     )
-    primary_fps, _ = _run_burst(frames, registry=registry, executor="thread")
+    degraded_snap = results["degraded"].snapshot
     assert degraded_snap.degraded_batches >= 1
     assert degraded_snap.breaker_opens >= 1
-    bench_json(
+    timing = row(samples, "primary")
+    ratio = timing["arms"]["primary"]["best"] / timing["arms"]["degraded"]["best"]
+    record(
         "resilience",
         "degraded_throughput",
         {
             "codec": ":".join(str(part) for part in CODEC),
             "max_batch": MAX_BATCH,
             "degraded_path": "inline",
-            "degraded_fps": round(degraded_fps, 1),
-            "primary_fps": round(primary_fps, 1),
-            "degraded_ratio": round(degraded_fps / primary_fps, 4),
+            "degraded_ratio": round(ratio, 4),
             "degraded_batches": degraded_snap.degraded_batches,
             "breaker_opens": degraded_snap.breaker_opens,
+            "timing": timing,
         },
     )
-    bench_print(
-        f"resilience degraded mode (thread primary -> inline fallback):\n"
-        f"  degraded (breaker open) {degraded_fps:8.1f} frames/s\n"
-        f"  primary  (breaker closed) {primary_fps:6.1f} frames/s "
-        f"({degraded_fps / primary_fps:.2f}x)"
+    print(
+        f"\nresilience degraded mode (thread primary -> inline fallback):\n"
+        f"  degraded (breaker open) / primary throughput, best-of: {ratio:.2f}x"
     )
-
-    def run_degraded():
-        _run_burst(
-            frames, registry=registry, executor="thread", repeats=1,
-            fault_plan=FaultPlan.from_string("crash@1,crash@2"),
-            resilience=ResilienceConfig(
-                max_attempts=6, breaker_failures=2, breaker_reset_s=60.0, **FAST
-            ),
-        )
-
-    benchmark(run_degraded)
     # Degraded must stay *available* (every request answered above) and
     # within the same order of magnitude — it is a fallback, not a cliff.
-    assert degraded_fps >= 0.2 * primary_fps
+    assert ratio >= 0.2

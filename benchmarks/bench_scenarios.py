@@ -14,17 +14,17 @@ bench, not a curve); set ``REPRO_BENCH_FULL=1`` for x4 frames.
 
 from __future__ import annotations
 
-import pytest
-
-from repro.channel import BPSKModulator, QAM16Modulator, QPSKModulator
-from repro.ldpc import wifi_ldpc_code, wimax_ldpc_code
-from repro.sim import (
-    BatchLayeredDecoder,
-    BerRunner,
-    QuantizedBatchDecoder,
+from repro.channel import (
+    CHANNEL_LLR_SPEC,
+    BPSKModulator,
+    LLRQuantizer,
+    QAM16Modulator,
+    QPSKModulator,
 )
+from repro.ldpc import wifi_ldpc_code, wimax_ldpc_code
+from repro.sim import BatchLayeredDecoder, BerRunner
 
-from benchmarks.conftest import full_benchmarks_enabled
+from benchmarks.harness import full_benchmarks_enabled, record
 
 #: (modulator factory, label) x (channel name, Eb/N0 grid per channel).
 _MODULATORS = [
@@ -60,36 +60,31 @@ def _point_payload(point) -> dict:
     }
 
 
-@pytest.mark.benchmark(group="scenarios")
-def test_modulation_channel_matrix(benchmark, bench_print, bench_json):
+def test_modulation_channel_matrix():
     """BER with Wilson intervals across the modulation x channel grid."""
     code = wimax_ldpc_code(576, "1/2")
     decoder = BatchLayeredDecoder(code.h, max_iterations=10)
     frames = _frames(64)
 
-    def measure():
-        points = {}
-        for mod_factory, mod_name in _MODULATORS:
-            for channel, ebn0_db in _CHANNELS:
-                runner = BerRunner(
-                    code,
-                    decoder,
-                    mod_factory(),
-                    channel=channel,
-                    batch_size=32,
-                    max_frames=frames,
-                    target_frame_errors=None,
-                    seed=17,
-                )
-                points[f"{mod_name}/{channel}"] = runner.run_point(ebn0_db)
-        return points
-
-    points = benchmark.pedantic(measure, rounds=1, iterations=1)
+    points = {}
+    for mod_factory, mod_name in _MODULATORS:
+        for channel, ebn0_db in _CHANNELS:
+            runner = BerRunner(
+                code,
+                decoder,
+                mod_factory(),
+                channel=channel,
+                batch_size=32,
+                max_frames=frames,
+                target_frame_errors=None,
+                seed=17,
+            )
+            points[f"{mod_name}/{channel}"] = runner.run_point(ebn0_db)
     lines = ["Scenario matrix (WiMAX n=576 r=1/2, layered min-sum, 10 it):"]
     for key, point in points.items():
         lines.append(f"  {key:22s}: {point}")
-        bench_json("scenarios", f"matrix/{key}", _point_payload(point))
-    bench_print("\n".join(lines))
+        record("scenarios", f"matrix/{key}", _point_payload(point))
+    print("", *lines, sep="\n")
     # The chain must at least close at these operating points: AWGN error-free
     # region, fading merely not collapsed to coin-flipping.
     assert points["bpsk/awgn"].ber < 1e-2
@@ -97,75 +92,64 @@ def test_modulation_channel_matrix(benchmark, bench_print, bench_json):
         assert point.ber < 0.5, f"{key} collapsed: {point}"
 
 
-@pytest.mark.benchmark(group="scenarios")
-def test_fixed_point_front_end(benchmark, bench_print, bench_json):
+def test_fixed_point_front_end():
     """Quantised (7/1 channel, 5/0 extrinsic) vs float through the runner."""
     code = wimax_ldpc_code(576, "1/2")
     frames = _frames(128)
     ebn0_db = 2.5
 
-    def measure():
-        float_runner = BerRunner(
-            code,
-            BatchLayeredDecoder(code.h, max_iterations=10),
-            batch_size=64,
-            max_frames=frames,
-            target_frame_errors=None,
-            seed=11,
-        )
-        fixed_runner = BerRunner(
-            code,
-            QuantizedBatchDecoder(
-                BatchLayeredDecoder(code.h, max_iterations=10, fixed_point=True)
-            ),
-            batch_size=64,
-            max_frames=frames,
-            target_frame_errors=None,
-            seed=11,
-        )
-        return float_runner.run_point(ebn0_db), fixed_runner.run_point(ebn0_db)
-
-    float_point, fixed_point = benchmark.pedantic(measure, rounds=1, iterations=1)
-    bench_print(
-        f"Fixed-point channel front-end, n=576 r=1/2 BPSK at {ebn0_db} dB:\n"
+    float_point = BerRunner(
+        code,
+        BatchLayeredDecoder(code.h, max_iterations=10),
+        batch_size=64,
+        max_frames=frames,
+        target_frame_errors=None,
+        seed=11,
+    ).run_point(ebn0_db)
+    fixed_point = BerRunner(
+        code,
+        BatchLayeredDecoder(code.h, max_iterations=10, fixed_point=True),
+        llr_quantizer=LLRQuantizer(CHANNEL_LLR_SPEC),
+        batch_size=64,
+        max_frames=frames,
+        target_frame_errors=None,
+        seed=11,
+    ).run_point(ebn0_db)
+    print(
+        f"\nFixed-point channel front-end, n=576 r=1/2 BPSK at {ebn0_db} dB:\n"
         f"  float : {float_point}\n"
         f"  fixed : {fixed_point}"
     )
-    bench_json("scenarios", "fixed_point/float", _point_payload(float_point))
-    bench_json("scenarios", "fixed_point/quantized", _point_payload(fixed_point))
+    record("scenarios", "fixed_point/float", _point_payload(float_point))
+    record("scenarios", "fixed_point/quantized", _point_payload(fixed_point))
     # Same regime, not collapsed (the 0.5 dB acceptance test lives in
     # tests/test_scenarios.py with a proper sweep).
     assert fixed_point.fer <= float_point.fer + max(4, frames // 16)
 
 
-@pytest.mark.benchmark(group="scenarios")
-def test_wifi_codes_through_runner(benchmark, bench_print, bench_json):
+def test_wifi_codes_through_runner():
     """802.11n n=1944 rates 1/2 and 5/6 through the same batched chain."""
     frames = _frames(32)
     operating_points = {"1/2": 2.5, "5/6": 4.5}
 
-    def measure():
-        points = {}
-        for rate, ebn0_db in operating_points.items():
-            code = wifi_ldpc_code(1944, rate)
-            runner = BerRunner(
-                code,
-                BatchLayeredDecoder(code.h, max_iterations=10),
-                batch_size=16,
-                max_frames=frames,
-                target_frame_errors=None,
-                seed=0,
-            )
-            points[rate] = runner.run_point(ebn0_db)
-        return points
-
-    points = benchmark.pedantic(measure, rounds=1, iterations=1)
+    points = {}
+    for rate, ebn0_db in operating_points.items():
+        code = wifi_ldpc_code(1944, rate)
+        runner = BerRunner(
+            code,
+            BatchLayeredDecoder(code.h, max_iterations=10),
+            batch_size=16,
+            max_frames=frames,
+            target_frame_errors=None,
+            seed=0,
+        )
+        points[rate] = runner.run_point(ebn0_db)
     lines = ["802.11n LDPC n=1944 through BerRunner (layered min-sum, 10 it):"]
     for rate, point in points.items():
         lines.append(f"  rate {rate}: {point}")
-        bench_json(
+        record(
             "scenarios", f"wifi/1944:{rate}", _point_payload(point)
         )
-    bench_print("\n".join(lines))
+    print("", *lines, sep="\n")
     for rate, point in points.items():
         assert point.ber < 1e-2, f"wifi 1944 {rate} collapsed: {point}"

@@ -23,7 +23,7 @@ from repro import DecoderSpec, DesignSpaceExplorer, wimax_ldpc_code
 from repro.analysis import build_table1, check_table1_trends
 from repro.noc import RoutingAlgorithm
 
-from benchmarks.conftest import full_benchmarks_enabled
+from benchmarks.harness import full_benchmarks_enabled, record
 
 TOPOLOGIES = [
     ("generalized-de-bruijn", 2),
@@ -46,18 +46,17 @@ def _run_sweep() -> list:
     return explorer.sweep_ldpc(code, TOPOLOGIES, _parallelisms(), ALGORITHMS)
 
 
-@pytest.mark.benchmark(group="table1")
-def test_table1_noc_design_space(benchmark, bench_print, bench_json):
+def test_table1_noc_design_space():
     """Regenerate Table I and verify the paper's qualitative conclusions."""
-    points = benchmark.pedantic(_run_sweep, rounds=1, iterations=1)
-    bench_print(build_table1(points).render())
+    points = _run_sweep()
+    print("\n" + build_table1(points).render())
 
     checks = check_table1_trends(points)
     lines = ["Trend checks (paper Section III-B/C conclusions):"]
     for check in checks:
         lines.append(f"  [{'PASS' if check.passed else 'FAIL'}] {check.name}: {check.detail}")
-    bench_print("\n".join(lines))
-    bench_json(
+    print("", *lines, sep="\n")
+    record(
         "table1",
         "design_space_sweep",
         {
@@ -77,8 +76,7 @@ def test_table1_noc_design_space(benchmark, bench_print, bench_json):
 
 
 @pytest.mark.slow
-@pytest.mark.benchmark(group="table1")
-def test_table1_full_grid(benchmark, bench_print, bench_json):
+def test_table1_full_grid():
     """Full paper grid (P in {16, 24, 32, 36}), independent of env knobs.
 
     Tier-1 keeps the reduced grid above; this run is gated behind the
@@ -87,15 +85,11 @@ def test_table1_full_grid(benchmark, bench_print, bench_json):
     """
     code = wimax_ldpc_code(2304, "1/2")
     explorer = DesignSpaceExplorer(DecoderSpec(mapping_attempts=2), seed=0)
-    points = benchmark.pedantic(
-        lambda: explorer.sweep_ldpc(code, TOPOLOGIES, [16, 24, 32, 36], ALGORITHMS),
-        rounds=1,
-        iterations=1,
-    )
-    bench_print(build_table1(points).render())
+    points = explorer.sweep_ldpc(code, TOPOLOGIES, [16, 24, 32, 36], ALGORITHMS)
+    print("\n" + build_table1(points).render())
 
     checks = check_table1_trends(points)
-    bench_json(
+    record(
         "table1",
         "full_grid_sweep",
         {
@@ -109,16 +103,11 @@ def test_table1_full_grid(benchmark, bench_print, bench_json):
     assert passed >= max(1, len(checks) - 1), "more than one Table-I trend failed to reproduce"
 
 
-@pytest.mark.benchmark(group="table1")
-def test_table1_single_point_cost(benchmark):
-    """Cost of evaluating one Table-I cell (mapping + simulation + area model)."""
+def test_table1_single_point_cost():
+    """One Table-I cell evaluates end to end (mapping + simulation + area model)."""
     code = wimax_ldpc_code(2304, "1/2")
     explorer = DesignSpaceExplorer(DecoderSpec(mapping_attempts=1), seed=0)
-
-    def one_point():
-        return explorer.evaluate_ldpc_point(
-            code, "generalized-kautz", 3, 32, RoutingAlgorithm.SSP_FL
-        )
-
-    point = benchmark(one_point)
+    point = explorer.evaluate_ldpc_point(
+        code, "generalized-kautz", 3, 32, RoutingAlgorithm.SSP_FL
+    )
     assert point.throughput_mbps > 0

@@ -14,15 +14,13 @@ are only meaningful if the functional core works.
 
 from __future__ import annotations
 
-import pytest
-
 from repro import DecoderSpec, NocDecoderArchitecture, wimax_ldpc_code
 from repro.analysis import PAPER_TABLE2, build_ber_table, build_table2
 from repro.core.throughput import meets_wimax_requirement
 from repro.noc import RoutingAlgorithm
 from repro.sim import BatchLayeredDecoder, BerRunner
 
-from benchmarks.conftest import full_benchmarks_enabled
+from benchmarks.harness import full_benchmarks_enabled, record
 
 ALGORITHMS = [RoutingAlgorithm.SSP_RR, RoutingAlgorithm.SSP_FL, RoutingAlgorithm.ASP_FT]
 
@@ -39,14 +37,11 @@ def _evaluate_design_case():
     return turbo_results, ldpc_results
 
 
-@pytest.mark.benchmark(group="table2")
-def test_table2_wimax_design_case(benchmark, bench_print, bench_json):
+def test_table2_wimax_design_case():
     """Regenerate Table II and verify the WiMAX-compliance conclusions."""
-    turbo_results, ldpc_results = benchmark.pedantic(
-        _evaluate_design_case, rounds=1, iterations=1
-    )
-    bench_print(build_table2(turbo_results, ldpc_results).render())
-    bench_json(
+    turbo_results, ldpc_results = _evaluate_design_case()
+    print("\n" + build_table2(turbo_results, ldpc_results).render())
+    record(
         "table2",
         "wimax_design_case",
         {
@@ -87,25 +82,23 @@ def test_table2_wimax_design_case(benchmark, bench_print, bench_json):
             f"  paper {mode:5s} {routing}: {throughput:6.2f} Mb/s / {area:.2f} mm^2 | "
             f"measured {ours.throughput_mbps:6.2f} Mb/s / {ours.area.noc_mm2:.2f} mm^2"
         )
-    bench_print("\n".join(summary))
+    print("", *summary, sep="\n")
 
     assert turbo_ok
     assert ap_smallest
 
 
-@pytest.mark.benchmark(group="table2")
-def test_table2_ldpc_design_point_cost(benchmark):
-    """Cost of one full system-level LDPC evaluation at the design point."""
+def test_table2_ldpc_design_point_cost():
+    """One full system-level LDPC evaluation at the design point delivers every message."""
     decoder = NocDecoderArchitecture(DecoderSpec(mapping_attempts=1))
     code = wimax_ldpc_code(2304, "1/2")
-    decoder.map_ldpc(code)  # mapping cached; measure the simulation + models
+    decoder.map_ldpc(code)  # mapping cached; the evaluation reuses it
 
-    result = benchmark(lambda: decoder.evaluate_ldpc(code))
+    result = decoder.evaluate_ldpc(code)
     assert result.simulation.all_delivered
 
 
-@pytest.mark.benchmark(group="table2")
-def test_table2_functional_ber_of_design_decoder(benchmark, bench_print, bench_json):
+def test_table2_functional_ber_of_design_decoder():
     """BER of the Table II decoder algorithm via the batched runner.
 
     Uses the paper's decoding parameters (layered normalized min-sum,
@@ -123,14 +116,15 @@ def test_table2_functional_ber_of_design_decoder(benchmark, bench_print, bench_j
         seed=22,
     )
     ebn0_points = [1.5, 2.0, 2.5] if full else [1.5, 2.0]
-    points = benchmark.pedantic(lambda: runner.run(ebn0_points), rounds=1, iterations=1)
-    bench_print(
-        build_ber_table(
+    points = runner.run(ebn0_points)
+    print(
+        "\n"
+        + build_ber_table(
             points,
             title=f"Table II decoder functional BER ({code.describe()})",
         ).render()
     )
-    bench_json(
+    record(
         "table2",
         "functional_ber",
         {

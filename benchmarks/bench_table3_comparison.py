@@ -16,6 +16,8 @@ from repro.analysis import build_table3
 from repro.analysis.reference import PAPER_CORE_BREAKDOWN, PAPER_TABLE3
 from repro.hw.technology import scale_area
 
+from benchmarks.harness import record
+
 
 def _evaluate_this_work():
     decoder = NocDecoderArchitecture(DecoderSpec(mapping_attempts=2))
@@ -24,15 +26,14 @@ def _evaluate_this_work():
     return ldpc, turbo
 
 
-@pytest.mark.benchmark(group="table3")
-def test_table3_state_of_the_art_comparison(benchmark, bench_print, bench_json):
+def test_table3_state_of_the_art_comparison():
     """Regenerate Table III with the reproduction model in the 'this work' row."""
-    ldpc, turbo = benchmark.pedantic(_evaluate_this_work, rounds=1, iterations=1)
-    bench_print(build_table3(ldpc, turbo).render())
+    ldpc, turbo = _evaluate_this_work()
+    print("\n" + build_table3(ldpc, turbo).render())
 
     area = ldpc.area
     normalized = scale_area(area.total_mm2, 90.0, 65.0)
-    bench_json(
+    record(
         "table3",
         "this_work_model",
         {
@@ -64,7 +65,7 @@ def test_table3_state_of_the_art_comparison(benchmark, bench_print, bench_json):
         f"  turbo throughput : model {turbo.throughput_mbps:.2f} Mb/s vs paper "
         f"{paper_row.turbo_throughput_mbps:.2f} Mb/s (worst case)",
     ]
-    bench_print("\n".join(summary))
+    print("", *summary, sep="\n")
 
     # Reproduction criteria: breakdown structure and mode ordering, not exact mm^2/mW.
     assert area.total_mm2 == pytest.approx(paper_row.total_area_mm2, rel=0.25)
@@ -74,10 +75,9 @@ def test_table3_state_of_the_art_comparison(benchmark, bench_print, bench_json):
     assert turbo.throughput_mbps >= 70.0
 
 
-@pytest.mark.benchmark(group="table3")
-def test_table3_competitor_ranking(benchmark, bench_print):
+def test_table3_competitor_ranking():
     """Check the comparative claims the paper draws from Table III."""
-    ldpc, turbo = benchmark.pedantic(_evaluate_this_work, rounds=1, iterations=1)
+    ldpc, turbo = _evaluate_this_work()
 
     by_label = {row.label: row for row in PAPER_TABLE3}
     flexichap = by_label["FlexiChaP (Alles et al.) [5]"]
@@ -101,6 +101,6 @@ def test_table3_competitor_ranking(benchmark, bench_print):
         f"  [{'PASS' if claim_9 else 'FAIL'}] [9] LDPC worst case below 70 Mb/s while this work's "
         "turbo worst case is above"
     )
-    bench_print("\n".join(lines))
+    print("", *lines, sep="\n")
 
     assert claim_5 and claim_9

@@ -11,22 +11,21 @@ comparison is a fixed amount of work.  The acceptance target at
 ``N_COUPLES = 96``, batch 64, is >= 10x frames/sec.
 
 A second row times the ``ber_ctc2400`` operating point (CTC 2400 couples,
-batch 32, max-log, 1.0 dB) as interleaved trials: seed per-frame, batch with
-early exit and batch exhaustive, each recorded as median, IQR and n.
+batch 32, max-log, 1.0 dB): seed per-frame, batch with early exit and batch
+exhaustive.  Every row is interleaved trials (:mod:`benchmarks.harness`)
+recorded per frame as median, IQR, n and best; the gates read best times.
 
 Run with ``PYTHONPATH=src python -m pytest benchmarks/bench_turbo_batch_throughput.py -q -s``.
 """
 
 from __future__ import annotations
 
-import time
-
 import numpy as np
-import pytest
-
 from repro.channel import AWGNChannel, BPSKModulator, ebn0_to_noise_sigma
 from repro.sim import BatchTurboDecoder, resolve_code_rate
 from repro.turbo import DuoBinaryTrellis, TurboEncoder
+
+from benchmarks.harness import per_item, record, row, trials
 
 BATCH = 64
 MAX_ITERATIONS = 8
@@ -34,6 +33,8 @@ EBN0_DB = 1.2
 N_COUPLES = 96
 #: Frames timed on the (slow) seed baseline; frames/sec extrapolates.
 BASELINE_FRAMES = 4
+#: Interleaved trials of the gated rows; the gates compare best times.
+TRIALS = 3
 
 #: The ``ber_ctc2400`` operating point: one seed frame and two batch decodes
 #: per interleaved trial.
@@ -138,28 +139,7 @@ def _make_llr_batch(
     return modulator.demodulate_llr(received, channel.llr_noise_variance(False))
 
 
-def _frames_per_second(fn, frames: int, repeats: int = 3) -> float:
-    best = float("inf")
-    for _ in range(repeats):
-        start = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - start)
-    return frames / best
-
-
-def _timed_fps(fn, frames: int) -> float:
-    start = time.perf_counter()
-    fn()
-    return frames / (time.perf_counter() - start)
-
-
-def _spread(samples: list[float]) -> dict:
-    q1, median, q3 = np.percentile(samples, [25, 50, 75])
-    return {"median": round(float(median), 2), "iqr": round(float(q3 - q1), 2), "n": len(samples)}
-
-
-@pytest.mark.benchmark(group="batch-throughput")
-def test_turbo_batch_throughput_speedup(benchmark, bench_print, bench_json):
+def test_turbo_batch_throughput_speedup():
     """The batched turbo engine must beat the seed per-frame path >= 10x."""
     encoder = TurboEncoder(n_couples=N_COUPLES)
     llrs = _make_llr_batch(encoder, BATCH)
@@ -181,20 +161,18 @@ def test_turbo_batch_throughput_speedup(benchmark, bench_print, bench_json):
         for frame in range(BASELINE_FRAMES):
             seed_decoder.decode(split[0][frame], split[1][frame], split[2][frame])
 
-    def run_batch():
-        batch_decoder.decode_batch(llrs)
-
-    run_seed()  # warm-up
-    run_batch()
-    seed_fps = _frames_per_second(run_seed, BASELINE_FRAMES)
-    batch_fps = _frames_per_second(run_batch, BATCH)
-    speedup = batch_fps / seed_fps
-    bench_print(
-        f"turbo max-log (N={N_COUPLES} couples, {MAX_ITERATIONS} it): "
-        f"seed per-frame {seed_fps:8.1f} frames/s | "
-        f"batch {BATCH} {batch_fps:8.1f} frames/s | speedup {speedup:6.1f}x"
+    samples, _ = trials(
+        {"seed": run_seed, "batch": lambda: batch_decoder.decode_batch(llrs)}, TRIALS
     )
-    bench_json(
+    timing = row(per_item(samples, {"seed": BASELINE_FRAMES, "batch": BATCH}), "seed", "s/frame")
+    seed, batch = timing["arms"]["seed"]["best"], timing["arms"]["batch"]["best"]
+    speedup = seed / batch
+    print(
+        f"\nturbo max-log (N={N_COUPLES} couples, {MAX_ITERATIONS} it): "
+        f"seed per-frame {1 / seed:8.1f} frames/s | "
+        f"batch {BATCH} {1 / batch:8.1f} frames/s | speedup {speedup:6.1f}x (best of {TRIALS})"
+    )
+    record(
         "turbo_batch_throughput",
         "max_log",
         {
@@ -202,17 +180,14 @@ def test_turbo_batch_throughput_speedup(benchmark, bench_print, bench_json):
             "batch": BATCH,
             "max_iterations": MAX_ITERATIONS,
             "ebn0_db": EBN0_DB,
-            "frames_per_sec_seed": round(seed_fps, 2),
-            "frames_per_sec_batch": round(batch_fps, 2),
             "speedup": round(speedup, 2),
+            "timing": timing,
         },
     )
-    benchmark(run_batch)
     assert speedup >= 10.0
 
 
-@pytest.mark.benchmark(group="batch-throughput")
-def test_turbo_batch_early_exit_gain(benchmark, bench_print, bench_json):
+def test_turbo_batch_early_exit_gain():
     """Per-frame early exit pays: fewer iterations on average, same decisions."""
     encoder = TurboEncoder(n_couples=N_COUPLES)
     llrs = _make_llr_batch(encoder, BATCH, seed=11)
@@ -226,15 +201,21 @@ def test_turbo_batch_early_exit_gain(benchmark, bench_print, bench_json):
     # SISO activations than the exhaustive run.
     assert eager_result.converged.mean() > 0.5
 
-    eager.decode_batch(llrs)  # warm-up
-    eager_fps = _frames_per_second(lambda: eager.decode_batch(llrs), BATCH)
-    full_fps = _frames_per_second(lambda: exhaustive.decode_batch(llrs), BATCH)
-    avg_iterations = float(eager_result.iterations.mean())
-    bench_print(
-        f"turbo early exit at {EBN0_DB} dB: avg {avg_iterations:.1f}/{MAX_ITERATIONS} it, "
-        f"{eager_fps:.1f} vs {full_fps:.1f} frames/s (gain {eager_fps / full_fps:.2f}x)"
+    samples, _ = trials(
+        {
+            "exhaustive": lambda: exhaustive.decode_batch(llrs),
+            "early_exit": lambda: eager.decode_batch(llrs),
+        },
+        TRIALS,
     )
-    bench_json(
+    timing = row(samples, "exhaustive")
+    gain = timing["arms"]["exhaustive"]["best"] / timing["arms"]["early_exit"]["best"]
+    avg_iterations = float(eager_result.iterations.mean())
+    print(
+        f"\nturbo early exit at {EBN0_DB} dB: avg {avg_iterations:.1f}/{MAX_ITERATIONS} it, "
+        f"gain {gain:.2f}x frames/s over exhaustive (best of {TRIALS})"
+    )
+    record(
         "turbo_batch_throughput",
         "early_exit",
         {
@@ -242,17 +223,15 @@ def test_turbo_batch_early_exit_gain(benchmark, bench_print, bench_json):
             "batch": BATCH,
             "ebn0_db": EBN0_DB,
             "avg_iterations": round(avg_iterations, 2),
-            "frames_per_sec_early_exit": round(eager_fps, 2),
-            "frames_per_sec_exhaustive": round(full_fps, 2),
+            "gain": round(gain, 3),
+            "timing": timing,
         },
     )
-    benchmark(lambda: eager.decode_batch(llrs))
     assert avg_iterations <= MAX_ITERATIONS
-    assert eager_fps >= 0.9 * full_fps  # early exit must never cost throughput
+    assert gain >= 0.9  # early exit must never cost throughput
 
 
-@pytest.mark.benchmark(group="batch-throughput")
-def test_turbo_ctc2400_throughput(benchmark, bench_print, bench_json):
+def test_turbo_ctc2400_throughput():
     """CTC 2400 at batch 32: early-exit and exhaustive frames/s vs the seed path."""
     encoder = TurboEncoder(n_couples=CTC2400_COUPLES)
     llrs = _make_llr_batch(encoder, CTC2400_BATCH, ebn0_db=CTC2400_EBN0_DB)
@@ -269,31 +248,26 @@ def test_turbo_ctc2400_throughput(benchmark, bench_print, bench_json):
     # The baseline decodes the timed frame to the same hard symbols.
     assert np.array_equal(run_seed(), exhaustive.decode_batch(llrs).hard_symbols[0])
     eager.decode_batch(llrs)  # warm-up
-    samples: dict[str, list[float]] = {"seed": [], "early_exit": [], "exhaustive": []}
-    for _ in range(CTC2400_TRIALS):
-        samples["seed"].append(_timed_fps(run_seed, 1))
-        samples["early_exit"].append(
-            _timed_fps(lambda: eager.decode_batch(llrs), CTC2400_BATCH)
-        )
-        samples["exhaustive"].append(
-            _timed_fps(lambda: exhaustive.decode_batch(llrs), CTC2400_BATCH)
-        )
-    stats = {name: _spread(values) for name, values in samples.items()}
-    seed_fps = stats["seed"]["median"]
-    ratios = {
-        f"speedup_{name}": round(stats[name]["median"] / seed_fps, 2)
-        for name in ("early_exit", "exhaustive")
-    }
-    bench_print(
-        f"turbo max-log CTC {CTC2400_COUPLES} couples, batch {CTC2400_BATCH}, "
-        f"{CTC2400_EBN0_DB} dB, {CTC2400_TRIALS} interleaved trials (median, IQR): "
-        f"seed per-frame {seed_fps:.2f} ({stats['seed']['iqr']:.2f}) | "
-        f"early exit {stats['early_exit']['median']:.1f} ({stats['early_exit']['iqr']:.1f}, "
-        f"{ratios['speedup_early_exit']:.1f}x) | "
-        f"exhaustive {stats['exhaustive']['median']:.1f} ({stats['exhaustive']['iqr']:.1f}, "
-        f"{ratios['speedup_exhaustive']:.1f}x) frames/s"
+    samples, _ = trials(
+        {
+            "seed": run_seed,
+            "early_exit": lambda: eager.decode_batch(llrs),
+            "exhaustive": lambda: exhaustive.decode_batch(llrs),
+        },
+        CTC2400_TRIALS,
     )
-    bench_json(
+    frames = {"seed": 1, "early_exit": CTC2400_BATCH, "exhaustive": CTC2400_BATCH}
+    timing = row(per_item(samples, frames), "seed", "s/frame")
+    fps = {name: 1 / arm["median"] for name, arm in timing["arms"].items()}
+    speedups = {name: vs["ratio"] for name, vs in timing["vs"].items()}
+    print(
+        f"\nturbo max-log CTC {CTC2400_COUPLES} couples, batch {CTC2400_BATCH}, "
+        f"{CTC2400_EBN0_DB} dB, {CTC2400_TRIALS} interleaved trials (median frames/s): "
+        f"seed per-frame {fps['seed']:.2f} | "
+        f"early exit {fps['early_exit']:.1f} ({speedups['early_exit']:.1f}x) | "
+        f"exhaustive {fps['exhaustive']:.1f} ({speedups['exhaustive']:.1f}x)"
+    )
+    record(
         "turbo_batch_throughput",
         "ctc2400_max_log",
         {
@@ -301,11 +275,6 @@ def test_turbo_ctc2400_throughput(benchmark, bench_print, bench_json):
             "batch": CTC2400_BATCH,
             "max_iterations": MAX_ITERATIONS,
             "ebn0_db": CTC2400_EBN0_DB,
-            "timing": "interleaved trials: seed frame, early-exit batch, exhaustive batch",
-            "frames_per_sec_seed": stats["seed"],
-            "frames_per_sec_early_exit": stats["early_exit"],
-            "frames_per_sec_exhaustive": stats["exhaustive"],
-            **ratios,
+            "timing": timing,
         },
     )
-    benchmark.pedantic(lambda: eager.decode_batch(llrs), rounds=1, iterations=1)

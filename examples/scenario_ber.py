@@ -23,14 +23,15 @@ from __future__ import annotations
 import argparse
 
 from repro.analysis import build_ber_table
-from repro.channel import BPSKModulator, QAM16Modulator, QPSKModulator
-from repro.ldpc import wifi_ldpc_code, wimax_ldpc_code
-from repro.sim import (
-    CHANNEL_FACTORIES,
-    BatchLayeredDecoder,
-    BerRunner,
-    QuantizedBatchDecoder,
+from repro.channel import (
+    CHANNEL_LLR_SPEC,
+    BPSKModulator,
+    LLRQuantizer,
+    QAM16Modulator,
+    QPSKModulator,
 )
+from repro.ldpc import wifi_ldpc_code, wimax_ldpc_code
+from repro.sim import CHANNEL_FACTORIES, BatchLayeredDecoder, BerRunner
 
 MODULATORS = {
     "bpsk": BPSKModulator,
@@ -73,14 +74,12 @@ def main() -> None:
     decoder = BatchLayeredDecoder(
         code.h, max_iterations=10, fixed_point=args.quantized
     )
-    if args.quantized:
-        decoder = QuantizedBatchDecoder(decoder)
-
     runner = BerRunner(
         code,
         decoder,
         MODULATORS[args.modulation](),
         channel=args.channel,
+        llr_quantizer=LLRQuantizer(CHANNEL_LLR_SPEC) if args.quantized else None,
         batch_size=args.batch,
         max_frames=args.frames,
         target_frame_errors=50,

@@ -38,7 +38,6 @@ from repro.sim.batch import (
     BatchDecoder,
     BatchFloodingDecoder,
     BatchLayeredDecoder,
-    QuantizedBatchDecoder,
 )
 from repro.sim.edges import EdgeIndex
 from repro.sim.kernels import min_sum_update, sum_product_update
@@ -64,7 +63,6 @@ __all__ = [
     "BerRunner",
     "CHANNEL_FACTORIES",
     "EdgeIndex",
-    "QuantizedBatchDecoder",
     "min_sum_update",
     "resolve_code_rate",
     "sum_product_update",

@@ -24,11 +24,7 @@ import numpy as np
 from repro.channel.quantize import CHANNEL_LLR_SPEC, EXTRINSIC_SPEC, LLRQuantizer
 from repro.errors import DecodingError
 from repro.sim.edges import EdgeIndex
-from repro.sim.kernels import (
-    min_sum_update,
-    min_sum_update_segments,
-    sum_product_update,
-)
+from repro.sim.kernels import min_sum_update, sum_product_update
 from repro.utils.validation import require_int
 
 if TYPE_CHECKING:  # imported lazily to avoid a cycle with repro.ldpc
@@ -138,10 +134,7 @@ class BatchFloodingDecoder:
     :class:`repro.ldpc.flooding.FloodingDecoder`.
 
     Parameters mirror the per-frame decoder: ``kernel`` selects the exact
-    sum-product tanh rule or the normalized min-sum of paper eq. (11).  When
-    the code has several check degrees the min-sum check phase runs as *one*
-    flat segment-reduction kernel over all edges (bit-identical to the
-    per-degree-group path).
+    sum-product tanh rule or the normalized min-sum of paper eq. (11).
     """
 
     def __init__(
@@ -169,13 +162,7 @@ class BatchFloodingDecoder:
         return self._edges.n_cols
 
     def _check_update(self, v2c: np.ndarray) -> np.ndarray:
-        """Apply the check kernel: ``(batch, n_edges)`` in and out."""
-        # One segment-reduction call beats one dense call per degree group
-        # once there is more than one group to pay for.
-        if self.kernel == "min-sum" and len(self._edges.check_groups) > 1:
-            return min_sum_update_segments(
-                v2c, self._edges.row_ptr, scaling=self.scaling
-            )
+        """Apply the check kernel per degree group: ``(batch, n_edges)`` in and out."""
         out = np.empty_like(v2c)
         for group in self._edges.check_groups:
             q = v2c[:, group.edges]
@@ -229,58 +216,6 @@ class BatchFloodingDecoder:
             syndrome_weights=edges.unsatisfied_counts(hard),
             unsatisfied_history=histories,
         )
-
-
-class QuantizedBatchDecoder:
-    """Fixed-point channel-LLR front-end around any :class:`BatchDecoder`.
-
-    Round-trips every channel LLR through an
-    :class:`~repro.channel.quantize.LLRQuantizer` (the paper's 7-bit/1-frac
-    channel format by default, symmetric saturation) before handing the batch
-    to the wrapped decoder, so the finite-precision *input* behaviour of the
-    paper's datapath is simulable at scale with either code family —
-    including :class:`~repro.sim.turbo_batch.BatchTurboDecoder`, which has no
-    ``fixed_point`` mode of its own.  For the LDPC layered decoder's full
-    internal fixed-point datapath (5-bit extrinsics too) combine this with
-    ``BatchLayeredDecoder(fixed_point=True)``.
-
-    The wrapper satisfies the :class:`BatchDecoder` protocol and forwards
-    ``decides_info_bits``, so it drops into
-    :class:`~repro.sim.runner.BerRunner` wherever the wrapped decoder did.
-    """
-
-    def __init__(self, decoder: BatchDecoder, quantizer: "LLRQuantizer | None" = None):
-        if not isinstance(decoder, BatchDecoder):
-            raise DecodingError(
-                "QuantizedBatchDecoder wraps a BatchDecoder (needs n_bits and "
-                f"decode_batch), got {type(decoder).__name__}"
-            )
-        self._decoder = decoder
-        self.quantizer = (
-            quantizer if quantizer is not None else LLRQuantizer(CHANNEL_LLR_SPEC)
-        )
-        if not isinstance(self.quantizer, LLRQuantizer):
-            raise DecodingError("quantizer must be an LLRQuantizer")
-
-    @property
-    def n_bits(self) -> int:
-        """Channel-LLR length of the wrapped decoder."""
-        return self._decoder.n_bits
-
-    @property
-    def decides_info_bits(self) -> bool:
-        """Mirror of the wrapped decoder's decision convention."""
-        return bool(getattr(self._decoder, "decides_info_bits", False))
-
-    @property
-    def inner(self) -> BatchDecoder:
-        """The wrapped decoder."""
-        return self._decoder
-
-    def decode_batch(self, channel_llrs: np.ndarray) -> BatchDecodeResult:
-        """Quantise the channel LLRs, then decode with the wrapped decoder."""
-        llrs = np.asarray(channel_llrs, dtype=np.float64)
-        return self._decoder.decode_batch(self.quantizer.quantize_to_real(llrs))
 
 
 class BatchLayeredDecoder:

@@ -6,11 +6,7 @@ allowed.  The batch decoders call them with ``(batch, n_checks_d, d)``
 tensors (flooding, one call per degree group; layered, one call per layer
 of column-disjoint checks), and the per-frame decoders reuse exactly the
 same code with a single leading axis so sequential and batched results are
-bit-identical.  :func:`min_sum_update_segments` is the segment-reduction
-formulation over :class:`~repro.sim.edges.EdgeIndex` flat edges
-(``np.minimum.reduceat``): one call for *all* checks regardless of their
-degrees, which the flooding decoder uses when a code has more than one
-check degree.
+bit-identical.
 
 Sign convention (pinned by ``tests/test_sim_batch.py::TestKernels``): the
 sign of an LLR is its IEEE-754 sign *bit* (``np.signbit``), so ``-0.0``
@@ -70,75 +66,6 @@ def min_sum_update(q, scaling: float = 0.75) -> np.ndarray:
     # Sign seen by edge k excludes its own sign (dividing by +-1 == multiplying).
     result_signs = np.prod(signs, axis=-1)[..., None] * signs
     return scaling * result_signs * result_magnitudes
-
-
-def min_sum_update_segments(
-    v2c,
-    row_ptr: np.ndarray,
-    scaling: float = 0.75,
-) -> np.ndarray:
-    """Normalized-min-sum over *flat* edges, one segment per check.
-
-    The segment-reduction twin of :func:`min_sum_update`: instead of one
-    dense ``(batch, n_checks_d, d)`` call per degree group, the whole
-    ``(batch, n_edges)`` edge array is reduced per segment with
-    ``ufunc.reduceat``, with checks delimited by ``row_ptr`` exactly as in
-    :class:`~repro.sim.edges.EdgeIndex`.  Bit-identical to the dense
-    kernel on every input: a segment whose minimum occurs more than once
-    takes that minimum as its second minimum too, and the sign product is
-    reproduced from the parity of the per-segment sign bits (``signbit``
-    convention, so ``-0.0`` counts as negative).
-
-    Parameters
-    ----------
-    v2c:
-        ``(batch, n_edges)`` variable-to-check messages, row-major flat
-        edges.
-    row_ptr:
-        ``(n_rows + 1,)`` segment boundaries (``EdgeIndex.row_ptr``).
-    scaling:
-        Normalisation factor ``sigma <= 1``.
-    """
-    arr = np.asarray(v2c, dtype=np.float64)
-    if arr.ndim != 2:
-        raise DecodingError(
-            f"segment min-sum expects a (batch, n_edges) array, got shape {arr.shape}"
-        )
-    row_ptr = np.asarray(row_ptr, dtype=np.int64)
-    if (
-        row_ptr.ndim != 1
-        or row_ptr.size < 2
-        or int(row_ptr[0]) != 0
-        or int(row_ptr[-1]) != arr.shape[-1]
-    ):
-        raise DecodingError("row_ptr does not delimit the flat edge axis")
-    starts = row_ptr[:-1]
-    degrees = np.diff(row_ptr)
-    if int(degrees.min()) < 2:
-        raise DecodingError(
-            "check update needs at least two edge messages per check"
-        )
-
-    magnitudes = np.abs(arr)
-    min1_seg = np.minimum.reduceat(magnitudes, starts, axis=-1)
-    min1 = np.repeat(min1_seg, degrees, axis=-1)
-    is_min = magnitudes == min1
-    # Masking every minimum leaves the next-larger value, which is the
-    # second minimum only when the minimum is unique; a tie makes it min1.
-    tied = np.add.reduceat(is_min, starts, axis=-1) > 1
-    min2_seg = np.minimum.reduceat(np.where(is_min, np.inf, magnitudes), starts, axis=-1)
-    min2 = np.repeat(np.where(tied, min1_seg, min2_seg), degrees, axis=-1)
-    result = np.where(is_min, min2, min1)
-    result *= scaling
-
-    # Edge k is negated when the other edges hold an odd number of sign bits:
-    # its segment's parity XOR its own sign bit.  Negating the product
-    # equals the dense kernel's multiplication by an exact -1.0, so the bits
-    # (-0.0 included) match.
-    negative = np.signbit(arr)
-    odd = np.logical_xor.reduceat(negative, starts, axis=-1)
-    np.negative(result, out=result, where=negative ^ np.repeat(odd, degrees, axis=-1))
-    return result
 
 
 def sum_product_update(q) -> np.ndarray:

@@ -170,8 +170,9 @@ class BerRunner:
     llr_quantizer:
         Optional :class:`~repro.channel.quantize.LLRQuantizer`: round-trip
         every channel LLR through it before decoding (the paper's
-        fixed-point channel front-end).  Equivalent to wrapping the decoder
-        in :class:`~repro.sim.batch.QuantizedBatchDecoder`.
+        fixed-point channel front-end), for either code family.  Combine it
+        with ``BatchLayeredDecoder(fixed_point=True)`` for the full internal
+        LDPC fixed-point datapath.
     batch_size:
         Frames decoded per batch.  See ``docs/batching.md`` for guidance;
         64 is a good default for WiMAX-sized codes.

@@ -6,8 +6,8 @@ These pin the sanity of every scenario the batched chain was opened to:
   equal average Eb/N0 — with Wilson-interval separation, not just point
   estimates;
 * the Gray 16-QAM demapper equals a brute-force 16-point max-log reference;
-* the paper's fixed-point datapath (7/1 channel LLRs through
-  ``QuantizedBatchDecoder``, 5/0 extrinsics via ``fixed_point=True``) costs
+* the paper's fixed-point datapath (7/1 channel LLRs through the runner's
+  ``llr_quantizer``, 5/0 extrinsics via ``fixed_point=True``) costs
   at most 0.5 dB versus float at the BER~1e-4 crossing of a reduced sweep;
 * the 802.11n n=1944 codes decode through the same ``BerRunner`` and are
   advertised by the decode service's registry;
@@ -28,13 +28,12 @@ from repro.channel import (
     RayleighFadingChannel,
 )
 from repro.channel.quantize import CHANNEL_LLR_SPEC, QuantizationSpec
-from repro.errors import ConfigurationError, DecodingError
+from repro.errors import ConfigurationError
 from repro.ldpc import wifi_ldpc_code, wimax_ldpc_code
 from repro.sim import (
     BatchLayeredDecoder,
     BatchTurboDecoder,
     BerRunner,
-    QuantizedBatchDecoder,
     resolve_code_rate,
 )
 from repro.turbo import TurboEncoder
@@ -203,10 +202,11 @@ class TestFixedPointScenarios:
         return None
 
     def test_quantized_within_half_db_of_float(self, wimax_576):
-        def sweep(decoder):
+        def sweep(decoder, llr_quantizer=None):
             return BerRunner(
                 wimax_576,
                 decoder,
+                llr_quantizer=llr_quantizer,
                 batch_size=64,
                 max_frames=384,
                 target_frame_errors=None,
@@ -215,9 +215,8 @@ class TestFixedPointScenarios:
 
         float_points = sweep(BatchLayeredDecoder(wimax_576.h, max_iterations=10))
         fixed_points = sweep(
-            QuantizedBatchDecoder(
-                BatchLayeredDecoder(wimax_576.h, max_iterations=10, fixed_point=True)
-            )
+            BatchLayeredDecoder(wimax_576.h, max_iterations=10, fixed_point=True),
+            LLRQuantizer(CHANNEL_LLR_SPEC),
         )
         float_crossing = self._crossing(float_points, self.THRESHOLD)
         fixed_crossing = self._crossing(fixed_points, self.THRESHOLD)
@@ -225,43 +224,12 @@ class TestFixedPointScenarios:
         assert fixed_crossing is not None, "fixed-point sweep never reached BER~1e-4"
         assert fixed_crossing - float_crossing <= 0.5 + 1e-9
 
-    def test_wrapper_and_runner_option_are_equivalent(self, wimax_576, layered_576):
-        quantizer = LLRQuantizer(CHANNEL_LLR_SPEC)
-        wrapped = BerRunner(
-            wimax_576,
-            QuantizedBatchDecoder(layered_576, quantizer),
-            batch_size=16,
-            max_frames=32,
-            target_frame_errors=None,
-            seed=2,
-        ).run_point(1.5)
-        option = BerRunner(
-            wimax_576,
-            layered_576,
-            llr_quantizer=quantizer,
-            batch_size=16,
-            max_frames=32,
-            target_frame_errors=None,
-            seed=2,
-        ).run_point(1.5)
-        assert wrapped.bit_errors == option.bit_errors
-        assert wrapped.frame_errors == option.frame_errors
-
-    def test_wrapper_forwards_protocol_surface(self, wimax_576, layered_576):
-        wrapped = QuantizedBatchDecoder(layered_576)
-        assert wrapped.n_bits == wimax_576.n
-        assert wrapped.decides_info_bits is False
-        assert wrapped.inner is layered_576
-        assert wrapped.quantizer.spec == CHANNEL_LLR_SPEC
-        assert wrapped.quantizer.symmetric
-
-    def test_wrapper_wraps_turbo_decoder(self):
+    def test_runner_quantizes_turbo_llrs(self):
         encoder = TurboEncoder(n_couples=24)
-        wrapped = QuantizedBatchDecoder(BatchTurboDecoder(encoder, max_iterations=4))
-        assert wrapped.decides_info_bits is True
         point = BerRunner(
             encoder,
-            wrapped,
+            BatchTurboDecoder(encoder, max_iterations=4),
+            llr_quantizer=LLRQuantizer(CHANNEL_LLR_SPEC),
             batch_size=8,
             max_frames=8,
             target_frame_errors=None,
@@ -269,21 +237,31 @@ class TestFixedPointScenarios:
         ).run_point(2.0)
         assert point.total_bits == 8 * encoder.k
 
-    def test_wrapper_quantization_actually_bites(self, layered_576):
-        # A coarse quantiser saturates at max_value; the wrapped decode must
-        # see those saturated inputs (different result than float on a frame
-        # built to straddle the saturation point).
-        coarse = QuantizedBatchDecoder(layered_576, LLRQuantizer(QuantizationSpec(3, 0)))
-        llrs = np.full((1, 576), 50.0)
-        llrs[0, ::7] = -50.0
-        out = coarse.decode_batch(llrs)
-        assert out.hard_bits.shape == (1, 576)
+    def test_runner_quantization_actually_bites(self, wimax_576, layered_576):
+        # A coarse 3-bit quantiser saturates at +-3: the decoder must see
+        # only its levels, not the float channel LLRs.
+        seen = []
 
-    def test_wrapper_rejects_non_decoder_and_non_quantizer(self, layered_576):
-        with pytest.raises(DecodingError):
-            QuantizedBatchDecoder(object())  # type: ignore[arg-type]
-        with pytest.raises(DecodingError):
-            QuantizedBatchDecoder(layered_576, quantizer="7bits")  # type: ignore[arg-type]
+        class Recording:
+            n_bits = wimax_576.n
+
+            def decode_batch(self, llrs):
+                seen.append(llrs)
+                return layered_576.decode_batch(llrs)
+
+        quantizer = LLRQuantizer(QuantizationSpec(3, 0))
+        BerRunner(
+            wimax_576,
+            Recording(),
+            llr_quantizer=quantizer,
+            batch_size=8,
+            max_frames=8,
+            target_frame_errors=None,
+            seed=2,
+        ).run_point(1.5)
+        (llrs,) = seen
+        assert set(np.unique(llrs)) <= {-3.0, -2.0, -1.0, 0.0, 1.0, 2.0, 3.0}
+        assert np.abs(llrs).max() == 3.0
 
     def test_runner_rejects_bad_quantizer(self, wimax_576, layered_576):
         with pytest.raises(ConfigurationError):

@@ -51,7 +51,6 @@ from repro.sim import (
     sum_product_update,
     wilson_interval,
 )
-from repro.sim.kernels import min_sum_update_segments
 
 
 def _llr_batch(code, batch: int, ebn0_db: float, seed: int) -> tuple[np.ndarray, np.ndarray]:
@@ -354,56 +353,6 @@ class TestKernels:
         # sign test would lose.
         assert np.signbit(reference[1]) and np.signbit(reference[2])
         assert np.array_equal(_bits(min_sum_update(q)), _bits(reference))
-
-    @given(
-        degrees=st.lists(st.integers(2, 7), min_size=1, max_size=6),
-        batch=st.integers(1, 4),
-        seed=st.integers(0, 2**16),
-        rounded=st.booleans(),
-    )
-    @settings(max_examples=40, deadline=None, derandomize=True)
-    def test_segment_min_sum_matches_dense(self, degrees, batch, seed, rounded):
-        """The flat segment kernel equals the dense kernel check by check."""
-        row_ptr = np.concatenate([[0], np.cumsum(degrees)]).astype(np.int64)
-        rng = np.random.default_rng(seed)
-        v2c = rng.normal(0.0, 4.0, size=(batch, int(row_ptr[-1])))
-        if rounded:  # integer-valued LLRs tie non-zero minima
-            v2c = np.round(v2c)
-        v2c[rng.random(v2c.shape) < 0.1] = -0.0  # exercise the sign convention
-        got = min_sum_update_segments(v2c, row_ptr)
-        dense = np.empty_like(v2c)
-        for start, stop in zip(row_ptr[:-1], row_ptr[1:]):
-            dense[:, start:stop] = min_sum_update(v2c[:, start:stop])
-        assert np.array_equal(_bits(got), _bits(dense))
-
-    @pytest.mark.parametrize(
-        ("shape", "row_ptr", "match"),
-        [
-            ((1, 5), [0, 2, 4], "row_ptr"),  # stops short of the last edge
-            ((1, 5), [1, 3, 5], "row_ptr"),  # skips the first edge
-            ((1, 5), [0, 2, 7], "row_ptr"),  # runs past the last edge
-            ((1, 5), [5], "row_ptr"),  # no segment at all
-            ((1, 4), [[0, 2], [2, 4]], "row_ptr"),  # not one-dimensional
-            ((1, 5), [0, 1, 5], "two edge"),  # degree-1 check
-            ((1, 5), [0, 3, 3, 5], "two edge"),  # empty check
-            ((1, 5), [0, 4, 2, 5], "two edge"),  # decreasing boundaries
-            ((4,), [0, 2, 4], "batch, n_edges"),  # no batch axis
-        ],
-        ids=[
-            "short",
-            "offset",
-            "overrun",
-            "single-boundary",
-            "2d-row-ptr",
-            "degree-1",
-            "degree-0",
-            "decreasing",
-            "1d-v2c",
-        ],
-    )
-    def test_segment_min_sum_rejects_bad_layouts(self, shape, row_ptr, match):
-        with pytest.raises(DecodingError, match=match):
-            min_sum_update_segments(np.zeros(shape), np.array(row_ptr))
 
     @given(st.lists(st.floats(-12.0, 12.0), min_size=2, max_size=9))
     @settings(max_examples=60, deadline=None)
