@@ -9,6 +9,10 @@ is >= 10x frames/sec on the flooding schedule; in practice the margin is much
 larger.  Both sides run as interleaved trials (:mod:`benchmarks.harness`),
 and the gate reads each side's best time per frame.
 
+The ``fixed_vs_float`` rows time the layered decoder's two datapaths against
+each other (no gate): the fixed-point one on int16 levels in a
+variable-major layout, the float64 one (the baseline) frames-first.
+
 Run with ``PYTHONPATH=src python -m pytest benchmarks/bench_batch_throughput.py -q -s``.
 """
 
@@ -31,6 +35,8 @@ EBN0_DB = 2.0
 BASELINE_FRAMES = 8
 #: Interleaved (seed, batch) trials; the gate compares best times.
 TRIALS = 3
+#: Interleaved (float, fixed) trials of the fixed_vs_float rows.
+DATAPATH_TRIALS = 7
 
 
 def _make_llr_batch(code, batch: int, seed: int = 7, ebn0_db: float = EBN0_DB) -> np.ndarray:
@@ -142,3 +148,43 @@ def test_batch_layered_throughput_speedup(n, rate, ebn0_db, key):
          "ebn0_db": ebn0_db, "speedup": round(speedup, 2), "timing": timing},
     )
     assert speedup >= 10.0
+
+
+@pytest.mark.parametrize("batch", [BATCH, 1])
+@pytest.mark.parametrize("n, rate, ebn0_db", [(576, "1/2", EBN0_DB), (2304, "5/6", 4.0)])
+def test_layered_fixed_vs_float(n, rate, ebn0_db, batch):
+    """Layered min-sum, fixed-point vs float64 datapath, at batch 64 and batch 1.
+
+    Each arm decodes the same 64 frames, ``batch`` at a time; no gate.
+    """
+    code = wimax_ldpc_code(n, rate)
+    llrs = _make_llr_batch(code, BATCH, ebn0_db=ebn0_db)
+    chunks = [llrs[start:start + batch] for start in range(0, BATCH, batch)]
+
+    def arm(fixed_point: bool):
+        decoder = BatchLayeredDecoder(
+            code.h, max_iterations=MAX_ITERATIONS, fixed_point=fixed_point,
+            early_termination=False,
+        )
+
+        def run():
+            for chunk in chunks:
+                decoder.decode_batch(chunk)
+
+        run()  # warm-up
+        return run
+
+    samples, _ = trials({"float": arm(False), "fixed": arm(True)}, DATAPATH_TRIALS)
+    timing = row(per_item(samples, {"float": BATCH, "fixed": BATCH}), "float", "s/frame")
+    ratio = timing["vs"]["fixed"]["ratio"]
+    print(
+        f"\nlayered n={n} r{rate} batch {batch}: fixed-point / float64 speed "
+        f"{ratio:5.2f}x (median of {DATAPATH_TRIALS}, "
+        f"{timing['vs']['fixed']['wins']}/{DATAPATH_TRIALS} wins)"
+    )
+    record(
+        "batch_throughput",
+        f"fixed_vs_float_{n}_r{rate}_b{batch}",
+        {"n": n, "rate": rate, "batch": batch, "max_iterations": MAX_ITERATIONS,
+         "ebn0_db": ebn0_db, "timing": timing},
+    )

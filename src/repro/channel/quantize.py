@@ -110,22 +110,14 @@ class LLRQuantizer:
         arr = np.asarray(levels, dtype=np.float64)
         return arr * self.spec.step
 
-    def quantize_to_real(self, values: np.ndarray, *, inplace: bool = False) -> np.ndarray:
+    def quantize_to_real(self, values: np.ndarray) -> np.ndarray:
         """Round-trip quantisation: the real values the fixed-point datapath sees.
 
         Equal bit for bit to ``dequantize(quantize(values))``, ``-0.0``
         included: it leaves as ``+0.0``, as it does through the integer
-        levels.  With ``inplace=True`` ``values`` must be a float64
-        :class:`numpy.ndarray` (anything else raises
-        :class:`~repro.errors.ConfigurationError`); it is overwritten with the
-        result and returned, with no temporaries.
+        levels.
         """
-        if inplace and not (isinstance(values, np.ndarray) and values.dtype == np.float64):
-            raise ConfigurationError(
-                "quantize_to_real(inplace=True) needs a float64 ndarray, got "
-                f"{getattr(values, 'dtype', type(values).__name__)}"
-            )
-        arr = values if inplace else np.array(values, dtype=np.float64)
+        arr = np.array(values, dtype=np.float64)
         arr /= self.spec.step
         np.round(arr, out=arr)
         np.clip(arr, self.lowest_level, self.spec.max_level, out=arr)

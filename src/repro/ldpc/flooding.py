@@ -26,6 +26,7 @@ from repro.errors import DecodingError
 from repro.ldpc.hmatrix import ParityCheckMatrix
 from repro.sim.batch import BatchFloodingDecoder, validate_scaling
 from repro.sim.kernels import sum_product_update
+from repro.utils.validation import require_int
 
 
 @dataclass
@@ -93,6 +94,7 @@ class FloodingDecoder:
 
     @max_iterations.setter
     def max_iterations(self, value: int) -> None:
+        require_int("max_iterations", value, 1, DecodingError)
         self._batch.max_iterations = int(value)
 
     @property

@@ -28,6 +28,7 @@ import numpy as np
 from repro.errors import DecodingError
 from repro.ldpc.hmatrix import ParityCheckMatrix
 from repro.sim.batch import BatchLayeredDecoder, validate_scaling
+from repro.utils.validation import require_int
 
 
 @dataclass
@@ -100,6 +101,7 @@ class LayeredMinSumDecoder:
 
     @max_iterations.setter
     def max_iterations(self, value: int) -> None:
+        require_int("max_iterations", value, 1, DecodingError)
         self._batch.max_iterations = int(value)
 
     @property

@@ -17,6 +17,7 @@ iteration counts, same convergence flags.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import TYPE_CHECKING, Protocol, runtime_checkable
 
 import numpy as np
@@ -218,6 +219,35 @@ class BatchFloodingDecoder:
         )
 
 
+#: Fixed-point state is held in integer levels of the channel format's step
+#: (half an LLR unit): lambda in ``[-63, 63]``, R = ``_R_UNIT * r`` with the
+#: 5-bit extrinsic level r in ``[-15, 15]``.
+_CHANNEL_QUANTIZER = LLRQuantizer(CHANNEL_LLR_SPEC)
+_EXTRINSIC_QUANTIZER = LLRQuantizer(EXTRINSIC_SPEC)
+_R_UNIT = int(EXTRINSIC_SPEC.step / CHANNEL_LLR_SPEC.step)
+#: λ saturation bounds as int16 0-d arrays: ``np.clip`` then stays in int16.
+_LAMBDA_MAX = np.array(CHANNEL_LLR_SPEC.max_level, dtype=np.int16)
+_LAMBDA_MIN = -_LAMBDA_MAX
+#: Largest ``|Q| = |lambda - R|`` a check can see, in channel levels.
+_Q_MAX = CHANNEL_LLR_SPEC.max_level + _R_UNIT * EXTRINSIC_SPEC.max_level
+
+
+def _r_levels(values: np.ndarray) -> np.ndarray:
+    """Real R values quantised to the 5-bit extrinsic format, as int16 channel levels."""
+    return (_R_UNIT * _EXTRINSIC_QUANTIZER.quantize(values)).astype(np.int16)
+
+
+def extrinsic_table(scaling: float) -> np.ndarray:
+    """Scaled, rounded and clipped R level for every ``|Q|`` level ``0.._Q_MAX``.
+
+    Entry ``m`` is the 5-bit extrinsic quantisation of ``scaling * |Q|`` for
+    ``|Q| = m`` channel steps, in channel levels (int16).  It is the float
+    expression the normalised min-sum evaluates, so the integer datapath
+    matches the float one bit for bit, half-to-even ties included.
+    """
+    return _r_levels(scaling * (np.arange(_Q_MAX + 1) * CHANNEL_LLR_SPEC.step))
+
+
 class BatchLayeredDecoder:
     """Layered (horizontal-schedule) decoder vectorised over frames and layers.
 
@@ -227,10 +257,18 @@ class BatchLayeredDecoder:
     The checks are therefore split once, at construction, into layers of
     consecutive, column-disjoint, equal-degree checks
     (:meth:`repro.sim.edges.EdgeIndex.layers`), and each layer is one
-    ``(batch, z, d)`` tensor step: in a quasi-cyclic code a layer is a block
-    row of ``z`` checks, the rows the paper's P processing elements update
-    in parallel (12 steps per iteration instead of 288 at n=576 r1/2).  The
-    results are bit-identical to the check-by-check schedule.
+    tensor step over ``z`` checks of degree ``d``: in a quasi-cyclic code a
+    layer is a block row of ``z`` checks, the rows the paper's P processing
+    elements update in parallel (12 steps per iteration instead of 288 at
+    n=576 r1/2).  The results are bit-identical to the check-by-check
+    schedule.
+
+    The float decoder keeps ``(batch, n)`` float64 state and runs the check
+    kernel on ``(batch, z, d)`` tensors.  The fixed-point decoder runs on the
+    paper's integer words instead: int16 levels in a variable-major
+    ``(n, batch)`` layout, ``(z, d, batch)`` per layer, so the reductions over
+    the degree axis run on contiguous batch rows.  Its min-sum scales,
+    rounds and clips R through one lookup table (:func:`extrinsic_table`).
 
     ``converged`` matches :class:`repro.ldpc.layered.LayeredMinSumDecoder`:
     the latched "was ever a codeword" flag AND a zero final syndrome.
@@ -246,8 +284,8 @@ class BatchLayeredDecoder:
     kernel:
         ``"min-sum"`` (the paper's PEs, default) or ``"sum-product"``.
     fixed_point:
-        Quantise channel/a-posteriori LLRs to the paper's 7-bit format and
-        extrinsic R messages to the 5-bit format around every update.
+        Hold channel/a-posteriori LLRs in the paper's 7-bit format and
+        extrinsic R messages in the 5-bit format.
     early_termination:
         Remove a frame from the active set as soon as its hard decision
         satisfies every parity check.
@@ -274,27 +312,78 @@ class BatchLayeredDecoder:
         self.kernel = kernel
         self.fixed_point = bool(fixed_point)
         self.early_termination = bool(early_termination)
-        self._channel_quantizer = LLRQuantizer(CHANNEL_LLR_SPEC)
-        self._extrinsic_quantizer = LLRQuantizer(EXTRINSIC_SPEC)
+        # Min-two keys ``|Q| << shift | position`` are distinct within a check;
+        # they fit int16 up to degree 256.
+        max_degree = max((layer.cols.shape[1] for layer in self._layers), default=1)
+        self._key_shift = (max_degree - 1).bit_length()
+        key_dtype = np.int16 if (_Q_MAX + 1) << self._key_shift <= 2**15 else np.int32
+        self._positions = np.arange(max_degree, dtype=key_dtype)[:, None]
 
     @property
     def n_bits(self) -> int:
         """Codeword length ``n`` of the code this decoder was built for."""
         return self._edges.n_cols
 
-    def _quantize_channel(self, llrs: np.ndarray) -> np.ndarray:
-        if not self.fixed_point:
-            return llrs.astype(np.float64)
-        return self._channel_quantizer.quantize_to_real(llrs)
-
-    def _row_update(self, q: np.ndarray) -> np.ndarray:
+    def _float_layer(self, lam: np.ndarray, r: np.ndarray, layer) -> None:
+        """One layer step on ``(batch, n)`` float64 λ and ``(batch, n_edges)`` R."""
+        # (active, z, d) tensors, updated in place to keep the step free of
+        # full-size temporaries.
+        q = lam[:, layer.cols]
+        q -= r[:, layer.edges].reshape(q.shape)
         if self.kernel == "sum-product":
             r_new = sum_product_update(q)
         else:
             r_new = min_sum_update(q, scaling=self.scaling)
-        if self.fixed_point:
-            self._extrinsic_quantizer.quantize_to_real(r_new, inplace=True)
-        return r_new
+        q += r_new
+        lam[:, layer.cols] = q
+        r[:, layer.edges] = r_new.reshape(q.shape[0], -1)
+
+    def _level_layer(self, lam: np.ndarray, r: np.ndarray, layer, table: np.ndarray) -> None:
+        """One layer step on ``(n, batch)`` λ and ``(n_edges, batch)`` R int16 levels."""
+        q = np.take(lam, layer.cols, axis=0)  # (z, d, active)
+        q -= r[layer.edges].reshape(q.shape)
+        if self.kernel == "sum-product":
+            r_real = sum_product_update(np.moveaxis(q * CHANNEL_LLR_SPEC.step, 1, -1))
+            r_new = _r_levels(np.moveaxis(r_real, -1, 1))
+        else:
+            r_new = self._min_sum_levels(q, table)
+        q += r_new
+        np.clip(q, _LAMBDA_MIN, _LAMBDA_MAX, out=q)
+        lam[layer.cols] = q
+        r[layer.edges] = r_new.reshape(-1, q.shape[-1])
+
+    def _min_sum_levels(self, q: np.ndarray, table: np.ndarray) -> np.ndarray:
+        """Normalised min-sum R levels over the degree axis (axis 1) of ``q``.
+
+        Each edge sees the smallest ``|Q|`` of the other edges: min1 of its
+        check, or min2 for the one edge holding min1.  Keys
+        ``|Q| << shift | position`` are distinct, so one ``min`` finds min1;
+        subtracting ``min1 + 1`` leaves -1 at its holder only, which an
+        unsigned ``min`` then skips to find min2.  Signs are the all-ones
+        masks ``Q >> 15``, applied as two's-complement ``(x ^ m) - m``; a
+        zero Q's sign reaches no output, since the other edges of its check
+        see magnitude 0 and its own output excludes its sign.
+        """
+        if q.shape[1] < 2:
+            raise DecodingError("check update needs at least two edge messages")
+        shift = self._key_shift
+        keys = np.abs(q).astype(self._positions.dtype, copy=False)
+        keys <<= shift
+        keys |= self._positions[: q.shape[1]]
+        min1 = keys.min(axis=1, keepdims=True)
+        keys -= min1 + 1
+        min2 = keys.view(f"u{keys.itemsize}").min(axis=1, keepdims=True).view(keys.dtype)
+        min2 += min1 + 1
+        holder = keys >> (8 * keys.itemsize - 1)  # -1 at min1's edge, 0 elsewhere
+        negative = q >> 15
+        parity = np.bitwise_xor.reduce(negative, axis=1, keepdims=True)
+        first = (table[min1 >> shift] ^ parity) - parity
+        second = (table[min2 >> shift] ^ parity) - parity
+        r_new = holder & (second - first)
+        r_new += first
+        r_new ^= negative
+        r_new -= negative
+        return r_new.astype(np.int16, copy=False)
 
     def decode_batch(self, channel_llrs: np.ndarray) -> BatchDecodeResult:
         """Decode a ``(batch, n)`` array of channel LLRs with the layered schedule.
@@ -309,42 +398,44 @@ class BatchLayeredDecoder:
         llrs = _validate_batch(channel_llrs, self._edges.n_cols)
         batch = llrs.shape[0]
         edges = self._edges
-        lam_out = self._quantize_channel(llrs).copy()
+        if self.fixed_point:
+            # Variable-major int16 levels: frames on the last axis.
+            frame_axis = 1
+            act_lam = np.ascontiguousarray(_CHANNEL_QUANTIZER.quantize(llrs).T, dtype=np.int16)
+            act_r = np.zeros((edges.n_edges, batch), dtype=np.int16)
+            layer_step = partial(self._level_layer, table=extrinsic_table(self.scaling))
+        else:
+            frame_axis = 0
+            act_lam = llrs.copy()
+            act_r = np.zeros((batch, edges.n_edges), dtype=np.float64)
+            layer_step = self._float_layer
+        lam_out = np.empty((batch, edges.n_cols), dtype=act_lam.dtype)
         iterations = np.zeros(batch, dtype=np.int64)
         converged = np.zeros(batch, dtype=bool)
         histories: list[list[int]] = [[] for _ in range(batch)]
         act_idx = np.arange(batch)
-        act_lam = lam_out.copy()
-        act_r = np.zeros((batch, edges.n_edges), dtype=np.float64)
         for iteration in range(self.max_iterations):
             if act_idx.size == 0:
                 break
             for layer in self._layers:
-                # (active, z, d) tensors, updated in place to keep the step
-                # free of full-size temporaries.
-                q = act_lam[:, layer.cols]
-                q -= act_r[:, layer.edges].reshape(q.shape)
-                r_new = self._row_update(q)
-                q += r_new
-                if self.fixed_point:
-                    self._channel_quantizer.quantize_to_real(q, inplace=True)
-                act_lam[:, layer.cols] = q
-                act_r[:, layer.edges] = r_new.reshape(q.shape[0], -1)
-            unsatisfied = edges.unsatisfied_counts(act_lam < 0)
+                layer_step(act_lam, act_r, layer)
+            unsatisfied = edges.unsatisfied_counts(act_lam < 0, axis=1 - frame_axis)
             iterations[act_idx] = iteration + 1
             for local, frame in enumerate(act_idx):
                 histories[frame].append(int(unsatisfied[local]))
             newly = unsatisfied == 0
             converged[act_idx[newly]] = True
             if self.early_termination and newly.any():
-                lam_out[act_idx[newly]] = act_lam[newly]
+                lam_out[act_idx[newly]] = np.moveaxis(act_lam, frame_axis, 0)[newly]
                 keep = ~newly
                 act_idx = act_idx[keep]
-                act_lam = act_lam[keep]
-                act_r = act_r[keep]
-        lam_out[act_idx] = act_lam
+                act_lam = np.compress(keep, act_lam, axis=frame_axis)
+                act_r = np.compress(keep, act_r, axis=frame_axis)
+        lam_out[act_idx] = np.moveaxis(act_lam, frame_axis, 0)
         hard = (lam_out < 0).astype(np.int8)
         syndrome_weights = edges.unsatisfied_counts(hard)
+        if self.fixed_point:
+            lam_out = lam_out * CHANNEL_LLR_SPEC.step
         return BatchDecodeResult(
             hard_bits=hard,
             llrs=lam_out,

@@ -166,13 +166,17 @@ class EdgeIndex:
             out[:, group.members] = edge_values[:, group.edges].sum(axis=-1)
         return out
 
-    def unsatisfied_counts(self, hard_bits: np.ndarray) -> np.ndarray:
+    def unsatisfied_counts(self, hard_bits: np.ndarray, axis: int = -1) -> np.ndarray:
         """Number of unsatisfied parity checks per frame.
 
         Parameters
         ----------
         hard_bits:
-            ``(batch, n)`` 0/1 (or boolean) hard decisions.
+            0/1 (or boolean) hard decisions with the ``n`` variables on
+            ``axis``: ``(batch, n)`` by default, ``(n, batch)`` with
+            ``axis=0``.
+        axis:
+            The variable axis of ``hard_bits``.
 
         Returns
         -------
@@ -180,6 +184,7 @@ class EdgeIndex:
             ``(batch,)`` counts of rows whose parity sum is odd — the batched
             equivalent of ``h.syndrome(word).sum()``.
         """
-        edge_bits = np.asarray(hard_bits).astype(np.uint8, copy=False)[:, self.edge_cols]
-        parity = np.bitwise_xor.reduceat(edge_bits, self.row_ptr[:-1], axis=1) & 1
-        return parity.sum(axis=1, dtype=np.int64)
+        bits = np.asarray(hard_bits).astype(np.uint8, copy=False)
+        edge_bits = np.take(bits, self.edge_cols, axis=axis)
+        parity = np.bitwise_xor.reduceat(edge_bits, self.row_ptr[:-1], axis=axis) & 1
+        return parity.sum(axis=axis, dtype=np.int64)

@@ -17,6 +17,8 @@ included).
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -51,6 +53,7 @@ from repro.sim import (
     sum_product_update,
     wilson_interval,
 )
+from repro.sim.batch import extrinsic_table
 
 
 def _llr_batch(code, batch: int, ebn0_db: float, seed: int) -> tuple[np.ndarray, np.ndarray]:
@@ -147,6 +150,20 @@ def _mixed_snr_llrs(code, seed: int) -> np.ndarray:
     return 2.0 * received / sigmas**2
 
 
+#: Channel LLRs at the quantiser's corners: exact zeros of both signs,
+#: half-step ties (0.25 and 0.75 are 0.5 and 1.5 channel steps) and
+#: saturating magnitudes.
+_EDGE_LLRS = np.array([0.0, -0.0, 0.25, -0.25, 0.75, -0.75, 1e9, -1e9])
+
+
+def _edge_case_llrs(code, seed: int) -> np.ndarray:
+    """The mixed-SNR frames, one of them seeded with the corner LLRs, plus an
+    all-corner frame."""
+    llrs = _mixed_snr_llrs(code, seed)
+    llrs[1, ::9] = np.resize(_EDGE_LLRS, llrs[1, ::9].size)
+    return np.vstack([llrs, np.resize(_EDGE_LLRS, code.n)])
+
+
 class TestLayeredOracle:
     """Layer-parallel decoding == the check-serial schedule, bit for bit."""
 
@@ -204,6 +221,80 @@ class TestLayeredOracle:
             update=_min_sum_check,
         )
 
+    @pytest.mark.parametrize("code_name", sorted(_ORACLE_CODES))
+    @pytest.mark.parametrize("scaling", [0.75, 0.8, 1.0])
+    def test_fixed_point_min_sum_scalings_and_edge_llrs(self, code_name, scaling):
+        """Every iteration runs (no early exit), so saturated λ keeps recirculating."""
+        code = _ORACLE_CODES[code_name]()
+        llrs = _edge_case_llrs(code, seed=17)
+        decoder = BatchLayeredDecoder(
+            code.h, max_iterations=6, scaling=scaling, fixed_point=True,
+            early_termination=False,
+        )
+        _assert_matches_oracle(
+            code.h, llrs, decoder.decode_batch(llrs), max_iterations=6,
+            fixed_point=True, early_termination=False,
+            update=partial(min_sum_check_update, scaling=scaling),
+        )
+
+    def test_fixed_point_min_sum_wide_check(self):
+        """A degree-300 check needs int32 min-two keys; still the oracle's result."""
+        # Loud LLRs and the degree-2 checks, which move λ between visits of
+        # the wide one, push its |Q| = |λ - R| past 63 levels.
+        h = ParityCheckMatrix(
+            [list(range(300))] + [[c, c + 1] for c in range(0, 300, 2)], 300
+        )
+        llrs = np.random.default_rng(3).normal(1.0, 40.0, (3, 300))
+        llrs[0, :8] = _EDGE_LLRS
+        decoder = BatchLayeredDecoder(h, max_iterations=3, scaling=1.0, fixed_point=True)
+        _assert_matches_oracle(
+            h, llrs, decoder.decode_batch(llrs), max_iterations=3, fixed_point=True,
+            early_termination=True, update=partial(min_sum_check_update, scaling=1.0),
+        )
+
+    @pytest.mark.parametrize(
+        "before, change",
+        [
+            ({"scaling": 0.75, "fixed_point": True}, {"scaling": 0.8}),
+            ({"scaling": 0.8, "fixed_point": False}, {"fixed_point": True}),
+            ({"scaling": 0.8, "fixed_point": True}, {"fixed_point": False}),
+        ],
+        ids=["scaling", "fixed-point-on", "fixed-point-off"],
+    )
+    def test_facade_setters_reach_the_decode(self, before, change):
+        """Setters after construction decode like a fresh decoder and the oracle."""
+        code = _ORACLE_CODES["wimax576-1/2"]()
+        llrs = _edge_case_llrs(code, seed=17)
+        decoder = LayeredMinSumDecoder(code.h, max_iterations=6, **before)
+        decoder.decode(llrs[0])  # one decode at the old setting
+        for name, value in change.items():
+            setattr(decoder, name, value)
+        after = {**before, **change}
+        fresh = LayeredMinSumDecoder(code.h, max_iterations=6, **after)
+        for frame_llrs in llrs:
+            got, want = decoder.decode(frame_llrs), fresh.decode(frame_llrs)
+            assert np.array_equal(got.llrs.view(np.int64), want.llrs.view(np.int64))
+            assert got.iterations == want.iterations
+            assert got.unsatisfied_history == want.unsatisfied_history
+            lam, iterations, converged, _ = _check_serial_layered(
+                code.h, frame_llrs, max_iterations=6, fixed_point=after["fixed_point"],
+                early_termination=True,
+                update=partial(min_sum_check_update, scaling=after["scaling"]),
+            )
+            assert np.array_equal(got.llrs.view(np.int64), lam.view(np.int64))
+            assert (got.iterations, got.converged) == (iterations, converged)
+
+    @given(scaling=st.floats(0.0, 1.0, exclude_min=True))
+    @settings(max_examples=80, deadline=None)
+    def test_extrinsic_table_is_the_quantised_scaled_magnitude(self, scaling):
+        """Entry m == the 5-bit round trip of ``scaling * m`` LLR steps, ties included."""
+        table = extrinsic_table(scaling)
+        # |Q| = |lambda - R| <= 63 + 2 * 15 channel levels.
+        assert table.dtype == np.int16 and table.shape == (94,)
+        magnitudes = np.arange(94) * CHANNEL_LLR_SPEC.step
+        expected = _round_trip(_EXTRINSIC_QUANTIZER, scaling * magnitudes)
+        assert np.array_equal(table * CHANNEL_LLR_SPEC.step, expected)
+
 
 class TestScalingValidation:
     @pytest.mark.parametrize("scaling", [-2.0, 0.0, 1.5, float("nan")])
@@ -234,6 +325,16 @@ class TestIterationValidation:
     def test_batch_constructors_reject_non_integers(self, small_ldpc_code, decoder_cls, value):
         with pytest.raises(DecodingError, match="max_iterations"):
             decoder_cls(small_ldpc_code.h, max_iterations=value)
+
+    @pytest.mark.parametrize("value", [0, -3, 2.7, True, "3"])
+    @pytest.mark.parametrize("facade", [LayeredMinSumDecoder, FloodingDecoder])
+    def test_facade_setters_reject(self, small_ldpc_code, facade, value):
+        decoder = facade(small_ldpc_code.h, max_iterations=4)
+        with pytest.raises(DecodingError, match="max_iterations"):
+            decoder.max_iterations = value
+        assert decoder.max_iterations == 4
+        decoder.max_iterations = np.int64(6)
+        assert decoder.max_iterations == 6 and type(decoder.max_iterations) is int
 
 
 class TestBatchSequentialEquivalence:
@@ -306,6 +407,15 @@ class TestBatchSequentialEquivalence:
             assert np.array_equal(result.llrs[frame], single.llrs[0])
             assert int(result.iterations[frame]) == int(single.iterations[0])
             assert bool(result.converged[frame]) == bool(single.converged[0])
+
+    @pytest.mark.parametrize("kernel", ["min-sum", "sum-product"])
+    @pytest.mark.parametrize("fixed_point", [False, True])
+    def test_layered_rejects_single_edge_check(self, kernel, fixed_point):
+        decoder = BatchLayeredDecoder(
+            ParityCheckMatrix([[0], [0, 1]], 2), kernel=kernel, fixed_point=fixed_point
+        )
+        with pytest.raises(DecodingError, match="at least two edge messages"):
+            decoder.decode_batch(np.ones((1, 2)))
 
     def test_both_decoders_satisfy_protocol(self, small_ldpc_code):
         assert isinstance(BatchFloodingDecoder(small_ldpc_code.h), BatchDecoder)
@@ -424,9 +534,12 @@ class TestEdgeIndex:
     )
     @settings(max_examples=40, deadline=None)
     def test_unsatisfied_counts_property(self, small_ldpc_code, bits, dtype):
-        """Every hard-bit dtype the decoders pass counts like ``h.syndrome``."""
-        counts = EdgeIndex(small_ldpc_code.h).unsatisfied_counts(bits.astype(dtype))
+        """Every hard-bit dtype the decoders pass counts like ``h.syndrome``,
+        frames-first or variable-major."""
+        edges = EdgeIndex(small_ldpc_code.h)
+        counts = edges.unsatisfied_counts(bits.astype(dtype))
         assert counts.dtype == np.int64
+        assert np.array_equal(edges.unsatisfied_counts(bits.T.astype(dtype), axis=0), counts)
         for frame, word in enumerate(bits):
             assert counts[frame] == int(small_ldpc_code.h.syndrome(word).sum())
 
