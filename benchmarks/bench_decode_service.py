@@ -7,9 +7,10 @@ three offered loads and compares against the per-frame baseline (a direct
 ``decode_batch(llrs[None])`` per request — what each client would do
 without the service):
 
-* ``trickle``   — one client, closed loop: every request pays the full
-  latency budget waiting for batch mates that never arrive (the worst case
-  for the service, reported for honesty);
+* ``trickle``   — one client, closed loop: each request finds the worker
+  idle and is dispatched alone at the next loop turn (work-conserving
+  dispatch), so it pays the service's overhead over a batch=1 decode but
+  no wait for batch mates that never arrive;
 * ``saturating``— a burst of concurrent clients deep enough to keep full
   batches forming (the design point; acceptance: >= 5x the per-frame
   baseline with the p99 *queueing* delay inside the latency budget);

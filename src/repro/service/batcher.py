@@ -1,14 +1,19 @@
-"""Pure dynamic-batching policy: flush on batch-full OR deadline.
+"""Pure dynamic-batching policy: flush on batch-full, deadline or a free worker.
 
 :class:`DynamicBatcher` is the clock-free core of the decode service's
 aggregation layer, kept free of asyncio (and of any real clock — callers
-pass ``now`` in) so its invariants can be property-tested exhaustively:
+pass ``now`` in, and the number of idle workers) so its invariants can be
+property-tested exhaustively:
 
 * every offered item leaves in exactly one flushed batch (no loss, no
   duplication),
 * batches never exceed ``max_batch`` and preserve arrival (FIFO) order,
 * a full queue flushes immediately; otherwise an item waits at most
   ``max_delay_s`` past its arrival before :meth:`poll` releases it,
+* work conservation: a :meth:`poll` told of ``free`` idle workers releases
+  at least ``free`` batches while items are queued, oldest head first — a
+  queue only accumulates towards full-or-deadline while every worker is
+  busy,
 * the queue never holds more than ``capacity`` items — once full,
   :meth:`offer` refuses and the service layer turns that refusal into its
   configured backpressure behaviour (reject-with-retry-after or
@@ -117,17 +122,20 @@ class DynamicBatcher(Generic[T]):
             return self._pop_batch()
         return []
 
-    def poll(self, now: float) -> list[list[QueuedItem[T]]]:
-        """Release every batch whose head deadline has passed by time ``now``.
+    def poll(self, now: float, free: int = 0) -> list[list[QueuedItem[T]]]:
+        """Release every batch due by time ``now``, and one per ``free`` worker.
 
         After this returns, no queued item has ``deadline <= now``: expired
         items are drained in FIFO order into batches of at most
         ``max_batch``.  A deadline flush takes the *whole* queue up to the
         size cap — riding along with an expired head costs a younger item
-        nothing and grows the batch the engines amortize over.
+        nothing and grows the batch the engines amortize over.  ``free`` is
+        the caller's count of idle workers: the queue keeps releasing head
+        batches, due or not, until at least ``free`` batches are out or it
+        is empty, so an idle worker never waits for a deadline.
         """
         batches: list[list[QueuedItem[T]]] = []
-        while self._queue and self._queue[0].deadline <= now:
+        while self._queue and (self._queue[0].deadline <= now or len(batches) < free):
             batches.append(self._pop_batch())
         return batches
 

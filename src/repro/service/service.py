@@ -9,9 +9,12 @@ built for:
   codec) and rejected with typed :mod:`repro.errors` exceptions instead of
   surfacing as NumPy broadcast errors deep inside a kernel;
 * compatible requests (same ``(family, block, rate)``) aggregate in a
-  per-codec :class:`~repro.service.batcher.DynamicBatcher` and flush on
-  *batch-full or deadline, whichever first* — the deadline is the service's
-  configurable latency budget;
+  per-codec :class:`~repro.service.batcher.DynamicBatcher`; dispatch is
+  *work-conserving*: whenever a decode worker is free, the lane whose head
+  is oldest sends one batch at the next loop turn, and only while every
+  worker is busy do lanes accumulate up to *batch-full or deadline,
+  whichever first* — the deadline is the service's configurable latency
+  budget;
 * each flushed batch is stacked into one ``(B, n)`` array and dispatched
   through the :class:`~repro.service.resilience.ResilientDispatcher`, which
   owns the executors (an in-process worker thread by default, a pool of
@@ -75,10 +78,10 @@ class DecodeResponse:
 
     ``bits`` are the decoder's hard decisions — whole codeword for LDPC,
     information bits for turbo (``decides_info_bits`` says which).  The
-    latency breakdown separates time spent queued (waiting for the batch to
-    fill or the deadline to strike) from time spent decoding.  ``attempts``
-    and ``decode_path`` report how the resilience layer earned the result:
-    ``attempts > 1`` means transparent retries happened, and a
+    latency breakdown separates time spent queued (waiting for a free
+    worker, a full batch or the deadline) from time spent decoding.
+    ``attempts`` and ``decode_path`` report how the resilience layer earned
+    the result: ``attempts > 1`` means transparent retries happened, and a
     ``"degraded:*"`` path means the circuit breaker was open.
     """
 
@@ -135,7 +138,9 @@ class DecodeService:
         sweet spot; PR 1/2 benches use 64); at least 1.
     max_delay_s:
         Latency budget: a request waits at most this long in the queue
-        before its batch flushes, full or not.  Finite and >= 0.
+        before its batch flushes, full or not, even while every worker is
+        busy (an idle worker takes it at the next loop turn).  Finite and
+        >= 0.
     queue_capacity:
         Per-codec bound on queued requests — the backpressure threshold;
         at least 1.
@@ -209,9 +214,12 @@ class DecodeService:
         self.metrics = ServiceMetrics()
         self._lanes: dict[tuple[str, int, str], _CodecLane] = {}
         self._dispatcher: ResilientDispatcher | None = None
-        self._flusher: asyncio.Task | None = None
+        #: Batches decoded at once: one worker thread (or the loop itself),
+        #: or one per shard.
+        self._workers = self.shards if executor == "process" else 1
         self._inflight: set[asyncio.Task] = set()
-        self._wake: asyncio.Event | None = None
+        self._pump_handle: asyncio.Handle | None = None
+        self._timer: asyncio.TimerHandle | None = None
         self._next_request_id = 0
         self._running = False
 
@@ -234,9 +242,7 @@ class DecodeService:
                 FaultInjector(self.fault_plan) if self.fault_plan is not None else None
             ),
         )
-        self._wake = asyncio.Event()
         self._running = True
-        self._flusher = asyncio.create_task(self._flush_loop())
 
     async def stop(self, drain: bool = True, drain_timeout_s: float | None = None) -> None:
         """Stop the service; by default drain queued and in-flight work first.
@@ -249,17 +255,11 @@ class DecodeService:
         if not self._running:
             return
         self._running = False  # new submits now raise ServiceClosedError
+        self._disarm()
         if drain:
             for lane in self._lanes.values():
                 for batch in lane.batcher.flush_all():
                     self._dispatch(lane, batch)
-        if self._flusher is not None:
-            self._flusher.cancel()
-            try:
-                await self._flusher
-            except asyncio.CancelledError:
-                pass
-            self._flusher = None
         drained_clean = True
         if drain and self._inflight:
             waiter = asyncio.gather(*tuple(self._inflight), return_exceptions=True)
@@ -362,7 +362,9 @@ class DecodeService:
         if flushed is None:  # reject mode, queue full
             self.metrics.rejected += 1
             deadline = lane.batcher.next_deadline()
-            retry_after = max(deadline - now, 0.0) if deadline else self.max_delay_s
+            retry_after = (
+                max(deadline - now, 0.0) if deadline is not None else self.max_delay_s
+            )
             raise ServiceOverloadError(
                 f"{entry.spec.label} queue full "
                 f"({lane.batcher.depth}/{self.queue_capacity}); "
@@ -380,7 +382,7 @@ class DecodeService:
         if flushed:
             self._dispatch(lane, flushed)
         else:
-            self._wake.set()  # the flusher re-evaluates its sleep deadline
+            self._kick()
         return await request.future
 
     def _lane(self, entry: CodecEntry) -> _CodecLane:
@@ -483,33 +485,45 @@ class DecodeService:
     # ------------------------------------------------------------------ #
     # Flushing and dispatch
     # ------------------------------------------------------------------ #
-    async def _flush_loop(self) -> None:
-        """Wake at the earliest queued deadline and flush everything due."""
+    def _kick(self) -> None:
+        """Run the pump at the next loop turn (at most one pending).
+
+        ``call_soon`` queues the pump behind every submit already scheduled
+        for this turn, so requests arriving together still share a batch.
+        """
+        if self._pump_handle is None and self._running:
+            self._pump_handle = asyncio.get_running_loop().call_soon(self._pump)
+
+    def _pump(self) -> None:
+        """Dispatch what is due, feed every free worker, re-arm the deadline timer.
+
+        Lanes are polled oldest head first, each told how many workers are
+        still free, so an idle worker takes the oldest queued batch and a
+        deadline flush still fires while every worker is busy.
+        """
+        self._disarm()
+        if not self._running:
+            return
         loop = asyncio.get_running_loop()
-        while True:
-            deadlines = [
-                d
-                for lane in self._lanes.values()
-                if (d := lane.batcher.next_deadline()) is not None
-            ]
-            if not deadlines:
-                await self._wake.wait()
-                self._wake.clear()
-                continue
-            timeout = min(deadlines) - loop.time()
-            if timeout > 0:
-                # Sleep until the deadline, but let a new offer (which may
-                # carry an earlier deadline after an idle stretch) wake us.
-                try:
-                    await asyncio.wait_for(self._wake.wait(), timeout)
-                    self._wake.clear()
-                except asyncio.TimeoutError:  # noqa: UP041 — py3.10 spells it this way
-                    pass
-                continue
-            now = loop.time()
-            for lane in self._lanes.values():
-                for batch in lane.batcher.poll(now):
-                    self._dispatch(lane, batch)
+        now = loop.time()
+        queued = [lane for lane in self._lanes.values() if lane.batcher.depth]
+        for lane in sorted(queued, key=lambda lane: lane.batcher.next_deadline()):
+            free = self._workers - len(self._inflight)
+            for batch in lane.batcher.poll(now, free):
+                self._dispatch(lane, batch)
+        deadline = min(
+            (d for lane in queued if (d := lane.batcher.next_deadline()) is not None),
+            default=None,
+        )
+        if deadline is not None:
+            self._timer = loop.call_at(deadline, self._pump)
+
+    def _disarm(self) -> None:
+        """Cancel the pending pump and the deadline timer."""
+        for handle in (self._pump_handle, self._timer):
+            if handle is not None:
+                handle.cancel()
+        self._pump_handle = self._timer = None
 
     def _dispatch(self, lane: _CodecLane, batch: list[QueuedItem[_PendingRequest]]) -> None:
         """Send one flushed batch to the dispatcher; resolve futures when done."""
@@ -526,12 +540,18 @@ class DecodeService:
                 continue
             live.append(item)
         if not live:
+            self._kick()  # the worker this batch would have taken is still free
             return
         self.metrics.record_batch(len(live))
         stacked = np.stack([item.payload.llrs for item in live])
         task = asyncio.create_task(self._run_batch(lane, live, stacked))
         self._inflight.add(task)
-        task.add_done_callback(self._inflight.discard)
+        task.add_done_callback(self._batch_done)
+
+    def _batch_done(self, task: asyncio.Task) -> None:
+        """A worker came free: hand it the oldest queued batch."""
+        self._inflight.discard(task)
+        self._kick()
 
     async def _run_batch(
         self,

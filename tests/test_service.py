@@ -6,9 +6,11 @@ The load-bearing claims:
   call on the same LLRs (property-tested over random frames), for both
   code families, whatever batches the scheduler happened to form;
 * no request is lost or duplicated under concurrent mixed-family load;
-* a lone request still completes within the latency budget (deadline
-  flush), and backpressure engages exactly at the configured bound in both
-  modes;
+* dispatch is work-conserving: an idle worker takes a lone request at the
+  next loop turn, same-turn arrivals still share a batch, and lanes go
+  oldest head first; while the worker is busy a lone request still
+  completes within the latency budget (deadline flush);
+* backpressure engages exactly at the configured bound in both modes;
 * malformed payloads and unknown codecs fail at the boundary with typed
   :mod:`repro.errors` exceptions;
 * the process-shard executor and the sync (thread) client return the same
@@ -45,6 +47,8 @@ from repro.service.demo import generate_llr_frames, run_demo
 
 LDPC = ("ldpc", 576, "1/2")
 TURBO = ("turbo", 24, "1/2")
+#: One radio frame: (codec, blocks) — 3 x LDPC 576, 1 x LDPC 2304 r5/6, 2 x CTC 48.
+RADIO_FRAME = ((LDPC, 3), (("ldpc", 2304, "5/6"), 1), (("turbo", 48, "1/2"), 2))
 
 
 @pytest.fixture(scope="module")
@@ -66,6 +70,20 @@ def _direct_bits(entry, llrs: np.ndarray) -> np.ndarray:
     """Reference decode of one frame: direct batch=1 engine call."""
     bits, _, _ = entry.decoder.decode_batch(llrs[None]).frame(0)
     return bits
+
+
+async def _occupy_worker(service: DecodeService, llrs: np.ndarray, codec) -> asyncio.Task:
+    """Submit one frame and yield until its batch holds the service's worker.
+
+    The service's fault plan stalls that first dispatch (``hang@1``), so
+    every later request queues behind a busy worker.
+    """
+    task = asyncio.create_task(service.submit(llrs, *codec))
+    for _ in range(100):  # submit, then the pump: two loop turns
+        if service.metrics_snapshot().batch_count:
+            return task
+        await asyncio.sleep(0)
+    raise AssertionError("the first request was never dispatched")
 
 
 def _one_iteration_ldpc(spec) -> CodecEntry:
@@ -146,22 +164,83 @@ def test_service_bits_identical_to_direct_decode_property(seed, count):
 
 
 @pytest.mark.asyncio
-async def test_deadline_flush_serves_a_lone_request(registry, ldpc_entry):
-    """A single request cannot fill a batch; the deadline must flush it."""
+async def test_idle_service_dispatches_a_lone_request_at_the_next_turn(
+    registry, ldpc_entry
+):
+    """A free worker takes a lone request at once, not after the budget."""
     rng = np.random.default_rng(3)
     llrs, _ = generate_llr_frames(ldpc_entry, 1, 3.0, rng)
     async with DecodeService(
-        registry=registry, max_batch=64, max_delay_s=0.02, executor="inline"
+        registry=registry, max_batch=64, max_delay_s=30.0, executor="inline"
     ) as service:
         response = await asyncio.wait_for(service.submit(llrs[0], *LDPC), timeout=10.0)
     assert response.batch_size == 1
+    assert response.queued_s < service.max_delay_s
+
+
+@pytest.mark.asyncio
+async def test_busy_service_deadline_flushes_a_lone_request(registry, ldpc_entry):
+    """Behind a busy worker a single request cannot fill a batch; the
+    deadline must flush it, without waiting for the worker to come free."""
+    rng = np.random.default_rng(3)
+    llrs, _ = generate_llr_frames(ldpc_entry, 2, 3.0, rng)
+    service = DecodeService(
+        registry=registry,
+        max_batch=64,
+        max_delay_s=0.02,
+        executor="inline",
+        fault_plan=FaultPlan.from_string("hang@1:30"),
+    )
+    await service.start()
+    occupier = await _occupy_worker(service, llrs[0], LDPC)
+    response = await asyncio.wait_for(service.submit(llrs[1], *LDPC), timeout=10.0)
+    assert not occupier.done()  # the worker never came free
+    await service.stop(drain=False)
+    with pytest.raises(ServiceClosedError):
+        await occupier
+    assert response.batch_size == 1
     assert response.queued_s >= 0.02  # it waited out the full budget
+    np.testing.assert_array_equal(response.bits, _direct_bits(ldpc_entry, llrs[1]))
+
+
+@pytest.mark.asyncio
+async def test_radio_frame_on_an_idle_service_batches_per_lane_oldest_first(registry):
+    """Six same-turn submits share one batch per lane, and the free worker
+    takes the lanes oldest head first: batches of 3, 1 and 2, bit-exact."""
+    rng = np.random.default_rng(21)
+    frames = [
+        (codec, generate_llr_frames(registry.resolve(*codec), count, 3.0, rng)[0])
+        for codec, count in RADIO_FRAME
+    ]
+    async with DecodeService(
+        registry=registry, max_batch=64, max_delay_s=30.0, executor="inline"
+    ) as service:
+        responses = await asyncio.wait_for(
+            asyncio.gather(
+                *(service.submit(row, *codec) for codec, llrs in frames for row in llrs)
+            ),
+            timeout=10.0,
+        )
+        snapshot = service.metrics_snapshot()
+    assert snapshot.batch_count == 3
+    assert [r.batch_size for r in responses] == [3, 3, 3, 1, 2, 2]
+    # The idle worker took the oldest lane at once; each later lane's batch
+    # waited only for the one dispatched before it.
+    assert responses[0].queued_s < responses[3].queued_s < responses[4].queued_s
+    assert responses[4].queued_s < service.max_delay_s
+    rows = [
+        bits
+        for codec, llrs in frames
+        for bits in registry.resolve(*codec).decoder.decode_batch(llrs).hard_bits
+    ]
+    for response, bits in zip(responses, rows):
+        np.testing.assert_array_equal(response.bits, bits)
 
 
 @pytest.mark.asyncio
 async def test_reject_backpressure_engages_at_bound(registry, ldpc_entry):
     rng = np.random.default_rng(4)
-    llrs, _ = generate_llr_frames(ldpc_entry, 4, 3.0, rng)
+    llrs, _ = generate_llr_frames(ldpc_entry, 5, 3.0, rng)
     service = DecodeService(
         registry=registry,
         max_batch=64,
@@ -169,17 +248,51 @@ async def test_reject_backpressure_engages_at_bound(registry, ldpc_entry):
         queue_capacity=3,
         backpressure="reject",
         executor="inline",
+        fault_plan=FaultPlan.from_string("hang@1:30"),
     )
     await service.start()
-    pending = [asyncio.create_task(service.submit(row, *LDPC)) for row in llrs[:3]]
-    await asyncio.sleep(0)  # let all three enqueue
+    occupier = await _occupy_worker(service, llrs[0], LDPC)
+    pending = [asyncio.create_task(service.submit(row, *LDPC)) for row in llrs[1:4]]
+    await asyncio.sleep(0)  # let all three enqueue behind the busy worker
     with pytest.raises(ServiceOverloadError) as excinfo:
-        await service.submit(llrs[3], *LDPC)
+        await service.submit(llrs[4], *LDPC)
     assert excinfo.value.retry_after_s > 0.0
     assert service.metrics_snapshot().rejected == 1
-    await service.stop(drain=True)  # drains and answers the three queued frames
+    # Drains and answers the three queued frames; the hung occupier is cut
+    # off by the drain timeout.
+    await service.stop(drain=True, drain_timeout_s=0.5)
     responses = await asyncio.gather(*pending)
     assert len({r.request_id for r in responses}) == 3
+    with pytest.raises(ServiceClosedError):
+        await occupier
+
+
+@pytest.mark.asyncio
+async def test_reject_retry_after_counts_down_the_head_deadline(registry, ldpc_entry):
+    """A refused caller is told to come back no later than the queue head's
+    deadline flush, behind a busy worker."""
+    rng = np.random.default_rng(22)
+    llrs, _ = generate_llr_frames(ldpc_entry, 3, 3.0, rng)
+    service = DecodeService(
+        registry=registry,
+        max_batch=64,
+        max_delay_s=1.0,
+        queue_capacity=1,
+        backpressure="reject",
+        executor="inline",
+        fault_plan=FaultPlan.from_string("hang@1:30"),
+    )
+    await service.start()
+    occupier = await _occupy_worker(service, llrs[0], LDPC)
+    queued = asyncio.create_task(service.submit(llrs[1], *LDPC))
+    await asyncio.sleep(0)  # let it enqueue behind the busy worker
+    with pytest.raises(ServiceOverloadError) as excinfo:
+        await service.submit(llrs[2], *LDPC)
+    assert 0.0 < excinfo.value.retry_after_s <= service.max_delay_s
+    await service.stop(drain=False)
+    for task in (occupier, queued):
+        with pytest.raises(ServiceClosedError):
+            await task
 
 
 @pytest.mark.asyncio

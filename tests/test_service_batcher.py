@@ -11,7 +11,10 @@ invariants the service relies on:
   immediately;
 * deadline: after ``poll(now)`` no queued item's deadline has passed, and
   an item never waits beyond ``max_delay_s`` past its arrival before some
-  ``poll`` at/after its deadline releases it;
+  ``poll`` at/after its deadline releases it — whether or not a worker is
+  free;
+* work conservation: a ``poll`` told of ``free`` idle workers releases at
+  least ``free`` batches (or the whole queue), the oldest head first;
 * capacity: ``offer`` refuses (and does not enqueue) exactly when the
   configured bound is reached.
 """
@@ -30,12 +33,13 @@ import pytest
 
 
 # One adversarial schedule: each step advances time by `gap` then either
-# offers one item or polls.  Gaps of 0 build bursts; big gaps force
-# deadline flushes between arrivals.
+# offers one item or polls with `free` idle workers (0: every worker busy).
+# Gaps of 0 build bursts; big gaps force deadline flushes between arrivals.
 _steps = st.lists(
     st.tuples(
         st.floats(min_value=0.0, max_value=0.02, allow_nan=False),
         st.sampled_from(["offer", "poll"]),
+        st.integers(0, 3),
     ),
     min_size=1,
     max_size=80,
@@ -49,7 +53,7 @@ def _drive(batcher: DynamicBatcher, steps, max_delay_s: float):
     offered: list[int] = []
     refused: list[int] = []
     batches: list[list] = []
-    for gap, op in steps:
+    for gap, op, free in steps:
         now += gap
         if op == "offer":
             item_id = next(ids)
@@ -61,7 +65,15 @@ def _drive(batcher: DynamicBatcher, steps, max_delay_s: float):
             if result:
                 batches.append(result)
         else:
-            batches.extend(batcher.poll(now))
+            depth = batcher.depth
+            released = batcher.poll(now, free)
+            if free and depth:
+                # Idle workers take work at once: the oldest head leaves
+                # first, and each free worker gets a batch while any remain.
+                oldest = offered[sum(len(batch) for batch in batches)]
+                assert released[0][0].payload == oldest
+                assert len(released) >= min(free, -(-depth // batcher.max_batch))
+            batches.extend(released)
         # Deadline invariant: nothing overdue survives a poll, and offers
         # only leave overdue items when their deadline falls exactly now.
         head = batcher.next_deadline()
@@ -110,7 +122,7 @@ def test_capacity_backpressure(steps, capacity):
     batcher = DynamicBatcher(max_batch=100, max_delay_s=10.0, capacity=capacity)
     depth = 0
     now = 0.0
-    for gap, op in steps:
+    for gap, op, free in steps:
         now += gap
         if op == "offer":
             was_full = batcher.is_full
@@ -122,7 +134,7 @@ def test_capacity_backpressure(steps, capacity):
                 assert result is not None
                 depth = depth + 1 if not result else depth + 1 - len(result)
         else:
-            for batch in batcher.poll(now):
+            for batch in batcher.poll(now, free):
                 depth -= len(batch)
         assert batcher.depth == depth
         assert depth <= capacity
@@ -144,6 +156,18 @@ def test_poll_rides_younger_items_along():
     batcher.offer("young", 0.9)
     (batch,) = batcher.poll(1.0)  # old is due, young rides along
     assert [item.payload for item in batch] == ["old", "young"]
+
+
+def test_idle_poll_releases_the_oldest_head():
+    """A free worker takes the queue at once; a busy one leaves it to its deadline."""
+    batcher = DynamicBatcher(max_batch=3, max_delay_s=60.0)
+    batcher.offer("a", 0.0)
+    batcher.offer("b", 0.5)
+    assert batcher.poll(1.0) == []  # every worker busy: nothing is due yet
+    (batch,) = batcher.poll(1.0, free=2)  # more workers than work
+    assert [item.payload for item in batch] == ["a", "b"]
+    assert batcher.depth == 0
+    assert batcher.poll(2.0, free=1) == []  # an idle worker on an empty queue
 
 
 def test_constructor_validation():

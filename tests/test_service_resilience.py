@@ -14,7 +14,8 @@ The load-bearing claims:
 * repeated primary failures open the breaker, the service degrades to a
   bit-correct fallback, and half-open probes restore the primary;
 * deadlines resolve requests with a typed error wherever they are — queued
-  behind a long flush budget, or stuck behind a wedged executor;
+  behind a busy worker and a long flush budget, or stuck in a wedged
+  executor;
 * ``ServiceThread.stop`` survives a crashed background loop, and bounded
   drain (``drain_timeout_s``) never blocks shutdown on a hung batch;
 * conservation under arbitrary seeded chaos: every submitted request ends
@@ -27,6 +28,7 @@ from __future__ import annotations
 import asyncio
 import json
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -77,6 +79,20 @@ def _direct_bits(entry, llrs: np.ndarray) -> np.ndarray:
     """Reference decode of one frame: direct batch=1 engine call."""
     bits, _, _ = entry.decoder.decode_batch(llrs[None]).frame(0)
     return bits
+
+
+async def _occupy_worker(service: DecodeService, llrs: np.ndarray, codec) -> asyncio.Task:
+    """Submit one frame and yield until its batch holds the service's worker.
+
+    The service's fault plan stalls that first dispatch (``hang@1`` or
+    ``delay@1``), so every later request queues behind a busy worker.
+    """
+    task = asyncio.create_task(service.submit(llrs, *codec))
+    for _ in range(100):  # submit, then the pump: two loop turns
+        if service.metrics_snapshot().batch_count:
+            return task
+        await asyncio.sleep(0)
+    raise AssertionError("the first request was never dispatched")
 
 
 def _assert_conserved(snapshot):
@@ -459,24 +475,34 @@ async def test_breaker_degrades_then_half_open_probe_restores(
 # ---------------------------------------------------------------------- #
 @pytest.mark.asyncio
 async def test_deadline_fires_while_queued(registry, turbo_entry):
-    """A huge flush budget cannot strand a deadlined request."""
+    """A huge flush budget behind a busy worker cannot strand a deadlined
+    request."""
     rng = np.random.default_rng(9)
-    llrs, _ = generate_llr_frames(turbo_entry, 1, 1.5, rng)
-    async with DecodeService(
+    llrs, _ = generate_llr_frames(turbo_entry, 2, 1.5, rng)
+    service = DecodeService(
         registry=registry,
         max_batch=64,
         max_delay_s=30.0,  # would queue for 30 s without the deadline
         executor="inline",
-    ) as service:
-        started = time.perf_counter()
-        with pytest.raises(DeadlineExceededError) as excinfo:
-            await service.submit(llrs[0], *TURBO, deadline_s=0.05)
-        elapsed = time.perf_counter() - started
-        snapshot = service.metrics_snapshot()
+        fault_plan=FaultPlan.from_string("hang@1:30"),
+    )
+    await service.start()
+    occupier = await _occupy_worker(service, llrs[0], TURBO)
+    started = time.perf_counter()
+    with pytest.raises(DeadlineExceededError) as excinfo:
+        await service.submit(llrs[1], *TURBO, deadline_s=0.05)
+    elapsed = time.perf_counter() - started
+    # It expired still queued: the worker never came free to take it.
+    assert service.metrics_snapshot().queue_depths == {"turbo:24:1/2": 1}
+    await service.stop(drain=False)
+    with pytest.raises(ServiceClosedError):
+        await occupier
+    snapshot = service.metrics.snapshot({})
     assert elapsed < 5.0  # resolved by the timer, not the flush budget
     assert excinfo.value.deadline_s == 0.05
     assert snapshot.deadline_exceeded == 1
     assert snapshot.completed == 0
+    assert snapshot.failed == 1  # the occupier, cut off by stop()
     _assert_conserved(snapshot)
 
 
@@ -485,18 +511,22 @@ async def test_deadline_fires_during_hang_and_watchdog_recovers(
     registry, turbo_entry
 ):
     """One deadlined caller bails out of a wedged batch; the watchdog then
-    times the hang out and the remaining caller still gets bits."""
+    times the hang out and the remaining caller still gets bits.
+
+    A slow first batch holds the worker while both callers queue, so they
+    leave together as one full batch — the one that wedges."""
     rng = np.random.default_rng(10)
-    llrs, _ = generate_llr_frames(turbo_entry, 2, 1.5, rng)
+    llrs, _ = generate_llr_frames(turbo_entry, 3, 1.5, rng)
     async with DecodeService(
         registry=registry,
         max_batch=2,
-        max_delay_s=0.001,
+        max_delay_s=30.0,  # while the worker is busy only a full batch leaves
         executor="inline",
         watchdog_s=0.2,
-        fault_plan=FaultPlan.from_string("hang@1:30"),
+        fault_plan=FaultPlan.from_string("delay@1:0.15,hang@2:30"),
         resilience=ResilienceConfig(max_attempts=3, **FAST),
     ) as service:
+        occupier = await _occupy_worker(service, llrs[2], TURBO)
         impatient = asyncio.create_task(
             service.submit(llrs[0], *TURBO, deadline_s=0.05)
         )
@@ -504,10 +534,12 @@ async def test_deadline_fires_during_hang_and_watchdog_recovers(
         with pytest.raises(DeadlineExceededError):
             await impatient
         response = await patient
+        await occupier
         snapshot = service.metrics_snapshot()
     np.testing.assert_array_equal(
         response.bits, _direct_bits(turbo_entry, llrs[1])
     )
+    assert response.batch_size == 2
     assert snapshot.watchdog_timeouts == 1
     assert snapshot.deadline_exceeded == 1
     _assert_conserved(snapshot)
@@ -584,18 +616,36 @@ def test_decode_sync_timeout_is_a_server_side_deadline(registry, turbo_entry):
     """The client timeout resolves the request on the service — typed error,
     accounted in metrics — instead of abandoning it in flight."""
     rng = np.random.default_rng(14)
-    llrs, _ = generate_llr_frames(turbo_entry, 1, 1.5, rng)
-    with ServiceThread(
-        registry=registry, max_batch=64, max_delay_s=30.0, executor="inline"
-    ) as client:
-        started = time.perf_counter()
-        with pytest.raises(DeadlineExceededError):
-            client.decode_sync(llrs[0], *TURBO, timeout=0.05)
-        elapsed = time.perf_counter() - started
-        snapshot = client.metrics_snapshot()
-        assert elapsed < 5.0
-        assert snapshot.deadline_exceeded == 1  # resolved server-side
-        _assert_conserved(snapshot)
+    llrs, _ = generate_llr_frames(turbo_entry, 2, 1.5, rng)
+    runner = ServiceThread(
+        registry=registry,
+        max_batch=64,
+        max_delay_s=30.0,
+        executor="inline",
+        fault_plan=FaultPlan.from_string("hang@1:30"),
+    )
+    client = runner.start()
+    with ThreadPoolExecutor(max_workers=1) as caller:
+        try:
+            # A hung first request holds the worker, so the timed one queues.
+            occupier = caller.submit(client.decode_sync, llrs[0], *TURBO)
+            give_up = time.perf_counter() + 5.0
+            while client.metrics_snapshot().batch_count == 0:
+                assert time.perf_counter() < give_up, "first request never dispatched"
+                time.sleep(0.001)
+            started = time.perf_counter()
+            with pytest.raises(DeadlineExceededError):
+                client.decode_sync(llrs[1], *TURBO, timeout=0.05)
+            elapsed = time.perf_counter() - started
+        finally:
+            runner.stop(drain=False)
+        with pytest.raises(ServiceClosedError):
+            occupier.result()
+    snapshot = runner.service.metrics.snapshot({})
+    assert elapsed < 5.0
+    assert snapshot.deadline_exceeded == 1  # resolved server-side
+    assert snapshot.failed == 1  # the occupier, cut off by stop()
+    _assert_conserved(snapshot)
 
 
 # ---------------------------------------------------------------------- #
