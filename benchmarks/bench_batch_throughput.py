@@ -13,6 +13,13 @@ The ``fixed_vs_float`` rows time the layered decoder's two datapaths against
 each other (no gate): the fixed-point one on int16 levels in a
 variable-major layout, the float64 one (the baseline) frames-first.
 
+The ``encode`` and ``syndrome`` rows time the BER chain's two LDPC stages
+outside the check kernel against inline copies of the implementations they
+replaced: the int64 GF(2) encode product, and the syndrome count on
+unpacked ``uint8`` edge bits.  The syndrome rows are gated on the byte-lane
+count winning at every batch size, the decode service's batches of 1-3
+included.
+
 Run with ``PYTHONPATH=src python -m pytest benchmarks/bench_batch_throughput.py -q -s``.
 """
 
@@ -24,7 +31,7 @@ import pytest
 from repro.channel import AWGNChannel, BPSKModulator, ebn0_to_noise_sigma
 from repro.ldpc import wimax_ldpc_code
 from repro.ldpc.checknode import hard_decision, min_sum_check_update
-from repro.sim import BatchFloodingDecoder, BatchLayeredDecoder
+from repro.sim import BatchFloodingDecoder, BatchLayeredDecoder, EdgeIndex
 
 from benchmarks.harness import per_item, record, row, trials
 
@@ -37,6 +44,13 @@ BASELINE_FRAMES = 8
 TRIALS = 3
 #: Interleaved (float, fixed) trials of the fixed_vs_float rows.
 DATAPATH_TRIALS = 7
+#: Interleaved (baseline, current) trials of the encode and syndrome rows,
+#: and the calls each arm's trial times (so that one trial spans milliseconds).
+STAGE_TRIALS = 15
+STAGE_CALLS = {
+    "encode": {"baseline": 1, "current": 10},
+    "syndrome": {"baseline": 200, "current": 200},
+}
 
 
 def _make_llr_batch(code, batch: int, seed: int = 7, ebn0_db: float = EBN0_DB) -> np.ndarray:
@@ -188,3 +202,101 @@ def test_layered_fixed_vs_float(n, rate, ebn0_db, batch):
         {"n": n, "rate": rate, "batch": batch, "max_iterations": MAX_ITERATIONS,
          "ebn0_db": ebn0_db, "timing": timing},
     )
+
+
+# --------------------------------------------------------------------------- #
+# The BER chain outside the check kernel: encode and syndrome count.
+# --------------------------------------------------------------------------- #
+def _int64_encode_batch(encoder, parity_map: np.ndarray, info: np.ndarray) -> np.ndarray:
+    """The replaced ``LDPCEncoder.encode_batch``: an int64 GF(2) product (no BLAS)."""
+    bits = np.asarray(info, dtype=np.int64)
+    if bits.size and (bits.min() < 0 or bits.max() > 1):
+        raise ValueError("information bits must be 0/1 values")
+    parity = (bits @ parity_map.astype(np.int64).T) % 2
+    codewords = np.zeros((bits.shape[0], encoder.n), dtype=np.int8)
+    codewords[:, encoder.systematic_columns] = bits.astype(np.int8)
+    codewords[:, encoder._parity_columns] = parity.astype(np.int8)
+    return codewords
+
+
+def _unpacked_unsatisfied_counts(edges, hard_bits: np.ndarray, axis: int = -1) -> np.ndarray:
+    """The replaced ``EdgeIndex.unsatisfied_counts``: one byte per edge bit."""
+    bits = np.asarray(hard_bits).astype(np.uint8, copy=False)
+    edge_bits = np.take(bits, edges.edge_cols, axis=axis)
+    parity = np.bitwise_xor.reduceat(edge_bits, edges.row_ptr[:-1], axis=axis) & 1
+    return parity.sum(axis=axis, dtype=np.int64)
+
+
+def _stage_row(stage: str, arms: dict, key: str, meta: dict) -> dict:
+    """Interleaved baseline/current trials of one stage, seconds per call."""
+    calls = STAGE_CALLS[stage]
+
+    def repeat(call, count):
+        def run():
+            for _ in range(count):
+                call()
+
+        return run
+
+    runs = {name: repeat(call, calls[name]) for name, call in arms.items()}
+    for run in runs.values():
+        run()  # warm-up
+    samples, _ = trials(runs, STAGE_TRIALS)
+    timing = row(per_item(samples, calls), "baseline", "s/call")
+    vs = timing["vs"]["current"]
+    print(
+        f"\n{key}: {timing['arms']['current']['median'] * 1e6:8.1f} us/call, "
+        f"{vs['ratio']:5.2f}x the replaced path "
+        f"({vs['wins']}/{STAGE_TRIALS} wins, median of {STAGE_TRIALS})"
+    )
+    record("batch_throughput", key, {**meta, "timing": timing})
+    return vs
+
+
+@pytest.mark.parametrize("n, rate", [(576, "1/2"), (2304, "5/6")])
+def test_encode_float32_vs_int64(n, rate):
+    """``encode_batch`` at batch 64: the float32 BLAS product vs the int64 one.
+
+    No gate: on a 2-core host, back-to-back float32 products at 576 stall
+    for ~16 ms in some trials (OpenBLAS worker threads; none with
+    ``OPENBLAS_NUM_THREADS=1``), which the row's spread records.
+    """
+    code = wimax_ldpc_code(n, rate)
+    encoder = code.encoder
+    # E, (M, k) uint8, as the replaced encoder held it.
+    parity_map = np.ascontiguousarray(encoder._encode_matrix_t.T)
+    info = np.random.default_rng(7).integers(0, 2, (BATCH, code.k))
+    assert np.array_equal(
+        encoder.encode_batch(info), _int64_encode_batch(encoder, parity_map, info)
+    )
+    _stage_row(
+        "encode",
+        {
+            "baseline": lambda: _int64_encode_batch(encoder, parity_map, info),
+            "current": lambda: encoder.encode_batch(info),
+        },
+        f"encode_{n}_r{rate}_b{BATCH}",
+        {"n": n, "rate": rate, "batch": BATCH},
+    )
+
+
+@pytest.mark.parametrize("batch", [1, 3, BATCH])
+@pytest.mark.parametrize("n, rate", [(576, "1/2"), (2304, "5/6")])
+def test_syndrome_byte_lanes_vs_unpacked(n, rate, batch):
+    """``unsatisfied_counts`` on the decoders' in-loop input, ``(n, batch)`` bools."""
+    code = wimax_ldpc_code(n, rate)
+    edges = EdgeIndex(code.h)
+    hard = np.ascontiguousarray(_make_llr_batch(code, batch, ebn0_db=0.0).T < 0)
+    assert np.array_equal(
+        edges.unsatisfied_counts(hard, axis=0), _unpacked_unsatisfied_counts(edges, hard, 0)
+    )
+    vs = _stage_row(
+        "syndrome",
+        {
+            "baseline": lambda: _unpacked_unsatisfied_counts(edges, hard, 0),
+            "current": lambda: edges.unsatisfied_counts(hard, axis=0),
+        },
+        f"syndrome_{n}_r{rate}_b{batch}",
+        {"n": n, "rate": rate, "batch": batch, "layout": "(n, batch) bool"},
+    )
+    assert vs["ratio"] > 1.0

@@ -4,7 +4,8 @@
 last ``M`` columns form an invertible square sub-matrix over GF(2) — the case
 for every WiMAX code, whose parity part is (almost) dual-diagonal.  The
 encoder solves ``B p = A s`` once symbolically (``E = B^{-1} A``) and encodes
-each frame with a single GF(2) matrix-vector product.
+a batch of frames with a single GF(2) matrix product, run as an exact float32
+BLAS product and reduced mod 2 on integers.
 
 If the last ``M`` columns happen to be singular the encoder falls back to a
 column permutation found by Gaussian elimination; the information bits then
@@ -68,11 +69,16 @@ class LDPCEncoder:
             inverse, perm = self._permuted_parity_inverse(dense)
             self._systematic_columns = perm[: self._k]
             self._parity_columns = perm[self._k :]
-        # E maps information bits to parity bits: p = E s (mod 2).
+        # E maps information bits to parity bits: p = E s (mod 2).  Both
+        # float32 products, here and in encode_batch, are exact: every entry
+        # is a sum of at most M (here) or k (there) products of 0/1 values,
+        # and M, k < n < 2**24, below which float32 holds every integer.
         info_part = dense[:, self._systematic_columns].astype(np.float32)
-        self._encode_matrix = (
-            (inverse.astype(np.float32) @ info_part) % 2
-        ).astype(np.uint8)
+        encode_matrix = (inverse.astype(np.float32) @ info_part) % 2
+        # E.T is kept as uint8 and cast per call: resident float32 would hold
+        # 4 bytes per entry (2.9 MB at 2304 r5/6) to save a cast that costs
+        # about a tenth of the product.
+        self._encode_matrix_t = np.ascontiguousarray(encode_matrix.T, dtype=np.uint8)
 
     def _permuted_parity_inverse(self, dense: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Find a column permutation whose trailing M columns are invertible."""
@@ -139,18 +145,16 @@ class LDPCEncoder:
             )
         if bits.size and (bits.min() < 0 or bits.max() > 1):
             raise CodeDefinitionError("information bits must be 0/1 values")
-        parity = (self._encode_matrix.astype(np.int64) @ bits) % 2
-        codeword = np.zeros(self._n, dtype=np.int8)
-        codeword[self._systematic_columns] = bits.astype(np.int8)
-        codeword[self._parity_columns] = parity.astype(np.int8)
-        return codeword
+        return self.encode_batch(bits[None])[0]
 
     def encode_batch(self, info_bits: np.ndarray) -> np.ndarray:
         """Encode a ``(batch, k)`` bit array into ``(batch, n)`` codewords.
 
-        Vectorised equivalent of calling :meth:`encode` row by row (one GF(2)
-        matrix-matrix product for the whole batch); used by the batched BER
-        engine in :mod:`repro.sim`.
+        One GF(2) matrix product for the whole batch, the only product path
+        (:meth:`encode` is a batch of one); used by the batched BER engine in
+        :mod:`repro.sim`.  The float32 product is exact, and its integer
+        sums are reduced with ``& 1``: a float ``% 2`` costs as much as the
+        product itself, and ``uint8`` cannot hold the sums, which reach ``k``.
         """
         bits = np.asarray(info_bits, dtype=np.int64)
         if bits.ndim != 2 or bits.shape[1] != self._k:
@@ -159,7 +163,8 @@ class LDPCEncoder:
             )
         if bits.size and (bits.min() < 0 or bits.max() > 1):
             raise CodeDefinitionError("information bits must be 0/1 values")
-        parity = (bits @ self._encode_matrix.astype(np.int64).T) % 2
+        parity = bits.astype(np.float32) @ self._encode_matrix_t.astype(np.float32)
+        parity = parity.astype(np.int32) & 1
         codewords = np.zeros((bits.shape[0], self._n), dtype=np.int8)
         codewords[:, self._systematic_columns] = bits.astype(np.int8)
         codewords[:, self._parity_columns] = parity.astype(np.int8)

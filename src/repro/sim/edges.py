@@ -22,6 +22,9 @@ import numpy as np
 if TYPE_CHECKING:  # imported lazily to keep repro.sim import-safe from repro.ldpc
     from repro.ldpc.hmatrix import ParityCheckMatrix
 
+#: The unsigned word that holds a given number of byte lanes.
+_WORD_OF_BYTES = {1: np.uint8, 2: np.uint16, 4: np.uint32, 8: np.uint64}
+
 
 class DegreeGroup(NamedTuple):
     """All checks (or variables) of one degree, as dense index tensors.
@@ -87,6 +90,16 @@ class EdgeIndex:
         self.row_ptr: np.ndarray = np.concatenate(
             [[0], np.cumsum(degrees)]
         ).astype(np.int64)
+        #: ``(max_degree, n_rows)`` variable index of every check's edges,
+        #: one check per column; a check of lower degree is padded with the
+        #: out-of-range variable ``n_cols``, which the syndrome reads as 0.
+        self.check_cols: np.ndarray = np.full(
+            (int(degrees.max(initial=0)), self.n_rows), self.n_cols, dtype=np.int64
+        )
+        edge_rows = np.repeat(np.arange(self.n_rows), degrees)
+        self.check_cols[np.arange(self.n_edges) - self.row_ptr[edge_rows], edge_rows] = (
+            self.edge_cols
+        )
         self.check_groups: tuple[DegreeGroup, ...] = self._build_check_groups(degrees)
         self.variable_groups: tuple[DegreeGroup, ...] = self._build_variable_groups()
 
@@ -169,14 +182,25 @@ class EdgeIndex:
     def unsatisfied_counts(self, hard_bits: np.ndarray, axis: int = -1) -> np.ndarray:
         """Number of unsatisfied parity checks per frame.
 
+        The count runs on byte lanes.  The frames go on the last axis, one
+        frame per byte, into a zeroed ``(n + 1, width)`` ``uint8`` buffer
+        (row ``n`` is the zero variable that pads :attr:`check_cols`), and
+        the buffer is viewed as unsigned words of 1, 2, 4 or 8 bytes: the
+        smallest that holds the batch, up to 8 frames per word, with
+        ``width`` the batch rounded up to whole words.  The gather and the
+        per-check XOR then run on whole words; XOR never carries from one
+        byte into the next, so the low bit of each byte is its own frame's
+        parity.
+
         Parameters
         ----------
         hard_bits:
-            0/1 (or boolean) hard decisions with the ``n`` variables on
-            ``axis``: ``(batch, n)`` by default, ``(n, batch)`` with
-            ``axis=0``.
+            ``(batch, n)`` or ``(n, batch)`` hard decisions, of any strides
+            and any integer or boolean dtype; only the low bit of each value
+            counts.
         axis:
-            The variable axis of ``hard_bits``.
+            The variable axis of ``hard_bits``: ``-1`` for ``(batch, n)``,
+            ``0`` for ``(n, batch)``.
 
         Returns
         -------
@@ -184,7 +208,14 @@ class EdgeIndex:
             ``(batch,)`` counts of rows whose parity sum is odd — the batched
             equivalent of ``h.syndrome(word).sum()``.
         """
-        bits = np.asarray(hard_bits).astype(np.uint8, copy=False)
-        edge_bits = np.take(bits, self.edge_cols, axis=axis)
-        parity = np.bitwise_xor.reduceat(edge_bits, self.row_ptr[:-1], axis=axis) & 1
-        return parity.sum(axis=axis, dtype=np.int64)
+        bits = np.asarray(hard_bits).swapaxes(axis, 0)
+        batch = bits.shape[1]
+        lane_bytes = min(8, 1 << (batch - 1).bit_length())
+        lanes = np.zeros(
+            (self.n_cols + 1, -(-batch // lane_bytes) * lane_bytes), dtype=np.uint8
+        )
+        lanes[: self.n_cols, :batch] = bits
+        words = lanes.view(_WORD_OF_BYTES[lane_bytes]).take(self.check_cols, axis=0)
+        parity = np.bitwise_xor.reduce(words, axis=0).view(np.uint8)
+        parity &= 1
+        return parity.sum(axis=0, dtype=np.int64)[:batch]

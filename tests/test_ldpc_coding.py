@@ -8,6 +8,9 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from repro.channel import AWGNChannel, BPSKModulator, ebn0_to_noise_sigma
 from repro.errors import CodeDefinitionError, DecodingError
@@ -17,9 +20,12 @@ from repro.ldpc import (
     LayeredMinSumDecoder,
     ParityCheckMatrix,
     first_two_minima,
+    list_wifi_codes,
     min_sum_check_update,
+    wifi_ldpc_code,
     wimax_ldpc_code,
 )
+from repro.ldpc.wimax import WIMAX_CODE_RATES
 from tests.conftest import make_ldpc_llrs
 
 
@@ -78,6 +84,64 @@ class TestEncoder:
         encoder = LDPCEncoder(h)
         codeword = encoder.encode(np.array([1]))
         assert h.is_codeword(codeword)
+
+
+def _assert_encodes_like_int64_product(encoder: LDPCEncoder, h, info: np.ndarray) -> None:
+    """``encode_batch`` against an oracle that shares no arithmetic with it.
+
+    Each row must be a codeword carrying ``info`` at the systematic
+    positions, with the parity positions equal to the int64 GF(2) product
+    ``(info @ E.T) % 2`` of the encoder's own parity map ``E``.
+    """
+    codewords = encoder.encode_batch(info)
+    assert codewords.shape == (info.shape[0], encoder.n)
+    assert codewords.dtype == np.int8
+    for word in codewords:
+        assert h.is_codeword(word)
+    assert np.array_equal(codewords[:, encoder.systematic_columns], info)
+    parity_map = encoder._encode_matrix_t.T.astype(np.int64)  # E, (M, k)
+    expected = (info.astype(np.int64) @ parity_map.T) % 2
+    assert np.array_equal(codewords[:, encoder._parity_columns], expected)
+
+
+class TestEncoderProductOracle:
+    """The float32 BLAS encode, pinned to an int64 GF(2) product."""
+
+    @pytest.mark.parametrize("batch", [1, 3, 64])
+    @pytest.mark.parametrize(
+        "code",
+        [("wimax", n, rate) for n in (576, 2304) for rate in WIMAX_CODE_RATES]
+        + [("wifi", n, rate) for n, rate in list_wifi_codes()],
+        ids=lambda spec: "-".join(map(str, spec)),
+    )
+    def test_standard_codes(self, code, batch):
+        family, n, rate = code
+        ldpc = (wimax_ldpc_code if family == "wimax" else wifi_ldpc_code)(n, rate)
+        info = np.random.default_rng(batch).integers(0, 2, (batch, ldpc.k))
+        _assert_encodes_like_int64_product(ldpc.encoder, ldpc.h, info)
+
+    @given(data=st.data(), m=st.integers(2, 5), extra=st.integers(0, 3))
+    @settings(max_examples=60, deadline=None)
+    def test_singular_parity_tail_uses_permuted_columns(self, data, m, extra):
+        """H = [A | B] with I_m among A's columns (full row rank) and B, the
+        last M columns, given two equal columns (singular)."""
+        k = m + extra
+        a = np.concatenate(
+            [np.eye(m, dtype=bool), data.draw(arrays(np.bool_, (m, extra)), label="a")], axis=1
+        )
+        a = a[:, data.draw(st.permutations(range(k)), label="a_cols")]
+        b = data.draw(arrays(np.bool_, (m, m)), label="b")
+        i, j = data.draw(st.lists(st.integers(0, m - 1), min_size=2, max_size=2, unique=True))
+        b[:, j] = b[:, i]
+        dense = np.concatenate([a, b], axis=1)[data.draw(st.permutations(range(m)), label="rows")]
+        h = ParityCheckMatrix([np.flatnonzero(row) for row in dense], n_cols=k + m)
+        encoder = LDPCEncoder(h)
+        assert not np.array_equal(encoder.systematic_columns, np.arange(k))
+        batch = data.draw(st.integers(1, 9), label="batch")
+        info = np.random.default_rng(data.draw(st.integers(0, 2**16))).integers(
+            0, 2, (batch, encoder.k)
+        )
+        _assert_encodes_like_int64_product(encoder, h, info)
 
 
 class TestCheckNodeArithmetic:

@@ -529,19 +529,35 @@ class TestEdgeIndex:
 
 
     @given(
-        bits=arrays(np.bool_, st.tuples(st.integers(1, 4), st.just(576))),
+        bits=arrays(np.bool_, st.tuples(st.integers(1, 20), st.just(576))),
         dtype=st.sampled_from([np.bool_, np.int8, np.int64]),
     )
     @settings(max_examples=40, deadline=None)
     def test_unsatisfied_counts_property(self, small_ldpc_code, bits, dtype):
-        """Every hard-bit dtype the decoders pass counts like ``h.syndrome``,
-        frames-first or variable-major."""
+        """Every hard-bit dtype and layout the decoders pass counts like
+        ``h.syndrome``, frames-first or variable-major.
+
+        Batches of 1-20 frames cross the byte-lane word sizes and the 8- and
+        16-frame padding; the strided views and the ``int8`` words holding
+        -1 (odd, like 1) must count the same as the contiguous 0/1 words.
+        """
         edges = EdgeIndex(small_ldpc_code.h)
-        counts = edges.unsatisfied_counts(bits.astype(dtype))
+        batch = bits.shape[0]
+        words = bits.astype(dtype)
+        counts = edges.unsatisfied_counts(words)
         assert counts.dtype == np.int64
-        assert np.array_equal(edges.unsatisfied_counts(bits.T.astype(dtype), axis=0), counts)
+        assert counts.shape == (batch,)
         for frame, word in enumerate(bits):
             assert counts[frame] == int(small_ldpc_code.h.syndrome(word).sum())
+        variable_major = np.ascontiguousarray(words.T)
+        assert np.array_equal(edges.unsatisfied_counts(variable_major, axis=0), counts)
+        # A .T view of a variable-major array, read frames-first.
+        assert np.array_equal(edges.unsatisfied_counts(variable_major.T, axis=-1), counts)
+        # A column slice of a wider variable-major array.
+        wide = np.zeros((words.shape[1], 2 * batch + 1), dtype=dtype)
+        wide[:, 1::2] = words.T
+        assert np.array_equal(edges.unsatisfied_counts(wide[:, 1::2], axis=0), counts)
+        assert np.array_equal(edges.unsatisfied_counts(-bits.astype(np.int8)), counts)
 
 
 class TestLayers:
@@ -592,10 +608,15 @@ class TestLayers:
 
 class TestEncodeBatch:
     def test_matches_per_frame_encode(self, small_ldpc_code, rng):
+        """``encode`` is a batch of one; this pins the shapes and dtypes of
+        both entry points (``TestEncoderProductOracle`` pins the values)."""
         info = rng.integers(0, 2, (4, small_ldpc_code.k))
         batch = small_ldpc_code.encode_batch(info)
+        assert batch.shape == (4, small_ldpc_code.n) and batch.dtype == np.int8
         for frame in range(4):
-            assert np.array_equal(batch[frame], small_ldpc_code.encode(info[frame]))
+            single = small_ldpc_code.encode(info[frame])
+            assert single.shape == (small_ldpc_code.n,) and single.dtype == np.int8
+            assert np.array_equal(batch[frame], single)
 
     def test_rejects_wrong_shape(self, small_ldpc_code):
         from repro.errors import CodeDefinitionError
