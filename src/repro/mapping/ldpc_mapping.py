@@ -74,26 +74,6 @@ class LdpcMapping:
         )
 
 
-def _next_check_links(h: ParityCheckMatrix) -> list[list[tuple[int, int]]]:
-    """For every check, the (variable, next check) pairs it must update.
-
-    ``result[l]`` lists, for each variable ``v`` of check ``l`` (in row order),
-    the check that consumes the updated LLR of ``v`` — the successor of ``l``
-    in the cyclic schedule order of ``v``'s checks.
-    """
-    links: list[list[tuple[int, int]]] = [[] for _ in range(h.n_rows)]
-    for variable in range(h.n_cols):
-        checks = h.col(variable)
-        degree = checks.size
-        if degree == 0:
-            continue
-        for position in range(degree):
-            current = int(checks[position])
-            successor = int(checks[(position + 1) % degree])
-            links[current].append((variable, successor))
-    return links
-
-
 def build_equivalent_interleaver(
     h: ParityCheckMatrix,
     check_owner: np.ndarray,
@@ -115,34 +95,40 @@ def build_equivalent_interleaver(
     if owner.size and (owner.min() < 0 or owner.max() >= n_nodes):
         raise MappingError(f"check_owner references PEs outside [0, {n_nodes})")
 
-    links = _next_check_links(h)
-    # Destination memory location: index of the (consumer check, variable) slot
-    # within the consumer PE's incoming-message memory.
-    slot_counter = np.zeros(n_nodes, dtype=np.int64)
-    slot_of_edge: dict[tuple[int, int], int] = {}
-    checks_by_node: list[list[int]] = [[] for _ in range(n_nodes)]
-    for check in range(h.n_rows):
-        checks_by_node[int(owner[check])].append(check)
-    for node in range(n_nodes):
-        for check in checks_by_node[node]:
-            for variable in h.row(check):
-                slot_of_edge[(check, int(variable))] = int(slot_counter[node])
-                slot_counter[node] += 1
+    # Tanner edges in row order (rows are sorted, so edges ascend by (check,
+    # variable)): edge e joins variables[e] to a check owned by edge_owner[e].
+    variables = np.concatenate(list(h.iter_rows()))
+    edge_owner = np.repeat(owner, h.row_degrees())
+    # The consumer of edge e is the same variable's edge at the next check of
+    # its column, cyclically: walk each column's edges in check order.
+    by_column = np.argsort(variables, kind="stable")
+    column_degrees = np.bincount(variables, minlength=h.n_cols)
+    column_start = np.cumsum(column_degrees) - column_degrees
+    column = variables[by_column]
+    position = np.arange(by_column.size) - column_start[column]
+    consumer = np.empty_like(by_column)
+    consumer[by_column] = by_column[
+        column_start[column] + (position + 1) % column_degrees[column]
+    ]
+    # Each PE processes its checks in ascending order, so its edges keep row
+    # order; an edge's memory slot is its rank among its owner PE's edges.
+    emit_order = np.argsort(edge_owner, kind="stable")
+    node_edges = np.bincount(edge_owner, minlength=n_nodes)
+    node_start = np.cumsum(node_edges) - node_edges
+    slot = np.empty_like(emit_order)
+    slot[emit_order] = np.arange(emit_order.size) - node_start[edge_owner[emit_order]]
 
-    destinations: list[list[int]] = [[] for _ in range(n_nodes)]
-    locations: list[list[int]] = [[] for _ in range(n_nodes)]
-    for node in range(n_nodes):
-        for check in checks_by_node[node]:
-            for variable, consumer in links[check]:
-                destinations[node].append(int(owner[consumer]))
-                locations[node].append(slot_of_edge[(consumer, variable)])
+    emitted = consumer[emit_order]
+    destinations = edge_owner[emitted].tolist()
+    locations = slot[emitted].tolist()
+    bounds = np.cumsum(node_edges).tolist()
     per_node = tuple(
         NodeTraffic(
             node=node,
-            destinations=tuple(destinations[node]),
-            memory_locations=tuple(locations[node]),
+            destinations=tuple(destinations[lo:hi]),
+            memory_locations=tuple(locations[lo:hi]),
         )
-        for node in range(n_nodes)
+        for node, lo, hi in zip(range(n_nodes), [0] + bounds[:-1], bounds)
     )
     return TrafficPattern(n_nodes=n_nodes, per_node=per_node, label=label)
 
@@ -161,16 +147,6 @@ def _structured_assignments(n_checks: int, n_nodes: int) -> dict[str, np.ndarray
         "round-robin": indices % n_nodes,
         "contiguous": (indices * n_nodes) // n_checks,
     }
-
-
-def _partition_from_assignment(
-    assignment: np.ndarray, n_nodes: int, edges: dict[tuple[int, int], int]
-) -> PartitionResult:
-    cut = sum(w for (a, b), w in edges.items() if assignment[a] != assignment[b])
-    sizes = np.bincount(assignment, minlength=n_nodes)
-    return PartitionResult(
-        assignment=assignment, n_parts=n_nodes, cut_weight=cut, part_sizes=sizes
-    )
 
 
 def map_ldpc_code(
@@ -220,7 +196,7 @@ def map_ldpc_code(
     for assignment in _structured_assignments(h.n_rows, n_nodes).values():
         candidates.append(
             (
-                _partition_from_assignment(assignment, n_nodes, graph.weights),
+                PartitionResult.from_assignment(assignment, n_nodes, graph.weights),
                 build_equivalent_interleaver(h, assignment, n_nodes, traffic_label),
             )
         )

@@ -13,11 +13,16 @@ objective — balanced part sizes, minimum weighted edge cut — built from:
 Multiple seeded attempts are made and the best cut is kept, which mirrors the
 paper's "framework built around the Metis package [that] checks the produced
 interleavers ... selecting the optimal one".
+
+The passes work on plain Python lists (assignments, loads, vertex weights):
+they touch one scalar at a time, where list indexing is several times faster
+than ``ndarray`` item access.  NumPy is used only at the boundaries — the
+whole-array weight sums, the final assignment, and the cut weight.
 """
 
 from __future__ import annotations
 
-from collections import deque
+import heapq
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,6 +52,18 @@ class PartitionResult:
     cut_weight: int
     part_sizes: np.ndarray
 
+    @classmethod
+    def from_assignment(
+        cls, assignment: np.ndarray, n_parts: int, edges: dict[tuple[int, int], int]
+    ) -> "PartitionResult":
+        """Measure an assignment of the graph ``edges``: its cut weight and part sizes."""
+        return cls(
+            assignment=assignment,
+            n_parts=n_parts,
+            cut_weight=_cut_weight(assignment, edges),
+            part_sizes=np.bincount(assignment, minlength=n_parts),
+        )
+
     @property
     def imbalance(self) -> float:
         """Max part size divided by the ideal (mean) part size."""
@@ -69,88 +86,100 @@ def _build_adjacency(
 
 
 def _cut_weight(assignment: np.ndarray, edges: dict[tuple[int, int], int]) -> int:
-    return sum(w for (a, b), w in edges.items() if assignment[a] != assignment[b])
+    """Total weight of the edges whose endpoints lie in different parts."""
+    if not edges:
+        return 0
+    ends = np.array(list(edges), dtype=np.int64)
+    weights = np.fromiter(edges.values(), dtype=np.int64, count=len(edges))
+    return int(weights[assignment[ends[:, 0]] != assignment[ends[:, 1]]].sum())
+
+
+def _part_loads(assignment: list[int], n_parts: int, vertex_weights: list[float]) -> list[float]:
+    """Summed vertex weight of each part, accumulated in vertex order."""
+    loads = [0.0] * n_parts
+    for part, weight in zip(assignment, vertex_weights):
+        loads[part] += weight
+    return loads
 
 
 def _region_growing_initial(
     n_vertices: int,
     adjacency: list[list[tuple[int, int]]],
     n_parts: int,
-    vertex_weights: np.ndarray,
+    vertex_weights: list[float],
     rng: np.random.Generator,
-) -> np.ndarray:
+) -> list[int]:
     """Grow parts one at a time from BFS frontiers, preferring well-connected vertices."""
-    total_weight = float(vertex_weights.sum())
-    target = total_weight / n_parts
-    assignment = np.full(n_vertices, -1, dtype=np.int64)
+    target = float(np.sum(vertex_weights)) / n_parts
+    assignment = [-1] * n_vertices
     unassigned = set(range(n_vertices))
     for part in range(n_parts):
         if not unassigned:
             break
         remaining_parts = n_parts - part
-        remaining_weight = float(vertex_weights[list(unassigned)].sum())
+        remaining_weight = float(np.sum([vertex_weights[v] for v in unassigned]))
         budget = min(remaining_weight / remaining_parts, target)
-        seed_vertex = int(rng.choice(sorted(unassigned)))
+        member = int(rng.choice(sorted(unassigned)))
         # Grow by repeatedly taking the unassigned vertex with the strongest
-        # connection to the current part (BFS frontier as tie-break).
-        part_weight = float(vertex_weights[seed_vertex])
-        assignment[seed_vertex] = part
-        unassigned.discard(seed_vertex)
+        # connection to the current part, lowest id on ties.  ``heap`` holds
+        # (-connection, vertex) entries; one whose strength is no longer the
+        # vertex's current connection is stale and skipped when popped.
+        part_weight = vertex_weights[member]
+        assignment[member] = part
+        unassigned.discard(member)
         connection: dict[int, int] = {}
-        frontier: deque[int] = deque([seed_vertex])
+        heap: list[tuple[int, int]] = []
         while part_weight < budget and unassigned:
             # Refresh connection strengths from the most recent member.
-            while frontier:
-                member = frontier.popleft()
-                for neighbor, weight in adjacency[member]:
-                    if assignment[neighbor] == -1:
-                        connection[neighbor] = connection.get(neighbor, 0) + weight
+            for neighbor, weight in adjacency[member]:
+                if assignment[neighbor] == -1:
+                    strength = connection.get(neighbor, 0) + weight
+                    connection[neighbor] = strength
+                    heapq.heappush(heap, (-strength, neighbor))
             if connection:
-                best = max(connection.items(), key=lambda item: (item[1], -item[0]))[0]
-                del connection[best]
+                strength, member = heapq.heappop(heap)
+                while connection.get(member) != -strength:
+                    strength, member = heapq.heappop(heap)
+                del connection[member]
             else:
-                best = int(rng.choice(sorted(unassigned)))
-            assignment[best] = part
-            unassigned.discard(best)
-            part_weight += float(vertex_weights[best])
-            frontier.append(best)
+                member = int(rng.choice(sorted(unassigned)))
+            assignment[member] = part
+            unassigned.discard(member)
+            part_weight += vertex_weights[member]
     # Any leftovers (rounding) go to the lightest parts.
     if unassigned:
-        loads = np.zeros(n_parts, dtype=np.float64)
-        for vertex in range(n_vertices):
-            if assignment[vertex] >= 0:
-                loads[assignment[vertex]] += vertex_weights[vertex]
+        loads = [0.0] * n_parts
+        for vertex, part in enumerate(assignment):
+            if part >= 0:
+                loads[part] += vertex_weights[vertex]
         for vertex in sorted(unassigned):
-            part = int(np.argmin(loads))
+            part = loads.index(min(loads))
             assignment[vertex] = part
             loads[part] += vertex_weights[vertex]
     return assignment
 
 
 def _refine(
-    assignment: np.ndarray,
+    assignment: list[int],
     adjacency: list[list[tuple[int, int]]],
     n_parts: int,
     max_passes: int,
-    vertex_weights: np.ndarray,
+    vertex_weights: list[float],
     max_load: float,
-) -> np.ndarray:
+) -> list[int]:
     """Greedy boundary refinement: move vertices to the part with the best gain."""
     assignment = assignment.copy()
-    loads = np.zeros(n_parts, dtype=np.float64)
-    n_vertices = assignment.size
-    for vertex in range(n_vertices):
-        loads[assignment[vertex]] += vertex_weights[vertex]
+    loads = _part_loads(assignment, n_parts, vertex_weights)
     for _ in range(max_passes):
         moved = 0
-        for vertex in range(n_vertices):
+        for vertex, neighbors in enumerate(adjacency):
             current = assignment[vertex]
-            weight = float(vertex_weights[vertex])
+            weight = vertex_weights[vertex]
             if loads[current] - weight <= 0:
                 continue
             # Connection weight of this vertex towards each part.
             weight_to_part: dict[int, int] = {}
-            for neighbor, edge_weight in adjacency[vertex]:
+            for neighbor, edge_weight in neighbors:
                 part = assignment[neighbor]
                 weight_to_part[part] = weight_to_part.get(part, 0) + edge_weight
             internal = weight_to_part.get(current, 0)
@@ -174,31 +203,30 @@ def _refine(
 
 
 def _balance(
-    assignment: np.ndarray,
+    assignment: list[int],
     adjacency: list[list[tuple[int, int]]],
     n_parts: int,
-    vertex_weights: np.ndarray,
+    vertex_weights: list[float],
     max_load: float,
-) -> np.ndarray:
+) -> list[int]:
     """Move vertices out of overweight parts, preferring the least-damaging moves."""
     assignment = assignment.copy()
-    loads = np.zeros(n_parts, dtype=np.float64)
-    for vertex in range(assignment.size):
-        loads[assignment[vertex]] += vertex_weights[vertex]
+    n_vertices = len(assignment)
+    loads = _part_loads(assignment, n_parts, vertex_weights)
     for part in range(n_parts):
         guard = 0
-        while loads[part] > max_load and guard < assignment.size:
+        while loads[part] > max_load and guard < n_vertices:
             guard += 1
-            members = np.flatnonzero(assignment == part)
             best_vertex = -1
             best_target = -1
             best_cost = None
-            for vertex in members:
+            for vertex in range(n_vertices):
+                if assignment[vertex] != part:
+                    continue
                 weight_to_part: dict[int, int] = {}
                 for neighbor, edge_weight in adjacency[vertex]:
-                    weight_to_part[assignment[neighbor]] = (
-                        weight_to_part.get(assignment[neighbor], 0) + edge_weight
-                    )
+                    other = assignment[neighbor]
+                    weight_to_part[other] = weight_to_part.get(other, 0) + edge_weight
                 internal = weight_to_part.get(part, 0)
                 for target in range(n_parts):
                     if target == part:
@@ -208,7 +236,7 @@ def _balance(
                     cost = internal - weight_to_part.get(target, 0)
                     if best_cost is None or cost < best_cost:
                         best_cost = cost
-                        best_vertex = int(vertex)
+                        best_vertex = vertex
                         best_target = target
             if best_vertex < 0:
                 break
@@ -221,18 +249,17 @@ def _balance(
 def _heavy_edge_matching(
     n_vertices: int,
     adjacency: list[list[tuple[int, int]]],
-    vertex_weights: np.ndarray,
+    vertex_weights: list[float],
     max_vertex_weight: float,
     rng: np.random.Generator,
-) -> np.ndarray:
+) -> list[int]:
     """Match each vertex with its heaviest unmatched neighbour (Metis-style).
 
-    Returns an array mapping every fine vertex to a coarse vertex id.
+    Returns a list mapping every fine vertex to a coarse vertex id.
     """
-    matched = np.full(n_vertices, -1, dtype=np.int64)
-    order = rng.permutation(n_vertices)
+    matched = [-1] * n_vertices
     coarse_id = 0
-    for vertex in order:
+    for vertex in rng.permutation(n_vertices).tolist():
         if matched[vertex] >= 0:
             continue
         best_neighbor = -1
@@ -253,19 +280,16 @@ def _heavy_edge_matching(
 
 
 def _coarsen(
-    n_vertices: int,
     edges: dict[tuple[int, int], int],
-    vertex_weights: np.ndarray,
-    fine_to_coarse: np.ndarray,
-) -> tuple[int, dict[tuple[int, int], int], np.ndarray]:
+    vertex_weights: list[float],
+    fine_to_coarse: list[int],
+) -> tuple[int, dict[tuple[int, int], int], list[float]]:
     """Collapse matched vertices into coarse vertices, merging parallel edges."""
-    n_coarse = int(fine_to_coarse.max()) + 1
-    coarse_weights = np.zeros(n_coarse, dtype=np.float64)
-    for vertex in range(n_vertices):
-        coarse_weights[fine_to_coarse[vertex]] += vertex_weights[vertex]
+    n_coarse = max(fine_to_coarse) + 1
+    coarse_weights = _part_loads(fine_to_coarse, n_coarse, vertex_weights)
     coarse_edges: dict[tuple[int, int], int] = {}
     for (a, b), weight in edges.items():
-        ca, cb = int(fine_to_coarse[a]), int(fine_to_coarse[b])
+        ca, cb = fine_to_coarse[a], fine_to_coarse[b]
         if ca == cb:
             continue
         key = (ca, cb) if ca < cb else (cb, ca)
@@ -276,40 +300,44 @@ def _coarsen(
 def _multilevel_partition(
     n_vertices: int,
     edges: dict[tuple[int, int], int],
+    adjacency: list[list[tuple[int, int]]],
     n_parts: int,
-    vertex_weights: np.ndarray,
+    vertex_weights: list[float],
     refinement_passes: int,
     max_load: float,
     rng: np.random.Generator,
-) -> np.ndarray:
+) -> list[int]:
     """Multilevel partitioning: coarsen by heavy-edge matching, partition, refine back up."""
-    adjacency = _build_adjacency(n_vertices, edges)
     coarsening_target = max(8 * n_parts, 64)
     if n_vertices <= coarsening_target:
         initial = _region_growing_initial(n_vertices, adjacency, n_parts, vertex_weights, rng)
         return _refine(initial, adjacency, n_parts, refinement_passes, vertex_weights, max_load)
 
     # Limit coarse vertex weight so the coarse graph stays partitionable.
-    max_vertex_weight = max(2.0 * vertex_weights.sum() / coarsening_target, vertex_weights.max())
+    max_vertex_weight = max(
+        2.0 * float(np.sum(vertex_weights)) / coarsening_target, max(vertex_weights)
+    )
     fine_to_coarse = _heavy_edge_matching(
         n_vertices, adjacency, vertex_weights, max_vertex_weight, rng
     )
-    n_coarse, coarse_edges, coarse_weights = _coarsen(
-        n_vertices, edges, vertex_weights, fine_to_coarse
-    )
+    n_coarse, coarse_edges, coarse_weights = _coarsen(edges, vertex_weights, fine_to_coarse)
     if n_coarse >= n_vertices or n_coarse < n_parts:
         initial = _region_growing_initial(n_vertices, adjacency, n_parts, vertex_weights, rng)
         return _refine(initial, adjacency, n_parts, refinement_passes, vertex_weights, max_load)
 
     coarse_assignment = _multilevel_partition(
-        n_coarse, coarse_edges, n_parts, coarse_weights, refinement_passes, max_load, rng
+        n_coarse,
+        coarse_edges,
+        _build_adjacency(n_coarse, coarse_edges),
+        n_parts,
+        coarse_weights,
+        refinement_passes,
+        max_load,
+        rng,
     )
     # Project back to the fine graph and refine at this level.
-    assignment = coarse_assignment[fine_to_coarse]
-    assignment = _refine(
-        assignment, adjacency, n_parts, refinement_passes, vertex_weights, max_load
-    )
-    return assignment
+    assignment = [coarse_assignment[coarse] for coarse in fine_to_coarse]
+    return _refine(assignment, adjacency, n_parts, refinement_passes, vertex_weights, max_load)
 
 
 def partition_graph(
@@ -366,6 +394,7 @@ def partition_graph(
     adjacency = _build_adjacency(n_vertices, edges)
     ideal = float(weights_arr.sum()) / n_parts
     max_load = max(ideal * imbalance_tolerance, float(weights_arr.max()))
+    weights = weights_arr.tolist()
 
     best: PartitionResult | None = None
     best_key: tuple[float, int] | None = None
@@ -375,28 +404,19 @@ def partition_graph(
             # Multilevel (Metis-style) attempt: heavy-edge-matching coarsening,
             # partition of the coarse graph, refinement on the way back up.
             refined = _multilevel_partition(
-                n_vertices, edges, n_parts, weights_arr, refinement_passes, max_load, rng
+                n_vertices, edges, adjacency, n_parts, weights, refinement_passes, max_load, rng
             )
         else:
             # Flat attempt: region growing directly on the fine graph.
-            initial = _region_growing_initial(
-                n_vertices, adjacency, n_parts, weights_arr, rng
-            )
-            refined = _refine(
-                initial, adjacency, n_parts, refinement_passes, weights_arr, max_load
-            )
-        refined = _balance(refined, adjacency, n_parts, weights_arr, max_load)
-        cut = _cut_weight(refined, edges)
-        sizes = np.bincount(refined, minlength=n_parts)
-        loads = np.zeros(n_parts, dtype=np.float64)
-        for vertex in range(n_vertices):
-            loads[refined[vertex]] += weights_arr[vertex]
+            initial = _region_growing_initial(n_vertices, adjacency, n_parts, weights, rng)
+            refined = _refine(initial, adjacency, n_parts, refinement_passes, weights, max_load)
+        refined = _balance(refined, adjacency, n_parts, weights, max_load)
+        result = PartitionResult.from_assignment(
+            np.array(refined, dtype=np.int64), n_parts, edges
+        )
         # Rank candidates by the heaviest part first (it lower-bounds ncycles),
         # then by cut weight.
-        key = (float(loads.max()), cut)
-        result = PartitionResult(
-            assignment=refined, n_parts=n_parts, cut_weight=cut, part_sizes=sizes
-        )
+        key = (max(_part_loads(refined, n_parts, weights)), result.cut_weight)
         if best_key is None or key < best_key:
             best = result
             best_key = key

@@ -280,11 +280,17 @@ def _run_engine(
     # rejection procedure of repro.utils.rng.bounded_draw, inlined below.
     getrandbits = random.Random(seed).getrandbits
 
-    # Backpressure can only ever bind when some FIFO could fill up; with the
-    # default deep capacities (cap > total messages) that is impossible, so
-    # the per-cycle downstream-room checks and send-scheduling bookkeeping are
-    # skipped wholesale and every output port starts each pass free.
-    unbounded = st.capacity > messages.total
+    # Backpressure binds only on a full network FIFO.  A network FIFO's
+    # occupancy rises only in the arrival phase, by at most one per cycle (it
+    # terminates one arc, and an output port sends at most once per pass), so
+    # while ``peak`` — the largest network-FIFO occupancy seen so far — stays
+    # below cap - 1 at a cycle's start, every downstream-room check of that
+    # cycle would pass.  Such cycles skip the checks and the send-scheduling
+    # bookkeeping and start every output port free; ``sched`` is all-zero at
+    # each cycle start, so a run may switch to the bounded path mid-run.
+    # With cap > total messages no FIFO can ever fill.
+    never_full = cap > messages.total
+    peak = 0
 
     # Working copies of the flat message attributes as Python lists: the
     # arbitration loop touches one scalar at a time and plain list indexing is
@@ -359,12 +365,16 @@ def _run_engine(
                 f"{total - delivered} messages still in flight"
             )
 
+        unbounded = never_full or peak + 1 < cap
+
         # 1. Link arrivals scheduled on the previous cycle, in send order.
         for fid in pending:
             o = occ[fid] + 1
             occ[fid] = o
             if o > maxocc[fid]:
                 maxocc[fid] = o
+                if o > peak:
+                    peak = o
         pending = []
         for fid in touched:
             sched[fid] = 0

@@ -12,6 +12,7 @@ both-raise behaviour under deadlocking capacities.
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -208,6 +209,85 @@ class TestDifferentialEngineVsReference:
         eng = BatchNocSimulator(topology, config, routing_tables=tables).run(traffic)
         assert _observables(eng) == _observables(ref)
         assert eng.ncycles == 0
+
+
+def _observables_or_raised(simulator, traffic):
+    """The run's observables, or ``"raised"`` when it deadlocks."""
+    try:
+        return _observables(simulator.run(traffic))
+    except SimulationError:
+        return "raised"
+
+
+def _hotspot_traffic(n_nodes: int, messages_per_node: int, seed: int):
+    """Random traffic with ~40% of every node's messages sent to node 0.
+
+    Node 0 consumes one message per cycle, so its input FIFOs back up to
+    tens of messages: a peak occupancy far above uniform traffic's few,
+    and still far below the message total — as at the Table-I points
+    (7 296 messages, peak occupancy <= 232).
+    """
+    from repro.noc import NodeTraffic, TrafficPattern
+
+    rng = np.random.default_rng(seed)
+    per_node = []
+    for node in range(n_nodes):
+        dest = np.where(
+            rng.random(messages_per_node) < 0.4,
+            0,
+            rng.integers(0, n_nodes, messages_per_node),
+        )
+        per_node.append(
+            NodeTraffic(
+                node=node,
+                destinations=tuple(dest.tolist()),
+                memory_locations=tuple(range(messages_per_node)),
+            )
+        )
+    return TrafficPattern(n_nodes=n_nodes, per_node=tuple(per_node), label="hotspot")
+
+
+class TestCapacityProof:
+    """The engine skips the downstream-room checks on every cycle that starts
+    with the peak network-FIFO occupancy below ``fifo_capacity - 1``.  Pin
+    that regime against the reference at capacities below the message total,
+    where the static ``capacity > total`` rule alone would keep the checks,
+    and at capacities around the peak, where a run switches to the bounded
+    path mid-run."""
+
+    @pytest.mark.parametrize("spec", [("generalized-kautz", 8, 3), ("spidergon", 8, None)])
+    @pytest.mark.parametrize("policy", list(CollisionPolicy))
+    @pytest.mark.parametrize("algorithm", list(RoutingAlgorithm))
+    def test_engine_matches_reference_around_the_peak(self, spec, policy, algorithm):
+        topology, tables = _topology_and_tables(spec)
+        traffic = _hotspot_traffic(topology.n_nodes, 40, seed=13)
+        total = traffic.total_messages
+
+        def run_both(capacity):
+            config = NocConfiguration(
+                collision_policy=policy, fifo_capacity=capacity
+            ).with_routing(algorithm)
+            return [
+                _observables_or_raised(
+                    simulator_cls(
+                        topology, config, routing_tables=tables, seed=11, max_cycles=30_000
+                    ),
+                    traffic,
+                )
+                for simulator_cls in (ReferenceNocSimulator, BatchNocSimulator)
+            ]
+
+        free_run, _ = run_both(total + 1)
+        peak = free_run["max_fifo"]
+        assert 10 < peak < total // 4
+        # At the total the proof holds on every cycle; at peak + 2 it holds
+        # until the peak is reached; at peak + 1 and below backpressure can
+        # bind (or deadlock, which both simulators must then report).
+        for capacity in (total, peak + 2, peak + 1, peak, peak - 1):
+            expected, actual = run_both(capacity)
+            assert actual == expected, capacity
+            if capacity > peak:
+                assert expected == free_run, capacity
 
 
 class TestEngineContract:
