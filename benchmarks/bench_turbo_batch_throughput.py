@@ -12,13 +12,19 @@ comparison is a fixed amount of work.  The acceptance target at
 
 A second row times the ``ber_ctc2400`` operating point (CTC 2400 couples,
 batch 32, max-log, 1.0 dB): seed per-frame, batch with early exit and batch
-exhaustive.  Every row is interleaved trials (:mod:`benchmarks.harness`)
-recorded per frame as median, IQR, n and best; the gates read best times.
+exhaustive.  A third, ``ctc2400_workspace``, pits the decoder against an
+inline copy of the batch-major exchange it replaced (fresh metrics and
+lattice arrays and transposes in every SISO activation) at the same point,
+with the minor page faults of each decode.  Every row is interleaved trials
+(:mod:`benchmarks.harness`) recorded per frame as median, IQR, n and best;
+the first two gates read best times, the workspace gate the median ratio.
 
 Run with ``PYTHONPATH=src python -m pytest benchmarks/bench_turbo_batch_throughput.py -q -s``.
 """
 
 from __future__ import annotations
+
+import resource
 
 import numpy as np
 from repro.channel import AWGNChannel, BPSKModulator, ebn0_to_noise_sigma
@@ -42,6 +48,8 @@ CTC2400_COUPLES = 2400
 CTC2400_BATCH = 32
 CTC2400_EBN0_DB = 1.0
 CTC2400_TRIALS = 5
+#: Interleaved trials of the workspace row (one batch decode per arm each).
+WORKSPACE_TRIALS = 7
 
 _NEG_INF = -1.0e30
 
@@ -278,3 +286,169 @@ def test_turbo_ctc2400_throughput():
             "timing": timing,
         },
     )
+
+
+# --------------------------------------------------------------------------- #
+# The replaced batch-major exchange (fresh SISO arrays per activation).
+# --------------------------------------------------------------------------- #
+class _BatchMajorTurboDecoder:
+    """The decoder loop as it was before the state-major exchange.
+
+    Every SISO activation allocates its own ``(n, 16, b)`` metrics and
+    ``(n + 1, 16, b)`` lattice and transposes its a-priori, extrinsic and
+    a-posteriori between ``(b, n, 4)`` and ``(n, 4, b)``; the exchange is
+    batch-major.  The recursion and a-posteriori kernels are the current
+    ones, unchanged by the rewrite.
+    """
+
+    def __init__(self, decoder: BatchTurboDecoder):
+        self._decoder = decoder
+        self._siso = decoder._siso
+
+    def _activation(self, sys_llrs, par_llrs, apriori, initial_alpha, initial_beta):
+        siso = self._siso
+        batch, n = sys_llrs.shape[:2]
+        apr_t = apriori.transpose(1, 2, 0)
+        systematic = siso._systematic_metrics(sys_llrs.transpose(1, 2, 0))
+        par_t = par_llrs.transpose(1, 2, 0)
+        y_llr, w_llr = par_t[:, 0], par_t[:, 1]
+        parity = np.empty((n, 4, batch), dtype=np.float64)
+        np.add(y_llr, w_llr, out=parity[:, 0])
+        np.subtract(y_llr, w_llr, out=parity[:, 1])
+        np.subtract(w_llr, y_llr, out=parity[:, 2])
+        np.negative(parity[:, 0], out=parity[:, 3])
+        parity *= 0.5
+        metrics = parity[:, :, None] + systematic[:, None]
+        metrics += apr_t[:, None]
+        metrics = metrics.reshape(n, 16, batch)
+        lattice = np.empty((n + 1, 16, batch), dtype=np.float64)
+        for row_slice, init in ((slice(0, 8), initial_alpha), (slice(8, 16), initial_beta)):
+            if init is None:
+                lattice[0, row_slice] = 0.0
+            else:
+                lattice[0, row_slice] = (init - np.amax(init, axis=1, keepdims=True)).T
+        siso._recurse(metrics, lattice)
+        apo_raw = siso._aposteriori(metrics, lattice)
+        final_alpha = np.ascontiguousarray(lattice[n, :8].T)
+        final_beta = np.ascontiguousarray(lattice[n, 8:].T)
+        del metrics, lattice
+        apo = apo_raw - apo_raw[:, 0:1]
+        extrinsic = apo - (systematic - systematic[:, 0:1])
+        extrinsic -= apr_t - apr_t[:, 0:1]
+        extrinsic *= siso.extrinsic_scale
+        aposteriori = np.ascontiguousarray(apo.transpose(2, 0, 1))
+        np.argmax(aposteriori, axis=2)  # the hard decisions the loop discarded
+        return (
+            aposteriori,
+            np.ascontiguousarray(extrinsic.transpose(2, 0, 1)),
+            final_alpha,
+            final_beta,
+        )
+
+    @staticmethod
+    def _reorder(values, flat_index):
+        return values.reshape(values.shape[0], -1).take(flat_index, axis=1).reshape(values.shape)
+
+    def decode(self, sys_llrs, par1, par2):
+        """Hard symbols, a-posteriori and iterations of an early-exit decode."""
+        dec = self._decoder
+        batch, n = sys_llrs.shape[:2]
+        iterations = np.zeros(batch, dtype=np.int64)
+        hard_out = np.zeros((batch, n), dtype=np.int64)
+        apo_out = np.zeros((batch, n, 4), dtype=np.float64)
+        act_idx = np.arange(batch)
+        act_sys, act_par1, act_par2 = sys_llrs, par1, par2
+        act_sys_int = self._reorder(sys_llrs, dec._interleave_bits)
+        ext_2_to_1 = np.zeros((batch, n, 4), dtype=np.float64)
+        alpha1 = beta1 = alpha2 = beta2 = None
+        previous = None
+        for iteration in range(dec.max_iterations):
+            if act_idx.size == 0:
+                break
+            _, ext1, alpha1, beta1 = self._activation(
+                act_sys, act_par1, ext_2_to_1, alpha1, beta1
+            )
+            ext_1_to_2 = self._reorder(ext1, dec._interleave_symbols)
+            apo2, ext2, alpha2, beta2 = self._activation(
+                act_sys_int, act_par2, ext_1_to_2, alpha2, beta2
+            )
+            ext_2_to_1 = self._reorder(ext2, dec._deinterleave_symbols)
+            apo_natural = self._reorder(apo2, dec._deinterleave_symbols)
+            hard = np.argmax(apo_natural, axis=2).astype(np.int64)
+            iterations[act_idx] = iteration + 1
+            hard_out[act_idx] = hard
+            apo_out[act_idx] = apo_natural
+            if previous is None:
+                previous = hard
+                continue
+            keep = np.count_nonzero(hard != previous, axis=1) != 0
+            act_idx = act_idx[keep]
+            act_sys, act_sys_int = act_sys[keep], act_sys_int[keep]
+            act_par1, act_par2 = act_par1[keep], act_par2[keep]
+            ext_2_to_1 = ext_2_to_1[keep]
+            alpha1, beta1 = alpha1[keep], beta1[keep]
+            alpha2, beta2 = alpha2[keep], beta2[keep]
+            previous = hard[keep]
+        return hard_out, apo_out, iterations
+
+
+def _counting_faults(call, faults: list[int]):
+    """Wrap ``call`` to append the minor page faults each run takes."""
+
+    def run():
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        call()
+        faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+
+    return run
+
+
+def test_turbo_ctc2400_workspace():
+    """State-major exchange with one workspace per decode vs the replaced loop."""
+    encoder = TurboEncoder(n_couples=CTC2400_COUPLES)
+    llrs = _make_llr_batch(encoder, CTC2400_BATCH, ebn0_db=CTC2400_EBN0_DB)
+    decoder = BatchTurboDecoder(encoder, max_iterations=MAX_ITERATIONS)
+    baseline = _BatchMajorTurboDecoder(decoder)
+    split = decoder.split_llrs_batch(llrs)
+    # The replaced split handed over contiguous batch-major sub-blocks.
+    split_batch_major = [np.ascontiguousarray(block) for block in split]
+
+    current = decoder.decode_split(*split)
+    hard, apo, iterations = baseline.decode(*split_batch_major)
+    assert np.array_equal(current.hard_symbols, hard)
+    assert np.array_equal(current.aposteriori, apo)
+    assert np.array_equal(current.iterations, iterations)
+
+    faults: dict[str, list[int]] = {"baseline": [], "current": []}
+    samples, _ = trials(
+        {
+            "baseline": _counting_faults(
+                lambda: baseline.decode(*split_batch_major), faults["baseline"]
+            ),
+            "current": _counting_faults(lambda: decoder.decode_split(*split), faults["current"]),
+        },
+        WORKSPACE_TRIALS,
+    )
+    frames = {"baseline": CTC2400_BATCH, "current": CTC2400_BATCH}
+    timing = row(per_item(samples, frames), "baseline", "s/frame")
+    vs = timing["vs"]["current"]
+    minor_faults = {name: int(np.median(counts)) for name, counts in faults.items()}
+    print(
+        f"\nturbo CTC {CTC2400_COUPLES} batch {CTC2400_BATCH} workspace: "
+        f"{1 / timing['arms']['current']['median']:.1f} frames/s, {vs['ratio']:.2f}x the "
+        f"batch-major exchange ({vs['wins']}/{WORKSPACE_TRIALS} wins); minor faults per "
+        f"decode {minor_faults['baseline']} -> {minor_faults['current']}"
+    )
+    record(
+        "turbo_batch_throughput",
+        "ctc2400_workspace",
+        {
+            "n_couples": CTC2400_COUPLES,
+            "batch": CTC2400_BATCH,
+            "max_iterations": MAX_ITERATIONS,
+            "ebn0_db": CTC2400_EBN0_DB,
+            "minor_faults_per_decode": minor_faults,
+            "timing": timing,
+        },
+    )
+    assert vs["ratio"] > 1.0

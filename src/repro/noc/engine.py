@@ -285,10 +285,18 @@ def _run_engine(
     # terminates one arc, and an output port sends at most once per pass), so
     # while ``peak`` — the largest network-FIFO occupancy seen so far — stays
     # below cap - 1 at a cycle's start, every downstream-room check of that
-    # cycle would pass.  Such cycles skip the checks and the send-scheduling
-    # bookkeeping and start every output port free; ``sched`` is all-zero at
-    # each cycle start, so a run may switch to the bounded path mid-run.
-    # With cap > total messages no FIFO can ever fill.
+    # cycle would pass.  Such cycles skip the checks and start every output
+    # port free; the checks keep no state across cycles, so a run may switch
+    # to the checked path mid-run.  With cap > total messages no FIFO can
+    # ever fill.
+    #
+    # The check itself needs no count of this cycle's sends: each network
+    # FIFO terminates one arc, so exactly one output port feeds it, and a
+    # node builds its free mask before any of its own sends in the pass.
+    # When a node tests FIFO t, nothing has been sent into t this cycle
+    # (sends stay invisible to ``occ`` until the next arrival phase anyway),
+    # so the room test is ``occ[t] < cap`` — the reference simulator's
+    # occupancy-plus-scheduled test with the scheduled count always 0.
     never_full = cap > messages.total
     peak = 0
 
@@ -354,8 +362,6 @@ def _run_engine(
     # beyond the occupancy cursor — until the next cycle's arrival phase
     # acknowledges them fid by fid, in send order.
     pending: list[int] = []
-    sched = [0] * st.n_fifos
-    touched: list[int] = []
 
     cycle = 0
     while delivered < total:
@@ -376,9 +382,6 @@ def _run_engine(
                 if o > peak:
                     peak = o
         pending = []
-        for fid in touched:
-            sched[fid] = 0
-        touched = []
 
         # 2. Crossbar pass on every node, in node order (backpressure sees
         # earlier nodes' pops and sends exactly as in the reference simulator).
@@ -406,14 +409,13 @@ def _run_engine(
                     order.sort()
 
             # Free output ports as a bitmask: bit q set when the downstream
-            # FIFO can still accept this cycle's scheduled sends plus one.
+            # FIFO has room for one more message (see the proof above).
             if unbounded:
                 free = fmask
             else:
                 free = 0
                 for q in out_ranges[node]:
-                    t = targets[q]
-                    if occ[t] + sched[t] < cap:
+                    if occ[targets[q]] < cap:
                         free |= 1 << q
             local_free = True
             rr_served = False
@@ -472,10 +474,6 @@ def _run_engine(
                 free &= ~(1 << out)
                 sent[out] += 1
                 t = targets[out]
-                if not unbounded:
-                    if sched[t] == 0:
-                        touched.append(t)
-                    sched[t] += 1
                 total_hops += 1
                 if deflected:
                     misrouted[mid] = 1

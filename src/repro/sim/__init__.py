@@ -44,6 +44,7 @@ from repro.sim.kernels import min_sum_update, sum_product_update
 from repro.sim.runner import CHANNEL_FACTORIES, BerPoint, BerRunner, resolve_code_rate
 from repro.sim.stats import wilson_interval
 from repro.sim.turbo_batch import (
+    BCJRWorkspace,
     BatchBCJR,
     BatchBCJRResult,
     BatchTurboDecoder,
@@ -51,6 +52,7 @@ from repro.sim.turbo_batch import (
 )
 
 __all__ = [
+    "BCJRWorkspace",
     "BatchBCJR",
     "BatchBCJRResult",
     "BatchDecodeResult",

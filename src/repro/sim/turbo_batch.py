@@ -24,7 +24,11 @@ eight states and ``beta[n - k]`` in its last eight, so step ``k`` of the one
 fused loop reads row ``k`` and writes row ``k + 1``, moving the forward
 recursion up and the backward recursion down the trellis together.  Every
 max* is an elementwise ``np.maximum`` over four contiguous ``(16, batch)``
-edge slabs.  See ``docs/turbo-batching.md``.
+edge slabs.  The iterative decoder keeps its whole exchange state-major too
+(a-priori, extrinsics and a-posteriori ``(n_couples, 4, batch)``, state
+metrics ``(8, batch)``) and runs every activation of a decode in one
+:class:`BCJRWorkspace`, so no SISO activation allocates the two large arrays
+or transposes anything.  See ``docs/turbo-batching.md``.
 
 The per-frame :class:`~repro.turbo.bcjr.BCJRDecoder` and
 :class:`~repro.turbo.decoder.TurboDecoder` delegate here with ``batch=1``;
@@ -85,10 +89,12 @@ class BatchBCJRResult:
 class BatchBCJR:
     """Max-Log-MAP / Log-MAP BCJR over ``(batch, n_couples, ...)`` tensors.
 
-    Parameters mirror :class:`repro.turbo.bcjr.BCJRDecoder` (which delegates
-    here with ``batch=1``): ``algorithm`` selects plain maximum or the exact
-    Jacobian ``max*``; ``extrinsic_scale`` is the ``sigma <= 1`` factor of
-    paper Section II-A, forced to 1.0 for Log-MAP.
+    :meth:`decode_state_major` is the one SISO core; :meth:`decode_batch` is
+    a batch-major adapter over it.  Parameters mirror
+    :class:`repro.turbo.bcjr.BCJRDecoder` (which delegates here with
+    ``batch=1``): ``algorithm`` selects plain maximum or the exact Jacobian
+    ``max*``; ``extrinsic_scale`` is the ``sigma <= 1`` factor of paper
+    Section II-A, forced to 1.0 for Log-MAP.
     """
 
     def __init__(
@@ -147,9 +153,9 @@ class BatchBCJR:
 
     @staticmethod
     def _distinct_metrics(
-        par_t: np.ndarray, systematic: np.ndarray, apr_t: np.ndarray
-    ) -> np.ndarray:
-        """The 16 distinct branch metrics per step, ``(n, 16, batch)``.
+        par_t: np.ndarray, systematic: np.ndarray, apr_t: np.ndarray, out: np.ndarray
+    ) -> None:
+        """Write the 16 distinct branch metrics per step into ``out`` ``(n, 16, batch)``.
 
         Bit metrics use the symmetric correlation form ``0.5 * (1 - 2*bit) * LLR``
         with the convention ``LLR = log p(0)/p(1)``.  Metric ``4*c + u`` is
@@ -166,9 +172,9 @@ class BatchBCJR:
         np.subtract(w_llr, y_llr, out=parity[:, 2])  # Y=1, W=0
         np.negative(parity[:, 0], out=parity[:, 3])  # Y=1, W=1
         parity *= 0.5
-        metrics = parity[:, :, None] + systematic[:, None]  # (n, 4 combos, 4 symbols, batch)
+        metrics = out.reshape(n, 4, NUM_SYMBOLS, batch)  # (n, 4 combos, 4 symbols, batch)
+        np.add(parity[:, :, None], systematic[:, None], out=metrics)
         metrics += apr_t[:, None]
-        return metrics.reshape(n, _DISTINCT, batch)
 
     def systematic_symbol_metric(self, systematic_llrs: np.ndarray) -> np.ndarray:
         """Per-symbol systematic metric differences ``lambda_k[c_u] - lambda_k[c_0]``.
@@ -193,6 +199,9 @@ class BatchBCJR:
         initial_beta: np.ndarray | None = None,
     ) -> BatchBCJRResult:
         """Run one SISO activation over a ``(batch, n_couples, 2)`` LLR batch.
+
+        A batch-major adapter over :meth:`decode_state_major` (which the
+        iterative decoder calls directly); it alone computes ``hard_symbols``.
 
         Parameters
         ----------
@@ -220,7 +229,7 @@ class BatchBCJR:
             raise DecodingError("parity_llrs must have the same shape as systematic_llrs")
         batch, n = sys_llrs.shape[:2]
         if apriori is None:
-            apriori_arr = np.zeros((batch, n, NUM_SYMBOLS), dtype=np.float64)
+            apr_t = np.zeros((n, NUM_SYMBOLS, batch), dtype=np.float64)
         else:
             apriori_arr = np.asarray(apriori, dtype=np.float64)
             if apriori_arr.shape != (batch, n, NUM_SYMBOLS):
@@ -228,31 +237,59 @@ class BatchBCJR:
                     f"apriori must have shape ({batch}, {n}, {NUM_SYMBOLS}), "
                     f"got {apriori_arr.shape}"
                 )
-        # Everything below runs state-major, batch axis last: (n, ..., batch).
-        apr_t = apriori_arr.transpose(1, 2, 0)
-        systematic = self._systematic_metrics(sys_llrs.transpose(1, 2, 0))
-        metrics = self._distinct_metrics(par_llrs.transpose(1, 2, 0), systematic, apr_t)
-        lattice = np.empty((n + 1, 2 * NUM_STATES, batch), dtype=np.float64)
-        lattice[0, :NUM_STATES] = self._normalize_init(initial_alpha, batch).T
-        lattice[0, NUM_STATES:] = self._normalize_init(initial_beta, batch).T
-        self._recurse(metrics, lattice)
-        apo_raw = self._aposteriori(metrics, lattice)  # (n, 4, batch)
-        final_alpha = np.ascontiguousarray(lattice[n, :NUM_STATES].T)
-        final_beta = np.ascontiguousarray(lattice[n, NUM_STATES:].T)
-        del metrics, lattice  # free the two largest arrays before the outputs
-
-        apo = apo_raw - apo_raw[:, 0:1]
-        extrinsic = apo - (systematic - systematic[:, 0:1])
-        extrinsic -= apr_t - apr_t[:, 0:1]
-        extrinsic *= self.extrinsic_scale
+            apr_t = apriori_arr.transpose(1, 2, 0)
+        apo, extrinsic, final_alpha, final_beta = self.decode_state_major(
+            sys_llrs.transpose(1, 2, 0),
+            par_llrs.transpose(1, 2, 0),
+            apr_t,
+            self._state_major_init(initial_alpha, batch),
+            self._state_major_init(initial_beta, batch),
+            BCJRWorkspace(n, batch),
+        )
         aposteriori = np.ascontiguousarray(apo.transpose(2, 0, 1))  # (batch, n, 4)
         return BatchBCJRResult(
             aposteriori=aposteriori,
             extrinsic=np.ascontiguousarray(extrinsic.transpose(2, 0, 1)),
             hard_symbols=np.argmax(aposteriori, axis=2).astype(np.int64),
-            final_alpha=final_alpha,
-            final_beta=final_beta,
+            final_alpha=np.ascontiguousarray(final_alpha.T),
+            final_beta=np.ascontiguousarray(final_beta.T),
         )
+
+    def decode_state_major(
+        self,
+        sys_t: np.ndarray,
+        par_t: np.ndarray,
+        apr_t: np.ndarray,
+        initial_alpha: np.ndarray,
+        initial_beta: np.ndarray,
+        workspace: "BCJRWorkspace",
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The SISO core: one activation on state-major arrays, batch axis last.
+
+        Takes ``(n, 2, b)`` systematic and parity LLRs, the ``(n, 4, b)``
+        a-priori and ``(8, b)`` initial state metrics; the branch metrics and
+        the lattice live in ``workspace`` (sized for at least ``b`` frames).
+        Inputs are only read.  Returns ``(aposteriori, extrinsic,
+        final_alpha, final_beta)`` shaped ``(n, 4, b)``, ``(n, 4, b)``,
+        ``(8, b)`` and ``(8, b)``, the extrinsic already scaled.
+        """
+        n, _, batch = sys_t.shape
+        metrics, lattice = workspace.views(n, batch)
+        systematic = self._systematic_metrics(sys_t)
+        self._distinct_metrics(par_t, systematic, apr_t, metrics)
+        np.subtract(initial_alpha, np.amax(initial_alpha, axis=0), out=lattice[0, :NUM_STATES])
+        np.subtract(initial_beta, np.amax(initial_beta, axis=0), out=lattice[0, NUM_STATES:])
+        self._recurse(metrics, lattice)
+        apo = self._aposteriori(metrics, lattice)
+        final_alpha = lattice[n, :NUM_STATES].copy()
+        final_beta = lattice[n, NUM_STATES:].copy()
+
+        apo -= apo[:, 0:1]
+        systematic -= systematic[:, 0:1]
+        extrinsic = np.subtract(apo, systematic, out=systematic)
+        extrinsic -= apr_t - apr_t[:, 0:1]
+        extrinsic *= self.extrinsic_scale
+        return apo, extrinsic, final_alpha, final_beta
 
     def _maxstar(self, edges: np.ndarray, axis: int, out: np.ndarray) -> None:
         """Fold ``axis`` of ``edges`` into ``out`` with max* (``edges`` is consumed).
@@ -323,21 +360,49 @@ class BatchBCJR:
     # Internals
     # ------------------------------------------------------------------ #
     @staticmethod
-    def _normalize_init(init, batch: int) -> np.ndarray:
+    def _state_major_init(init, batch: int) -> np.ndarray:
+        """A ``(batch, 8)`` state-metric init as ``(8, batch)``; zeros when omitted."""
         if init is None:
-            return np.zeros((batch, NUM_STATES), dtype=np.float64)
+            return np.zeros((NUM_STATES, batch), dtype=np.float64)
         arr = np.asarray(init, dtype=np.float64)
         if arr.shape != (batch, NUM_STATES):
             raise DecodingError(
                 f"state-metric init must have shape ({batch}, {NUM_STATES}), "
                 f"got {tuple(arr.shape)}"
             )
-        return arr - np.amax(arr, axis=1, keepdims=True)
+        return arr.T
+
+
+class BCJRWorkspace:
+    """Backing store for the branch metrics and lattice of SISO activations.
+
+    Sized once for ``n`` trellis steps and up to ``batch`` frames; each
+    activation views a contiguous prefix, so an activation on fewer frames
+    (an early-exit active set) reuses the same pages.  Fresh arrays of this
+    size would be returned to the OS on free and faulted in again by the
+    next activation.  Not shareable between concurrent decodes.
+    """
+
+    def __init__(self, n: int, batch: int):
+        self._metrics = np.empty(n * _DISTINCT * batch, dtype=np.float64)
+        self._lattice = np.empty((n + 1) * 2 * NUM_STATES * batch, dtype=np.float64)
+
+    def views(self, n: int, batch: int) -> tuple[np.ndarray, np.ndarray]:
+        """``(n, 16, batch)`` metrics and ``(n + 1, 16, batch)`` lattice views."""
+        metrics = self._metrics[: n * _DISTINCT * batch].reshape(n, _DISTINCT, batch)
+        lattice = self._lattice[: (n + 1) * 2 * NUM_STATES * batch]
+        return metrics, lattice.reshape(n + 1, 2 * NUM_STATES, batch)
 
 
 def _reorder(values: np.ndarray, flat_index: np.ndarray) -> np.ndarray:
-    """Gather ``(batch, n, width)`` values through a flat ``n * width`` index."""
-    return values.reshape(values.shape[0], -1).take(flat_index, axis=1).reshape(values.shape)
+    """Gather state-major ``(n, width, batch)`` values through a flat ``n * width`` row index."""
+    n, width, batch = values.shape
+    return values.reshape(n * width, batch).take(flat_index, axis=0).reshape(n, width, batch)
+
+
+def _state_major(values: np.ndarray) -> np.ndarray:
+    """``(batch, n, width)`` as a contiguous state-major ``(n, width, batch)`` array."""
+    return np.ascontiguousarray(values.transpose(1, 2, 0))
 
 
 def _couple_gather(source: np.ndarray, swapped: np.ndarray, orders: np.ndarray) -> np.ndarray:
@@ -493,10 +558,15 @@ class BatchTurboDecoder:
         return self.encoder.n
 
     def _maybe_bit_level(self, extrinsic: np.ndarray) -> np.ndarray:
-        """Apply the STB -> network -> BTS round trip when bit-level exchange is on."""
+        """Apply the STB -> network -> BTS round trip when bit-level exchange is on.
+
+        ``extrinsic`` is state-major ``(n, 4, batch)``; the conversion is
+        elementwise per couple, so it runs on the symbol-last view.
+        """
         if not self.bit_level_exchange:
             return extrinsic
-        return bit_to_symbol_extrinsic(symbol_to_bit_extrinsic(extrinsic))
+        symbol_last = np.moveaxis(extrinsic, 1, -1)
+        return np.moveaxis(bit_to_symbol_extrinsic(symbol_to_bit_extrinsic(symbol_last)), -1, 1)
 
     # ------------------------------------------------------------------ #
     # LLR plumbing
@@ -508,6 +578,9 @@ class BatchTurboDecoder:
 
         Returns ``(systematic, parity1, parity2)`` shaped
         ``(batch, n_couples, 2)``; punctured W positions receive LLR 0.
+        Each is a view of a contiguous state-major ``(n_couples, 2, batch)``
+        array, the layout :meth:`decode_split` decodes in, so handing them
+        on costs no copy.
         """
         arr = np.asarray(llrs, dtype=np.float64)
         n = self._n_couples
@@ -518,15 +591,14 @@ class BatchTurboDecoder:
                 f"{self.encoder.rate}, got shape {arr.shape}"
             )
         batch = arr.shape[0]
-        systematic = arr[:, : 2 * n].reshape(batch, n, 2)
-        parity1 = np.zeros((batch, n, 2), dtype=np.float64)
-        parity2 = np.zeros((batch, n, 2), dtype=np.float64)
+        blocks = np.zeros((3, n, 2, batch), dtype=np.float64)
+        blocks[0] = arr[:, : 2 * n].reshape(batch, n, 2).transpose(1, 2, 0)
         if self.encoder.rate == "1/2":
-            parity1[:, :, 0] = arr[:, 2 * n : 3 * n]
-            parity2[:, :, 0] = arr[:, 3 * n : 4 * n]
+            blocks[1, :, 0] = arr[:, 2 * n : 3 * n].T
+            blocks[2, :, 0] = arr[:, 3 * n : 4 * n].T
         else:
-            parity1[:] = arr[:, 2 * n : 4 * n].reshape(batch, n, 2)
-            parity2[:] = arr[:, 4 * n : 6 * n].reshape(batch, n, 2)
+            blocks[1:] = arr[:, 2 * n :].reshape(batch, 2, n, 2).transpose(1, 2, 3, 0)
+        systematic, parity1, parity2 = (block.transpose(2, 0, 1) for block in blocks)
         return systematic, parity1, parity2
 
     # ------------------------------------------------------------------ #
@@ -576,72 +648,71 @@ class BatchTurboDecoder:
         apo_out = np.zeros((batch, n, NUM_SYMBOLS), dtype=np.float64)
         changes_hist: list[list[int]] = [[] for _ in range(batch)]
 
-        # Active working set: frames still decoding, compacted on early exit.
-        # The LLR arrays are only ever read (the SISO never writes its
-        # inputs), so the full-batch views need no defensive copies —
-        # compaction by fancy indexing produces fresh arrays anyway.
+        # The whole exchange runs state-major, batch axis last: (n, width, b).
+        # Active working set: frames still decoding, compacted along the
+        # batch axis on early exit.  The SISO only reads its inputs, and one
+        # workspace sized for the full batch serves every activation.
         act_idx = np.arange(batch)
-        act_sys = sys_llrs
-        act_sys_int = _reorder(sys_llrs, self._interleave_bits)
-        act_par1 = par1
-        act_par2 = par2
-        ext_2_to_1 = np.zeros((batch, n, NUM_SYMBOLS), dtype=np.float64)
-        alpha1 = beta1 = alpha2 = beta2 = None
+        act_sys = _state_major(sys_llrs)
+        act_sys_int = _reorder(act_sys, self._interleave_bits)
+        act_par1 = _state_major(par1)
+        act_par2 = _state_major(par2)
+        ext_2_to_1 = np.zeros((n, NUM_SYMBOLS, batch), dtype=np.float64)
+        alpha1 = np.zeros((NUM_STATES, batch), dtype=np.float64)
+        beta1, alpha2, beta2 = alpha1, alpha1, alpha1
+        workspace = BCJRWorkspace(n, batch)
+        siso = self._siso.decode_state_major
         previous: np.ndarray | None = None
 
         for iteration in range(self.max_iterations):
             if act_idx.size == 0:
                 break
-            result1 = self._siso.decode_batch(
-                act_sys,
-                act_par1,
-                apriori=ext_2_to_1,
-                initial_alpha=alpha1,
-                initial_beta=beta1,
+            _, ext, alpha1, beta1 = siso(
+                act_sys, act_par1, ext_2_to_1, alpha1, beta1, workspace
             )
-            alpha1, beta1 = result1.final_alpha, result1.final_beta
-            ext_1_to_2 = _reorder(
-                self._maybe_bit_level(result1.extrinsic), self._interleave_symbols
+            ext_1_to_2 = _reorder(self._maybe_bit_level(ext), self._interleave_symbols)
+            del ext, ext_2_to_1  # consumed: not held through the second activation
+            apo, ext, alpha2, beta2 = siso(
+                act_sys_int, act_par2, ext_1_to_2, alpha2, beta2, workspace
             )
-            result2 = self._siso.decode_batch(
-                act_sys_int,
-                act_par2,
-                apriori=ext_1_to_2,
-                initial_alpha=alpha2,
-                initial_beta=beta2,
-            )
-            alpha2, beta2 = result2.final_alpha, result2.final_beta
-            ext_2_to_1 = _reorder(
-                self._maybe_bit_level(result2.extrinsic), self._deinterleave_symbols
-            )
-
-            apo_natural = _reorder(result2.aposteriori, self._deinterleave_symbols)
-            hard = np.argmax(apo_natural, axis=2).astype(np.int64)
+            ext_2_to_1 = _reorder(self._maybe_bit_level(ext), self._deinterleave_symbols)
+            apo_natural = _reorder(apo, self._deinterleave_symbols)
+            del ext, apo, ext_1_to_2
+            hard = np.argmax(apo_natural, axis=1)  # (n, b)
             iterations[act_idx] = iteration + 1
-            hard_symbols_out[act_idx] = hard
-            apo_out[act_idx] = apo_natural
 
             if previous is None:
                 previous = hard
                 continue
-            changes = np.count_nonzero(hard != previous, axis=1)
+            changes = np.count_nonzero(hard != previous, axis=0)
             for local, frame in enumerate(act_idx):
                 changes_hist[frame].append(int(changes[local]))
             stable = changes == 0
             converged[act_idx[stable]] = True
             if self.early_termination and stable.any():
+                done = act_idx[stable]
+                hard_symbols_out[done] = hard[:, stable].T
+                apo_out[done] = apo_natural[:, :, stable].transpose(2, 0, 1)
                 keep = ~stable
                 act_idx = act_idx[keep]
-                act_sys = act_sys[keep]
-                act_sys_int = act_sys_int[keep]
-                act_par1 = act_par1[keep]
-                act_par2 = act_par2[keep]
-                ext_2_to_1 = ext_2_to_1[keep]
-                alpha1, beta1 = alpha1[keep], beta1[keep]
-                alpha2, beta2 = alpha2[keep], beta2[keep]
-                previous = hard[keep]
+                # compress keeps the compacted arrays C-contiguous (fancy
+                # indexing of the last axis would make it the slowest one).
+                act_sys = act_sys.compress(keep, axis=-1)
+                act_sys_int = act_sys_int.compress(keep, axis=-1)
+                act_par1 = act_par1.compress(keep, axis=-1)
+                act_par2 = act_par2.compress(keep, axis=-1)
+                ext_2_to_1 = ext_2_to_1.compress(keep, axis=-1)
+                alpha1, beta1 = alpha1.compress(keep, axis=-1), beta1.compress(keep, axis=-1)
+                alpha2, beta2 = alpha2.compress(keep, axis=-1), beta2.compress(keep, axis=-1)
+                previous = hard.compress(keep, axis=-1)
+                apo_natural = apo_natural.compress(keep, axis=-1)
             else:
                 previous = hard
+
+        if act_idx.size:
+            # Frames still active ran every iteration: their last decisions stand.
+            hard_symbols_out[act_idx] = previous.T
+            apo_out[act_idx] = apo_natural.transpose(2, 0, 1)
 
         hard_bits = np.empty((batch, n, 2), dtype=np.int8)
         hard_bits[:, :, 0] = (hard_symbols_out >> 1) & 1

@@ -91,6 +91,7 @@ class TurboEncoder:
         self.rate = rate
         self.interleaver = CTCInterleaver.for_block_size(n_couples)
         self.trellis = DuoBinaryTrellis()
+        self._parity_table = self.trellis.parity_table()
         self.n_couples = n_couples
 
     @property
@@ -124,64 +125,50 @@ class TurboEncoder:
         bits[:, 1] = arr & 1
         return bits.reshape(-1)
 
-    def _encode_constituent(self, symbols: np.ndarray) -> np.ndarray:
-        """Run one circular constituent encoder; return ``(n_couples, 2)`` parity."""
-        start_state = self.trellis.circulation_state(symbols)
-        parity = np.zeros((symbols.size, 2), dtype=np.int8)
-        state = start_state
-        for idx, symbol in enumerate(symbols):
-            parity[idx, 0], parity[idx, 1] = self.trellis.parity(state, int(symbol))
-            state = self.trellis.next_state(state, int(symbol))
-        if state != start_state:
-            raise CodeDefinitionError(
-                "circular encoding did not return to the circulation state"
-            )
-        return parity
-
-    def encode(self, info_bits: np.ndarray) -> TurboCodeword:
-        """Encode ``2 * n_couples`` information bits."""
+    def _check_info_bits(self, info_bits: np.ndarray, ndim: int) -> np.ndarray:
         bits = np.asarray(info_bits, dtype=np.int64)
-        if bits.shape != (self.k,):
+        if bits.ndim != ndim or bits.shape[-1] != self.k:
+            shape = f"({self.k},)" if ndim == 1 else f"(batch, {self.k})"
             raise CodeDefinitionError(
-                f"expected {self.k} information bits, got shape {bits.shape}"
+                f"expected a {shape} information-bit array, got shape {bits.shape}"
             )
         if bits.size and (bits.min() < 0 or bits.max() > 1):
             raise CodeDefinitionError("information bits must be 0/1 values")
-        symbols = self.bits_to_symbols(bits)
-        parity1 = self._encode_constituent(symbols)
-        interleaved = self.interleaver.interleave_symbols(symbols)
-        parity2 = self._encode_constituent(interleaved)
-        systematic = np.empty((self.n_couples, 2), dtype=np.int8)
-        systematic[:, 0] = (symbols >> 1) & 1
-        systematic[:, 1] = symbols & 1
-        return TurboCodeword(
-            systematic=systematic, parity1=parity1, parity2=parity2, rate=self.rate
-        )
+        return bits
 
-    # ------------------------------------------------------------------ #
-    # Batched encoding
-    # ------------------------------------------------------------------ #
     def _encode_constituent_batch(self, symbols: np.ndarray) -> np.ndarray:
         """Run one circular constituent encoder over ``(batch, n_couples)`` symbols.
 
-        The state recursion is sequential over couples by construction, but
-        every step advances the whole batch at once through the flat trellis
-        tables; returns ``(batch, n_couples, 2)`` parity bits.
+        The circular state sequence comes from one sequential pass over the
+        couples (:meth:`DuoBinaryTrellis.circular_states`); the parity is
+        then a single gather; returns ``(batch, n_couples, 2)`` parity bits.
         """
-        start_state = self.trellis.circulation_states(symbols)
-        next_table = self.trellis.next_state_table()
-        parity_table = self.trellis.parity_table()
-        parity = np.empty((*symbols.shape, 2), dtype=np.int8)
-        state = start_state.copy()
-        for idx in range(symbols.shape[1]):
-            step_symbols = symbols[:, idx]
-            parity[:, idx] = parity_table[state, step_symbols]
-            state = next_table[state, step_symbols]
-        if np.any(state != start_state):
+        states = self.trellis.circular_states(symbols)
+        if np.any(states[:, -1] != states[:, 0]):
             raise CodeDefinitionError(
                 "circular encoding did not return to the circulation state"
             )
-        return parity
+        return self._parity_table[states[:, :-1], symbols]
+
+    def _encode_parities(self, bits: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(batch, k)`` bits -> couple symbols and both ``(batch, n_couples, 2)`` parities."""
+        symbols = 2 * bits[:, 0::2] + bits[:, 1::2]  # (batch, n_couples)
+        parity1 = self._encode_constituent_batch(symbols)
+        parity2 = self._encode_constituent_batch(
+            self.interleaver.interleave_symbols(symbols)
+        )
+        return symbols, parity1, parity2
+
+    def encode(self, info_bits: np.ndarray) -> TurboCodeword:
+        """Encode ``2 * n_couples`` information bits (a batch of one)."""
+        bits = self._check_info_bits(info_bits, 1)
+        symbols, parity1, parity2 = self._encode_parities(bits[None])
+        systematic = np.empty((self.n_couples, 2), dtype=np.int8)
+        systematic[:, 0] = (symbols[0] >> 1) & 1
+        systematic[:, 1] = symbols[0] & 1
+        return TurboCodeword(
+            systematic=systematic, parity1=parity1[0], parity2=parity2[0], rate=self.rate
+        )
 
     def encode_batch(self, info_bits: np.ndarray) -> np.ndarray:
         """Encode ``(batch, k)`` information bits into ``(batch, n)`` codewords.
@@ -189,21 +176,11 @@ class TurboEncoder:
         The output rows follow the :meth:`TurboCodeword.to_bit_array` layout
         (systematic bits, then the kept parity1 bits, then parity2), which is
         what :class:`repro.sim.runner.BerRunner` transmits; a test pins this
-        against looped per-frame :meth:`encode` calls.
+        against a scalar per-couple encoder loop.
         """
-        bits = np.asarray(info_bits, dtype=np.int64)
-        if bits.ndim != 2 or bits.shape[1] != self.k:
-            raise CodeDefinitionError(
-                f"expected a (batch, {self.k}) information-bit array, got shape {bits.shape}"
-            )
-        if bits.size and (bits.min() < 0 or bits.max() > 1):
-            raise CodeDefinitionError("information bits must be 0/1 values")
+        bits = self._check_info_bits(info_bits, 2)
         batch = bits.shape[0]
-        symbols = 2 * bits[:, 0::2] + bits[:, 1::2]  # (batch, n_couples)
-        parity1 = self._encode_constituent_batch(symbols)
-        parity2 = self._encode_constituent_batch(
-            self.interleaver.interleave_symbols(symbols)
-        )
+        _, parity1, parity2 = self._encode_parities(bits)
         n_couples = self.n_couples
         out = np.empty((batch, self.n), dtype=np.int8)
         out[:, : 2 * n_couples] = bits

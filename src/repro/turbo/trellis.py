@@ -115,6 +115,7 @@ class DuoBinaryTrellis:
         # The state-update map is affine over GF(2)^3: s' = A s + B u.
         self._state_matrix = self._compute_state_matrix()
         self._circulation_inverse_cache: dict[int, np.ndarray | None] = {}
+        self._zero_input_cache: dict[int, np.ndarray] = {}
 
     # ------------------------------------------------------------------ #
     # Structure queries
@@ -203,30 +204,51 @@ class DuoBinaryTrellis:
         s_c = (m_inv @ c_vec) % 2
         return _bits_state(int(s_c[0]), int(s_c[1]), int(s_c[2]))
 
-    def circulation_states(self, symbols: np.ndarray) -> np.ndarray:
-        """Batched :meth:`circulation_state` over ``(batch, n_steps)`` blocks.
+    def circular_states(self, symbols: np.ndarray) -> np.ndarray:
+        """State sequences ``s_0 .. s_N`` of circular encoding, ``(batch, N + 1)``.
 
-        All frames share one block length, so ``(I + A^N)^{-1}`` is computed
-        once and applied to every frame's zero-start final state at once.
+        Batched over ``(batch, N)`` blocks of one length.  One sequential
+        pass from the zero state records ``z_k``, the state after ``k``
+        couples; its final state ``c`` gives the circulation state
+        ``s_c = (I + A^N)^{-1} c`` (see :meth:`circulation_state`).  The
+        update is affine over GF(2), ``s' = A s + B u``, so encoding from
+        ``s_c`` visits ``s_k = A^k s_c + z_k`` (XOR of packed states), read
+        from a cached per-length table of zero-input state maps instead of
+        a second pass.  ``s_N == s_0`` for every block.
         """
         arr = np.asarray(symbols, dtype=np.int64)
         if arr.ndim != 2 or arr.shape[1] == 0:
             raise CodeDefinitionError(
                 f"expected a (batch, n_steps) symbol array with n_steps > 0, got shape {arr.shape}"
             )
-        state = np.zeros(arr.shape[0], dtype=np.int64)
-        for step in range(arr.shape[1]):
-            state = self._next_state[state, arr[:, step]]
-        c_bits = np.stack(
-            [(state >> 2) & 1, (state >> 1) & 1, state & 1], axis=1
-        ).astype(np.uint8)
-        m_inv = self._circulation_inverse(arr.shape[1])
-        s_c = (c_bits @ m_inv.T) % 2
-        return (
+        batch, n_steps = arr.shape
+        # Packed states fit a byte; (batch, N + 1) int64 sequences would
+        # cost 8x the memory for large batches.
+        zero_start = np.zeros((n_steps + 1, batch), dtype=np.uint8)
+        steps = arr.T
+        for step in range(n_steps):
+            zero_start[step + 1] = self._next_state[zero_start[step], steps[step]]
+        final = zero_start[n_steps]
+        c_bits = np.stack([(final >> 2) & 1, (final >> 1) & 1, final & 1], axis=1)
+        s_c = (c_bits @ self._circulation_inverse(n_steps).T) % 2
+        start = (
             (s_c[:, 0].astype(np.int64) << 2)
             | (s_c[:, 1].astype(np.int64) << 1)
             | s_c[:, 2].astype(np.int64)
         )
+        return self._zero_input_powers(n_steps)[start] ^ zero_start.T
+
+    def _zero_input_powers(self, n_steps: int) -> np.ndarray:
+        """``(8, n_steps + 1)`` table of ``A^k s`` (column ``k``), cached per length."""
+        table = self._zero_input_cache.get(n_steps)
+        if table is None:
+            table = np.empty((NUM_STATES, n_steps + 1), dtype=np.uint8)
+            table[:, 0] = np.arange(NUM_STATES)
+            zero_input = self._next_state[:, 0]  # s -> A s
+            for k in range(n_steps):
+                table[:, k + 1] = zero_input[table[:, k]]
+            self._zero_input_cache[n_steps] = table
+        return table
 
     def _circulation_inverse(self, n_steps: int) -> np.ndarray:
         """``(I + A^n_steps)^{-1}`` over GF(2), cached per block length."""
