@@ -20,9 +20,11 @@ are largest for DCM cells (pure vector path); SCM cells also pay for the
 deflection-draw replay, one scalar walk per cycle over the suspended
 (job, node) passes drawing from each job's own ``random.Random`` stream, so
 their single-core ratio stays below DCM's.  Groups below the scheduler's
-fixed per-policy crossover run the scalar engine — the J = 8 row records
-parity, not the former 0.6x regression — and the ``crossover`` row records
-the grid those crossovers were sized from.  The scheduler's
+fixed per-policy crossover run the scalar engine (at J = 8 that is the SCM
+cells), and the ``crossover`` row records the grid those crossovers were
+sized from.  The ``phase_b_kernel`` row times the kernel alone on the
+Monte-Carlo shape of the repository benchmark's ``noc_table1`` workload.
+The scheduler's
 ``parallel="process"`` mode multiplies the serial ratio by the worker count
 on multi-core hosts (and stays serial at one worker); its row records the
 workers used.
@@ -224,6 +226,73 @@ def test_batched_sweep_throughput():
         assert per_batch["8"]["overall_speedup"] >= 0.95, (
             f"adaptive dispatch regressed at J=8: {per_batch['8']['overall_speedup']}x"
         )
+
+
+#: Phase B of the repository benchmark's ``noc_table1`` workload: every
+#: (routing, collision policy) cell of generalized Kautz D=3, P=16 under
+#: 128 random streams of 144 messages per PE.
+PHASE_B_GRAPH = ("generalized-kautz", 16, 3)
+PHASE_B_MESSAGES = 144
+
+
+def test_phase_b_kernel():
+    """The batched kernel vs the scalar engine on phase B's exact shape.
+
+    One trial of an arm runs all six cells: the kernel as one
+    ``BatchedNocKernel.run`` per cell (J streams in lockstep), the scalar
+    engine as one reused engine per cell, job after job.  Both arms'
+    outputs are asserted equal.  J = 128 as in phase B under
+    ``REPRO_BENCH_FULL=1``, J = 32 otherwise.
+    """
+    family, parallelism, degree = PHASE_B_GRAPH
+    streams = 128 if full_benchmarks_enabled() else 32
+    topology = build_topology(family, parallelism, degree)
+    tables = build_routing_tables(topology)
+    traffics = random_traffic_streams(parallelism, PHASE_B_MESSAGES, seed=3, count=streams)
+    seeds = list(range(streams))
+    cells = []
+    for algorithm in RoutingAlgorithm:
+        for policy in CollisionPolicy:
+            config = NocConfiguration(collision_policy=policy).with_routing(algorithm)
+            engine = BatchNocSimulator(topology, config, routing_tables=tables)
+            kernel = BatchedNocKernel(topology, config, routing_tables=tables)
+            engine.run(traffics[0], seed=0)  # warm both paths
+            kernel.run(traffics[:2], seeds[:2])
+            cells.append((engine, kernel))
+
+    def scalar():
+        return [
+            engine.run(t, seed=s) for engine, _ in cells for t, s in zip(traffics, seeds)
+        ]
+
+    def batched():
+        return [r for _, kernel in cells for r in kernel.run(traffics, seeds)]
+
+    samples, results = trials({"scalar": scalar, "batched": batched}, 3)
+    assert [_signature(r) for r in results["batched"]] == [
+        _signature(r) for r in results["scalar"]
+    ]
+    timing = row(samples, "scalar")
+    speedup = timing["vs"]["batched"]["ratio"]
+    jobs = len(cells) * streams
+    print(
+        f"\nphase B kernel vs scalar engine ({len(cells)} cells x J={streams}): "
+        f"{jobs / timing['arms']['scalar']['median']:.0f} -> "
+        f"{jobs / timing['arms']['batched']['median']:.0f} jobs/s ({speedup:.2f}x)"
+    )
+    record(
+        "noc_batch_sweep",
+        "phase_b_kernel",
+        {
+            "graph": list(PHASE_B_GRAPH),
+            "messages_per_pe": PHASE_B_MESSAGES,
+            "streams": streams,
+            "jobs": jobs,
+            "timing": timing,
+        },
+    )
+    if not os.environ.get("CI"):
+        assert speedup > 1.0, f"batched kernel slower than the scalar engine: {speedup:.2f}x"
 
 
 def test_crossover_grid():

@@ -5,31 +5,55 @@ made one sweep point fast, but a sweep still pays the Python interpreter once
 per (cycle, node, job).  :class:`BatchedNocKernel` adds the same *job axis*
 that the batched LDPC / turbo decoders put on their frame loops: J independent
 jobs sharing one (topology, configuration) stack their struct-of-arrays state
-— message columns, FIFO occupancy / head cursors / backing buffers, injection
-pointers and credits, per-port sent counters — into ``(J, ...)`` NumPy arrays,
-and every cycle advances **all jobs at once** through a handful of array
-operations instead of J scalar loops.
+— message columns, FIFO head cursors / lengths / backing buffers, per-port
+sent counters — into flat NumPy columns, and every cycle advances **all jobs
+at once** through a handful of array operations instead of J scalar loops.
+The ``J x P`` (job, node) rows always lie on the *last* axis: per-slot and
+per-wave state is ``(fmax, J*P)``, so every reduction over a node's few
+serving slots or ports runs over a short *leading* axis as whole-row NumPy
+operations.
 
 Per cycle the kernel performs, vectorized over all ``J x P`` (job, node)
 pairs:
 
-1. **link arrivals** — occupancy increments and high-water marks for every
-   message sent on the previous cycle (one scatter, one max);
-2. **serving order** — FL keys ``(-occupancy, port)`` or RR rotation
-   positions per (job, node), stacked into one integer key per slot and
-   ordered by ``argsort``, maintained *incrementally*: only rows whose FIFO
-   occupancies changed since the last cycle are re-keyed and re-sorted
-   (falling back to one full ``argsort`` when most rows changed), followed by
-   gathers of every candidate's head message, destination and SSP output
-   port from the dense routing matrices, restricted to the serving positions
+1. **serving order** — recomputed from scratch: occupancies
+   (``lens - heads`` of the append-only FIFO buffers, so the previous
+   cycle's sends have arrived with no separate arrival phase) and their
+   high-water marks, one integer key per (serving slot, row) — FL
+   ``fid - (occupancy << s)``, RR the fid plus a wrap tier before the
+   pointer and an empty tier — sorted down the ``fmax`` slot rows by an
+   odd-even transposition network of in-place ``np.minimum`` /
+   ``np.maximum``; each key carries its FIFO id in its low bits, so
+   ``key & mask`` is the serving order, followed by gathers of every
+   candidate's head message and route, restricted to the serving positions
    actually occupied this cycle;
-3. **crossbar waves** — serving position w of *every* node of *every* job is
+2. **crossbar waves** — serving position w of *every* node of *every* job is
    arbitrated simultaneously: local deliveries take the memory port, SSP/ASP
    output-port grants clear bits of a per-(job, node) free-port mask, and
    losers wait (DCM) or request a deflection (SCM); the wave masks evolve in
    preallocated scratch buffers (no per-wave temporaries);
-4. **PE injection** — credits, bypass runs and injection-FIFO pushes as
-   ``(J, P)`` array updates.
+3. **commit** — every pop, delivery stamp and downstream push the waves
+   granted, in one batch;
+4. **PE injection** — open loop: the k-th network message of every row that
+   has one enters its injection FIFO at the same precomputed firing cycle.
+
+Under the kernel's precondition (``fifo_capacity > max(total_messages)``) an
+injection FIFO can never block, so a row's injections depend on its traffic
+alone: every row still holding a network-bound message runs the scalar
+engine's credit recurrence (``c += R``; fire and ``c -= 1`` once
+``c >= 1``) with the same float operations from cycle 0, so the k-th network
+message of every row is injected at the same cycle ``fire[k]``.  A bypass
+message (RL = 0, local destination) needs no credit: the scalar engine's
+injection loop injects and delivers it together with the network message
+before it (at cycle 0 for a leading run), so its cycles are known up front
+as well.  The kernel therefore computes all injection and bypass cycles
+before the first cycle, and injection costs one push per firing cycle.
+
+Index arrays are ``intp`` and values are ``int32``: every array that is used
+as a fancy index (FIFO ids, rows, the slot-to-FIFO table, wiring, push
+targets) is ``intp``, which NumPy indexes with no per-call conversion, while
+message ids, occupancies and FIFO buffers stay ``int32`` to halve the memory
+traffic of the per-cycle gathers.
 
 SCM deflection draws are the one place the job axis meets a *sequential*
 contract: each job's randomness is defined as its own ``random.Random(seed)``
@@ -43,13 +67,12 @@ ascending node order, so every job draws from its own ``getrandbits`` exactly
 where the scalar engines would.  The replay's pops, deliveries and pushes are
 then scattered back in one batch.
 
-Jobs that finish early are masked out (their FIFOs are empty, their serving
-orders vanish, their rows stop changing — so the incremental serve-order
-maintenance skips them for free — and the per-job ``ncycles`` is latched the
-cycle they drain).  Configurations the job axis cannot express without
-cross-node sequencing — bounded FIFO capacities, where backpressure makes
-node n's pass observe node n-1's pops within the same cycle — fall back to
-the scalar engine per job, so :meth:`BatchedNocKernel.run` is total over the
+Jobs that finish early are masked out (their FIFOs are empty, so their
+serving orders vanish, and the per-job ``ncycles`` is latched the cycle they
+drain).  Configurations the job axis cannot express without cross-node
+sequencing — bounded FIFO capacities, where backpressure makes node n's pass
+observe node n-1's pops within the same cycle — fall back to the scalar
+engine per job, so :meth:`BatchedNocKernel.run` is total over the
 configuration space.
 
 The kernel is pinned *cycle-exact, per job*, against
@@ -86,61 +109,67 @@ class _BatchedStatic:
         n = topology.n_nodes
         self.n_nodes = n
         self.n_arcs = topology.n_arcs
-        in_deg = topology.in_degrees.astype(np.int64)
-        out_deg = topology.out_degrees.astype(np.int64)
+        in_deg = topology.in_degrees.astype(np.intp)
+        out_deg = topology.out_degrees.astype(np.intp)
 
         # Flat FIFO ids exactly as the scalar engine lays them out: per node
         # its network input ports then its injection port.
-        fifo_base = np.zeros(n, dtype=np.int64)
+        fifo_base = np.zeros(n, dtype=np.intp)
         np.cumsum(in_deg[:-1] + 1, out=fifo_base[1:])
         self.fifo_base = fifo_base
         self.n_fifos = int((in_deg + 1).sum())
-        self.inject_fid = (fifo_base + in_deg).astype(np.int64)
-        self.fcount = (in_deg + 1).astype(np.int64)  # serving slots per node
+        self.inject_fid = fifo_base + in_deg
+        self.fcount = in_deg + 1  # serving slots per node
         self.fmax = int(self.fcount.max())
+        # Network input FIFOs (not injection FIFOs, not the dummy slot below):
+        # every push into one is a hop.
+        self.net_fifo = np.ones(self.n_fifos + 1, dtype=bool)
+        self.net_fifo[self.inject_fid] = False
+        self.net_fifo[self.n_fifos] = False
 
-        # (node, slot) -> fid, padded with the dummy fifo id ``n_fifos`` (one
-        # extra all-zero slot per job absorbs gathers/scatters at padding).
-        fid_mat = np.full((n, self.fmax), self.n_fifos, dtype=np.int64)
+        # (slot, node) -> fid, padded with the dummy fifo id ``n_fifos`` (one
+        # extra all-zero slot per job absorbs gathers at padding).
+        fid_t = np.full((self.fmax, n), self.n_fifos, dtype=np.intp)
         for node in range(n):
             fc = int(self.fcount[node])
-            fid_mat[node, :fc] = np.arange(fifo_base[node], fifo_base[node] + fc)
-        self.fid_mat = fid_mat
-        # fid -> owning node (dummy slot maps to node 0; its head attributes
-        # are never read because the dummy fifo stays empty).
-        fifo_node = np.zeros(self.n_fifos + 1, dtype=np.int32)
-        for node in range(n):
-            fc = int(self.fcount[node])
-            fifo_node[fifo_base[node] : fifo_base[node] + fc] = node
-        self.fifo_node = fifo_node
+            fid_t[:fc, node] = np.arange(fifo_base[node], fifo_base[node] + fc)
+        self.fid_t = fid_t
+        # fid -> owning node (the dummy slot maps to node 0; its head
+        # attributes are never read because the dummy fifo stays empty).
+        self.fifo_node = np.zeros(self.n_fifos + 1, dtype=np.intp)
+        self.fifo_node[: self.n_fifos] = np.repeat(np.arange(n), self.fcount)
 
         # (node, out port) -> downstream input-fifo id, dummy padded.
         self.max_out = max(int(out_deg.max()), 1)
         dest_node = topology.out_neighbor_matrix
         dest_port = topology.dest_input_port_matrix
-        tgt = np.full((n, self.max_out), self.n_fifos, dtype=np.int64)
+        tgt = np.full((n, self.max_out), self.n_fifos, dtype=np.intp)
         for node in range(n):
             for port in range(int(out_deg[node])):
                 tgt[node, port] = fifo_base[int(dest_node[node, port])] + int(
                     dest_port[node, port]
                 )
-        self.tgt_flat = tgt.reshape(-1).astype(np.int32)
+        self.tgt = tgt
 
         # Dense routing lookups.  The SSP matrix diagonal (-1: no route to
-        # self) is lowered to port 0 so vectorized shifts stay defined; local
-        # candidates never read it (they contend for the memory port instead).
-        sp = tables.next_port_matrix.reshape(-1).astype(np.int32)
-        self.sp_flat = np.where(sp < 0, 0, sp).astype(np.int32)
+        # self) becomes port ``max_out``, the local marker: its free-mask bit
+        # is never set, so the head's port both flags a local candidate and
+        # can never be granted.
+        sp = tables.next_port_matrix.reshape(-1)
+        self.sp_flat = np.where(sp < 0, self.max_out, sp).astype(np.int32)
+        # ASP ports, port-major (K, n*n): row k holds every pair's k-th
+        # shortest-path port, padding lowered to port ``max_out`` (never
+        # free).  Traffic spreading breaks ties by list position, which is
+        # the port order because the tables list ports ascending.
+        if any(list(ports) != sorted(ports) for row in tables.next_ports for ports in row):
+            raise SimulationError("routing tables must list next-hop ports in ascending order")
         ap_pad = tables.all_ports_matrix  # (n, n, K), -1 padded
         self.ap_k = ap_pad.shape[2]
-        # Padding lowered to port 0 so bit shifts stay valid; the count matrix
-        # masks the padded entries out of the argmin.
-        self.ap_flat = (
-            np.where(ap_pad < 0, 0, ap_pad).reshape(n * n, self.ap_k).astype(np.int32)
-        )
-        self.ap_cnt_flat = tables.port_count_matrix.reshape(-1).astype(np.int32)
+        self.ap_t = np.ascontiguousarray(
+            np.where(ap_pad < 0, self.max_out, ap_pad).reshape(n * n, -1).T
+        ).astype(np.intp)
 
-        self.full_mask = ((1 << out_deg) - 1).astype(np.int64)
+        self.full_mask = ((1 << out_deg) - 1).astype(np.int32)
         self.rr_mode = config.routing_algorithm is RoutingAlgorithm.SSP_RR
         self.asp_mode = config.routing_algorithm.uses_all_paths
         self.scm_mode = config.collision_policy is CollisionPolicy.SCM
@@ -258,6 +287,79 @@ class BatchedNocKernel:
 # --------------------------------------------------------------------------- #
 # Batched engine internals
 # --------------------------------------------------------------------------- #
+def _open_loop_schedule(
+    st: _BatchedStatic, messages: list[MessageArrays], M: int, NFp: int, max_cycles: int
+):
+    """Every injection of the batch, computed before the first cycle.
+
+    Returns ``(fire, n_fire, start, target, slots, inj_cycle, del_cycle,
+    bypassed)``.  Firing index k happens at cycle ``fire[k]`` and pushes, for
+    each of the first ``n_fire[k]`` rows (rows ordered by descending count of
+    network messages), message ``slots[start[i] + k]`` (a flat ``j * M + m``
+    id) into injection FIFO ``target[i]``.  ``inj_cycle`` holds every
+    message's injection cycle and ``del_cycle`` every bypass message's
+    delivery cycle (-1 for network messages, 0 at padding).  The build runs
+    per job, so no ``(J, M)`` temporaries are made.
+    """
+    n = st.n_nodes
+    J = len(messages)
+    rate = st.config.injection_rate
+    kbound = max(int(np.diff(a.node_offset).max(initial=0)) for a in messages)
+    # The scalar engine's per-row credit recurrence, with its float
+    # operations; firings past max_cycles never happen (the run raises first).
+    fire: list[int] = []
+    credit = 0.0
+    cycle = 0
+    while len(fire) < kbound and cycle <= max_cycles:
+        credit += rate
+        if credit >= 1.0:
+            credit -= 1.0
+            fire.append(cycle)
+        cycle += 1
+    fire += [max_cycles + 1] * (kbound - len(fire))
+    # Indexed by the number of network messages of the row up to and
+    # including a message: a bypass message shares the cycle of the network
+    # message before it (cycle 0 ahead of the first one).
+    fire_at = np.array([0, *fire], dtype=np.int32)
+
+    inj_cycle = np.zeros(J * M, dtype=np.int32)
+    del_cycle = np.zeros(J * M, dtype=np.int32)
+    counts = np.zeros(J * n, dtype=np.intp)
+    bypassed = np.zeros(J, dtype=np.int64)
+    slot_parts: list[np.ndarray] = []
+    for j, arrays in enumerate(messages):
+        total = arrays.total
+        if not total:
+            continue
+        if st.config.route_local:
+            is_net = np.ones(total, dtype=bool)
+        else:
+            is_net = arrays.dest != arrays.source
+        seen = np.zeros(total + 1, dtype=np.intp)
+        np.cumsum(is_net, out=seen[1:])
+        row_seen = seen[arrays.node_offset]  # network messages before each row
+        cycles = fire_at[seen[1:] - row_seen[arrays.source]]
+        inj_cycle[j * M : j * M + total] = cycles
+        del_cycle[j * M : j * M + total] = np.where(is_net, -1, cycles)
+        counts[j * n : (j + 1) * n] = np.diff(row_seen)
+        net = np.flatnonzero(is_net)
+        slot_parts.append((net + j * M).astype(np.int32))
+        bypassed[j] = total - net.size
+
+    kmax = int(counts.max(initial=0))
+    order = np.argsort(-counts, kind="stable")
+    n_fire = counts.size - np.cumsum(np.bincount(counts, minlength=kmax + 1))[:kmax]
+    order = order[: int(n_fire[0]) if kmax else 0]
+    ptr = np.zeros(counts.size, dtype=np.intp)
+    np.cumsum(counts[:-1], out=ptr[1:])
+    target = (order // n) * NFp + st.inject_fid[order % n]
+    slots = np.concatenate(slot_parts) if slot_parts else np.zeros(0, dtype=np.int32)
+    return (
+        fire[:kmax], n_fire.tolist(), ptr[order], target, slots,
+        inj_cycle, del_cycle, bypassed,
+    )
+
+
 def _run_batched(
     st: _BatchedStatic,
     messages: list[MessageArrays],
@@ -265,208 +367,185 @@ def _run_batched(
     seeds: list[int],
     max_cycles: int,
 ) -> list[SimulationResult]:
-    """Advance the stacked (J, ...) state cycle by cycle until every job drains."""
+    """Advance the stacked state cycle by cycle until every job drains."""
     n = st.n_nodes
     J = len(messages)
     Jn = J * n
-    NFp = st.n_fifos + 1  # one dummy fifo slot per job absorbs padded scatters
+    NFp = st.n_fifos + 1  # one dummy fifo slot per job absorbs padded gathers
     M = max(max(arrays.total for arrays in messages), 1)
     fmax = st.fmax
+    max_out = st.max_out
     rr_mode, asp_mode, scm_mode = st.rr_mode, st.asp_mode, st.scm_mode
-    route_local = st.config.route_local
-    rate = st.config.injection_rate
-    # Serve-order key packing: FL keys are ``rank - (occ << occ_shift)``; RR
-    # keys are ``rank`` plus ``wrap_bit`` for slots before the pointer plus
-    # ``empty_bit`` for empty slots.  Both require the serving-slot rank to
-    # fit below 1 << occ_shift, for any in-degree.
-    occ_shift = fmax.bit_length()
-    wrap_bit = 1 << occ_shift
-    empty_bit = 2 << occ_shift
+    int32_max = np.iinfo(np.int32).max
+    # Serve keys (int64) carry the flat fifo id in their low ``fid_bits``:
+    # FL keys are ``fid - (occ << fid_bits)`` (longest first, ties by port,
+    # as fids ascend with the port within a node); RR keys are
+    # ``fid + (tier << fid_bits)`` with tier 1 for slots before the pointer
+    # and 2 (or 3) for empty slots.  ``key & fid_mask`` is the fifo id (two's
+    # complement for negative FL keys).
+    fid_bits = (J * NFp).bit_length()
+    fid_mask = (1 << fid_bits) - 1
 
     totals = np.array([arrays.total for arrays in messages], dtype=np.int64)
-
-    # ---- flat per-message columns, padded to (J, M) ------------------- #
-    # Everything the hot loop touches is int32: the largest index in play is
-    # the flat buffer offset J * NFp * L, far below 2**31 at paper scales (the
-    # grow path re-checks), and halving the element width roughly halves the
-    # memory traffic of the per-cycle gathers.
     dest_flat = np.zeros(J * M, dtype=np.int32)
-    bypass = np.zeros((J, M), dtype=bool)
     for j, arrays in enumerate(messages):
         dest_flat[j * M : j * M + arrays.total] = arrays.dest
-        if not route_local and arrays.total:
-            bypass[j, : arrays.total] = arrays.dest == arrays.source
-    inj_cycle_flat = np.zeros(J * M, dtype=np.int32)
-    del_cycle_flat = np.full(J * M, -1, dtype=np.int32)
     mis_flat = np.zeros(J * M, dtype=np.int8)
-    int32_max = np.iinfo(np.int32).max
-
-    # next_nonbypass[j, p]: first index >= p whose message enters the network
-    # (suffix minimum over non-bypass positions; padding is "non-bypass" so
-    # runs clamp at each node's end pointer below).
-    has_bypass = bool(bypass.any())
-    if has_bypass:
-        pos = np.arange(M + 1, dtype=np.int32)
-        idx = np.where(
-            np.concatenate([bypass, np.zeros((J, 1), dtype=bool)], axis=1),
-            np.int32(M + 1),
-            pos,
-        )
-        nnb = np.minimum.accumulate(idx[:, ::-1], axis=1)[:, ::-1]
-    else:
-        nnb = None
+    (
+        fire, n_fire, inj_start, inj_target, inj_slots,
+        inj_cycle_flat, del_cycle_flat, bypassed_j,
+    ) = _open_loop_schedule(st, messages, M, NFp, max_cycles)
 
     # ---- FIFO state: (J * NFp,) columns + growable backing buffers ----- #
-    occ = np.zeros(J * NFp, dtype=np.int32)
+    # Buffers are append-only and hold flat message ids ``j * M + m``:
+    # ``lens`` counts every push and ``heads`` every pop, so a fifo's
+    # occupancy at the start of a cycle — after the previous cycle's sends
+    # have arrived and its injections have landed — is ``lens - heads``.
     heads = np.zeros(J * NFp, dtype=np.int32)
     lens = np.zeros(J * NFp, dtype=np.int32)
-    maxocc = np.zeros(J * NFp, dtype=np.int32)
     # Per-fifo backing capacity: most fifos see far fewer than M messages, so
     # the buffer starts small (cache-friendly) and doubles on demand; the
     # worst case (hotspot fifos, SCM deflection loops) still fits after a few
-    # geometric grows.
+    # geometric grows.  One slack row past the last fifo keeps the head read
+    # ``buf[fid * L + heads[fid]]`` in bounds for a full, drained fifo.
     L = min(M + 4, 128)
-    buf = np.zeros(J * NFp * L, dtype=np.int32)
+    buf = np.zeros((J * NFp + 1) * L, dtype=np.int32)
 
     # Head-of-FIFO attribute caches: the serving pre-pass reads each
-    # candidate's message id / locality / SSP port straight from these flat
-    # columns instead of chasing buffer -> heads -> dest -> routing-table
-    # indirections per slot; only fifos whose head may have changed during a
-    # cycle (pops, pushes) are refreshed, and the refresh is idempotent.
+    # candidate's message id and route straight from these flat columns
+    # instead of chasing buffer -> heads -> dest -> routing-table
+    # indirections per slot.  Only fifos touched during a cycle (pops,
+    # pushes) are refreshed, and the refresh is idempotent; a drained fifo
+    # keeps a stale head that is never served.  The route is the SSP output
+    # port (``max_out`` marks a local head) or, under ASP, the (node, dest)
+    # pair.
     head_mid = np.zeros(J * NFp, dtype=np.int32)
-    head_loc = np.zeros(J * NFp, dtype=bool)
-    fifo_node = np.tile(st.fifo_node, J)
-    fifo_jbm = np.repeat(np.arange(J, dtype=np.int32) * M, NFp)
-    if asp_mode:
-        head_dest = np.zeros(J * NFp, dtype=np.int32)
-    else:
-        fifo_spbase = fifo_node * n
-        head_q = np.zeros(J * NFp, dtype=np.int32)
+    head_route = np.zeros(J * NFp, dtype=np.intp if asp_mode else np.int32)
+    fifo_spbase = np.tile(st.fifo_node, J) * n
 
-    # ---- per-(job, node) arbitration / injection state ----------------- #
-    job_row = np.repeat(np.arange(J, dtype=np.int32), n)  # (Jn,)
-    node_row = np.tile(np.arange(n, dtype=np.int32), J)  # (Jn,)
-    jbase_nf = job_row * NFp
-    jbase_m = job_row * M
-    sp_base = node_row * n
-    fid_idx_all = jbase_nf[:, None] + st.fid_mat[node_row].astype(np.int32)  # (Jn, fmax)
-    rank_tiled = np.broadcast_to(np.arange(fmax, dtype=np.int32), (Jn, fmax))
-    rank_ap = np.broadcast_to(np.arange(st.ap_k, dtype=np.int32), (Jn, st.ap_k))
+    # ---- per-(job, node) row state: rows on the last axis -------------- #
+    job_row = np.repeat(np.arange(J, dtype=np.intp), n)  # (Jn,)
+    node_row = np.tile(np.arange(n, dtype=np.intp), J)  # (Jn,)
+    # (slot, row) -> flat fifo id, dummy padded (padding slots read the
+    # always-empty dummy fifo).
+    fid_t = job_row * NFp + st.fid_t[:, node_row]  # (fmax, Jn)
+    # High-water occupancy per (slot, row).  Occupancy only rises between
+    # two serve passes (arrivals, injections) and only falls inside one, so
+    # its maximum over the run is the maximum over serve-time snapshots.
+    maxocc_t = np.zeros((fmax, Jn), dtype=np.int32)
+    # (row, out port) -> flat downstream fifo id, and each flat (wave, row)
+    # position's offset into it.
+    tgt_row = (job_row[:, None] * NFp + st.tgt[node_row]).ravel()
+    row_out = np.tile(np.arange(Jn, dtype=np.intp) * max_out, fmax)
+    full_row = st.full_mask[node_row]
     fcount_row = st.fcount[node_row].astype(np.int32)
-    full_row = st.full_mask[node_row].astype(np.int32)
-    row_ar = np.arange(Jn, dtype=np.int32)
-    # flat fifo index -> owning (job, node) serve row, for incremental
-    # serve-order invalidation (the dummy fifo maps to node 0's row but its
-    # occupancy never changes, so the mapping is never consulted for it).
-    fid2row = (
-        np.repeat(np.arange(J, dtype=np.int32), NFp) * n + np.tile(st.fifo_node, J)
-    ).astype(np.int32)
+    rank_col = np.arange(fmax, dtype=np.int32)[:, None]
 
     free = np.empty(Jn, dtype=np.int32)
     local_free = np.empty(Jn, dtype=bool)
     live = np.ones(Jn, dtype=bool)
     rr_ptr = np.zeros(Jn, dtype=np.int32) if rr_mode else None
-    sent = np.zeros(Jn * st.max_out, dtype=np.int32) if asp_mode else None
+    if asp_mode:
+        # Per-(row, port) traffic-spreading codes ``sends * so + port`` (so
+        # = max_out + 1): the smallest code is the fewest sends, ties to the
+        # lowest port.  ``avail`` is this pass's copy with granted ports
+        # knocked out to ``taken``, the largest int32 that is the padding
+        # port ``max_out`` modulo ``so``; the padding column always holds
+        # it, so a row with no usable port decodes to the padding port.
+        so = max_out + 1
+        taken = int32_max - (int32_max - max_out) % so
+        code = np.tile(np.arange(so, dtype=np.int32), Jn)
+        code[max_out::so] = taken
+        avail = np.empty_like(code)
+        ap_rows = list(st.ap_t)  # the k-th shortest-path port of every pair
+        row_so = np.tile(np.arange(Jn, dtype=np.intp) * so, fmax)
+        self_route = node_row * (n + 1)  # the (node, node) pair: a local head
+    else:
+        code = None
+        self_route = max_out
 
-    inj_ptr = np.empty((J, n), dtype=np.int32)
-    inj_end = np.empty((J, n), dtype=np.int32)
-    for j, arrays in enumerate(messages):
-        inj_ptr[j] = arrays.node_offset[:-1]
-        inj_end[j] = arrays.node_offset[1:]
-    credit = np.zeros((J, n), dtype=np.float64)
-    jj_col = np.arange(J, dtype=np.int32)[:, None]
-    jbase_m2 = jj_col * M
-    jj_mat = np.broadcast_to(jj_col, (J, n))
-
-    delivered_j = np.zeros(J, dtype=np.int64)
-    bypassed_j = np.zeros(J, dtype=np.int64)
-    hops_j = np.zeros(J, dtype=np.int64)
+    # Bypass messages are delivered no later than the network message after
+    # them (or at cycle 0 when a node has no network message), so crediting
+    # them up front never moves a job's finishing cycle.
+    delivered_j = bypassed_j.copy()
     ncycles_j = np.zeros(J, dtype=np.int64)
     active = totals > 0
     # One scalar-engine deflection stream per job (only SCM ever draws).
     draws = [random.Random(seed).getrandbits for seed in seeds] if scm_mode else None
 
-    # ---- persistent serving order, maintained incrementally ------------ #
-    # Serve keys depend only on a row's FIFO occupancies (plus its RR pointer,
-    # which only advances on cycles where the row also popped), so rows whose
-    # fifos saw no pop/push/arrival keep their order from the previous cycle.
-    # All occupancies start at zero, where both FL and RR keys sort to the
-    # identity permutation.
-    n_occ = np.zeros(Jn, dtype=np.int32)
-    idx_all = fid_idx_all.copy()  # flat fifo index per (row, serving position)
-    chg_parts: list[np.ndarray] = []  # fifo ids whose occupancy changed
-
-    def _refresh_serve(ch: np.ndarray) -> None:
-        """Re-key and re-sort the serve rows owning the changed fifos (all
-        rows at once when most of them changed)."""
-        rows = slice(None) if 2 * ch.size >= Jn else np.unique(fid2row[ch])
-        of = occ[fid_idx_all[rows]]  # (k, fmax)
-        occupied = of > 0
-        n_occ[rows] = occupied.sum(axis=1)
-        rank_k = rank_tiled[: of.shape[0]]
-        if rr_mode:
-            # Occupied slots from the pointer on, then those before it (the
-            # rotation), then the empty ones.
-            key = rank_k + (rank_k < rr_ptr[rows, None]) * wrap_bit
-            key += (~occupied) * empty_bit
-        else:
-            key = rank_k - (of << occ_shift)
-        # Only each row's occupied prefix is ever served, and its keys are
-        # distinct (the slot rank is packed in), so any sort serves the same
-        # order; the stable one is the fastest for these short rows.
-        order = np.argsort(key, axis=1, kind="stable")
-        idx_all[rows] = np.take_along_axis(fid_idx_all[rows], order, axis=1)
-
-    # Reusable per-cycle wave buffers: mask rows [w] are written in wave
-    # order (the commit sweep only sees rows zeroed at cycle start), and the
-    # per-wave mask algebra runs entirely in (Jn,) scratch vectors.
+    # Reusable per-cycle buffers: serve keys, and the wave masks (rows [w]
+    # are written in wave order; the commit only reads rows zeroed at cycle
+    # start).  The per-wave mask algebra runs entirely in (Jn,) scratch
+    # vectors.
+    key = np.empty((fmax, Jn), dtype=np.int64)
+    key_tmp = np.empty((fmax // 2, Jn), dtype=np.int64)
+    # Odd-even transposition network over the slot rows: fmax rounds of
+    # compare-exchanges between rows (0,1),(2,3),... then (1,2),(3,4),...,
+    # as (low rows, high rows, scratch) views into ``key``.
+    network = [
+        (key[p : fmax - 1 : 2], key[p + 1 : fmax : 2], key_tmp[: (fmax - p) // 2])
+        for p in (rnd % 2 for rnd in range(fmax))
+        if fmax - p >= 2
+    ]
+    key_b = np.empty((fmax, Jn), dtype=bool)
+    tier = np.empty((fmax, Jn), dtype=np.uint8) if rr_mode else None
     deliver_t = np.empty((fmax, Jn), dtype=bool)
     send_t = np.empty((fmax, Jn), dtype=bool)
-    or_t = np.empty((fmax, Jn), dtype=bool)
     # zeroed, not empty: the wave loop shifts by every lane of qsel_t[w]
     # (losers are masked after the shift), so lanes never written this cycle
     # must still hold valid shift counts
     qsel_t = np.zeros((fmax, Jn), dtype=np.int32) if asp_mode else None
     v_s = np.empty(Jn, dtype=bool)
     t1_s = np.empty(Jn, dtype=bool)
-    deliver_s = np.empty(Jn, dtype=bool)
     nonloc_s = np.empty(Jn, dtype=bool)
-    send_s = np.empty(Jn, dtype=bool)
     need_s = np.empty(Jn, dtype=bool) if scm_mode else None
     tmp_i = np.empty(Jn, dtype=np.int32)
     tmp_b = np.empty(Jn, dtype=np.int32)
     one32 = np.int32(1)
+    # Only SCM reads the free-port mask under ASP (to request a deflection).
+    track_free = scm_mode or not asp_mode
 
-    pend_idx: np.ndarray | None = None  # arrivals scheduled for the next cycle
-    injecting = bool(active.any())
+    kf = 0  # next firing index
+    next_fire = fire[0] if fire else -1
     cycle = 0
 
     while active.any():
         if cycle > max_cycles:
             stuck = np.flatnonzero(active)
+            undelivered = del_cycle_flat.reshape(J, M)[stuck]
+            in_flight = int(np.count_nonzero((undelivered < 0) | (undelivered >= cycle)))
             raise SimulationError(
                 f"simulation exceeded {max_cycles} cycles with jobs "
-                f"{stuck.tolist()} still in flight "
-                f"({int((totals - delivered_j)[stuck].sum())} messages)"
+                f"{stuck.tolist()} still in flight ({in_flight} messages)"
             )
-
-        # 1. Link arrivals scheduled on the previous cycle.  At most one
-        # message per (job, input fifo) per cycle (an input port terminates a
-        # single arc), so the indices are unique and plain fancy ops suffice.
-        if pend_idx is not None:
-            occ[pend_idx] += 1
-            maxocc[pend_idx] = np.maximum(maxocc[pend_idx], occ[pend_idx])
-            chg_parts.append(pend_idx)
-            pend_idx = None
-        # Serving orders catch up with every occupancy change since the last
-        # pass (pops, pushes, the arrivals just applied).
-        if chg_parts:
-            ch = np.concatenate(chg_parts) if len(chg_parts) > 1 else chg_parts[0]
-            _refresh_serve(ch)
-            chg_parts = []
-        send_idx_parts: list[np.ndarray] = []
-        send_job_parts: list[np.ndarray] = []
         upd_parts: list[np.ndarray] = []  # fifos whose head cache needs refresh
+
+        # 1. Serving order, slot-major: occupancy per (slot, row), one key
+        # per slot, each row's keys sorted down the slot axis by the
+        # odd-even transposition network, fifo ids read back from the keys.
+        of = lens[fid_t]
+        of -= heads[fid_t]
+        np.maximum(maxocc_t, of, out=maxocc_t)
+        np.not_equal(of, 0, out=key_b)
+        n_occ = key_b.sum(axis=0, dtype=np.int32)
+        if rr_mode:
+            # Occupied slots from the pointer on, then those before it (the
+            # rotation), then the empty ones: tier = wrap + 2 * empty, built
+            # in bytes.
+            np.logical_not(key_b, out=key_b)
+            np.left_shift(key_b.view(np.uint8), 1, out=tier)
+            np.less(rank_col, rr_ptr, out=key_b)
+            tier += key_b.view(np.uint8)
+            np.left_shift(tier, fid_bits, out=key, dtype=np.int64)
+            key += fid_t
+        else:
+            np.left_shift(of, fid_bits, out=key, dtype=np.int64)
+            np.subtract(fid_t, key, out=key)
+        for lo, hi, tmp in network:
+            np.minimum(lo, hi, out=tmp)
+            np.maximum(lo, hi, out=hi)
+            lo[...] = tmp
+        np.bitwise_and(key, fid_mask, out=key)  # fifo per (serving position, row)
 
         # 2. Crossbar pass: one vectorized arbitration step per serving
         # position ("wave").  The wave loop only evolves masks (free ports,
@@ -474,18 +553,16 @@ def _run_batched(
         # downstream pushes commit in one batch afterwards.
         wmax = int(n_occ.max())
         if wmax:
-            idx_w = idx_all.T[:wmax]  # fancy-indexing with the transposed view
-            # yields C-contiguous (wmax, Jn) results: per-wave rows are flat,
-            # and only the serving positions occupied somewhere are gathered.
+            # Only the serving positions occupied somewhere are gathered;
+            # every per-wave row is a contiguous (Jn,) vector.
+            idx_w = key[:wmax]
             mid_t = head_mid[idx_w]
-            isloc_t = head_loc[idx_w]
-            if asp_mode:
-                dest_t = head_dest[idx_w]
-            else:
-                q_t = head_q[idx_w]
+            route_t = head_route[idx_w]
 
             np.copyto(free, full_row)
             local_free.fill(True)
+            if asp_mode:
+                np.copyto(avail, code)
             dt = deliver_t[:wmax]
             stw = send_t[:wmax]
             dt.fill(False)
@@ -500,37 +577,41 @@ def _run_batched(
                     v_s &= live
                 if not v_s.any():
                     break
-                np.logical_and(v_s, isloc_t[w], out=t1_s)
+                route = route_t[w]
+                deliver_s = dt[w]
+                send_s = stw[w]
+                np.equal(route, self_route, out=t1_s)
+                t1_s &= v_s
                 np.logical_and(t1_s, local_free, out=deliver_s)
                 np.logical_xor(v_s, t1_s, out=nonloc_s)
                 if asp_mode:
                     # Traffic spreading evaluates only the wave's non-local
-                    # candidates; beyond wave 0 those are a shrinking subset,
-                    # so the (rows, K) port scoring runs compressed.
+                    # candidates (beyond wave 0 a shrinking subset), port
+                    # rank by port rank: the smallest code over a pair's
+                    # ports is the free port with the fewest sends.  Within
+                    # a pass a granted port is never free again, so knocking
+                    # it out of ``avail`` is all a grant changes for later
+                    # waves; the send counts commit after the waves.
                     nlr = np.flatnonzero(nonloc_s)
-                    ap_idx = sp_base[nlr] + dest_t[w, nlr]
-                    ports = st.ap_flat[ap_idx]  # (k, K)
-                    usable = (rank_ap[: nlr.size] < st.ap_cnt_flat[ap_idx][:, None]) & (
-                        ((free[nlr, None] >> ports) & 1) > 0
-                    )
-                    cost = sent[(nlr[:, None] * st.max_out) + ports]
-                    score = np.where(
-                        usable, cost * (st.ap_k + 1) + rank_ap[: nlr.size], int32_max
-                    )
-                    best = np.argmin(score, axis=1)
-                    ark = row_ar[: nlr.size]
-                    has_port = score[ark, best] != int32_max
+                    nlr_so = nlr * so
+                    pair = route[nlr]
+                    best = avail[nlr_so + ap_rows[0][pair]]
+                    for ports in ap_rows[1:]:
+                        np.minimum(best, avail[nlr_so + ports[pair]], out=best)
+                    q_n = best % so
+                    avail[nlr_so + q_n] = taken
                     q = qsel_t[w]
-                    q[nlr] = ports[ark, best]
-                    bitw = np.int32(1) << q
-                    send_s.fill(False)
-                    send_s[nlr] = has_port
+                    q[nlr] = q_n
+                    send_s[nlr] = best != taken
+                    if track_free:
+                        np.left_shift(one32, q, out=tmp_i)
                 else:
-                    q = q_t[w]
-                    bitw = np.left_shift(one32, q, out=tmp_b)
-                    np.bitwise_and(free, bitw, out=tmp_i)
+                    # A local head's port ``max_out`` is never free, so only
+                    # non-local candidates can pass the port test.
+                    np.left_shift(one32, route, out=tmp_b)
+                    np.bitwise_and(free, tmp_b, out=tmp_i)
                     np.not_equal(tmp_i, 0, out=t1_s)
-                    np.logical_and(nonloc_s, t1_s, out=send_s)
+                    np.logical_and(v_s, t1_s, out=send_s)
                 if scm_mode:
                     # need = non-local, no grantable port, some port still free
                     np.logical_xor(nonloc_s, send_s, out=need_s)
@@ -545,57 +626,47 @@ def _run_batched(
                         susp_any = True
                         susp_rows.append(rows)
                         susp_wave.append(w)
-                np.multiply(bitw, send_s, out=tmp_i)
-                np.subtract(free, tmp_i, out=free)
+                if track_free:
+                    # ``tmp_i`` holds each lane's port bit, free for senders.
+                    np.bitwise_xor(free, tmp_i, out=free, where=send_s)
                 np.logical_xor(local_free, deliver_s, out=local_free)
-                dt[w] = deliver_s
-                stw[w] = send_s
-                if asp_mode:
-                    rsw = np.flatnonzero(send_s)
-                    if rsw.size:
-                        # Traffic spreading reads the counters within the same
-                        # pass, so ASP send tallies commit per wave.
-                        sent[rsw * st.max_out + q[rsw]] += 1
 
-            # 2b. Batched commits of everything the waves granted (one nonzero
-            # sweep; deliveries and sends are split off its result).
-            orw = or_t[:wmax]
-            np.logical_or(dt, stw, out=orw)
-            wp, rp = np.nonzero(orw)
-            if wp.size:
-                pidx = idx_all[rp, wp]
+            # 2b. Batched commits of everything the waves granted: one flat
+            # nonzero sweep per mask, read through flat views.
+            idx_flat = idx_w.ravel()
+            mid_flat = mid_t.ravel()
+            fd = np.flatnonzero(dt)
+            if fd.size:
+                pidx = idx_flat[fd]
                 heads[pidx] += 1
-                occ[pidx] -= 1
                 upd_parts.append(pidx)
-                chg_parts.append(pidx)
-            dmask = dt[wp, rp]
-            wd, rd = wp[dmask], rp[dmask]
-            if wd.size:
-                del_cycle_flat[jbase_m[rd] + mid_t[wd, rd]] = cycle
-                delivered_j += np.bincount(job_row[rd], minlength=J)
-            smask = ~dmask
-            ws, rs = wp[smask], rp[smask]
-            if ws.size:
-                qs = qsel_t[ws, rs] if asp_mode else q_t[ws, rs]
-                tf = st.tgt_flat[node_row[rs] * st.max_out + qs]
-                sidx = job_row[rs] * NFp + tf
+                md = mid_flat[fd]
+                del_cycle_flat[md] = cycle
+                delivered_j += np.bincount(md // M, minlength=J)
+            fs = np.flatnonzero(stw)
+            if fs.size:
+                pidx = idx_flat[fs]
+                heads[pidx] += 1
+                upd_parts.append(pidx)
+                qs = (qsel_t[:wmax] if asp_mode else route_t).ravel()[fs]
+                if asp_mode:
+                    code[row_so[fs] + qs] += so
+                sidx = tgt_row[row_out[fs] + qs]
                 pos = lens[sidx]
                 if int(pos.max()) >= L:
-                    buf, L = _grow(buf, J * NFp, L)
-                buf[sidx * L + pos] = mid_t[ws, rs]
-                lens[sidx] += 1
-                send_idx_parts.append(sidx)
-                send_job_parts.append(job_row[rs])
+                    buf, L = _grow(buf, L)
+                buf[sidx * L + pos] = mid_flat[fs]
+                lens[sidx] = pos + one32
+                upd_parts.append(sidx)
 
             # 2c. Scalar replay of the draw-needing nodes, in exact per-job
             # (node, serving-position) stream order, with deferred scatters.
             if susp_rows:
                 buf, L = _resume_suspended(
-                    st, susp_rows, susp_wave, n_occ, idx_all, mid_t,
-                    dest_flat, free, local_free, heads, occ, lens,
-                    buf, L, NFp, M, J, del_cycle_flat, mis_flat, delivered_j,
-                    sent, draws, send_idx_parts, send_job_parts, upd_parts,
-                    chg_parts, cycle,
+                    st, susp_rows, susp_wave, n_occ, idx_w, mid_t,
+                    dest_flat, free, local_free, heads, lens, buf, L, NFp, J,
+                    del_cycle_flat, mis_flat, delivered_j, code, draws,
+                    upd_parts, cycle,
                 )
                 live[np.concatenate(susp_rows)] = True
 
@@ -604,121 +675,55 @@ def _run_batched(
                 rr_ptr += v_s
                 np.remainder(rr_ptr, fcount_row, out=rr_ptr)
 
-        # 3. PE injection at rate R; bypass runs (RL = 0 local messages) cost
-        # neither credit nor FIFO space and deliver immediately.
-        if injecting:
-            rem = inj_ptr < inj_end
-            if rem.any():
-                credit += rate * rem
-                if has_bypass:
-                    nb1 = np.minimum(nnb[jj_mat, inj_ptr], inj_end)
-                    nb1 = np.where(rem, nb1, inj_ptr)
-                else:
-                    nb1 = inj_ptr
-                can = rem & (nb1 < inj_end) & (credit >= 1.0)
-                ptr2 = nb1 + can
-                if has_bypass:
-                    nb2 = np.where(
-                        can,
-                        np.minimum(nnb[jj_mat, ptr2], inj_end),
-                        nb1,
-                    )
-                else:
-                    nb2 = ptr2
-                credit -= can
-                if can.any():
-                    jc, nc = np.nonzero(can)
-                    slot = nb1[jc, nc]
-                    sidx = (jc * NFp + st.inject_fid[nc]).astype(np.int32)
-                    pos = lens[sidx]
-                    if int(pos.max()) >= L:
-                        buf, L = _grow(buf, J * NFp, L)
-                    buf[sidx * L + pos] = slot
-                    lens[sidx] += 1
-                    occ[sidx] += 1
-                    maxocc[sidx] = np.maximum(maxocc[sidx], occ[sidx])
-                    inj_cycle_flat[jc * M + slot] = cycle
-                    upd_parts.append(sidx)
-                    chg_parts.append(sidx)
-                if has_bypass:
-                    c1 = np.where(rem, nb1 - inj_ptr, 0)
-                    c2 = nb2 - ptr2
-                    n_bypassed = int(c1.sum() + c2.sum())
-                    if n_bypassed:
-                        starts = np.concatenate(
-                            [(jbase_m2 + inj_ptr)[c1 > 0], (jbase_m2 + ptr2)[c2 > 0]]
-                        )
-                        counts = np.concatenate([c1[c1 > 0], c2[c2 > 0]])
-                        ends = np.cumsum(counts)
-                        idxs = (
-                            np.repeat(starts, counts)
-                            + np.arange(n_bypassed, dtype=np.int64)
-                            - np.repeat(ends - counts, counts)
-                        )
-                        inj_cycle_flat[idxs] = cycle
-                        del_cycle_flat[idxs] = cycle
-                        per_job = (c1 + c2).sum(axis=1)
-                        delivered_j += per_job
-                        bypassed_j += per_job
-                inj_ptr = np.where(rem, nb2, inj_ptr)
-            else:
-                injecting = False
+        # 3. PE injection, open loop: this cycle's firing index pushes the
+        # next network message of every row that still has one.  A row's
+        # injection FIFO holds only its injections, so the k-th push lands
+        # at buffer position k.
+        if cycle == next_fire:
+            sidx = inj_target[: n_fire[kf]]
+            if kf >= L:
+                buf, L = _grow(buf, L)
+            buf[sidx * L + kf] = inj_slots[inj_start[: sidx.size] + kf]
+            lens[sidx] = kf + 1
+            upd_parts.append(sidx)
+            kf += 1
+            next_fire = fire[kf] if kf < len(fire) else -1
 
-        # 4. Cycle bookkeeping: merge this cycle's sends into next cycle's
-        # arrivals, count hops, refresh the head caches of touched fifos, and
-        # latch finished jobs.
-        if send_idx_parts:
-            pend_idx = (
-                np.concatenate(send_idx_parts)
-                if len(send_idx_parts) > 1
-                else send_idx_parts[0]
-            )
-            jobs_sent = (
-                np.concatenate(send_job_parts)
-                if len(send_job_parts) > 1
-                else send_job_parts[0]
-            )
-            hops_j += np.bincount(jobs_sent, minlength=J)
-            upd_parts.append(pend_idx)
+        # 4. Cycle bookkeeping: refresh the head caches of the touched fifos,
+        # and latch finished jobs.
         if upd_parts:
-            ch = np.concatenate(upd_parts) if len(upd_parts) > 1 else upd_parts[0]
-            hm = buf[ch * L + np.minimum(heads[ch], L - 1)]
+            ch = np.concatenate(upd_parts)
+            hm = buf[ch * L + heads[ch]]
             head_mid[ch] = hm
-            hd = dest_flat[fifo_jbm[ch] + hm]
-            head_loc[ch] = hd == fifo_node[ch]
-            if asp_mode:
-                head_dest[ch] = hd
-            else:
-                head_q[ch] = st.sp_flat[fifo_spbase[ch] + hd]
+            route = fifo_spbase[ch] + dest_flat[hm]
+            head_route[ch] = route if asp_mode else st.sp_flat[route]
         cycle += 1
         finished = active & (delivered_j >= totals)
         if finished.any():
             ncycles_j[finished] = cycle
             active &= ~finished
 
+    maxocc = np.zeros(J * NFp, dtype=np.int32)
+    maxocc[fid_t] = maxocc_t  # padding slots all write the dummy's 0
     return _collect_batched(
-        st, messages, traffics, J, NFp, M, maxocc, ncycles_j, delivered_j,
-        bypassed_j, hops_j, inj_cycle_flat, del_cycle_flat, mis_flat,
+        st, messages, traffics, J, NFp, M, maxocc, lens, ncycles_j, delivered_j,
+        bypassed_j, inj_cycle_flat, del_cycle_flat, mis_flat,
     )
 
 
-def _grow(buf: np.ndarray, rows: int, L: int) -> tuple[np.ndarray, int]:
+def _grow(buf: np.ndarray, L: int) -> tuple[np.ndarray, int]:
     """Double the per-fifo backing-buffer capacity (deflection loops only)."""
+    rows = buf.size // L
     new_l = L * 2
-    if rows * new_l >= 2**31:
-        raise SimulationError(
-            "batched FIFO backing buffers outgrew the int32 index space"
-        )
     new = np.zeros(rows * new_l, dtype=buf.dtype)
     new.reshape(rows, new_l)[:, :L] = buf.reshape(rows, L)
     return new, new_l
 
 
 def _resume_suspended(
-    st, susp_rows, susp_wave, n_occ, idx_all, mid_t, dest_flat,
-    free_arr, local_free_arr, heads, occ, lens, buf, L, NFp, M, J,
-    del_cycle_flat, mis_flat, delivered_j, sent, draws,
-    send_idx_parts, send_job_parts, upd_parts, chg_parts, cycle,
+    st, susp_rows, susp_wave, n_occ, idx_w, mid_t, dest_flat,
+    free_arr, local_free_arr, heads, lens, buf, L, NFp, J,
+    del_cycle_flat, mis_flat, delivered_j, code, draws, upd_parts, cycle,
 ):
     """Replay every suspended SCM (job, node) pass and scatter its effects back.
 
@@ -736,27 +741,27 @@ def _resume_suspended(
     n = st.n_nodes
     asp = st.asp_mode
     rows = np.concatenate(susp_rows)
-    w0s = np.repeat(np.array(susp_wave, dtype=np.int64), [len(r) for r in susp_rows])
+    w0s = np.repeat(np.array(susp_wave, dtype=np.intp), [len(r) for r in susp_rows])
     order = np.argsort(rows)  # rows are unique: one suspension per pass
     rows = rows[order]
     w0s = w0s[order]
-    jobs = rows // n
-    # Flat row-major lists (row i's values at i * stride + w): one container
+    # Flat row-major lists (row i's values at i * wmax + w): one container
     # per column instead of one per row keeps the cyclic GC out of the loop.
     mids = mid_t[:, rows].T  # (r, wmax)
     wmax = mids.shape[1]
     mid_l = mids.ravel().tolist()
-    dest_l = dest_flat[(jobs * M)[:, None] + mids].ravel().tolist()
-    fmax = idx_all.shape[1]
-    fidx_l = idx_all[rows].ravel().tolist()
+    dest_l = dest_flat[mids].ravel().tolist()
+    fidx_l = idx_w[:, rows].T.ravel().tolist()
     free_l = free_arr[rows].tolist()
     lf_l = local_free_arr[rows].tolist()
     nocc_l = n_occ[rows].tolist()
     w0_l = w0s.tolist()
     if asp:
-        max_out = st.max_out
-        sent2 = sent.reshape(-1, max_out)
-        sent_l = sent2[rows].ravel().tolist()
+        # The kernel's traffic-spreading codes ``sends * so + port``: the
+        # smallest code among the free ports is the scalar engines' choice.
+        so = st.max_out + 1
+        code2 = code.reshape(-1, so)
+        code_l = code2[rows].ravel().tolist()
     sp_list, tgt_list = st.sp_list, st.tgt_list
     deflect_sets = st.deflect_sets
     bitlen = st.bitlen
@@ -766,7 +771,6 @@ def _resume_suspended(
     mis: list[int] = []
     s_sidx: list[int] = []
     s_mid: list[int] = []
-    s_job: list[int] = []
 
     for i, row in enumerate(rows.tolist()):
         j = row // n
@@ -774,34 +778,32 @@ def _resume_suspended(
         free = free_l[i]
         lf = lf_l[i]
         mw = i * wmax
-        fw = i * fmax
-        jb_m = j * M
         jb_nf = j * NFp
         sp_row = sp_list[node]
         tgt_row = tgt_list[node]
         getrandbits = draws[j]
         if asp:
             ap_row = st.ap_rows[node]
-            se = i * max_out
+            se = i * so
         out_deg = st.out_deg[node]
         for w in range(w0_l[i], nocc_l[i]):
             mid = mid_l[mw + w]
             dest = dest_l[mw + w]
             if dest == node:
                 if lf:
-                    pops.append(fidx_l[fw + w])
-                    dels.append(jb_m + mid)
+                    pops.append(fidx_l[mw + w])
+                    dels.append(mid)
                     deljobs.append(j)
                     lf = False
                 continue
             out = -1
             if asp:
-                best_count = -1
+                best_code = -1
                 for q in ap_row[dest]:
                     if free >> q & 1:
-                        c = sent_l[se + q]
-                        if best_count < 0 or c < best_count:
-                            best_count = c
+                        c = code_l[se + q]
+                        if best_code < 0 or c < best_code:
+                            best_code = c
                             out = q
             else:
                 q = sp_row[dest]
@@ -821,84 +823,81 @@ def _resume_suspended(
                 while r >= n_cand:
                     r = getrandbits(k)
                 out = candidates[r]
-                mis.append(jb_m + mid)
-            pops.append(fidx_l[fw + w])
+                mis.append(mid)
+            pops.append(fidx_l[mw + w])
             free &= ~(1 << out)
             if asp:
-                sent_l[se + out] += 1
+                code_l[se + out] += so
             s_sidx.append(jb_nf + tgt_row[out])
             s_mid.append(mid)
-            s_job.append(j)
         # free / local-port state is per cycle; nothing else to write back.
 
     if asp:
-        sent2[rows] = np.array(sent_l, dtype=sent.dtype).reshape(-1, max_out)
+        code2[rows] = np.array(code_l, dtype=code.dtype).reshape(-1, so)
     if pops:
-        parr = np.array(pops, dtype=np.int64)
+        parr = np.array(pops, dtype=np.intp)
         heads[parr] += 1
-        occ[parr] -= 1
         upd_parts.append(parr)
-        chg_parts.append(parr)
     if dels:
         del_cycle_flat[dels] = cycle
         delivered_j += np.bincount(deljobs, minlength=J)
     if mis:
         mis_flat[mis] = 1
     if s_sidx:
-        sarr = np.array(s_sidx, dtype=np.int32)
+        sarr = np.array(s_sidx, dtype=np.intp)
         pos = lens[sarr]
         if int(pos.max()) >= L:
-            buf, L = _grow(buf, len(lens), L)
+            buf, L = _grow(buf, L)
         buf[sarr * L + pos] = s_mid
-        lens[sarr] += 1
-        send_idx_parts.append(sarr)
-        send_job_parts.append(np.array(s_job, dtype=np.int32))
+        lens[sarr] = pos + 1
+        upd_parts.append(sarr)
     return buf, L
 
 
 def _collect_batched(
-    st, messages, traffics, J, NFp, M, maxocc, ncycles_j, delivered_j,
-    bypassed_j, hops_j, inj_cycle_flat, del_cycle_flat, mis_flat,
+    st, messages, traffics, J, NFp, M, maxocc, lens, ncycles_j, delivered_j,
+    bypassed_j, inj_cycle_flat, del_cycle_flat, mis_flat,
 ) -> list[SimulationResult]:
     """Fold the stacked per-job state into one SimulationResult per job."""
-    n = st.n_nodes
     maxocc2 = maxocc.reshape(J, NFp)
+    # Per-node maxima over the network input fifos: each node's fifos are
+    # one contiguous segment, its injection fifo zeroed out.
+    per_node_max = np.maximum.reduceat(
+        np.where(st.net_fifo, maxocc2, 0), st.fifo_base, axis=1
+    ).tolist()
+    max_injection = maxocc2[:, st.inject_fid].max(axis=1).tolist()
+    # Buffers are append-only and only sends push into network fifos, so a
+    # job's pushes into them count its hops.
+    hops_j = lens.reshape(J, NFp)[:, st.net_fifo].sum(axis=1, dtype=np.int64).tolist()
+    # Padding slots read 0 in both cycle columns, so whole rows reduce.
+    lat = (del_cycle_flat - inj_cycle_flat).reshape(J, M)
+    lat_sum = lat.sum(axis=1, dtype=np.int64).tolist()
+    lat_max = lat.max(axis=1).tolist()
+    misrouted = np.count_nonzero(mis_flat.reshape(J, M), axis=1).tolist()
     results: list[SimulationResult] = []
-    fifo_base = st.fifo_base.tolist()
-    fcount = st.fcount.tolist()
-    inject_fid = st.inject_fid.tolist()
     for j, (arrays, traffic) in enumerate(zip(messages, traffics)):
-        per_node_max = [
-            int(maxocc2[j, fifo_base[node] : fifo_base[node] + fcount[node] - 1].max(initial=0))
-            for node in range(n)
-        ]
-        max_injection = int(maxocc2[j, inject_fid].max(initial=0))
         total = arrays.total
         ncycles = int(ncycles_j[j])
         stats = MessageStatistics()
-        stats.total_hops = int(hops_j[j])
+        stats.total_hops = hops_j[j]
         if total:
-            lat = (
-                del_cycle_flat[j * M : j * M + total]
-                - inj_cycle_flat[j * M : j * M + total]
-            )
             stats.count = total
-            stats.total_latency = int(lat.sum(dtype=np.int64))
-            stats.max_latency = int(lat.max(initial=0))
-            stats.misrouted = int(np.count_nonzero(mis_flat[j * M : j * M + total]))
-            stats._latencies.extend(lat.tolist())
+            stats.total_latency = lat_sum[j]
+            stats.max_latency = lat_max[j]
+            stats.misrouted = misrouted[j]
+            stats._latencies.extend(lat[j, :total].tolist())
         link_utilization = 0.0
         if ncycles > 0 and st.n_arcs > 0:
-            link_utilization = int(hops_j[j]) / (st.n_arcs * ncycles)
+            link_utilization = hops_j[j] / (st.n_arcs * ncycles)
         results.append(
             SimulationResult(
                 ncycles=ncycles,
                 total_messages=total,
                 delivered_messages=int(delivered_j[j]),
                 local_bypassed=int(bypassed_j[j]),
-                max_fifo_occupancy=max(per_node_max) if per_node_max else 0,
-                max_injection_occupancy=max_injection,
-                per_node_max_fifo=per_node_max,
+                max_fifo_occupancy=max(per_node_max[j]),
+                max_injection_occupancy=max_injection[j],
+                per_node_max_fifo=per_node_max[j],
                 statistics=stats,
                 link_utilization=link_utilization,
                 config_label=st.config.describe(),

@@ -259,18 +259,20 @@ class SweepCostModel:
     crossover jobs.  Each constant is the smallest group size J at which the
     batched kernel beat the scalar engine for every routing algorithm and
     message count, and kept winning at every larger J, in the ``crossover``
-    row of ``benchmarks/BENCH_noc_batch_sweep.json`` as first recorded
-    (generalized Kautz D=3, P=16, 48 and 144 messages per PE, 2-core x86
-    host; re-runs move the boundary by a grid step or two).  SCM crosses over
-    later than DCM because a batched SCM group also funds the deflection-draw
-    replay.  Near the crossover both engines are within noise of each other,
-    so the exact value only moves a few groups between two engines that
-    return bit-identical results.  The rule is fixed rather than measured
-    per process so that dispatch is deterministic and costs nothing.
+    row of ``benchmarks/BENCH_noc_batch_sweep.json`` (generalized Kautz D=3,
+    P=16, 48 and 144 messages per PE, 2-core x86 host): the median of three
+    runs of the grid on the slot-major kernel, which read DCM 8, 8, 16 and
+    SCM 16, 16, 24.  DCM wins already at the grid's smallest size, J = 8.
+    SCM crosses over later than DCM because a batched SCM group also funds
+    the deflection-draw replay.  Near the crossover both engines are within
+    noise of each other, so the exact value only moves a few groups between
+    two engines that return bit-identical results.  The rule is fixed rather
+    than measured per process so that dispatch is deterministic and costs
+    nothing.
     """
 
-    dcm_crossover: int = 24
-    scm_crossover: int = 64
+    dcm_crossover: int = 8
+    scm_crossover: int = 16
 
     def crossover(self, policy: CollisionPolicy) -> int:
         """Smallest group size that runs batched under ``policy``."""

@@ -177,7 +177,7 @@ class DuoBinaryTrellis:
             matrix[2, bit] = s3
         return matrix
 
-    def zero_input_final_state(self, start_state: int, n_steps: int, symbols: np.ndarray) -> int:
+    def zero_input_final_state(self, start_state: int, symbols: np.ndarray) -> int:
         """Encode ``symbols`` starting from ``start_state`` and return the final state."""
         state = int(start_state)
         for symbol in np.asarray(symbols, dtype=np.int64):
@@ -198,7 +198,7 @@ class DuoBinaryTrellis:
         n_steps = symbols_arr.size
         if n_steps == 0:
             raise CodeDefinitionError("cannot compute a circulation state for an empty block")
-        final_from_zero = self.zero_input_final_state(0, n_steps, symbols_arr)
+        final_from_zero = self.zero_input_final_state(0, symbols_arr)
         c_vec = np.array(_state_bits(final_from_zero), dtype=np.uint8)
         m_inv = self._circulation_inverse(n_steps)
         s_c = (m_inv @ c_vec) % 2

@@ -13,6 +13,10 @@ every observable, including the both-raise behaviour when a job exceeds
 
 from __future__ import annotations
 
+import hashlib
+import json
+from pathlib import Path
+
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -25,10 +29,12 @@ from repro.noc import (
     NocConfiguration,
     NodeTraffic,
     RoutingAlgorithm,
+    RoutingTables,
     TrafficPattern,
     build_routing_tables,
     build_topology,
     random_traffic,
+    random_traffic_streams,
 )
 
 TOPOLOGY_SPECS = [
@@ -303,6 +309,21 @@ class TestKernelContract:
         with pytest.raises(SimulationError):
             BatchedNocKernel(topology, NocConfiguration(), routing_tables=other_tables)
 
+    def test_rejects_unsorted_next_hop_ports(self):
+        """ASP ties break by port index, which is the tables' list order only
+        when every pair lists its ports ascending (as the builder does)."""
+        topology, tables = _topology_and_tables(("generalized-kautz", 16, 3))
+        reversed_tables = RoutingTables(
+            topology=topology,
+            distance=tables.distance,
+            next_ports=tuple(
+                tuple(tuple(reversed(ports)) for ports in row) for row in tables.next_ports
+            ),
+        )
+        kernel = BatchedNocKernel(topology, NocConfiguration(), routing_tables=reversed_tables)
+        with pytest.raises(SimulationError, match="ascending"):
+            kernel.run([random_traffic(16, 5, seed=1), random_traffic(16, 5, seed=2)])
+
     def test_rejects_bad_max_cycles(self):
         topology, tables = _topology_and_tables(("ring", 6, None))
         with pytest.raises(SimulationError):
@@ -367,3 +388,168 @@ class TestKernelContract:
         assert [_observables(r) for r in results] == [_observables(r) for r in singles]
         assert results[2].ncycles == 0
         assert results[0].ncycles < results[1].ncycles
+
+
+#: Per-job SHA-256 digests of :func:`_observables`, recorded from the kernel
+#: before its slot-major rework; regenerate with :func:`golden_digests`.
+GOLDEN_PATH = Path(__file__).with_name("noc_batch_kernel_golden.json")
+
+#: Every (routing, collision policy) cell, in phase-B order.
+GOLDEN_CELLS = [(a, p) for a in RoutingAlgorithm for p in CollisionPolicy]
+
+#: Graphs spanning serve widths fmax = 3..5 (in-degree + injection port).
+GOLDEN_GRAPHS = [
+    ("generalized-de-bruijn", 16, 2),
+    ("generalized-kautz", 12, 2),
+    ("generalized-kautz", 20, 4),
+    ("spidergon", 16, None),
+]
+
+
+def _golden_case_ids() -> list[str]:
+    ids = [f"phase-b/{p.value}/{a.value}" for a, p in GOLDEN_CELLS]
+    for family, parallelism, degree in GOLDEN_GRAPHS:
+        for route_local in (False, True):
+            for rate in (0.3, 1.0):
+                ids.append(f"{family}-{parallelism}-{degree}/RL={int(route_local)}/R={rate}")
+    return ids
+
+
+def _golden_case(case_id: str):
+    """``(spec, config, traffics, seeds)`` of one golden case.
+
+    The phase-B cells are the Monte-Carlo pass's exact shape (generalized
+    Kautz D=3, P=16, 144 messages per PE) at J = 32; the graph cases rotate
+    through the six cells at J = 8 and 40 messages per PE.
+    """
+    index = _golden_case_ids().index(case_id)
+    if index < len(GOLDEN_CELLS):
+        algorithm, policy = GOLDEN_CELLS[index]
+        config = NocConfiguration(collision_policy=policy).with_routing(algorithm)
+        traffics = random_traffic_streams(16, 144, seed=25, count=32)
+        return ("generalized-kautz", 16, 3), config, traffics, list(range(32))
+    graph, rest = divmod(index - len(GOLDEN_CELLS), 4)
+    route_local, rate = [(False, 0.3), (False, 1.0), (True, 0.3), (True, 1.0)][rest]
+    algorithm, policy = GOLDEN_CELLS[index % len(GOLDEN_CELLS)]
+    spec = GOLDEN_GRAPHS[graph]
+    config = NocConfiguration(
+        collision_policy=policy, injection_rate=rate, route_local=route_local
+    ).with_routing(algorithm)
+    traffics = random_traffic_streams(spec[1], 40, seed=100 + index, count=8)
+    return spec, config, traffics, [7 * j + index for j in range(8)]
+
+
+def _job_digest(result) -> str:
+    payload = json.dumps(_observables(result), sort_keys=True)
+    return hashlib.sha256(payload.encode()).hexdigest()
+
+
+def golden_digests(case_id: str) -> list[str]:
+    """Per-job digests of one golden case on the current kernel."""
+    spec, config, traffics, seeds = _golden_case(case_id)
+    topology, tables = _topology_and_tables(spec)
+    kernel = BatchedNocKernel(topology, config, routing_tables=tables)
+    return [_job_digest(r) for r in kernel.run(traffics, seeds)]
+
+
+class TestKernelGoldenDigests:
+    """The kernel's per-job outputs are frozen: bit-identical across reworks."""
+
+    @pytest.mark.parametrize("case_id", _golden_case_ids())
+    def test_digests_match_golden(self, case_id):
+        golden = json.loads(GOLDEN_PATH.read_text())
+        assert golden_digests(case_id) == golden[case_id]
+
+
+def _pattern(n_nodes: int, destinations: dict[int, list[int]], label: str) -> TrafficPattern:
+    """Traffic with the given per-node destination lists (others send nothing)."""
+    return TrafficPattern(
+        n_nodes=n_nodes,
+        per_node=tuple(
+            NodeTraffic(
+                node=node,
+                destinations=tuple(destinations.get(node, ())),
+                memory_locations=tuple(range(len(destinations.get(node, ())))),
+            )
+            for node in range(n_nodes)
+        ),
+        label=label,
+    )
+
+
+#: Bypass runs in every position (RL = 0 keeps ``dest == node`` local):
+#: node 0 leads and trails with a run, node 1 sends only local messages,
+#: node 3 has runs between its network messages, node 2 sends nothing.
+EDGE_TRAFFIC = _pattern(
+    8,
+    {
+        0: [0, 0, 3, 5, 7, 0, 0, 0],
+        1: [1, 1, 1, 1],
+        3: [4, 3, 3, 6, 3, 2, 3],
+        4: [5, 6, 7, 0, 1, 2],
+        5: [5],
+        6: [2, 6, 6, 6, 6],
+        7: [0, 7, 1, 7, 2, 7, 3],
+    },
+    "bypass-runs",
+)
+
+
+class TestOpenLoopInjectionSchedule:
+    """The precomputed injection schedule against the scalar engine's
+    closed-loop credit walk, one batched run per case, checked per job."""
+
+    def _check(self, config, traffics, seeds):
+        topology, tables = _topology_and_tables(("generalized-kautz", 8, 3))
+        kernel = BatchedNocKernel(topology, config, routing_tables=tables)
+        engine = BatchNocSimulator(topology, config, routing_tables=tables)
+        results = kernel.run(traffics, seeds)
+        expected = [_observables(engine.run(t, seed=s)) for t, s in zip(traffics, seeds)]
+        assert [_observables(r) for r in results] == expected
+        return results
+
+    @pytest.mark.parametrize("rate", [0.1, 0.3, 0.7])
+    @pytest.mark.parametrize("policy", list(CollisionPolicy))
+    def test_bypass_runs_at_inexact_rates(self, rate, policy):
+        """Leading, interior and trailing bypass runs and a local-only node,
+        at rates whose credit sums are not exact in binary."""
+        config = NocConfiguration(collision_policy=policy, injection_rate=rate)
+        traffics = [EDGE_TRAFFIC, random_traffic(8, 9, seed=41), EDGE_TRAFFIC]
+        results = self._check(config, traffics, [3, 4, 5])
+        assert results[0].local_bypassed == 21
+
+    def test_zero_message_and_local_only_jobs_in_a_batch(self):
+        """An empty job never runs a cycle; a job of only local messages
+        delivers everything at cycle 0 and takes one cycle."""
+        config = NocConfiguration(injection_rate=0.3)
+        traffics = [
+            EDGE_TRAFFIC,
+            _pattern(8, {}, "empty"),
+            _pattern(8, {1: [1, 1], 6: [6]}, "local-only"),
+            random_traffic(8, 5, seed=42),
+        ]
+        results = self._check(config, traffics, [1, 2, 3, 4])
+        assert results[1].ncycles == 0
+        assert results[2].ncycles == 1
+        assert results[2].local_bypassed == 3
+
+    @pytest.mark.parametrize("algorithm", list(RoutingAlgorithm))
+    def test_route_local_sends_local_messages_through_the_network(self, algorithm):
+        """RL = 1: every message, local ones included, is a network message."""
+        config = NocConfiguration(route_local=True, injection_rate=0.7).with_routing(algorithm)
+        traffics = [EDGE_TRAFFIC, random_traffic(8, 9, seed=43)]
+        results = self._check(config, traffics, [6, 7])
+        assert results[0].local_bypassed == 0
+
+    def test_slow_rate_hits_max_cycles_like_the_engine(self):
+        """A rate too slow to inject within ``max_cycles`` raises in both."""
+        topology, tables = _topology_and_tables(("generalized-kautz", 8, 3))
+        config = NocConfiguration(injection_rate=0.001)
+        traffics = [EDGE_TRAFFIC, random_traffic(8, 3, seed=44)]
+        with pytest.raises(SimulationError):
+            BatchNocSimulator(topology, config, routing_tables=tables, max_cycles=50).run(
+                traffics[0]
+            )
+        kernel = BatchedNocKernel(topology, config, routing_tables=tables, max_cycles=50)
+        with pytest.raises(SimulationError, match="still in flight"):
+            kernel.run(traffics, [0, 1])
