@@ -38,7 +38,6 @@ from repro.noc import (
     CollisionPolicy,
     NocConfiguration,
     NocSweepJob,
-    NodeTraffic,
     ReferenceNocSimulator,
     RoutingAlgorithm,
     TrafficPattern,
@@ -378,15 +377,15 @@ def _np_interleaver(h, owner, n_nodes):
             for variable in h.row(check):
                 slot_of_edge[(check, int(variable))] = int(slot_counter[node])
                 slot_counter[node] += 1
-    per_node = []
+    offsets = np.zeros(n_nodes + 1, dtype=np.int64)
+    destinations, locations = [], []
     for node in range(n_nodes):
-        destinations, locations = [], []
         for check in checks_by_node[node]:
             for variable, consumer in links[check]:
                 destinations.append(int(owner[consumer]))
                 locations.append(slot_of_edge[(consumer, variable)])
-        per_node.append(NodeTraffic(node, tuple(destinations), tuple(locations)))
-    return TrafficPattern(n_nodes=n_nodes, per_node=tuple(per_node))
+        offsets[node + 1] = len(destinations)
+    return TrafficPattern(n_nodes, offsets, np.array(destinations), np.array(locations))
 
 
 def _np_map(h, n_nodes, seed, attempts):
@@ -418,9 +417,8 @@ def test_mapping_flow_table1_grid():
     samples, results = trials({"baseline": baseline, "current": current}, MAPPING_TRIALS)
     for (owner, traffic), mapping in zip(results["baseline"], results["current"]):
         assert np.array_equal(owner, mapping.check_owner)
-        assert [(t.destinations, t.memory_locations) for t in traffic.per_node] == [
-            (t.destinations, t.memory_locations) for t in mapping.traffic.per_node
-        ]
+        for name in ("offsets", "dest", "memory"):
+            assert np.array_equal(getattr(traffic, name), getattr(mapping.traffic, name))
 
     timing = row(samples, "baseline")
     vs = timing["vs"]["current"]

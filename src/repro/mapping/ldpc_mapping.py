@@ -23,7 +23,7 @@ from repro.errors import MappingError
 from repro.ldpc.hmatrix import ParityCheckMatrix
 from repro.ldpc.tanner import TannerGraph
 from repro.mapping.partition import PartitionResult, partition_graph
-from repro.noc.traffic import NodeTraffic, TrafficPattern
+from repro.noc.traffic import TrafficPattern
 
 
 @dataclass(frozen=True)
@@ -60,10 +60,6 @@ class LdpcMapping:
     def checks_per_node(self) -> np.ndarray:
         """Number of parity checks assigned to each PE."""
         return np.bincount(self.check_owner, minlength=self.n_nodes)
-
-    def worst_case_node_messages(self) -> int:
-        """Largest per-PE emitted message count (drives the lower bound on ncycles)."""
-        return int(self.traffic.messages_per_node().max())
 
     def describe(self) -> str:
         """One-line human-readable summary."""
@@ -119,18 +115,9 @@ def build_equivalent_interleaver(
     slot[emit_order] = np.arange(emit_order.size) - node_start[edge_owner[emit_order]]
 
     emitted = consumer[emit_order]
-    destinations = edge_owner[emitted].tolist()
-    locations = slot[emitted].tolist()
-    bounds = np.cumsum(node_edges).tolist()
-    per_node = tuple(
-        NodeTraffic(
-            node=node,
-            destinations=tuple(destinations[lo:hi]),
-            memory_locations=tuple(locations[lo:hi]),
-        )
-        for node, lo, hi in zip(range(n_nodes), [0] + bounds[:-1], bounds)
-    )
-    return TrafficPattern(n_nodes=n_nodes, per_node=per_node, label=label)
+    offsets = np.zeros(n_nodes + 1, dtype=np.int64)
+    np.cumsum(node_edges, out=offsets[1:])
+    return TrafficPattern(n_nodes, offsets, edge_owner[emitted], slot[emitted], label)
 
 
 def _structured_assignments(n_checks: int, n_nodes: int) -> dict[str, np.ndarray]:

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.errors import MappingError
 from repro.noc.traffic import TrafficPattern
 
 
@@ -50,13 +51,13 @@ def evaluate_traffic_quality(traffic: TrafficPattern) -> MappingQuality:
     received = traffic.destination_histogram()
     total = traffic.total_messages
     locality = traffic.local_messages / total if total else 0.0
-    network_per_node = [
-        sum(1 for dest in node.destinations if dest != node.node)
-        for node in traffic.per_node
-    ]
+    source = traffic.source
+    network_per_node = np.bincount(
+        source[traffic.dest != source], minlength=traffic.n_nodes
+    )
     return MappingQuality(
         max_node_messages=int(emitted.max()) if emitted.size else 0,
-        max_network_node_messages=max(network_per_node) if network_per_node else 0,
+        max_network_node_messages=int(network_per_node.max(initial=0)),
         mean_node_messages=float(emitted.mean()) if emitted.size else 0.0,
         destination_spread=float(received.std()) if received.size else 0.0,
         locality=locality,
@@ -66,6 +67,6 @@ def evaluate_traffic_quality(traffic: TrafficPattern) -> MappingQuality:
 def select_best_mapping(qualities: list[MappingQuality]) -> int:
     """Index of the best mapping according to :attr:`MappingQuality.score`."""
     if not qualities:
-        raise ValueError("select_best_mapping needs at least one candidate")
+        raise MappingError("select_best_mapping needs at least one candidate")
     scores = [quality.score for quality in qualities]
     return int(np.argmin(scores))

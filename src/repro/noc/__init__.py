@@ -49,12 +49,11 @@ from repro.noc.config import (
 from repro.noc.message import Message
 from repro.noc.fifo import MessageFifo
 from repro.noc.traffic import (
-    NodeTraffic,
     TrafficPattern,
     random_traffic,
     random_traffic_streams,
 )
-from repro.noc.engine import BatchNocSimulator, MessageArrays
+from repro.noc.engine import BatchNocSimulator
 from repro.noc.engine_batch import BatchedNocKernel
 from repro.noc.analytical import (
     ANALYTICAL_MODEL_VERSION,
@@ -97,12 +96,10 @@ __all__ = [
     "Message",
     "MessageFifo",
     "TrafficPattern",
-    "NodeTraffic",
     "random_traffic",
     "random_traffic_streams",
     "BatchNocSimulator",
     "BatchedNocKernel",
-    "MessageArrays",
     "ANALYTICAL_MODEL_VERSION",
     "ERROR_TOLERANCES",
     "AnalyticalEstimate",

@@ -206,43 +206,33 @@ def zero_contention_bound(
     if traffic.total_messages == 0:
         return 0
     rate = config.injection_rate
-    dist = tables.distance
     route_local = config.route_local
+    source, dest = traffic.source, traffic.dest
+    network = np.ones(dest.size, dtype=bool) if route_local else dest != source
+    # 1-based network-message index of each slot within its node; at an RL=0
+    # bypass slot (network False) the inclusive count equals the count of the
+    # node's preceding network messages, which is exactly the ``k`` the
+    # bypass delivery is paced by.
+    seen = np.cumsum(network)
+    k = seen - np.concatenate(([0], seen))[traffic.offsets[:-1]][source]
+    inject = np.ceil(k / rate).astype(np.int64) - 1
     b1 = 1
-    earliest = np.full(traffic.n_nodes, np.iinfo(np.int64).max, dtype=np.int64)
-    deliveries = np.zeros(traffic.n_nodes, dtype=np.int64)
-    for node_traffic in traffic.per_node:
-        node = node_traffic.node
-        dests = np.asarray(node_traffic.destinations, dtype=np.int64)
-        if dests.size == 0:
-            continue
-        if route_local:
-            network = np.ones(dests.shape, dtype=bool)
-        else:
-            network = dests != node
-        # 1-based network-message index at each traffic slot; at an RL=0
-        # bypass slot (network False) the inclusive cumsum equals the count
-        # of preceding network messages, which is exactly the ``k`` the
-        # bypass delivery is paced by.
-        k = np.cumsum(network)
-        inject = np.ceil(k / rate).astype(np.int64) - 1
-        if not route_local:
-            bypass = ~network
-            if bypass.any():
-                # Bypass delivery happens when the preceding network message
-                # injects (or at cycle 0 if there is none): ncycles >= t + 1.
-                t_bypass = np.where(k[bypass] > 0, inject[bypass], 0)
-                b1 = max(b1, int(t_bypass.max()) + 1)
-        if network.any():
-            net_dests = dests[network]
-            hops = dist[node, net_dests].astype(np.int64)
-            t = inject[network]
-            b1 = max(b1, int((t + hops + 2).max()))
-            np.add.at(deliveries, net_dests, 1)
-            np.minimum.at(earliest, net_dests, t + hops + 1)
+    bypass = ~network
+    if bypass.any():
+        # Bypass delivery happens when the preceding network message injects
+        # (or at cycle 0 if there is none): ncycles >= t + 1.
+        t_bypass = np.where(k[bypass] > 0, inject[bypass], 0)
+        b1 = max(b1, int(t_bypass.max()) + 1)
     b2 = 1
-    addressed = deliveries > 0
-    if addressed.any():
+    if network.any():
+        net_dests = dest[network]
+        hops = tables.distance[source[network], net_dests].astype(np.int64)
+        arrival = inject[network] + hops + 1
+        b1 = max(b1, int(arrival.max()) + 1)
+        earliest = np.full(traffic.n_nodes, np.iinfo(np.int64).max, dtype=np.int64)
+        np.minimum.at(earliest, net_dests, arrival)
+        deliveries = np.bincount(net_dests, minlength=traffic.n_nodes)
+        addressed = deliveries > 0
         b2 = max(b2, int((earliest[addressed] + deliveries[addressed]).max()))
     bound = max(b1, b2)
     if (

@@ -9,7 +9,7 @@ packet format (header or not) and where the routing information lives.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from enum import Enum
 from math import ceil, log2
 

@@ -6,10 +6,10 @@ a time — faithful, but the last pure-Python per-message hot path of the
 reproduction.  :class:`BatchNocSimulator` replaces those object graphs with a
 struct-of-arrays state:
 
-* **messages** live in flat arrays (NumPy ``source`` / ``dest`` /
-  ``memory_location`` / offset columns in :class:`MessageArrays`, flat
-  parallel injection/delivery-cycle and misroute columns during a run), one
-  slot per message of the :class:`~repro.noc.traffic.TrafficPattern`;
+* **messages** live in flat arrays — the CSR ``offsets`` / ``dest`` /
+  ``memory`` columns of the :class:`~repro.noc.traffic.TrafficPattern`
+  itself, plus flat parallel injection/delivery-cycle and misroute columns
+  during a run — one slot per message;
 * **FIFOs** are append-only ring views — one flat id per (node, input port)
   pair, a backing list of message indices and a head cursor, so push/pop are
   O(1) integer moves with no per-message allocation;
@@ -30,8 +30,8 @@ nodes' pops), so the inner loop advances flat integer state rather than
 calling NumPy per port — on the 8–36-node networks of the paper that is
 several times faster than both per-element ``ndarray`` indexing and the
 object simulator.  The NumPy side of the layout pays off at the boundaries:
-traffic is ingested, and statistics (latencies, hops, misroutes) are reduced,
-as single vectorized array operations.
+traffic arrives as flat arrays, and statistics (latencies, hops, misroutes)
+are reduced, as single vectorized array operations.
 
 Multi-point sweeps live one layer up: :func:`repro.noc.sweep.run_noc_sweep`
 groups jobs by (graph, configuration) and dispatches each group to the
@@ -47,7 +47,6 @@ from __future__ import annotations
 
 import operator
 import random
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -58,46 +57,6 @@ from repro.noc.results import SimulationResult
 from repro.noc.routing import RoutingTables, build_routing_tables
 from repro.noc.topologies import Topology
 from repro.noc.traffic import TrafficPattern
-
-
-@dataclass(frozen=True)
-class MessageArrays:
-    """Flat struct-of-arrays view of one traffic pattern.
-
-    Message ``m`` of node ``n`` occupies slot ``node_offset[n] + m``; all
-    per-message attributes are plain ``(total,)`` NumPy arrays.
-    """
-
-    source: np.ndarray
-    dest: np.ndarray
-    memory_location: np.ndarray
-    node_offset: np.ndarray
-
-    @property
-    def total(self) -> int:
-        """Total number of messages across all nodes."""
-        return int(self.dest.size)
-
-    @classmethod
-    def from_traffic(cls, traffic: TrafficPattern) -> "MessageArrays":
-        """Flatten a traffic pattern into per-message arrays."""
-        counts = traffic.messages_per_node()
-        node_offset = np.zeros(traffic.n_nodes + 1, dtype=np.int64)
-        np.cumsum(counts, out=node_offset[1:])
-        total = int(node_offset[-1])
-        source = np.repeat(np.arange(traffic.n_nodes, dtype=np.int64), counts)
-        dest = np.empty(total, dtype=np.int64)
-        memory_location = np.empty(total, dtype=np.int64)
-        for node, node_traffic in enumerate(traffic.per_node):
-            lo, hi = node_offset[node], node_offset[node + 1]
-            dest[lo:hi] = node_traffic.destinations
-            memory_location[lo:hi] = node_traffic.memory_locations
-        return cls(
-            source=source,
-            dest=dest,
-            memory_location=memory_location,
-            node_offset=node_offset,
-        )
 
 
 def as_seed(seed) -> int:
@@ -173,10 +132,7 @@ class BatchNocSimulator:
                 f"{self.topology.n_nodes}"
             )
         run_seed = self.seed if seed is None else as_seed(seed)
-        return _run_engine(
-            self._static, MessageArrays.from_traffic(traffic), traffic.label,
-            run_seed, self.max_cycles,
-        )
+        return _run_engine(self._static, traffic, run_seed, self.max_cycles)
 
 
 # --------------------------------------------------------------------------- #
@@ -259,8 +215,7 @@ class _StaticState:
 
 def _run_engine(
     st: _StaticState,
-    messages: MessageArrays,
-    traffic_label: str,
+    traffic: TrafficPattern,
     seed: int,
     max_cycles: int,
 ) -> SimulationResult:
@@ -297,16 +252,16 @@ def _run_engine(
     # (sends stay invisible to ``occ`` until the next arrival phase anyway),
     # so the room test is ``occ[t] < cap`` — the reference simulator's
     # occupancy-plus-scheduled test with the scheduled count always 0.
-    never_full = cap > messages.total
+    total = traffic.total_messages
+    never_full = cap > total
     peak = 0
 
     # Working copies of the flat message attributes as Python lists: the
     # arbitration loop touches one scalar at a time and plain list indexing is
     # several times faster than ndarray item access; results are folded back
     # into NumPy arrays for the vectorized statistics reduction at the end.
-    total = messages.total
-    msg_dest: list[int] = messages.dest.tolist()
-    node_offset: list[int] = messages.node_offset.tolist()
+    msg_dest: list[int] = traffic.dest.tolist()
+    node_offset: list[int] = traffic.offsets.tolist()
     inj_cycle = [0] * total
     del_cycle = [-1] * total
     misrouted = [0] * total
@@ -316,7 +271,7 @@ def _run_engine(
     if route_local:
         bypass_l = [False] * total
     else:
-        bypass_l = (messages.dest == messages.source).tolist()
+        bypass_l = (traffic.dest == traffic.source).tolist()
 
     # FIFO state: append-only backing lists with head cursors; ``occ`` is the
     # incrementally maintained occupancy (len(buf) - head) of every FIFO.
@@ -521,14 +476,14 @@ def _run_engine(
         cycle += 1
 
     return _collect_result(
-        st, messages, traffic_label, cycle, delivered, local_bypassed,
+        st, total, traffic.label, cycle, delivered, local_bypassed,
         maxocc, inj_cycle, del_cycle, total_hops, misrouted,
     )
 
 
 def _collect_result(
     st: _StaticState,
-    messages: MessageArrays,
+    total: int,
     traffic_label: str,
     cycle: int,
     delivered: int,
@@ -547,7 +502,6 @@ def _collect_result(
     ]
     max_injection = max(maxocc[st.inject_fid[node]] for node in range(n))
 
-    total = messages.total
     stats = MessageStatistics()
     stats.total_hops = total_hops
     if total:

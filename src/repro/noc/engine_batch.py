@@ -92,7 +92,7 @@ import numpy as np
 
 from repro.errors import SimulationError
 from repro.noc.config import CollisionPolicy, NocConfiguration, RoutingAlgorithm
-from repro.noc.engine import BatchNocSimulator, MessageArrays, as_seed
+from repro.noc.engine import BatchNocSimulator, as_seed
 from repro.noc.message import MessageStatistics
 from repro.noc.results import SimulationResult
 from repro.noc.routing import RoutingTables, build_routing_tables
@@ -261,8 +261,7 @@ class BatchedNocKernel:
                     f"traffic references {traffic.n_nodes} nodes but the topology has "
                     f"{self.topology.n_nodes}"
                 )
-        messages = [MessageArrays.from_traffic(traffic) for traffic in traffics]
-        max_total = max(arrays.total for arrays in messages)
+        max_total = max(traffic.total_messages for traffic in traffics)
         # The job axis cannot express bounded-capacity backpressure (node n's
         # free-port view depends on node n-1's pops within the same cycle), and
         # a batch of one gains nothing from stacking: both run scalar.
@@ -279,16 +278,14 @@ class BatchedNocKernel:
             ]
         if self._static is None:
             self._static = _BatchedStatic(self.topology, self.config, self.tables)
-        return _run_batched(
-            self._static, messages, traffics, seeds, self.max_cycles
-        )
+        return _run_batched(self._static, traffics, seeds, self.max_cycles)
 
 
 # --------------------------------------------------------------------------- #
 # Batched engine internals
 # --------------------------------------------------------------------------- #
 def _open_loop_schedule(
-    st: _BatchedStatic, messages: list[MessageArrays], M: int, NFp: int, max_cycles: int
+    st: _BatchedStatic, traffics: list[TrafficPattern], M: int, NFp: int, max_cycles: int
 ):
     """Every injection of the batch, computed before the first cycle.
 
@@ -302,9 +299,9 @@ def _open_loop_schedule(
     per job, so no ``(J, M)`` temporaries are made.
     """
     n = st.n_nodes
-    J = len(messages)
+    J = len(traffics)
     rate = st.config.injection_rate
-    kbound = max(int(np.diff(a.node_offset).max(initial=0)) for a in messages)
+    kbound = max(int(t.messages_per_node().max(initial=0)) for t in traffics)
     # The scalar engine's per-row credit recurrence, with its float
     # operations; firings past max_cycles never happen (the run raises first).
     fire: list[int] = []
@@ -327,18 +324,19 @@ def _open_loop_schedule(
     counts = np.zeros(J * n, dtype=np.intp)
     bypassed = np.zeros(J, dtype=np.int64)
     slot_parts: list[np.ndarray] = []
-    for j, arrays in enumerate(messages):
-        total = arrays.total
+    for j, traffic in enumerate(traffics):
+        total = traffic.total_messages
         if not total:
             continue
+        source = traffic.source
         if st.config.route_local:
             is_net = np.ones(total, dtype=bool)
         else:
-            is_net = arrays.dest != arrays.source
+            is_net = traffic.dest != source
         seen = np.zeros(total + 1, dtype=np.intp)
         np.cumsum(is_net, out=seen[1:])
-        row_seen = seen[arrays.node_offset]  # network messages before each row
-        cycles = fire_at[seen[1:] - row_seen[arrays.source]]
+        row_seen = seen[traffic.offsets]  # network messages before each row
+        cycles = fire_at[seen[1:] - row_seen[source]]
         inj_cycle[j * M : j * M + total] = cycles
         del_cycle[j * M : j * M + total] = np.where(is_net, -1, cycles)
         counts[j * n : (j + 1) * n] = np.diff(row_seen)
@@ -362,17 +360,17 @@ def _open_loop_schedule(
 
 def _run_batched(
     st: _BatchedStatic,
-    messages: list[MessageArrays],
     traffics: list[TrafficPattern],
     seeds: list[int],
     max_cycles: int,
 ) -> list[SimulationResult]:
     """Advance the stacked state cycle by cycle until every job drains."""
     n = st.n_nodes
-    J = len(messages)
+    J = len(traffics)
     Jn = J * n
     NFp = st.n_fifos + 1  # one dummy fifo slot per job absorbs padded gathers
-    M = max(max(arrays.total for arrays in messages), 1)
+    totals = np.array([traffic.total_messages for traffic in traffics], dtype=np.int64)
+    M = max(int(totals.max()), 1)
     fmax = st.fmax
     max_out = st.max_out
     rr_mode, asp_mode, scm_mode = st.rr_mode, st.asp_mode, st.scm_mode
@@ -386,15 +384,14 @@ def _run_batched(
     fid_bits = (J * NFp).bit_length()
     fid_mask = (1 << fid_bits) - 1
 
-    totals = np.array([arrays.total for arrays in messages], dtype=np.int64)
     dest_flat = np.zeros(J * M, dtype=np.int32)
-    for j, arrays in enumerate(messages):
-        dest_flat[j * M : j * M + arrays.total] = arrays.dest
+    for j, traffic in enumerate(traffics):
+        dest_flat[j * M : j * M + traffic.total_messages] = traffic.dest
     mis_flat = np.zeros(J * M, dtype=np.int8)
     (
         fire, n_fire, inj_start, inj_target, inj_slots,
         inj_cycle_flat, del_cycle_flat, bypassed_j,
-    ) = _open_loop_schedule(st, messages, M, NFp, max_cycles)
+    ) = _open_loop_schedule(st, traffics, M, NFp, max_cycles)
 
     # ---- FIFO state: (J * NFp,) columns + growable backing buffers ----- #
     # Buffers are append-only and hold flat message ids ``j * M + m``:
@@ -706,7 +703,7 @@ def _run_batched(
     maxocc = np.zeros(J * NFp, dtype=np.int32)
     maxocc[fid_t] = maxocc_t  # padding slots all write the dummy's 0
     return _collect_batched(
-        st, messages, traffics, J, NFp, M, maxocc, lens, ncycles_j, delivered_j,
+        st, traffics, J, NFp, M, maxocc, lens, ncycles_j, delivered_j,
         bypassed_j, inj_cycle_flat, del_cycle_flat, mis_flat,
     )
 
@@ -855,7 +852,7 @@ def _resume_suspended(
 
 
 def _collect_batched(
-    st, messages, traffics, J, NFp, M, maxocc, lens, ncycles_j, delivered_j,
+    st, traffics, J, NFp, M, maxocc, lens, ncycles_j, delivered_j,
     bypassed_j, inj_cycle_flat, del_cycle_flat, mis_flat,
 ) -> list[SimulationResult]:
     """Fold the stacked per-job state into one SimulationResult per job."""
@@ -875,8 +872,8 @@ def _collect_batched(
     lat_max = lat.max(axis=1).tolist()
     misrouted = np.count_nonzero(mis_flat.reshape(J, M), axis=1).tolist()
     results: list[SimulationResult] = []
-    for j, (arrays, traffic) in enumerate(zip(messages, traffics)):
-        total = arrays.total
+    for j, traffic in enumerate(traffics):
+        total = traffic.total_messages
         ncycles = int(ncycles_j[j])
         stats = MessageStatistics()
         stats.total_hops = hops_j[j]

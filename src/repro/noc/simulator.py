@@ -161,6 +161,13 @@ class ReferenceNocSimulator:
                 mapping.append(arc_to_input[arc_index])
             out_port_map.append(mapping)
 
+        # Per-node message lists, read with plain Python indexing below.
+        offsets = traffic.offsets.tolist()
+        all_dests, all_locations = traffic.dest.tolist(), traffic.memory.tolist()
+        node_lists = [
+            (all_dests[lo:hi], all_locations[lo:hi]) for lo, hi in zip(offsets, offsets[1:])
+        ]
+
         stats = MessageStatistics()
         injection_pointer = [0] * traffic.n_nodes
         injection_credit = [0.0] * traffic.n_nodes
@@ -199,14 +206,14 @@ class ReferenceNocSimulator:
             # consume the per-cycle injection budget.
             for node in nodes:
                 node_id = node.node_id
-                node_traffic = traffic.per_node[node_id]
-                if injection_pointer[node_id] >= node_traffic.n_messages:
+                destinations, locations = node_lists[node_id]
+                if injection_pointer[node_id] >= len(destinations):
                     continue
                 injection_credit[node_id] += self.config.injection_rate
-                while injection_pointer[node_id] < node_traffic.n_messages:
+                while injection_pointer[node_id] < len(destinations):
                     idx = injection_pointer[node_id]
-                    destination = node_traffic.destinations[idx]
-                    location = node_traffic.memory_locations[idx]
+                    destination = destinations[idx]
+                    location = locations[idx]
                     is_bypass = destination == node_id and not self.config.route_local
                     if not is_bypass and (
                         injection_credit[node_id] < 1.0 or node.injection_fifo.is_full()

@@ -155,10 +155,10 @@ class NocSweepCache:
             "traffic": {
                 "n_nodes": job.traffic.n_nodes,
                 "label": job.traffic.label,
-                "per_node": [
-                    [list(node.destinations), list(node.memory_locations)]
-                    for node in job.traffic.per_node
-                ],
+                **{
+                    name: hashlib.sha256(getattr(job.traffic, name).tobytes()).hexdigest()
+                    for name in ("offsets", "dest", "memory")
+                },
             },
             "seed": job.seed,
             "max_cycles": job.max_cycles,

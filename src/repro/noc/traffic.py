@@ -6,6 +6,10 @@ ordered list of messages to emit: ``(destination PE, destination memory
 location)``.  This is the "equivalent interleaver" the paper derives from the
 parity-check matrix (Section III-A); for turbo codes it comes directly from
 the CTC permutation and the block partitioning.
+
+:class:`TrafficPattern` is the one format of these lists, from the mapping
+flow to both NoC engines: per-node offsets into flat destination and
+memory-location arrays (compressed sparse rows).
 """
 
 from __future__ import annotations
@@ -18,93 +22,103 @@ from repro.errors import MappingError
 from repro.utils.rng import make_rng, spawn_rngs
 
 
-@dataclass(frozen=True)
-class NodeTraffic:
-    """Ordered message list generated by one PE during the message-passing phase."""
-
-    node: int
-    destinations: tuple[int, ...]
-    memory_locations: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.destinations) != len(self.memory_locations):
-            raise MappingError(
-                f"node {self.node}: destinations and memory locations differ in length"
-            )
-
-    @property
-    def n_messages(self) -> int:
-        """Number of messages this PE emits per iteration."""
-        return len(self.destinations)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TrafficPattern:
-    """Complete traffic description of one message-passing phase.
+    """Complete traffic description of one message-passing phase, in CSR form.
+
+    Node ``n`` emits, in order, the messages at flat slots
+    ``offsets[n]:offsets[n + 1]``: message ``i`` goes to PE ``dest[i]``,
+    memory location ``memory[i]``.  The three arrays are int64 copies made
+    read-only on construction, so a pattern can be shared across jobs and
+    worker processes like the immutable value it is; ``==`` compares their
+    contents.
 
     Attributes
     ----------
     n_nodes:
         Number of PEs / NoC nodes.
-    per_node:
-        One :class:`NodeTraffic` per node, indexed by node id.
+    offsets:
+        ``(n_nodes + 1,)`` start slot of each node's messages, then the total.
+    dest:
+        Destination PE of every message, node by node.
+    memory:
+        Destination memory location of every message.
     label:
         Human-readable description (code and mapping used).
     """
 
     n_nodes: int
-    per_node: tuple[NodeTraffic, ...]
+    offsets: np.ndarray
+    dest: np.ndarray
+    memory: np.ndarray
     label: str = ""
 
     def __post_init__(self) -> None:
-        if len(self.per_node) != self.n_nodes:
+        if self.n_nodes < 0:
+            raise MappingError(f"n_nodes must be non-negative, got {self.n_nodes}")
+        for name in ("offsets", "dest", "memory"):
+            array = np.array(getattr(self, name), dtype=np.int64)
+            if array.ndim != 1:
+                raise MappingError(f"{name} must be one-dimensional, got shape {array.shape}")
+            array.setflags(write=False)
+            object.__setattr__(self, name, array)
+        offsets, dest = self.offsets, self.dest
+        if offsets.size != self.n_nodes + 1:
             raise MappingError(
-                f"expected {self.n_nodes} per-node traffic entries, got {len(self.per_node)}"
+                f"offsets must hold n_nodes + 1 = {self.n_nodes + 1} entries, got {offsets.size}"
             )
-        for index, node_traffic in enumerate(self.per_node):
-            if node_traffic.node != index:
-                raise MappingError(
-                    f"per_node[{index}] describes node {node_traffic.node}; entries must be "
-                    "indexed by node id"
-                )
-            for dest in node_traffic.destinations:
-                if not 0 <= dest < self.n_nodes:
-                    raise MappingError(
-                        f"node {index} addresses destination {dest} outside [0, {self.n_nodes})"
-                    )
+        if offsets[0] != 0:
+            raise MappingError(f"offsets must start at 0, got {offsets[0]}")
+        if (offsets[1:] < offsets[:-1]).any():
+            raise MappingError("offsets must be non-decreasing")
+        if not offsets[-1] == dest.size == self.memory.size:
+            raise MappingError(
+                f"offsets end at {offsets[-1]} but dest holds {dest.size} and memory "
+                f"{self.memory.size} messages"
+            )
+        outside = (dest < 0) | (dest >= self.n_nodes)
+        if outside.any():
+            raise MappingError(
+                f"destination {dest[outside][0]} outside [0, {self.n_nodes})"
+            )
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, TrafficPattern):
+            return NotImplemented
+        return (
+            self.n_nodes == other.n_nodes
+            and self.label == other.label
+            and np.array_equal(self.offsets, other.offsets)
+            and np.array_equal(self.dest, other.dest)
+            and np.array_equal(self.memory, other.memory)
+        )
+
+    def __reduce__(self):
+        # Unpickling rebuilds through __init__, so a worker's copy is
+        # validated and read-only too.
+        return (TrafficPattern, (self.n_nodes, self.offsets, self.dest, self.memory, self.label))
 
     # ------------------------------------------------------------------ #
-    # Aggregate statistics
+    # Derived views
     # ------------------------------------------------------------------ #
+    @property
+    def source(self) -> np.ndarray:
+        """Source PE of every message."""
+        return np.repeat(np.arange(self.n_nodes, dtype=np.int64), self.messages_per_node())
+
     @property
     def total_messages(self) -> int:
         """Total number of messages emitted per iteration (including local ones)."""
-        return sum(node.n_messages for node in self.per_node)
+        return int(self.dest.size)
 
     @property
     def local_messages(self) -> int:
         """Messages whose destination PE equals the source PE."""
-        return sum(
-            sum(1 for dest in node.destinations if dest == node.node)
-            for node in self.per_node
-        )
-
-    @property
-    def network_messages(self) -> int:
-        """Messages that must actually traverse the NoC (non-local)."""
-        return self.total_messages - self.local_messages
+        return int(np.count_nonzero(self.dest == self.source))
 
     def messages_per_node(self) -> np.ndarray:
         """Array of per-node emitted message counts."""
-        return np.array([node.n_messages for node in self.per_node], dtype=np.int64)
-
-    def load_imbalance(self) -> float:
-        """Max-to-mean ratio of per-node message counts (1.0 = perfectly balanced)."""
-        counts = self.messages_per_node()
-        mean = counts.mean()
-        if mean == 0:
-            return 1.0
-        return float(counts.max() / mean)
+        return np.diff(self.offsets)
 
     def pair_counts(self) -> np.ndarray:
         """``(P, P)`` message counts per (source, destination) pair.
@@ -113,23 +127,12 @@ class TrafficPattern:
         ``(s, d)`` is the number of messages node ``s`` emits towards node
         ``d`` (the diagonal holds local messages).
         """
-        counts = np.zeros((self.n_nodes, self.n_nodes), dtype=np.int64)
-        for node in self.per_node:
-            if node.n_messages:
-                np.add.at(
-                    counts[node.node],
-                    np.asarray(node.destinations, dtype=np.int64),
-                    1,
-                )
-        return counts
+        n = self.n_nodes
+        return np.bincount(self.source * n + self.dest, minlength=n * n).reshape(n, n)
 
     def destination_histogram(self) -> np.ndarray:
         """Number of messages *received* by each node."""
-        histogram = np.zeros(self.n_nodes, dtype=np.int64)
-        for node in self.per_node:
-            for dest in node.destinations:
-                histogram[dest] += 1
-        return histogram
+        return np.bincount(self.dest, minlength=self.n_nodes)
 
 
 def random_traffic(
@@ -168,17 +171,15 @@ def random_traffic(
         )
     generator = rng if rng is not None else make_rng(seed)
     destinations = generator.integers(0, n_nodes, size=(n_nodes, messages_per_node))
-    per_node = tuple(
-        NodeTraffic(
-            node=node,
-            destinations=tuple(int(d) for d in destinations[node]),
-            memory_locations=tuple(range(messages_per_node)),
-        )
-        for node in range(n_nodes)
-    )
     if not label:
         label = f"random(P={n_nodes},m={messages_per_node},seed={seed})"
-    return TrafficPattern(n_nodes=n_nodes, per_node=per_node, label=label)
+    return TrafficPattern(
+        n_nodes,
+        offsets=np.arange(n_nodes + 1) * messages_per_node,
+        dest=destinations.ravel(),
+        memory=np.tile(np.arange(messages_per_node), n_nodes),
+        label=label,
+    )
 
 
 def random_traffic_streams(
@@ -233,28 +234,13 @@ def traffic_from_permutation(
         raise MappingError("permutation and partition must have the same length")
     if owner.size and (owner.min() < 0 or owner.max() >= n_nodes):
         raise MappingError(f"partition references PEs outside [0, {n_nodes})")
-    # Within-PE memory index of every position (order of appearance).
-    local_index = np.zeros(perm.size, dtype=np.int64)
-    counters = np.zeros(n_nodes, dtype=np.int64)
-    for position in range(perm.size):
-        pe = owner[position]
-        local_index[position] = counters[pe]
-        counters[pe] += 1
-
-    destinations: list[list[int]] = [[] for _ in range(n_nodes)]
-    locations: list[list[int]] = [[] for _ in range(n_nodes)]
-    for position in range(perm.size):
-        source_pe = int(owner[position])
-        target_position = int(perm[position])
-        target_pe = int(owner[target_position])
-        destinations[source_pe].append(target_pe)
-        locations[source_pe].append(int(local_index[target_position]))
-    per_node = tuple(
-        NodeTraffic(
-            node=node,
-            destinations=tuple(destinations[node]),
-            memory_locations=tuple(locations[node]),
-        )
-        for node in range(n_nodes)
-    )
-    return TrafficPattern(n_nodes=n_nodes, per_node=per_node, label=label)
+    # Group positions by owner PE, natural order within a PE: a position's
+    # rank in its group is its within-PE memory index, and the grouped
+    # order is each PE's emission order.
+    by_owner = np.argsort(owner, kind="stable")
+    offsets = np.zeros(n_nodes + 1, dtype=np.int64)
+    np.cumsum(np.bincount(owner, minlength=n_nodes), out=offsets[1:])
+    local_index = np.empty(perm.size, dtype=np.int64)
+    local_index[by_owner] = np.arange(perm.size) - offsets[owner[by_owner]]
+    target = perm[by_owner]
+    return TrafficPattern(n_nodes, offsets, owner[target], local_index[target], label)

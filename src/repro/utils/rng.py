@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.errors import ConfigurationError
+
 
 def make_rng(seed: int | None = 0) -> np.random.Generator:
     """Create a :class:`numpy.random.Generator` from an integer seed.
@@ -47,6 +49,6 @@ def spawn_rngs(seed: int, count: int) -> list[np.random.Generator]:
     independence between children regardless of how many draws each makes.
     """
     if count < 0:
-        raise ValueError(f"count must be non-negative, got {count}")
+        raise ConfigurationError(f"count must be non-negative, got {count}")
     seq = np.random.SeedSequence(seed)
     return [np.random.default_rng(child) for child in seq.spawn(count)]

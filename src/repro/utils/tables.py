@@ -10,6 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
+from repro.errors import ConfigurationError
+
 
 def format_float(value: float, digits: int = 2) -> str:
     """Format a float with a fixed number of decimals, stripping NaN/inf noise."""
@@ -37,7 +39,7 @@ class Table:
         """Append a row; cells are converted to ``str`` and must match the header."""
         row = [str(cell) for cell in cells]
         if len(row) != len(self.columns):
-            raise ValueError(
+            raise ConfigurationError(
                 f"row has {len(row)} cells but the table has {len(self.columns)} columns"
             )
         self.rows.append(row)

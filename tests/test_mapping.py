@@ -281,9 +281,10 @@ def _digest(*arrays, cut_weight: int) -> str:
 
 
 def _traffic_arrays(traffic):
-    for node_traffic in traffic.per_node:
-        yield node_traffic.destinations
-        yield node_traffic.memory_locations
+    bounds = traffic.offsets.tolist()
+    for lo, hi in zip(bounds, bounds[1:]):
+        yield traffic.dest[lo:hi]
+        yield traffic.memory[lo:hi]
 
 
 class TestMappingGoldenDigests:
@@ -343,9 +344,8 @@ class TestLdpcMapping:
     def test_memory_locations_unique_per_destination(self, small_ldpc_code):
         mapping = map_ldpc_code(small_ldpc_code.h, n_nodes=4, seed=0, attempts=1)
         slots: dict[int, list[int]] = {node: [] for node in range(4)}
-        for node_traffic in mapping.traffic.per_node:
-            for dest, slot in zip(node_traffic.destinations, node_traffic.memory_locations):
-                slots[dest].append(slot)
+        for dest, slot in zip(mapping.traffic.dest.tolist(), mapping.traffic.memory.tolist()):
+            slots[dest].append(slot)
         for node, used in slots.items():
             assert len(used) == len(set(used)), f"duplicate memory slot on node {node}"
 
@@ -356,7 +356,7 @@ class TestLdpcMapping:
         # Check 0 is owned by PE 0, so PE 0 must emit exactly deg(check 0) +
         # deg(check 4) + ... messages.
         expected = sum(h.row(check).size for check in range(h.n_rows) if owner[check] == 0)
-        assert traffic.per_node[0].n_messages == expected
+        assert traffic.messages_per_node()[0] == expected
 
     def test_invalid_owner_rejected(self, small_ldpc_code):
         h = small_ldpc_code.h
@@ -454,5 +454,5 @@ class TestMappingQuality:
         assert good_quality.locality >= random_quality.locality
 
     def test_select_best_requires_candidates(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(MappingError):
             select_best_mapping([])

@@ -27,7 +27,6 @@ from repro.noc import (
     BatchedNocKernel,
     CollisionPolicy,
     NocConfiguration,
-    NodeTraffic,
     RoutingAlgorithm,
     RoutingTables,
     TrafficPattern,
@@ -36,6 +35,7 @@ from repro.noc import (
     random_traffic,
     random_traffic_streams,
 )
+from traffic_lists import traffic_from_lists
 
 TOPOLOGY_SPECS = [
     ("generalized-kautz", 8, 3),
@@ -157,17 +157,7 @@ class TestDifferentialKernelVsEngine:
     def test_kernel_matches_engine_on_hotspot_traffic(self, policy):
         """All nodes hammering node 0 maximizes contention and deflections."""
         topology, tables = _topology_and_tables(("generalized-kautz", 8, 3))
-        hotspot = TrafficPattern(
-            n_nodes=8,
-            per_node=tuple(
-                NodeTraffic(
-                    node=node, destinations=(0,) * 30,
-                    memory_locations=tuple(range(30)),
-                )
-                for node in range(8)
-            ),
-            label="hotspot",
-        )
+        hotspot = traffic_from_lists([[0] * 30] * 8, label="hotspot")
         traffics = [hotspot, random_traffic(8, 10, seed=5), hotspot]
         seeds = [1, 2, 3]
         config = NocConfiguration(collision_policy=policy)
@@ -463,17 +453,8 @@ class TestKernelGoldenDigests:
 
 def _pattern(n_nodes: int, destinations: dict[int, list[int]], label: str) -> TrafficPattern:
     """Traffic with the given per-node destination lists (others send nothing)."""
-    return TrafficPattern(
-        n_nodes=n_nodes,
-        per_node=tuple(
-            NodeTraffic(
-                node=node,
-                destinations=tuple(destinations.get(node, ())),
-                memory_locations=tuple(range(len(destinations.get(node, ())))),
-            )
-            for node in range(n_nodes)
-        ),
-        label=label,
+    return traffic_from_lists(
+        [destinations.get(node, []) for node in range(n_nodes)], label=label
     )
 
 

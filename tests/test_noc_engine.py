@@ -12,26 +12,29 @@ both-raise behaviour under deadlocking capacities.
 
 from __future__ import annotations
 
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.errors import SimulationError
+from repro.errors import MappingError, SimulationError
 from repro.noc import (
     BatchNocSimulator,
     CollisionPolicy,
-    MessageArrays,
     NocConfiguration,
     NocSimulator,
     NocSweepJob,
     ReferenceNocSimulator,
     RoutingAlgorithm,
+    TrafficPattern,
     build_routing_tables,
     build_topology,
     random_traffic,
     run_noc_sweep,
 )
+from traffic_lists import node_lists, traffic_from_lists
 
 # Topology specs kept small so one differential case stays ~milliseconds.
 TOPOLOGY_SPECS = [
@@ -183,14 +186,8 @@ class TestDifferentialEngineVsReference:
 
     def test_engine_matches_reference_on_hotspot_traffic(self):
         """All nodes hammering node 0 maximizes contention and deflections."""
-        from repro.noc import NodeTraffic, TrafficPattern
-
         topology, tables = _topology_and_tables(("generalized-kautz", 8, 3))
-        per = tuple(
-            NodeTraffic(node=n, destinations=(0,) * 20, memory_locations=tuple(range(20)))
-            for n in range(8)
-        )
-        traffic = TrafficPattern(n_nodes=8, per_node=per, label="hotspot")
+        traffic = traffic_from_lists([[0] * 20] * 8, label="hotspot")
         for policy in CollisionPolicy:
             config = NocConfiguration(collision_policy=policy)
             expected = _observables(
@@ -227,24 +224,16 @@ def _hotspot_traffic(n_nodes: int, messages_per_node: int, seed: int):
     and still far below the message total — as at the Table-I points
     (7 296 messages, peak occupancy <= 232).
     """
-    from repro.noc import NodeTraffic, TrafficPattern
-
     rng = np.random.default_rng(seed)
-    per_node = []
-    for node in range(n_nodes):
-        dest = np.where(
+    destinations = [
+        np.where(
             rng.random(messages_per_node) < 0.4,
             0,
             rng.integers(0, n_nodes, messages_per_node),
         )
-        per_node.append(
-            NodeTraffic(
-                node=node,
-                destinations=tuple(dest.tolist()),
-                memory_locations=tuple(range(messages_per_node)),
-            )
-        )
-    return TrafficPattern(n_nodes=n_nodes, per_node=tuple(per_node), label="hotspot")
+        for _ in range(n_nodes)
+    ]
+    return traffic_from_lists(destinations, label="hotspot")
 
 
 class TestCapacityProof:
@@ -353,22 +342,98 @@ class TestEngineContract:
         assert _observables(facade.run(traffic)) == _observables(engine.run(traffic))
 
 
-class TestMessageArrays:
-    def test_flattening_round_trip(self):
-        traffic = random_traffic(5, 7, seed=11)
-        arrays = MessageArrays.from_traffic(traffic)
-        assert arrays.total == traffic.total_messages
-        for node, node_traffic in enumerate(traffic.per_node):
-            lo = int(arrays.node_offset[node])
-            hi = int(arrays.node_offset[node + 1])
-            assert hi - lo == node_traffic.n_messages
-            assert tuple(arrays.dest[lo:hi]) == node_traffic.destinations
-            assert tuple(arrays.memory_location[lo:hi]) == node_traffic.memory_locations
-            assert (arrays.source[lo:hi] == node).all()
+#: Per-node ``(destination, memory location)`` lists over 1-6 nodes.
+_NODE_MESSAGES = st.integers(1, 6).flatmap(
+    lambda n: st.lists(
+        st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, 40)), max_size=5),
+        min_size=n,
+        max_size=n,
+    )
+)
 
-    def test_empty_traffic(self):
-        arrays = MessageArrays.from_traffic(random_traffic(4, 0))
-        assert arrays.total == 0
+#: Ways to break exactly one rule of the CSR layout.
+_MALFORMATIONS = [
+    "dest-too-high", "dest-negative", "offsets-length", "offsets-start",
+    "offsets-decreasing", "offsets-end", "memory-length",
+]
+
+
+def _split(messages):
+    """Per-node destination lists and memory-location lists."""
+    return [[d for d, _ in node] for node in messages], [[m for _, m in node] for node in messages]
+
+
+def _csr(messages):
+    """``(n_nodes, offsets, dest, memory)`` of the per-node lists, as writable arrays."""
+    traffic = traffic_from_lists(*_split(messages))
+    return len(messages), traffic.offsets.copy(), traffic.dest.copy(), traffic.memory.copy()
+
+
+class TestTrafficPatternLayout:
+    @given(messages=_NODE_MESSAGES)
+    @settings(max_examples=60, deadline=None)
+    def test_node_slices_equal_input_lists(self, messages):
+        destinations, locations = _split(messages)
+        traffic = traffic_from_lists(destinations, locations)
+        assert traffic.n_nodes == len(messages)
+        assert node_lists(traffic) == list(zip(destinations, locations))
+        assert traffic.messages_per_node().tolist() == [len(node) for node in messages]
+        assert traffic.source.tolist() == [
+            node for node, sent in enumerate(messages) for _ in sent
+        ]
+
+    @given(messages=_NODE_MESSAGES, kind=st.sampled_from(_MALFORMATIONS), data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_malformed_layout_raises(self, messages, kind, data):
+        n, offsets, dest, memory = _csr(messages)
+        if kind.startswith("dest") and not dest.size:
+            offsets[-1] += 1
+            dest, memory = np.array([0]), np.array([0])
+        index = data.draw(st.integers(0, max(dest.size - 1, 0)))
+        if kind == "dest-too-high":
+            dest[index] = data.draw(st.integers(n, n + 5))
+        elif kind == "dest-negative":
+            dest[index] = data.draw(st.integers(-5, -1))
+        elif kind == "offsets-length":
+            offsets = offsets[:-1] if data.draw(st.booleans()) else np.append(offsets, offsets[-1])
+        elif kind == "offsets-start":
+            offsets[0] = data.draw(st.integers(-5, -1))
+        elif kind == "offsets-decreasing":
+            if n < 2:
+                offsets, dest, memory = np.array([0, 1, 0, 1]), np.array([0]), np.array([0])
+                n = 3
+            else:
+                node = data.draw(st.integers(1, n - 1))
+                offsets[node] = offsets[node + 1] + 1
+        elif kind == "offsets-end":
+            offsets[-1] += 1
+        else:
+            memory = np.append(memory, 0)
+        with pytest.raises(MappingError):
+            TrafficPattern(n, offsets, dest, memory)
+
+    def test_equality_compares_every_field(self):
+        traffic = TrafficPattern(2, [0, 2, 3], [1, 0, 0], [0, 1, 0], "a")
+        assert traffic == TrafficPattern(2, [0, 2, 3], [1, 0, 0], [0, 1, 0], "a")
+        for other in (
+            TrafficPattern(2, [0, 2, 3], [1, 0, 0], [0, 1, 0], "b"),
+            TrafficPattern(3, [0, 2, 3, 3], [1, 0, 0], [0, 1, 0], "a"),
+            TrafficPattern(2, [0, 1, 3], [1, 0, 0], [0, 1, 0], "a"),
+            TrafficPattern(2, [0, 2, 3], [1, 1, 0], [0, 1, 0], "a"),
+            TrafficPattern(2, [0, 2, 3], [1, 0, 0], [0, 1, 1], "a"),
+        ):
+            assert traffic != other
+
+    @given(messages=_NODE_MESSAGES, name=st.sampled_from(["offsets", "dest", "memory"]))
+    @settings(max_examples=30, deadline=None)
+    def test_arrays_are_read_only(self, messages, name):
+        traffic = TrafficPattern(*_csr(messages))
+        with pytest.raises(ValueError):
+            getattr(traffic, name)[...] = 0
+        copy = pickle.loads(pickle.dumps(traffic))
+        assert copy == traffic
+        with pytest.raises(ValueError):
+            getattr(copy, name)[...] = 0
 
 
 class TestSweepDriver:

@@ -13,7 +13,6 @@ from repro.noc import (
     NocConfiguration,
     NocSimulator,
     NodeArchitecture,
-    NodeTraffic,
     RoutingAlgorithm,
     TrafficPattern,
     build_routing_tables,
@@ -23,6 +22,7 @@ from repro.noc import (
 )
 from repro.noc.message import MessageStatistics
 from repro.noc.traffic import traffic_from_permutation
+from traffic_lists import node_lists, traffic_from_lists
 
 
 class TestConfiguration:
@@ -128,52 +128,37 @@ class TestMessageAndFifo:
 
 
 class TestTrafficPattern:
-    def _uniform_traffic(self, n_nodes=4, per_node=3):
-        per = []
-        for node in range(n_nodes):
-            destinations = tuple((node + 1 + i) % n_nodes for i in range(per_node))
-            per.append(NodeTraffic(node=node, destinations=destinations,
-                                   memory_locations=tuple(range(per_node))))
-        return TrafficPattern(n_nodes=n_nodes, per_node=tuple(per), label="uniform")
+    def _uniform_traffic(self, n_nodes=4, messages_per_node=3):
+        return traffic_from_lists(
+            [
+                [(node + 1 + i) % n_nodes for i in range(messages_per_node)]
+                for node in range(n_nodes)
+            ],
+            label="uniform",
+        )
 
     def test_counts(self):
         traffic = self._uniform_traffic()
         assert traffic.total_messages == 12
         assert traffic.local_messages == 0
-        assert traffic.network_messages == 12
+        assert traffic.total_messages - traffic.local_messages == 12
 
     def test_local_message_counting(self):
-        per = (
-            NodeTraffic(node=0, destinations=(0, 1), memory_locations=(0, 0)),
-            NodeTraffic(node=1, destinations=(1,), memory_locations=(0,)),
-        )
-        traffic = TrafficPattern(n_nodes=2, per_node=per)
+        traffic = traffic_from_lists([[0, 1], [1]], [[0, 0], [0]])
         assert traffic.local_messages == 2
-        assert traffic.network_messages == 1
+        assert traffic.total_messages - traffic.local_messages == 1
 
     def test_destination_histogram(self):
-        traffic = self._uniform_traffic(n_nodes=3, per_node=2)
+        traffic = self._uniform_traffic(n_nodes=3, messages_per_node=2)
         assert traffic.destination_histogram().sum() == traffic.total_messages
-
-    def test_load_imbalance_of_balanced_traffic(self):
-        assert self._uniform_traffic().load_imbalance() == pytest.approx(1.0)
 
     def test_validation_errors(self):
         with pytest.raises(MappingError):
-            NodeTraffic(node=0, destinations=(1,), memory_locations=())
+            TrafficPattern(1, [0, 1], [0], [])
         with pytest.raises(MappingError):
-            TrafficPattern(
-                n_nodes=2,
-                per_node=(
-                    NodeTraffic(node=0, destinations=(5,), memory_locations=(0,)),
-                    NodeTraffic(node=1, destinations=(), memory_locations=()),
-                ),
-            )
+            traffic_from_lists([[5], []])
         with pytest.raises(MappingError):
-            TrafficPattern(
-                n_nodes=2,
-                per_node=(NodeTraffic(node=1, destinations=(), memory_locations=()),) * 2,
-            )
+            TrafficPattern(2, [0, 0], [], [])
 
     def test_traffic_from_permutation(self):
         permutation = np.array([2, 3, 0, 1])
@@ -181,8 +166,7 @@ class TestTrafficPattern:
         traffic = traffic_from_permutation(permutation, owner, n_nodes=2)
         assert traffic.total_messages == 4
         # Position 0 (PE 0) sends to position 2's owner (PE 1), etc.
-        assert traffic.per_node[0].destinations == (1, 1)
-        assert traffic.per_node[1].destinations == (0, 0)
+        assert [dests for dests, _ in node_lists(traffic)] == [[1, 1], [0, 0]]
         assert traffic.local_messages == 0
 
     def test_traffic_from_permutation_validates_shapes(self):
@@ -194,34 +178,18 @@ class TestTrafficPattern:
 
 def _all_to_next_traffic(n_nodes: int, messages_per_node: int) -> TrafficPattern:
     """Every node sends ``messages_per_node`` messages to its successor node."""
-    per = []
-    for node in range(n_nodes):
-        dest = (node + 1) % n_nodes
-        per.append(
-            NodeTraffic(
-                node=node,
-                destinations=(dest,) * messages_per_node,
-                memory_locations=tuple(range(messages_per_node)),
-            )
-        )
-    return TrafficPattern(n_nodes=n_nodes, per_node=tuple(per), label="all-to-next")
+    return traffic_from_lists(
+        [[(node + 1) % n_nodes] * messages_per_node for node in range(n_nodes)],
+        label="all-to-next",
+    )
 
 
 def _random_traffic(n_nodes: int, messages_per_node: int, seed: int = 0) -> TrafficPattern:
     rng = np.random.default_rng(seed)
-    per = []
-    for node in range(n_nodes):
-        destinations = tuple(
-            int(d) for d in rng.integers(0, n_nodes, messages_per_node)
-        )
-        per.append(
-            NodeTraffic(
-                node=node,
-                destinations=destinations,
-                memory_locations=tuple(range(messages_per_node)),
-            )
-        )
-    return TrafficPattern(n_nodes=n_nodes, per_node=tuple(per), label="random")
+    return traffic_from_lists(
+        [rng.integers(0, n_nodes, messages_per_node) for _ in range(n_nodes)],
+        label="random",
+    )
 
 
 class TestSimulator:
@@ -248,22 +216,14 @@ class TestSimulator:
         assert fast.ncycles < slow.ncycles
 
     def test_local_messages_bypass_network_when_rl0(self, small_kautz_topology):
-        per = tuple(
-            NodeTraffic(node=n, destinations=(n,) * 10, memory_locations=tuple(range(10)))
-            for n in range(8)
-        )
-        traffic = TrafficPattern(n_nodes=8, per_node=per, label="all-local")
+        traffic = traffic_from_lists([[n] * 10 for n in range(8)], label="all-local")
         result = NocSimulator(small_kautz_topology, NocConfiguration(route_local=False)).run(traffic)
         assert result.local_bypassed == 80
         assert result.statistics.total_hops == 0
         assert result.ncycles <= 2
 
     def test_local_messages_routed_when_rl1(self, small_kautz_topology):
-        per = tuple(
-            NodeTraffic(node=n, destinations=(n,) * 4, memory_locations=tuple(range(4)))
-            for n in range(8)
-        )
-        traffic = TrafficPattern(n_nodes=8, per_node=per, label="all-local")
+        traffic = traffic_from_lists([[n] * 4 for n in range(8)], label="all-local")
         result = NocSimulator(small_kautz_topology, NocConfiguration(route_local=True)).run(traffic)
         assert result.local_bypassed == 0
         assert result.all_delivered
@@ -286,11 +246,7 @@ class TestSimulator:
     def test_scm_can_misroute_under_hotspot(self):
         # All nodes hammer node 0 so output-port collisions are guaranteed.
         topology = generalized_kautz(8, 2)
-        per = tuple(
-            NodeTraffic(node=n, destinations=(0,) * 15, memory_locations=tuple(range(15)))
-            for n in range(8)
-        )
-        traffic = TrafficPattern(n_nodes=8, per_node=per, label="hotspot")
+        traffic = traffic_from_lists([[0] * 15] * 8, label="hotspot")
         scm = NocSimulator(topology, NocConfiguration(collision_policy=CollisionPolicy.SCM)).run(
             traffic
         )

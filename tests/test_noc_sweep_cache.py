@@ -113,6 +113,15 @@ class TestBitIdentical:
             assert _outcome_fields(base) == _outcome_fields(mixed)
 
 
+def _bump_traffic(job: NocSweepJob, name: str, index: int, delta: int) -> NocSweepJob:
+    """``job`` with entry ``index`` of one traffic array moved by ``delta``."""
+    array = getattr(job.traffic, name).copy()
+    array[index] += delta
+    return dataclasses.replace(
+        job, traffic=dataclasses.replace(job.traffic, **{name: array})
+    )
+
+
 class TestKeying:
     def test_key_is_stable(self, cache):
         job = _jobs(1)[0]
@@ -139,6 +148,8 @@ class TestKeying:
                 j, config=dataclasses.replace(j.config, route_local=True)
             ),
             lambda j: dataclasses.replace(j, traffic=random_traffic(j.parallelism, 10, seed=77)),
+            lambda j: _bump_traffic(j, "offsets", 1, -1),  # node 0's last message -> node 1
+            lambda j: _bump_traffic(j, "memory", 0, 1),
         ],
     )
     def test_any_field_change_changes_key(self, cache, mutate):

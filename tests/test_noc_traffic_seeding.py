@@ -21,6 +21,7 @@ from repro.noc import (
     random_traffic_streams,
 )
 from repro.utils.rng import make_rng
+from traffic_lists import node_lists
 
 
 class TestRandomTrafficSeeding:
@@ -29,11 +30,11 @@ class TestRandomTrafficSeeding:
             first = random_traffic(8, 30, seed=seed)
             second = random_traffic(8, 30, seed=seed)
             assert first == second
-            assert first.per_node == second.per_node
+            assert node_lists(first) == node_lists(second)
 
     def test_distinct_seeds_yield_distinct_patterns(self):
         patterns = [random_traffic(8, 30, seed=seed) for seed in range(8)]
-        destinations = {p.per_node[0].destinations + p.per_node[1].destinations for p in patterns}
+        destinations = {tuple(p.dest[: p.offsets[2]].tolist()) for p in patterns}
         assert len(destinations) == len(patterns)
 
     def test_same_seed_same_result_on_engine_and_object_simulator(self):
@@ -58,12 +59,11 @@ class TestRandomTrafficSeeding:
         rng = make_rng(7)
         first = random_traffic(6, 10, rng=rng)
         second = random_traffic(6, 10, rng=rng)
-        assert first.per_node != second.per_node  # consecutive draws differ
+        assert node_lists(first) != node_lists(second)  # consecutive draws differ
 
     def test_destinations_stay_in_range(self):
         traffic = random_traffic(5, 200, seed=3)
-        for node_traffic in traffic.per_node:
-            assert all(0 <= d < 5 for d in node_traffic.destinations)
+        assert all(0 <= d < 5 for d in traffic.dest.tolist())
 
     def test_label_defaults_to_descriptive_string(self):
         assert random_traffic(4, 3, seed=9).label == "random(P=4,m=3,seed=9)"
@@ -84,17 +84,17 @@ class TestSpawnedTrafficStreams:
     def test_streams_are_reproducible_from_the_sweep_seed(self):
         first = random_traffic_streams(8, 20, seed=5, count=4)
         second = random_traffic_streams(8, 20, seed=5, count=4)
-        assert [p.per_node for p in first] == [p.per_node for p in second]
+        assert [node_lists(p) for p in first] == [node_lists(p) for p in second]
 
     def test_streams_are_mutually_distinct(self):
         streams = random_traffic_streams(8, 20, seed=5, count=6)
-        signatures = {p.per_node[0].destinations + p.per_node[1].destinations for p in streams}
+        signatures = {tuple(p.dest[: p.offsets[2]].tolist()) for p in streams}
         assert len(signatures) == len(streams)
 
     def test_streams_differ_across_sweep_seeds(self):
         a = random_traffic_streams(8, 20, seed=5, count=2)
         b = random_traffic_streams(8, 20, seed=6, count=2)
-        assert a[0].per_node != b[0].per_node
+        assert node_lists(a[0]) != node_lists(b[0])
 
     def test_stream_labels_identify_the_sweep_point(self):
         streams = random_traffic_streams(4, 3, seed=2, count=2)

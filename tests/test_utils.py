@@ -140,7 +140,7 @@ class TestTables:
 
     def test_table_rejects_wrong_row_width(self):
         table = Table(title="demo", columns=["a", "b"])
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError):
             table.add_row([1])
 
     def test_table_column_alignment(self):
@@ -172,5 +172,5 @@ class TestRng:
         assert not np.array_equal(rngs[0].integers(0, 1000, 10), rngs[1].integers(0, 1000, 10))
 
     def test_spawn_rngs_negative_count(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError):
             spawn_rngs(0, -1)
