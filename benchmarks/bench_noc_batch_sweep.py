@@ -23,9 +23,9 @@ their single-core ratio stays below DCM's.  Groups below the scheduler's
 fixed per-policy crossover run the scalar engine (at J = 8 that is the SCM
 cells), and the ``crossover`` row records the grid those crossovers were
 sized from.  The ``phase_b_kernel`` row times the kernel alone on the
-Monte-Carlo shape of the repository benchmark's ``noc_table1`` workload.
-The scheduler's
-``parallel="process"`` mode multiplies the serial ratio by the worker count
+Monte-Carlo shape of the repository benchmark's ``noc_table1`` workload,
+DCM and SCM cells apart, and counts the replayed SCM passes by class.
+The scheduler's ``parallel="process"`` mode multiplies the serial ratio by the worker count
 on multi-core hosts (and stays serial at one worker); its row records the
 workers used.
 """
@@ -33,6 +33,7 @@ workers used.
 from __future__ import annotations
 
 import os
+from collections import Counter
 
 from repro.noc import (
     BatchedNocKernel,
@@ -47,9 +48,10 @@ from repro.noc import (
     build_topology,
     run_noc_sweep,
 )
+from repro.noc import engine_batch
 from repro.noc.traffic import random_traffic_streams
 
-from benchmarks.harness import full_benchmarks_enabled, record, row, trials
+from benchmarks.harness import full_benchmarks_enabled, record, row, stopwatch, trials
 
 #: (parallelism, degree, messages per PE) — message counts sized like the
 #: n=2304 rate-1/2 WiMAX LDPC code partitioned over P PEs (~2304/P each).
@@ -235,13 +237,44 @@ PHASE_B_GRAPH = ("generalized-kautz", 16, 3)
 PHASE_B_MESSAGES = 144
 
 
+def _replay_classes(kernel, traffics, seeds) -> tuple[dict[str, int], float]:
+    """One untimed kernel run's suspended SCM passes, by serving positions left.
+
+    Wraps the kernel's deflection replay to count, per replayed pass,
+    ``n_occ - w0`` (1: a draw-only row; 2 or more: the serve-loop port),
+    and returns the counts with the seconds spent in the replay.
+    """
+    replay = engine_batch._resume_suspended
+    counts: Counter[int] = Counter()
+    spent = []
+
+    def counting(st, rows, waves, n_occ, *args):
+        counts.update((n_occ[rows] - waves).tolist())
+        with stopwatch() as lap:
+            replay(st, rows, waves, n_occ, *args)
+        spent.append(lap.seconds)
+
+    engine_batch._resume_suspended = counting
+    try:
+        kernel.run(traffics, seeds)
+    finally:
+        engine_batch._resume_suspended = replay
+    return {str(left): counts[left] for left in sorted(counts)}, sum(spent)
+
+
 def test_phase_b_kernel():
     """The batched kernel vs the scalar engine on phase B's exact shape.
 
-    One trial of an arm runs all six cells: the kernel as one
-    ``BatchedNocKernel.run`` per cell (J streams in lockstep), the scalar
-    engine as one reused engine per cell, job after job.  Both arms'
-    outputs are asserted equal.  J = 128 as in phase B under
+    One trial runs four interleaved arms: each path over the three DCM cells
+    and over the three SCM cells, the kernel as one ``BatchedNocKernel.run``
+    per cell (J streams in lockstep), the scalar engine as one reused engine
+    per cell, job after job.  ``timing`` pairs the per-trial sums of both
+    policies (all six cells, the gated ratio); ``dcm_timing`` and
+    ``scm_timing`` split it by policy, so the SCM cells' extra cost — the
+    deflection replay — reads against the pure vector path.  One more,
+    untimed kernel run per SCM cell records the replayed passes by serving
+    positions left (``replay_classes``) and its replay seconds.  Both
+    paths' outputs are asserted equal.  J = 128 as in phase B under
     ``REPRO_BENCH_FULL=1``, J = 32 otherwise.
     """
     family, parallelism, degree = PHASE_B_GRAPH
@@ -250,7 +283,7 @@ def test_phase_b_kernel():
     tables = build_routing_tables(topology)
     traffics = random_traffic_streams(parallelism, PHASE_B_MESSAGES, seed=3, count=streams)
     seeds = list(range(streams))
-    cells = []
+    cells: dict[str, list] = {policy.value.lower(): [] for policy in CollisionPolicy}
     for algorithm in RoutingAlgorithm:
         for policy in CollisionPolicy:
             config = NocConfiguration(collision_policy=policy).with_routing(algorithm)
@@ -258,27 +291,48 @@ def test_phase_b_kernel():
             kernel = BatchedNocKernel(topology, config, routing_tables=tables)
             engine.run(traffics[0], seed=0)  # warm both paths
             kernel.run(traffics[:2], seeds[:2])
-            cells.append((engine, kernel))
+            cells[policy.value.lower()].append((algorithm, engine, kernel))
 
-    def scalar():
-        return [
-            engine.run(t, seed=s) for engine, _ in cells for t, s in zip(traffics, seeds)
+    arms = {}
+    for name, group in cells.items():
+        arms[f"scalar_{name}"] = lambda group=group: [
+            engine.run(t, seed=s) for _, engine, _ in group for t, s in zip(traffics, seeds)
         ]
-
-    def batched():
-        return [r for _, kernel in cells for r in kernel.run(traffics, seeds)]
-
-    samples, results = trials({"scalar": scalar, "batched": batched}, 3)
-    assert [_signature(r) for r in results["batched"]] == [
-        _signature(r) for r in results["scalar"]
-    ]
-    timing = row(samples, "scalar")
+        arms[f"batched_{name}"] = lambda group=group: [
+            r for _, _, kernel in group for r in kernel.run(traffics, seeds)
+        ]
+    samples, results = trials(arms, 3)
+    split = {}
+    for name in cells:
+        assert [_signature(r) for r in results[f"batched_{name}"]] == [
+            _signature(r) for r in results[f"scalar_{name}"]
+        ]
+        split[f"{name}_timing"] = row(
+            {arm: samples[f"{arm}_{name}"] for arm in ("scalar", "batched")}, "scalar"
+        )
+    timing = row(
+        {
+            arm: [a + b for a, b in zip(samples[f"{arm}_dcm"], samples[f"{arm}_scm"])]
+            for arm in ("scalar", "batched")
+        },
+        "scalar",
+    )
+    replay_classes, replay_s = {}, {}
+    for algorithm, _, kernel in cells["scm"]:
+        replay_classes[algorithm.value], seconds = _replay_classes(kernel, traffics, seeds)
+        replay_s[algorithm.value] = round(seconds, 4)
     speedup = timing["vs"]["batched"]["ratio"]
-    jobs = len(cells) * streams
+    jobs = 2 * len(RoutingAlgorithm) * streams
+    cell_ms = {
+        name: split[f"{name}_timing"]["arms"]["batched"]["median"] / len(group) * 1e3
+        for name, group in cells.items()
+    }
     print(
-        f"\nphase B kernel vs scalar engine ({len(cells)} cells x J={streams}): "
+        f"\nphase B kernel vs scalar engine ({jobs // streams} cells x J={streams}): "
         f"{jobs / timing['arms']['scalar']['median']:.0f} -> "
-        f"{jobs / timing['arms']['batched']['median']:.0f} jobs/s ({speedup:.2f}x)"
+        f"{jobs / timing['arms']['batched']['median']:.0f} jobs/s ({speedup:.2f}x); "
+        f"kernel per cell DCM {cell_ms['dcm']:.0f} ms, SCM {cell_ms['scm']:.0f} ms; "
+        f"replay {replay_s} s; suspended passes by positions left {replay_classes}"
     )
     record(
         "noc_batch_sweep",
@@ -289,6 +343,9 @@ def test_phase_b_kernel():
             "streams": streams,
             "jobs": jobs,
             "timing": timing,
+            **split,
+            "replay_classes": replay_classes,
+            "replay_s": replay_s,
         },
     )
     if not os.environ.get("CI"):

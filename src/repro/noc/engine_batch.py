@@ -33,7 +33,7 @@ pairs:
    losers wait (DCM) or request a deflection (SCM); the wave masks evolve in
    preallocated scratch buffers (no per-wave temporaries);
 3. **commit** — every pop, delivery stamp and downstream push the waves
-   granted, in one batch;
+   (and the SCM replay below) granted, in one batch;
 4. **PE injection** — open loop: the k-th network message of every row that
    has one enters its injection FIFO at the same precomputed firing cycle.
 
@@ -64,16 +64,20 @@ the rest of that node's pass unfolds.  Nodes that need a draw are therefore
 remaining waves, and replayed after the wave loop by one scalar walk over the
 suspended (job, node) passes in flat (job, node) order — each job's passes in
 ascending node order, so every job draws from its own ``getrandbits`` exactly
-where the scalar engines would.  The replay's pops, deliveries and pushes are
-then scattered back in one batch.
+where the scalar engines would.  A pass whose draw is its last serving
+position runs only the draw in that walk, its port a batched lookup; a pass
+with positions behind the draw runs the scalar serve loop.  The replay
+writes its deliveries and sends into the wave masks, so the cycle's one
+batched commit applies them with the waves' own grants.
 
 Jobs that finish early are masked out (their FIFOs are empty, so their
 serving orders vanish, and the per-job ``ncycles`` is latched the cycle they
 drain).  Configurations the job axis cannot express without cross-node
 sequencing — bounded FIFO capacities, where backpressure makes node n's pass
-observe node n-1's pops within the same cycle — fall back to the scalar
-engine per job, so :meth:`BatchedNocKernel.run` is total over the
-configuration space.
+observe node n-1's pops within the same cycle — and topologies with nodes of
+more than 32 output ports (the width of the int32 free-port masks) fall back
+to the scalar engine per job, so :meth:`BatchedNocKernel.run` is total over
+the configuration space.
 
 The kernel is pinned *cycle-exact, per job*, against
 :class:`~repro.noc.engine.BatchNocSimulator` (which is itself pinned against
@@ -179,10 +183,17 @@ class _BatchedStatic:
         # engines' bounded draw.
         self.out_deg = out_deg.tolist()
         self.sp_list: list[list[int]] = tables.next_port_matrix.tolist()
-        self.tgt_list: list[list[int]] = tgt.tolist()
         self.ap_rows = tables.next_ports
         self.deflect_sets: dict[int, tuple[int, ...]] = {}
         self.bitlen = [0] + [k.bit_length() for k in range(1, self.max_out + 1)]
+        # Batched lookups for the single-position replay rows, over the 8-bit
+        # slices of a free-port mask: the free ports in a byte, and the bit
+        # of its r-th free port (ascending).
+        byte_bits = (np.arange(256)[:, None] >> np.arange(8)) & 1
+        self.byte_count = byte_bits.sum(axis=1).astype(np.intp)
+        self.byte_select = np.zeros((256, 8), dtype=np.intp)
+        mask, bit = np.nonzero(byte_bits)
+        self.byte_select[mask, byte_bits.cumsum(axis=1)[mask, bit] - 1] = bit
         self.config = config
         self.topology = topology
         self.tables = tables
@@ -263,9 +274,14 @@ class BatchedNocKernel:
                 )
         max_total = max(traffic.total_messages for traffic in traffics)
         # The job axis cannot express bounded-capacity backpressure (node n's
-        # free-port view depends on node n-1's pops within the same cycle), and
-        # a batch of one gains nothing from stacking: both run scalar.
-        if len(traffics) == 1 or self.config.fifo_capacity <= max_total:
+        # free-port view depends on node n-1's pops within the same cycle) or
+        # a node with more output ports than its int32 free-port mask has
+        # bits, and a batch of one gains nothing from stacking: all run scalar.
+        if (
+            len(traffics) == 1
+            or self.config.fifo_capacity <= max_total
+            or int(self.topology.out_degrees.max()) > 32
+        ):
             if self._scalar is None:
                 # Seed-independent: per-job seeds are passed to run() only.
                 self._scalar = BatchNocSimulator(
@@ -496,6 +512,7 @@ def _run_batched(
     t1_s = np.empty(Jn, dtype=bool)
     nonloc_s = np.empty(Jn, dtype=bool)
     need_s = np.empty(Jn, dtype=bool) if scm_mode else None
+    susp_w = np.empty(Jn, dtype=np.intp) if scm_mode else None  # suspension wave
     tmp_i = np.empty(Jn, dtype=np.int32)
     tmp_b = np.empty(Jn, dtype=np.int32)
     one32 = np.int32(1)
@@ -564,8 +581,8 @@ def _run_batched(
             stw = send_t[:wmax]
             dt.fill(False)
             stw.fill(False)
-            susp_rows: list[np.ndarray] = []
-            susp_wave: list[int] = []
+            # Every send's output port: the SSP route or the ASP choice.
+            port_t = qsel_t[:wmax] if asp_mode else route_t
             susp_any = False
 
             for w in range(wmax):
@@ -618,18 +635,27 @@ def _run_batched(
                         # A drawing candidate is non-local with no grantable
                         # port, so it is disjoint from this wave's deliver and
                         # send sets; masking ``live`` only affects later waves.
-                        rows = np.flatnonzero(need_s)
-                        live[rows] = False
+                        np.logical_xor(live, need_s, out=live)
+                        np.copyto(susp_w, w, where=need_s)
                         susp_any = True
-                        susp_rows.append(rows)
-                        susp_wave.append(w)
                 if track_free:
                     # ``tmp_i`` holds each lane's port bit, free for senders.
                     np.bitwise_xor(free, tmp_i, out=free, where=send_s)
                 np.logical_xor(local_free, deliver_s, out=local_free)
 
-            # 2b. Batched commits of everything the waves granted: one flat
-            # nonzero sweep per mask, read through flat views.
+            # 2b. Scalar replay of the draw-needing nodes, in exact per-job
+            # (node, serving-position) stream order, into the wave masks.
+            if susp_any:
+                rows = np.flatnonzero(np.logical_not(live, out=v_s))
+                _resume_suspended(
+                    st, rows, susp_w[rows], n_occ, mid_t, dest_flat, free,
+                    local_free, dt.reshape(-1), stw.reshape(-1), port_t.reshape(-1),
+                    mis_flat, code, draws,
+                )
+                live.fill(True)
+
+            # 2c. Batched commits of everything the waves and the replay
+            # granted: one flat nonzero sweep per mask, read through flat views.
             idx_flat = idx_w.ravel()
             mid_flat = mid_t.ravel()
             fd = np.flatnonzero(dt)
@@ -645,7 +671,7 @@ def _run_batched(
                 pidx = idx_flat[fs]
                 heads[pidx] += 1
                 upd_parts.append(pidx)
-                qs = (qsel_t[:wmax] if asp_mode else route_t).ravel()[fs]
+                qs = port_t.ravel()[fs]
                 if asp_mode:
                     code[row_so[fs] + qs] += so
                 sidx = tgt_row[row_out[fs] + qs]
@@ -655,17 +681,6 @@ def _run_batched(
                 buf[sidx * L + pos] = mid_flat[fs]
                 lens[sidx] = pos + one32
                 upd_parts.append(sidx)
-
-            # 2c. Scalar replay of the draw-needing nodes, in exact per-job
-            # (node, serving-position) stream order, with deferred scatters.
-            if susp_rows:
-                buf, L = _resume_suspended(
-                    st, susp_rows, susp_wave, n_occ, idx_w, mid_t,
-                    dest_flat, free, local_free, heads, lens, buf, L, NFp, J,
-                    del_cycle_flat, mis_flat, delivered_j, code, draws,
-                    upd_parts, cycle,
-                )
-                live[np.concatenate(susp_rows)] = True
 
             if rr_mode:
                 np.greater(n_occ, 0, out=v_s)
@@ -718,66 +733,90 @@ def _grow(buf: np.ndarray, L: int) -> tuple[np.ndarray, int]:
 
 
 def _resume_suspended(
-    st, susp_rows, susp_wave, n_occ, idx_w, mid_t, dest_flat,
-    free_arr, local_free_arr, heads, lens, buf, L, NFp, J,
-    del_cycle_flat, mis_flat, delivered_j, code, draws, upd_parts, cycle,
+    st, rows, w0s, n_occ, mid_t, dest_flat, free_arr, local_free_arr,
+    deliver_flat, send_flat, port_flat, mis_flat, code, draws,
 ):
-    """Replay every suspended SCM (job, node) pass and scatter its effects back.
+    """Replay the suspended SCM (job, node) passes into the wave masks.
 
-    A suspended pass must consume its job's deflection stream *after* every
-    suspended pass of the same job at a lower node id and *before* every one
-    at a higher node id; passes of different jobs are independent.  Sorting
-    the suspended rows by flat (job, node) id yields exactly that per-job
-    order, so one walk over the sorted rows — a direct port of the scalar
-    engine's serve loop over plain Python lists, drawing inline from each
-    job's ``getrandbits`` — reproduces the scalar engines draw for draw.  The
-    per-candidate values are gathered in a handful of batched reads up front,
-    and all pops / deliveries / misroutes / pushes are scattered back in one
-    batch at the end.
+    ``rows`` are the suspended (job, node) rows, ascending, and ``w0s`` their
+    suspension waves.  A suspended pass must consume its job's deflection
+    stream *after* every suspended pass of the same job at a lower node id
+    and *before* every one at a higher node id; passes of different jobs are
+    independent.  The ascending flat (job, node) ids give exactly that
+    per-job order, so one walk over the rows, drawing inline from each job's
+    ``getrandbits``, reproduces the scalar engines draw for draw.
+
+    Most passes suspend at their last occupied serving position, so the draw
+    is all that is left of them.  For such a *single-position* row the walk
+    runs only the bounded draw: its candidate count is looked up before the
+    walk and its port after it, both batched.  A *multi-position* row still
+    has candidates behind the draw, whose outcome depends on the drawn port,
+    so the walk runs a direct port of the scalar engine's serve loop for it
+    over plain Python lists.  Either way the outcome is a set of (wave, row)
+    positions — deliveries, and sends with their ports — written into the
+    flat wave masks, so the cycle's one batched commit pops, stamps, pushes
+    and bumps the ASP send counts for them as for the waves' own grants; only
+    the misroute flags are set here.
     """
     n = st.n_nodes
+    Jn = n_occ.size
+    max_out = st.max_out
     asp = st.asp_mode
-    rows = np.concatenate(susp_rows)
-    w0s = np.repeat(np.array(susp_wave, dtype=np.intp), [len(r) for r in susp_rows])
-    order = np.argsort(rows)  # rows are unique: one suspension per pass
-    rows = rows[order]
-    w0s = w0s[order]
-    # Flat row-major lists (row i's values at i * wmax + w): one container
-    # per column instead of one per row keeps the cyclic GC out of the loop.
-    mids = mid_t[:, rows].T  # (r, wmax)
+    single = n_occ[rows] - w0s == 1
+    multi = ~single
+    # Single-position rows: the draw's candidate count (free ports, counted
+    # byte by byte), 0 marking the multi-position rows in the walk.
+    free_r = free_arr[rows]
+    n_cand = st.byte_count[free_r & 255]
+    for shift in range(8, max_out, 8):
+        n_cand += st.byte_count[(free_r >> shift) & 255]
+    n_cand[multi] = 0
+    # Multi-position rows, as flat row-major lists (row i's values at
+    # i * wmax + w): one container per column instead of one per row keeps
+    # the cyclic GC out of the loop.
+    m_rows = rows[multi]
+    mids = mid_t[:, m_rows].T  # (r, wmax)
     wmax = mids.shape[1]
     mid_l = mids.ravel().tolist()
     dest_l = dest_flat[mids].ravel().tolist()
-    fidx_l = idx_w[:, rows].T.ravel().tolist()
-    free_l = free_arr[rows].tolist()
-    lf_l = local_free_arr[rows].tolist()
-    nocc_l = n_occ[rows].tolist()
-    w0_l = w0s.tolist()
+    free_l = free_arr[m_rows].tolist()
+    lf_l = local_free_arr[m_rows].tolist()
+    nocc_l = n_occ[m_rows].tolist()
+    w0_l = w0s[multi].tolist()
+    m_rows_l = m_rows.tolist()
     if asp:
         # The kernel's traffic-spreading codes ``sends * so + port``: the
         # smallest code among the free ports is the scalar engines' choice.
-        so = st.max_out + 1
-        code2 = code.reshape(-1, so)
-        code_l = code2[rows].ravel().tolist()
-    sp_list, tgt_list = st.sp_list, st.tgt_list
+        # A port sent on is never free again within the pass, so this
+        # cycle's sends (committed later) change no code the walk reads.
+        so = max_out + 1
+        code_l = code.reshape(-1, so)[m_rows].ravel().tolist()
+    sp_list = st.sp_list
     deflect_sets = st.deflect_sets
     bitlen = st.bitlen
-    pops: list[int] = []
-    dels: list[int] = []
-    deljobs: list[int] = []
+    drawn: list[int] = []
+    delivered: list[int] = []
+    sent: list[int] = []
+    ports: list[int] = []
     mis: list[int] = []
-    s_sidx: list[int] = []
-    s_mid: list[int] = []
 
-    for i, row in enumerate(rows.tolist()):
-        j = row // n
+    i = 0  # next multi-position row
+    for j, nc in zip((rows // n).tolist(), n_cand.tolist()):
+        if nc:
+            # Inlined bounded_draw over the job's getrandbits stream.
+            getrandbits = draws[j]
+            k = bitlen[nc]
+            r = getrandbits(k)
+            while r >= nc:
+                r = getrandbits(k)
+            drawn.append(r)
+            continue
+        row = m_rows_l[i]
         node = row - j * n
         free = free_l[i]
         lf = lf_l[i]
         mw = i * wmax
-        jb_nf = j * NFp
         sp_row = sp_list[node]
-        tgt_row = tgt_list[node]
         getrandbits = draws[j]
         if asp:
             ap_row = st.ap_rows[node]
@@ -788,9 +827,7 @@ def _resume_suspended(
             dest = dest_l[mw + w]
             if dest == node:
                 if lf:
-                    pops.append(fidx_l[mw + w])
-                    dels.append(mid)
-                    deljobs.append(j)
+                    delivered.append(w * Jn + row)
                     lf = False
                 continue
             out = -1
@@ -813,42 +850,39 @@ def _resume_suspended(
                 if candidates is None:
                     candidates = tuple(q for q in range(out_deg) if free >> q & 1)
                     deflect_sets[free] = candidates
-                # Inlined bounded_draw over the job's getrandbits stream.
-                n_cand = len(candidates)
-                k = bitlen[n_cand]
+                n_c = len(candidates)
+                k = bitlen[n_c]
                 r = getrandbits(k)
-                while r >= n_cand:
+                while r >= n_c:
                     r = getrandbits(k)
                 out = candidates[r]
                 mis.append(mid)
-            pops.append(fidx_l[mw + w])
             free &= ~(1 << out)
-            if asp:
-                code_l[se + out] += so
-            s_sidx.append(jb_nf + tgt_row[out])
-            s_mid.append(mid)
-        # free / local-port state is per cycle; nothing else to write back.
+            sent.append(w * Jn + row)
+            ports.append(out)
+        i += 1
 
-    if asp:
-        code2[rows] = np.array(code_l, dtype=code.dtype).reshape(-1, so)
-    if pops:
-        parr = np.array(pops, dtype=np.intp)
-        heads[parr] += 1
-        upd_parts.append(parr)
-    if dels:
-        del_cycle_flat[dels] = cycle
-        delivered_j += np.bincount(deljobs, minlength=J)
-    if mis:
-        mis_flat[mis] = 1
-    if s_sidx:
-        sarr = np.array(s_sidx, dtype=np.intp)
-        pos = lens[sarr]
-        if int(pos.max()) >= L:
-            buf, L = _grow(buf, L)
-        buf[sarr * L + pos] = s_mid
-        lens[sarr] = pos + 1
-        upd_parts.append(sarr)
-    return buf, L
+    # Single rows: the drawn rank's port, the r-th free port found byte by
+    # byte, sent from the suspension position as a misroute.
+    s_pos = np.flatnonzero(single)
+    s_rows = rows[s_pos]
+    s_free = free_r[s_pos]
+    rank = np.array(drawn, dtype=np.intp)
+    port = np.zeros_like(rank)
+    for shift in range(0, max_out, 8):
+        byte = (s_free >> shift) & 255
+        in_byte = st.byte_count[byte]
+        hit = (rank >= 0) & (rank < in_byte)
+        port[hit] = shift + st.byte_select[byte[hit], rank[hit]]
+        rank -= in_byte
+    s_flat = w0s[s_pos] * Jn + s_rows
+    send_flat[s_flat] = True
+    port_flat[s_flat] = port
+    mis_flat[mid_t.reshape(-1)[s_flat]] = 1
+    send_flat[sent] = True
+    port_flat[sent] = ports
+    deliver_flat[delivered] = True
+    mis_flat[mis] = 1
 
 
 def _collect_batched(

@@ -405,6 +405,21 @@ def _state_major(values: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(values.transpose(1, 2, 0))
 
 
+def _hard_symbols(apo: np.ndarray) -> np.ndarray:
+    """``np.argmax(apo, axis=1)`` of a NaN-free state-major ``(n, 4, b)`` array.
+
+    A first-max compare chain over the four contiguous ``(n, b)`` symbol
+    slices: a later symbol wins only when strictly larger, so ties keep the
+    lowest symbol, as argmax does.  Returned as ``int8``.
+    """
+    a0, a1, a2, a3 = apo[:, 0], apo[:, 1], apo[:, 2], apo[:, 3]
+    hard = np.greater(a1, a0).view(np.int8)
+    best = np.maximum(a0, a1)
+    hard = np.where(np.greater(a2, best), np.int8(2), hard)
+    np.maximum(best, a2, out=best)
+    return np.where(np.greater(a3, best), np.int8(3), hard)
+
+
 def _couple_gather(source: np.ndarray, swapped: np.ndarray, orders: np.ndarray) -> np.ndarray:
     """Flat index taking couple ``source[i]`` to couple ``i`` of a ``(n, width)`` array.
 
@@ -678,7 +693,7 @@ class BatchTurboDecoder:
             ext_2_to_1 = _reorder(self._maybe_bit_level(ext), self._deinterleave_symbols)
             apo_natural = _reorder(apo, self._deinterleave_symbols)
             del ext, apo, ext_1_to_2
-            hard = np.argmax(apo_natural, axis=1)  # (n, b)
+            hard = _hard_symbols(apo_natural)  # (n, b)
             iterations[act_idx] = iteration + 1
 
             if previous is None:

@@ -44,17 +44,6 @@ class TurboCodeword:
         """Number of information couples."""
         return self.systematic.shape[0]
 
-    @property
-    def n_info_bits(self) -> int:
-        """Number of information bits (2 per couple)."""
-        return 2 * self.n_couples
-
-    @property
-    def n_coded_bits(self) -> int:
-        """Number of transmitted coded bits."""
-        parity_bits_per_couple = 2 if self.rate == "1/2" else 4
-        return self.n_couples * (2 + parity_bits_per_couple)
-
     def to_bit_array(self) -> np.ndarray:
         """Serialise to a flat bit array: systematic, then parity1, then parity2.
 

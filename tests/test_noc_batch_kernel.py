@@ -243,6 +243,51 @@ class TestDifferentialKernelVsEngine:
         if spec[0] == "generalized-kautz":
             assert sum(r.statistics.misrouted for r in results) > 0
 
+    @pytest.mark.parametrize("algorithm", list(RoutingAlgorithm))
+    def test_split_replay_classes_cycle_exact(self, algorithm, monkeypatch):
+        """The replay's two row classes against per-job scalar runs.
+
+        A suspended pass with one serving position left (the draw) replays
+        as a batched draw-only row, one with more positions left runs the
+        serve loop; both classes must share each job's stream in node
+        order.  The wrapped replay records, per cycle, every suspended
+        row's job and ``n_occ - w0``: positions 1, 2 and 3 must all occur,
+        and some job must hold a single- and a multi-position pass in the
+        same cycle.  Under ASP-FT the single rows' deflections also feed
+        the traffic-spreading send counts of later cycles.
+        """
+        import repro.noc.engine_batch as engine_batch
+
+        replay = engine_batch._resume_suspended
+        cycles: list[list[tuple[int, int]]] = []
+
+        def recording(st_, rows, waves, n_occ, *args):
+            jobs = (rows // st_.n_nodes).tolist()
+            cycles.append(list(zip(jobs, (n_occ[rows] - waves).tolist())))
+            return replay(st_, rows, waves, n_occ, *args)
+
+        monkeypatch.setattr(engine_batch, "_resume_suspended", recording)
+        topology, tables = _topology_and_tables(("generalized-kautz", 16, 3))
+        config = NocConfiguration(collision_policy=CollisionPolicy.SCM).with_routing(
+            algorithm
+        )
+        traffics = random_traffic_streams(16, 48, seed=61, count=4)
+        seeds = [2, 3, 5, 7]
+        results = BatchedNocKernel(topology, config, routing_tables=tables).run(
+            traffics, seeds
+        )
+        engine = BatchNocSimulator(topology, config, routing_tables=tables)
+        expected = [_observables(engine.run(t, seed=s)) for t, s in zip(traffics, seeds)]
+        assert [_observables(r) for r in results] == expected
+
+        classes = {left for cycle in cycles for _, left in cycle}
+        assert {1, 2, 3} <= classes
+        assert any(
+            {left == 1 for job_, left in cycle if job_ == job} == {True, False}
+            for cycle in cycles
+            for job in range(len(traffics))
+        )
+
     def test_deflection_draw_counts_match_scalar_streams(self):
         """The batch consumes exactly the scalar engines' per-job draw counts."""
         topology, tables = _topology_and_tables(("generalized-kautz", 8, 3))
@@ -358,6 +403,23 @@ class TestKernelContract:
             for t, s in zip(traffics, seeds)
         ]
         assert [_observables(r) for r in results] == [_observables(r) for r in singles]
+
+    @pytest.mark.parametrize("degree", [32, 33])
+    @pytest.mark.parametrize("policy", list(CollisionPolicy))
+    @pytest.mark.parametrize("algorithm", list(RoutingAlgorithm))
+    def test_widest_free_port_masks(self, degree, policy, algorithm):
+        """Free-port masks are int32: 32 output ports run batched, more run
+        the scalar engine.  A port above 31 has no mask bit, so a batched
+        SSP DCM group could never grant it and would run to ``max_cycles``."""
+        topology, tables = _topology_and_tables(("generalized-de-bruijn", 40, degree))
+        assert int(topology.out_degrees.max()) == degree
+        config = NocConfiguration(collision_policy=policy).with_routing(algorithm)
+        traffics = [random_traffic(40, 12, seed=800 + i) for i in range(3)]
+        seeds = [4, 5, 6]
+        kernel = BatchedNocKernel(topology, config, routing_tables=tables, max_cycles=5_000)
+        engine = BatchNocSimulator(topology, config, routing_tables=tables, max_cycles=5_000)
+        expected = [_observables(engine.run(t, seed=s)) for t, s in zip(traffics, seeds)]
+        assert [_observables(r) for r in kernel.run(traffics, seeds)] == expected
 
     def test_early_finish_masking(self):
         """Jobs that drain at very different cycles stay pinned per job."""
