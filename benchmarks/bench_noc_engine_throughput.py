@@ -32,7 +32,7 @@ from collections import deque
 
 import numpy as np
 
-from repro.ldpc import TannerGraph, wimax_ldpc_code
+from repro.ldpc import check_adjacency_graph, wimax_ldpc_code
 from repro.mapping import evaluate_traffic_quality, map_ldpc_code
 from repro.noc import (
     CollisionPolicy,
@@ -390,7 +390,7 @@ def _np_interleaver(h, owner, n_nodes):
 
 def _np_map(h, n_nodes, seed, attempts):
     """The replaced ``map_ldpc_code``: (check owner, traffic) of the best candidate."""
-    edges = TannerGraph(h).check_adjacency_graph().weights
+    edges = check_adjacency_graph(h).weights
     checks = np.arange(h.n_rows, dtype=np.int64)
     owners = [
         _np_partition(h.n_rows, edges, n_nodes, seed, attempts, h.row_degrees()),

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import warnings
-
 import numpy as np
 
 from repro.errors import ConfigurationError
@@ -61,26 +59,6 @@ class AWGNChannel:
             raise ConfigurationError(f"noise_sigma must be positive, got {noise_sigma}")
         self.noise_sigma = float(noise_sigma)
         self._rng = rng if rng is not None else make_rng(0)
-
-    @property
-    def noise_variance(self) -> float:
-        """Deprecated: noise variance *per real dimension* (``sigma^2``).
-
-        This property used to promise the total variance seen by the demapper
-        (``2*sigma^2`` for complex) while returning ``sigma^2`` — demapping a
-        complex constellation with it produced LLRs scaled 2x too hot.  It
-        cannot be fixed in place because the total depends on whether the
-        symbols are complex, which only the caller knows: use
-        :meth:`llr_noise_variance` instead.
-        """
-        warnings.warn(
-            "AWGNChannel.noise_variance is ambiguous (per-dimension, NOT the "
-            "demapper total for complex symbols); use "
-            "llr_noise_variance(symbols_complex) instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.noise_sigma**2
 
     def transmit(self, symbols: np.ndarray) -> np.ndarray:
         """Add white Gaussian noise to a block of channel symbols."""

@@ -53,16 +53,6 @@ class QuantizationSpec:
         """Smallest representable integer level."""
         return -(2 ** (self.total_bits - 1))
 
-    @property
-    def max_value(self) -> float:
-        """Largest representable real value."""
-        return self.max_level * self.step
-
-    @property
-    def min_value(self) -> float:
-        """Smallest representable real value."""
-        return self.min_level * self.step
-
 
 #: 7-bit format used for channel LLRs, alpha/beta metrics and a-posteriori values.
 CHANNEL_LLR_SPEC = QuantizationSpec(total_bits=7, frac_bits=1)
@@ -124,8 +114,3 @@ class LLRQuantizer:
         arr += 0.0  # -0.0 + 0.0 == +0.0
         arr *= self.spec.step
         return arr
-
-    def saturating_add(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Add two arrays of integer levels with saturation at the quantiser limits."""
-        result = np.asarray(a, dtype=np.int64) + np.asarray(b, dtype=np.int64)
-        return np.clip(result, self.lowest_level, self.spec.max_level).astype(np.int32)

@@ -32,7 +32,8 @@ from repro.ldpc.wimax import WimaxLdpcCode
 from repro.mapping.ldpc_mapping import LdpcMapping, map_ldpc_code
 from repro.mapping.turbo_mapping import TurboMapping, map_turbo_code
 from repro.noc.routing import RoutingTables, build_routing_tables
-from repro.noc.simulator import NocSimulator, SimulationResult
+from repro.noc.engine import BatchNocSimulator
+from repro.noc.results import SimulationResult
 from repro.noc.topologies import Topology, build_topology
 from repro.pe.ldpc_core import LdpcCoreModel
 from repro.pe.processing_element import ProcessingElement
@@ -166,13 +167,13 @@ class NocDecoderArchitecture:
     # ------------------------------------------------------------------ #
     # Cycle-accurate evaluation
     # ------------------------------------------------------------------ #
-    def _simulator(self, injection_rate: float | None = None) -> NocSimulator:
+    def _simulator(self, injection_rate: float | None = None) -> BatchNocSimulator:
         config = self.spec.noc
         if injection_rate is not None and injection_rate != config.injection_rate:
             from dataclasses import replace
 
             config = replace(config, injection_rate=injection_rate)
-        return NocSimulator(
+        return BatchNocSimulator(
             self.topology,
             config,
             routing_tables=self.routing_tables,

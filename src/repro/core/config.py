@@ -58,10 +58,6 @@ class DecoderSpec:
         """Copy of this spec with a different routing algorithm (AP/PP follows)."""
         return replace(self, noc=self.noc.with_routing(algorithm))
 
-    def with_parallelism(self, parallelism: int) -> "DecoderSpec":
-        """Copy of this spec with a different parallelism degree."""
-        return replace(self, parallelism=parallelism)
-
     def describe(self) -> str:
         """One-line human-readable summary."""
         return (

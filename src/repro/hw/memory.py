@@ -49,11 +49,6 @@ class DecoderMemoryPlan:
             + self.narrow_locations * self.narrow_bits_per_location
         )
 
-    @property
-    def bits_per_pe(self) -> float:
-        """Average shared-memory bits per PE."""
-        return self.total_bits / self.n_pes
-
     def describe(self) -> str:
         """Multi-line human-readable summary."""
         return (

@@ -15,8 +15,8 @@ of degree 6/7).  This package provides:
   normalized-min-sum decoder of paper eqs. (6)-(11),
 * :class:`~repro.ldpc.flooding.FloodingDecoder` — two-phase belief propagation
   used as a reference baseline,
-* :class:`~repro.ldpc.tanner.TannerGraph` — bipartite graph view used by the
-  mapping substrate.
+* :func:`~repro.ldpc.tanner.check_adjacency_graph` — the weighted
+  check-to-check graph the mapping substrate partitions.
 
 Both decoders decode one frame per call; for Monte-Carlo work over many
 frames use their batched twins in :mod:`repro.sim`, which the per-frame
@@ -39,7 +39,7 @@ from repro.ldpc.wifi import (
     list_wifi_codes,
 )
 from repro.ldpc.encoder import LDPCEncoder
-from repro.ldpc.tanner import TannerGraph
+from repro.ldpc.tanner import check_adjacency_graph
 from repro.ldpc.layered import LayeredMinSumDecoder, LayeredDecoderResult
 from repro.ldpc.flooding import FloodingDecoder, FloodingDecoderResult
 from repro.ldpc.checknode import first_two_minima, min_sum_check_update
@@ -58,7 +58,7 @@ __all__ = [
     "wifi_ldpc_code",
     "list_wifi_codes",
     "LDPCEncoder",
-    "TannerGraph",
+    "check_adjacency_graph",
     "LayeredMinSumDecoder",
     "LayeredDecoderResult",
     "FloodingDecoder",

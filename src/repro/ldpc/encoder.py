@@ -169,12 +169,3 @@ class LDPCEncoder:
         codewords[:, self._systematic_columns] = bits.astype(np.int8)
         codewords[:, self._parity_columns] = parity.astype(np.int8)
         return codewords
-
-    def extract_info(self, codeword: np.ndarray) -> np.ndarray:
-        """Recover the information bits from a (hard-decision) codeword."""
-        word = np.asarray(codeword, dtype=np.int8)
-        if word.shape != (self._n,):
-            raise CodeDefinitionError(
-                f"expected a codeword of length {self._n}, got shape {word.shape}"
-            )
-        return word[self._systematic_columns].copy()

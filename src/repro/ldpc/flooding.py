@@ -39,11 +39,6 @@ class FloodingDecoderResult:
     converged: bool
     unsatisfied_history: list[int] = field(default_factory=list)
 
-    @property
-    def success(self) -> bool:
-        """True when the decoder stopped on a valid codeword."""
-        return self.converged
-
 
 def _sum_product_check_update(q_values: np.ndarray) -> np.ndarray:
     """Exact sum-product check update for the edges of one check.

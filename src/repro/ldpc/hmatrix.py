@@ -49,20 +49,6 @@ class ParityCheckMatrix:
         self._col_rows: list[np.ndarray] | None = None
 
     # ------------------------------------------------------------------ #
-    # Constructors
-    # ------------------------------------------------------------------ #
-    @classmethod
-    def from_dense(cls, matrix: np.ndarray) -> "ParityCheckMatrix":
-        """Build from a dense 0/1 matrix."""
-        dense = np.asarray(matrix)
-        if dense.ndim != 2:
-            raise CodeDefinitionError("from_dense expects a two-dimensional matrix")
-        if dense.size and not np.isin(dense, (0, 1)).all():
-            raise CodeDefinitionError("from_dense expects a binary matrix")
-        rows = [np.flatnonzero(dense[r]).tolist() for r in range(dense.shape[0])]
-        return cls(rows, dense.shape[1])
-
-    # ------------------------------------------------------------------ #
     # Basic properties
     # ------------------------------------------------------------------ #
     @property
@@ -109,12 +95,6 @@ class ParityCheckMatrix:
         if self._col_rows is None:
             self._col_rows = self._build_col_index()
         return self._col_rows[index]
-
-    def col_degrees(self) -> np.ndarray:
-        """Array of variable-node degrees."""
-        if self._col_rows is None:
-            self._col_rows = self._build_col_index()
-        return np.array([c.size for c in self._col_rows], dtype=np.int64)
 
     # ------------------------------------------------------------------ #
     # Dense view and syndrome computation

@@ -43,11 +43,6 @@ class LayeredDecoderResult:
     #: Per-iteration number of unsatisfied checks (useful for convergence plots).
     unsatisfied_history: list[int] = field(default_factory=list)
 
-    @property
-    def success(self) -> bool:
-        """True when the decoder stopped on a valid codeword."""
-        return self.converged
-
 
 class LayeredMinSumDecoder:
     """Layered normalized-min-sum decoder over a :class:`ParityCheckMatrix`.
@@ -159,12 +154,3 @@ class LayeredMinSumDecoder:
             syndrome_weight=int(result.syndrome_weights[0]),
             unsatisfied_history=list(result.unsatisfied_history[0]),
         )
-
-    def messages_per_iteration(self) -> int:
-        """Number of check-to-variable messages produced per full iteration.
-
-        This is the traffic volume the NoC must carry per iteration when the
-        code is mapped onto the decoder (before subtracting node-local
-        messages), and equals the number of edges of the Tanner graph.
-        """
-        return self._h.n_edges

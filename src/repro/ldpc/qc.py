@@ -74,11 +74,6 @@ class QCBaseMatrix:
         """Return the base matrix as a NumPy ``int64`` array."""
         return np.asarray(self.entries, dtype=np.int64)
 
-    def block_row_degrees(self) -> np.ndarray:
-        """Number of non-(-1) blocks per block row."""
-        arr = self.as_array()
-        return (arr >= 0).sum(axis=1)
-
     def expand(self) -> ParityCheckMatrix:
         """Expand to the full sparse parity-check matrix."""
         return expand_base_matrix(self)

@@ -1,18 +1,15 @@
-"""Tanner-graph view of a parity-check matrix.
+"""Check adjacency graph of a parity-check matrix.
 
-The mapping substrate (Section III of the paper) works on graphs derived from
-H: the bipartite Tanner graph itself and, for the layered schedule, the
-*check adjacency graph* whose nodes are parity checks and whose edges connect
-checks sharing at least one variable (weighted by the number of shared
-variables).  Both views are provided here.
+The mapping substrate (Section III of the paper) works on a graph derived
+from H: for the layered schedule, the *check adjacency graph* whose nodes are
+parity checks and whose edges connect checks sharing at least one variable
+(weighted by the number of shared variables).
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-
-import numpy as np
 
 from repro.ldpc.hmatrix import ParityCheckMatrix
 
@@ -28,111 +25,22 @@ class CheckAdjacencyGraph:
     n_checks: int
     weights: dict[tuple[int, int], int]
 
-    def neighbors(self, check: int) -> list[tuple[int, int]]:
-        """List of ``(other_check, weight)`` pairs adjacent to ``check``."""
-        result = []
-        for (a, b), w in self.weights.items():
-            if a == check:
-                result.append((b, w))
-            elif b == check:
-                result.append((a, w))
-        return result
 
-    @property
-    def n_edges(self) -> int:
-        """Number of weighted edges."""
-        return len(self.weights)
+def check_adjacency_graph(h: ParityCheckMatrix) -> CheckAdjacencyGraph:
+    """Build the weighted check-to-check adjacency graph of ``h``.
 
-    def total_weight(self) -> int:
-        """Sum of all edge weights (total shared-variable count)."""
-        return sum(self.weights.values())
-
-    def adjacency_lists(self) -> list[list[tuple[int, int]]]:
-        """Adjacency list per check: ``adj[i] = [(j, weight), ...]``."""
-        adj: list[list[tuple[int, int]]] = [[] for _ in range(self.n_checks)]
-        for (a, b), w in self.weights.items():
-            adj[a].append((b, w))
-            adj[b].append((a, w))
-        return adj
-
-
-class TannerGraph:
-    """Bipartite variable-node / check-node graph of an LDPC code."""
-
-    def __init__(self, h: ParityCheckMatrix):
-        self._h = h
-
-    @property
-    def h(self) -> ParityCheckMatrix:
-        """The underlying parity-check matrix."""
-        return self._h
-
-    @property
-    def n_variable_nodes(self) -> int:
-        """Number of variable nodes (codeword length)."""
-        return self._h.n_cols
-
-    @property
-    def n_check_nodes(self) -> int:
-        """Number of check nodes (parity checks)."""
-        return self._h.n_rows
-
-    @property
-    def n_edges(self) -> int:
-        """Number of Tanner-graph edges."""
-        return self._h.n_edges
-
-    def check_neighbors(self, check: int) -> np.ndarray:
-        """Variable nodes connected to a check node."""
-        return self._h.row(check)
-
-    def variable_neighbors(self, variable: int) -> np.ndarray:
-        """Check nodes connected to a variable node."""
-        return self._h.col(variable)
-
-    def mean_check_degree(self) -> float:
-        """Average check-node degree."""
-        return float(self._h.row_degrees().mean())
-
-    def mean_variable_degree(self) -> float:
-        """Average variable-node degree."""
-        return float(self._h.col_degrees().mean())
-
-    def check_adjacency_graph(self) -> CheckAdjacencyGraph:
-        """Build the weighted check-to-check adjacency graph.
-
-        Two checks are adjacent when they share at least one variable; the
-        edge weight is the number of shared variables.  With the layered
-        schedule this weight is the number of extrinsic messages exchanged
-        between the two checks per iteration, which is exactly the traffic
-        quantity the NoC mapping wants to keep local.
-        """
-        weights: dict[tuple[int, int], int] = defaultdict(int)
-        for variable in range(self._h.n_cols):
-            checks = self._h.col(variable)
-            for idx_a in range(checks.size):
-                for idx_b in range(idx_a + 1, checks.size):
-                    a, b = int(checks[idx_a]), int(checks[idx_b])
-                    key = (a, b) if a < b else (b, a)
-                    weights[key] += 1
-        return CheckAdjacencyGraph(n_checks=self._h.n_rows, weights=dict(weights))
-
-    def girth_lower_bound(self, max_cycle: int = 8) -> int:
-        """Detect the shortest cycle length up to ``max_cycle`` (4 or 6), else return ``max_cycle``.
-
-        A cheap structural sanity check used by tests: WiMAX codes are 4-cycle
-        free.  Only cycle lengths 4 and 6 are checked exhaustively; longer
-        girths simply report ``max_cycle``.
-        """
-        # Length-4 cycles: two checks sharing two or more variables.
-        shared: dict[tuple[int, int], int] = defaultdict(int)
-        for variable in range(self._h.n_cols):
-            checks = self._h.col(variable)
-            for idx_a in range(checks.size):
-                for idx_b in range(idx_a + 1, checks.size):
-                    a, b = int(checks[idx_a]), int(checks[idx_b])
-                    key = (a, b) if a < b else (b, a)
-                    shared[key] += 1
-                    if shared[key] >= 2:
-                        return 4
-        return max_cycle
+    Two checks are adjacent when they share at least one variable; the edge
+    weight is the number of shared variables.  With the layered schedule this
+    weight is the number of extrinsic messages exchanged between the two
+    checks per iteration, which is exactly the traffic quantity the NoC
+    mapping wants to keep local.
+    """
+    weights: dict[tuple[int, int], int] = defaultdict(int)
+    for variable in range(h.n_cols):
+        checks = h.col(variable)
+        for idx_a in range(checks.size):
+            for idx_b in range(idx_a + 1, checks.size):
+                a, b = int(checks[idx_a]), int(checks[idx_b])
+                key = (a, b) if a < b else (b, a)
+                weights[key] += 1
+    return CheckAdjacencyGraph(n_checks=h.n_rows, weights=dict(weights))

@@ -21,7 +21,7 @@ import numpy as np
 
 from repro.errors import MappingError
 from repro.ldpc.hmatrix import ParityCheckMatrix
-from repro.ldpc.tanner import TannerGraph
+from repro.ldpc.tanner import check_adjacency_graph
 from repro.mapping.partition import PartitionResult, partition_graph
 from repro.noc.traffic import TrafficPattern
 
@@ -55,11 +55,6 @@ class LdpcMapping:
         """Fraction of messages whose producer and consumer are on the same PE."""
         total = self.traffic.total_messages
         return self.traffic.local_messages / total if total else 0.0
-
-    @property
-    def checks_per_node(self) -> np.ndarray:
-        """Number of parity checks assigned to each PE."""
-        return np.bincount(self.check_owner, minlength=self.n_nodes)
 
     def describe(self) -> str:
         """One-line human-readable summary."""
@@ -160,7 +155,7 @@ def map_ldpc_code(
         raise MappingError(
             f"cannot spread {h.n_rows} checks over {n_nodes} PEs without idle PEs"
         )
-    graph = TannerGraph(h).check_adjacency_graph()
+    graph = check_adjacency_graph(h)
     traffic_label = label or f"ldpc-M{h.n_rows}-P{n_nodes}"
 
     candidates: list[tuple[PartitionResult, TrafficPattern]] = []

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.errors import MappingError
 from repro.noc.traffic import TrafficPattern
 
 
@@ -62,11 +61,3 @@ def evaluate_traffic_quality(traffic: TrafficPattern) -> MappingQuality:
         destination_spread=float(received.std()) if received.size else 0.0,
         locality=locality,
     )
-
-
-def select_best_mapping(qualities: list[MappingQuality]) -> int:
-    """Index of the best mapping according to :attr:`MappingQuality.score`."""
-    if not qualities:
-        raise MappingError("select_best_mapping needs at least one candidate")
-    scores = [quality.score for quality in qualities]
-    return int(np.argmin(scores))

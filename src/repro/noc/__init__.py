@@ -15,7 +15,8 @@ This package reproduces the intra-IP NoC studied in Section III of the paper:
 * :mod:`~repro.noc.traffic` — per-PE ordered message lists (the "equivalent
   interleaver" view of a decoding iteration) and seeded synthetic generators,
 * :mod:`~repro.noc.engine` — the struct-of-arrays cycle engine
-  (:class:`BatchNocSimulator`) that measures ``ncycles`` and FIFO occupancies,
+  (:class:`BatchNocSimulator`, the one production simulator) that measures
+  ``ncycles`` and FIFO occupancies,
 * :mod:`~repro.noc.engine_batch` — the job-batched kernel
   (:class:`BatchedNocKernel`) advancing many independent jobs one cycle per
   vectorized step,
@@ -23,8 +24,8 @@ This package reproduces the intra-IP NoC studied in Section III of the paper:
   jobs grouped by (graph, configuration), each group dispatched to the
   batched kernel or the scalar engine by a fixed per-policy crossover
   (:class:`SweepCostModel`), optionally sharded across worker processes,
-* :mod:`~repro.noc.simulator` — the public :class:`NocSimulator` facade plus
-  the per-object :class:`ReferenceNocSimulator` the engines are pinned against.
+* :mod:`~repro.noc.simulator` — the per-object :class:`ReferenceNocSimulator`,
+  the executable specification the engines are pinned against.
 """
 
 from repro.noc.topologies import (
@@ -74,7 +75,7 @@ from repro.noc.sweep import (
     scheduler_cost_model,
 )
 from repro.noc.results import SimulationResult
-from repro.noc.simulator import NocSimulator, ReferenceNocSimulator
+from repro.noc.simulator import ReferenceNocSimulator
 
 __all__ = [
     "Topology",
@@ -114,7 +115,6 @@ __all__ = [
     "SweepCostModel",
     "run_noc_sweep",
     "scheduler_cost_model",
-    "NocSimulator",
     "ReferenceNocSimulator",
     "SimulationResult",
 ]

@@ -150,13 +150,6 @@ class AnalyticalEstimate:
     total_messages: int
     network_messages: int
 
-    @property
-    def sustained_throughput(self) -> float:
-        """Delivered messages per cycle over the whole phase."""
-        if self.ncycles <= 0:
-            return 0.0
-        return self.total_messages / self.ncycles
-
 
 @dataclass(frozen=True)
 class ContentionFit:
@@ -291,16 +284,6 @@ class _Analysis:
 class AnalyticalNocModel:
     """Analytical estimator with per-family fitted contention corrections.
 
-    Parameters
-    ----------
-    probe_seed:
-        Seed of the synthetic probe traffic the contention correction is
-        fitted against.
-    engine_seed:
-        Seed passed to the cycle engine when running probes.
-    max_probe_cycles:
-        Safety ceiling for probe simulations.
-
     Fits are cached per ``(family, degree, routing algorithm, collision
     policy)`` — one probe campaign (27 small cycle-exact runs) covers every
     (P, injection rate, traffic) query sharing that key, which is what makes
@@ -312,16 +295,15 @@ class AnalyticalNocModel:
     #: grids use; queries far outside this envelope extrapolate.
     PROBE_MESSAGES = (4, 16, 32)
     PROBE_RATES = (0.25, 0.5, 1.0)
+    #: Seed of the synthetic probe traffic the contention correction is
+    #: fitted against.
+    PROBE_SEED = 101
+    #: Seed passed to the cycle engine when running probes.
+    ENGINE_SEED = 7
+    #: Safety ceiling for probe simulations.
+    MAX_PROBE_CYCLES = 200_000
 
-    def __init__(
-        self,
-        probe_seed: int = 101,
-        engine_seed: int = 7,
-        max_probe_cycles: int = 200_000,
-    ):
-        self.probe_seed = probe_seed
-        self.engine_seed = engine_seed
-        self.max_probe_cycles = max_probe_cycles
+    def __init__(self) -> None:
         self._fits: dict[tuple, ContentionFit] = {}
         self._graphs: dict[tuple, tuple[Topology, RoutingTables]] = {}
 
@@ -479,14 +461,14 @@ class AnalyticalNocModel:
                         injection_rate=rate, collision_policy=collision_policy
                     ).with_routing(routing_algorithm)
                     traffic = random_traffic(
-                        parallelism, messages, seed=self.probe_seed
+                        parallelism, messages, seed=self.PROBE_SEED
                     )
                     engine = BatchNocSimulator(
                         topology,
                         config,
                         routing_tables=tables,
-                        seed=self.engine_seed,
-                        max_cycles=self.max_probe_cycles,
+                        seed=self.ENGINE_SEED,
+                        max_cycles=self.MAX_PROBE_CYCLES,
                     )
                     result = engine.run(traffic)
                     analysis = self._analyze(tables, config, traffic)

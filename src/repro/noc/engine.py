@@ -80,7 +80,7 @@ class BatchNocSimulator:
 
     Drop-in computational replacement for the reference object simulator: same
     constructor signature, same :class:`~repro.noc.results.SimulationResult`,
-    cycle-exact outputs.  ``NocSimulator`` delegates here at sweep size 1; use
+    cycle-exact outputs.  This is the production single-run simulator; use
     :func:`repro.noc.sweep.run_noc_sweep` to amortize topology/routing-table
     construction over many sweep points.
 

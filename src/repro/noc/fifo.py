@@ -24,7 +24,6 @@ class MessageFifo:
         self.name = name
         self._queue: deque[Message] = deque()
         self._max_occupancy = 0
-        self._total_pushes = 0
 
     # ------------------------------------------------------------------ #
     # Queue operations
@@ -37,7 +36,6 @@ class MessageFifo:
                 "the simulator should have applied backpressure"
             )
         self._queue.append(message)
-        self._total_pushes += 1
         if len(self._queue) > self._max_occupancy:
             self._max_occupancy = len(self._queue)
 
@@ -74,13 +72,3 @@ class MessageFifo:
     def max_occupancy(self) -> int:
         """Largest occupancy ever observed (sizes the hardware FIFO)."""
         return self._max_occupancy
-
-    @property
-    def total_pushes(self) -> int:
-        """Total number of messages that transited this FIFO."""
-        return self._total_pushes
-
-    def reset_statistics(self) -> None:
-        """Clear occupancy statistics (keeps queued messages)."""
-        self._max_occupancy = len(self._queue)
-        self._total_pushes = 0

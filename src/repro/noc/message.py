@@ -57,10 +57,6 @@ class Message:
             return -1
         return self.delivery_cycle - self.injection_cycle
 
-    def is_local(self) -> bool:
-        """True when source and destination PEs coincide."""
-        return self.source == self.destination
-
 
 @dataclass
 class MessageStatistics:
@@ -95,11 +91,3 @@ class MessageStatistics:
     def mean_hops(self) -> float:
         """Average number of hops per delivered message."""
         return self.total_hops / self.count if self.count else 0.0
-
-    def latency_percentile(self, percentile: float) -> int:
-        """Latency below which ``percentile`` % of messages were delivered."""
-        if not self._latencies:
-            return 0
-        ordered = sorted(self._latencies)
-        index = min(len(ordered) - 1, int(round(percentile / 100.0 * (len(ordered) - 1))))
-        return ordered[index]

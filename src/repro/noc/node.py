@@ -19,7 +19,6 @@ The routing / arbitration policies of the paper are implemented here:
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,16 +28,6 @@ from repro.noc.fifo import MessageFifo
 from repro.noc.message import Message
 from repro.noc.routing import RoutingTables
 from repro.utils.rng import bounded_draw
-
-
-@dataclass
-class RoutingDecision:
-    """Outcome of one crossbar pass for one input port."""
-
-    input_port: int
-    message: Message
-    output_port: int | None
-    deflected: bool
 
 
 class RouterNode:
@@ -104,10 +93,6 @@ class RouterNode:
     def all_input_fifos(self) -> list[MessageFifo]:
         """Network input FIFOs followed by the injection FIFO."""
         return [*self.input_fifos, self.injection_fifo]
-
-    def pending_messages(self) -> int:
-        """Messages currently buffered in this node (all input FIFOs)."""
-        return sum(len(f) for f in self.all_input_fifos())
 
     def max_input_occupancy(self) -> int:
         """Largest occupancy observed on any network input FIFO."""

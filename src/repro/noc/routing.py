@@ -37,11 +37,6 @@ class HopStatistics:
     second_moment: float
     maximum: int
 
-    @property
-    def variance(self) -> float:
-        """Population variance of the hop count."""
-        return max(self.second_moment - self.mean * self.mean, 0.0)
-
 
 @dataclass(frozen=True)
 class RoutingTables:
@@ -96,16 +91,14 @@ class RoutingTables:
                 max_ports = max(max_ports, len(self.next_ports[node][dest]))
         single = np.full((n, n), -1, dtype=np.int64)
         padded = np.full((n, n, max_ports), -1, dtype=np.int64)
-        counts = np.zeros((n, n), dtype=np.int64)
         for node in range(n):
             for dest in range(n):
                 ports = self.next_ports[node][dest]
                 if not ports:
                     continue
                 single[node, dest] = ports[0]
-                counts[node, dest] = len(ports)
                 padded[node, dest, : len(ports)] = ports
-        views = {"single": single, "padded": padded, "counts": counts}
+        views = {"single": single, "padded": padded}
         object.__setattr__(self, "_dense_cache", views)
         return views
 
@@ -118,11 +111,6 @@ class RoutingTables:
     def all_ports_matrix(self) -> np.ndarray:
         """``(P, P, Kmax)`` every shortest-path output port per pair, -1 padded."""
         return self._dense_views()["padded"]
-
-    @property
-    def port_count_matrix(self) -> np.ndarray:
-        """``(P, P)`` number of shortest-path output ports per (node, dest)."""
-        return self._dense_views()["counts"]
 
     @property
     def diameter(self) -> int:

@@ -8,12 +8,10 @@ Two implementations share one contract:
   specification: slow but transparently close to the SystemC "Turbo NoC"
   tool the paper relies on.
 * :class:`~repro.noc.engine.BatchNocSimulator` — the struct-of-arrays cycle
-  engine, pinned cycle-exact against the reference by
-  ``tests/test_noc_engine.py``.
+  engine and the production entry point, pinned cycle-exact against the
+  reference by ``tests/test_noc_engine.py``.
 
-:class:`NocSimulator` is the public entry point: a thin facade that keeps the
-historical constructor and delegates to the engine at sweep size 1.  Per
-cycle, either implementation performs:
+Per cycle, either implementation performs:
 
 1. link arrivals scheduled on the previous cycle are pushed into the
    destination node's input FIFOs;
@@ -36,7 +34,7 @@ import random
 
 from repro.errors import SimulationError
 from repro.noc.config import CollisionPolicy, NocConfiguration
-from repro.noc.engine import BatchNocSimulator
+from repro.noc.engine import as_seed
 from repro.noc.message import Message, MessageStatistics
 from repro.noc.node import RouterNode
 from repro.noc.results import SimulationResult
@@ -44,62 +42,16 @@ from repro.noc.routing import RoutingTables, build_routing_tables
 from repro.noc.topologies import Topology
 from repro.noc.traffic import TrafficPattern
 
-__all__ = ["SimulationResult", "NocSimulator", "ReferenceNocSimulator"]
-
-
-class NocSimulator:
-    """Cycle-accurate simulator for one (topology, configuration) pair.
-
-    Thin facade over the struct-of-arrays engine
-    (:class:`~repro.noc.engine.BatchNocSimulator`) at sweep size 1; results
-    are cycle-exact with :class:`ReferenceNocSimulator`.
-
-    Parameters
-    ----------
-    topology:
-        The NoC topology.
-    config:
-        Simulation parameters (routing algorithm, R, RL, DCM/SCM, FIFO size).
-    routing_tables:
-        Optional precomputed tables (recomputed from the topology if omitted).
-    seed:
-        Seed for the SCM deflection randomness.
-    max_cycles:
-        Hard safety bound on the simulated cycle count.
-    """
-
-    def __init__(
-        self,
-        topology: Topology,
-        config: NocConfiguration,
-        routing_tables: RoutingTables | None = None,
-        seed: int = 0,
-        max_cycles: int = 200_000,
-    ):
-        self._engine = BatchNocSimulator(
-            topology,
-            config,
-            routing_tables=routing_tables,
-            seed=seed,
-            max_cycles=max_cycles,
-        )
-        self.topology = topology
-        self.config = config
-        self.tables = self._engine.tables
-        self.seed = self._engine.seed
-        self.max_cycles = max_cycles
-
-    def run(self, traffic: TrafficPattern) -> SimulationResult:
-        """Simulate one message-passing phase and return its measurements."""
-        return self._engine.run(traffic)
+__all__ = ["SimulationResult", "ReferenceNocSimulator"]
 
 
 class ReferenceNocSimulator:
     """Per-object reference simulator (the executable specification).
 
-    Same constructor and :meth:`run` contract as :class:`NocSimulator`; the
-    differential harness in ``tests/test_noc_engine.py`` pins the engine
-    against this implementation cycle-exactly.
+    Same constructor and :meth:`run` contract as
+    :class:`~repro.noc.engine.BatchNocSimulator`; the differential harness in
+    ``tests/test_noc_engine.py`` pins the engine against this implementation
+    cycle-exactly.
     """
 
     def __init__(
@@ -119,7 +71,7 @@ class ReferenceNocSimulator:
         )
         if self.tables.topology is not topology:
             raise SimulationError("routing tables were built for a different topology")
-        self.seed = seed
+        self.seed = as_seed(seed)
         self.max_cycles = max_cycles
 
     # ------------------------------------------------------------------ #

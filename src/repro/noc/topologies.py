@@ -118,11 +118,9 @@ class Topology:
             return cached
         n = self.n_nodes
         max_out = max((len(self._out_ports[v]) for v in range(n)), default=0)
-        max_in = max((len(self._in_ports[v]) for v in range(n)), default=0)
         out_degrees = np.zeros(n, dtype=np.int64)
         in_degrees = np.zeros(n, dtype=np.int64)
         out_neighbor = np.full((n, max(max_out, 1)), -1, dtype=np.int64)
-        in_source = np.full((n, max(max_in, 1)), -1, dtype=np.int64)
         # (node, out port) -> input-port index at the reached neighbour.  The
         # input-port number of an arc is its position in the destination's
         # in_arcs list, mirroring how the simulators wire FIFOs to links.
@@ -131,8 +129,7 @@ class Topology:
         arc_input_port: dict[int, int] = {}
         for node in range(n):
             in_degrees[node] = len(self._in_ports[node])
-            for input_port, (arc_index, source) in enumerate(self._in_ports[node]):
-                in_source[node, input_port] = source
+            for input_port, (arc_index, _) in enumerate(self._in_ports[node]):
                 arc_input_port[arc_index] = input_port
         for node in range(n):
             out_degrees[node] = len(self._out_ports[node])
@@ -144,7 +141,6 @@ class Topology:
             "out_degrees": out_degrees,
             "in_degrees": in_degrees,
             "out_neighbor": out_neighbor,
-            "in_source": in_source,
             "dest_input_port": dest_input_port,
             "arc_id": arc_id,
         }
@@ -165,11 +161,6 @@ class Topology:
     def out_neighbor_matrix(self) -> np.ndarray:
         """``(P, Dmax)`` neighbour reached through each output port (-1 pad)."""
         return self._dense_views()["out_neighbor"]
-
-    @property
-    def in_source_matrix(self) -> np.ndarray:
-        """``(P, Dmax_in)`` source node feeding each input port (-1 pad)."""
-        return self._dense_views()["in_source"]
 
     @property
     def dest_input_port_matrix(self) -> np.ndarray:

@@ -66,10 +66,6 @@ class ProcessingElement:
             raise ModelError("turbo workload must be the window size in couples")
         return self.siso_core.half_iteration_timing(int(workload)).busy_noc_cycles
 
-    def memory_bits(self) -> float:
-        """Shared-memory bits held by this PE."""
-        return self.memory_plan.bits_per_pe
-
     def structure(self) -> dict[str, dict[str, str]]:
         """Structural description of the PE (used by the architecture tour)."""
         return {

@@ -19,7 +19,6 @@ runnable demo (``--inject-faults`` for the chaos smoke).
 
 from repro.faults import FaultAction, FaultInjector, FaultPlan
 from repro.service.batcher import DynamicBatcher, QueuedItem
-from repro.service.client import DecodeClient, ServiceThread
 from repro.service.metrics import (
     HealthSnapshot,
     LatencyReservoir,
@@ -47,7 +46,6 @@ __all__ = [
     "CodecEntry",
     "CodecRegistry",
     "CodecSpec",
-    "DecodeClient",
     "DecodeResponse",
     "DecodeService",
     "DispatchResult",
@@ -63,7 +61,6 @@ __all__ = [
     "ResilienceConfig",
     "ResilientDispatcher",
     "ServiceMetrics",
-    "ServiceThread",
     "SupervisedExecutor",
     "default_registry",
 ]

@@ -39,8 +39,11 @@ __all__ = [
 class LatencyReservoir:
     """Sliding window over the most recent latency observations (seconds)."""
 
-    def __init__(self, window: int = 4096) -> None:
-        self._values: deque[float] = deque(maxlen=window)
+    #: Observations kept in the window.
+    WINDOW = 4096
+
+    def __init__(self) -> None:
+        self._values: deque[float] = deque(maxlen=self.WINDOW)
 
     def record(self, seconds: float) -> None:
         """Add one observation."""
@@ -49,12 +52,13 @@ class LatencyReservoir:
     def __len__(self) -> int:
         return len(self._values)
 
-    def percentiles(self, qs: tuple[float, ...] = (50.0, 99.0)) -> tuple[float, ...]:
-        """Window percentiles (NaN-free: all zeros when no observations yet)."""
+    def percentiles(self) -> tuple[float, float]:
+        """Window p50 and p99 (NaN-free: zeros when no observations yet)."""
         if not self._values:
-            return tuple(0.0 for _ in qs)
+            return 0.0, 0.0
         arr = np.fromiter(self._values, dtype=np.float64)
-        return tuple(float(v) for v in np.percentile(arr, qs))
+        p50, p99 = np.percentile(arr, (50.0, 99.0))
+        return float(p50), float(p99)
 
 
 @dataclass(frozen=True)

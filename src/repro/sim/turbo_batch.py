@@ -176,17 +176,6 @@ class BatchBCJR:
         np.add(parity[:, :, None], systematic[:, None], out=metrics)
         metrics += apr_t[:, None]
 
-    def systematic_symbol_metric(self, systematic_llrs: np.ndarray) -> np.ndarray:
-        """Per-symbol systematic metric differences ``lambda_k[c_u] - lambda_k[c_0]``.
-
-        Accepts ``(..., n, 2)`` LLR arrays; leading axes are preserved.
-        """
-        sys_metric = 0.5 * (
-            self._sym_a_sign * systematic_llrs[..., 0:1]
-            + self._sym_b_sign * systematic_llrs[..., 1:2]
-        )
-        return sys_metric - sys_metric[..., 0:1]
-
     # ------------------------------------------------------------------ #
     # Decoding
     # ------------------------------------------------------------------ #

@@ -94,12 +94,6 @@ class BCJRDecoder:
         """Scaling factor applied to the extrinsic output (1.0 for Log-MAP)."""
         return self._batch.extrinsic_scale
 
-    def systematic_symbol_metric(self, systematic_llrs: np.ndarray) -> np.ndarray:
-        """Per-symbol systematic metric differences ``lambda_k[c_u] - lambda_k[c_0]``."""
-        return self._batch.systematic_symbol_metric(
-            np.asarray(systematic_llrs, dtype=np.float64)
-        )
-
     def decode(
         self,
         systematic_llrs: np.ndarray,

@@ -71,16 +71,3 @@ def bit_to_symbol_extrinsic(bit_llrs: np.ndarray) -> np.ndarray:
     a_bits = (symbols >> 1) & 1
     b_bits = symbols & 1
     return -(a_bits * llrs[..., 0:1] + b_bits * llrs[..., 1:2])
-
-
-def noc_payload_bits(symbol_level: bool, bits_per_value: int = 5) -> int:
-    """Payload width (bits) of one extrinsic message on the NoC.
-
-    A double-binary symbol-level message carries three non-reference vector
-    elements; a bit-level message carries two bit LLRs.  This is the ~1/3
-    payload reduction quoted by the paper.
-    """
-    if bits_per_value <= 0:
-        raise DecodingError(f"bits_per_value must be positive, got {bits_per_value}")
-    values = 3 if symbol_level else 2
-    return values * bits_per_value

@@ -135,18 +135,6 @@ class CTCInterleaver:
         swapped = self._swap_symbols(arr, self.swap_flags())
         return swapped[..., self.permutation()]
 
-    def deinterleave_symbols(self, symbols: np.ndarray) -> np.ndarray:
-        """Invert :meth:`interleave_symbols` (leading axes preserved)."""
-        arr = np.asarray(symbols, dtype=np.int64)
-        if arr.ndim == 0 or arr.shape[-1] != self.n_couples:
-            raise CodeDefinitionError(
-                f"expected {self.n_couples} couples on the last axis, got shape {arr.shape}"
-            )
-        perm = self.permutation()
-        natural_swapped = np.empty_like(arr)
-        natural_swapped[..., perm] = arr
-        return self._swap_symbols(natural_swapped, self.swap_flags())
-
     # ------------------------------------------------------------------ #
     # Metrics used by the NoC traffic generator
     # ------------------------------------------------------------------ #

@@ -105,15 +105,6 @@ class TurboEncoder:
         pairs = arr.reshape(-1, 2)
         return 2 * pairs[:, 0] + pairs[:, 1]
 
-    @staticmethod
-    def symbols_to_bits(symbols: np.ndarray) -> np.ndarray:
-        """Unpack couple symbols back to a flat bit array."""
-        arr = np.asarray(symbols, dtype=np.int64)
-        bits = np.empty((arr.size, 2), dtype=np.int8)
-        bits[:, 0] = (arr >> 1) & 1
-        bits[:, 1] = arr & 1
-        return bits.reshape(-1)
-
     def _check_info_bits(self, info_bits: np.ndarray, ndim: int) -> np.ndarray:
         bits = np.asarray(info_bits, dtype=np.int64)
         if bits.ndim != ndim or bits.shape[-1] != self.k:

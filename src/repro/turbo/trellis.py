@@ -120,15 +120,6 @@ class DuoBinaryTrellis:
     # ------------------------------------------------------------------ #
     # Structure queries
     # ------------------------------------------------------------------ #
-    @property
-    def num_states(self) -> int:
-        """Number of trellis states."""
-        return NUM_STATES
-
-    @property
-    def num_symbols(self) -> int:
-        """Number of distinct input symbols per step."""
-        return NUM_SYMBOLS
 
     @property
     def transitions(self) -> tuple[TrellisTransition, ...]:

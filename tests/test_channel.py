@@ -195,16 +195,6 @@ class TestAWGN:
         assert channel.llr_noise_variance(False) == pytest.approx(0.25)
         assert channel.llr_noise_variance(True) == pytest.approx(0.5)
 
-    def test_noise_variance_property_is_deprecated(self):
-        # Regression: the property claimed to return the demapper total
-        # (2*sigma^2 for complex) but returned sigma^2; it is now deprecated
-        # in favour of llr_noise_variance.
-        channel = AWGNChannel(0.5)
-        with pytest.warns(DeprecationWarning, match="llr_noise_variance"):
-            value = channel.noise_variance
-        assert value == pytest.approx(0.25)
-        assert channel.llr_noise_variance(True) == pytest.approx(2 * value)
-
     def test_rejects_non_positive_sigma(self):
         with pytest.raises(ConfigurationError):
             AWGNChannel(0.0)
@@ -292,7 +282,7 @@ class TestQuantizer:
     def test_spec_fractional_step(self):
         spec = QuantizationSpec(total_bits=7, frac_bits=1)
         assert spec.step == 0.5
-        assert spec.max_value == pytest.approx(31.5)
+        assert spec.max_level * spec.step == pytest.approx(31.5)
 
     def test_spec_rejects_bad_bits(self):
         with pytest.raises(ConfigurationError):
@@ -340,15 +330,6 @@ class TestQuantizer:
         values = np.concatenate([[-0.0, -0.2, 0.2, -1e9, 1e9], np.linspace(-40, 40, 641)])
         expected = quant.dequantize(quant.quantize(values)).view(np.int64)
         assert np.array_equal(quant.quantize_to_real(values).view(np.int64), expected)
-
-    def test_saturating_add(self):
-        quant = LLRQuantizer(QuantizationSpec(5, 0))
-        out = quant.saturating_add(np.array([10]), np.array([10]))
-        assert out.tolist() == [15]
-        out = quant.saturating_add(np.array([-10]), np.array([-10]))
-        assert out.tolist() == [-15]
-        asym = LLRQuantizer(QuantizationSpec(5, 0), symmetric=False)
-        assert asym.saturating_add(np.array([-10]), np.array([-10])).tolist() == [-16]
 
     def test_quantizer_requires_spec(self):
         with pytest.raises(ConfigurationError):

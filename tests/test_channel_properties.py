@@ -143,7 +143,8 @@ class TestQuantizerProperties:
     @settings(max_examples=40, deadline=None)
     def test_in_range_error_bounded_by_half_step(self, spec, values):
         quant = LLRQuantizer(spec)
-        clipped = np.clip(values, -spec.max_value, spec.max_value)
+        max_value = spec.max_level * spec.step
+        clipped = np.clip(values, -max_value, max_value)
         recovered = quant.quantize_to_real(clipped)
         assert np.max(np.abs(clipped - recovered)) <= spec.step / 2 + 1e-9
 

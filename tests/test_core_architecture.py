@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -35,7 +37,7 @@ class TestDecoderSpec:
         assert WIMAX_DECODER_SPEC.turbo_siso_clock_hz == pytest.approx(37.5e6)
 
     def test_with_routing_and_parallelism(self):
-        spec = WIMAX_DECODER_SPEC.with_routing(RoutingAlgorithm.ASP_FT).with_parallelism(16)
+        spec = replace(WIMAX_DECODER_SPEC.with_routing(RoutingAlgorithm.ASP_FT), parallelism=16)
         assert spec.noc.routing_algorithm is RoutingAlgorithm.ASP_FT
         assert spec.parallelism == 16
 

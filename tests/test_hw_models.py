@@ -56,10 +56,6 @@ class TestMemoryPlan:
         assert plan.turbo_state_metric_locations == 22 * 3 * 2 * 8
         assert plan.turbo_state_metric_locations <= plan.wide_locations
 
-    def test_bits_per_pe(self):
-        plan = plan_shared_memories(n_pes=22)
-        assert plan.bits_per_pe == pytest.approx(plan.total_bits / 22)
-
     def test_smaller_code_set_needs_less_memory(self):
         wifi_only = plan_shared_memories(ldpc_max_checks=972, turbo_max_couples=240)
         assert wifi_only.total_bits < plan_shared_memories().total_bits

@@ -13,9 +13,9 @@ from repro.errors import CodeDefinitionError
 from repro.ldpc import (
     ParityCheckMatrix,
     QCBaseMatrix,
-    TannerGraph,
     WIMAX_CODE_RATES,
     WIMAX_EXPANSION_FACTORS,
+    check_adjacency_graph,
     expand_base_matrix,
     list_wimax_codes,
     wimax_ldpc_code,
@@ -36,17 +36,13 @@ class TestParityCheckMatrix:
         h = ParityCheckMatrix([[0, 2], [1, 2]], n_cols=3)
         assert h.row(0).tolist() == [0, 2]
         assert h.col(2).tolist() == [0, 1]
-        assert h.col_degrees().tolist() == [1, 1, 2]
+        assert h.to_dense().sum(axis=0).tolist() == [1, 1, 2]
         assert h.row_degrees().tolist() == [2, 2]
 
-    def test_from_dense_roundtrip(self):
+    def test_to_dense(self):
         dense = np.array([[1, 0, 1, 0], [0, 1, 1, 1]], dtype=np.int8)
-        h = ParityCheckMatrix.from_dense(dense)
+        h = ParityCheckMatrix([[0, 2], [1, 2, 3]], n_cols=4)
         assert np.array_equal(h.to_dense(), dense)
-
-    def test_from_dense_rejects_non_binary(self):
-        with pytest.raises(CodeDefinitionError):
-            ParityCheckMatrix.from_dense(np.array([[0, 2]]))
 
     def test_syndrome_and_codeword_check(self):
         h = ParityCheckMatrix([[0, 1], [1, 2]], n_cols=3)
@@ -94,11 +90,7 @@ class TestQCBaseMatrix:
     def test_zero_block_produces_no_edges(self):
         base = QCBaseMatrix.from_lists([[-1, 0]], z=2)
         h = expand_base_matrix(base)
-        assert h.col_degrees().tolist() == [0, 0, 1, 1]
-
-    def test_block_row_degrees(self):
-        base = QCBaseMatrix.from_lists([[0, -1, 3], [1, 2, -1]], z=4)
-        assert base.block_row_degrees().tolist() == [2, 2]
+        assert h.to_dense().sum(axis=0).tolist() == [0, 0, 1, 1]
 
     def test_rejects_shift_out_of_range(self):
         with pytest.raises(CodeDefinitionError):
@@ -153,8 +145,8 @@ class TestWimaxCodes:
         assert wimax_ldpc_code(576, "5/6").rate == pytest.approx(5 / 6)
 
     def test_codes_are_four_cycle_free(self, small_ldpc_code):
-        graph = TannerGraph(small_ldpc_code.h)
-        assert graph.girth_lower_bound() > 4
+        # A 4-cycle is two checks sharing two or more variables.
+        assert max(check_adjacency_graph(small_ldpc_code.h).weights.values()) == 1
 
     def test_caching_returns_same_object(self):
         assert wimax_ldpc_code(576, "1/2") is wimax_ldpc_code(576, "1/2")
@@ -183,47 +175,13 @@ class TestWimaxCodes:
         assert "1/2" in text and "576" in text
 
 
-class TestTannerGraph:
-    def test_node_counts(self, small_ldpc_code):
-        graph = TannerGraph(small_ldpc_code.h)
-        assert graph.n_check_nodes == small_ldpc_code.m
-        assert graph.n_variable_nodes == small_ldpc_code.n
-        assert graph.n_edges == small_ldpc_code.h.n_edges
-
-    def test_neighbor_consistency(self, small_ldpc_code):
-        graph = TannerGraph(small_ldpc_code.h)
-        check = 5
-        for variable in graph.check_neighbors(check):
-            assert check in graph.variable_neighbors(int(variable)).tolist()
-
-    def test_mean_degrees(self, small_ldpc_code):
-        graph = TannerGraph(small_ldpc_code.h)
-        assert 6.0 <= graph.mean_check_degree() <= 7.0
-        assert graph.mean_variable_degree() == pytest.approx(
-            graph.n_edges / graph.n_variable_nodes
-        )
-
+class TestCheckAdjacencyGraph:
     def test_check_adjacency_graph_edges(self):
         h = ParityCheckMatrix([[0, 1], [1, 2], [3]], n_cols=4)
-        graph = TannerGraph(h).check_adjacency_graph()
+        graph = check_adjacency_graph(h)
         assert graph.n_checks == 3
         assert graph.weights == {(0, 1): 1}
-        assert graph.neighbors(0) == [(1, 1)]
-        assert graph.neighbors(2) == []
 
     def test_check_adjacency_weight_counts_shared_variables(self):
         h = ParityCheckMatrix([[0, 1, 2], [0, 1, 3]], n_cols=4)
-        graph = TannerGraph(h).check_adjacency_graph()
-        assert graph.weights[(0, 1)] == 2
-        assert graph.total_weight() == 2
-
-    def test_adjacency_lists_symmetric(self, small_ldpc_code):
-        graph = TannerGraph(small_ldpc_code.h).check_adjacency_graph()
-        adj = graph.adjacency_lists()
-        assert len(adj) == small_ldpc_code.m
-        total_entries = sum(len(neighbors) for neighbors in adj)
-        assert total_entries == 2 * graph.n_edges
-
-    def test_girth_detects_4_cycle(self):
-        h = ParityCheckMatrix([[0, 1], [0, 1]], n_cols=2)
-        assert TannerGraph(h).girth_lower_bound() == 4
+        assert check_adjacency_graph(h).weights == {(0, 1): 2}

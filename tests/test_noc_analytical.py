@@ -213,14 +213,6 @@ class TestModelMechanics:
         )
         assert estimate.ncycles == 0
         assert estimate.zero_contention_bound == 0
-        assert estimate.sustained_throughput == 0.0
-
-    def test_sustained_throughput_is_messages_per_cycle(self, model):
-        traffic = random_traffic(8, 8, seed=1)
-        estimate = model.estimate("spidergon", None, NocConfiguration(), traffic)
-        assert estimate.sustained_throughput == pytest.approx(
-            estimate.total_messages / estimate.ncycles
-        )
 
     def test_fit_cached_per_key(self, model):
         fit_a = model.fit_for(

@@ -29,7 +29,6 @@ class TestFifoAgainstModel:
         fifo = MessageFifo(capacity, name="model")
         model: deque[int] = deque()
         high_water = 0
-        pushes = 0
         next_id = 0
         for is_push in ops:
             if is_push:
@@ -43,7 +42,6 @@ class TestFifoAgainstModel:
                 else:
                     fifo.push(message)
                     model.append(message.identifier)
-                    pushes += 1
                     high_water = max(high_water, len(model))
             else:
                 if model:
@@ -61,22 +59,9 @@ class TestFifoAgainstModel:
                 model[0] if model else None
             )
         assert fifo.max_occupancy == high_water
-        assert fifo.total_pushes == pushes
         # Draining returns the survivors in exact arrival order (no loss, no dup).
         drained = [fifo.pop().identifier for _ in range(len(fifo))]
         assert drained == list(model)
-
-    @settings(max_examples=50, deadline=None, derandomize=True)
-    @given(capacity=st.integers(1, 8), n=st.integers(0, 8))
-    def test_reset_statistics_keeps_contents(self, capacity, n):
-        fifo = MessageFifo(capacity)
-        kept = min(n, capacity)
-        for i in range(kept):
-            fifo.push(Message(i, 0, 1))
-        fifo.reset_statistics()
-        assert fifo.max_occupancy == kept
-        assert fifo.total_pushes == 0
-        assert [fifo.pop().identifier for _ in range(len(fifo))] == list(range(kept))
 
 
 class TestMessageProperties:
@@ -96,7 +81,6 @@ class TestMessageProperties:
         message.delivery_cycle = injection + flight
         assert message.delivered
         assert message.latency == flight
-        assert message.is_local() == (src == dst)
 
     @settings(max_examples=50, deadline=None, derandomize=True)
     @given(latencies=st.lists(st.integers(0, 500), min_size=1, max_size=40))
@@ -111,8 +95,6 @@ class TestMessageProperties:
         assert stats.max_latency == max(latencies)
         assert stats.mean_latency == pytest.approx(sum(latencies) / len(latencies))
         assert stats.mean_hops == pytest.approx(2.0)
-        assert stats.latency_percentile(0) == min(latencies)
-        assert stats.latency_percentile(100) == max(latencies)
 
     def test_statistics_ignore_in_flight_messages(self):
         stats = MessageStatistics()

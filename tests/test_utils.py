@@ -5,85 +5,15 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.errors import ConfigurationError, DecodingError, RequestValidationError
+from repro.errors import ConfigurationError, RequestValidationError
 from repro.utils import (
     Table,
-    bits_to_bytes,
-    bits_to_int,
-    bytes_to_bits,
     format_float,
     format_ratio_cell,
-    hamming_distance,
-    hamming_weight,
-    int_to_bits,
     make_rng,
-    parity,
     spawn_rngs,
 )
 from repro.utils.validation import require_int, require_real
-
-
-class TestBitOps:
-    def test_int_to_bits_msb_first(self):
-        assert int_to_bits(5, 4).tolist() == [0, 1, 0, 1]
-
-    def test_int_to_bits_lsb_first(self):
-        assert int_to_bits(5, 4, msb_first=False).tolist() == [1, 0, 1, 0]
-
-    def test_int_to_bits_rejects_negative(self):
-        with pytest.raises(DecodingError):
-            int_to_bits(-1, 4)
-
-    def test_int_to_bits_rejects_overflow(self):
-        with pytest.raises(DecodingError):
-            int_to_bits(16, 4)
-
-    def test_int_to_bits_rejects_zero_width(self):
-        with pytest.raises(DecodingError):
-            int_to_bits(0, 0)
-
-    def test_bits_to_int_roundtrip(self):
-        for value in (0, 1, 5, 255, 1023):
-            assert bits_to_int(int_to_bits(value, 12)) == value
-
-    def test_bits_to_int_lsb_first(self):
-        assert bits_to_int([1, 0, 1], msb_first=False) == 5
-
-    def test_bits_to_int_rejects_non_binary(self):
-        with pytest.raises(DecodingError):
-            bits_to_int([0, 2, 1])
-
-    def test_bits_to_int_rejects_2d(self):
-        with pytest.raises(DecodingError):
-            bits_to_int(np.zeros((2, 2)))
-
-    def test_bytes_to_bits_and_back(self):
-        data = b"\xa5\x0f"
-        bits = bytes_to_bits(data)
-        assert bits.tolist() == [1, 0, 1, 0, 0, 1, 0, 1, 0, 0, 0, 0, 1, 1, 1, 1]
-        assert bits_to_bytes(bits) == data
-
-    def test_bytes_to_bits_empty(self):
-        assert bytes_to_bits(b"").size == 0
-
-    def test_bits_to_bytes_rejects_partial_byte(self):
-        with pytest.raises(DecodingError):
-            bits_to_bytes([1, 0, 1])
-
-    def test_hamming_weight(self):
-        assert hamming_weight([0, 1, 1, 0, 1]) == 3
-
-    def test_hamming_distance(self):
-        assert hamming_distance([0, 1, 1], [1, 1, 0]) == 2
-
-    def test_hamming_distance_shape_mismatch(self):
-        with pytest.raises(DecodingError):
-            hamming_distance([0, 1], [0, 1, 1])
-
-    def test_parity(self):
-        assert parity([1, 1, 0]) == 0
-        assert parity([1, 1, 1]) == 1
-        assert parity([]) == 0
 
 
 class TestValidation:
