@@ -278,25 +278,34 @@ class TestCapacityProof:
                 assert expected == free_run, capacity
 
 
+SIMULATORS = pytest.mark.parametrize(
+    "simulator_cls", [ReferenceNocSimulator, BatchNocSimulator], ids=lambda cls: cls.__name__
+)
+
+
 class TestEngineContract:
-    def test_rejects_node_count_mismatch(self):
+    @SIMULATORS
+    def test_rejects_node_count_mismatch(self, simulator_cls):
         topology, tables = _topology_and_tables(("ring", 6, None))
         with pytest.raises(SimulationError):
-            BatchNocSimulator(topology, NocConfiguration(), routing_tables=tables).run(
+            simulator_cls(topology, NocConfiguration(), routing_tables=tables).run(
                 random_traffic(4, 5)
             )
 
-    def test_rejects_foreign_routing_tables(self):
+    @SIMULATORS
+    def test_rejects_foreign_routing_tables(self, simulator_cls):
         topology, _ = _topology_and_tables(("ring", 6, None))
         _, other_tables = _topology_and_tables(("spidergon", 8, None))
         with pytest.raises(SimulationError):
-            BatchNocSimulator(topology, NocConfiguration(), routing_tables=other_tables)
+            simulator_cls(topology, NocConfiguration(), routing_tables=other_tables)
 
-    def test_rejects_bad_max_cycles(self):
+    @SIMULATORS
+    @pytest.mark.parametrize("max_cycles", [0, -1])
+    def test_rejects_bad_max_cycles(self, simulator_cls, max_cycles):
         topology, tables = _topology_and_tables(("ring", 6, None))
         with pytest.raises(SimulationError):
-            BatchNocSimulator(
-                topology, NocConfiguration(), routing_tables=tables, max_cycles=0
+            simulator_cls(
+                topology, NocConfiguration(), routing_tables=tables, max_cycles=max_cycles
             )
 
     def test_max_cycles_guard_raises(self):
@@ -414,6 +423,22 @@ class TestTrafficPatternLayout:
             TrafficPattern(2, [0, 2, 3], [1, 0, 0], [0, 1, 1], "a"),
         ):
             assert traffic != other
+
+    def test_negative_node_count_raises(self):
+        with pytest.raises(MappingError):
+            TrafficPattern(-1, [0], [], [])
+
+    @pytest.mark.parametrize("name", ["offsets", "dest", "memory"])
+    def test_multidimensional_arrays_raise(self, name):
+        fields = {"offsets": [0, 1, 2], "dest": [1, 0], "memory": [0, 0]}
+        fields[name] = np.atleast_2d(fields[name])
+        with pytest.raises(MappingError):
+            TrafficPattern(2, **fields)
+
+    def test_never_equal_to_another_type(self):
+        traffic = TrafficPattern(1, [0, 1], [0], [0])
+        assert traffic != (1, [0, 1], [0], [0])
+        assert traffic.__eq__(object()) is NotImplemented
 
     @given(messages=_NODE_MESSAGES, name=st.sampled_from(["offsets", "dest", "memory"]))
     @settings(max_examples=30, deadline=None)

@@ -200,3 +200,96 @@ class TestRoutingTables:
         assert not RoutingAlgorithm.SSP_RR.uses_all_paths
         assert not RoutingAlgorithm.SSP_FL.uses_all_paths
         assert RoutingAlgorithm.ASP_FT.uses_all_paths
+
+
+_LOAD_TOPOLOGIES = [
+    ("ring", 8, None),
+    ("toroidal-mesh", 16, None),
+    ("spidergon", 8, None),
+    ("generalized-de-bruijn", 8, 2),
+    ("generalized-kautz", 16, 3),
+]
+
+
+def _demand(n_nodes: int) -> np.ndarray:
+    """A fixed, uneven all-to-all demand with a zero diagonal."""
+    counts = np.random.default_rng(7).integers(0, 4, size=(n_nodes, n_nodes))
+    np.fill_diagonal(counts, 0)
+    return counts.astype(np.float64)
+
+
+class TestHopStatisticsAndArcLoads:
+    def test_hop_statistics_weight_distances_by_message_count(self):
+        tables = build_routing_tables(ring(8))
+        counts = np.zeros((8, 8))
+        counts[0, 4] = 1.0  # 4 hops
+        counts[0, 1] = 3.0  # 1 hop each
+        stats = tables.hop_statistics(counts)
+        assert stats.total_messages == 4.0
+        assert stats.mean == pytest.approx((4 + 3 * 1) / 4)
+        assert stats.second_moment == pytest.approx((16 + 3 * 1) / 4)
+        assert stats.maximum == 4
+
+    def test_hop_statistics_of_no_traffic_are_zero(self):
+        stats = build_routing_tables(ring(8)).hop_statistics(np.zeros((8, 8)))
+        assert (stats.total_messages, stats.mean, stats.second_moment, stats.maximum) == (
+            0.0, 0.0, 0.0, 0,
+        )
+
+    @pytest.mark.parametrize("method", ["hop_statistics", "ssp_arc_loads", "asp_arc_loads"])
+    def test_pair_counts_shape_is_checked(self, method):
+        tables = build_routing_tables(ring(8))
+        with pytest.raises(RoutingError):
+            getattr(tables, method)(np.ones((7, 7)))
+
+    def test_ssp_loads_follow_the_single_shortest_path(self):
+        topology = ring(4)
+        tables = build_routing_tables(topology)
+        counts = np.zeros((4, 4))
+        counts[0, 1] = 2.0
+        loads = tables.ssp_arc_loads(counts)
+        expected = np.zeros(topology.n_arcs)
+        expected[topology.arcs.index((0, 1))] = 2.0
+        assert np.array_equal(loads, expected)
+
+    def test_asp_loads_split_equally_over_shortest_paths(self):
+        # 0 -> 2 on a 4-ring has two 2-hop paths, via 1 and via 3.
+        topology = ring(4)
+        tables = build_routing_tables(topology)
+        counts = np.zeros((4, 4))
+        counts[0, 2] = 1.0
+        loads = tables.asp_arc_loads(counts)
+        expected = np.zeros(topology.n_arcs)
+        for arc in ((0, 1), (1, 2), (0, 3), (3, 2)):
+            expected[topology.arcs.index(arc)] = 0.5
+        assert np.allclose(loads, expected)
+
+    @pytest.mark.parametrize("method", ["ssp_arc_loads", "asp_arc_loads"])
+    @pytest.mark.parametrize(("family", "n_nodes", "degree"), _LOAD_TOPOLOGIES)
+    def test_arc_loads_conserve_message_hops(self, family, n_nodes, degree, method):
+        # Every message crosses exactly its shortest-path distance in arcs,
+        # however the routing splits it.
+        tables = build_routing_tables(build_topology(family, n_nodes, degree))
+        counts = _demand(n_nodes)
+        loads = getattr(tables, method)(counts)
+        assert loads.shape == (tables.topology.n_arcs,)
+        assert (loads >= 0).all()
+        assert loads.sum() == pytest.approx((counts * tables.distance).sum())
+        assert loads.sum() == pytest.approx(
+            tables.hop_statistics(counts).mean * counts.sum()
+        )
+
+    @pytest.mark.parametrize("n_nodes", [5, 7, 9])
+    def test_asp_equals_ssp_where_shortest_paths_are_unique(self, n_nodes):
+        # On an odd ring every pair has one shortest path: nothing to split.
+        tables = build_routing_tables(ring(n_nodes))
+        assert all(
+            len(tables.all_next_ports(a, b)) == 1
+            for a in range(n_nodes) for b in range(n_nodes) if a != b
+        )
+        counts = _demand(n_nodes)
+        assert np.array_equal(tables.asp_arc_loads(counts), tables.ssp_arc_loads(counts))
+
+    def test_all_next_ports_has_no_route_to_self(self, small_kautz_routing):
+        with pytest.raises(RoutingError):
+            small_kautz_routing.all_next_ports(2, 2)

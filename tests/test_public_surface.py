@@ -77,14 +77,14 @@ def _public_definitions(tree: ast.Module):
 
 
 @functools.cache
-def _scan() -> tuple[list[tuple[str, str]], int]:
-    """The ``(module path, qualified name)`` pairs with no caller, and the
-    number of public definitions scanned."""
+def _scan(root: Path = ROOT) -> tuple[list[tuple[str, str]], int]:
+    """The ``(module path, qualified name)`` pairs with no caller under
+    ``root``, and the number of public definitions scanned."""
     totals: Counter[str] = Counter()
     word_lines: dict[Path, dict[str, list[int]]] = {}
     definitions: list[tuple[Path, str, int, int]] = []
     for directory in SCANNED:
-        for path in sorted((ROOT / directory).rglob("*.py")):
+        for path in sorted((root / directory).rglob("*.py")):
             source = path.read_text(encoding="utf-8")
             tree = ast.parse(source, filename=str(path))
             skipped = _uncounted_lines(tree)
@@ -107,7 +107,7 @@ def _scan() -> tuple[list[tuple[str, str]], int]:
         own = word_lines[path].get(name, [])
         inside = bisect_right(own, last) - bisect_left(own, first)
         if totals[name] == inside:
-            dead.append((str(path.relative_to(ROOT)), qualified))
+            dead.append((str(path.relative_to(root)), qualified))
     return dead, len(definitions)
 
 
@@ -126,3 +126,94 @@ def test_allowlist_holds_only_names_without_a_caller():
     dead, _ = _scan()
     stale = sorted(set(ALLOWLIST) - {name for _, name in dead})
     assert not stale, f"allowlisted names that now have a caller or no longer exist: {stale}"
+
+
+# --------------------------------------------------------------------- #
+# The scan itself, on small trees
+# --------------------------------------------------------------------- #
+def _tree(tmp_path: Path, files: dict[str, str]) -> list[tuple[str, str]]:
+    """Write ``files`` under ``tmp_path`` and return the scan's dead names."""
+    for relative, source in files.items():
+        path = tmp_path / relative
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(source, encoding="utf-8")
+    dead, _ = _scan(tmp_path)
+    return dead
+
+
+def test_scan_reports_a_function_nothing_calls(tmp_path):
+    dead = _tree(tmp_path, {
+        "src/pkg/mod.py": "def used():\n    return 1\n\ndef unused():\n    return used()\n",
+    })
+    assert dead == [("src/pkg/mod.py", "unused")]
+
+
+def test_scan_counts_callers_in_every_scanned_directory(tmp_path):
+    dead = _tree(tmp_path, {
+        "src/pkg/mod.py": (
+            "class Box:\n"
+            "    def size(self):\n        return 0\n"
+            "    @property\n    def empty(self):\n        return True\n"
+            "    def spare(self):\n        return None\n"
+        ),
+        "examples/demo.py": "print(Box().size())\n",
+        "benchmarks/bench_box.py": "assert Box().empty\n",
+    })
+    assert dead == [("src/pkg/mod.py", "Box.spare")]
+
+
+def test_scan_ignores_imports_and_all_lists(tmp_path):
+    dead = _tree(tmp_path, {
+        "src/pkg/mod.py": "def helper():\n    return 1\n",
+        "src/pkg/__init__.py": (
+            "from pkg.mod import (\n    helper,\n)\n__all__ = [\n    \"helper\",\n]\n"
+        ),
+    })
+    assert dead == [("src/pkg/mod.py", "helper")]
+
+
+def test_scan_ignores_tests(tmp_path):
+    dead = _tree(tmp_path, {
+        "src/pkg/mod.py": "def oracle():\n    return 1\n",
+        "tests/test_mod.py": "def test_oracle():\n    assert oracle() == 1\n",
+    })
+    assert dead == [("src/pkg/mod.py", "oracle")]
+
+
+def test_scan_ignores_uses_inside_the_definition(tmp_path):
+    # Recursion and a decorator that names the function are not callers.
+    dead = _tree(tmp_path, {
+        "src/pkg/mod.py": (
+            "def register(name):\n    return lambda f: f\n\n"
+            "@register(\"walk\")\n"
+            "def walk(n):\n    return walk(n - 1) if n else 0\n\n"
+            "register(None)\n"
+        ),
+    })
+    assert dead == [("src/pkg/mod.py", "walk")]
+
+
+def test_scan_skips_private_and_nested_definitions(tmp_path):
+    dead = _tree(tmp_path, {
+        "src/pkg/mod.py": (
+            "def _private():\n    return 1\n\n"
+            "class Outer:\n"
+            "    def _hidden(self):\n        return 2\n"
+            "    class Inner:\n        def method(self):\n            return 3\n"
+            "    def __len__(self):\n        return 0\n"
+            "\n"
+            "def outer():\n    def nested():\n        return 4\n    return Outer\n"
+        ),
+        "examples/demo.py": "outer()\n",
+    })
+    # ``Outer.Inner`` is a public class member but not a method: only
+    # functions are scanned inside a class body.
+    assert dead == []
+
+
+def test_scan_matches_whole_words_only(tmp_path):
+    dead = _tree(tmp_path, {
+        "src/pkg/mod.py": "def rate():\n    return 1\n",
+        "examples/demo.py": "code_rate = 0.5\nrates = [code_rate]\n",
+    })
+    assert dead == [("src/pkg/mod.py", "rate")]

@@ -345,6 +345,9 @@ async def test_boundary_validation_raises_typed_errors(registry):
     [
         {"max_batch": 0},
         {"max_batch": -3},
+        {"backpressure": "drop"},
+        {"executor": "gpu"},
+        {"executor": "process", "shards": 0},
         {"max_delay_s": float("nan")},
         {"max_delay_s": float("inf")},
         {"max_delay_s": -0.001},

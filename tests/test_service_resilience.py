@@ -504,6 +504,35 @@ async def test_deadline_fires_while_queued(registry, turbo_entry):
 
 
 @pytest.mark.asyncio
+async def test_deadline_fires_while_waiting_for_a_queue_slot(registry, turbo_entry):
+    """In wait mode a full queue holds the caller before it is queued; the
+    deadline bounds that wait too, and the caller never takes a slot."""
+    rng = np.random.default_rng(10)
+    llrs, _ = generate_llr_frames(turbo_entry, 3, 1.5, rng)
+    service = DecodeService(
+        registry=registry,
+        max_batch=64,
+        max_delay_s=30.0,
+        queue_capacity=1,
+        executor="inline",
+        fault_plan=FaultPlan.from_string("hang@1:30"),
+    )
+    await service.start()
+    occupier = await _occupy_worker(service, llrs[0], TURBO)
+    queued = asyncio.create_task(service.submit(llrs[1], *TURBO))
+    await asyncio.sleep(0)  # takes the lane's one slot behind the busy worker
+    with pytest.raises(DeadlineExceededError, match="queue slot") as excinfo:
+        await service.submit(llrs[2], *TURBO, deadline_s=0.05)
+    assert excinfo.value.deadline_s == 0.05
+    # The waiter never took a slot: only the request ahead of it is queued.
+    assert service.metrics_snapshot().queue_depths == {"turbo:24:1/2": 1}
+    await service.stop(drain=False)
+    for task in (occupier, queued):
+        with pytest.raises(ServiceClosedError):
+            await task
+
+
+@pytest.mark.asyncio
 async def test_deadline_fires_during_hang_and_watchdog_recovers(
     registry, turbo_entry
 ):

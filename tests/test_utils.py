@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import random
+
 import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError, RequestValidationError
 from repro.utils import (
     Table,
+    bounded_draw,
     format_float,
     format_ratio_cell,
     make_rng,
@@ -104,3 +107,39 @@ class TestRng:
     def test_spawn_rngs_negative_count(self):
         with pytest.raises(ConfigurationError):
             spawn_rngs(0, -1)
+
+
+class TestBoundedDraw:
+    def test_rejects_draws_at_or_above_n(self):
+        # n = 5 draws 3 bits at a time and discards 7, 6 and 5.
+        stream = iter([7, 6, 5, 2, 4])
+        widths = []
+
+        def getrandbits(k):
+            widths.append(k)
+            return next(stream)
+
+        assert bounded_draw(getrandbits, 5) == 2
+        assert widths == [3, 3, 3, 3]
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 8, 9, 1000, 2**40 + 1])
+    def test_draws_stay_in_range_and_reach_the_ends(self, n):
+        rng = random.Random(n)
+        draws = [bounded_draw(rng.getrandbits, n) for _ in range(2000)]
+        assert 0 <= min(draws) and max(draws) < n
+        if n <= 9:
+            assert set(draws) == set(range(n))
+
+    def test_same_seed_same_stream(self):
+        a, b = random.Random(11), random.Random(11)
+        assert [bounded_draw(a.getrandbits, 6) for _ in range(50)] == [
+            bounded_draw(b.getrandbits, 6) for _ in range(50)
+        ]
+
+    def test_draw_is_uniform(self):
+        # Chi-square over 6 outcomes, 6000 draws, fixed seed: the 0.1 %
+        # critical value for 5 degrees of freedom is 20.5.
+        rng = random.Random(3)
+        counts = np.bincount([bounded_draw(rng.getrandbits, 6) for _ in range(6000)], minlength=6)
+        chi2 = float(((counts - 1000) ** 2 / 1000).sum())
+        assert chi2 < 20.5
