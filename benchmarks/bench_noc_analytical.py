@@ -65,10 +65,11 @@ def test_analytical_screening_speedup():
     code = wimax_ldpc_code(2304, "1/2")
     explorer = DesignSpaceExplorer(DecoderSpec(mapping_attempts=2), seed=0)
 
+    # max_workers=1 in every arm: the row prices screening, not the worker pool.
     def screened_run():
         return explorer.explore(
             code, TOPOLOGIES, BIG_PARALLELISMS,
-            screen="analytical", confirm_top=5,
+            screen="analytical", confirm_top=5, max_workers=1,
         )
 
     # Untimed warm-up of the infrastructure BOTH flows need identically:
@@ -98,7 +99,7 @@ def test_analytical_screening_speedup():
     samples, results = trials(
         {
             "exhaustive": lambda: explorer.explore(
-                code, TOPOLOGIES, BIG_PARALLELISMS, screen=None
+                code, TOPOLOGIES, BIG_PARALLELISMS, screen=None, max_workers=1
             ),
             "screened_cold": screened_cold_run,
             "screened": screened_run,

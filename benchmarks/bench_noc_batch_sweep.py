@@ -25,15 +25,24 @@ cells), and the ``crossover`` row records the grid those crossovers were
 sized from.  The ``phase_b_kernel`` row times the kernel alone on the
 Monte-Carlo shape of the repository benchmark's ``noc_table1`` workload,
 DCM and SCM cells apart, and counts the replayed SCM passes by class.
-The scheduler's ``parallel="process"`` mode multiplies the serial ratio by the worker count
-on multi-core hosts (and stays serial at one worker); its row records the
-workers used.
+The ``parallel_process`` row times the scheduler's worker pool against
+``max_workers=1`` on real shapes: a Table-I row (scalar jobs, pooled), a
+phase-B cell (one batched group, kept whole and serial) and the whole
+phase-B pass (six whole-group chunks, pooled).  A pool does not multiply
+the serial speed by the worker count: it pays for forking its workers and
+shipping traffic and results, and the ``table1_prefix_*`` shapes size the
+fewest messages (``_POOL_MIN_MESSAGES``) at which it starts to pay.
 """
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 from collections import Counter
+
+from repro.core import DecoderSpec
+from repro.ldpc import wimax_ldpc_code
+from repro.mapping import map_ldpc_code
 
 from repro.noc import (
     BatchedNocKernel,
@@ -48,7 +57,7 @@ from repro.noc import (
     build_topology,
     run_noc_sweep,
 )
-from repro.noc import engine_batch
+from repro.noc import engine_batch, scheduler_cost_model, sweep
 from repro.noc.traffic import random_traffic_streams
 
 from benchmarks.harness import full_benchmarks_enabled, record, row, stopwatch, trials
@@ -140,8 +149,12 @@ def _scalar_vs_batched(jobs: list[NocSweepJob]) -> tuple[dict, float]:
     Returns the timed row and the gated statistic: the serial engine's best
     time over the scheduler's.
     """
+    # max_workers=1: the row compares engines on one core, not the worker pool.
     samples, results = trials(
-        {"scalar": lambda: _run_pr3_engine(jobs), "batched": lambda: run_noc_sweep(jobs)},
+        {
+            "scalar": lambda: _run_pr3_engine(jobs),
+            "batched": lambda: run_noc_sweep(jobs, max_workers=1),
+        },
         TIMING_REPEATS,
     )
     _assert_identical(jobs, results["scalar"], results["batched"])
@@ -424,45 +437,143 @@ def test_crossover_grid():
     )
 
 
-def test_parallel_process_mode():
-    """parallel="process" must be bit-identical; its speedup scales with
-    workers — and at one worker the scheduler dispatches serially with no
-    executor at all, so the row records ~1.0x instead of PR 4's 0.84x pool
-    penalty."""
-    batch = _batch_sizes()[-1] // 2 or 4
-    jobs = _build_jobs(batch)
-    workers = os.cpu_count() or 1
-    samples, results = trials(
-        {
-            "serial": lambda: run_noc_sweep(jobs),
-            "parallel": lambda: run_noc_sweep(jobs, parallel="process", max_workers=workers),
-        },
-        1,
-    )
-    by_job = {id(o.job): o.result for o in results["serial"]}
-    for outcome in results["parallel"]:
-        assert _signature(outcome.result) == _signature(by_job[id(outcome.job)])
+#: The ``parallel_process`` row: one Table-I row (generalized Kautz D=3 at
+#: the paper's four P, all three routing algorithms; 12 scalar jobs of one
+#: WiMAX 2304 r1/2 iteration, 7 296 messages each), and the prefixes of it
+#: that size the pool threshold.
+POOL_ROW = ("generalized-kautz", 3)
+POOL_PARALLELISMS = [16, 24, 32, 36]
+POOL_PREFIXES = [2, 3, 4, 6]
+POOL_TRIALS = 5
 
-    timing = row(samples, "serial")
-    speedup = timing["vs"]["parallel"]["ratio"]
-    print(
-        f"\nprocess-parallel sweep ({workers} worker(s), J={batch}): "
-        f"{speedup:.2f}x vs serial scheduler"
+
+def _table1_row_jobs() -> list[NocSweepJob]:
+    code = wimax_ldpc_code(2304, "1/2")
+    spec = DecoderSpec(mapping_attempts=2)
+    family, degree = POOL_ROW
+    jobs = []
+    for parallelism in POOL_PARALLELISMS:
+        mapping = map_ldpc_code(
+            code.h, parallelism, seed=0, attempts=spec.mapping_attempts,
+            label=f"{code.rate_name}-n{code.n}-P{parallelism}",
+        )
+        jobs.extend(
+            NocSweepJob(family, parallelism, degree, spec.noc.with_routing(a), mapping.traffic)
+            for a in RoutingAlgorithm
+        )
+    return jobs
+
+
+def _phase_b_pass_jobs() -> list[NocSweepJob]:
+    """``noc_table1``'s Monte-Carlo pass: 128 streams per (routing, policy) cell."""
+    family, parallelism, degree = PHASE_B_GRAPH
+    streams = random_traffic_streams(parallelism, PHASE_B_MESSAGES, seed=3, count=128)
+    return [
+        NocSweepJob(family, parallelism, degree, config, traffic, seed=index)
+        for algorithm in RoutingAlgorithm
+        for policy in CollisionPolicy
+        for config in [NocConfiguration(collision_policy=policy).with_routing(algorithm)]
+        for index, traffic in enumerate(streams)
+    ]
+
+
+def test_parallel_process_mode(monkeypatch):
+    """The sweep's worker pool against the serial scheduler on real shapes.
+
+    ``serial`` is ``max_workers=1``; ``pool`` is the default worker count,
+    where the scheduler itself decides whether to build a pool.  Shapes:
+
+    * ``table1_row``: one Table-I row, 12 scalar chunks — pooled;
+    * ``phase_b_cell``: one 128-job batched group, one chunk — stays serial;
+    * ``phase_b_pass``: the 768-job pass, 6 whole-group chunks — pooled;
+    * ``table1_prefix_<k>``: the first k jobs of the row with the pool
+      forced on (threshold 0), which sizes ``_POOL_MIN_MESSAGES``:
+      ``measured_threshold`` is the fewest messages from which the pool won
+      the median at that prefix and every larger shape.
+
+    Every shape records its jobs, messages, chunks and the pools built
+    (their worker counts); both arms' outcomes are asserted bit-identical.
+    """
+    workers = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else (
+        os.cpu_count() or 1
     )
+    pools: list[int] = []
+    real_pool = sweep.ProcessPoolExecutor
+
+    def spy(*args, max_workers, **kwargs):
+        pools.append(max_workers)
+        return real_pool(*args, max_workers=max_workers, **kwargs)
+
+    monkeypatch.setattr(sweep, "ProcessPoolExecutor", spy)
+    row_jobs = _table1_row_jobs()
+    pass_jobs = _phase_b_pass_jobs()
+    shapes = {f"table1_prefix_{k}": (row_jobs[:k], True) for k in POOL_PREFIXES}
+    shapes["table1_row"] = (row_jobs, False)
+    shapes["phase_b_cell"] = (pass_jobs[:128], False)
+    shapes["phase_b_pass"] = (pass_jobs, False)
+    threshold = sweep._POOL_MIN_MESSAGES
+    graphs: dict = {}
+    out: dict = {}
+    for name, (jobs, forced) in shapes.items():
+        monkeypatch.setattr(sweep, "_POOL_MIN_MESSAGES", 0 if forced else threshold)
+        pools.clear()
+        samples, results = trials(
+            {
+                "serial": lambda jobs=jobs: run_noc_sweep(jobs, graphs, max_workers=1),
+                "pool": lambda jobs=jobs: run_noc_sweep(jobs, graphs, max_workers=workers),
+            },
+            POOL_TRIALS if name != "phase_b_pass" else 3,
+        )
+        for s, p in zip(results["serial"], results["pool"]):
+            assert _signature(s.result) == _signature(p.result)
+        groups: dict = {}
+        for index, job in enumerate(jobs):
+            key = (job.family, job.parallelism, job.degree, job.config, job.max_cycles)
+            groups.setdefault(key, []).append(index)
+        timing = row(samples, "serial")
+        out[name] = {
+            "jobs": len(jobs),
+            "messages": sum(job.traffic.total_messages for job in jobs),
+            "chunks": len(
+                sweep._shard_groups(groups, scheduler_cost_model(), len(jobs), workers)
+            ),
+            "pool_forced": forced,
+            "pools_built": sorted(set(pools)),
+            "timing": timing,
+        }
+        print(
+            f"\n{name}: {out[name]['messages']} messages, {out[name]['chunks']} chunks, "
+            f"pools {out[name]['pools_built']}: "
+            f"{timing['vs']['pool']['ratio']:.2f}x vs serial "
+            f"({timing['vs']['pool']['wins']}/{timing['arms']['pool']['n']} wins)"
+        )
+    by_size = sorted(
+        (entry["messages"], entry["timing"]["vs"]["pool"]["ratio"])
+        for entry in out.values()
+        if entry["pools_built"]
+    )
+    measured = next(
+        (m for i, (m, _) in enumerate(by_size) if all(r > 1 for _, r in by_size[i:])), None
+    )
+    print(f"measured threshold: {measured} messages (constant: {threshold})")
     record(
         "noc_batch_sweep",
         "parallel_process",
         {
             "workers": workers,
-            "batch": batch,
-            "jobs": len(jobs),
-            "speedup_vs_serial_scheduler": round(speedup, 3),
-            "timing": timing,
+            "start_method": multiprocessing.get_start_method(),
+            "pool_min_messages": threshold,
+            "measured_threshold": measured,
+            "shapes": out,
         },
     )
-    if not os.environ.get("CI") and workers == 1:
+    assert not out["phase_b_cell"]["pools_built"]  # a batched group stays whole
+    if workers > 1:
+        assert out["table1_row"]["pools_built"] and out["phase_b_pass"]["pools_built"]
+    elif not os.environ.get("CI"):
         # Degenerate-case guard: one worker must cost (almost) nothing.
-        assert speedup >= 0.9, f"workers=1 process dispatch regressed: {speedup:.2f}x"
+        speedup = out["table1_row"]["timing"]["vs"]["pool"]["ratio"]
+        assert speedup >= 0.9, f"workers=1 dispatch regressed: {speedup:.2f}x"
 
 
 def test_scm_batched_smoke():
@@ -545,7 +656,7 @@ def test_batched_vs_object_reference():
         ]
 
     samples, results = trials(
-        {"reference": run_reference, "batched": lambda: run_noc_sweep(jobs)},
+        {"reference": run_reference, "batched": lambda: run_noc_sweep(jobs, max_workers=1)},
         {"reference": 1, "batched": TIMING_REPEATS},
     )
     _assert_identical(jobs, results["reference"], results["batched"])

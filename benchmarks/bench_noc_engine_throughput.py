@@ -98,8 +98,12 @@ def test_engine_sweep_throughput():
     """The engine sweep must clear >= 5x sweep-points/sec over the object simulator."""
     jobs = _build_jobs()
 
+    # max_workers=1: the row compares engines on one core, not the worker pool.
     samples, results = trials(
-        {"object_simulator": lambda: _run_baseline(jobs), "engine": lambda: run_noc_sweep(jobs)},
+        {
+            "object_simulator": lambda: _run_baseline(jobs),
+            "engine": lambda: run_noc_sweep(jobs, max_workers=1),
+        },
         TIMING_REPEATS,
     )
     baseline_results, engine_outcomes = results["object_simulator"], results["engine"]

@@ -321,7 +321,6 @@ class DesignSpaceExplorer:
         parallelisms: list[int],
         routing_algorithms: list[RoutingAlgorithm] | None = None,
         skip_invalid: bool = True,
-        parallel: str | None = None,
         max_workers: int | None = None,
         cache: NocSweepCache | None = None,
     ) -> list[DesignPoint]:
@@ -334,10 +333,10 @@ class DesignSpaceExplorer:
 
         The whole grid is submitted to the sweep scheduler as one batch; the
         scheduler picks the engine per (graph, configuration) group by its
-        size.  ``parallel="process"`` shards the simulation group chunks
-        across up to ``max_workers`` worker processes when there are at
-        least two chunks to share (mapping and cost models stay
-        in-process).  Design points are assembled from each outcome's
+        size, and shards the simulations across up to ``max_workers``
+        worker processes when the grid is large enough to pay for a pool
+        (:func:`~repro.noc.sweep.run_noc_sweep`; mapping and cost models
+        stay in-process).  Design points are assembled from each outcome's
         attached job, not from positional bookkeeping.
         """
         algorithms = routing_algorithms or list(RoutingAlgorithm)
@@ -365,8 +364,8 @@ class DesignSpaceExplorer:
                     jobs.append(job)
                     context[id(job)] = (mapping, topology)
         outcomes = run_noc_sweep(
-            jobs, topology_cache=self._graph_cache, parallel=parallel,
-            max_workers=max_workers, cache=cache,
+            jobs, topology_cache=self._graph_cache, max_workers=max_workers,
+            cache=cache,
         )
         points: list[DesignPoint] = []
         for outcome in outcomes:
@@ -430,7 +429,6 @@ class DesignSpaceExplorer:
         confirm_top: int = 4,
         objectives: tuple[str, ...] = EXPLORATION_OBJECTIVES,
         skip_invalid: bool = True,
-        parallel: str | None = None,
         max_workers: int | None = None,
         cache: NocSweepCache | None = None,
     ) -> ExplorationReport:
@@ -448,7 +446,9 @@ class DesignSpaceExplorer:
         that is safe.
 
         ``cache`` (a :class:`~repro.noc.sweep.NocSweepCache`) short-circuits
-        previously simulated points across exploration runs and processes.
+        previously simulated points across exploration runs and processes;
+        ``max_workers`` caps the simulation's worker processes, as in
+        :meth:`sweep_ldpc`.
         """
         if screen not in (None, "analytical"):
             raise ConfigurationError(
@@ -516,8 +516,8 @@ class DesignSpaceExplorer:
             jobs.append(job)
             context[id(job)] = (mapping, topology)
         outcomes = run_noc_sweep(
-            jobs, topology_cache=self._graph_cache, parallel=parallel,
-            max_workers=max_workers, cache=cache,
+            jobs, topology_cache=self._graph_cache, max_workers=max_workers,
+            cache=cache,
         )
         points: list[DesignPoint] = []
         for outcome in outcomes:

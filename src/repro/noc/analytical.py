@@ -557,7 +557,7 @@ class AnalyticalNocModel:
 
 def _latency_std(result) -> float:
     """Population standard deviation of the delivered-message latencies."""
-    latencies = result.statistics._latencies
+    latencies = result.statistics.latencies
     if not latencies:
         return 0.0
     return float(np.std(np.asarray(latencies, dtype=np.float64)))

@@ -512,7 +512,7 @@ def _collect_result(
         stats.total_latency = int(latencies.sum())
         stats.max_latency = int(latencies.max(initial=0))
         stats.misrouted = int(np.count_nonzero(np.asarray(misrouted, dtype=np.int64)))
-        stats._latencies.extend(latencies.tolist())
+        stats.latencies.extend(latencies.tolist())
 
     link_utilization = 0.0
     if cycle > 0 and st.n_arcs > 0:

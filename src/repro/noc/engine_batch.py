@@ -916,7 +916,7 @@ def _collect_batched(
             stats.total_latency = lat_sum[j]
             stats.max_latency = lat_max[j]
             stats.misrouted = misrouted[j]
-            stats._latencies.extend(lat[j, :total].tolist())
+            stats.latencies.extend(lat[j, :total].tolist())
         link_utilization = 0.0
         if ncycles > 0 and st.n_arcs > 0:
             link_utilization = hops_j[j] / (st.n_arcs * ncycles)

@@ -60,14 +60,20 @@ class Message:
 
 @dataclass
 class MessageStatistics:
-    """Aggregate statistics over a set of delivered messages."""
+    """Aggregate statistics over a set of delivered messages.
+
+    ``latencies`` holds every delivered message's latency.  Both engines
+    record them in message (CSR) order, source node by source node;
+    ``ReferenceNocSimulator`` records them in delivery order, so compare a
+    reference run's list with an engine's only as a multiset.
+    """
 
     count: int = 0
     total_latency: int = 0
     max_latency: int = 0
     total_hops: int = 0
     misrouted: int = 0
-    _latencies: list[int] = field(default_factory=list, repr=False)
+    latencies: list[int] = field(default_factory=list, repr=False)
 
     def record(self, message: Message) -> None:
         """Accumulate one delivered message."""
@@ -80,7 +86,7 @@ class MessageStatistics:
         self.total_hops += message.hops
         if message.misroutes:
             self.misrouted += 1
-        self._latencies.append(latency)
+        self.latencies.append(latency)
 
     @property
     def mean_latency(self) -> float:

@@ -12,16 +12,20 @@ engine per (graph, configuration).  This module replaces it with an
    sized from a committed benchmark grid), and to the scalar engine
    otherwise.  Configurations the job axis cannot express (bounded-capacity
    backpressure) always run scalar, inside the kernel's own fallback;
-3. with ``parallel="process"`` and more than one worker, oversized groups
-   are split into worker-sized chunks, and the chunks are sharded across a
-   :class:`concurrent.futures.ProcessPoolExecutor` when there are at least
-   two of them; otherwise the sweep dispatches serially with no executor at
-   all.  Chunking spreads the work across the pool and keeps any single
-   pickle payload from carrying a whole grid; chunked results are
-   bit-identical because the kernel is cycle-exact *per job* regardless of
-   batch mates.
-   Each worker process builds (and caches) topologies and routing tables
-   once, so graph construction is paid per worker, not per job.
+3. the sweep is split into **chunks** — each batched group whole, each
+   scalar group into worker-sized pieces — and the chunks go to a
+   :class:`concurrent.futures.ProcessPoolExecutor` only when there are at
+   least two workers, at least two chunks and at least
+   :data:`_POOL_MIN_MESSAGES` messages to simulate; otherwise the sweep runs
+   serially with no executor at all.  A pool does not multiply the serial
+   speed by the worker count: forking the workers and shipping traffic and
+   results cost tens of milliseconds per sweep, so on two workers a
+   Table-I row (twelve scalar jobs) ran ~1.7x faster and the 768-job
+   phase-B pass ~1.4x while two to four Table-I jobs lost, and a batched
+   group split across workers lost its batching (the ``parallel_process``
+   row of ``benchmarks/BENCH_noc_batch_sweep.json``).  Results are
+   bit-identical either way: every engine is cycle-exact *per job*.
+   Workers receive the parent's built graphs from the pool initializer.
 
 Results are returned as :class:`NocSweepOutcome` records that carry the
 originating :class:`NocSweepJob`, so callers match results to jobs by
@@ -39,12 +43,12 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, SimulationError
 from repro.noc.config import CollisionPolicy, NocConfiguration
 from repro.noc.engine import BatchNocSimulator, as_seed
 from repro.noc.engine_batch import BatchedNocKernel
@@ -216,7 +220,7 @@ def _result_to_payload(result: SimulationResult) -> dict:
             "max_latency": statistics.max_latency,
             "total_hops": statistics.total_hops,
             "misrouted": statistics.misrouted,
-            "latencies": list(statistics._latencies),
+            "latencies": list(statistics.latencies),
         },
     }
 
@@ -229,7 +233,7 @@ def _result_from_payload(payload: dict) -> SimulationResult:
         max_latency=int(stats_payload["max_latency"]),
         total_hops=int(stats_payload["total_hops"]),
         misrouted=int(stats_payload["misrouted"]),
-        _latencies=[int(v) for v in stats_payload["latencies"]],
+        latencies=[int(v) for v in stats_payload["latencies"]],
     )
     return SimulationResult(
         ncycles=int(payload["ncycles"]),
@@ -246,9 +250,16 @@ def _result_from_payload(payload: dict) -> SimulationResult:
         traffic_label=str(payload["traffic_label"]),
     )
 
-#: Chunks per worker when sharding groups across a pool: more than one chunk
-#: per worker keeps the pool busy when group runtimes differ.
+#: Chunks per worker when sharding scalar groups across a pool: more than one
+#: chunk per worker keeps the pool busy when job runtimes differ.
 _CHUNKS_PER_WORKER = 2
+
+#: Fewest messages a sweep must simulate before its chunks go to a process
+#: pool.  Sized from the ``parallel_process`` row of
+#: ``benchmarks/BENCH_noc_batch_sweep.json`` (two workers, fork): the first
+#: four jobs of a Table-I row (29 184 messages) ran 0.94x against serial,
+#: the first six (43 776) 1.35x, and every larger shape won.
+_POOL_MIN_MESSAGES = 40_000
 
 
 @dataclass(frozen=True)
@@ -296,7 +307,6 @@ def scheduler_cost_model() -> SweepCostModel:
 def run_noc_sweep(
     jobs: Iterable[NocSweepJob],
     topology_cache: dict | None = None,
-    parallel: str | None = None,
     max_workers: int | None = None,
     cache: NocSweepCache | None = None,
 ) -> list[NocSweepOutcome]:
@@ -313,20 +323,19 @@ def run_noc_sweep(
     topology_cache:
         Optional dict mapping ``(family, parallelism, degree)`` to
         ``(topology, routing_tables)``; pass one to share built graphs across
-        several sweeps.  Used (and populated) by the serial path only — worker
-        processes keep their own per-process caches.
-    parallel:
-        ``None`` (serial, default) or ``"process"`` to shard group chunks
-        across a process pool.  Both paths produce bit-identical outcomes,
-        and ``"process"`` dispatches serially when only one worker is
-        available or the sweep splits into fewer than two chunks.
+        several sweeps.  Missing graphs are built into it, and pool workers
+        receive theirs from it.
     max_workers:
-        Worker count for ``parallel="process"`` (default: ``os.cpu_count()``);
-        a positive ``int`` when given.
+        The most worker processes the sweep may use, a positive ``int``
+        (default: the CPUs this process may run on).  ``1`` runs serially.
+        With more, the scheduler itself decides whether a pool pays: it
+        shards the sweep's chunks across a pool only when there are at least
+        two of them and at least :data:`_POOL_MIN_MESSAGES` messages to
+        simulate.  Both paths produce bit-identical outcomes.
     cache:
         Optional :class:`NocSweepCache`.  Jobs whose exact description was
         simulated before return their persisted result without simulating;
-        missing jobs run normally (through whatever engines and parallelism
+        missing jobs run normally (through whatever engines and workers
         the scheduler picks for the *reduced* sweep) and are persisted on
         the way out.  Results are bit-identical with and without a cache.
 
@@ -334,12 +343,14 @@ def run_noc_sweep(
     -------
     list[NocSweepOutcome]
         One outcome per job, in submission order, each carrying its job.
+
+    Raises
+    ------
+    SimulationError
+        If the worker pool breaks (a worker process died, for example
+        killed for lack of memory); the pool's error is chained.
     """
     jobs = list(jobs)
-    if parallel not in (None, "process"):
-        raise ConfigurationError(
-            f"parallel must be None or 'process', got {parallel!r}"
-        )
     if max_workers is not None and (
         isinstance(max_workers, bool) or not isinstance(max_workers, int) or max_workers < 1
     ):
@@ -353,7 +364,6 @@ def run_noc_sweep(
             fresh = run_noc_sweep(
                 [jobs[i] for i in miss_indices],
                 topology_cache=topology_cache,
-                parallel=parallel,
                 max_workers=max_workers,
             )
             for index, outcome in zip(miss_indices, fresh):
@@ -368,46 +378,65 @@ def run_noc_sweep(
     for index, job in enumerate(jobs):
         key = (job.family, job.parallelism, job.degree, job.config, job.max_cycles)
         groups.setdefault(key, []).append(index)
+    graphs = topology_cache if topology_cache is not None else {}
+    for family, parallelism, degree, _, _ in groups:
+        graph_key = (family, parallelism, degree)
+        if graph_key not in graphs:
+            topology = build_topology(family, parallelism, degree)
+            graphs[graph_key] = (topology, build_routing_tables(topology))
 
     model = scheduler_cost_model()
-    workers = 1
-    if parallel == "process":
-        workers = max_workers if max_workers is not None else (os.cpu_count() or 1)
+    workers = max_workers if max_workers is not None else _available_cpus()
     chunks = _shard_groups(groups, model, len(jobs), workers) if workers > 1 else []
     results: list[SimulationResult | None] = [None] * len(jobs)
-    if len(chunks) < 2:
-        cache: dict = topology_cache if topology_cache is not None else {}
+    if (
+        len(chunks) < 2
+        or sum(job.traffic.total_messages for job in jobs) < _POOL_MIN_MESSAGES
+    ):
         for key, indices in groups.items():
-            family, parallelism, degree, config, max_cycles = key
-            graph_key = (family, parallelism, degree)
-            if graph_key not in cache:
-                topology = build_topology(family, parallelism, degree)
-                cache[graph_key] = (topology, build_routing_tables(topology))
-            topology, tables = cache[graph_key]
-            group_results = _run_group(
-                topology, tables, config, max_cycles,
+            group_results = _run_chunk(
+                graphs, key,
                 [jobs[i].traffic for i in indices],
                 [jobs[i].seed for i in indices],
-                model.batch_wins(config.collision_policy, len(indices)),
+                model.batch_wins(key[3].collision_policy, len(indices)),
             )
             for i, result in zip(indices, group_results):
                 results[i] = result
     else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = {
-                pool.submit(
-                    _process_chunk,
-                    key,
-                    [jobs[i].traffic for i in indices],
-                    [jobs[i].seed for i in indices],
-                    batched,
-                ): indices
-                for key, indices, batched in chunks
-            }
-            for future, indices in futures.items():
-                for i, result in zip(indices, future.result()):
-                    results[i] = result
+        used = {key[:3]: graphs[key[:3]] for key in groups}
+        try:
+            with ProcessPoolExecutor(
+                max_workers=min(workers, len(chunks)),
+                initializer=_install_graphs,
+                initargs=(used,),
+            ) as pool:
+                futures = {
+                    pool.submit(
+                        _process_chunk,
+                        key,
+                        [jobs[i].traffic for i in indices],
+                        [jobs[i].seed for i in indices],
+                        batched,
+                    ): indices
+                    for key, indices, batched in chunks
+                }
+                for future, indices in futures.items():
+                    for i, result in zip(indices, future.result()):
+                        results[i] = result
+        except BrokenExecutor as exc:
+            raise SimulationError(
+                f"the sweep's worker pool broke before {len(jobs)} jobs finished "
+                f"(a worker process died): {exc}"
+            ) from exc
     return [NocSweepOutcome(job=job, result=result) for job, result in zip(jobs, results)]
+
+
+def _available_cpus() -> int:
+    """The CPUs this process may run on: its affinity mask where the
+    platform has one, else the machine's CPU count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _shard_groups(
@@ -416,39 +445,37 @@ def _shard_groups(
     total_jobs: int,
     workers: int,
 ) -> list[tuple[tuple, list[int], bool]]:
-    """Split oversized groups into worker-sized chunks of one group each.
+    """Split the sweep into chunks of one group each.
 
-    The cap targets :data:`_CHUNKS_PER_WORKER` chunks per worker across the
-    whole sweep, so a single huge group spreads over the pool instead of
-    serializing on one worker — and no single task pickles the entire grid.
-    A batched group is never split below its policy's crossover, so every
-    chunk keeps its group's dispatch.  Chunking preserves results exactly:
-    the kernel is cycle-exact per job, so a group's jobs can batch in any
-    partition.
+    A batched group is always one whole chunk: splitting it would only trade
+    the kernel's batching for pool traffic.  A scalar group is split evenly
+    into chunks of about ``total_jobs / (workers * _CHUNKS_PER_WORKER)`` jobs,
+    so scalar work spreads over the pool and no single task pickles the
+    entire grid.  Chunking preserves results exactly: each engine is
+    cycle-exact per job.
     """
     cap = max(total_jobs // (workers * _CHUNKS_PER_WORKER), 1)
     chunks: list[tuple[tuple, list[int], bool]] = []
     for key, indices in groups.items():
-        policy = key[3].collision_policy
-        batched = model.batch_wins(policy, len(indices))
-        floor = max(cap, model.crossover(policy)) if batched else cap
-        # Even split into chunks of at least ``floor`` jobs each.
-        n_chunks = max(len(indices) // floor, 1)
+        if model.batch_wins(key[3].collision_policy, len(indices)):
+            chunks.append((key, indices, True))
+            continue
+        n_chunks = max(len(indices) // cap, 1)
         bounds = [len(indices) * i // n_chunks for i in range(n_chunks + 1)]
         for lo, hi in zip(bounds, bounds[1:]):
-            chunks.append((key, indices[lo:hi], batched))
+            chunks.append((key, indices[lo:hi], False))
     return chunks
 
 
-def _run_group(
-    topology, tables, config, max_cycles, traffics, seeds, batched: bool
-) -> list[SimulationResult]:
-    """Run one (graph, configuration) group on the engine dispatch picked.
+def _run_chunk(graphs, key, traffics, seeds, batched: bool) -> list[SimulationResult]:
+    """Run one chunk of a (graph, configuration) group on the engine picked.
 
     Engines are constructed seed-independently (the kernel takes no seed at
     all; the scalar engine gets ``seed=0`` and per-job seeds at ``run`` only),
     so reuse across same-group jobs with different seeds is exact.
     """
+    family, parallelism, degree, config, max_cycles = key
+    topology, tables = graphs[(family, parallelism, degree)]
     if batched:
         kernel = BatchedNocKernel(
             topology, config, routing_tables=tables, max_cycles=max_cycles
@@ -460,18 +487,16 @@ def _run_group(
     return [engine.run(traffic, seed=seed) for traffic, seed in zip(traffics, seeds)]
 
 
-#: Per-worker-process graph cache: topologies and routing tables are built
-#: once per (family, parallelism, degree) in each worker, then shared across
-#: every chunk that worker executes.
+#: A pool worker's topologies and routing tables, keyed like ``topology_cache``
+#: and installed by :func:`_install_graphs` when the worker starts.
 _WORKER_GRAPHS: dict = {}
 
 
+def _install_graphs(graphs: dict) -> None:
+    """Pool initializer: hand a worker the parent's built graphs."""
+    _WORKER_GRAPHS.update(graphs)
+
+
 def _process_chunk(key, traffics, seeds, batched: bool) -> list[SimulationResult]:
-    """Worker entry point: build/cache the graph, then run one group chunk."""
-    family, parallelism, degree, config, max_cycles = key
-    graph_key = (family, parallelism, degree)
-    if graph_key not in _WORKER_GRAPHS:
-        topology = build_topology(family, parallelism, degree)
-        _WORKER_GRAPHS[graph_key] = (topology, build_routing_tables(topology))
-    topology, tables = _WORKER_GRAPHS[graph_key]
-    return _run_group(topology, tables, config, max_cycles, traffics, seeds, batched)
+    """Worker entry point: run one chunk on the installed graphs."""
+    return _run_chunk(_WORKER_GRAPHS, key, traffics, seeds, batched)

@@ -171,7 +171,15 @@ class HealthSnapshot:
 
 @dataclass
 class ServiceMetrics:
-    """Mutable counters behind the service; mutate from the loop thread only."""
+    """Mutable counters behind the service; mutate from the loop thread only.
+
+    Every request counted in ``submitted`` ends in exactly one of
+    ``completed``, ``failed``, ``deadline_exceeded`` or ``cancelled``.  A
+    wait-mode request whose deadline expires before it gets a queue slot
+    counts in ``submitted`` and ends in ``deadline_exceeded``; ``rejected``
+    (reject mode, queue full) and ``validation_failures`` are never
+    submitted.
+    """
 
     submitted: int = 0
     completed: int = 0

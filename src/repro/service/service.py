@@ -341,6 +341,9 @@ class DecodeService:
                         lane.slots.acquire(), deadline_at - loop.time()
                     )
                 except asyncio.TimeoutError:  # noqa: UP041 — py3.10 spells it this way
+                    # Admitted but never queued: it counts as submitted and
+                    # ends in deadline_exceeded, like any expired request.
+                    self.metrics.submitted += 1
                     self.metrics.deadline_exceeded += 1
                     raise DeadlineExceededError(
                         f"deadline of {deadline_s:.4f} s expired while waiting "

@@ -72,7 +72,7 @@ def _observables(result):
         "max_latency": result.statistics.max_latency,
         "total_hops": result.statistics.total_hops,
         "misrouted": result.statistics.misrouted,
-        "latencies": list(result.statistics._latencies),
+        "latencies": list(result.statistics.latencies),
         "describe": result.describe(),
     }
 

@@ -74,7 +74,7 @@ def _observables(result):
         "total_hops": result.statistics.total_hops,
         "misrouted": result.statistics.misrouted,
         "mean_latency": result.statistics.mean_latency,
-        "latencies": sorted(result.statistics._latencies),
+        "latencies": sorted(result.statistics.latencies),
         "describe": result.describe(),
     }
 

@@ -1,19 +1,26 @@
-"""Sweep-scheduler coverage: grouping, identity, seeds, process parity.
+"""Sweep-scheduler coverage: grouping, identity, seeds, the worker pool.
 
 :func:`repro.noc.sweep.run_noc_sweep` groups jobs by (graph, configuration),
 dispatches groups to the job-batched kernel and returns outcomes that carry
 their jobs.  These tests pin the scheduler-level contracts: grouping across
 mixed families/configurations is correct, engine reuse is seed-independent,
-``parallel="process"`` is bit-identical to the serial path, group size
-alone decides the engine (at each policy's fixed crossover), and topology
-caches are shared across sweeps.
+the worker pool is bit-identical to the serial path and is used only when
+its rule holds (two workers, two chunks, ``_POOL_MIN_MESSAGES`` messages),
+a broken pool raises a typed error, group size alone decides the engine (at
+each policy's fixed crossover), and topology caches are shared across
+sweeps.
 """
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import BrokenExecutor
+
 import numpy as np
 import pytest
 
+import repro.noc.sweep as sweep_mod
+from repro.core import DecoderSpec, DesignSpaceExplorer
 from repro.errors import ConfigurationError, SimulationError
 from repro.noc import (
     BatchedNocKernel,
@@ -24,9 +31,11 @@ from repro.noc import (
     NocSweepOutcome,
     ReferenceNocSimulator,
     RoutingAlgorithm,
+    SweepCostModel,
     build_routing_tables,
     build_topology,
     run_noc_sweep,
+    scheduler_cost_model,
 )
 from repro.noc.traffic import random_traffic, random_traffic_streams
 
@@ -52,7 +61,7 @@ def _signature(result):
         result.statistics.total_latency,
         result.statistics.max_latency,
         result.statistics.misrouted,
-        tuple(result.statistics._latencies),
+        tuple(result.statistics.latencies),
     )
 
 
@@ -119,9 +128,6 @@ class TestGrouping:
             assert _signature(outcome.result) == _fresh_engine_signature(outcome.job)
 
     def test_batched_dispatch_matches_scalar_dispatch(self, monkeypatch):
-        import repro.noc.sweep as sweep_mod
-        from repro.noc import SweepCostModel
-
         jobs = _mixed_jobs()
         scalar = run_noc_sweep(jobs)  # groups of 3: below every crossover
         monkeypatch.setattr(sweep_mod, "_COST_MODEL", SweepCostModel(2, 2))
@@ -129,16 +135,12 @@ class TestGrouping:
         for b, s in zip(batched, scalar):
             assert _signature(b.result) == _signature(s.result)
 
-    def test_rejects_unknown_parallel_mode(self):
-        with pytest.raises(ConfigurationError):
-            run_noc_sweep([], parallel="thread")
-
     @pytest.mark.parametrize("max_workers", [0, -1, 2.0, "2", True])
     def test_rejects_bad_max_workers(self, max_workers):
         """A worker count that cannot size a pool fails instead of
         silently running serially."""
         with pytest.raises(ConfigurationError):
-            run_noc_sweep(_mixed_jobs(), parallel="process", max_workers=max_workers)
+            run_noc_sweep(_mixed_jobs(), max_workers=max_workers)
 
 
 class TestSeedIndependence:
@@ -215,8 +217,6 @@ class TestSeedTypes:
     def test_numpy_seed_sweeps_at_the_crossover(self, offset):
         """crossover - 1 jobs (scalar engine) and crossover jobs (batched
         kernel) both accept NumPy seeds and match plain-int fresh engines."""
-        from repro.noc import scheduler_cost_model
-
         _, _, config, traffic = self._setup()
         count = scheduler_cost_model().crossover(config.collision_policy) + offset
         jobs = [
@@ -251,79 +251,172 @@ class TestSeedTypes:
             ReferenceNocSimulator(topology, config, routing_tables=tables, seed=seed)
 
 
-class TestProcessParallel:
-    def test_process_mode_bit_identical_to_serial(self):
+def _forbid_pool(monkeypatch):
+    def boom(*args, **kwargs):
+        raise AssertionError("ProcessPoolExecutor must not be constructed")
+
+    monkeypatch.setattr(sweep_mod, "ProcessPoolExecutor", boom)
+
+
+def _count_pools(monkeypatch) -> list[int]:
+    """Record the worker count of every pool the scheduler builds."""
+    pools: list[int] = []
+    real = sweep_mod.ProcessPoolExecutor
+
+    def spy(*args, max_workers, **kwargs):
+        pools.append(max_workers)
+        return real(*args, max_workers=max_workers, **kwargs)
+
+    monkeypatch.setattr(sweep_mod, "ProcessPoolExecutor", spy)
+    return pools
+
+
+def _die_in_worker(*args):
+    os._exit(1)
+
+
+class TestWorkerPool:
+    def test_pool_bit_identical_to_serial(self, monkeypatch):
         jobs = _mixed_jobs()
-        serial = run_noc_sweep(jobs)
-        parallel = run_noc_sweep(jobs, parallel="process", max_workers=2)
-        assert [outcome.job for outcome in parallel] == jobs
-        for s, p in zip(serial, parallel):
+        serial = run_noc_sweep(jobs, max_workers=1)
+        monkeypatch.setattr(sweep_mod, "_POOL_MIN_MESSAGES", 0)
+        pools = _count_pools(monkeypatch)
+        pooled = run_noc_sweep(jobs, max_workers=2)
+        assert pools == [2]
+        assert [outcome.job for outcome in pooled] == jobs
+        for s, p in zip(serial, pooled):
             assert _signature(s.result) == _signature(p.result)
 
+    def test_table1_row_pooled_equals_serial(self, monkeypatch, worst_case_ldpc_code):
+        """One real Table-I row (12 scalar jobs of 7 296 messages) clears
+        the threshold with no help and gives the serial design points."""
+        explorer = DesignSpaceExplorer(DecoderSpec(mapping_attempts=2), seed=0)
+
+        def row(max_workers):
+            return explorer.sweep_ldpc(
+                worst_case_ldpc_code, [("generalized-kautz", 3)], [16, 24, 32, 36],
+                list(RoutingAlgorithm), max_workers=max_workers,
+            )
+
+        serial = row(1)
+        pools = _count_pools(monkeypatch)
+        pooled = row(2)
+        assert pools == [2]
+        assert len(serial) == 12 and pooled == serial
+
     def test_single_worker_never_spins_up_a_pool(self, monkeypatch):
-        """workers=1 must dispatch serially with no executor at all."""
-        import repro.noc.sweep as sweep_mod
-
-        def boom(*args, **kwargs):
-            raise AssertionError("ProcessPoolExecutor must not be constructed")
-
-        monkeypatch.setattr(sweep_mod, "ProcessPoolExecutor", boom)
+        """max_workers=1 dispatches serially with no executor at all."""
+        monkeypatch.setattr(sweep_mod, "_POOL_MIN_MESSAGES", 0)
+        _forbid_pool(monkeypatch)
         jobs = _mixed_jobs()
-        outcomes = run_noc_sweep(jobs, parallel="process", max_workers=1)
+        outcomes = run_noc_sweep(jobs, max_workers=1)
         for outcome in outcomes:
             assert _signature(outcome.result) == _fresh_engine_signature(outcome.job)
 
     def test_single_chunk_sweep_never_spins_up_a_pool(self, monkeypatch):
         """A sweep that yields one chunk runs serially even with several
         workers available."""
-        import repro.noc.sweep as sweep_mod
-
-        def boom(*args, **kwargs):
-            raise AssertionError("ProcessPoolExecutor must not be constructed")
-
-        monkeypatch.setattr(sweep_mod, "ProcessPoolExecutor", boom)
+        monkeypatch.setattr(sweep_mod, "_POOL_MIN_MESSAGES", 0)
+        _forbid_pool(monkeypatch)
         jobs = _mixed_jobs()[:1]
-        outcomes = run_noc_sweep(jobs, parallel="process", max_workers=4)
+        outcomes = run_noc_sweep(jobs, max_workers=4)
         assert _signature(outcomes[0].result) == _fresh_engine_signature(jobs[0])
 
-    def test_oversized_groups_shard_into_chunks(self):
-        """More workers than groups: groups split into worker-sized chunks,
-        results stay bit-identical."""
-        import repro.noc.sweep as sweep_mod
-        from repro.noc import SweepCostModel
+    def test_sweep_below_the_threshold_never_spins_up_a_pool(self, monkeypatch):
+        """Many chunks and workers, but too few messages to pay for a pool;
+        at exactly the threshold the scheduler does reach for one."""
+        jobs = _mixed_jobs()
+        messages = sum(job.traffic.total_messages for job in jobs)
+        monkeypatch.setattr(sweep_mod, "_POOL_MIN_MESSAGES", messages + 1)
+        _forbid_pool(monkeypatch)
+        outcomes = run_noc_sweep(jobs, max_workers=4)
+        for outcome in outcomes:
+            assert _signature(outcome.result) == _fresh_engine_signature(outcome.job)
+        monkeypatch.setattr(sweep_mod, "_POOL_MIN_MESSAGES", messages)
+        with pytest.raises(AssertionError, match="must not be constructed"):
+            run_noc_sweep(jobs, max_workers=4)
 
+    def test_default_workers_follow_the_affinity_mask(self, monkeypatch):
+        monkeypatch.setattr(sweep_mod, "_POOL_MIN_MESSAGES", 0)
+        if hasattr(os, "sched_getaffinity"):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        else:
+            monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        _forbid_pool(monkeypatch)
+        run_noc_sweep(_mixed_jobs())  # one CPU: serial, no pool
+
+    def test_scalar_groups_shard_into_chunks(self):
+        """More workers than groups: a scalar group splits into chunks of
+        about total_jobs / (2 * workers) jobs, so it spreads over the pool."""
         config = NocConfiguration(collision_policy=CollisionPolicy.SCM)
+        key = ("generalized-kautz", 8, 3, config, 200_000)
+        chunks = sweep_mod._shard_groups(
+            {key: list(range(12))}, SweepCostModel(), total_jobs=12, workers=2
+        )
+        assert [idx for _, idx, _ in chunks] == [
+            [0, 1, 2], [3, 4, 5], [6, 7, 8], [9, 10, 11]
+        ]
+        assert not any(batched for _, _, batched in chunks)
+        chunks = sweep_mod._shard_groups(
+            {key: list(range(12))}, SweepCostModel(), total_jobs=12, workers=4
+        )
+        assert [idx for _, idx, _ in chunks] == [[i] for i in range(12)]
+
+    @pytest.mark.parametrize("workers", [2, 4, 12])
+    def test_batched_group_is_never_split(self, monkeypatch, workers):
+        """Each batched group is one whole chunk, whatever the worker count;
+        a sweep of two batched groups pools them whole."""
+        policy = CollisionPolicy.DCM
+        configs = [
+            NocConfiguration(collision_policy=policy).with_routing(algorithm)
+            for algorithm in (RoutingAlgorithm.SSP_FL, RoutingAlgorithm.ASP_FT)
+        ]
         streams = random_traffic_streams(8, 10, seed=90, count=12)
         jobs = [
             NocSweepJob(
                 family="generalized-kautz", parallelism=8, degree=3,
                 config=config, traffic=traffic, seed=stream,
             )
+            for config in configs
             for stream, traffic in enumerate(streams)
         ]
-        key = ("k", 8, 3, config, 200_000)
+        monkeypatch.setattr(sweep_mod, "_COST_MODEL", SweepCostModel(dcm_crossover=2))
+        groups = {
+            ("generalized-kautz", 8, 3, config, 200_000): list(range(12 * c, 12 * c + 12))
+            for c, config in enumerate(configs)
+        }
         chunks = sweep_mod._shard_groups(
-            {key: list(range(12))},
-            SweepCostModel(scm_crossover=2),
-            total_jobs=12,
-            workers=4,
+            groups, scheduler_cost_model(), total_jobs=24, workers=workers
         )
-        assert len(chunks) >= 4  # one group spread over the pool
-        assert sorted(i for _, idx, _ in chunks for i in idx) == list(range(12))
-        # every chunk at or above the batch floor keeps the batched decision
-        assert all(batched == (len(idx) >= 2) for _, idx, batched in chunks)
-        # a batched group is never split below its floor
-        floored = sweep_mod._shard_groups(
-            {key: list(range(12))},
-            SweepCostModel(scm_crossover=6),
-            total_jobs=12,
-            workers=12,
-        )
-        assert all(len(idx) >= 6 for _, idx, _ in floored)
-        serial = run_noc_sweep(jobs)
-        parallel = run_noc_sweep(jobs, parallel="process", max_workers=4)
-        for s, p in zip(serial, parallel):
+        assert [(idx, batched) for _, idx, batched in chunks] == [
+            (indices, True) for indices in groups.values()
+        ]
+        batched_runs = []
+        real_chunk = sweep_mod._run_chunk
+
+        def spy(graphs, key, traffics, seeds, batched):
+            batched_runs.append((len(traffics), batched))
+            return real_chunk(graphs, key, traffics, seeds, batched)
+
+        monkeypatch.setattr(sweep_mod, "_run_chunk", spy)
+        serial = run_noc_sweep(jobs, max_workers=1)
+        assert batched_runs == [(12, True), (12, True)]
+        monkeypatch.setattr(sweep_mod, "_POOL_MIN_MESSAGES", 0)
+        pools = _count_pools(monkeypatch)
+        pooled = run_noc_sweep(jobs, max_workers=workers)
+        assert pools == [2]  # one worker per chunk at most
+        for s, p in zip(serial, pooled):
             assert _signature(s.result) == _signature(p.result)
+
+    def test_broken_pool_raises_simulation_error(self, monkeypatch):
+        """A worker that dies (as one killed for lack of memory would) breaks
+        the pool; the sweep raises the typed error with the pool's chained.
+        Forked workers inherit the patched entry point."""
+        monkeypatch.setattr(sweep_mod, "_POOL_MIN_MESSAGES", 0)
+        monkeypatch.setattr(sweep_mod, "_process_chunk", _die_in_worker)
+        with pytest.raises(SimulationError, match="worker pool broke") as excinfo:
+            run_noc_sweep(_mixed_jobs(), max_workers=2)
+        assert isinstance(excinfo.value.__cause__, BrokenExecutor)
 
 
 class TestDispatchRule:
@@ -333,9 +426,6 @@ class TestDispatchRule:
     ):
         """crossover - 1 jobs run the scalar engine, crossover jobs run the
         batched kernel; both bit-identical to fresh per-job engines."""
-        import repro.noc.sweep as sweep_mod
-        from repro.noc import scheduler_cost_model
-
         batched_runs = []
         real_kernel = sweep_mod.BatchedNocKernel
 
@@ -368,9 +458,6 @@ class TestDispatchRule:
     def test_scheduler_cost_model_is_a_constant(self, monkeypatch):
         """No probe: the model is one fixed object, and asking for it runs
         no engine."""
-        import repro.noc.sweep as sweep_mod
-        from repro.noc import SweepCostModel, scheduler_cost_model
-
         def boom(*args, **kwargs):
             raise AssertionError("no engine may run to pick the dispatch")
 

@@ -530,6 +530,7 @@ async def test_deadline_fires_while_waiting_for_a_queue_slot(registry, turbo_ent
     for task in (occupier, queued):
         with pytest.raises(ServiceClosedError):
             await task
+    _assert_conserved(service.metrics_snapshot())
 
 
 @pytest.mark.asyncio
