@@ -19,9 +19,9 @@ code, any grid — reuses them).  The row's headline ratio ``vs.screened``
 is the amortized one; ``vs.screened_cold`` is the first-run ratio.  Results
 land in ``BENCH_noc_analytical.json``.
 
-The quick smoke test (always on, and run by CI) exercises screened
-exploration on a reduced grid with the persistent sweep cache, twice,
-asserting the second pass is served entirely from cache.
+The quick smoke test (always on, and run by CI) runs screened exploration
+on a reduced grid twice through one explorer, asserting both passes give
+the same report.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ from __future__ import annotations
 import pytest
 
 from repro import DecoderSpec, DesignSpaceExplorer, wimax_ldpc_code
-from repro.noc import NocSweepCache
 
 from benchmarks.harness import record, row, trials
 
@@ -76,13 +75,7 @@ def test_analytical_screening_speedup():
     # built topologies, routing tables and code mappings.  What remains in
     # the timed regions is exactly what differs — simulate everything vs
     # estimate everything and simulate the shortlist.
-    for family, degree in TOPOLOGIES:
-        for parallelism in BIG_PARALLELISMS:
-            try:
-                explorer._cached_graph(family, degree, parallelism)
-                explorer._cached_ldpc_mapping(code, parallelism)
-            except Exception:
-                continue  # infeasible cell; explore() skips it too
+    explorer._feasible_combos(code, TOPOLOGIES, BIG_PARALLELISMS, None)
 
     # Interleaved trials.  The cold screened pass drops the explorer's
     # analytical model first, so it pays the one-time contention fits
@@ -170,37 +163,24 @@ def test_analytical_screening_speedup():
     )
 
 
-def test_analytical_screening_smoke(tmp_path):
-    """Reduced-grid screened exploration, run twice through the sweep cache."""
+def test_analytical_screening_smoke():
+    """Reduced-grid screened exploration, run twice: both reports are equal."""
     code = wimax_ldpc_code(576, "1/2")
     explorer = DesignSpaceExplorer(DecoderSpec(mapping_attempts=1), seed=0)
-    cache = NocSweepCache(tmp_path / "sweep-cache")
 
     def screened_run():
         return explorer.explore(
             code, SMOKE_TOPOLOGIES, SMOKE_PARALLELISMS,
-            screen="analytical", confirm_top=6, cache=cache,
+            screen="analytical", confirm_top=6,
         )
 
     cold = screened_run()
-    cold_misses = cache.misses
     warm = screened_run()
 
     assert cold.n_skipped > 0
-    assert cold_misses == cold.n_simulated
-    assert cache.hits == cold_misses, "warm pass was not served from the cache"
-    assert cache.misses == cold_misses, "warm pass re-simulated cached jobs"
-    for objective, winner in cold.winners.items():
-        again = warm.winners[objective]
-        assert (winner.topology_family, winner.parallelism, winner.ncycles) == (
-            again.topology_family, again.parallelism, again.ncycles,
-        )
+    assert warm == cold, "a second screened pass changed the report"
 
-    print(
-        "\nScreening smoke (reduced grid, persistent cache):\n"
-        f"  {cold.describe()}\n"
-        f"  cache: {cache.hits} hits / {cache.misses} misses over two passes"
-    )
+    print(f"\nScreening smoke (reduced grid, two passes):\n  {cold.describe()}")
     record(
         "noc_analytical",
         "screening_smoke",
@@ -208,8 +188,6 @@ def test_analytical_screening_smoke(tmp_path):
             "n_candidates": cold.n_candidates,
             "n_simulated": cold.n_simulated,
             "n_skipped": cold.n_skipped,
-            "cache_hits": cache.hits,
-            "cache_misses": cache.misses,
             "winners": {
                 objective: f"{point.topology_family}-P{point.parallelism}"
                 f"-{point.routing_algorithm.value}"

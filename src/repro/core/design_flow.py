@@ -11,21 +11,24 @@ interleaver), runs the cycle-accurate simulation and reports, per point,
 ``ncycles``, throughput (eq. (12)), NoC area and FIFO sizing — exactly the
 quantities tabulated in the paper's Table I.
 
-Simulation goes through the NoC sweep scheduler
-(:func:`~repro.noc.sweep.run_noc_sweep`): the whole grid is submitted as one
-batch of :class:`~repro.noc.sweep.NocSweepJob`s, the scheduler groups them by
-(graph, configuration) — dispatching each group to the job-axis cycle kernel
-when it reaches its collision policy's fixed crossover and to the scalar
-engine otherwise, and optionally sharding group chunks across worker
-processes — and every
-returned :class:`~repro.noc.sweep.NocSweepOutcome` carries its job, so design
-points are assembled from the job identity rather than input ordering.
-Topologies, routing tables and code mappings are each built once per sweep
-and shared across all the points that reuse them.
+Every entry point — the LDPC and turbo single-point evaluations,
+:meth:`~DesignSpaceExplorer.sweep_ldpc` and
+:meth:`~DesignSpaceExplorer.explore` — goes through one path: its (family,
+degree, P, routing) combos become :class:`~repro.noc.sweep.NocSweepJob`s in
+grid order, submitted in one :func:`~repro.noc.sweep.run_noc_sweep` call.
+The scheduler groups them by (graph, configuration), sends each group to the
+job-axis cycle kernel when it reaches its collision policy's fixed crossover
+and to the scalar engine otherwise, and itself decides whether a sweep is
+large enough to shard across a worker pool.  Outcomes come back in
+submission order, and each is costed into a :class:`DesignPoint` (eq. (12)
+throughput and the NoC area model).  Topologies, routing tables and code
+mappings are each built once per explorer and shared across all the points
+that reuse them.
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 from repro.core.config import DecoderSpec
@@ -37,13 +40,27 @@ from repro.mapping.ldpc_mapping import map_ldpc_code
 from repro.mapping.turbo_mapping import map_turbo_code
 from repro.noc.analytical import AnalyticalEstimate, AnalyticalNocModel
 from repro.noc.config import RoutingAlgorithm
-from repro.noc.results import SimulationResult
 from repro.noc.routing import RoutingTables, build_routing_tables
-from repro.noc.sweep import NocSweepCache, NocSweepJob, run_noc_sweep
+from repro.noc.sweep import NocSweepJob, run_noc_sweep
 from repro.noc.topologies import Topology, build_topology
+from repro.utils.validation import require_int
 
-#: Objectives the screened exploration ranks candidates by.
+#: Objectives the exploration ranks candidates and picks winners by.
 EXPLORATION_OBJECTIVES = ("throughput", "throughput_per_area")
+
+#: One design-grid cell: (topology family, degree, parallelism, routing).
+Combo = tuple[str, int, int, RoutingAlgorithm]
+
+
+def objective_score(objective: str, throughput_mbps: float, noc_area_mm2: float) -> float:
+    """Score of one exploration objective (higher is better).
+
+    The one scoring rule behind analytical screening, the simulated winners
+    and :meth:`DesignSpaceExplorer.best_point`.
+    """
+    if objective == "throughput":
+        return throughput_mbps
+    return throughput_mbps / max(noc_area_mm2, 1e-9)
 
 
 @dataclass(frozen=True)
@@ -85,14 +102,6 @@ class ScreenedCandidate:
     estimate: AnalyticalEstimate
     est_throughput_mbps: float
     est_noc_area_mm2: float
-
-    def score(self, objective: str) -> float:
-        """Ranking score for one exploration objective (higher is better)."""
-        if objective == "throughput":
-            return self.est_throughput_mbps
-        if objective == "throughput_per_area":
-            return self.est_throughput_mbps / max(self.est_noc_area_mm2, 1e-9)
-        raise ConfigurationError(f"unknown exploration objective {objective!r}")
 
 
 @dataclass(frozen=True)
@@ -139,11 +148,13 @@ class DesignSpaceExplorer:
         base NoC configuration; topology family, degree, parallelism and
         routing algorithm are overridden per design point.
     seed:
-        Partitioner / simulator seed (kept constant across the sweep so that
-        differences between points are architectural, not stochastic).
+        Partitioner / simulator seed, an ``int >= 0`` (kept constant across
+        the sweep so that differences between points are architectural, not
+        stochastic).
     """
 
     def __init__(self, base_spec: DecoderSpec | None = None, seed: int = 0):
+        require_int("seed", seed, 0)
         self.base_spec = base_spec if base_spec is not None else DecoderSpec()
         self.seed = seed
         self._area_model = NocAreaModel()
@@ -154,8 +165,7 @@ class DesignSpaceExplorer:
         # The code->PE mapping depends only on the code and the parallelism,
         # not on the topology or routing algorithm, so it is cached across the
         # sweep (the paper's flow likewise partitions once per (code, P) pair).
-        self._ldpc_mapping_cache: dict[tuple[int, str, int], object] = {}
-        self._turbo_mapping_cache: dict[tuple[int, int], object] = {}
+        self._mapping_cache: dict[tuple, object] = {}
         # Topologies and routing tables are shared across every sweep point
         # that uses the same graph (three routing algorithms per cell in the
         # Table-I grid).  The dict uses the sweep scheduler's key order so it
@@ -173,94 +183,140 @@ class DesignSpaceExplorer:
             self._graph_cache[key] = (topology, build_routing_tables(topology))
         return self._graph_cache[key]
 
-    def _cached_ldpc_mapping(self, code: WimaxLdpcCode, parallelism: int):
+    def _cached_mapping(self, code: WimaxLdpcCode | int, parallelism: int):
+        """The code->PE mapping of ``code`` on ``parallelism`` PEs and its NoC traffic.
+
+        ``code`` is an LDPC code, or a CTC block size in couples for turbo.
+        """
+        if isinstance(code, numbers.Integral):
+            key = ("ctc", code, parallelism)
+            if key not in self._mapping_cache:
+                self._mapping_cache[key] = map_turbo_code(
+                    code, parallelism, label=f"ctc-N{code}-P{parallelism}"
+                )
+            mapping = self._mapping_cache[key]
+            return mapping, mapping.traffic_forward
         key = (code.n, code.rate_name, parallelism)
-        if key not in self._ldpc_mapping_cache:
-            self._ldpc_mapping_cache[key] = map_ldpc_code(
+        if key not in self._mapping_cache:
+            self._mapping_cache[key] = map_ldpc_code(
                 code.h,
                 parallelism,
                 seed=self.seed,
                 attempts=self.base_spec.mapping_attempts,
                 label=f"{code.rate_name}-n{code.n}-P{parallelism}",
             )
-        return self._ldpc_mapping_cache[key]
-
-    def _cached_turbo_mapping(self, n_couples: int, parallelism: int):
-        key = (n_couples, parallelism)
-        if key not in self._turbo_mapping_cache:
-            self._turbo_mapping_cache[key] = map_turbo_code(
-                n_couples, parallelism, label=f"ctc-N{n_couples}-P{parallelism}"
-            )
-        return self._turbo_mapping_cache[key]
+        mapping = self._mapping_cache[key]
+        return mapping, mapping.traffic
 
     # ------------------------------------------------------------------ #
-    # Point assembly (simulation results -> Table-I rows)
+    # Costing (eq. (12) and the NoC area model)
     # ------------------------------------------------------------------ #
-    def _ldpc_point(
-        self,
-        code: WimaxLdpcCode,
-        job: NocSweepJob,
-        result: SimulationResult,
-        mapping,
-        topology: Topology,
-    ) -> DesignPoint:
+    def _throughput_bps(self, code: WimaxLdpcCode | int, ncycles: int) -> float:
+        """Eq. (12) for ``ncycles`` NoC cycles per iteration (LDPC) or half-iteration (turbo)."""
         spec = self.base_spec
-        throughput = ldpc_throughput_bps(
+        if isinstance(code, numbers.Integral):
+            return turbo_throughput_bps(
+                info_bits=2 * code,
+                noc_clock_hz=spec.turbo_noc_clock_hz,
+                max_iterations=spec.turbo_max_iterations,
+                core_latency_cycles=spec.siso_core_latency_cycles,
+                half_iteration_cycles=ncycles,
+            )
+        return ldpc_throughput_bps(
             info_bits=code.k,
             clock_hz=spec.ldpc_clock_hz,
             max_iterations=spec.ldpc_max_iterations,
             core_latency_cycles=spec.ldpc_core_latency_cycles,
-            message_passing_cycles=result.ncycles,
+            message_passing_cycles=ncycles,
         )
-        return self._assemble_point(job, result, mapping, topology, "LDPC", throughput)
 
-    def _turbo_point(
+    # ------------------------------------------------------------------ #
+    # The one grid-to-points path
+    # ------------------------------------------------------------------ #
+    def _feasible_combos(
         self,
-        n_couples: int,
-        job: NocSweepJob,
-        result: SimulationResult,
-        mapping,
-        topology: Topology,
-    ) -> DesignPoint:
+        code: WimaxLdpcCode,
+        topologies: list[tuple[str, int]],
+        parallelisms: list[int],
+        routing_algorithms: list[RoutingAlgorithm] | None,
+    ) -> list[Combo]:
+        """The grid's combos in grid order, infeasible (family, degree, P) cells skipped.
+
+        A cell is infeasible when its topology cannot be built (e.g. a
+        toroidal mesh whose node count has no valid grid) or the code cannot
+        be mapped on it — the paper likewise reports only feasible points.
+        """
+        algorithms = routing_algorithms or list(RoutingAlgorithm)
+        combos: list[Combo] = []
+        for family, degree in topologies:
+            for parallelism in parallelisms:
+                try:
+                    self._cached_graph(family, degree, parallelism)
+                    self._cached_mapping(code, parallelism)
+                except (TopologyError, MappingError, ConfigurationError):
+                    continue
+                combos.extend((family, degree, parallelism, a) for a in algorithms)
+        return combos
+
+    def _points(
+        self,
+        code: WimaxLdpcCode | int,
+        combos: list[Combo],
+        max_workers: int | None = None,
+    ) -> list[DesignPoint]:
+        """Map, simulate and cost ``combos``: one point each, in combo order.
+
+        ``code`` is an LDPC code, or a CTC block size in couples for turbo
+        points.  All combos go to the sweep scheduler in one call, so it
+        groups and shards across the whole set; ``max_workers`` caps its
+        worker processes (mapping and costing stay in-process).
+        """
         spec = self.base_spec
-        throughput = turbo_throughput_bps(
-            info_bits=2 * n_couples,
-            noc_clock_hz=spec.turbo_noc_clock_hz,
-            max_iterations=spec.turbo_max_iterations,
-            core_latency_cycles=spec.siso_core_latency_cycles,
-            half_iteration_cycles=result.ncycles,
+        jobs: list[NocSweepJob] = []
+        contexts: list[tuple] = []
+        for family, degree, parallelism, algorithm in combos:
+            topology, _ = self._cached_graph(family, degree, parallelism)
+            mapping, traffic = self._cached_mapping(code, parallelism)
+            jobs.append(
+                NocSweepJob(
+                    family=family,
+                    parallelism=parallelism,
+                    degree=degree,
+                    config=spec.noc.with_routing(algorithm),
+                    traffic=traffic,
+                    seed=self.seed,
+                )
+            )
+            contexts.append((mapping, topology))
+        outcomes = run_noc_sweep(
+            jobs, topology_cache=self._graph_cache, max_workers=max_workers
         )
-        return self._assemble_point(job, result, mapping, topology, "turbo", throughput)
-
-    def _assemble_point(
-        self,
-        job: NocSweepJob,
-        result: SimulationResult,
-        mapping,
-        topology: Topology,
-        mode: str,
-        throughput: float,
-    ) -> DesignPoint:
-        noc_area = self._area_model.noc_area_mm2(
-            n_nodes=job.parallelism,
-            crossbar_size=topology.crossbar_size,
-            config=job.config,
-            per_node_fifo_depth=result.per_node_max_fifo,
-        )
-        return DesignPoint(
-            topology_family=job.family,
-            degree=job.degree,
-            parallelism=job.parallelism,
-            routing_algorithm=job.config.routing_algorithm,
-            node_architecture=job.config.node_architecture.value,
-            mode=mode,
-            ncycles=result.ncycles,
-            throughput_mbps=throughput / 1e6,
-            noc_area_mm2=noc_area,
-            max_fifo_depth=result.max_fifo_occupancy,
-            locality=mapping.locality,
-            mean_latency=result.statistics.mean_latency,
-        )
+        mode = "turbo" if isinstance(code, numbers.Integral) else "LDPC"
+        points: list[DesignPoint] = []
+        for (mapping, topology), job, outcome in zip(contexts, jobs, outcomes):
+            result = outcome.result
+            points.append(
+                DesignPoint(
+                    topology_family=job.family,
+                    degree=job.degree,
+                    parallelism=job.parallelism,
+                    routing_algorithm=job.config.routing_algorithm,
+                    node_architecture=job.config.node_architecture.value,
+                    mode=mode,
+                    ncycles=result.ncycles,
+                    throughput_mbps=self._throughput_bps(code, result.ncycles) / 1e6,
+                    noc_area_mm2=self._area_model.noc_area_mm2(
+                        n_nodes=job.parallelism,
+                        crossbar_size=topology.crossbar_size,
+                        config=job.config,
+                        per_node_fifo_depth=result.per_node_max_fifo,
+                    ),
+                    max_fifo_depth=result.max_fifo_occupancy,
+                    locality=mapping.locality,
+                    mean_latency=result.statistics.mean_latency,
+                )
+            )
+        return points
 
     # ------------------------------------------------------------------ #
     # Single-point evaluation
@@ -273,20 +329,14 @@ class DesignSpaceExplorer:
         parallelism: int,
         routing_algorithm: RoutingAlgorithm,
     ) -> DesignPoint:
-        """Map, simulate and cost one LDPC design point."""
-        config = self.base_spec.noc.with_routing(routing_algorithm)
-        topology, _ = self._cached_graph(topology_family, degree, parallelism)
-        mapping = self._cached_ldpc_mapping(code, parallelism)
-        job = NocSweepJob(
-            family=topology_family,
-            parallelism=parallelism,
-            degree=degree,
-            config=config,
-            traffic=mapping.traffic,
-            seed=self.seed,
+        """Map, simulate and cost one LDPC design point.
+
+        Raises the topology or mapping error of an infeasible point.
+        """
+        (point,) = self._points(
+            code, [(topology_family, degree, parallelism, routing_algorithm)]
         )
-        (outcome,) = run_noc_sweep([job], topology_cache=self._graph_cache)
-        return self._ldpc_point(code, outcome.job, outcome.result, mapping, topology)
+        return point
 
     def evaluate_turbo_point(
         self,
@@ -296,20 +346,14 @@ class DesignSpaceExplorer:
         parallelism: int,
         routing_algorithm: RoutingAlgorithm,
     ) -> DesignPoint:
-        """Map, simulate and cost one turbo design point."""
-        config = self.base_spec.noc.with_routing(routing_algorithm)
-        topology, _ = self._cached_graph(topology_family, degree, parallelism)
-        mapping = self._cached_turbo_mapping(n_couples, parallelism)
-        job = NocSweepJob(
-            family=topology_family,
-            parallelism=parallelism,
-            degree=degree,
-            config=config,
-            traffic=mapping.traffic_forward,
-            seed=self.seed,
+        """Map, simulate and cost one turbo design point.
+
+        Raises the topology or mapping error of an infeasible point.
+        """
+        (point,) = self._points(
+            n_couples, [(topology_family, degree, parallelism, routing_algorithm)]
         )
-        (outcome,) = run_noc_sweep([job], topology_cache=self._graph_cache)
-        return self._turbo_point(n_couples, outcome.job, outcome.result, mapping, topology)
+        return point
 
     # ------------------------------------------------------------------ #
     # Sweeps
@@ -320,87 +364,35 @@ class DesignSpaceExplorer:
         topologies: list[tuple[str, int]],
         parallelisms: list[int],
         routing_algorithms: list[RoutingAlgorithm] | None = None,
-        skip_invalid: bool = True,
         max_workers: int | None = None,
-        cache: NocSweepCache | None = None,
     ) -> list[DesignPoint]:
         """Evaluate the Cartesian product of topologies, parallelisms and algorithms.
 
-        ``topologies`` is a list of ``(family, degree)`` pairs.  Invalid
-        combinations (e.g. a toroidal mesh whose node count has no valid grid)
-        are skipped when ``skip_invalid`` is true, mirroring the paper's
-        practice of only reporting feasible points.
-
-        The whole grid is submitted to the sweep scheduler as one batch; the
-        scheduler picks the engine per (graph, configuration) group by its
-        size, and shards the simulations across up to ``max_workers``
-        worker processes when the grid is large enough to pay for a pool
-        (:func:`~repro.noc.sweep.run_noc_sweep`; mapping and cost models
-        stay in-process).  Design points are assembled from each outcome's
-        attached job, not from positional bookkeeping.
+        ``topologies`` is a list of ``(family, degree)`` pairs.  Infeasible
+        cells (e.g. a toroidal mesh whose node count has no valid grid) are
+        skipped, mirroring the paper's practice of only reporting feasible
+        points; the points come in grid order.  ``max_workers`` caps the
+        sweep scheduler's worker processes
+        (:func:`~repro.noc.sweep.run_noc_sweep`).
         """
-        algorithms = routing_algorithms or list(RoutingAlgorithm)
-        jobs: list[NocSweepJob] = []
-        context: dict[int, tuple] = {}
-        for family, degree in topologies:
-            for parallelism in parallelisms:
-                try:
-                    topology, _ = self._cached_graph(family, degree, parallelism)
-                    mapping = self._cached_ldpc_mapping(code, parallelism)
-                    configs = [self.base_spec.noc.with_routing(a) for a in algorithms]
-                except (TopologyError, MappingError, ConfigurationError):
-                    if not skip_invalid:
-                        raise
-                    continue
-                for config in configs:
-                    job = NocSweepJob(
-                        family=family,
-                        parallelism=parallelism,
-                        degree=degree,
-                        config=config,
-                        traffic=mapping.traffic,
-                        seed=self.seed,
-                    )
-                    jobs.append(job)
-                    context[id(job)] = (mapping, topology)
-        outcomes = run_noc_sweep(
-            jobs, topology_cache=self._graph_cache, max_workers=max_workers,
-            cache=cache,
-        )
-        points: list[DesignPoint] = []
-        for outcome in outcomes:
-            mapping, topology = context[id(outcome.job)]
-            points.append(
-                self._ldpc_point(code, outcome.job, outcome.result, mapping, topology)
-            )
-        return points
+        combos = self._feasible_combos(code, topologies, parallelisms, routing_algorithms)
+        return self._points(code, combos, max_workers)
 
     # ------------------------------------------------------------------ #
     # Screened exploration
     # ------------------------------------------------------------------ #
-    def _screen_candidate(
-        self,
-        code: WimaxLdpcCode,
-        family: str,
-        degree: int,
-        parallelism: int,
-        routing_algorithm: RoutingAlgorithm,
-    ) -> ScreenedCandidate:
+    def _screen_candidate(self, code: WimaxLdpcCode, combo: Combo) -> ScreenedCandidate:
         """Rank one candidate analytically: estimated throughput and area."""
-        spec = self.base_spec
-        config = spec.noc.with_routing(routing_algorithm)
+        family, degree, parallelism, routing_algorithm = combo
+        config = self.base_spec.noc.with_routing(routing_algorithm)
         topology, tables = self._cached_graph(family, degree, parallelism)
-        mapping = self._cached_ldpc_mapping(code, parallelism)
+        _, traffic = self._cached_mapping(code, parallelism)
         assert self._analytical is not None
         estimate = self._analytical.estimate(
-            family, degree, config, mapping.traffic, tables=tables
+            family, degree, config, traffic, tables=tables
         )
-        est_throughput = ldpc_throughput_bps(
-            info_bits=code.k,
-            clock_hz=spec.ldpc_clock_hz,
-            max_iterations=spec.ldpc_max_iterations,
-            core_latency_cycles=spec.ldpc_core_latency_cycles,
-            message_passing_cycles=max(int(round(estimate.ncycles)), 1),
+        est_throughput = self._throughput_bps(
+            code, max(int(round(estimate.ncycles)), 1)
         )
         fifo_depth = max(int(round(estimate.max_fifo_occupancy)), 1)
         est_area = self._area_model.noc_area_mm2(
@@ -427,26 +419,21 @@ class DesignSpaceExplorer:
         routing_algorithms: list[RoutingAlgorithm] | None = None,
         screen: str | None = None,
         confirm_top: int = 4,
-        objectives: tuple[str, ...] = EXPLORATION_OBJECTIVES,
-        skip_invalid: bool = True,
         max_workers: int | None = None,
-        cache: NocSweepCache | None = None,
     ) -> ExplorationReport:
         """Explore the design grid, optionally screening it analytically.
 
         With ``screen=None`` every feasible grid point is simulated — the
-        exhaustive Table-I flow.  With ``screen="analytical"`` the whole grid
-        is first *ranked* by the analytical NoC model (closed-form hop
-        statistics + per-family fitted contention correction, no simulation)
-        and only the union of the top ``confirm_top`` candidates per
-        objective is dispatched through the cycle-exact sweep; everything
-        else is skipped.  Winners are always chosen from *simulated* numbers,
-        so screening can only miss a winner if the analytical ranking drops
-        it below ``confirm_top`` — docs/noc-analytical.md quantifies when
-        that is safe.
-
-        ``cache`` (a :class:`~repro.noc.sweep.NocSweepCache`) short-circuits
-        previously simulated points across exploration runs and processes;
+        exhaustive Table-I flow, the same points as :meth:`sweep_ldpc`.  With
+        ``screen="analytical"`` the whole grid is first *ranked* by the
+        analytical NoC model (closed-form hop statistics + per-family fitted
+        contention correction, no simulation) and only the union of the top
+        ``confirm_top`` candidates per objective of
+        :data:`EXPLORATION_OBJECTIVES` is dispatched through the cycle-exact
+        sweep; everything else is skipped.  Winners are always chosen from
+        *simulated* numbers, so screening can only miss a winner if the
+        analytical ranking drops it below ``confirm_top`` —
+        docs/noc-analytical.md quantifies when that is safe.
         ``max_workers`` caps the simulation's worker processes, as in
         :meth:`sweep_ldpc`.
         """
@@ -454,82 +441,37 @@ class DesignSpaceExplorer:
             raise ConfigurationError(
                 f"screen must be None or 'analytical', got {screen!r}"
             )
-        if confirm_top < 1:
-            raise ConfigurationError(f"confirm_top must be >= 1, got {confirm_top}")
-        if not objectives:
-            raise ConfigurationError("explore requires at least one objective")
-        for objective in objectives:
-            if objective not in EXPLORATION_OBJECTIVES:
-                raise ConfigurationError(
-                    f"unknown exploration objective {objective!r}; "
-                    f"known: {EXPLORATION_OBJECTIVES}"
-                )
-        algorithms = routing_algorithms or list(RoutingAlgorithm)
-        candidates: list[tuple[str, int, int, RoutingAlgorithm]] = []
-        for family, degree in topologies:
-            for parallelism in parallelisms:
-                try:
-                    self._cached_graph(family, degree, parallelism)
-                    self._cached_ldpc_mapping(code, parallelism)
-                except (TopologyError, MappingError, ConfigurationError):
-                    if not skip_invalid:
-                        raise
-                    continue
-                for algorithm in algorithms:
-                    candidates.append((family, degree, parallelism, algorithm))
-
+        require_int("confirm_top", confirm_top, 1)
+        candidates = self._feasible_combos(
+            code, topologies, parallelisms, routing_algorithms
+        )
         screened: list[ScreenedCandidate] = []
+        to_simulate = candidates
         if screen == "analytical" and len(candidates) > confirm_top:
             if self._analytical is None:
                 self._analytical = AnalyticalNocModel()
-            screened = [self._screen_candidate(code, *c) for c in candidates]
-            selected: dict[tuple, None] = {}  # insertion-ordered set
-            for objective in objectives:
+            screened = [self._screen_candidate(code, c) for c in candidates]
+            selected: set[Combo] = set()
+            for objective in EXPLORATION_OBJECTIVES:
                 ranked = sorted(
-                    screened, key=lambda s: s.score(objective), reverse=True
+                    zip(candidates, screened),
+                    key=lambda pair: objective_score(
+                        objective, pair[1].est_throughput_mbps, pair[1].est_noc_area_mm2
+                    ),
+                    reverse=True,
                 )
-                for winner in ranked[:confirm_top]:
-                    key = (
-                        winner.topology_family, winner.degree,
-                        winner.parallelism, winner.routing_algorithm,
-                    )
-                    selected[key] = None
+                selected.update(combo for combo, _ in ranked[:confirm_top])
             to_simulate = [c for c in candidates if c in selected]
-        else:
-            to_simulate = candidates
 
-        # One batched sweep over every selected combo, so the scheduler still
-        # groups jobs by (graph, configuration) across the whole selection.
-        jobs: list[NocSweepJob] = []
-        context: dict[int, tuple] = {}
-        for family, degree, parallelism, algorithm in to_simulate:
-            topology, _ = self._cached_graph(family, degree, parallelism)
-            mapping = self._cached_ldpc_mapping(code, parallelism)
-            job = NocSweepJob(
-                family=family,
-                parallelism=parallelism,
-                degree=degree,
-                config=self.base_spec.noc.with_routing(algorithm),
-                traffic=mapping.traffic,
-                seed=self.seed,
-            )
-            jobs.append(job)
-            context[id(job)] = (mapping, topology)
-        outcomes = run_noc_sweep(
-            jobs, topology_cache=self._graph_cache, max_workers=max_workers,
-            cache=cache,
-        )
-        points: list[DesignPoint] = []
-        for outcome in outcomes:
-            mapping, topology = context[id(outcome.job)]
-            points.append(
-                self._ldpc_point(code, outcome.job, outcome.result, mapping, topology)
-            )
+        points = self._points(code, to_simulate, max_workers)
         if not points:
             raise ConfigurationError("explore produced no feasible design points")
         winners = {
-            objective: max(points, key=lambda p: self._objective_value(p, objective))
-            for objective in objectives
+            objective: max(
+                points,
+                key=lambda p: objective_score(objective, p.throughput_mbps, p.noc_area_mm2),
+            )
+            for objective in EXPLORATION_OBJECTIVES
         }
         return ExplorationReport(
             points=points,
@@ -541,14 +483,6 @@ class DesignSpaceExplorer:
             screened=screened,
         )
 
-    @staticmethod
-    def _objective_value(point: DesignPoint, objective: str) -> float:
-        if objective == "throughput":
-            return point.throughput_mbps
-        if objective == "throughput_per_area":
-            return point.throughput_mbps / max(point.noc_area_mm2, 1e-9)
-        raise ConfigurationError(f"unknown exploration objective {objective!r}")
-
     def best_point(
         self, points: list[DesignPoint], throughput_floor_mbps: float = 0.0
     ) -> DesignPoint:
@@ -558,4 +492,9 @@ class DesignSpaceExplorer:
         eligible = [p for p in points if p.throughput_mbps >= throughput_floor_mbps]
         if not eligible:
             eligible = points
-        return max(eligible, key=lambda p: p.throughput_mbps / max(p.noc_area_mm2, 1e-9))
+        return max(
+            eligible,
+            key=lambda p: objective_score(
+                "throughput_per_area", p.throughput_mbps, p.noc_area_mm2
+            ),
+        )

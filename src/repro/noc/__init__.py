@@ -23,7 +23,8 @@ This package reproduces the intra-IP NoC studied in Section III of the paper:
 * :mod:`~repro.noc.sweep` — the sweep scheduler (:func:`run_noc_sweep`):
   jobs grouped by (graph, configuration), each group dispatched to the
   batched kernel or the scalar engine by a fixed per-policy crossover
-  (:class:`SweepCostModel`), optionally sharded across worker processes,
+  (:class:`SweepCostModel`), and the chunks sent to a worker pool when the
+  scheduler finds the sweep large enough to pay for one,
 * :mod:`~repro.noc.simulator` — the per-object :class:`ReferenceNocSimulator`,
   the executable specification the engines are pinned against.
 """
@@ -66,8 +67,6 @@ from repro.noc.analytical import (
     zero_contention_bound,
 )
 from repro.noc.sweep import (
-    SWEEP_CACHE_CODE_VERSION,
-    NocSweepCache,
     NocSweepJob,
     NocSweepOutcome,
     SweepCostModel,
@@ -108,8 +107,6 @@ __all__ = [
     "ContentionFit",
     "MetricTolerance",
     "zero_contention_bound",
-    "SWEEP_CACHE_CODE_VERSION",
-    "NocSweepCache",
     "NocSweepJob",
     "NocSweepOutcome",
     "SweepCostModel",

@@ -35,9 +35,9 @@ are reduced, as single vectorized array operations.
 
 Multi-point sweeps live one layer up: :func:`repro.noc.sweep.run_noc_sweep`
 groups jobs by (graph, configuration) and dispatches each group to the
-job-batched kernel (:mod:`repro.noc.engine_batch`) or to this scalar engine,
-whichever its measured cost model projects faster for the group's size and
-collision policy, sharing precomputed topologies and routing tables across
+job-batched kernel (:mod:`repro.noc.engine_batch`) when the group holds at
+least its collision policy's fixed crossover of jobs, and to this scalar
+engine otherwise, sharing precomputed topologies and routing tables across
 all points that use the same graph.  This engine remains the fastest path
 for small groups (and the kernel's own fallback for bounded-capacity
 configurations), so its per-run cost is as load-bearing as the kernel's.

@@ -27,10 +27,8 @@ engine per (graph, configuration).  This module replaces it with an
    bit-identical either way: every engine is cycle-exact *per job*.
    Workers receive the parent's built graphs from the pool initializer.
 
-Results are returned as :class:`NocSweepOutcome` records that carry the
-originating :class:`NocSweepJob`, so callers match results to jobs by
-identity instead of relying on input ordering (the list still preserves
-submission order for convenience).
+Results are returned in submission order as :class:`NocSweepOutcome`
+records, each carrying the :class:`NocSweepJob` that produced it.
 
 Engine reuse is explicitly **seed-independent**: engines and kernels are
 constructed once per group without any job's seed, and seeds are passed to
@@ -40,29 +38,23 @@ still reproduce exactly what two freshly seeded engines would.
 
 from __future__ import annotations
 
-import hashlib
-import json
 import os
 from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Iterable
 
 from repro.errors import ConfigurationError, SimulationError
 from repro.noc.config import CollisionPolicy, NocConfiguration
 from repro.noc.engine import BatchNocSimulator, as_seed
 from repro.noc.engine_batch import BatchedNocKernel
-from repro.noc.message import MessageStatistics
 from repro.noc.results import SimulationResult
 from repro.noc.routing import build_routing_tables
 from repro.noc.topologies import build_topology
 from repro.noc.traffic import TrafficPattern
 
 __all__ = [
-    "NocSweepCache",
     "NocSweepJob",
     "NocSweepOutcome",
-    "SWEEP_CACHE_CODE_VERSION",
     "SweepCostModel",
     "run_noc_sweep",
     "scheduler_cost_model",
@@ -89,7 +81,7 @@ class NocSweepJob:
 
     def __post_init__(self):
         # One integer seed whatever integral type the caller passed, so the
-        # scalar engine, the batched kernel and the cache key all agree.
+        # scalar engine and the batched kernel agree.
         object.__setattr__(self, "seed", as_seed(self.seed))
 
 
@@ -100,155 +92,6 @@ class NocSweepOutcome:
     job: NocSweepJob
     result: SimulationResult
 
-
-#: Version stamp of the *simulation semantics* behind cached sweep results.
-#: Bump whenever an engine change may alter any measurement for the same job
-#: — every cached entry keyed under the old version then misses and re-runs.
-SWEEP_CACHE_CODE_VERSION = 1
-
-
-class NocSweepCache:
-    """Persistent on-disk cache of cycle-exact sweep results.
-
-    One JSON file per result under ``directory``, named by a SHA-256 hash of
-    the complete job description — topology spec, every configuration field,
-    the full traffic pattern, engine seed, cycle limit — plus
-    :data:`SWEEP_CACHE_CODE_VERSION`.  Any change to any of those produces a
-    different key, so stale entries are never returned: they are simply
-    orphaned (and a version bump orphans all of them at once).
-
-    The cache is transparent by construction: a hit returns a
-    :class:`~repro.noc.results.SimulationResult` that round-trips every field
-    the engines measure (including the raw latency list behind the
-    percentile statistics), so sweeps with and without a cache are
-    bit-identical — the differential suite asserts this.  Unreadable or
-    corrupt entries (truncated writes, foreign files, schema drift) are
-    treated as misses and quietly re-simulated, never raised.
-    """
-
-    def __init__(self, directory: str | Path, code_version: int | None = None):
-        self.directory = Path(directory)
-        self.directory.mkdir(parents=True, exist_ok=True)
-        self.code_version = (
-            SWEEP_CACHE_CODE_VERSION if code_version is None else code_version
-        )
-        self.hits = 0
-        self.misses = 0
-
-    # ------------------------------------------------------------------ #
-    # Keys
-    # ------------------------------------------------------------------ #
-    def key(self, job: NocSweepJob) -> str:
-        """Content hash of everything that determines the job's result."""
-        config = job.config
-        description = {
-            "code_version": self.code_version,
-            "family": job.family,
-            "parallelism": job.parallelism,
-            "degree": job.degree,
-            "config": {
-                "routing_algorithm": config.routing_algorithm.value,
-                "node_architecture": config.node_architecture.value,
-                "injection_rate": config.injection_rate,
-                "route_local": config.route_local,
-                "collision_policy": config.collision_policy.value,
-                "payload_bits": config.payload_bits,
-                "location_bits": config.location_bits,
-                "fifo_capacity": config.fifo_capacity,
-            },
-            "traffic": {
-                "n_nodes": job.traffic.n_nodes,
-                "label": job.traffic.label,
-                **{
-                    name: hashlib.sha256(getattr(job.traffic, name).tobytes()).hexdigest()
-                    for name in ("offsets", "dest", "memory")
-                },
-            },
-            "seed": job.seed,
-            "max_cycles": job.max_cycles,
-        }
-        canonical = json.dumps(description, sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
-
-    def _entry_path(self, key: str) -> Path:
-        return self.directory / f"{key}.json"
-
-    # ------------------------------------------------------------------ #
-    # Lookup / store
-    # ------------------------------------------------------------------ #
-    def get(self, job: NocSweepJob) -> SimulationResult | None:
-        """The cached result for ``job``, or None on miss or corrupt entry."""
-        path = self._entry_path(self.key(job))
-        try:
-            payload = json.loads(path.read_text(encoding="utf-8"))
-            result = _result_from_payload(payload)
-        except (OSError, ValueError, KeyError, TypeError):
-            self.misses += 1
-            return None
-        self.hits += 1
-        return result
-
-    def put(self, job: NocSweepJob, result: SimulationResult) -> None:
-        """Persist one result; the write is atomic (temp file + rename)."""
-        path = self._entry_path(self.key(job))
-        payload = json.dumps(_result_to_payload(result), separators=(",", ":"))
-        temp = path.with_suffix(f".tmp-{os.getpid()}")
-        temp.write_text(payload, encoding="utf-8")
-        os.replace(temp, path)
-
-    def __len__(self) -> int:
-        return sum(1 for _ in self.directory.glob("*.json"))
-
-
-def _result_to_payload(result: SimulationResult) -> dict:
-    statistics = result.statistics
-    return {
-        "ncycles": result.ncycles,
-        "total_messages": result.total_messages,
-        "delivered_messages": result.delivered_messages,
-        "local_bypassed": result.local_bypassed,
-        "max_fifo_occupancy": result.max_fifo_occupancy,
-        "max_injection_occupancy": result.max_injection_occupancy,
-        "per_node_max_fifo": list(result.per_node_max_fifo),
-        "link_utilization": result.link_utilization,
-        "config_label": result.config_label,
-        "topology_label": result.topology_label,
-        "traffic_label": result.traffic_label,
-        "statistics": {
-            "count": statistics.count,
-            "total_latency": statistics.total_latency,
-            "max_latency": statistics.max_latency,
-            "total_hops": statistics.total_hops,
-            "misrouted": statistics.misrouted,
-            "latencies": list(statistics.latencies),
-        },
-    }
-
-
-def _result_from_payload(payload: dict) -> SimulationResult:
-    stats_payload = payload["statistics"]
-    statistics = MessageStatistics(
-        count=int(stats_payload["count"]),
-        total_latency=int(stats_payload["total_latency"]),
-        max_latency=int(stats_payload["max_latency"]),
-        total_hops=int(stats_payload["total_hops"]),
-        misrouted=int(stats_payload["misrouted"]),
-        latencies=[int(v) for v in stats_payload["latencies"]],
-    )
-    return SimulationResult(
-        ncycles=int(payload["ncycles"]),
-        total_messages=int(payload["total_messages"]),
-        delivered_messages=int(payload["delivered_messages"]),
-        local_bypassed=int(payload["local_bypassed"]),
-        max_fifo_occupancy=int(payload["max_fifo_occupancy"]),
-        max_injection_occupancy=int(payload["max_injection_occupancy"]),
-        per_node_max_fifo=[int(v) for v in payload["per_node_max_fifo"]],
-        statistics=statistics,
-        link_utilization=float(payload["link_utilization"]),
-        config_label=str(payload["config_label"]),
-        topology_label=str(payload["topology_label"]),
-        traffic_label=str(payload["traffic_label"]),
-    )
 
 #: Chunks per worker when sharding scalar groups across a pool: more than one
 #: chunk per worker keeps the pool busy when job runtimes differ.
@@ -308,7 +151,6 @@ def run_noc_sweep(
     jobs: Iterable[NocSweepJob],
     topology_cache: dict | None = None,
     max_workers: int | None = None,
-    cache: NocSweepCache | None = None,
 ) -> list[NocSweepOutcome]:
     """Run many sweep points through grouped, adaptively batched engines.
 
@@ -332,12 +174,6 @@ def run_noc_sweep(
         shards the sweep's chunks across a pool only when there are at least
         two of them and at least :data:`_POOL_MIN_MESSAGES` messages to
         simulate.  Both paths produce bit-identical outcomes.
-    cache:
-        Optional :class:`NocSweepCache`.  Jobs whose exact description was
-        simulated before return their persisted result without simulating;
-        missing jobs run normally (through whatever engines and workers
-        the scheduler picks for the *reduced* sweep) and are persisted on
-        the way out.  Results are bit-identical with and without a cache.
 
     Returns
     -------
@@ -357,22 +193,6 @@ def run_noc_sweep(
         raise ConfigurationError(
             f"max_workers must be a positive int or None, got {max_workers!r}"
         )
-    if cache is not None:
-        cached: list[SimulationResult | None] = [cache.get(job) for job in jobs]
-        miss_indices = [i for i, result in enumerate(cached) if result is None]
-        if miss_indices:
-            fresh = run_noc_sweep(
-                [jobs[i] for i in miss_indices],
-                topology_cache=topology_cache,
-                max_workers=max_workers,
-            )
-            for index, outcome in zip(miss_indices, fresh):
-                cache.put(outcome.job, outcome.result)
-                cached[index] = outcome.result
-        return [
-            NocSweepOutcome(job=job, result=result)
-            for job, result in zip(jobs, cached)
-        ]
     # Group jobs by everything the batched kernel shares.
     groups: dict[tuple, list[int]] = {}
     for index, job in enumerate(jobs):

@@ -49,6 +49,7 @@ from repro.channel.quantize import LLRQuantizer
 from repro.errors import ConfigurationError, DecodingError
 from repro.sim.batch import BatchDecoder
 from repro.sim.stats import wilson_interval
+from repro.utils.validation import require_int
 
 #: Channel factories selectable by name through ``BerRunner(channel=...)``.
 CHANNEL_FACTORIES: dict[str, Callable[[float, np.random.Generator], object]] = {
@@ -201,14 +202,13 @@ class BerRunner:
         seed: int = 0,
         confidence: float = 0.95,
     ):
-        if batch_size <= 0:
-            raise ConfigurationError(f"batch_size must be positive, got {batch_size}")
-        if max_frames <= 0:
-            raise ConfigurationError(f"max_frames must be positive, got {max_frames}")
-        if target_frame_errors is not None and target_frame_errors <= 0:
-            raise ConfigurationError(
-                f"target_frame_errors must be positive or None, got {target_frame_errors}"
-            )
+        require_int("batch_size", batch_size, 1)
+        require_int("max_frames", max_frames, 1)
+        if target_frame_errors is not None:
+            require_int("target_frame_errors", target_frame_errors, 1)
+        require_int("seed", seed, 0)
+        # Rejects an unsupported confidence level here, not at the first point.
+        wilson_interval(0, 0, confidence)
         if decoder.n_bits != code.n:
             raise ConfigurationError(
                 f"decoder expects n={decoder.n_bits} but the code has n={code.n}"

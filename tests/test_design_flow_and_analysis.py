@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
 from repro.analysis import (
@@ -14,10 +16,11 @@ from repro.analysis import (
     check_table1_trends,
 )
 from repro.analysis.reference import PAPER_CORE_BREAKDOWN
-from repro.core import DecoderSpec, DesignSpaceExplorer, NocDecoderArchitecture
-from repro.errors import ConfigurationError
+from repro.core import DecoderSpec, DesignPoint, DesignSpaceExplorer, NocDecoderArchitecture
+from repro.core import design_flow
+from repro.errors import ConfigurationError, MappingError, TopologyError
 from repro.ldpc import wimax_ldpc_code
-from repro.noc import RoutingAlgorithm
+from repro.noc import RoutingAlgorithm, run_noc_sweep
 
 
 @pytest.fixture(scope="module")
@@ -31,6 +34,29 @@ def small_sweep():
         parallelisms=[8, 12],
         routing_algorithms=[RoutingAlgorithm.SSP_RR, RoutingAlgorithm.SSP_FL],
     )
+
+
+#: The Table-I grid of the paper (WiMAX 2304 r1/2) and its pinned outputs.
+TABLE1_TOPOLOGIES = [
+    ("generalized-de-bruijn", 2),
+    ("generalized-kautz", 2),
+    ("spidergon", 3),
+    ("generalized-kautz", 3),
+    ("honeycomb", 4),
+    ("generalized-kautz", 4),
+]
+TABLE1_PARALLELISMS = [16, 24, 32, 36]
+TABLE1_ALGORITHMS = [RoutingAlgorithm.SSP_RR, RoutingAlgorithm.SSP_FL, RoutingAlgorithm.ASP_FT]
+#: SHA-256 of ``repr`` of its 60 design points (``mapping_attempts=2``, seed
+#: 0); only an intended change to mapping, simulation or costing re-records it.
+TABLE1_POINTS_DIGEST = "816e8889eac05d7285673c64420f9680f4a9ea4f5c897b87b5f74746ffac2bba"
+#: ``evaluate_turbo_point(240, "generalized-kautz", 3, 8, SSP-FL)``, pinned the same way.
+TURBO_POINT = DesignPoint(
+    topology_family="generalized-kautz", degree=3, parallelism=8,
+    routing_algorithm=RoutingAlgorithm.SSP_FL, node_architecture="PP", mode="turbo",
+    ncycles=53, throughput_mbps=33.088235294117645, noc_area_mm2=0.1420096,
+    max_fifo_depth=2, locality=0.16666666666666666, mean_latency=2.5416666666666665,
+)
 
 
 class TestDesignSpaceExplorer:
@@ -78,25 +104,84 @@ class TestDesignSpaceExplorer:
         )
         assert {p.topology_family for p in points} == {"generalized-kautz"}
 
-    def test_invalid_points_raise_when_requested(self):
+    def test_infeasible_single_point_raises(self):
         explorer = DesignSpaceExplorer(DecoderSpec(mapping_attempts=1))
         code = wimax_ldpc_code(576, "1/2")
-        with pytest.raises(Exception):
-            explorer.sweep_ldpc(
-                code,
-                topologies=[("toroidal-mesh", 4)],
-                parallelisms=[13],
-                routing_algorithms=[RoutingAlgorithm.SSP_FL],
-                skip_invalid=False,
+        with pytest.raises(TopologyError):
+            explorer.evaluate_ldpc_point(
+                code, "toroidal-mesh", 4, 13, RoutingAlgorithm.SSP_FL
             )
+
+    @pytest.mark.parametrize("seed", [1.5, -1, True, "0"])
+    def test_rejects_invalid_seed(self, seed):
+        with pytest.raises(ConfigurationError):
+            DesignSpaceExplorer(DecoderSpec(mapping_attempts=1), seed=seed)
+
+    def test_sweep_explore_and_single_points_agree(self):
+        """The three LDPC entry points give equal points in grid order."""
+        code = wimax_ldpc_code(576, "1/2")
+        topologies = [("toroidal-mesh", 4), ("spidergon", 3), ("generalized-kautz", 2)]
+        parallelisms = [8, 12, 13]
+        algorithms = [RoutingAlgorithm.SSP_FL, RoutingAlgorithm.ASP_FT]
+
+        def explorer():
+            return DesignSpaceExplorer(DecoderSpec(mapping_attempts=1), seed=3)
+
+        swept = explorer().sweep_ldpc(code, topologies, parallelisms, algorithms)
+        explored = explorer().explore(code, topologies, parallelisms, algorithms).points
+        single = explorer()
+        one_by_one = []
+        for family, degree in topologies:
+            for parallelism in parallelisms:
+                for algorithm in algorithms:
+                    try:
+                        one_by_one.append(single.evaluate_ldpc_point(
+                            code, family, degree, parallelism, algorithm
+                        ))
+                    except (TopologyError, MappingError):
+                        continue
+        # Feasible cells: the mesh at 12, the spidergon at 8 and 12, the Kautz
+        # graph at all three P.
+        assert len(swept) == 6 * 2
+        assert swept == explored == one_by_one
+
+    def test_each_entry_point_makes_one_sweep_call_in_grid_order(self, monkeypatch):
+        calls = []
+
+        def recording_sweep(jobs, **kwargs):
+            calls.append([(j.family, j.degree, j.parallelism, j.config.routing_algorithm)
+                          for j in jobs])
+            return run_noc_sweep(jobs, **kwargs)
+
+        monkeypatch.setattr(design_flow, "run_noc_sweep", recording_sweep)
+        explorer = DesignSpaceExplorer(DecoderSpec(mapping_attempts=1))
+        code = wimax_ldpc_code(576, "1/2")
+        topologies = [("spidergon", 3), ("generalized-kautz", 2)]
+        algorithms = [RoutingAlgorithm.SSP_FL, RoutingAlgorithm.ASP_FT]
+        grid = [
+            (family, degree, parallelism, algorithm)
+            for family, degree in topologies
+            for parallelism in (8, 12)
+            for algorithm in algorithms
+        ]
+        explorer.sweep_ldpc(code, topologies, [8, 12], algorithms)
+        explorer.explore(code, topologies, [8, 12], algorithms)
+        explorer.explore(code, topologies, [8, 12], algorithms, screen="analytical",
+                         confirm_top=1)
+        explorer.evaluate_ldpc_point(code, *grid[0])
+        explorer.evaluate_turbo_point(240, *grid[-1])
+        assert calls[:2] == [grid, grid]
+        screened = calls[2]
+        assert 0 < len(screened) < len(grid)
+        assert screened == [combo for combo in grid if combo in screened]
+        assert calls[3:] == [[grid[0]], [grid[-1]]]
 
     def test_turbo_point_evaluation(self):
         explorer = DesignSpaceExplorer(DecoderSpec(mapping_attempts=1))
         point = explorer.evaluate_turbo_point(
             240, "generalized-kautz", 3, 8, RoutingAlgorithm.SSP_FL
         )
-        assert point.mode == "turbo"
-        assert point.throughput_mbps > 0
+        assert point == TURBO_POINT
 
     def test_best_point_selection(self, small_sweep):
         explorer = DesignSpaceExplorer(DecoderSpec(mapping_attempts=1))
@@ -113,6 +198,16 @@ class TestDesignSpaceExplorer:
     def test_best_point_requires_points(self):
         with pytest.raises(ConfigurationError):
             DesignSpaceExplorer().best_point([])
+
+
+class TestExplorerGolden:
+    def test_table1_points_match_pinned_digest(self, worst_case_ldpc_code):
+        explorer = DesignSpaceExplorer(DecoderSpec(mapping_attempts=2), seed=0)
+        points = explorer.sweep_ldpc(
+            worst_case_ldpc_code, TABLE1_TOPOLOGIES, TABLE1_PARALLELISMS, TABLE1_ALGORITHMS
+        )
+        assert len(points) == 60
+        assert hashlib.sha256(repr(points).encode()).hexdigest() == TABLE1_POINTS_DIGEST
 
 
 class TestPaperReferenceData:

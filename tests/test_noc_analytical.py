@@ -27,6 +27,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core import DecoderSpec, DesignSpaceExplorer
+from repro.core.design_flow import EXPLORATION_OBJECTIVES, objective_score
 from repro.errors import ConfigurationError
 from repro.ldpc import wimax_ldpc_code
 from repro.noc import (
@@ -313,23 +314,25 @@ class TestScreenedExploration:
         assert f"skipped {screened.n_skipped}" in text
 
     def test_winners_use_simulated_not_estimated_values(self, screened):
+        assert screened.winners.keys() == set(EXPLORATION_OBJECTIVES)
         for objective, winner in screened.winners.items():
+            assert winner in screened.points
             values = [
-                DesignSpaceExplorer._objective_value(p, objective)
+                objective_score(objective, p.throughput_mbps, p.noc_area_mm2)
                 for p in screened.points
             ]
-            assert DesignSpaceExplorer._objective_value(
-                winner, objective
-            ) == pytest.approx(max(values))
+            assert objective_score(
+                objective, winner.throughput_mbps, winner.noc_area_mm2
+            ) == max(values)
 
-    def test_explore_validates_arguments(self, explorer, code):
+    def test_explore_validates_screen(self, explorer, code):
         with pytest.raises(ConfigurationError):
             explorer.explore(code, self.GRID_TOPOLOGIES, [8], screen="oracle")
-        with pytest.raises(ConfigurationError):
-            explorer.explore(code, self.GRID_TOPOLOGIES, [8], confirm_top=0)
+
+    @pytest.mark.parametrize("confirm_top", [0, -1, 2.5, True, "4"])
+    def test_explore_rejects_confirm_top(self, explorer, code, confirm_top):
         with pytest.raises(ConfigurationError):
             explorer.explore(
-                code, self.GRID_TOPOLOGIES, [8], objectives=("latency",)
+                code, self.GRID_TOPOLOGIES, [8],
+                screen="analytical", confirm_top=confirm_top,
             )
-        with pytest.raises(ConfigurationError):
-            explorer.explore(code, self.GRID_TOPOLOGIES, [8], objectives=())

@@ -710,6 +710,41 @@ class TestBerRunner:
         points = runner.run([1.0, 2.0])
         assert [p.ebn0_db for p in points] == [1.0, 2.0]
 
+    @pytest.mark.parametrize(
+        "argument",
+        [
+            {"batch_size": 2.5},
+            {"batch_size": True},
+            {"batch_size": 0},
+            {"max_frames": 3.7},
+            {"max_frames": False},
+            {"max_frames": 0},
+            {"target_frame_errors": 2.5},
+            {"target_frame_errors": True},
+            {"target_frame_errors": 0},
+            {"seed": 1.5},
+            {"seed": True},
+            {"seed": -1},
+            {"confidence": 0.8},
+            {"confidence": "0.95"},
+        ],
+        ids=lambda argument: "{}={!r}".format(*next(iter(argument.items()))),
+    )
+    def test_rejects_invalid_arguments_at_construction(self, small_ldpc_code, argument):
+        with pytest.raises(ConfigurationError):
+            BerRunner(small_ldpc_code, BatchLayeredDecoder(small_ldpc_code.h), **argument)
+
+    def test_accepts_numpy_integers(self, small_ldpc_code):
+        runner = BerRunner(
+            small_ldpc_code,
+            BatchLayeredDecoder(small_ldpc_code.h),
+            batch_size=np.int64(8),
+            max_frames=np.int32(16),
+            target_frame_errors=None,
+            seed=np.uint32(7),
+        )
+        assert (runner.batch_size, runner.max_frames, runner.seed) == (8, 16, 7)
+
     def test_rejects_mismatched_decoder(self, small_ldpc_code):
         other = wimax_ldpc_code(672, "1/2")
         with pytest.raises(ConfigurationError):
