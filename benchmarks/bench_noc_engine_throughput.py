@@ -16,31 +16,33 @@ Both paths produce cycle-exact identical :class:`SimulationResult`s (asserted
 here and pinned by ``tests/test_noc_engine.py``); only the time differs.
 
 The ``map_table1_grid`` row times the other half of a Table-I design point,
-the mapping flow (check partition, equivalent interleaver, selection), over
-the Table-I parallelisms of WiMAX LDPC 2304 r1/2 at ``attempts=2``: the
-list-native :func:`repro.mapping.map_ldpc_code` against an inline copy of the
-NumPy-scalar partitioner and interleaver it replaced.  Both return the same
-mapping (asserted); the row is gated on the current flow winning.
+the mapping flow (check adjacency graph, partition, equivalent interleaver,
+selection), over the Table-I parallelisms of WiMAX LDPC 2304 r1/2 at
+``attempts=2``: :func:`repro.mapping.map_ldpc_code` on edge arrays with the
+block-vectorised refinement, against an inline copy of the list-native
+partitioner it replaced (dict graphs, per-vertex ``(neighbour, weight)``
+lists, one vertex at a time), with the same interleaver.  Both return the
+same mapping (asserted); the row is gated on the current flow winning.
 
 Headline numbers land in ``benchmarks/BENCH_noc_engine_throughput.json``.
 """
 
 from __future__ import annotations
 
+import heapq
 import os
-from collections import deque
 
 import numpy as np
 
-from repro.ldpc import check_adjacency_graph, wimax_ldpc_code
+from repro.ldpc import wimax_ldpc_code
 from repro.mapping import evaluate_traffic_quality, map_ldpc_code
+from repro.mapping.ldpc_mapping import build_equivalent_interleaver
 from repro.noc import (
     CollisionPolicy,
     NocConfiguration,
     NocSweepJob,
     ReferenceNocSimulator,
     RoutingAlgorithm,
-    TrafficPattern,
     build_routing_tables,
     build_topology,
     random_traffic,
@@ -166,9 +168,20 @@ def test_single_point_engine_cost():
 
 
 # --------------------------------------------------------------------------- #
-# The mapping flow: list-native partitioner vs the NumPy-scalar one it replaced.
+# The mapping flow: array partitioner vs the list-native one it replaced.
 # --------------------------------------------------------------------------- #
-def _np_adjacency(n_vertices, edges):
+def _list_check_graph(h):
+    weights = {}
+    for variable in range(h.n_cols):
+        checks = h.col(variable).tolist()
+        for i, a in enumerate(checks):
+            for b in checks[i + 1:]:
+                key = (a, b) if a < b else (b, a)
+                weights[key] = weights.get(key, 0) + 1
+    return weights
+
+
+def _list_adjacency(n_vertices, edges):
     adjacency = [[] for _ in range(n_vertices)]
     for (a, b), weight in edges.items():
         if a != b:
@@ -177,63 +190,74 @@ def _np_adjacency(n_vertices, edges):
     return adjacency
 
 
-def _np_region_growing(n_vertices, adjacency, n_parts, vertex_weights, rng):
-    target = float(vertex_weights.sum()) / n_parts
-    assignment = np.full(n_vertices, -1, dtype=np.int64)
+def _list_loads(assignment, n_parts, vertex_weights):
+    loads = [0.0] * n_parts
+    for part, weight in zip(assignment, vertex_weights):
+        loads[part] += weight
+    return loads
+
+
+def _list_region_growing(n_vertices, adjacency, n_parts, vertex_weights, rng):
+    target = float(np.sum(vertex_weights)) / n_parts
+    assignment = [-1] * n_vertices
     unassigned = set(range(n_vertices))
     for part in range(n_parts):
         if not unassigned:
             break
-        remaining_weight = float(vertex_weights[list(unassigned)].sum())
+        remaining_weight = float(np.sum([vertex_weights[v] for v in unassigned]))
         budget = min(remaining_weight / (n_parts - part), target)
-        seed_vertex = int(rng.choice(sorted(unassigned)))
-        part_weight = float(vertex_weights[seed_vertex])
-        assignment[seed_vertex] = part
-        unassigned.discard(seed_vertex)
-        connection = {}
-        frontier = deque([seed_vertex])
+        member = int(rng.choice(sorted(unassigned)))
+        part_weight = vertex_weights[member]
+        assignment[member] = part
+        unassigned.discard(member)
+        connection, heap = {}, []
         while part_weight < budget and unassigned:
-            while frontier:
-                for neighbor, weight in adjacency[frontier.popleft()]:
-                    if assignment[neighbor] == -1:
-                        connection[neighbor] = connection.get(neighbor, 0) + weight
+            for neighbor, weight in adjacency[member]:
+                if assignment[neighbor] == -1:
+                    strength = connection.get(neighbor, 0) + weight
+                    connection[neighbor] = strength
+                    heapq.heappush(heap, (-strength, neighbor))
             if connection:
-                best = max(connection.items(), key=lambda item: (item[1], -item[0]))[0]
-                del connection[best]
+                strength, member = heapq.heappop(heap)
+                while connection.get(member) != -strength:
+                    strength, member = heapq.heappop(heap)
+                del connection[member]
             else:
-                best = int(rng.choice(sorted(unassigned)))
-            assignment[best] = part
-            unassigned.discard(best)
-            part_weight += float(vertex_weights[best])
-            frontier.append(best)
+                member = int(rng.choice(sorted(unassigned)))
+            assignment[member] = part
+            unassigned.discard(member)
+            part_weight += vertex_weights[member]
     if unassigned:
-        loads = np.zeros(n_parts, dtype=np.float64)
-        for vertex in range(n_vertices):
-            if assignment[vertex] >= 0:
-                loads[assignment[vertex]] += vertex_weights[vertex]
+        loads = [0.0] * n_parts
+        for vertex, part in enumerate(assignment):
+            if part >= 0:
+                loads[part] += vertex_weights[vertex]
         for vertex in sorted(unassigned):
-            part = int(np.argmin(loads))
+            part = loads.index(min(loads))
             assignment[vertex] = part
             loads[part] += vertex_weights[vertex]
     return assignment
 
 
-def _np_refine(assignment, adjacency, n_parts, max_passes, vertex_weights, max_load):
+def _weight_to_part(adjacency, assignment, vertex):
+    weight_to_part = {}
+    for neighbor, edge_weight in adjacency[vertex]:
+        part = assignment[neighbor]
+        weight_to_part[part] = weight_to_part.get(part, 0) + edge_weight
+    return weight_to_part
+
+
+def _list_refine(assignment, adjacency, n_parts, max_passes, vertex_weights, max_load):
     assignment = assignment.copy()
-    loads = np.zeros(n_parts, dtype=np.float64)
-    for vertex in range(assignment.size):
-        loads[assignment[vertex]] += vertex_weights[vertex]
+    loads = _list_loads(assignment, n_parts, vertex_weights)
     for _ in range(max_passes):
         moved = 0
-        for vertex in range(assignment.size):
+        for vertex in range(len(assignment)):
             current = assignment[vertex]
-            weight = float(vertex_weights[vertex])
+            weight = vertex_weights[vertex]
             if loads[current] - weight <= 0:
                 continue
-            weight_to_part = {}
-            for neighbor, edge_weight in adjacency[vertex]:
-                part = assignment[neighbor]
-                weight_to_part[part] = weight_to_part.get(part, 0) + edge_weight
+            weight_to_part = _weight_to_part(adjacency, assignment, vertex)
             internal = weight_to_part.get(current, 0)
             best_part, best_gain = current, 0
             for part, connection in weight_to_part.items():
@@ -252,29 +276,26 @@ def _np_refine(assignment, adjacency, n_parts, max_passes, vertex_weights, max_l
     return assignment
 
 
-def _np_balance(assignment, adjacency, n_parts, vertex_weights, max_load):
+def _list_balance(assignment, adjacency, n_parts, vertex_weights, max_load):
     assignment = assignment.copy()
-    loads = np.zeros(n_parts, dtype=np.float64)
-    for vertex in range(assignment.size):
-        loads[assignment[vertex]] += vertex_weights[vertex]
+    n_vertices = len(assignment)
+    loads = _list_loads(assignment, n_parts, vertex_weights)
     for part in range(n_parts):
         guard = 0
-        while loads[part] > max_load and guard < assignment.size:
+        while loads[part] > max_load and guard < n_vertices:
             guard += 1
             best_vertex, best_target, best_cost = -1, -1, None
-            for vertex in np.flatnonzero(assignment == part):
-                weight_to_part = {}
-                for neighbor, edge_weight in adjacency[vertex]:
-                    weight_to_part[assignment[neighbor]] = (
-                        weight_to_part.get(assignment[neighbor], 0) + edge_weight
-                    )
+            for vertex in range(n_vertices):
+                if assignment[vertex] != part:
+                    continue
+                weight_to_part = _weight_to_part(adjacency, assignment, vertex)
                 internal = weight_to_part.get(part, 0)
                 for target in range(n_parts):
                     if target == part or loads[target] + vertex_weights[vertex] > max_load:
                         continue
                     cost = internal - weight_to_part.get(target, 0)
                     if best_cost is None or cost < best_cost:
-                        best_cost, best_vertex, best_target = cost, int(vertex), target
+                        best_cost, best_vertex, best_target = cost, vertex, target
             if best_vertex < 0:
                 break
             assignment[best_vertex] = best_target
@@ -283,10 +304,10 @@ def _np_balance(assignment, adjacency, n_parts, vertex_weights, max_load):
     return assignment
 
 
-def _np_matching(n_vertices, adjacency, vertex_weights, max_vertex_weight, rng):
-    matched = np.full(n_vertices, -1, dtype=np.int64)
+def _list_matching(n_vertices, adjacency, vertex_weights, max_vertex_weight, rng):
+    matched = [-1] * n_vertices
     coarse_id = 0
-    for vertex in rng.permutation(n_vertices):
+    for vertex in rng.permutation(n_vertices).tolist():
         if matched[vertex] >= 0:
             continue
         best_neighbor, best_weight = -1, 0
@@ -304,116 +325,92 @@ def _np_matching(n_vertices, adjacency, vertex_weights, max_vertex_weight, rng):
     return matched
 
 
-def _np_coarsen(n_vertices, edges, vertex_weights, fine_to_coarse):
-    n_coarse = int(fine_to_coarse.max()) + 1
-    coarse_weights = np.zeros(n_coarse, dtype=np.float64)
-    for vertex in range(n_vertices):
-        coarse_weights[fine_to_coarse[vertex]] += vertex_weights[vertex]
+def _list_coarsen(edges, vertex_weights, fine_to_coarse):
+    n_coarse = max(fine_to_coarse) + 1
     coarse_edges = {}
     for (a, b), weight in edges.items():
-        ca, cb = int(fine_to_coarse[a]), int(fine_to_coarse[b])
+        ca, cb = fine_to_coarse[a], fine_to_coarse[b]
         if ca != cb:
             key = (ca, cb) if ca < cb else (cb, ca)
             coarse_edges[key] = coarse_edges.get(key, 0) + weight
-    return n_coarse, coarse_edges, coarse_weights
+    return n_coarse, coarse_edges, _list_loads(fine_to_coarse, n_coarse, vertex_weights)
 
 
-def _np_multilevel(n_vertices, edges, n_parts, vertex_weights, passes, max_load, rng):
-    adjacency = _np_adjacency(n_vertices, edges)
+def _list_multilevel(n_vertices, edges, adjacency, n_parts, vertex_weights, passes, max_load, rng):
     target = max(8 * n_parts, 64)
     if n_vertices > target:
-        max_vertex_weight = max(2.0 * vertex_weights.sum() / target, vertex_weights.max())
-        fine_to_coarse = _np_matching(n_vertices, adjacency, vertex_weights, max_vertex_weight, rng)
-        n_coarse, coarse_edges, coarse_weights = _np_coarsen(
-            n_vertices, edges, vertex_weights, fine_to_coarse
+        max_vertex_weight = max(2.0 * float(np.sum(vertex_weights)) / target, max(vertex_weights))
+        fine_to_coarse = _list_matching(
+            n_vertices, adjacency, vertex_weights, max_vertex_weight, rng
+        )
+        n_coarse, coarse_edges, coarse_weights = _list_coarsen(
+            edges, vertex_weights, fine_to_coarse
         )
         if n_parts <= n_coarse < n_vertices:
-            coarse = _np_multilevel(
-                n_coarse, coarse_edges, n_parts, coarse_weights, passes, max_load, rng
+            coarse = _list_multilevel(
+                n_coarse, coarse_edges, _list_adjacency(n_coarse, coarse_edges), n_parts,
+                coarse_weights, passes, max_load, rng,
             )
-            return _np_refine(
-                coarse[fine_to_coarse], adjacency, n_parts, passes, vertex_weights, max_load
+            return _list_refine(
+                [coarse[c] for c in fine_to_coarse], adjacency, n_parts, passes,
+                vertex_weights, max_load,
             )
-    initial = _np_region_growing(n_vertices, adjacency, n_parts, vertex_weights, rng)
-    return _np_refine(initial, adjacency, n_parts, passes, vertex_weights, max_load)
+    initial = _list_region_growing(n_vertices, adjacency, n_parts, vertex_weights, rng)
+    return _list_refine(initial, adjacency, n_parts, passes, vertex_weights, max_load)
 
 
-def _np_cut(assignment, edges):
-    return sum(w for (a, b), w in edges.items() if assignment[a] != assignment[b])
+def _list_cut(assignment, edges):
+    ends = np.array(list(edges), dtype=np.int64)
+    weights = np.fromiter(edges.values(), dtype=np.int64, count=len(edges))
+    return int(weights[assignment[ends[:, 0]] != assignment[ends[:, 1]]].sum())
 
 
-def _np_partition(n_vertices, edges, n_parts, seed, attempts, vertex_weights, passes=8):
-    weights = np.asarray(vertex_weights, dtype=np.float64)
-    adjacency = _np_adjacency(n_vertices, edges)
-    max_load = max(float(weights.sum()) / n_parts * 1.05, float(weights.max()))
+def _list_partition(n_vertices, edges, n_parts, seed, attempts, vertex_weights, passes=8):
+    weights_arr = np.asarray(vertex_weights, dtype=np.float64)
+    adjacency = _list_adjacency(n_vertices, edges)
+    max_load = max(float(weights_arr.sum()) / n_parts * 1.05, float(weights_arr.max()))
+    weights = weights_arr.tolist()
     best, best_key = None, None
     for attempt in range(attempts):
         rng = make_rng(seed + attempt)
         if attempt % 2 == 0:
-            refined = _np_multilevel(n_vertices, edges, n_parts, weights, passes, max_load, rng)
+            refined = _list_multilevel(
+                n_vertices, edges, adjacency, n_parts, weights, passes, max_load, rng
+            )
         else:
-            initial = _np_region_growing(n_vertices, adjacency, n_parts, weights, rng)
-            refined = _np_refine(initial, adjacency, n_parts, passes, weights, max_load)
-        refined = _np_balance(refined, adjacency, n_parts, weights, max_load)
-        loads = np.zeros(n_parts, dtype=np.float64)
-        for vertex in range(n_vertices):
-            loads[refined[vertex]] += weights[vertex]
-        key = (float(loads.max()), _np_cut(refined, edges))
+            initial = _list_region_growing(n_vertices, adjacency, n_parts, weights, rng)
+            refined = _list_refine(initial, adjacency, n_parts, passes, weights, max_load)
+        refined = np.array(
+            _list_balance(refined, adjacency, n_parts, weights, max_load), dtype=np.int64
+        )
+        key = (max(_list_loads(refined.tolist(), n_parts, weights)), _list_cut(refined, edges))
         if best_key is None or key < best_key:
             best, best_key = refined, key
     return best
 
 
-def _np_interleaver(h, owner, n_nodes):
-    links = [[] for _ in range(h.n_rows)]
-    for variable in range(h.n_cols):
-        checks = h.col(variable)
-        for position in range(checks.size):
-            successor = int(checks[(position + 1) % checks.size])
-            links[int(checks[position])].append((variable, successor))
-    slot_counter = np.zeros(n_nodes, dtype=np.int64)
-    slot_of_edge = {}
-    checks_by_node = [[] for _ in range(n_nodes)]
-    for check in range(h.n_rows):
-        checks_by_node[int(owner[check])].append(check)
-    for node in range(n_nodes):
-        for check in checks_by_node[node]:
-            for variable in h.row(check):
-                slot_of_edge[(check, int(variable))] = int(slot_counter[node])
-                slot_counter[node] += 1
-    offsets = np.zeros(n_nodes + 1, dtype=np.int64)
-    destinations, locations = [], []
-    for node in range(n_nodes):
-        for check in checks_by_node[node]:
-            for variable, consumer in links[check]:
-                destinations.append(int(owner[consumer]))
-                locations.append(slot_of_edge[(consumer, variable)])
-        offsets[node + 1] = len(destinations)
-    return TrafficPattern(n_nodes, offsets, np.array(destinations), np.array(locations))
-
-
-def _np_map(h, n_nodes, seed, attempts):
+def _list_map(h, n_nodes, seed, attempts):
     """The replaced ``map_ldpc_code``: (check owner, traffic) of the best candidate."""
-    edges = check_adjacency_graph(h).weights
+    edges = _list_check_graph(h)
     checks = np.arange(h.n_rows, dtype=np.int64)
     owners = [
-        _np_partition(h.n_rows, edges, n_nodes, seed, attempts, h.row_degrees()),
+        _list_partition(h.n_rows, edges, n_nodes, seed, attempts, h.row_degrees()),
         checks % n_nodes,
         (checks * n_nodes) // h.n_rows,
     ]
-    candidates = [(owner, _np_interleaver(h, owner, n_nodes)) for owner in owners]
+    candidates = [(owner, build_equivalent_interleaver(h, owner, n_nodes)) for owner in owners]
     scores = [evaluate_traffic_quality(traffic).score for _, traffic in candidates]
     return candidates[int(np.argmin(scores))]
 
 
 def test_mapping_flow_table1_grid():
-    """The Table-I mapping flow: list-native partitioner vs the replaced one."""
+    """The Table-I mapping flow: array partitioner vs the list-native one it replaced."""
     h = wimax_ldpc_code(2304, "1/2").h
     h.col(0)  # build the column index outside the timed arms
     grid = TABLE1_PARALLELISMS if full_benchmarks_enabled() else TABLE1_PARALLELISMS[::2]
 
     def baseline():
-        return [_np_map(h, p, 0, MAPPING_ATTEMPTS) for p in grid]
+        return [_list_map(h, p, 0, MAPPING_ATTEMPTS) for p in grid]
 
     def current():
         return [map_ldpc_code(h, p, seed=0, attempts=MAPPING_ATTEMPTS) for p in grid]

@@ -63,6 +63,45 @@ def objective_score(objective: str, throughput_mbps: float, noc_area_mm2: float)
     return throughput_mbps / max(noc_area_mm2, 1e-9)
 
 
+def _read_grid(
+    topologies: list[tuple[str, int]],
+    parallelisms: list[int],
+    routing_algorithms: list[RoutingAlgorithm] | None,
+) -> list[RoutingAlgorithm]:
+    """Check a design grid's axes and return its routing algorithms.
+
+    Every topology is a ``(family, degree)`` pair with an int degree >= 1,
+    every parallelism an int >= 1, and no axis repeats a value.
+    ``routing_algorithms=None`` means all of them; an empty list is an
+    error, as is an empty topology or parallelism axis.
+    """
+    algorithms = list(RoutingAlgorithm) if routing_algorithms is None else routing_algorithms
+    for topology in topologies:
+        if not (isinstance(topology, tuple) and len(topology) == 2
+                and isinstance(topology[0], str)):
+            raise ConfigurationError(
+                f"each topology must be a (family, degree) pair, got {topology!r}"
+            )
+        require_int("topology degree", topology[1], 1)
+    for parallelism in parallelisms:
+        require_int("parallelism", parallelism, 1)
+    for algorithm in algorithms:
+        if not isinstance(algorithm, RoutingAlgorithm):
+            raise ConfigurationError(
+                f"routing algorithms must be RoutingAlgorithm members, got {algorithm!r}"
+            )
+    for name, axis in (
+        ("topologies", topologies),
+        ("parallelisms", parallelisms),
+        ("routing_algorithms", algorithms),
+    ):
+        if len(axis) == 0:
+            raise ConfigurationError(f"{name} must not be empty")
+        if len(set(axis)) != len(axis):
+            raise ConfigurationError(f"{name} has duplicate values: {list(axis)!r}")
+    return list(algorithms)
+
+
 @dataclass(frozen=True)
 class DesignPoint:
     """One evaluated point of the design space (one cell of Table I)."""
@@ -245,8 +284,10 @@ class DesignSpaceExplorer:
         A cell is infeasible when its topology cannot be built (e.g. a
         toroidal mesh whose node count has no valid grid) or the code cannot
         be mapped on it — the paper likewise reports only feasible points.
+        A malformed grid raises :class:`~repro.errors.ConfigurationError`
+        before any cell is built.
         """
-        algorithms = routing_algorithms or list(RoutingAlgorithm)
+        algorithms = _read_grid(topologies, parallelisms, routing_algorithms)
         combos: list[Combo] = []
         for family, degree in topologies:
             for parallelism in parallelisms:
@@ -333,6 +374,7 @@ class DesignSpaceExplorer:
 
         Raises the topology or mapping error of an infeasible point.
         """
+        _read_grid([(topology_family, degree)], [parallelism], [routing_algorithm])
         (point,) = self._points(
             code, [(topology_family, degree, parallelism, routing_algorithm)]
         )
@@ -350,6 +392,7 @@ class DesignSpaceExplorer:
 
         Raises the topology or mapping error of an infeasible point.
         """
+        _read_grid([(topology_family, degree)], [parallelism], [routing_algorithm])
         (point,) = self._points(
             n_couples, [(topology_family, degree, parallelism, routing_algorithm)]
         )

@@ -8,22 +8,27 @@ parity checks and whose edges connect checks sharing at least one variable
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.ldpc.hmatrix import ParityCheckMatrix
+from repro.utils.graph import merge_parallel_edges, stable_argsort
 
 
 @dataclass(frozen=True)
 class CheckAdjacencyGraph:
-    """Undirected weighted graph over parity checks.
+    """Undirected weighted graph over the parity checks of H, as edge arrays.
 
-    ``weights[(i, j)]`` (with ``i < j``) counts the variables shared by checks
-    ``i`` and ``j``; this is the graph handed to the partitioner.
+    ``ends[e] = (i, j)`` with ``i < j`` are the two checks of edge ``e`` and
+    ``weights[e]`` counts the variables they share; this is the graph handed
+    to the partitioner.  Edges come in the order each check pair first occurs
+    when the columns of H are walked in order, pairs of one column in
+    lexicographic order.
     """
 
-    n_checks: int
-    weights: dict[tuple[int, int], int]
+    ends: np.ndarray
+    weights: np.ndarray
 
 
 def check_adjacency_graph(h: ParityCheckMatrix) -> CheckAdjacencyGraph:
@@ -35,12 +40,20 @@ def check_adjacency_graph(h: ParityCheckMatrix) -> CheckAdjacencyGraph:
     checks per iteration, which is exactly the traffic quantity the NoC
     mapping wants to keep local.
     """
-    weights: dict[tuple[int, int], int] = defaultdict(int)
-    for variable in range(h.n_cols):
-        checks = h.col(variable)
-        for idx_a in range(checks.size):
-            for idx_b in range(idx_a + 1, checks.size):
-                a, b = int(checks[idx_a]), int(checks[idx_b])
-                key = (a, b) if a < b else (b, a)
-                weights[key] += 1
-    return CheckAdjacencyGraph(n_checks=h.n_rows, weights=dict(weights))
+    # Tanner edges column by column, each column's checks ascending.
+    variables = np.concatenate(list(h.iter_rows()))
+    checks = np.repeat(np.arange(h.n_rows, dtype=np.int64), h.row_degrees())
+    by_column = stable_argsort(variables, h.n_cols)
+    column_checks = checks[by_column]
+    column_degrees = np.bincount(variables, minlength=h.n_cols)
+    column_end = np.cumsum(column_degrees)[variables[by_column]]
+    # Pair every position with each later position of its column; checks
+    # ascend within a column, so each pair comes out as (lower, higher).
+    partners = column_end - np.arange(by_column.size) - 1
+    first = np.repeat(np.arange(by_column.size), partners)
+    rank = np.arange(first.size) - np.repeat(np.cumsum(partners) - partners, partners)
+    ends, weights = merge_parallel_edges(
+        column_checks[first], column_checks[first + 1 + rank],
+        np.ones(first.size, dtype=np.int64), h.n_rows,
+    )
+    return CheckAdjacencyGraph(ends=ends, weights=weights)

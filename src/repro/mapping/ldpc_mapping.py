@@ -24,6 +24,7 @@ from repro.ldpc.hmatrix import ParityCheckMatrix
 from repro.ldpc.tanner import check_adjacency_graph
 from repro.mapping.partition import PartitionResult, partition_graph
 from repro.noc.traffic import TrafficPattern
+from repro.utils.graph import stable_argsort
 
 
 @dataclass(frozen=True)
@@ -92,7 +93,7 @@ def build_equivalent_interleaver(
     edge_owner = np.repeat(owner, h.row_degrees())
     # The consumer of edge e is the same variable's edge at the next check of
     # its column, cyclically: walk each column's edges in check order.
-    by_column = np.argsort(variables, kind="stable")
+    by_column = stable_argsort(variables, h.n_cols)
     column_degrees = np.bincount(variables, minlength=h.n_cols)
     column_start = np.cumsum(column_degrees) - column_degrees
     column = variables[by_column]
@@ -103,7 +104,7 @@ def build_equivalent_interleaver(
     ]
     # Each PE processes its checks in ascending order, so its edges keep row
     # order; an edge's memory slot is its rank among its owner PE's edges.
-    emit_order = np.argsort(edge_owner, kind="stable")
+    emit_order = stable_argsort(edge_owner, n_nodes)
     node_edges = np.bincount(edge_owner, minlength=n_nodes)
     node_start = np.cumsum(node_edges) - node_edges
     slot = np.empty_like(emit_order)
@@ -161,7 +162,8 @@ def map_ldpc_code(
     candidates: list[tuple[PartitionResult, TrafficPattern]] = []
     partitioned = partition_graph(
         n_vertices=h.n_rows,
-        edges=graph.weights,
+        ends=graph.ends,
+        weights=graph.weights,
         n_parts=n_nodes,
         seed=seed,
         attempts=attempts,
@@ -178,7 +180,7 @@ def map_ldpc_code(
     for assignment in _structured_assignments(h.n_rows, n_nodes).values():
         candidates.append(
             (
-                PartitionResult.from_assignment(assignment, n_nodes, graph.weights),
+                PartitionResult.from_assignment(assignment, n_nodes, graph.ends, graph.weights),
                 build_equivalent_interleaver(h, assignment, n_nodes, traffic_label),
             )
         )

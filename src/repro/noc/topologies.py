@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.errors import TopologyError
+from repro.utils.validation import require_int
 
 
 @dataclass(frozen=True)
@@ -403,6 +404,9 @@ def build_topology(family: str, n_nodes: int, degree: int | None = None) -> Topo
         raise TopologyError(
             f"unknown topology family {family!r}; known families: {sorted(TOPOLOGY_FAMILIES)}"
         )
+    require_int("n_nodes", n_nodes, 1, TopologyError)
+    if degree is not None:
+        require_int("degree", degree, 1, TopologyError)
     if family == "generalized-de-bruijn":
         if degree is None:
             raise TopologyError("generalized-de-bruijn requires an explicit degree")

@@ -200,6 +200,66 @@ class TestDesignSpaceExplorer:
             DesignSpaceExplorer().best_point([])
 
 
+class TestGridInput:
+    """A malformed grid raises ConfigurationError before any cell is built."""
+
+    CODE = wimax_ldpc_code(576, "1/2")
+
+    @staticmethod
+    def explorer():
+        return DesignSpaceExplorer(DecoderSpec(mapping_attempts=1))
+
+    @pytest.mark.parametrize(
+        "topologies, parallelisms",
+        [
+            ([("spidergon", 3)], [8.0]),
+            ([("spidergon", 3)], [True]),
+            ([("spidergon", 3.0)], [8]),
+            ([("spidergon", True)], [8]),
+        ],
+    )
+    def test_non_integral_parallelism_or_degree_rejected(self, topologies, parallelisms):
+        explorer = self.explorer()
+        with pytest.raises(ConfigurationError):
+            explorer.sweep_ldpc(self.CODE, topologies, parallelisms)
+        with pytest.raises(ConfigurationError):
+            explorer.explore(self.CODE, topologies, parallelisms)
+        family, degree = topologies[0]
+        with pytest.raises(ConfigurationError):
+            explorer.evaluate_ldpc_point(
+                self.CODE, family, degree, parallelisms[0], RoutingAlgorithm.SSP_FL
+            )
+
+    @pytest.mark.parametrize("topology", [["spidergon", 3], ("spidergon",), (3, "spidergon")])
+    def test_topology_must_be_a_family_degree_pair(self, topology):
+        with pytest.raises(ConfigurationError):
+            self.explorer().sweep_ldpc(self.CODE, [topology], [8])
+
+    def test_empty_routing_algorithms_rejected_and_none_means_all(self):
+        explorer = self.explorer()
+        with pytest.raises(ConfigurationError):
+            explorer.sweep_ldpc(self.CODE, [("spidergon", 3)], [8], [])
+        with pytest.raises(ConfigurationError):
+            explorer.explore(self.CODE, [("spidergon", 3)], [8], [])
+        points = explorer.sweep_ldpc(self.CODE, [("spidergon", 3)], [8], None)
+        assert [p.routing_algorithm for p in points] == list(RoutingAlgorithm)
+
+    @pytest.mark.parametrize(
+        "topologies, parallelisms, algorithms",
+        [
+            ([("spidergon", 3)], [8, 8], None),
+            ([("spidergon", 3), ("spidergon", 3)], [8], None),
+            ([("spidergon", 3)], [8], [RoutingAlgorithm.SSP_FL, RoutingAlgorithm.SSP_FL]),
+        ],
+    )
+    def test_duplicate_grid_values_rejected(self, topologies, parallelisms, algorithms):
+        explorer = self.explorer()
+        with pytest.raises(ConfigurationError, match="duplicate"):
+            explorer.sweep_ldpc(self.CODE, topologies, parallelisms, algorithms)
+        with pytest.raises(ConfigurationError, match="duplicate"):
+            explorer.explore(self.CODE, topologies, parallelisms, algorithms)
+
+
 class TestExplorerGolden:
     def test_table1_points_match_pinned_digest(self, worst_case_ldpc_code):
         explorer = DesignSpaceExplorer(DecoderSpec(mapping_attempts=2), seed=0)

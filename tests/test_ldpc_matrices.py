@@ -146,7 +146,7 @@ class TestWimaxCodes:
 
     def test_codes_are_four_cycle_free(self, small_ldpc_code):
         # A 4-cycle is two checks sharing two or more variables.
-        assert max(check_adjacency_graph(small_ldpc_code.h).weights.values()) == 1
+        assert check_adjacency_graph(small_ldpc_code.h).weights.max() == 1
 
     def test_caching_returns_same_object(self):
         assert wimax_ldpc_code(576, "1/2") is wimax_ldpc_code(576, "1/2")
@@ -179,9 +179,10 @@ class TestCheckAdjacencyGraph:
     def test_check_adjacency_graph_edges(self):
         h = ParityCheckMatrix([[0, 1], [1, 2], [3]], n_cols=4)
         graph = check_adjacency_graph(h)
-        assert graph.n_checks == 3
-        assert graph.weights == {(0, 1): 1}
+        assert graph.ends.tolist() == [[0, 1]]
+        assert graph.weights.tolist() == [1]
 
     def test_check_adjacency_weight_counts_shared_variables(self):
         h = ParityCheckMatrix([[0, 1, 2], [0, 1, 3]], n_cols=4)
-        assert check_adjacency_graph(h).weights == {(0, 1): 2}
+        graph = check_adjacency_graph(h)
+        assert (graph.ends.tolist(), graph.weights.tolist()) == ([[0, 1]], [2])

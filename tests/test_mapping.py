@@ -22,6 +22,8 @@ from repro.mapping import (
 from repro.mapping.ldpc_mapping import build_equivalent_interleaver
 from repro.mapping.turbo_mapping import contiguous_partition
 
+from partition_oracle import edge_arrays
+
 
 def _grid_graph(rows: int, cols: int) -> tuple[int, dict[tuple[int, int], int]]:
     """Unweighted 2D grid graph, a friendly case for partitioning."""
@@ -39,19 +41,19 @@ def _grid_graph(rows: int, cols: int) -> tuple[int, dict[tuple[int, int], int]]:
 class TestPartitioner:
     def test_partition_covers_all_vertices(self):
         n, edges = _grid_graph(8, 8)
-        result = partition_graph(n, edges, n_parts=4, seed=0)
+        result = partition_graph(n, *edge_arrays(edges), n_parts=4, seed=0)
         assert result.assignment.shape == (n,)
         assert set(np.unique(result.assignment)) == {0, 1, 2, 3}
 
     def test_partition_is_balanced(self):
         n, edges = _grid_graph(8, 8)
-        result = partition_graph(n, edges, n_parts=4, seed=0)
+        result = partition_graph(n, *edge_arrays(edges), n_parts=4, seed=0)
         assert result.part_sizes.sum() == n
         assert result.imbalance <= 1.15
 
     def test_partition_beats_random_cut_on_grid(self):
         n, edges = _grid_graph(10, 10)
-        result = partition_graph(n, edges, n_parts=4, seed=0)
+        result = partition_graph(n, *edge_arrays(edges), n_parts=4, seed=0)
         total_weight = sum(edges.values())
         # A random 4-way split keeps only ~25% of edges internal; the grid is
         # easily partitioned far better than that.
@@ -59,7 +61,7 @@ class TestPartitioner:
 
     def test_cut_weight_matches_assignment(self):
         n, edges = _grid_graph(6, 6)
-        result = partition_graph(n, edges, n_parts=3, seed=1)
+        result = partition_graph(n, *edge_arrays(edges), n_parts=3, seed=1)
         recomputed = sum(
             w for (a, b), w in edges.items() if result.assignment[a] != result.assignment[b]
         )
@@ -69,7 +71,7 @@ class TestPartitioner:
         n, edges = _grid_graph(6, 6)
         weights = np.ones(n)
         weights[:6] = 10.0  # one heavy row
-        result = partition_graph(n, edges, n_parts=3, seed=0, vertex_weights=weights)
+        result = partition_graph(n, *edge_arrays(edges), n_parts=3, seed=0, vertex_weights=weights)
         loads = np.zeros(3)
         for vertex in range(n):
             loads[result.assignment[vertex]] += weights[vertex]
@@ -77,30 +79,50 @@ class TestPartitioner:
 
     def test_deterministic_for_fixed_seed(self):
         n, edges = _grid_graph(6, 6)
-        first = partition_graph(n, edges, n_parts=3, seed=5)
-        second = partition_graph(n, edges, n_parts=3, seed=5)
+        first = partition_graph(n, *edge_arrays(edges), n_parts=3, seed=5)
+        second = partition_graph(n, *edge_arrays(edges), n_parts=3, seed=5)
         assert np.array_equal(first.assignment, second.assignment)
 
     def test_single_part(self):
         n, edges = _grid_graph(4, 4)
-        result = partition_graph(n, edges, n_parts=1, seed=0)
+        result = partition_graph(n, *edge_arrays(edges), n_parts=1, seed=0)
         assert result.cut_weight == 0
         assert np.all(result.assignment == 0)
 
     def test_invalid_arguments(self):
         n, edges = _grid_graph(4, 4)
         with pytest.raises(MappingError):
-            partition_graph(n, edges, n_parts=0)
+            partition_graph(n, *edge_arrays(edges), n_parts=0)
         with pytest.raises(MappingError):
-            partition_graph(2, {}, n_parts=4)
+            partition_graph(2, *edge_arrays({}), n_parts=4)
         with pytest.raises(MappingError):
-            partition_graph(n, edges, n_parts=2, attempts=0)
+            partition_graph(n, *edge_arrays(edges), n_parts=2, attempts=0)
         with pytest.raises(MappingError):
-            partition_graph(n, edges, n_parts=2, vertex_weights=np.zeros(n))
+            partition_graph(n, *edge_arrays(edges), n_parts=2, vertex_weights=np.zeros(n))
+        for bad in (np.nan, np.inf):
+            weights = np.ones(n)
+            weights[3] = bad
+            with pytest.raises(MappingError):
+                partition_graph(n, *edge_arrays(edges), n_parts=2, vertex_weights=weights)
         with pytest.raises(MappingError):
-            partition_graph(n, edges, n_parts=2, vertex_weights=np.ones(n + 1))
+            partition_graph(n, *edge_arrays(edges), n_parts=2, vertex_weights=np.ones(n + 1))
         with pytest.raises(MappingError):
-            partition_graph(3, {(0, 7): 1}, n_parts=2)
+            partition_graph(3, *edge_arrays({(0, 7): 1}), n_parts=2)
+
+    def test_invalid_edge_arrays(self):
+        ends, weights = edge_arrays(_grid_graph(3, 3)[1])
+        for bad_ends, bad_weights in [
+            (ends.reshape(-1), weights),  # not (E, 2)
+            (ends, weights[:-1]),  # one weight short
+            (ends.astype(float), weights),  # non-integer ends
+            (ends, weights + 0.5),  # non-integer weights
+            (ends, -weights),  # negative weights
+        ]:
+            with pytest.raises(MappingError):
+                partition_graph(9, bad_ends, bad_weights, n_parts=2)
+        # Zero-weight edges and no edges at all are valid graphs.
+        partition_graph(9, ends, 0 * weights, n_parts=2)
+        assert partition_graph(9, [], [], n_parts=3).cut_weight == 0
 
 
 @st.composite
@@ -136,7 +158,7 @@ class TestPartitionerProperties:
         tolerance = 1.0 + 3.5 / ideal
         first, second = (
             partition_graph(
-                n_vertices, edges, n_parts, seed=seed, attempts=attempts,
+                n_vertices, *edge_arrays(edges), n_parts, seed=seed, attempts=attempts,
                 imbalance_tolerance=tolerance, vertex_weights=weights,
             )
             for _ in range(2)
@@ -165,7 +187,9 @@ class TestPartitionerProperties:
         merged = ([1, 1, 0, 0, 0, 0, 0], 2)
         expected = [split, split, split, merged, merged, merged, split, split]
         for seed, (assignment, cut) in enumerate(expected):
-            result = partition_graph(7, edges, 2, seed=seed, attempts=2, vertex_weights=weights)
+            result = partition_graph(
+                7, *edge_arrays(edges), 2, seed=seed, attempts=2, vertex_weights=weights
+            )
             assert (result.assignment.tolist(), result.cut_weight) == (assignment, cut)
 
 
@@ -295,8 +319,9 @@ class TestMappingGoldenDigests:
         code = wifi_ldpc_code(n, rate) if family == "wifi" else wimax_ldpc_code(n, rate)
         h = code.h
         mapping = map_ldpc_code(h, n_nodes, seed=seed, attempts=attempts)
+        graph = check_adjacency_graph(h)
         partitioned = partition_graph(
-            h.n_rows, check_adjacency_graph(h).weights, n_nodes,
+            h.n_rows, graph.ends, graph.weights, n_nodes,
             seed=seed, attempts=attempts, vertex_weights=h.row_degrees(),
         )
         traffic = build_equivalent_interleaver(h, partitioned.assignment, n_nodes)

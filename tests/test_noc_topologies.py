@@ -151,6 +151,14 @@ class TestTopologyFamilies:
         with pytest.raises(TopologyError):
             build_topology("ring", 16, degree=3)
 
+    @pytest.mark.parametrize(
+        "family, n_nodes, degree",
+        [("spidergon", 8.0, None), ("ring", True, None), ("generalized-kautz", 8, 2.0)],
+    )
+    def test_build_topology_rejects_non_integral_sizes(self, family, n_nodes, degree):
+        with pytest.raises(TopologyError):
+            build_topology(family, n_nodes, degree)
+
 
 class TestRoutingTables:
     def test_distances_symmetric_for_undirected_topology(self):

@@ -15,6 +15,8 @@ from repro.noc import build_routing_tables, generalized_kautz
 from repro.turbo import CTCInterleaver, DuoBinaryTrellis, TurboEncoder
 from repro.turbo.bits import bit_to_symbol_extrinsic, symbol_to_bit_extrinsic
 
+from partition_oracle import edge_arrays
+
 # Keep hypothesis example counts modest so the suite stays fast.
 DEFAULT_SETTINGS = settings(max_examples=50, deadline=None)
 
@@ -187,7 +189,7 @@ class TestPartitionProperties:
             if a != b:
                 key = (min(int(a), int(b)), max(int(a), int(b)))
                 edges[key] = edges.get(key, 0) + 1
-        result = partition_graph(n_vertices, edges, n_parts, seed=seed, attempts=1)
+        result = partition_graph(n_vertices, *edge_arrays(edges), n_parts, seed=seed, attempts=1)
         assert result.assignment.shape == (n_vertices,)
         assert result.assignment.min() >= 0
         assert result.assignment.max() < n_parts
