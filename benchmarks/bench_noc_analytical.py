@@ -1,7 +1,7 @@
 """Benchmark: analytical screening vs exhaustive design-space exploration.
 
 The headline (slow, ``--runslow``/``REPRO_RUN_SLOW=1``) benchmark runs a
-Table-I-style grid at least 4x the default benchmark grid (6 topology groups
+Table-I-style grid at least 4x a two-P Table-I grid (6 topology groups
 x 17 parallelism degrees x 3 routing algorithms, WiMAX LDPC n = 2304) twice:
 
 * exhaustively — every feasible candidate is simulated cycle-exactly;
@@ -29,26 +29,18 @@ from __future__ import annotations
 import pytest
 
 from repro import DecoderSpec, DesignSpaceExplorer, wimax_ldpc_code
+from repro.analysis import TABLE1_TOPOLOGIES
 
 from benchmarks.harness import record, row, trials
 
-#: Same topology groups as the Table-I bench.
-TOPOLOGIES = [
-    ("generalized-de-bruijn", 2),
-    ("generalized-kautz", 2),
-    ("spidergon", 3),
-    ("generalized-kautz", 3),
-    ("honeycomb", 4),
-    ("generalized-kautz", 4),
-]
-
-#: 17 parallelism degrees vs the default benchmark's 2 — with 6 topology
-#: groups and 3 routing algorithms this enumerates ~270 feasible candidates,
-#: >= 7x the 36-point default Table-I grid.  This is the regime screening is
-#: for: a grid nobody would simulate exhaustively during design iteration.
+#: 17 parallelism degrees on the Table-I topology groups — with 3 routing
+#: algorithms this enumerates ~270 feasible candidates, >= 7x the 36-point
+#: yardstick below.  This is the regime screening is for: a grid nobody
+#: would simulate exhaustively during design iteration.
 BIG_PARALLELISMS = list(range(12, 45, 2))
 
-#: The default Table-I benchmark grid this bench's grid is measured against.
+#: The yardstick of the >= 4x gate: a Table-I grid at two parallelism degrees
+#: (6 topology groups x 2 P x 3 routing algorithms = 36 points).
 TABLE1_DEFAULT_POINTS = 36
 
 #: Interleaved (exhaustive, cold screened, screened) trials of the slow row.
@@ -67,7 +59,7 @@ def test_analytical_screening_speedup():
     # max_workers=1 in every arm: the row prices screening, not the worker pool.
     def screened_run():
         return explorer.explore(
-            code, TOPOLOGIES, BIG_PARALLELISMS,
+            code, TABLE1_TOPOLOGIES, BIG_PARALLELISMS,
             screen="analytical", confirm_top=5, max_workers=1,
         )
 
@@ -75,7 +67,7 @@ def test_analytical_screening_speedup():
     # built topologies, routing tables and code mappings.  What remains in
     # the timed regions is exactly what differs — simulate everything vs
     # estimate everything and simulate the shortlist.
-    explorer._feasible_combos(code, TOPOLOGIES, BIG_PARALLELISMS, None)
+    explorer._feasible_combos(code, TABLE1_TOPOLOGIES, BIG_PARALLELISMS, None)
 
     # Interleaved trials.  The cold screened pass drops the explorer's
     # analytical model first, so it pays the one-time contention fits
@@ -92,7 +84,7 @@ def test_analytical_screening_speedup():
     samples, results = trials(
         {
             "exhaustive": lambda: explorer.explore(
-                code, TOPOLOGIES, BIG_PARALLELISMS, screen=None, max_workers=1
+                code, TABLE1_TOPOLOGIES, BIG_PARALLELISMS, screen=None, max_workers=1
             ),
             "screened_cold": screened_cold_run,
             "screened": screened_run,
@@ -124,7 +116,7 @@ def test_analytical_screening_speedup():
     print(
         "\nAnalytical screening on the 4x Table-I grid:\n"
         f"  candidates           {screened.n_candidates}"
-        f" (>= 4x default grid of {TABLE1_DEFAULT_POINTS})\n"
+        f" (>= 4x the two-P Table-I grid of {TABLE1_DEFAULT_POINTS})\n"
         f"  simulated (screened) {screened.n_simulated}"
         f"  skipped {screened.n_skipped}\n"
         f"  exhaustive           {arms['exhaustive']['median']:.2f} s\n"
@@ -139,7 +131,7 @@ def test_analytical_screening_speedup():
         "screening_speedup",
         {
             "grid": {
-                "topology_groups": len(TOPOLOGIES),
+                "topology_groups": len(TABLE1_TOPOLOGIES),
                 "parallelisms": BIG_PARALLELISMS,
                 "n_candidates": screened.n_candidates,
                 "table1_default_points": TABLE1_DEFAULT_POINTS,
@@ -152,7 +144,7 @@ def test_analytical_screening_speedup():
     )
 
     assert screened.n_candidates >= 4 * TABLE1_DEFAULT_POINTS, (
-        "benchmark grid shrank below 4x the default Table-I grid"
+        "benchmark grid shrank below 4x the two-P Table-I grid"
     )
     assert screened.n_skipped > 0
     assert speedup >= 10.0, (

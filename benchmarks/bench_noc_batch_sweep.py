@@ -40,6 +40,7 @@ import multiprocessing
 import os
 from collections import Counter
 
+from repro.analysis import TABLE1_PARALLELISMS
 from repro.core import DecoderSpec
 from repro.ldpc import wimax_ldpc_code
 from repro.mapping import map_ldpc_code
@@ -442,7 +443,6 @@ def test_crossover_grid():
 #: WiMAX 2304 r1/2 iteration, 7 296 messages each), and the prefixes of it
 #: that size the pool threshold.
 POOL_ROW = ("generalized-kautz", 3)
-POOL_PARALLELISMS = [16, 24, 32, 36]
 POOL_PREFIXES = [2, 3, 4, 6]
 POOL_TRIALS = 5
 
@@ -452,7 +452,7 @@ def _table1_row_jobs() -> list[NocSweepJob]:
     spec = DecoderSpec(mapping_attempts=2)
     family, degree = POOL_ROW
     jobs = []
-    for parallelism in POOL_PARALLELISMS:
+    for parallelism in TABLE1_PARALLELISMS:
         mapping = map_ldpc_code(
             code.h, parallelism, seed=0, attempts=spec.mapping_attempts,
             label=f"{code.rate_name}-n{code.n}-P{parallelism}",

@@ -34,6 +34,7 @@ import os
 
 import numpy as np
 
+from repro.analysis import TABLE1_PARALLELISMS
 from repro.ldpc import wimax_ldpc_code
 from repro.mapping import evaluate_traffic_quality, map_ldpc_code
 from repro.mapping.ldpc_mapping import build_equivalent_interleaver
@@ -56,8 +57,6 @@ from benchmarks.harness import full_benchmarks_enabled, record, row, trials
 #: rate-1/2 WiMAX LDPC code partitioned over P PEs (~2304/P messages each).
 SWEEP_SCALES = [(16, 144), (22, 105), (32, 72), (36, 64)]
 TIMING_REPEATS = 3
-#: The Table-I parallelisms; the default run maps at the first and third.
-TABLE1_PARALLELISMS = [16, 24, 32, 36]
 MAPPING_ATTEMPTS = 2
 MAPPING_TRIALS = 5
 
@@ -407,7 +406,8 @@ def test_mapping_flow_table1_grid():
     """The Table-I mapping flow: array partitioner vs the list-native one it replaced."""
     h = wimax_ldpc_code(2304, "1/2").h
     h.col(0)  # build the column index outside the timed arms
-    grid = TABLE1_PARALLELISMS if full_benchmarks_enabled() else TABLE1_PARALLELISMS[::2]
+    # The default run maps at the first and third Table-I parallelism.
+    grid = list(TABLE1_PARALLELISMS if full_benchmarks_enabled() else TABLE1_PARALLELISMS[::2])
 
     def baseline():
         return [_list_map(h, p, 0, MAPPING_ATTEMPTS) for p in grid]

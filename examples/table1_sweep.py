@@ -1,70 +1,40 @@
 #!/usr/bin/env python3
 """Design-space exploration in the style of the paper's Table I.
 
-Sweeps NoC topologies, parallelism degrees and routing algorithms for the
+Sweeps the paper's Table-I grid (6 topology groups x 4 parallelisms x 3
+routing algorithms, derived from ``repro.analysis.PAPER_TABLE1``) for the
 worst-case WiMAX LDPC code (n = 2304, rate 1/2) and prints throughput / NoC
-area per design point next to the values published in the paper, followed by
-the qualitative trend checks (Kautz wins, D = 3 sweet spot, throughput grows
-with P, weak dependence on the routing algorithm).
+area per design point next to the values published in the paper, the paper
+cells the model has no point for and why, and the qualitative trend checks
+(Kautz wins, D = 3 sweet spot, throughput grows with P, weak dependence on
+the routing algorithm).
 
-The full grid of the paper (6 topology groups x 4 parallelisms x 3 routing
-algorithms) takes a few minutes in pure Python; pass ``--quick`` to sweep a
-representative subset in ~30 s.
-
-Run with ``python examples/table1_sweep.py [--quick]``.
+Run with ``python examples/table1_sweep.py``.
 """
 
 from __future__ import annotations
 
-import argparse
 import time
 
-from repro import DecoderSpec, DesignSpaceExplorer, wimax_ldpc_code
-from repro.analysis import build_table1, check_table1_trends
-from repro.noc import RoutingAlgorithm
-
-FULL_TOPOLOGIES = [
-    ("generalized-de-bruijn", 2),
-    ("generalized-kautz", 2),
-    ("spidergon", 3),
-    ("generalized-kautz", 3),
-    ("honeycomb", 4),
-    ("generalized-kautz", 4),
-]
-QUICK_TOPOLOGIES = [
-    ("generalized-kautz", 2),
-    ("spidergon", 3),
-    ("generalized-kautz", 3),
-]
-
-FULL_PARALLELISMS = [16, 24, 32, 36]
-QUICK_PARALLELISMS = [16, 32]
+from repro import DecoderSpec, DesignSpaceExplorer
+from repro.analysis import build_table1, table1_ledger
 
 
 def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--quick", action="store_true", help="sweep a reduced grid")
-    args = parser.parse_args()
-
-    topologies = QUICK_TOPOLOGIES if args.quick else FULL_TOPOLOGIES
-    parallelisms = QUICK_PARALLELISMS if args.quick else FULL_PARALLELISMS
-    algorithms = [RoutingAlgorithm.SSP_RR, RoutingAlgorithm.SSP_FL, RoutingAlgorithm.ASP_FT]
-
-    code = wimax_ldpc_code(2304, "1/2")
     explorer = DesignSpaceExplorer(DecoderSpec(mapping_attempts=2), seed=0)
-
-    print(f"sweeping {len(topologies)} topologies x {parallelisms} x {len(algorithms)} algorithms "
-          f"on {code.describe()}")
     start = time.time()
-    points = explorer.sweep_ldpc(code, topologies, parallelisms, algorithms)
-    elapsed = time.time() - start
-    print(f"evaluated {len(points)} design points in {elapsed:.1f} s\n")
+    ledger = table1_ledger(explorer)
+    points = ledger.points
+    print(f"evaluated {len(points)} Table-I design points in {time.time() - start:.1f} s\n")
 
     print(build_table1(points).render())
-    print()
+    missing = [cell for cell in ledger.cells if cell.point is None]
+    print(f"\n{len(missing)} of {len(ledger.cells)} paper cells have no design point:")
+    for cell in missing:
+        print(f"  {cell.paper.label}: {cell.missing_reason}")
 
-    print("Trend checks (the claims the paper derives from Table I):")
-    for check in check_table1_trends(points):
+    print("\nTrend checks (the claims the paper derives from Table I):")
+    for check in ledger.trends:
         status = "PASS" if check.passed else "FAIL"
         print(f"  [{status}] {check.name}: {check.detail}")
 

@@ -5,7 +5,8 @@ Three data sets are embedded:
 * ``PAPER_TABLE1`` — throughput [Mb/s] / NoC area [mm^2] for the WiMAX LDPC
   n = 2304, r = 1/2 code over topologies, parallelism degrees and routing
   algorithms (paper Table I; 300 MHz, Itmax = 10, latcore = 15, RL = 0, SCM,
-  R = 0.5);
+  R = 0.5), whose grid axes ``TABLE1_TOPOLOGIES``, ``TABLE1_PARALLELISMS``
+  and ``TABLE1_ROUTINGS`` are derived from it;
 * ``PAPER_TABLE2`` — the P = 22 generalized-Kautz design case (paper Table II);
 * ``PAPER_TABLE3`` — the state-of-the-art comparison (paper Table III).
 
@@ -16,6 +17,8 @@ measurements of this reproduction; the benches print both side by side.
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+from repro.noc.config import RoutingAlgorithm
 
 
 @dataclass(frozen=True)
@@ -30,17 +33,14 @@ class Table1Cell:
     throughput_mbps: float
     noc_area_mm2: float
 
+    @property
+    def label(self) -> str:
+        """The cell's grid coordinates, e.g. ``generalized-kautz D=3 P=32 SSP-FL``."""
+        return f"{self.topology} D={self.degree} P={self.parallelism} {self.routing}"
 
-def _t1(topology, degree, parallelism, routing, arch, throughput, area) -> Table1Cell:
-    return Table1Cell(
-        topology=topology,
-        degree=degree,
-        parallelism=parallelism,
-        routing=routing,
-        node_architecture=arch,
-        throughput_mbps=throughput,
-        noc_area_mm2=area,
-    )
+
+#: Rows below: topology, degree, P, routing, node architecture, Mb/s, mm^2.
+_t1 = Table1Cell
 
 
 #: Paper Table I (WiMAX LDPC n=2304, r=1/2).
@@ -124,6 +124,12 @@ PAPER_TABLE1: tuple[Table1Cell, ...] = (
     _t1("generalized-kautz", 4, 32, "ASP-FT", "AP", 100.47, 0.54),
     _t1("generalized-kautz", 4, 36, "ASP-FT", "AP", 108.68, 0.58),
 )
+
+# The one definition of the Table-I grid: each axis in the order its values
+# first appear in ``PAPER_TABLE1`` (a sweep over it runs in that order).
+TABLE1_TOPOLOGIES = tuple(dict.fromkeys((c.topology, c.degree) for c in PAPER_TABLE1))
+TABLE1_PARALLELISMS = tuple(dict.fromkeys(c.parallelism for c in PAPER_TABLE1))
+TABLE1_ROUTINGS = tuple(dict.fromkeys(RoutingAlgorithm(c.routing) for c in PAPER_TABLE1))
 
 
 #: Paper Table II: P=22, D=3 generalized Kautz, R=0.5.

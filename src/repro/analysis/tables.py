@@ -1,29 +1,39 @@
-"""Builders that render reproduced results in the layout of the paper's tables."""
+"""Builders that render reproduced results in the layout of the paper's tables,
+and the Table-I fidelity ledger that joins a sweep with every paper cell."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
+from itertools import product
 from typing import Sequence
 
-from repro.analysis.reference import PAPER_TABLE1, PAPER_TABLE2, PAPER_TABLE3, Table1Cell
+import numpy as np
+
+from repro.analysis.reference import (
+    PAPER_TABLE1,
+    PAPER_TABLE2,
+    PAPER_TABLE3,
+    TABLE1_PARALLELISMS,
+    TABLE1_ROUTINGS,
+    TABLE1_TOPOLOGIES,
+    Table1Cell,
+)
 from repro.core.architecture import LdpcEvaluation, TurboEvaluation
-from repro.core.design_flow import DesignPoint
+from repro.core.design_flow import DesignPoint, DesignSpaceExplorer
+from repro.errors import ConfigurationError, ReproError
 from repro.hw.technology import scale_area
+from repro.ldpc import wimax_ldpc_code
 from repro.sim.runner import BerPoint
 from repro.utils.tables import Table, format_ratio_cell
 
+#: The one join of model and paper: paper Table-I cells by (topology, degree, P, routing).
+_PAPER_CELLS: dict[tuple[str, int, int, str], Table1Cell] = {
+    (c.topology, c.degree, c.parallelism, c.routing): c for c in PAPER_TABLE1
+}
 
-def _paper_cell(topology: str, degree: int, parallelism: int, routing: str) -> Table1Cell | None:
-    for cell in PAPER_TABLE1:
-        if (
-            cell.topology == topology
-            and cell.degree == degree
-            and cell.parallelism == parallelism
-            and cell.routing == routing
-        ):
-            return cell
-    return None
+
+def _point_key(point: DesignPoint) -> tuple[str, int, int, str]:
+    return (point.topology_family, point.degree, point.parallelism, point.routing_algorithm.value)
 
 
 def build_table1(points: list[DesignPoint]) -> Table:
@@ -37,24 +47,20 @@ def build_table1(points: list[DesignPoint]) -> Table:
         title="Table I - throughput [Mb/s] / NoC area [mm^2], WiMAX LDPC n=2304 r=1/2",
         columns=["topology (D)", "routing", *[f"P={p}" for p in parallelisms]],
     )
+    by_key: dict[tuple[str, int, int, str], DesignPoint] = {}
+    for point in points:
+        by_key.setdefault(_point_key(point), point)
     groups = sorted({(p.topology_family, p.degree, p.routing_algorithm.value) for p in points})
     for family, degree, routing in groups:
         cells: list[str] = [f"{family} (D={degree})", routing]
         for parallelism in parallelisms:
-            match = [
-                p
-                for p in points
-                if p.topology_family == family
-                and p.degree == degree
-                and p.routing_algorithm.value == routing
-                and p.parallelism == parallelism
-            ]
-            if not match:
+            key = (family, degree, parallelism, routing)
+            point = by_key.get(key)
+            if point is None:
                 cells.append("-")
                 continue
-            point = match[0]
             text = format_ratio_cell(point.throughput_mbps, point.noc_area_mm2)
-            paper = _paper_cell(family, degree, parallelism, routing)
+            paper = _PAPER_CELLS.get(key)
             if paper is not None:
                 text += f" (paper {format_ratio_cell(paper.throughput_mbps, paper.noc_area_mm2)})"
             cells.append(text)
@@ -271,3 +277,100 @@ def check_table1_trends(points: list[DesignPoint]) -> list[TrendCheck]:
             )
         )
     return checks
+
+
+@dataclass(frozen=True)
+class LedgerCell:
+    """One paper Table-I cell and the model's point for it, or the typed reason there is none."""
+
+    paper: Table1Cell
+    point: DesignPoint | None
+    missing_reason: str | None = None
+
+    def error(self, metric: str) -> float:
+        """Signed relative error ``(model - paper) / paper`` of ``throughput_mbps`` or
+        ``noc_area_mm2``."""
+        paper = getattr(self.paper, metric)
+        return (getattr(self.point, metric) - paper) / paper
+
+
+def _paper_flags() -> tuple[tuple[Table1Cell, str], ...]:
+    """Suspect paper cells, judged from ``PAPER_TABLE1`` alone, each with its evidence:
+    an SSP-FL cell equal to the ASP-FT cell of its (topology, P), and a throughput
+    that falls as P grows along a (topology, routing) row."""
+    flags = []
+    for (family, degree, parallelism, routing), cell in _PAPER_CELLS.items():
+        values = (cell.throughput_mbps, cell.noc_area_mm2)
+        twin = _PAPER_CELLS[(family, degree, parallelism, "ASP-FT")]
+        if routing == "SSP-FL" and values == (twin.throughput_mbps, twin.noc_area_mm2):
+            flags.append((cell, f"equals the ASP-FT cell {format_ratio_cell(*values)}"))
+        index = TABLE1_PARALLELISMS.index(parallelism)
+        if index == 0:
+            continue
+        before = _PAPER_CELLS[(family, degree, TABLE1_PARALLELISMS[index - 1], routing)]
+        if cell.throughput_mbps < before.throughput_mbps:
+            change = 100 * (cell.throughput_mbps / before.throughput_mbps - 1)
+            flags.append((cell, f"throughput {change:+.1f}% from P={before.parallelism} "
+                                f"({before.throughput_mbps:.2f} -> {cell.throughput_mbps:.2f} Mb/s)"))
+    return tuple(flags)
+
+
+@dataclass(frozen=True)
+class Table1Ledger:
+    """Every paper Table-I cell against the model, the trend checks, and the suspect
+    paper cells with their evidence."""
+
+    cells: tuple[LedgerCell, ...]
+    trends: tuple[TrendCheck, ...]
+    flags: tuple[tuple[Table1Cell, str], ...]
+
+    @property
+    def points(self) -> list[DesignPoint]:
+        """The swept design points, in grid order."""
+        return [cell.point for cell in self.cells if cell.point is not None]
+
+    def summary(self) -> dict:
+        """The cell counts and, per metric over the produced cells, the mean |error|,
+        the cells within 10% and the median signed error per routing (errors in %)."""
+        produced = [c for c in self.cells if c.point is not None]
+        routings = np.array([c.paper.routing for c in produced])
+        summary: dict = {"produced": len(produced), "missing": len(self.cells) - len(produced)}
+        for metric in ("throughput_mbps", "noc_area_mm2"):
+            errors = np.array([c.error(metric) for c in produced])
+            summary[metric] = {
+                "mean_abs_error_pct": 100.0 * float(np.mean(np.abs(errors))),
+                "within_10pct": int(np.count_nonzero(np.abs(errors) <= 0.10)),
+                "median_error_pct": {
+                    r.value: 100.0 * float(np.median(errors[routings == r.value]))
+                    for r in TABLE1_ROUTINGS
+                },
+            }
+        return summary
+
+
+def table1_ledger(explorer: DesignSpaceExplorer) -> Table1Ledger:
+    """Sweep the paper's Table-I grid on ``explorer`` (WiMAX n=2304 r=1/2) and join
+    the points with all 72 paper cells, in grid order.
+
+    A paper cell the sweep skipped is evaluated once more on ``explorer`` for the
+    typed reason; a cell that evaluates should have been swept, so it raises
+    ``ConfigurationError``.
+    """
+    code = wimax_ldpc_code(2304, "1/2")
+    points = explorer.sweep_ldpc(code, TABLE1_TOPOLOGIES, TABLE1_PARALLELISMS, TABLE1_ROUTINGS)
+    by_key = {_point_key(point): point for point in points}
+    cells = []
+    for (family, degree), parallelism, routing in product(
+        TABLE1_TOPOLOGIES, TABLE1_PARALLELISMS, TABLE1_ROUTINGS
+    ):
+        key = (family, degree, parallelism, routing.value)
+        if key in by_key:
+            cells.append(LedgerCell(_PAPER_CELLS[key], by_key[key]))
+            continue
+        try:
+            explorer.evaluate_ldpc_point(code, family, degree, parallelism, routing)
+        except ReproError as exc:
+            cells.append(LedgerCell(_PAPER_CELLS[key], None, f"{type(exc).__name__}: {exc}"))
+            continue
+        raise ConfigurationError(f"{_PAPER_CELLS[key].label} evaluates but the sweep skipped it")
+    return Table1Ledger(tuple(cells), tuple(check_table1_trends(points)), _paper_flags())

@@ -20,6 +20,7 @@ import numpy as np
 import pytest
 
 import repro.noc.sweep as sweep_mod
+from repro.analysis import TABLE1_PARALLELISMS
 from repro.core import DecoderSpec, DesignSpaceExplorer
 from repro.errors import ConfigurationError, SimulationError
 from repro.noc import (
@@ -294,7 +295,7 @@ class TestWorkerPool:
 
         def row(max_workers):
             return explorer.sweep_ldpc(
-                worst_case_ldpc_code, [("generalized-kautz", 3)], [16, 24, 32, 36],
+                worst_case_ldpc_code, [("generalized-kautz", 3)], TABLE1_PARALLELISMS,
                 list(RoutingAlgorithm), max_workers=max_workers,
             )
 

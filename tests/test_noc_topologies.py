@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.analysis import TABLE1_PARALLELISMS
 from repro.errors import RoutingError, TopologyError
 from repro.noc import (
     RoutingAlgorithm,
@@ -99,7 +100,7 @@ class TestTopologyFamilies:
         with pytest.raises(TopologyError):
             spidergon(15)
 
-    @pytest.mark.parametrize("n_nodes", [16, 24, 32, 36])
+    @pytest.mark.parametrize("n_nodes", TABLE1_PARALLELISMS)
     def test_honeycomb_connected_max_degree_4(self, n_nodes):
         topology = honeycomb_torus(n_nodes)
         assert topology.degree <= 4
