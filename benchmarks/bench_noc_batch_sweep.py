@@ -25,19 +25,22 @@ cells), and the ``crossover`` row records the grid those crossovers were
 sized from.  The ``phase_b_kernel`` row times the kernel alone on the
 Monte-Carlo shape of the repository benchmark's ``noc_table1`` workload,
 DCM and SCM cells apart, and counts the replayed SCM passes by class.
-The ``parallel_process`` row times the scheduler's worker pool against
-``max_workers=1`` on real shapes: a Table-I row (scalar jobs, pooled), a
-phase-B cell (one batched group, kept whole and serial) and the whole
-phase-B pass (six whole-group chunks, pooled).  A pool does not multiply
-the serial speed by the worker count: it pays for forking its workers and
-shipping traffic and results, and the ``table1_prefix_*`` shapes size the
-fewest messages (``_POOL_MIN_MESSAGES``) at which it starts to pay.
+The ``parallel_process`` row times the scheduler's shared worker pool,
+warm and freshly forked, against ``max_workers=1`` on real shapes: a
+Table-I row (scalar jobs), a phase-B cell (one batched group, split in one
+piece per worker) and the whole phase-B pass.  A pool does not multiply the
+serial speed by the worker count: it pays for shipping traffic and results
+(and, on a process's first pooled sweep, for forking its workers); the
+``table1_prefix_*`` shapes size the fewest messages
+(``_POOL_MIN_MESSAGES``) at which it starts to pay, and the ``split_*``
+shapes the smallest piece of a split batched group (``_SPLIT_MIN``).
 """
 
 from __future__ import annotations
 
 import multiprocessing
 import os
+import resource
 from collections import Counter
 
 from repro.analysis import TABLE1_PARALLELISMS
@@ -61,7 +64,14 @@ from repro.noc import (
 from repro.noc import engine_batch, scheduler_cost_model, sweep
 from repro.noc.traffic import random_traffic_streams
 
-from benchmarks.harness import full_benchmarks_enabled, record, row, stopwatch, trials
+from benchmarks.harness import (
+    full_benchmarks_enabled,
+    ratio_spread,
+    record,
+    row,
+    stopwatch,
+    trials,
+)
 
 #: (parallelism, degree, messages per PE) — message counts sized like the
 #: n=2304 rate-1/2 WiMAX LDPC code partitioned over P PEs (~2304/P each).
@@ -210,16 +220,17 @@ def test_batched_sweep_throughput():
     )
 
     # Perf floors run on developer machines only: shared CI runners measure
-    # the reduced J=32 grid under unpredictable neighbour load, where the
-    # ratios have no recorded headroom — CI records the JSON (and still
-    # enforces cycle-exactness above) without gating on wall-clock ratios.
-    # The floors are the PR 5 acceptance bars: DCM ~2x, SCM >= 1.5x and
-    # overall >= 1.8x at the largest batch, and no small-batch regression
-    # (adaptive dispatch routes J=8 groups to the scalar engine).
+    # the reduced J=32 grid under unpredictable neighbour load, so CI records
+    # the JSON (and still enforces cycle-exactness above) without gating on
+    # wall-clock ratios.  The full grid's floors are fixed acceptance bars:
+    # DCM ~2x, SCM >= 1.5x and overall >= 1.8x at J=256.  The reduced
+    # grid's bounds come from each comparison's own recorded spread
+    # (:func:`ratio_spread`): DCM cells must win by more than their noise,
+    # and neither the whole J=32 grid (right at the SCM crossover) nor J=8
+    # (where adaptive dispatch sends SCM groups to the scalar engine) may
+    # lose by more than theirs.
     if not os.environ.get("CI"):
         if full_benchmarks_enabled():
-            # The acceptance bars only apply at the full grid's J=256; the
-            # reduced grid tops out at J=32, barely past the SCM crossover.
             assert largest["dcm_speedup"] >= 1.8, (
                 f"DCM batched sweep regressed to {largest['dcm_speedup']}x"
             )
@@ -230,18 +241,20 @@ def test_batched_sweep_throughput():
                 f"batched sweep slower than required: {largest['overall_speedup']}x"
             )
         else:
-            assert largest["dcm_speedup"] >= 1.25, (
-                f"DCM batched sweep regressed to {largest['dcm_speedup']}x"
+            dcm = largest["dcm_timing"]
+            bound = 1 + ratio_spread(dcm, "batched")
+            assert dcm["vs"]["batched"]["ratio"] > bound, (
+                f"DCM batched sweep regressed to {dcm['vs']['batched']['ratio']}x "
+                f"(bound {bound:.3f})"
             )
-            # J=32 sits right at the SCM crossover, where either dispatch is
-            # within noise of parity: guard against regressions, not noise.
-            assert largest["overall_speedup"] >= 0.95, (
-                f"batched sweep slower than the PR 3 engine: "
-                f"{largest['overall_speedup']}x"
+        batches = ["8"] if full_benchmarks_enabled() else ["8", "32"]
+        for batch in batches:
+            timing = per_batch[batch]["timing"]
+            bound = 1 - ratio_spread(timing, "batched")
+            assert timing["vs"]["batched"]["ratio"] >= bound, (
+                f"batched sweep slower than the scalar engine at J={batch}: "
+                f"{timing['vs']['batched']['ratio']}x (bound {bound:.3f})"
             )
-        assert per_batch["8"]["overall_speedup"] >= 0.95, (
-            f"adaptive dispatch regressed at J=8: {per_batch['8']['overall_speedup']}x"
-        )
 
 
 #: Phase B of the repository benchmark's ``noc_table1`` workload: every
@@ -445,6 +458,8 @@ def test_crossover_grid():
 POOL_ROW = ("generalized-kautz", 3)
 POOL_PREFIXES = [2, 3, 4, 6]
 POOL_TRIALS = 5
+#: Group sizes of the ``split_*`` shapes that size ``sweep._SPLIT_MIN``.
+SPLIT_SIZES = [16, 24, 32, 48, 64, 128]
 
 
 def _table1_row_jobs() -> list[NocSweepJob]:
@@ -478,84 +493,152 @@ def _phase_b_pass_jobs() -> list[NocSweepJob]:
 
 
 def test_parallel_process_mode(monkeypatch):
-    """The sweep's worker pool against the serial scheduler on real shapes.
+    """The sweep's shared worker pool against the serial scheduler on real shapes.
 
     ``serial`` is ``max_workers=1``; ``pool`` is the default worker count,
-    where the scheduler itself decides whether to build a pool.  Shapes:
+    where the scheduler itself decides whether to use its pool, here warm
+    (built before the timed call, as for every call after a process's
+    first); ``cold`` builds a fresh pool for the call and joins it after,
+    what every pooled call paid before the pool was kept.  Shapes:
 
     * ``table1_row``: one Table-I row, 12 scalar chunks — pooled;
-    * ``phase_b_cell``: one 128-job batched group, one chunk — stays serial;
-    * ``phase_b_pass``: the 768-job pass, 6 whole-group chunks — pooled;
+    * ``phase_b_cell``: one 128-job batched group, split in one piece per
+      worker — pooled;
+    * ``phase_b_pass``: the 768-job pass, six groups split alike — pooled;
     * ``table1_prefix_<k>``: the first k jobs of the row with the pool
       forced on (threshold 0), which sizes ``_POOL_MIN_MESSAGES``:
-      ``measured_threshold`` is the fewest messages from which the pool won
-      the median at that prefix and every larger shape.
+      ``measured_threshold`` is the fewest messages from which the warm
+      pool won the median at that prefix and every larger shape;
+    * ``split_<policy>_<J>``: the first J jobs of a phase-B cell, split
+      into one piece per worker whatever their size (``_SPLIT_MIN`` 1,
+      threshold 0), warm pool against serial only, which sizes
+      ``_SPLIT_MIN``: ``measured_split_min`` is the smallest piece from
+      which the split won the median at that size and every larger one,
+      for both policies.
 
-    Every shape records its jobs, messages, chunks and the pools built
-    (their worker counts); both arms' outcomes are asserted bit-identical.
+    Every shape records its jobs, messages, chunks and the worker counts of
+    the pools its calls ran on; every arm's outcomes are asserted
+    bit-identical to serial.  ``peak_rss_mb`` reads ``getrusage`` once the
+    pool is joined: ``self`` for this process, ``children`` for its largest
+    finished child (the pool workers among them).
     """
     workers = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else (
         os.cpu_count() or 1
     )
-    pools: list[int] = []
-    real_pool = sweep.ProcessPoolExecutor
+    shared_pool = sweep._shared_pool
+    used: list[int] = []
 
-    def spy(*args, max_workers, **kwargs):
-        pools.append(max_workers)
-        return real_pool(*args, max_workers=max_workers, **kwargs)
+    def spy(count):
+        used.append(count)
+        return shared_pool(count)
 
-    monkeypatch.setattr(sweep, "ProcessPoolExecutor", spy)
+    monkeypatch.setattr(sweep, "_shared_pool", spy)
+    graphs: dict = {}
+    kept: dict = {}
+
+    def warm(count):
+        """Untimed: leave a started shared pool of ``count`` workers (under
+        ``fork`` the first submit starts them all)."""
+        if count:
+            shared_pool(count).submit(int).result()
+
+    def cold(jobs, count):
+        sweep._drop_pool()
+        with stopwatch() as lap:
+            kept["cold"] = run_noc_sweep(jobs, graphs, max_workers=workers)
+            sweep._drop_pool()
+        warm(count)
+        return lap
+
     row_jobs = _table1_row_jobs()
     pass_jobs = _phase_b_pass_jobs()
     shapes = {f"table1_prefix_{k}": (row_jobs[:k], True) for k in POOL_PREFIXES}
     shapes["table1_row"] = (row_jobs, False)
     shapes["phase_b_cell"] = (pass_jobs[:128], False)
     shapes["phase_b_pass"] = (pass_jobs, False)
-    threshold = sweep._POOL_MIN_MESSAGES
-    graphs: dict = {}
+    if workers > 1:
+        for offset, policy in enumerate(CollisionPolicy):
+            cell = pass_jobs[128 * offset : 128 * offset + 128]
+            assert {job.config.collision_policy for job in cell} == {policy}
+            for size in SPLIT_SIZES:
+                shapes[f"split_{policy.value.lower()}_{size}"] = (cell[:size], True)
+    threshold, split_min = sweep._POOL_MIN_MESSAGES, sweep._SPLIT_MIN
     out: dict = {}
     for name, (jobs, forced) in shapes.items():
+        split = name.startswith("split_")
         monkeypatch.setattr(sweep, "_POOL_MIN_MESSAGES", 0 if forced else threshold)
-        pools.clear()
-        samples, results = trials(
-            {
-                "serial": lambda jobs=jobs: run_noc_sweep(jobs, graphs, max_workers=1),
-                "pool": lambda jobs=jobs: run_noc_sweep(jobs, graphs, max_workers=workers),
-            },
-            POOL_TRIALS if name != "phase_b_pass" else 3,
-        )
-        for s, p in zip(results["serial"], results["pool"]):
-            assert _signature(s.result) == _signature(p.result)
+        monkeypatch.setattr(sweep, "_SPLIT_MIN", 1 if split else split_min)
         groups: dict = {}
         for index, job in enumerate(jobs):
             key = (job.family, job.parallelism, job.degree, job.config, job.max_cycles)
             groups.setdefault(key, []).append(index)
+        chunks = len(sweep._shard_groups(groups, scheduler_cost_model(), len(jobs), workers))
+        messages = sum(job.traffic.total_messages for job in jobs)
+        pooled = workers > 1 and chunks >= 2 and messages >= sweep._POOL_MIN_MESSAGES
+        count = min(workers, chunks) if pooled else 0
+        warm(count)
+        arms = {
+            "serial": lambda jobs=jobs: run_noc_sweep(jobs, graphs, max_workers=1),
+            "pool": lambda jobs=jobs: run_noc_sweep(jobs, graphs, max_workers=workers),
+        }
+        if not split:
+            arms["cold"] = lambda jobs=jobs, count=count: cold(jobs, count)
+        used.clear()
+        samples, results = trials(arms, POOL_TRIALS if name != "phase_b_pass" else 3)
+        results["cold"] = kept.pop("cold", results["serial"])
+        for arm in ("pool", "cold"):
+            for s, p in zip(results["serial"], results[arm]):
+                assert _signature(s.result) == _signature(p.result)
         timing = row(samples, "serial")
         out[name] = {
             "jobs": len(jobs),
-            "messages": sum(job.traffic.total_messages for job in jobs),
-            "chunks": len(
-                sweep._shard_groups(groups, scheduler_cost_model(), len(jobs), workers)
-            ),
+            "messages": messages,
+            "chunks": chunks,
             "pool_forced": forced,
-            "pools_built": sorted(set(pools)),
+            "pool_workers": sorted(set(used)),
             "timing": timing,
         }
+        vs = timing["vs"]
         print(
-            f"\n{name}: {out[name]['messages']} messages, {out[name]['chunks']} chunks, "
-            f"pools {out[name]['pools_built']}: "
-            f"{timing['vs']['pool']['ratio']:.2f}x vs serial "
-            f"({timing['vs']['pool']['wins']}/{timing['arms']['pool']['n']} wins)"
+            f"\n{name}: {messages} messages, {chunks} chunks, "
+            f"pools {out[name]['pool_workers']}: warm {vs['pool']['ratio']:.2f}x "
+            f"({vs['pool']['wins']}/{timing['arms']['pool']['n']} wins)"
+            + (f", cold {vs['cold']['ratio']:.2f}x" if "cold" in vs else "")
+            + " vs serial"
         )
+    sweep._drop_pool()
     by_size = sorted(
         (entry["messages"], entry["timing"]["vs"]["pool"]["ratio"])
-        for entry in out.values()
-        if entry["pools_built"]
+        for name, entry in out.items()
+        if entry["pool_workers"] and not name.startswith("split_")
     )
     measured = next(
         (m for i, (m, _) in enumerate(by_size) if all(r > 1 for _, r in by_size[i:])), None
     )
-    print(f"measured threshold: {measured} messages (constant: {threshold})")
+    measured_split = None
+    if workers > 1:
+        per_policy = []
+        for policy in CollisionPolicy:
+            ratios = [
+                (size // workers, out[f"split_{policy.value.lower()}_{size}"])
+                for size in SPLIT_SIZES
+            ]
+            ratios = [(piece, e["timing"]["vs"]["pool"]["ratio"]) for piece, e in ratios]
+            per_policy.append(next(
+                (p for i, (p, _) in enumerate(ratios) if all(r > 1 for _, r in ratios[i:])),
+                None,
+            ))
+        if None not in per_policy:
+            measured_split = max(per_policy)
+    rss = {
+        who: round(resource.getrusage(flag).ru_maxrss / 1024, 1)
+        for who, flag in (("self", resource.RUSAGE_SELF), ("children", resource.RUSAGE_CHILDREN))
+    }
+    print(
+        f"measured threshold: {measured} messages (constant: {threshold}); "
+        f"measured split minimum: {measured_split} jobs per piece (constant: {split_min}); "
+        f"peak RSS {rss} MB"
+    )
     record(
         "noc_batch_sweep",
         "parallel_process",
@@ -564,12 +647,16 @@ def test_parallel_process_mode(monkeypatch):
             "start_method": multiprocessing.get_start_method(),
             "pool_min_messages": threshold,
             "measured_threshold": measured,
+            "split_min": split_min,
+            "measured_split_min": measured_split,
+            "peak_rss_mb": rss,
             "shapes": out,
         },
     )
-    assert not out["phase_b_cell"]["pools_built"]  # a batched group stays whole
     if workers > 1:
-        assert out["table1_row"]["pools_built"] and out["phase_b_pass"]["pools_built"]
+        assert out["table1_row"]["pool_workers"] and out["phase_b_pass"]["pool_workers"]
+        # A large batched group is split and pooled.
+        assert out["phase_b_cell"]["chunks"] >= 2 and out["phase_b_cell"]["pool_workers"]
     elif not os.environ.get("CI"):
         # Degenerate-case guard: one worker must cost (almost) nothing.
         speedup = out["table1_row"]["timing"]["vs"]["pool"]["ratio"]

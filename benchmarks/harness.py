@@ -6,7 +6,8 @@ always runs first (cold caches) or last.  :func:`summary` reduces one arm's
 samples to ``{median, iqr, n, best}`` and :func:`compare` reduces paired
 samples to ``{baseline, ratio, wins}``; :func:`row` is the one shape a
 timed row takes, and :func:`record` is the one writer of
-``benchmarks/BENCH_<name>.json``.
+``benchmarks/BENCH_<name>.json``.  :func:`ratio_spread` turns a row's
+recorded spread into the bound a ratio gate checks.
 
 :func:`stopwatch` is the only reader of the clock.  An arm whose timed span
 must leave out its own set-up (a service burst times its submit phase, not
@@ -140,6 +141,19 @@ def row(samples: Samples, baseline: str | None = None, unit: str = "s") -> dict:
     if baseline is not None:
         out["vs"] = {name: rounded(vs) for name, vs in compare(samples, baseline).items()}
     return out
+
+
+def ratio_spread(timing: dict, arm: str) -> float:
+    """The relative noise of ``arm``'s ratio in a :func:`row`: the IQR over
+    the median of the arm and of its baseline, summed.
+
+    A ratio gate takes its bound from its own arms' spread instead of a
+    fixed constant: a claimed win must clear ``1 + spread``, and a
+    no-regression check must stay at or above ``1 - spread``.
+    """
+    arms = timing["arms"]
+    names = (arm, timing["vs"][arm]["baseline"])
+    return sum(arms[name]["iqr"] / arms[name]["median"] for name in names)
 
 
 def host() -> dict:

@@ -12,20 +12,26 @@ engine per (graph, configuration).  This module replaces it with an
    sized from a committed benchmark grid), and to the scalar engine
    otherwise.  Configurations the job axis cannot express (bounded-capacity
    backpressure) always run scalar, inside the kernel's own fallback;
-3. the sweep is split into **chunks** — each batched group whole, each
-   scalar group into worker-sized pieces — and the chunks go to a
+3. the sweep is split into **chunks** — a batched group into at most one
+   piece per worker, each of at least :data:`_SPLIT_MIN` jobs (a smaller
+   group stays whole), and a scalar group into worker-sized pieces — and the
+   chunks go to the process's one shared
    :class:`concurrent.futures.ProcessPoolExecutor` only when there are at
    least two workers, at least two chunks and at least
    :data:`_POOL_MIN_MESSAGES` messages to simulate; otherwise the sweep runs
-   serially with no executor at all.  A pool does not multiply the serial
-   speed by the worker count: forking the workers and shipping traffic and
-   results cost tens of milliseconds per sweep, so on two workers a
-   Table-I row (twelve scalar jobs) ran ~1.7x faster and the 768-job
-   phase-B pass ~1.4x while two to four Table-I jobs lost, and a batched
-   group split across workers lost its batching (the ``parallel_process``
-   row of ``benchmarks/BENCH_noc_batch_sweep.json``).  Results are
-   bit-identical either way: every engine is cycle-exact *per job*.
-   Workers receive the parent's built graphs from the pool initializer.
+   serially with no executor at all.  The pool is started at the first
+   pooled sweep and kept for the next ones, so later sweeps pay only for
+   shipping each chunk's graph, traffic and results, not for starting
+   workers; a call that asks for a different worker count replaces it, a
+   broken pool is dropped, forked children forget it, and the
+   interpreter's exit joins it.  A pool does not multiply the serial speed
+   by the worker count: on two workers a Table-I row (twelve scalar jobs)
+   ran 1.6x faster on the kept pool and 1.5x on a pool forked for the call,
+   a 128-job phase-B cell split in halves 1.18x and 1.04x, and a batched
+   piece smaller than :data:`_SPLIT_MIN` jobs could lose (the
+   ``parallel_process`` row of ``benchmarks/BENCH_noc_batch_sweep.json``).
+   Results are bit-identical either way: every engine is cycle-exact *per
+   job*, and each piece of a split group still runs the batched kernel.
 
 Results are returned in submission order as :class:`NocSweepOutcome`
 records, each carrying the :class:`NocSweepJob` that produced it.
@@ -39,6 +45,7 @@ still reproduce exactly what two freshly seeded engines would.
 from __future__ import annotations
 
 import os
+import threading
 from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable
@@ -99,10 +106,24 @@ _CHUNKS_PER_WORKER = 2
 
 #: Fewest messages a sweep must simulate before its chunks go to a process
 #: pool.  Sized from the ``parallel_process`` row of
-#: ``benchmarks/BENCH_noc_batch_sweep.json`` (two workers, fork): the first
-#: four jobs of a Table-I row (29 184 messages) ran 0.94x against serial,
-#: the first six (43 776) 1.35x, and every larger shape won.
+#: ``benchmarks/BENCH_noc_batch_sweep.json`` (two workers, fork) when every
+#: pooled sweep forked its own pool: the first four jobs of a Table-I row
+#: (29 184 messages) ran 0.94x against serial, the first six (43 776)
+#: 1.35x, and every larger shape won.  The row's ``cold`` arm still forks
+#: per call; on the kept pool (``pool`` arm) the pool pays from fewer
+#: messages (``measured_threshold``).
 _POOL_MIN_MESSAGES = 40_000
+
+#: Fewest jobs in each piece of a batched group split across the pool: a
+#: group of J jobs goes out as ``min(workers, J // _SPLIT_MIN)`` pieces.
+#: Sized from the ``split_*`` shapes of the ``parallel_process`` row of
+#: ``benchmarks/BENCH_noc_batch_sweep.json`` (groups of 16 to 128 phase-B
+#: jobs halved over two workers, warm pool): the smallest piece at which
+#: the split won the median for both collision policies, and kept winning
+#: at every larger group.  Three runs of the row read 24, 16 and 32 (SCM
+#: pieces of 8 to 16 jobs win or lose within noise); the constant is their
+#: median, and the committed row reads 24.
+_SPLIT_MIN = 24
 
 
 @dataclass(frozen=True)
@@ -165,15 +186,19 @@ def run_noc_sweep(
     topology_cache:
         Optional dict mapping ``(family, parallelism, degree)`` to
         ``(topology, routing_tables)``; pass one to share built graphs across
-        several sweeps.  Missing graphs are built into it, and pool workers
-        receive theirs from it.
+        several sweeps.  Missing graphs are built into it, and each chunk
+        sent to a pool worker carries its group's graph.
     max_workers:
         The most worker processes the sweep may use, a positive ``int``
         (default: the CPUs this process may run on).  ``1`` runs serially.
         With more, the scheduler itself decides whether a pool pays: it
-        shards the sweep's chunks across a pool only when there are at least
-        two of them and at least :data:`_POOL_MIN_MESSAGES` messages to
-        simulate.  Both paths produce bit-identical outcomes.
+        shards the sweep's chunks (batched groups of at least
+        ``2 * _SPLIT_MIN`` jobs split too) across the process's shared pool
+        only when there are at least two chunks and at least
+        :data:`_POOL_MIN_MESSAGES` messages to simulate.  The pool is built
+        with one worker per chunk, at most ``max_workers``, and kept for
+        later sweeps that ask for the same count.  Both paths produce
+        bit-identical outcomes.
 
     Returns
     -------
@@ -184,7 +209,10 @@ def run_noc_sweep(
     ------
     SimulationError
         If the worker pool breaks (a worker process died, for example
-        killed for lack of memory); the pool's error is chained.
+        killed for lack of memory); the pool's error is chained and the
+        next pooled sweep builds a fresh pool.  An error raised in a worker
+        (such as a job exceeding ``max_cycles``) propagates as raised, and
+        the call's unstarted chunks are cancelled.
     """
     jobs = list(jobs)
     if max_workers is not None and (
@@ -215,7 +243,7 @@ def run_noc_sweep(
     ):
         for key, indices in groups.items():
             group_results = _run_chunk(
-                graphs, key,
+                graphs[key[:3]], key,
                 [jobs[i].traffic for i in indices],
                 [jobs[i].seed for i in indices],
                 model.batch_wins(key[3].collision_policy, len(indices)),
@@ -223,31 +251,34 @@ def run_noc_sweep(
             for i, result in zip(indices, group_results):
                 results[i] = result
     else:
-        used = {key[:3]: graphs[key[:3]] for key in groups}
+        pool = _shared_pool(min(workers, len(chunks)))
+        futures = []
         try:
-            with ProcessPoolExecutor(
-                max_workers=min(workers, len(chunks)),
-                initializer=_install_graphs,
-                initargs=(used,),
-            ) as pool:
-                futures = {
-                    pool.submit(
-                        _process_chunk,
-                        key,
-                        [jobs[i].traffic for i in indices],
-                        [jobs[i].seed for i in indices],
-                        batched,
-                    ): indices
-                    for key, indices, batched in chunks
-                }
-                for future, indices in futures.items():
-                    for i, result in zip(indices, future.result()):
-                        results[i] = result
-        except BrokenExecutor as exc:
-            raise SimulationError(
-                f"the sweep's worker pool broke before {len(jobs)} jobs finished "
-                f"(a worker process died): {exc}"
-            ) from exc
+            for key, indices, batched in chunks:
+                future = pool.submit(
+                    _run_chunk,
+                    graphs[key[:3]],
+                    key,
+                    [jobs[i].traffic for i in indices],
+                    [jobs[i].seed for i in indices],
+                    batched,
+                )
+                futures.append((future, indices))
+            for future, indices in futures:
+                for i, result in zip(indices, future.result()):
+                    results[i] = result
+        except BaseException as exc:
+            # Nobody waits for the rest: leave the shared pool free for the
+            # next call.
+            for future, _ in futures:
+                future.cancel()
+            if isinstance(exc, BrokenExecutor):
+                _drop_pool(pool)
+                raise SimulationError(
+                    f"the sweep's worker pool broke before {len(jobs)} jobs finished "
+                    f"(a worker process died): {exc}"
+                ) from exc
+            raise
     return [NocSweepOutcome(job=job, result=result) for job, result in zip(jobs, results)]
 
 
@@ -267,35 +298,40 @@ def _shard_groups(
 ) -> list[tuple[tuple, list[int], bool]]:
     """Split the sweep into chunks of one group each.
 
-    A batched group is always one whole chunk: splitting it would only trade
-    the kernel's batching for pool traffic.  A scalar group is split evenly
-    into chunks of about ``total_jobs / (workers * _CHUNKS_PER_WORKER)`` jobs,
-    so scalar work spreads over the pool and no single task pickles the
-    entire grid.  Chunking preserves results exactly: each engine is
-    cycle-exact per job.
+    A batched group of J jobs is split into ``min(workers, J // _SPLIT_MIN)``
+    contiguous pieces (whole when that is below two), each still run by the
+    batched kernel: smaller pieces would give up more batching than the
+    extra workers return.  A scalar group is split evenly into chunks of
+    about ``total_jobs / (workers * _CHUNKS_PER_WORKER)`` jobs, so scalar
+    work spreads over the pool and no single task pickles the entire grid.
+    Chunking preserves results exactly: each engine is cycle-exact per job.
     """
     cap = max(total_jobs // (workers * _CHUNKS_PER_WORKER), 1)
     chunks: list[tuple[tuple, list[int], bool]] = []
     for key, indices in groups.items():
-        if model.batch_wins(key[3].collision_policy, len(indices)):
-            chunks.append((key, indices, True))
-            continue
-        n_chunks = max(len(indices) // cap, 1)
+        batched = model.batch_wins(key[3].collision_policy, len(indices))
+        if batched:
+            n_chunks = min(workers, len(indices) // _SPLIT_MIN)
+        else:
+            n_chunks = len(indices) // cap
+        n_chunks = max(n_chunks, 1)
         bounds = [len(indices) * i // n_chunks for i in range(n_chunks + 1)]
         for lo, hi in zip(bounds, bounds[1:]):
-            chunks.append((key, indices[lo:hi], False))
+            chunks.append((key, indices[lo:hi], batched))
     return chunks
 
 
-def _run_chunk(graphs, key, traffics, seeds, batched: bool) -> list[SimulationResult]:
+def _run_chunk(graph, key, traffics, seeds, batched: bool) -> list[SimulationResult]:
     """Run one chunk of a (graph, configuration) group on the engine picked.
 
-    Engines are constructed seed-independently (the kernel takes no seed at
-    all; the scalar engine gets ``seed=0`` and per-job seeds at ``run`` only),
-    so reuse across same-group jobs with different seeds is exact.
+    ``graph`` is the group's ``(topology, routing_tables)``; pool workers
+    receive it with the chunk.  Engines are constructed seed-independently
+    (the kernel takes no seed at all; the scalar engine gets ``seed=0`` and
+    per-job seeds at ``run`` only), so reuse across same-group jobs with
+    different seeds is exact.
     """
-    family, parallelism, degree, config, max_cycles = key
-    topology, tables = graphs[(family, parallelism, degree)]
+    _, _, _, config, max_cycles = key
+    topology, tables = graph
     if batched:
         kernel = BatchedNocKernel(
             topology, config, routing_tables=tables, max_cycles=max_cycles
@@ -307,16 +343,47 @@ def _run_chunk(graphs, key, traffics, seeds, batched: bool) -> list[SimulationRe
     return [engine.run(traffic, seed=seed) for traffic, seed in zip(traffics, seeds)]
 
 
-#: A pool worker's topologies and routing tables, keyed like ``topology_cache``
-#: and installed by :func:`_install_graphs` when the worker starts.
-_WORKER_GRAPHS: dict = {}
+#: The process's one sweep pool and its worker count, built by
+#: :func:`_shared_pool` at the first pooled sweep.
+_POOL: ProcessPoolExecutor | None = None
+_POOL_WORKERS = 0
+_POOL_LOCK = threading.Lock()
 
 
-def _install_graphs(graphs: dict) -> None:
-    """Pool initializer: hand a worker the parent's built graphs."""
-    _WORKER_GRAPHS.update(graphs)
+def _shared_pool(workers: int) -> ProcessPoolExecutor:
+    """The shared pool, built with ``workers`` workers if it has another count.
+
+    It uses the platform's default start method (``fork`` on Linux).  The
+    stdlib's exit hook for process pools joins it at interpreter exit.
+    """
+    global _POOL, _POOL_WORKERS
+    with _POOL_LOCK:
+        if _POOL is not None and _POOL_WORKERS != workers:
+            _POOL.shutdown(cancel_futures=True)
+            _POOL = None
+        if _POOL is None:
+            _POOL = ProcessPoolExecutor(max_workers=workers)
+            _POOL_WORKERS = workers
+        return _POOL
 
 
-def _process_chunk(key, traffics, seeds, batched: bool) -> list[SimulationResult]:
-    """Worker entry point: run one chunk on the installed graphs."""
-    return _run_chunk(_WORKER_GRAPHS, key, traffics, seeds, batched)
+def _drop_pool(pool: ProcessPoolExecutor | None = None) -> None:
+    """Shut the shared pool down and join its workers, if it is still
+    ``pool`` (any pool: ``None``).  The next pooled sweep builds a fresh one.
+    """
+    global _POOL
+    with _POOL_LOCK:
+        if _POOL is not None and pool in (None, _POOL):
+            _POOL.shutdown(cancel_futures=True)
+            _POOL = None
+
+
+def _forget_pool() -> None:
+    """In a forked child: the parent's pool and lock are not this process's."""
+    global _POOL, _POOL_LOCK
+    _POOL = None
+    _POOL_LOCK = threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)

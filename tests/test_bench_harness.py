@@ -108,6 +108,14 @@ class TestStatistics:
         assert timing["vs"]["x"]["ratio"] == 2.0 and timing["vs"]["y"]["ratio"] == 0.5
         assert "vs" not in harness.row(samples)
 
+    def test_ratio_spread_sums_both_arms_relative_iqr(self):
+        # base: median 3, IQR 2; x: median 2, IQR 1 (numpy percentiles).
+        samples = {"base": [1.0, 2.0, 3.0, 4.0, 5.0], "x": [1.0, 1.5, 2.0, 2.5, 3.0]}
+        timing = harness.row(samples, "base")
+        assert harness.ratio_spread(timing, "x") == pytest.approx(2 / 3 + 1 / 2)
+        quiet = harness.row({"base": [2.0, 2.0], "x": [1.0, 1.0]}, "base")
+        assert harness.ratio_spread(quiet, "x") == 0.0
+
     def test_per_item_divides_by_each_arms_work(self):
         scaled = harness.per_item({"a": [8.0, 4.0], "b": [6.0]}, {"a": 4, "b": 3})
         assert scaled == {"a": [2.0, 1.0], "b": [2.0]}

@@ -6,15 +6,23 @@ their jobs.  These tests pin the scheduler-level contracts: grouping across
 mixed families/configurations is correct, engine reuse is seed-independent,
 the worker pool is bit-identical to the serial path and is used only when
 its rule holds (two workers, two chunks, ``_POOL_MIN_MESSAGES`` messages),
-a broken pool raises a typed error, group size alone decides the engine (at
-each policy's fixed crossover), and topology caches are shared across
-sweeps.
+large batched groups split across it, it is built once and reused, a broken
+pool raises a typed error and is rebuilt, forked children and the
+interpreter's exit leave no worker behind, group size alone decides the
+engine (at each policy's fixed crossover), and topology caches are shared
+across sweeps.
 """
 
 from __future__ import annotations
 
+import contextlib
 import os
+import signal
+import subprocess
+import sys
+import textwrap
 from concurrent.futures import BrokenExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -276,7 +284,33 @@ def _die_in_worker(*args):
     os._exit(1)
 
 
+def _group_jobs(config, count):
+    """One group of ``count`` Kautz 8/3 jobs under ``config``, seeds 0..count-1."""
+    streams = random_traffic_streams(8, 10, seed=90, count=count)
+    return [
+        NocSweepJob(
+            family="generalized-kautz", parallelism=8, degree=3,
+            config=config, traffic=traffic, seed=stream,
+        )
+        for stream, traffic in enumerate(streams)
+    ]
+
+
+def _assert_same_outcomes(first, second):
+    assert [o.job for o in first] == [o.job for o in second]
+    assert [_signature(o.result) for o in first] == [_signature(o.result) for o in second]
+
+
 class TestWorkerPool:
+    @pytest.fixture(autouse=True)
+    def _fresh_shared_pool(self):
+        """Every test starts and ends without the shared pool, so the pools it
+        counts or forbids are built in the test, and fresh workers see the
+        test's patches."""
+        sweep_mod._drop_pool()
+        yield
+        sweep_mod._drop_pool()
+
     def test_pool_bit_identical_to_serial(self, monkeypatch):
         jobs = _mixed_jobs()
         serial = run_noc_sweep(jobs, max_workers=1)
@@ -364,60 +398,157 @@ class TestWorkerPool:
         assert [idx for _, idx, _ in chunks] == [[i] for i in range(12)]
 
     @pytest.mark.parametrize("workers", [2, 4, 12])
-    def test_batched_group_is_never_split(self, monkeypatch, workers):
-        """Each batched group is one whole chunk, whatever the worker count;
-        a sweep of two batched groups pools them whole."""
+    def test_batched_groups_split_by_the_rule(self, monkeypatch, workers):
+        """A batched group of J jobs goes out as min(workers, J // _SPLIT_MIN)
+        contiguous pieces, whole below two, every piece batched; a pooled run
+        of such pieces equals the serial whole-group run."""
+        monkeypatch.setattr(sweep_mod, "_SPLIT_MIN", 4)
+        monkeypatch.setattr(sweep_mod, "_COST_MODEL", SweepCostModel(dcm_crossover=2))
         policy = CollisionPolicy.DCM
         configs = [
             NocConfiguration(collision_policy=policy).with_routing(algorithm)
             for algorithm in (RoutingAlgorithm.SSP_FL, RoutingAlgorithm.ASP_FT)
         ]
-        streams = random_traffic_streams(8, 10, seed=90, count=12)
-        jobs = [
-            NocSweepJob(
-                family="generalized-kautz", parallelism=8, degree=3,
-                config=config, traffic=traffic, seed=stream,
-            )
-            for config in configs
-            for stream, traffic in enumerate(streams)
-        ]
-        monkeypatch.setattr(sweep_mod, "_COST_MODEL", SweepCostModel(dcm_crossover=2))
+        jobs = _group_jobs(configs[0], 7) + _group_jobs(configs[1], 20)  # 7 // 4: whole
         groups = {
-            ("generalized-kautz", 8, 3, config, 200_000): list(range(12 * c, 12 * c + 12))
-            for c, config in enumerate(configs)
+            ("generalized-kautz", 8, 3, configs[0], 200_000): list(range(7)),
+            ("generalized-kautz", 8, 3, configs[1], 200_000): list(range(7, 27)),
         }
         chunks = sweep_mod._shard_groups(
-            groups, scheduler_cost_model(), total_jobs=24, workers=workers
+            groups, scheduler_cost_model(), total_jobs=len(jobs), workers=workers
         )
+        piece = {2: 10, 4: 5, 12: 4}[workers]  # 12 workers: 20 // 4 = 5 pieces
+        pieces = [list(range(lo, lo + piece)) for lo in range(7, 27, piece)]
         assert [(idx, batched) for _, idx, batched in chunks] == [
-            (indices, True) for indices in groups.values()
+            (list(range(7)), True), *((piece, True) for piece in pieces)
         ]
-        batched_runs = []
-        real_chunk = sweep_mod._run_chunk
-
-        def spy(graphs, key, traffics, seeds, batched):
-            batched_runs.append((len(traffics), batched))
-            return real_chunk(graphs, key, traffics, seeds, batched)
-
-        monkeypatch.setattr(sweep_mod, "_run_chunk", spy)
         serial = run_noc_sweep(jobs, max_workers=1)
-        assert batched_runs == [(12, True), (12, True)]
         monkeypatch.setattr(sweep_mod, "_POOL_MIN_MESSAGES", 0)
         pools = _count_pools(monkeypatch)
         pooled = run_noc_sweep(jobs, max_workers=workers)
-        assert pools == [2]  # one worker per chunk at most
-        for s, p in zip(serial, pooled):
-            assert _signature(s.result) == _signature(p.result)
+        assert pools == [min(workers, len(chunks))]  # one worker per chunk at most
+        _assert_same_outcomes(serial, pooled)
+
+    @pytest.mark.parametrize("policy", list(CollisionPolicy))
+    def test_split_128_job_group_pooled_equals_serial(self, monkeypatch, policy):
+        """One 128-job group at the real _SPLIT_MIN, split over two workers,
+        gives the serial outcomes bit for bit (SCM: deflections included)."""
+        jobs = _group_jobs(NocConfiguration(collision_policy=policy), 128)
+        groups = {("generalized-kautz", 8, 3, jobs[0].config, 200_000): list(range(128))}
+        chunks = sweep_mod._shard_groups(groups, scheduler_cost_model(), 128, 2)
+        assert [(len(idx), batched) for _, idx, batched in chunks] == [(64, True)] * 2
+        serial = run_noc_sweep(jobs, max_workers=1)
+        monkeypatch.setattr(sweep_mod, "_POOL_MIN_MESSAGES", 0)
+        pools = _count_pools(monkeypatch)
+        pooled = run_noc_sweep(jobs, max_workers=2)
+        assert pools == [2]
+        _assert_same_outcomes(serial, pooled)
+        if policy is CollisionPolicy.SCM:
+            assert sum(o.result.statistics.misrouted for o in pooled) > 0
+
+    def test_pool_is_built_once_and_reused(self, monkeypatch):
+        """Two pooled calls asking for the same worker count share one pool;
+        asking for another count replaces it."""
+        monkeypatch.setattr(sweep_mod, "_POOL_MIN_MESSAGES", 0)
+        pools = _count_pools(monkeypatch)
+        jobs = _mixed_jobs()
+        first = run_noc_sweep(jobs, max_workers=2)
+        pool = sweep_mod._POOL
+        second = run_noc_sweep(jobs, max_workers=2)
+        assert pools == [2] and sweep_mod._POOL is pool
+        _assert_same_outcomes(first, second)
+        run_noc_sweep(jobs, max_workers=3)
+        assert pools == [2, 3] and sweep_mod._POOL is not pool
+
+    def test_worker_error_propagates_typed_and_pool_survives(self, monkeypatch):
+        """A job exceeding max_cycles in a worker raises its SimulationError
+        (not a broken pool); the same pool then serves a correct sweep."""
+        monkeypatch.setattr(sweep_mod, "_POOL_MIN_MESSAGES", 0)
+        pools = _count_pools(monkeypatch)
+        jobs = _mixed_jobs()
+        short = [
+            NocSweepJob(j.family, j.parallelism, j.degree, j.config, j.traffic,
+                        seed=j.seed, max_cycles=5)
+            for j in jobs
+        ]
+        with pytest.raises(SimulationError, match="exceeded 5 cycles"):
+            run_noc_sweep(short, max_workers=2)
+        pooled = run_noc_sweep(jobs, max_workers=2)
+        assert pools == [2]
+        _assert_same_outcomes(run_noc_sweep(jobs, max_workers=1), pooled)
+
+    def test_forked_child_inherits_no_pool(self, monkeypatch):
+        """A process forked from one that holds the shared pool starts
+        without it, and with a free lock."""
+        monkeypatch.setattr(sweep_mod, "_POOL_MIN_MESSAGES", 0)
+        run_noc_sweep(_mixed_jobs(), max_workers=2)
+        assert sweep_mod._POOL is not None
+        pid = os.fork()
+        if pid == 0:  # the child: report through the exit status only
+            code = 1
+            try:
+                free = sweep_mod._POOL_LOCK.acquire(blocking=False)
+                code = 0 if sweep_mod._POOL is None and free else 1
+            finally:
+                os._exit(code)
+        _, status = os.waitpid(pid, 0)
+        assert os.waitstatus_to_exitcode(status) == 0
+
+    def test_interpreter_exit_joins_the_pool(self):
+        """A process that ran a pooled sweep exits 0, in time, and leaves
+        none of its pool workers alive."""
+        script = textwrap.dedent(
+            """
+            import repro.noc.sweep as sweep
+            from repro.noc import CollisionPolicy, NocConfiguration, NocSweepJob
+            from repro.noc.traffic import random_traffic_streams
+
+            sweep._POOL_MIN_MESSAGES = 0
+            config = NocConfiguration(collision_policy=CollisionPolicy.SCM)
+            jobs = [
+                NocSweepJob("generalized-kautz", 8, 3, config, traffic, seed=seed)
+                for seed, traffic in enumerate(random_traffic_streams(8, 10, seed=1, count=4))
+            ]
+            sweep.run_noc_sweep(jobs, max_workers=2)
+            print(*sweep._POOL._processes)
+            """
+        )
+        src = str(Path(sweep_mod.__file__).resolve().parents[2])
+        proc = subprocess.Popen(
+            [sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": src},
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+            start_new_session=True,
+        )
+        try:
+            out, err = proc.communicate(timeout=120)
+            assert proc.returncode == 0, err
+            workers = [int(pid) for pid in out.split()]
+            assert 1 <= len(workers) <= 2
+            for pid in workers:
+                with pytest.raises(ProcessLookupError):
+                    os.kill(pid, 0)
+        finally:
+            # Checked above; whatever failed, leave none of its processes behind.
+            with contextlib.suppress(ProcessLookupError):
+                os.killpg(proc.pid, signal.SIGKILL)
+            proc.wait()
 
     def test_broken_pool_raises_simulation_error(self, monkeypatch):
         """A worker that dies (as one killed for lack of memory would) breaks
-        the pool; the sweep raises the typed error with the pool's chained.
-        Forked workers inherit the patched entry point."""
+        the pool; the sweep raises the typed error with the pool's chained,
+        and the next call builds a fresh pool that matches serial."""
         monkeypatch.setattr(sweep_mod, "_POOL_MIN_MESSAGES", 0)
-        monkeypatch.setattr(sweep_mod, "_process_chunk", _die_in_worker)
-        with pytest.raises(SimulationError, match="worker pool broke") as excinfo:
-            run_noc_sweep(_mixed_jobs(), max_workers=2)
+        pools = _count_pools(monkeypatch)
+        jobs = _mixed_jobs()
+        serial = run_noc_sweep(jobs, max_workers=1)
+        with monkeypatch.context() as patch:
+            patch.setattr(sweep_mod, "_run_chunk", _die_in_worker)
+            with pytest.raises(SimulationError, match="worker pool broke") as excinfo:
+                run_noc_sweep(jobs, max_workers=2)
         assert isinstance(excinfo.value.__cause__, BrokenExecutor)
+        assert sweep_mod._POOL is None
+        _assert_same_outcomes(serial, run_noc_sweep(jobs, max_workers=2))
+        assert pools == [2, 2]
 
 
 class TestDispatchRule:
