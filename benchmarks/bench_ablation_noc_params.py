@@ -7,11 +7,11 @@ prints its effect on ncycles / throughput / FIFO sizing, reproducing the
 sensitivity discussion that justifies the paper's chosen configuration
 (RL = 0, SCM, R = 0.5, SSP-FL).
 
-All points run through the sweep scheduler
-(:func:`repro.noc.sweep.run_noc_sweep`), seeded with the decoder's already
-built topology and routing tables so nothing is recomputed per knob; rows are
-matched to their configurations through each outcome's attached job rather
-than input ordering.
+Every point runs through the production design path: one
+:class:`~repro.core.architecture.NocDecoderArchitecture` per varied
+``DecoderSpec.noc`` for the simulation knobs, and one
+:meth:`~repro.core.design_flow.DesignSpaceExplorer.sweep_ldpc` call over the
+routing algorithms for the node architectures.
 """
 
 from __future__ import annotations
@@ -19,55 +19,17 @@ from __future__ import annotations
 from dataclasses import replace
 
 from repro import DecoderSpec, NocDecoderArchitecture, wimax_ldpc_code
-from repro.core.throughput import ldpc_throughput_bps
-from repro.hw.area import NocAreaModel
-from repro.noc import CollisionPolicy, NocSweepJob, RoutingAlgorithm, run_noc_sweep
+from repro.core.design_flow import DesignSpaceExplorer
+from repro.noc import CollisionPolicy, RoutingAlgorithm
 from repro.utils import Table
 
 from benchmarks.harness import record
-
-
-def _sweep(decoder: NocDecoderArchitecture, traffic, configs, seed=0):
-    """Run one traffic pattern under many configurations via the scheduler.
-
-    Returns ``{config: result}``, keyed through each outcome's job — callers
-    look their configuration up instead of relying on submission order.
-    """
-    spec = decoder.spec
-    key = (spec.topology_family, spec.parallelism, spec.degree)
-    cache = {key: (decoder.topology, decoder.routing_tables)}
-    jobs = [
-        NocSweepJob(
-            family=spec.topology_family,
-            parallelism=spec.parallelism,
-            degree=spec.degree,
-            config=config,
-            traffic=traffic,
-            seed=seed,
-        )
-        for config in configs
-    ]
-    outcomes = run_noc_sweep(jobs, topology_cache=cache)
-    return {outcome.job.config: outcome.result for outcome in outcomes}
-
-
-def _throughput(spec: DecoderSpec, code, ncycles: int) -> float:
-    return ldpc_throughput_bps(
-        code.k,
-        spec.ldpc_clock_hz,
-        spec.ldpc_max_iterations,
-        spec.ldpc_core_latency_cycles,
-        ncycles,
-    ) / 1e6
 
 
 def test_ablation_injection_rate_and_flags():
     """Sweep R, RL and DCM/SCM at the P=22 Kautz-D3 design point."""
     spec = DecoderSpec(mapping_attempts=2)
     code = wimax_ldpc_code(2304, "1/2")
-    decoder = NocDecoderArchitecture(spec)
-    mapping = decoder.map_ldpc(code)
-
     base = spec.noc
     labels_and_configs = [
         *((f"R = {rate}", replace(base, injection_rate=rate)) for rate in (0.25, 0.5, 1.0)),
@@ -76,7 +38,10 @@ def test_ablation_injection_rate_and_flags():
           for policy in (CollisionPolicy.SCM, CollisionPolicy.DCM)),
     ]
 
-    by_config = _sweep(decoder, mapping.traffic, [c for _, c in labels_and_configs])
+    by_config = {
+        config: NocDecoderArchitecture(replace(spec, noc=config)).evaluate_ldpc(code)
+        for config in dict.fromkeys(c for _, c in labels_and_configs)
+    }
     rows = [(label, by_config[config]) for label, config in labels_and_configs]
 
     table = Table(
@@ -84,13 +49,13 @@ def test_ablation_injection_rate_and_flags():
         columns=["configuration", "ncycles", "throughput [Mb/s]", "max FIFO", "mean latency"],
     )
     results = {}
-    for label, sim in rows:
-        results[label] = sim
+    for label, evaluation in rows:
+        sim = results[label] = evaluation.simulation
         table.add_row(
             [
                 label,
                 sim.ncycles,
-                f"{_throughput(spec, code, sim.ncycles):.1f}",
+                f"{evaluation.throughput_mbps:.1f}",
                 sim.max_fifo_occupancy,
                 f"{sim.statistics.mean_latency:.1f}",
             ]
@@ -101,11 +66,11 @@ def test_ablation_injection_rate_and_flags():
         "injection_rate_and_flags",
         {
             label: {
-                "ncycles": int(sim.ncycles),
-                "throughput_mbps": round(_throughput(spec, code, sim.ncycles), 2),
-                "max_fifo": int(sim.max_fifo_occupancy),
+                "ncycles": int(evaluation.simulation.ncycles),
+                "throughput_mbps": round(evaluation.throughput_mbps, 2),
+                "max_fifo": int(evaluation.simulation.max_fifo_occupancy),
             }
-            for label, sim in results.items()
+            for label, evaluation in rows
         },
     )
 
@@ -121,32 +86,22 @@ def test_ablation_node_architecture_fifo_sizing():
     """AP vs PP: FIFO depth (from simulation) drives the NoC area difference."""
     spec = DecoderSpec(mapping_attempts=2)
     code = wimax_ldpc_code(2304, "1/2")
-    decoder = NocDecoderArchitecture(spec)
-    mapping = decoder.map_ldpc(code)
-    topology = decoder.topology
-
     algorithms = (RoutingAlgorithm.SSP_RR, RoutingAlgorithm.SSP_FL, RoutingAlgorithm.ASP_FT)
-    area_model = NocAreaModel()
-    configs = [spec.noc.with_routing(algorithm) for algorithm in algorithms]
-    by_config = _sweep(decoder, mapping.traffic, configs)
-    rows = []
-    for algorithm, config in zip(algorithms, configs):
-        sim = by_config[config]
-        area = area_model.noc_area_mm2(
-            topology.n_nodes, topology.crossbar_size, config, sim.per_node_max_fifo
-        )
-        rows.append((algorithm.value, config.node_architecture.value, sim, area))
+    points = DesignSpaceExplorer(spec, seed=spec.mapping_seed).sweep_ldpc(
+        code, [(spec.topology_family, spec.degree)], [spec.parallelism], list(algorithms)
+    )
     table = Table(
         title="Node architecture ablation (AP vs PP) at the WiMAX design point",
         columns=["routing", "node arch", "ncycles", "max FIFO", "flit bits", "NoC area [mm^2]"],
     )
     areas = {}
-    for routing, arch, sim, area in rows:
-        areas[arch] = area
-        config = DecoderSpec().noc.with_routing(RoutingAlgorithm(routing))
+    for point in points:
+        areas[point.node_architecture] = point.noc_area_mm2
+        config = spec.noc.with_routing(point.routing_algorithm)
         table.add_row(
-            [routing, arch, sim.ncycles, sim.max_fifo_occupancy,
-             config.flit_bits(22), f"{area:.2f}"]
+            [point.routing_algorithm.value, point.node_architecture, point.ncycles,
+             point.max_fifo_depth, config.flit_bits(spec.parallelism),
+             f"{point.noc_area_mm2:.2f}"]
         )
     print("\n" + table.render())
     record(

@@ -92,8 +92,6 @@ def test_table2_ldpc_design_point_cost():
     """One full system-level LDPC evaluation at the design point delivers every message."""
     decoder = NocDecoderArchitecture(DecoderSpec(mapping_attempts=1))
     code = wimax_ldpc_code(2304, "1/2")
-    decoder.map_ldpc(code)  # mapping cached; the evaluation reuses it
-
     result = decoder.evaluate_ldpc(code)
     assert result.simulation.all_delivered
 

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from repro import DecoderSpec, NocDecoderArchitecture
 from repro.hw import NocAreaModel, plan_shared_memories
-from repro.noc import build_routing_tables
 
 
 def print_block(title: str, blocks: dict[str, str]) -> None:
@@ -28,7 +27,7 @@ def print_block(title: str, blocks: dict[str, str]) -> None:
 def main() -> None:
     decoder = NocDecoderArchitecture(DecoderSpec())
     topology = decoder.topology
-    tables = build_routing_tables(topology)
+    tables = decoder.routing_tables
 
     # ------------------------------------------------------------------ #
     # Fig. 1 — node structure and the NoC around it.

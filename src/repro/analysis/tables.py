@@ -18,7 +18,7 @@ from repro.analysis.reference import (
     TABLE1_TOPOLOGIES,
     Table1Cell,
 )
-from repro.core.architecture import LdpcEvaluation, TurboEvaluation
+from repro.core.architecture import DecoderEvaluation
 from repro.core.design_flow import DesignPoint, DesignSpaceExplorer
 from repro.errors import ConfigurationError, ReproError
 from repro.hw.technology import scale_area
@@ -105,8 +105,8 @@ def build_ber_table(points: Sequence[BerPoint], title: str = "BER sweep") -> Tab
 
 
 def build_table2(
-    turbo_by_routing: dict[str, TurboEvaluation],
-    ldpc_by_routing: dict[str, LdpcEvaluation],
+    turbo_by_routing: dict[str, DecoderEvaluation],
+    ldpc_by_routing: dict[str, DecoderEvaluation],
 ) -> Table:
     """Render paper Table II: the P=22 Kautz D=3 WiMAX design case."""
     table = Table(
@@ -136,7 +136,7 @@ def build_table2(
     return table
 
 
-def build_table3(ldpc: LdpcEvaluation, turbo: TurboEvaluation) -> Table:
+def build_table3(ldpc: DecoderEvaluation, turbo: DecoderEvaluation) -> Table:
     """Render paper Table III: this work's modelled row plus the published competitors."""
     table = Table(
         title="Table III - flexible turbo/LDPC decoder comparison (competitors as published)",

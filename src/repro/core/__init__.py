@@ -16,11 +16,7 @@ This package ties the substrates together into the paper's contribution:
 
 from repro.core.config import DecoderSpec, WIMAX_DECODER_SPEC
 from repro.core.throughput import ldpc_throughput_bps, turbo_throughput_bps
-from repro.core.architecture import (
-    LdpcEvaluation,
-    NocDecoderArchitecture,
-    TurboEvaluation,
-)
+from repro.core.architecture import DecoderEvaluation, NocDecoderArchitecture
 from repro.core.design_flow import (
     EXPLORATION_OBJECTIVES,
     DesignPoint,
@@ -35,8 +31,7 @@ __all__ = [
     "ldpc_throughput_bps",
     "turbo_throughput_bps",
     "NocDecoderArchitecture",
-    "LdpcEvaluation",
-    "TurboEvaluation",
+    "DecoderEvaluation",
     "DesignPoint",
     "EXPLORATION_OBJECTIVES",
     "ExplorationReport",

@@ -7,7 +7,11 @@ configurable at run time for LDPC (layered normalized min-sum) or turbo
 
 * **mapping + cycle-accurate evaluation** — place a WiMAX code on the NoC,
   simulate the message-passing phase and report ``ncycles``, throughput
-  (eq. (12)), FIFO sizing, area and power;
+  (eq. (12)), FIFO sizing, area and power.  Mapping, simulation and eq. (12)
+  go through the :class:`~repro.core.design_flow.DesignSpaceExplorer`'s
+  path, the one that produces the Table-I points, with the spec's NoC
+  configuration exactly as given; this class adds the full decoder area
+  and the power;
 * **functional decoding** — bit-true frame decoding in either mode (the NoC
   changes *when* messages arrive, not their values, so the functional path
   reuses the substrate decoders directly);
@@ -18,23 +22,23 @@ configurable at run time for LDPC (layered normalized min-sum) or turbo
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from repro.core.config import DecoderSpec
-from repro.core.throughput import ldpc_throughput_bps, turbo_throughput_bps
+from repro.core.design_flow import DesignSpaceExplorer
 from repro.errors import ConfigurationError
 from repro.hw.area import AreaBreakdown, decoder_area
 from repro.hw.memory import DecoderMemoryPlan, plan_shared_memories
 from repro.hw.power import PowerModel, PowerReport
 from repro.ldpc.layered import LayeredDecoderResult, LayeredMinSumDecoder
 from repro.ldpc.wimax import WimaxLdpcCode
-from repro.mapping.ldpc_mapping import LdpcMapping, map_ldpc_code
-from repro.mapping.turbo_mapping import TurboMapping, map_turbo_code
-from repro.noc.routing import RoutingTables, build_routing_tables
-from repro.noc.engine import BatchNocSimulator
+from repro.mapping.ldpc_mapping import LdpcMapping
+from repro.mapping.turbo_mapping import TurboMapping
 from repro.noc.results import SimulationResult
-from repro.noc.topologies import Topology, build_topology
+from repro.noc.routing import RoutingTables
+from repro.noc.topologies import Topology
 from repro.pe.ldpc_core import LdpcCoreModel
 from repro.pe.processing_element import ProcessingElement
 from repro.pe.siso_core import SisoCoreModel
@@ -43,11 +47,11 @@ from repro.turbo.encoder import TurboEncoder
 
 
 @dataclass(frozen=True)
-class LdpcEvaluation:
-    """System-level evaluation of one LDPC code on one decoder instance."""
+class DecoderEvaluation:
+    """System-level evaluation of one LDPC code or CTC block size on one decoder instance."""
 
     code_label: str
-    mapping: LdpcMapping
+    mapping: LdpcMapping | TurboMapping
     simulation: SimulationResult
     throughput_bps: float
     area: AreaBreakdown
@@ -60,25 +64,10 @@ class LdpcEvaluation:
 
 
 @dataclass(frozen=True)
-class TurboEvaluation:
-    """System-level evaluation of one turbo code on one decoder instance."""
-
-    code_label: str
-    mapping: TurboMapping
-    simulation: SimulationResult
-    throughput_bps: float
-    area: AreaBreakdown
-    power: PowerReport
-
-    @property
-    def throughput_mbps(self) -> float:
-        """Throughput in Mb/s."""
-        return self.throughput_bps / 1.0e6
-
-
-@dataclass
 class NocDecoderArchitecture:
     """A flexible turbo/LDPC decoder built around an intra-IP NoC.
+
+    Frozen: everything cached below was built from ``spec``.
 
     Parameters
     ----------
@@ -88,38 +77,33 @@ class NocDecoderArchitecture:
 
     spec: DecoderSpec = field(default_factory=DecoderSpec)
 
-    def __post_init__(self) -> None:
-        self._topology: Topology | None = None
-        self._routing: RoutingTables | None = None
-        self._memory_plan: DecoderMemoryPlan | None = None
-        self._ldpc_mappings: dict[str, LdpcMapping] = {}
-        self._turbo_mappings: dict[int, TurboMapping] = {}
-
     # ------------------------------------------------------------------ #
     # Lazily built structural views
     # ------------------------------------------------------------------ #
+    @cached_property
+    def _explorer(self) -> DesignSpaceExplorer:
+        # Mapping, simulation and eq. (12) go through the design-space
+        # explorer's path; it also caches this instance's graph and mappings.
+        return DesignSpaceExplorer(self.spec, seed=self.spec.mapping_seed)
+
+    def _graph(self) -> tuple[Topology, RoutingTables]:
+        spec = self.spec
+        return self._explorer._cached_graph(spec.topology_family, spec.degree, spec.parallelism)
+
     @property
     def topology(self) -> Topology:
         """The NoC topology of this decoder instance."""
-        if self._topology is None:
-            self._topology = build_topology(
-                self.spec.topology_family, self.spec.parallelism, self.spec.degree
-            )
-        return self._topology
+        return self._graph()[0]
 
     @property
     def routing_tables(self) -> RoutingTables:
         """Shortest-path routing tables for the topology."""
-        if self._routing is None:
-            self._routing = build_routing_tables(self.topology)
-        return self._routing
+        return self._graph()[1]
 
-    @property
+    @cached_property
     def memory_plan(self) -> DecoderMemoryPlan:
         """Shared-memory plan for full WiMAX support at this parallelism."""
-        if self._memory_plan is None:
-            self._memory_plan = plan_shared_memories(n_pes=self.spec.parallelism)
-        return self._memory_plan
+        return plan_shared_memories(n_pes=self.spec.parallelism)
 
     def processing_elements(self) -> list[ProcessingElement]:
         """The P processing elements of this decoder."""
@@ -139,105 +123,50 @@ class NocDecoderArchitecture:
         ]
 
     # ------------------------------------------------------------------ #
-    # Mapping
-    # ------------------------------------------------------------------ #
-    def map_ldpc(self, code: WimaxLdpcCode) -> LdpcMapping:
-        """Partition an LDPC code over the PEs (cached per code)."""
-        key = f"{code.rate_name}:{code.n}"
-        if key not in self._ldpc_mappings:
-            self._ldpc_mappings[key] = map_ldpc_code(
-                code.h,
-                self.spec.parallelism,
-                seed=self.spec.mapping_seed,
-                attempts=self.spec.mapping_attempts,
-                label=f"wimax-ldpc-{code.rate_name}-n{code.n}-P{self.spec.parallelism}",
-            )
-        return self._ldpc_mappings[key]
-
-    def map_turbo(self, n_couples: int) -> TurboMapping:
-        """Partition a turbo frame over the SISOs (cached per block size)."""
-        if n_couples not in self._turbo_mappings:
-            self._turbo_mappings[n_couples] = map_turbo_code(
-                n_couples,
-                self.spec.parallelism,
-                label=f"wimax-ctc-N{n_couples}-P{self.spec.parallelism}",
-            )
-        return self._turbo_mappings[n_couples]
-
-    # ------------------------------------------------------------------ #
     # Cycle-accurate evaluation
     # ------------------------------------------------------------------ #
-    def _simulator(self, injection_rate: float | None = None) -> BatchNocSimulator:
-        config = self.spec.noc
-        if injection_rate is not None and injection_rate != config.injection_rate:
-            from dataclasses import replace
+    def _simulated(
+        self, code: WimaxLdpcCode | int
+    ) -> tuple[LdpcMapping | TurboMapping, SimulationResult, float]:
+        """Mapping, simulation and eq. (12) bits/s of ``code`` on ``spec.noc`` as given."""
+        spec = self.spec
+        cell = (spec.topology_family, spec.degree, spec.parallelism, spec.noc)
+        ((_, mapping, simulation, throughput),) = self._explorer._evaluate(code, [cell])
+        return mapping, simulation, throughput
 
-            config = replace(config, injection_rate=injection_rate)
-        return BatchNocSimulator(
-            self.topology,
-            config,
-            routing_tables=self.routing_tables,
-            seed=self.spec.mapping_seed,
-        )
+    def evaluate_ldpc(self, code: WimaxLdpcCode) -> DecoderEvaluation:
+        """Full system-level evaluation of one LDPC code (throughput, area, power).
 
-    def simulate_ldpc_iteration(self, code: WimaxLdpcCode) -> SimulationResult:
-        """Simulate the message-passing phase of one LDPC iteration."""
-        mapping = self.map_ldpc(code)
-        return self._simulator().run(mapping.traffic)
-
-    def simulate_turbo_half_iteration(self, n_couples: int) -> SimulationResult:
-        """Simulate the message-passing phase of one turbo half-iteration.
-
-        The injection rate is the configured ``R`` (the paper's Table II uses
-        R = 0.5 for both modes); use :class:`~repro.pe.siso_core.SisoCoreModel`
-        to reason about the SISO-limited rate of R = 1/3 separately.
+        The simulation covers the message-passing phase of one iteration.
         """
-        mapping = self.map_turbo(n_couples)
-        return self._simulator().run(mapping.traffic_forward)
-
-    def evaluate_ldpc(self, code: WimaxLdpcCode) -> LdpcEvaluation:
-        """Full system-level evaluation of one LDPC code (throughput, area, power)."""
-        mapping = self.map_ldpc(code)
-        simulation = self.simulate_ldpc_iteration(code)
-        throughput = ldpc_throughput_bps(
-            info_bits=code.k,
-            clock_hz=self.spec.ldpc_clock_hz,
-            max_iterations=self.spec.ldpc_max_iterations,
-            core_latency_cycles=self.spec.ldpc_core_latency_cycles,
-            message_passing_cycles=simulation.ncycles,
-        )
+        mapping, simulation, throughput = self._simulated(code)
         area = self.area(simulation)
-        power = self.power_ldpc(code, simulation, area, throughput)
-        return LdpcEvaluation(
+        return DecoderEvaluation(
             code_label=code.describe(),
             mapping=mapping,
             simulation=simulation,
             throughput_bps=throughput,
             area=area,
-            power=power,
+            power=self.power_ldpc(code, simulation, area, throughput),
         )
 
-    def evaluate_turbo(self, n_couples: int) -> TurboEvaluation:
-        """Full system-level evaluation of one CTC block size."""
-        mapping = self.map_turbo(n_couples)
-        simulation = self.simulate_turbo_half_iteration(n_couples)
-        info_bits = 2 * n_couples
-        throughput = turbo_throughput_bps(
-            info_bits=info_bits,
-            noc_clock_hz=self.spec.turbo_noc_clock_hz,
-            max_iterations=self.spec.turbo_max_iterations,
-            core_latency_cycles=self.spec.siso_core_latency_cycles,
-            half_iteration_cycles=simulation.ncycles,
-        )
+    def evaluate_turbo(self, n_couples: int) -> DecoderEvaluation:
+        """Full system-level evaluation of one CTC block size.
+
+        The simulation covers one half-iteration at the configured injection
+        rate ``R`` (the paper's Table II uses R = 0.5 for both modes); use
+        :class:`~repro.pe.siso_core.SisoCoreModel` to reason about the
+        SISO-limited rate of R = 1/3 separately.
+        """
+        mapping, simulation, throughput = self._simulated(n_couples)
         area = self.area(simulation)
-        power = self.power_turbo(n_couples, simulation, area, throughput)
-        return TurboEvaluation(
-            code_label=f"WiMAX CTC N={n_couples} couples ({info_bits} bits)",
+        return DecoderEvaluation(
+            code_label=f"WiMAX CTC N={n_couples} couples ({2 * n_couples} bits)",
             mapping=mapping,
             simulation=simulation,
             throughput_bps=throughput,
             area=area,
-            power=power,
+            power=self.power_turbo(n_couples, simulation, area, throughput),
         )
 
     # ------------------------------------------------------------------ #
@@ -256,10 +185,6 @@ class NocDecoderArchitecture:
             per_node_fifo_depth=fifo_depths,
             memory_plan=self.memory_plan,
         )
-
-    def noc_area_mm2(self, simulation: SimulationResult) -> float:
-        """NoC-only area (the quantity reported in the paper's Table I)."""
-        return self.area(simulation).noc_mm2
 
     def power_ldpc(
         self,

@@ -6,6 +6,7 @@ from dataclasses import dataclass, field, replace
 
 from repro.errors import ConfigurationError
 from repro.noc.config import NocConfiguration, RoutingAlgorithm
+from repro.utils.validation import require_int
 
 
 @dataclass(frozen=True)
@@ -32,22 +33,19 @@ class DecoderSpec:
     mapping_attempts: int = 3
 
     def __post_init__(self) -> None:
-        if self.parallelism < 2:
-            raise ConfigurationError(
-                f"parallelism must be at least 2, got {self.parallelism}"
-            )
-        if self.degree < 2:
-            raise ConfigurationError(f"degree must be at least 2, got {self.degree}")
+        for name, minimum in (
+            ("parallelism", 2),
+            ("degree", 2),
+            ("ldpc_max_iterations", 1),
+            ("turbo_max_iterations", 1),
+            ("ldpc_core_latency_cycles", 0),
+            ("siso_core_latency_cycles", 0),
+            ("mapping_seed", 0),
+            ("mapping_attempts", 1),
+        ):
+            require_int(name, getattr(self, name), minimum)
         if self.ldpc_clock_hz <= 0 or self.turbo_noc_clock_hz <= 0:
             raise ConfigurationError("clock frequencies must be positive")
-        if self.ldpc_max_iterations <= 0 or self.turbo_max_iterations <= 0:
-            raise ConfigurationError("iteration counts must be positive")
-        if self.ldpc_core_latency_cycles < 0 or self.siso_core_latency_cycles < 0:
-            raise ConfigurationError("core latencies must be non-negative")
-        if self.mapping_attempts <= 0:
-            raise ConfigurationError(
-                f"mapping_attempts must be positive, got {self.mapping_attempts}"
-            )
 
     @property
     def turbo_siso_clock_hz(self) -> float:

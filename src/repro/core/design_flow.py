@@ -24,6 +24,11 @@ submission order, and each is costed into a :class:`DesignPoint` (eq. (12)
 throughput and the NoC area model).  Topologies, routing tables and code
 mappings are each built once per explorer and shared across all the points
 that reuse them.
+
+A grid cell is simulated with the base NoC configuration re-paired for its
+routing algorithm.  :class:`~repro.core.architecture.NocDecoderArchitecture`
+takes the same path for one cell whose configuration it passes as given,
+and keeps the mapping, simulation and eq. (12) bits/s behind each point.
 """
 
 from __future__ import annotations
@@ -36,10 +41,11 @@ from repro.core.throughput import ldpc_throughput_bps, turbo_throughput_bps
 from repro.errors import ConfigurationError, MappingError, TopologyError
 from repro.hw.area import NocAreaModel
 from repro.ldpc.wimax import WimaxLdpcCode
-from repro.mapping.ldpc_mapping import map_ldpc_code
-from repro.mapping.turbo_mapping import map_turbo_code
+from repro.mapping.ldpc_mapping import LdpcMapping, map_ldpc_code
+from repro.mapping.turbo_mapping import TurboMapping, map_turbo_code
 from repro.noc.analytical import AnalyticalEstimate, AnalyticalNocModel
-from repro.noc.config import RoutingAlgorithm
+from repro.noc.config import NocConfiguration, RoutingAlgorithm
+from repro.noc.results import SimulationResult
 from repro.noc.routing import RoutingTables, build_routing_tables
 from repro.noc.sweep import NocSweepJob, run_noc_sweep
 from repro.noc.topologies import Topology, build_topology
@@ -50,6 +56,8 @@ EXPLORATION_OBJECTIVES = ("throughput", "throughput_per_area")
 
 #: One design-grid cell: (topology family, degree, parallelism, routing).
 Combo = tuple[str, int, int, RoutingAlgorithm]
+#: One cell to simulate: (topology family, degree, parallelism, NoC configuration).
+Cell = tuple[str, int, int, NocConfiguration]
 
 
 def objective_score(objective: str, throughput_mbps: float, noc_area_mm2: float) -> float:
@@ -299,23 +307,24 @@ class DesignSpaceExplorer:
                 combos.extend((family, degree, parallelism, a) for a in algorithms)
         return combos
 
-    def _points(
+    def _evaluate(
         self,
         code: WimaxLdpcCode | int,
-        combos: list[Combo],
+        cells: list[Cell],
         max_workers: int | None = None,
-    ) -> list[DesignPoint]:
-        """Map, simulate and cost ``combos``: one point each, in combo order.
+    ) -> list[tuple[DesignPoint, LdpcMapping | TurboMapping, SimulationResult, float]]:
+        """Map, simulate and cost ``cells``, in cell order.
 
         ``code`` is an LDPC code, or a CTC block size in couples for turbo
-        points.  All combos go to the sweep scheduler in one call, so it
-        groups and shards across the whole set; ``max_workers`` caps its
-        worker processes (mapping and costing stay in-process).
+        points.  Each cell is simulated with its configuration as given.
+        All cells go to the sweep scheduler in one call, so it groups and
+        shards across the whole set; ``max_workers`` caps its worker
+        processes (mapping and costing stay in-process).  Returns, per cell,
+        its point, the mapping, the simulation and the eq. (12) bits/s.
         """
-        spec = self.base_spec
         jobs: list[NocSweepJob] = []
         contexts: list[tuple] = []
-        for family, degree, parallelism, algorithm in combos:
+        for family, degree, parallelism, config in cells:
             topology, _ = self._cached_graph(family, degree, parallelism)
             mapping, traffic = self._cached_mapping(code, parallelism)
             jobs.append(
@@ -323,7 +332,7 @@ class DesignSpaceExplorer:
                     family=family,
                     parallelism=parallelism,
                     degree=degree,
-                    config=spec.noc.with_routing(algorithm),
+                    config=config,
                     traffic=traffic,
                     seed=self.seed,
                 )
@@ -333,31 +342,43 @@ class DesignSpaceExplorer:
             jobs, topology_cache=self._graph_cache, max_workers=max_workers
         )
         mode = "turbo" if isinstance(code, numbers.Integral) else "LDPC"
-        points: list[DesignPoint] = []
+        evaluated = []
         for (mapping, topology), job, outcome in zip(contexts, jobs, outcomes):
             result = outcome.result
-            points.append(
-                DesignPoint(
-                    topology_family=job.family,
-                    degree=job.degree,
-                    parallelism=job.parallelism,
-                    routing_algorithm=job.config.routing_algorithm,
-                    node_architecture=job.config.node_architecture.value,
-                    mode=mode,
-                    ncycles=result.ncycles,
-                    throughput_mbps=self._throughput_bps(code, result.ncycles) / 1e6,
-                    noc_area_mm2=self._area_model.noc_area_mm2(
-                        n_nodes=job.parallelism,
-                        crossbar_size=topology.crossbar_size,
-                        config=job.config,
-                        per_node_fifo_depth=result.per_node_max_fifo,
-                    ),
-                    max_fifo_depth=result.max_fifo_occupancy,
-                    locality=mapping.locality,
-                    mean_latency=result.statistics.mean_latency,
-                )
+            throughput = self._throughput_bps(code, result.ncycles)
+            point = DesignPoint(
+                topology_family=job.family,
+                degree=job.degree,
+                parallelism=job.parallelism,
+                routing_algorithm=job.config.routing_algorithm,
+                node_architecture=job.config.node_architecture.value,
+                mode=mode,
+                ncycles=result.ncycles,
+                throughput_mbps=throughput / 1e6,
+                noc_area_mm2=self._area_model.noc_area_mm2(
+                    n_nodes=job.parallelism,
+                    crossbar_size=topology.crossbar_size,
+                    config=job.config,
+                    per_node_fifo_depth=result.per_node_max_fifo,
+                ),
+                max_fifo_depth=result.max_fifo_occupancy,
+                locality=mapping.locality,
+                mean_latency=result.statistics.mean_latency,
             )
-        return points
+            evaluated.append((point, mapping, result, throughput))
+        return evaluated
+
+    def _points(
+        self,
+        code: WimaxLdpcCode | int,
+        combos: list[Combo],
+        max_workers: int | None = None,
+    ) -> list[DesignPoint]:
+        """The points of ``combos``, each simulated with the base NoC
+        configuration re-paired for its routing algorithm (AP/PP follows)."""
+        noc = self.base_spec.noc
+        cells = [(f, d, p, noc.with_routing(a)) for f, d, p, a in combos]
+        return [point for point, *_ in self._evaluate(code, cells, max_workers)]
 
     # ------------------------------------------------------------------ #
     # Single-point evaluation

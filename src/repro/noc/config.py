@@ -138,8 +138,10 @@ class NocConfiguration:
     def with_routing(self, algorithm: RoutingAlgorithm) -> "NocConfiguration":
         """Copy of this configuration with a different routing algorithm.
 
-        The node architecture follows the paper's pairing (ASP-FT on AP, SSP-*
-        on PP) unless it was set explicitly to the non-default pairing.
+        The node architecture always follows the paper's pairing (ASP-FT on
+        AP, SSP-* on PP), even when this configuration set the other one
+        explicitly; build a non-default pairing with
+        :func:`dataclasses.replace` instead.
         """
         architecture = (
             NodeArchitecture.AP if algorithm.uses_all_paths else NodeArchitecture.PP

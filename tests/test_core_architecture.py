@@ -2,13 +2,15 @@
 
 from __future__ import annotations
 
-from dataclasses import replace
+import hashlib
+from dataclasses import FrozenInstanceError, asdict, replace
 
 import numpy as np
 import pytest
 
 from repro.core import (
     DecoderSpec,
+    DesignSpaceExplorer,
     NocDecoderArchitecture,
     WIMAX_DECODER_SPEC,
     ldpc_throughput_bps,
@@ -17,7 +19,7 @@ from repro.core import (
 from repro.core.throughput import meets_wimax_requirement
 from repro.errors import ConfigurationError, ModelError
 from repro.ldpc import wimax_ldpc_code
-from repro.noc import RoutingAlgorithm
+from repro.noc import NocConfiguration, NodeArchitecture, RoutingAlgorithm
 from repro.turbo import TurboEncoder
 from tests.conftest import make_ldpc_llrs
 
@@ -52,6 +54,26 @@ class TestDecoderSpec:
             DecoderSpec(ldpc_max_iterations=0)
         with pytest.raises(ConfigurationError):
             DecoderSpec(mapping_attempts=0)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("ldpc_max_iterations", 2.5),
+            ("parallelism", 8.0),
+            ("mapping_seed", -1),
+            ("mapping_attempts", True),
+            ("degree", np.float64(3.0)),
+            ("turbo_max_iterations", "8"),
+            ("siso_core_latency_cycles", -1),
+        ],
+    )
+    def test_int_fields_must_be_ints(self, field, value):
+        with pytest.raises(ConfigurationError, match=field):
+            DecoderSpec(**{field: value})
+
+    def test_numpy_ints_accepted(self):
+        spec = DecoderSpec(parallelism=np.int64(8), mapping_seed=np.uint8(3))
+        assert spec.parallelism == 8 and spec.mapping_seed == 3
 
     def test_describe(self):
         assert "generalized-kautz" in WIMAX_DECODER_SPEC.describe()
@@ -111,18 +133,23 @@ class TestArchitectureStructure:
     def test_memory_plan_cached(self, small_decoder_architecture):
         assert small_decoder_architecture.memory_plan is small_decoder_architecture.memory_plan
 
+    def test_spec_cannot_be_swapped_under_the_caches(self, small_decoder_architecture):
+        with pytest.raises(FrozenInstanceError):
+            small_decoder_architecture.spec = DecoderSpec(parallelism=16)
+
     def test_describe_contains_topology(self, small_decoder_architecture):
         assert "generalized-kautz" in small_decoder_architecture.describe()
 
 
 class TestArchitectureEvaluation:
     def test_ldpc_mapping_cached_per_code(self, small_decoder_architecture, small_ldpc_code):
-        first = small_decoder_architecture.map_ldpc(small_ldpc_code)
-        second = small_decoder_architecture.map_ldpc(small_ldpc_code)
-        assert first is second
+        first = small_decoder_architecture.evaluate_ldpc(small_ldpc_code)
+        second = small_decoder_architecture.evaluate_ldpc(small_ldpc_code)
+        assert first.mapping is second.mapping
 
     def test_turbo_mapping_cached_per_block(self, small_decoder_architecture):
-        assert small_decoder_architecture.map_turbo(48) is small_decoder_architecture.map_turbo(48)
+        first = small_decoder_architecture.evaluate_turbo(48)
+        assert small_decoder_architecture.evaluate_turbo(48).mapping is first.mapping
 
     def test_ldpc_evaluation_consistency(self, small_decoder_architecture, small_ldpc_code):
         evaluation = small_decoder_architecture.evaluate_ldpc(small_ldpc_code)
@@ -215,3 +242,90 @@ class TestWimaxDesignCase:
         self, wimax_ldpc_evaluation, wimax_turbo_evaluation
     ):
         assert wimax_turbo_evaluation.power.total_mw < 0.5 * wimax_ldpc_evaluation.power.total_mw
+
+
+#: The evaluated design cases: spec, LDPC block length (rate 1/2) and CTC
+#: block size.  The Table-II case under all three routings, the small P=8
+#: Kautz D=3 instance, and that instance on SSP-FL with the non-default AP
+#: node architecture set explicitly.
+DESIGN_CASES = {
+    **{
+        f"table2-{algorithm.value}": (
+            DecoderSpec(mapping_attempts=2).with_routing(algorithm), 2304, 2400
+        )
+        for algorithm in RoutingAlgorithm
+    },
+    "kautz8": (DecoderSpec(parallelism=8, degree=3, mapping_attempts=2), 576, 240),
+    "kautz8-SSP-FL-AP": (
+        DecoderSpec(
+            parallelism=8,
+            degree=3,
+            mapping_attempts=2,
+            noc=NocConfiguration(node_architecture=NodeArchitecture.AP),
+        ),
+        576,
+        240,
+    ),
+}
+#: SHA-256 over every field of every ``evaluate_ldpc``/``evaluate_turbo``
+#: result of :data:`DESIGN_CASES` (throughput, area, power, simulation
+#: observables, locality).  The simulation's traffic label is left out: it
+#: names the mapping, it is not a measurement.  Re-record only for an
+#: intended mapping, simulation or costing change.
+DESIGN_CASES_DIGEST = "82eb5c83b9fc1fd6eefb0f465a52c4fdf4b6c02067af48c2e854a0abd68b9f9b"
+
+
+@pytest.fixture(scope="module")
+def design_case_evaluations():
+    evaluations = {}
+    for name, (spec, n, n_couples) in DESIGN_CASES.items():
+        arch = NocDecoderArchitecture(spec)
+        evaluations[name] = (
+            arch.evaluate_ldpc(wimax_ldpc_code(n, "1/2")),
+            arch.evaluate_turbo(n_couples),
+        )
+    return evaluations
+
+
+class TestDesignCaseGolden:
+    def test_evaluations_match_pinned_digest(self, design_case_evaluations):
+        digest = hashlib.sha256()
+        for pair in design_case_evaluations.values():
+            for evaluation in pair:
+                simulation = asdict(evaluation.simulation)
+                del simulation["traffic_label"]
+                digest.update(
+                    repr(
+                        (
+                            evaluation.code_label,
+                            evaluation.throughput_bps,
+                            asdict(evaluation.area),
+                            asdict(evaluation.power),
+                            simulation,
+                            evaluation.mapping.locality,
+                        )
+                    ).encode()
+                )
+        assert digest.hexdigest() == DESIGN_CASES_DIGEST
+
+    @pytest.mark.parametrize("name", [n for n in DESIGN_CASES if not n.endswith("-AP")])
+    def test_evaluation_equals_explorer_point(self, design_case_evaluations, name):
+        """The architecture and the design-space explorer cost a point alike.
+
+        The explicit-AP case is left out: the explorer's points pair the
+        node architecture with the routing algorithm.
+        """
+        spec, n, n_couples = DESIGN_CASES[name]
+        explorer = DesignSpaceExplorer(spec, seed=spec.mapping_seed)
+        grid = (spec.topology_family, spec.degree, spec.parallelism, spec.noc.routing_algorithm)
+        points = (
+            explorer.evaluate_ldpc_point(wimax_ldpc_code(n, "1/2"), *grid),
+            explorer.evaluate_turbo_point(n_couples, *grid),
+        )
+        for evaluation, point in zip(design_case_evaluations[name], points):
+            assert evaluation.simulation.ncycles == point.ncycles
+            assert evaluation.throughput_mbps == point.throughput_mbps
+            assert evaluation.area.noc_mm2 == point.noc_area_mm2
+            assert evaluation.simulation.max_fifo_occupancy == point.max_fifo_depth
+            assert evaluation.mapping.locality == point.locality
+            assert evaluation.simulation.statistics.mean_latency == point.mean_latency

@@ -147,7 +147,7 @@ class TestSystemLevelIntegration:
         arch = NocDecoderArchitecture(DecoderSpec(parallelism=8, degree=3, mapping_attempts=1))
         for rate in ("1/2", "2/3A", "3/4A", "5/6"):
             code = wimax_ldpc_code(576, rate)
-            simulation = arch.simulate_ldpc_iteration(code)
+            simulation = arch.evaluate_ldpc(code).simulation
             assert simulation.all_delivered
             assert simulation.total_messages == code.h.n_edges
 
@@ -172,10 +172,10 @@ class TestSystemLevelIntegration:
         code = wimax_ldpc_code(1152, "1/2")
         small = NocDecoderArchitecture(
             DecoderSpec(parallelism=8, degree=3, mapping_attempts=1)
-        ).simulate_ldpc_iteration(code)
+        ).evaluate_ldpc(code).simulation
         large = NocDecoderArchitecture(
             DecoderSpec(parallelism=24, degree=3, mapping_attempts=1)
-        ).simulate_ldpc_iteration(code)
+        ).evaluate_ldpc(code).simulation
         assert large.ncycles < small.ncycles
 
     def test_wimax_turbo_and_ldpc_requirement_at_moderate_parallelism(self):
