@@ -1,24 +1,17 @@
-"""Channel substrate: modulation, AWGN/fading noise, LLR quantisation, error counting.
+"""Channel substrate: BPSK modulation, AWGN noise, LLR quantisation, error counting.
 
-The paper evaluates its decoder on WiMAX codes whose soft inputs are
-log-likelihood ratios (LLRs) quantised to 7 bits (channel and a-posteriori
-values) and 5 bits (extrinsic values).  This package provides the transmit
-chains needed to produce such LLRs from random information bits — BPSK,
-Gray QPSK and Gray 16-QAM mapping, AWGN and flat-Rayleigh (block or
-per-symbol) channels with receiver CSI, and the uniform quantiser — plus
-BER/FER counters used by the functional benchmarks.  See the "LLR scaling
-conventions" section of ``docs/batching.md`` for the noise-variance and
-CSI conventions shared by every demapper.
+The paper evaluates its decoder on WiMAX codes over BPSK/AWGN, whose soft
+inputs are log-likelihood ratios (LLRs) quantised to 7 bits (channel and
+a-posteriori values) and 5 bits (extrinsic values).  This package provides
+that transmit chain — BPSK mapping with the exact AWGN demapper, the AWGN
+channel and its Eb/N0 conversion, and the uniform quantiser — plus BER/FER
+counters used by the functional benchmarks.  See the "LLR scaling
+conventions" section of ``docs/batching.md`` for the noise-variance
+convention.
 """
 
-from repro.channel.modulation import (
-    BPSKModulator,
-    Modulator,
-    QAM16Modulator,
-    QPSKModulator,
-)
+from repro.channel.modulation import BPSKModulator
 from repro.channel.awgn import AWGNChannel, ebn0_to_noise_sigma, snr_db_to_linear
-from repro.channel.fading import FadedTransmission, RayleighFadingChannel
 from repro.channel.quantize import (
     CHANNEL_LLR_SPEC,
     EXTRINSIC_SPEC,
@@ -28,13 +21,8 @@ from repro.channel.quantize import (
 from repro.channel.metrics import ErrorRateAccumulator, ErrorRateReport
 
 __all__ = [
-    "Modulator",
     "BPSKModulator",
-    "QPSKModulator",
-    "QAM16Modulator",
     "AWGNChannel",
-    "RayleighFadingChannel",
-    "FadedTransmission",
     "ebn0_to_noise_sigma",
     "snr_db_to_linear",
     "LLRQuantizer",

@@ -2,15 +2,29 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.utils.rng import make_rng
+from repro.utils.validation import require_real
 
 
 def snr_db_to_linear(snr_db: float) -> float:
-    """Convert an SNR expressed in dB to a linear power ratio."""
-    return float(10.0 ** (snr_db / 10.0))
+    """Convert an SNR expressed in dB to a linear power ratio.
+
+    ``snr_db`` must be finite, and so must the ratio: a dB value whose
+    ``10 ** (snr_db / 10)`` overflows the float range is rejected.
+    """
+    if not math.isfinite(snr_db):
+        raise ConfigurationError(f"snr_db must be finite, got {snr_db!r}")
+    try:
+        return float(10.0 ** (snr_db / 10.0))
+    except OverflowError:
+        raise ConfigurationError(
+            f"snr_db {snr_db!r} dB overflows the linear ratio"
+        ) from None
 
 
 def ebn0_to_noise_sigma(
@@ -28,7 +42,13 @@ def ebn0_to_noise_sigma(
     ``sigma^2 = Es / (2 * Es/N0)`` per real dimension for complex channels
     (``sigma^2 = Es / (2 * Es/N0)`` holds for real BPSK as well because the
     demapper treats the noise as one real dimension of variance ``N0/2``).
+
+    ``ebn0_db`` must be finite, and so must the resulting sigma: an Eb/N0
+    far enough out that ``10 ** (ebn0_db / 10)`` leaves the float range is
+    rejected rather than returned as ``0``, ``inf`` or ``nan``.
     """
+    if not math.isfinite(ebn0_db):
+        raise ConfigurationError(f"ebn0_db must be finite, got {ebn0_db!r}")
     if not 0.0 < code_rate <= 1.0:
         raise ConfigurationError(f"code_rate must be in (0, 1], got {code_rate}")
     if bits_per_symbol <= 0:
@@ -37,9 +57,13 @@ def ebn0_to_noise_sigma(
         )
     if symbol_energy <= 0:
         raise ConfigurationError(f"symbol_energy must be positive, got {symbol_energy}")
-    esn0_linear = snr_db_to_linear(ebn0_db) * code_rate * bits_per_symbol
-    noise_variance_per_dim = symbol_energy / (2.0 * esn0_linear)
-    return float(np.sqrt(noise_variance_per_dim))
+    try:
+        esn0_linear = snr_db_to_linear(ebn0_db) * code_rate * bits_per_symbol
+        sigma = float(np.sqrt(symbol_energy / (2.0 * esn0_linear)))
+    except ZeroDivisionError:
+        sigma = math.nan
+    require_real(f"the noise sigma at Eb/N0 {ebn0_db!r} dB", sigma, allow_zero=False)
+    return sigma
 
 
 class AWGNChannel:
@@ -55,8 +79,7 @@ class AWGNChannel:
     """
 
     def __init__(self, noise_sigma: float, rng: np.random.Generator | None = None):
-        if noise_sigma <= 0:
-            raise ConfigurationError(f"noise_sigma must be positive, got {noise_sigma}")
+        require_real("noise_sigma", noise_sigma, allow_zero=False)
         self.noise_sigma = float(noise_sigma)
         self._rng = rng if rng is not None else make_rng(0)
 
@@ -73,9 +96,9 @@ class AWGNChannel:
     def llr_noise_variance(self, symbols_complex: bool) -> float:
         """Noise variance argument expected by the matching demapper.
 
-        The demappers in :mod:`repro.channel.modulation` express LLRs in terms
-        of the per-real-dimension variance times two for complex constellations
-        (total noise power), so this helper centralises that convention.
+        Real symbols (BPSK) take the per-dimension variance ``sigma^2``;
+        complex symbols take the total noise power ``2*sigma^2`` over both
+        dimensions.
         """
         if symbols_complex:
             return 2.0 * self.noise_sigma**2

@@ -1,86 +1,40 @@
-"""Digital modulators used by the functional simulation chain.
+"""BPSK modulation and exact AWGN LLR demapping for the functional chain.
 
-The constellations the paper's multi-standard decoder actually faces are
-provided: BPSK (the usual choice when characterising FEC codes), Gray-mapped
-QPSK and Gray-mapped 16-QAM.  All map bits to unit-average-energy symbols
-and demap received symbols to per-bit LLRs for an AWGN channel of known
-noise variance — exactly for BPSK/QPSK, exact max-log for 16-QAM.
+The paper characterises its decoder on WiMAX codes over BPSK/AWGN, so BPSK
+is the one constellation the chain needs: bit 0 maps to ``+1`` and bit 1 to
+``-1``, and the demapper returns the exact LLR ``2*y/sigma^2``.
 
-All methods are batched: bits and symbols may be one-dimensional (a single
+Both methods are batched: bits and symbols may be one-dimensional (a single
 frame) or carry any number of leading axes — a ``(batch, n)`` bit array maps
-to a ``(batch, n_symbols)`` symbol array and back to ``(batch, n)`` LLRs —
-which is what :class:`repro.sim.runner.BerRunner` relies on.
-
-Fading support: ``demodulate_llr`` optionally takes per-symbol channel gains
-(CSI).  With ``gains`` the demapper coherently equalises ``z = y / h`` and
-scales each symbol's LLRs by ``|h|^2``, which is the exact (max-log for
-16-QAM) LLR for ``y = h x + n`` with known ``h`` — see
-:mod:`repro.channel.fading` for the channels that produce such gains and
-``docs/batching.md`` ("LLR scaling conventions") for the conventions.
+to a ``(batch, n)`` symbol array and back to ``(batch, n)`` LLRs — which is
+what :class:`repro.sim.runner.BerRunner` relies on.
 """
 
 from __future__ import annotations
 
-from abc import ABC, abstractmethod
-
 import numpy as np
 
-from repro.errors import ConfigurationError, DecodingError
+from repro.errors import DecodingError
+from repro.utils.validation import require_real
 
 
-class Modulator(ABC):
-    """Abstract bit-to-symbol mapper with exact AWGN/fading LLR demapping."""
+class BPSKModulator:
+    """Antipodal BPSK: bit 0 -> +1, bit 1 -> -1 (the LLR-friendly convention)."""
 
     #: Number of bits carried by one constellation symbol.
-    bits_per_symbol: int = 0
+    bits_per_symbol: int = 1
 
-    #: Whether this constellation produces complex channel symbols.
-    complex_symbols: bool = True
-
-    @abstractmethod
     def modulate(self, bits: np.ndarray) -> np.ndarray:
-        """Map 0/1 bits onto complex (or real) channel symbols.
+        """Map 0/1 bits onto real ``+-1`` symbols.
 
         The last axis is the bit axis; leading axes (e.g. a batch axis) are
         preserved.
         """
-
-    @abstractmethod
-    def demodulate_llr(
-        self,
-        received: np.ndarray,
-        noise_variance: float,
-        gains: np.ndarray | None = None,
-    ) -> np.ndarray:
-        """Compute per-bit LLRs ``log P(b=0|y)/P(b=1|y)``.
-
-        ``noise_variance`` follows the channel-layer convention: the *total*
-        noise variance (``2*sigma^2``, both dimensions) for complex
-        constellations and the per-dimension variance ``sigma^2`` for real
-        ones — :meth:`repro.channel.awgn.AWGNChannel.llr_noise_variance`
-        returns the right value either way.
-
-        ``gains`` are optional per-symbol channel gains (CSI) broadcastable
-        against the symbol axis — ``(batch, n_symbols)`` for i.i.d. fading,
-        ``(batch, 1)`` for block fading; complex for complex constellations,
-        positive real for BPSK.  The demapper then computes the coherent LLR
-        for ``y = h x + n``.
-
-        The last axis is the symbol axis; leading axes are preserved and the
-        output's last axis has ``bits_per_symbol`` times as many entries.
-        """
-
-    def _check_bits(self, bits: np.ndarray) -> np.ndarray:
         arr = np.asarray(bits)
         if arr.ndim == 0:
             raise DecodingError("modulator expects at least a one-dimensional bit array")
         if np.iscomplexobj(arr):
             raise DecodingError("modulator expects only 0/1 values, got complex input")
-        if arr.shape[-1] % self.bits_per_symbol != 0:
-            raise DecodingError(
-                f"bit count {arr.shape[-1]} is not a multiple of bits/symbol "
-                f"({self.bits_per_symbol})"
-            )
         if arr.size:
             if arr.min() < 0 or arr.max() > 1:
                 raise DecodingError("modulator expects only 0/1 values")
@@ -91,166 +45,25 @@ class Modulator(ABC):
                     raise DecodingError(
                         "modulator expects integral 0/1 values, got non-integral input"
                     )
-        return arr.astype(np.int8)
+        return 1.0 - 2.0 * arr.astype(np.int8).astype(np.float64)
 
-    @staticmethod
-    def _check_noise_variance(noise_variance: float) -> float:
-        if noise_variance <= 0:
-            raise ConfigurationError(
-                f"noise variance must be positive, got {noise_variance}"
-            )
-        return float(noise_variance)
+    def demodulate_llr(
+        self,
+        received: np.ndarray,
+        noise_variance: float,
+        gains: None = None,
+    ) -> np.ndarray:
+        """Exact per-bit LLRs ``log P(b=0|y)/P(b=1|y) = 2*y/sigma^2``.
 
-    def _check_gains(self, gains: np.ndarray, symbol_shape: tuple[int, ...]) -> np.ndarray:
-        """Validate CSI gains and broadcast-check them against the symbols."""
-        arr = np.asarray(gains)
-        if self.complex_symbols:
-            arr = arr.astype(np.complex128)
-        else:
-            if np.iscomplexobj(arr):
-                raise DecodingError(
-                    "real constellations take positive real gains (the fading "
-                    "amplitude after coherent derotation), got complex gains"
-                )
-            arr = arr.astype(np.float64)
-            if arr.size and arr.min() <= 0:
-                raise DecodingError("fading gains for real constellations must be > 0")
-        try:
-            np.broadcast_shapes(arr.shape, symbol_shape)
-        except ValueError as exc:
+        ``noise_variance`` is the per-dimension variance ``sigma^2``, which
+        :meth:`repro.channel.awgn.AWGNChannel.llr_noise_variance` returns for
+        real symbols.  ``gains`` exists so that callers forwarding it by
+        keyword keep working; the AWGN chain has no channel-state
+        information, so anything but ``None`` is rejected.
+        """
+        if gains is not None:
             raise DecodingError(
-                f"gains of shape {arr.shape} do not broadcast against symbols "
-                f"of shape {symbol_shape}"
-            ) from exc
-        if arr.size and np.any(arr == 0):
-            raise DecodingError("fading gains must be non-zero")
-        return arr
-
-
-class BPSKModulator(Modulator):
-    """Antipodal BPSK: bit 0 -> +1, bit 1 -> -1 (the LLR-friendly convention)."""
-
-    bits_per_symbol = 1
-    complex_symbols = False
-
-    def modulate(self, bits: np.ndarray) -> np.ndarray:
-        arr = self._check_bits(bits)
-        return 1.0 - 2.0 * arr.astype(np.float64)
-
-    def demodulate_llr(
-        self,
-        received: np.ndarray,
-        noise_variance: float,
-        gains: np.ndarray | None = None,
-    ) -> np.ndarray:
-        sigma2 = self._check_noise_variance(noise_variance)
-        obs = np.asarray(received, dtype=np.float64)
-        if gains is None:
-            # Exact LLR for BPSK over real AWGN: 2*y/sigma^2.
-            return 2.0 * obs / sigma2
-        g = self._check_gains(gains, obs.shape)
-        # y = g*x + n, g known: LLR = 2*g*y/sigma^2.
-        return 2.0 * g * obs / sigma2
-
-
-class QPSKModulator(Modulator):
-    """Gray-mapped QPSK with unit average symbol energy.
-
-    Bit pair ``(b0, b1)`` maps to ``((1-2*b0) + 1j*(1-2*b1)) / sqrt(2)``; the
-    in-phase and quadrature components therefore carry independent BPSK
-    streams, which keeps the LLR demapper exact and simple.
-    """
-
-    bits_per_symbol = 2
-
-    def modulate(self, bits: np.ndarray) -> np.ndarray:
-        arr = self._check_bits(bits)
-        pairs = arr.reshape(*arr.shape[:-1], -1, 2).astype(np.float64)
-        in_phase = 1.0 - 2.0 * pairs[..., 0]
-        quadrature = 1.0 - 2.0 * pairs[..., 1]
-        return (in_phase + 1j * quadrature) / np.sqrt(2.0)
-
-    def demodulate_llr(
-        self,
-        received: np.ndarray,
-        noise_variance: float,
-        gains: np.ndarray | None = None,
-    ) -> np.ndarray:
-        sigma2 = self._check_noise_variance(noise_variance)
-        obs = np.asarray(received, dtype=np.complex128)
-        if gains is None:
-            z = obs
-            # Each axis is BPSK with amplitude 1/sqrt(2); LLR = 2*sqrt(2)*z_axis/sigma^2.
-            scale = 2.0 * np.sqrt(2.0) / sigma2
-        else:
-            g = self._check_gains(gains, obs.shape)
-            z = obs / g
-            scale = 2.0 * np.sqrt(2.0) * np.abs(g) ** 2 / sigma2
-        llrs = np.empty((*obs.shape[:-1], obs.shape[-1] * 2), dtype=np.float64)
-        llrs[..., 0::2] = scale * z.real
-        llrs[..., 1::2] = scale * z.imag
-        return llrs
-
-
-class QAM16Modulator(Modulator):
-    """Gray-mapped 16-QAM with unit average symbol energy.
-
-    Bit quadruple ``(b0, b1, b2, b3)`` maps the pair ``(b0, b1)`` onto the
-    in-phase axis and ``(b2, b3)`` onto the quadrature axis, each through the
-    Gray PAM-4 rule ``level = (1 - 2*b_sign) * (3 - 2*b_mag)`` (levels
-    ``+3, +1, -1, -3`` for ``00, 01, 11, 10``), scaled by ``1/sqrt(10)`` so
-    ``E[|s|^2] = 1``.
-
-    ``demodulate_llr`` computes the *exact max-log* per-bit LLR: because the
-    constellation is a product of two PAM-4 axes and each bit lives on one
-    axis, the 16-point max-log metric reduces exactly to per-axis 4-level
-    distance minima (the cross-axis term cancels), so the demapper is
-    bit-for-bit the brute-force 16-point max-log at 4x less work.
-    """
-
-    bits_per_symbol = 4
-
-    #: PAM-4 levels in Gray bit-pattern order (b_sign, b_mag) = 00, 01, 11, 10.
-    _LEVELS = np.array([3.0, 1.0, -1.0, -3.0]) / np.sqrt(10.0)
-    #: Level indices where the sign bit (first of the pair) is 0 / 1.
-    _SIGN0 = np.array([0, 1])
-    _SIGN1 = np.array([2, 3])
-    #: Level indices where the magnitude bit (second of the pair) is 0 / 1.
-    _MAG0 = np.array([0, 3])
-    _MAG1 = np.array([1, 2])
-
-    def modulate(self, bits: np.ndarray) -> np.ndarray:
-        arr = self._check_bits(bits)
-        quads = arr.reshape(*arr.shape[:-1], -1, 4).astype(np.float64)
-        in_phase = (1.0 - 2.0 * quads[..., 0]) * (3.0 - 2.0 * quads[..., 1])
-        quadrature = (1.0 - 2.0 * quads[..., 2]) * (3.0 - 2.0 * quads[..., 3])
-        return (in_phase + 1j * quadrature) / np.sqrt(10.0)
-
-    def demodulate_llr(
-        self,
-        received: np.ndarray,
-        noise_variance: float,
-        gains: np.ndarray | None = None,
-    ) -> np.ndarray:
-        sigma2 = self._check_noise_variance(noise_variance)
-        obs = np.asarray(received, dtype=np.complex128)
-        if gains is None:
-            z = obs
-            inv_nv = 1.0 / sigma2
-        else:
-            g = self._check_gains(gains, obs.shape)
-            z = obs / g
-            # Equalising divides the noise by |h|^2, so the LLR scales by it.
-            inv_nv = np.abs(g) ** 2 / sigma2
-        llrs = np.empty((*obs.shape[:-1], obs.shape[-1] * 4), dtype=np.float64)
-        for axis, component in enumerate((z.real, z.imag)):
-            # (..., n_symbols, 4) squared distances to the four PAM levels.
-            dist = (component[..., np.newaxis] - self._LEVELS) ** 2
-            # Max-log LLR = (min over b=1 levels - min over b=0 levels) / N0.
-            llrs[..., 2 * axis :: 4] = (
-                dist[..., self._SIGN1].min(axis=-1) - dist[..., self._SIGN0].min(axis=-1)
-            ) * inv_nv
-            llrs[..., 2 * axis + 1 :: 4] = (
-                dist[..., self._MAG1].min(axis=-1) - dist[..., self._MAG0].min(axis=-1)
-            ) * inv_nv
-        return llrs
+                "BPSK over AWGN takes no channel gains; pass gains=None"
+            )
+        require_real("noise_variance", noise_variance, allow_zero=False)
+        return 2.0 * np.asarray(received, dtype=np.float64) / float(noise_variance)

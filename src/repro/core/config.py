@@ -4,9 +4,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
-from repro.errors import ConfigurationError
 from repro.noc.config import NocConfiguration, RoutingAlgorithm
-from repro.utils.validation import require_int
+from repro.utils.validation import require_int, require_real
 
 
 @dataclass(frozen=True)
@@ -44,8 +43,8 @@ class DecoderSpec:
             ("mapping_attempts", 1),
         ):
             require_int(name, getattr(self, name), minimum)
-        if self.ldpc_clock_hz <= 0 or self.turbo_noc_clock_hz <= 0:
-            raise ConfigurationError("clock frequencies must be positive")
+        for name in ("ldpc_clock_hz", "turbo_noc_clock_hz"):
+            require_real(name, getattr(self, name), allow_zero=False)
 
     @property
     def turbo_siso_clock_hz(self) -> float:

@@ -1,14 +1,13 @@
 """Streaming Monte-Carlo BER runner built on the batched decoders.
 
 ``BerRunner`` drives the full functional chain — random information bits →
-systematic encoding → modulation → channel (AWGN or Rayleigh fading) → LLR
-demapping (CSI-weighted under fading, optionally fixed-point quantised) →
-batched decoding — in configurable batch sizes, accumulating bit/frame error
-counts per Eb/N0 point until either an error target or a frame budget is
-hit.  Every batch draws from its own RNG spawned off one
-:class:`numpy.random.SeedSequence`, so a sweep is reproducible bit-for-bit
-for a fixed ``(seed, batch_size)`` and statistically independent across
-batches and points.
+systematic encoding → BPSK modulation → AWGN channel → LLR demapping
+(optionally fixed-point quantised) → batched decoding — in configurable
+batch sizes, accumulating bit/frame error counts per Eb/N0 point until
+either an error target or a frame budget is hit.  Every batch draws from its
+own RNG spawned off one :class:`numpy.random.SeedSequence`, so a sweep is
+reproducible bit-for-bit for a fixed ``(seed, batch_size)`` and
+statistically independent across batches and points.
 
 The runner is code-family agnostic: any code exposing ``k`` / ``n`` /
 ``rate`` / ``encode_batch`` paired with any
@@ -21,13 +20,11 @@ loop.  Decoders may decide either whole codewords (the LDPC decoders) or
 just the information bits (the turbo decoder); the runner counts errors over
 whichever the decoder returns.
 
-It is channel-model agnostic the same way: ``channel=`` selects AWGN
-(default), per-symbol i.i.d. Rayleigh (``"rayleigh"``) or block Rayleigh
-(``"rayleigh-block"``) by name, or any callable ``(noise_sigma, rng) ->
-channel`` exposing ``transmit`` and ``llr_noise_variance``.  A channel whose
-``transmit`` returns ``(received, gains)`` (the fading channels) gets its
-CSI threaded into ``Modulator.demodulate_llr(..., gains=...)`` — zero new
-simulation loops per scenario.
+The modulator and the channel are duck-typed so that a wrapper (a timing
+proxy, say) can stand in for :class:`~repro.channel.modulation.BPSKModulator`
+and :class:`~repro.channel.awgn.AWGNChannel`: ``channel=`` takes ``"awgn"``
+or any callable ``(noise_sigma, rng) -> channel`` exposing ``transmit`` and
+``llr_noise_variance``.
 
 Point estimates come with Wilson confidence intervals
 (:func:`repro.sim.stats.wilson_interval`); conditional-moment estimation
@@ -43,8 +40,7 @@ from typing import Callable, Protocol, Sequence
 import numpy as np
 
 from repro.channel.awgn import AWGNChannel, ebn0_to_noise_sigma
-from repro.channel.fading import RayleighFadingChannel
-from repro.channel.modulation import BPSKModulator, Modulator
+from repro.channel.modulation import BPSKModulator
 from repro.channel.quantize import LLRQuantizer
 from repro.errors import ConfigurationError, DecodingError
 from repro.sim.batch import BatchDecoder
@@ -54,10 +50,6 @@ from repro.utils.validation import require_int
 #: Channel factories selectable by name through ``BerRunner(channel=...)``.
 CHANNEL_FACTORIES: dict[str, Callable[[float, np.random.Generator], object]] = {
     "awgn": AWGNChannel,
-    "rayleigh": RayleighFadingChannel,
-    "rayleigh-block": lambda sigma, rng: RayleighFadingChannel(
-        sigma, rng, block_fading=True
-    ),
 }
 
 
@@ -162,12 +154,12 @@ class BerRunner:
         batched LDPC decoders and
         :class:`~repro.sim.turbo_batch.BatchTurboDecoder` alike.
     modulator:
-        Bit-to-symbol mapper (batched); BPSK when omitted.
+        Bit-to-symbol mapper (batched) with ``bits_per_symbol``,
+        ``modulate`` and ``demodulate_llr``; BPSK when omitted.
     channel:
-        Channel model per run: a name from :data:`CHANNEL_FACTORIES`
-        (``"awgn"``, ``"rayleigh"``, ``"rayleigh-block"``) or a callable
-        ``(noise_sigma, rng) -> channel``.  Fading channels return CSI from
-        ``transmit`` and the runner threads it into the demapper.
+        Channel model per run: ``"awgn"`` (the one entry of
+        :data:`CHANNEL_FACTORIES`) or a callable
+        ``(noise_sigma, rng) -> channel``.
     llr_quantizer:
         Optional :class:`~repro.channel.quantize.LLRQuantizer`: round-trip
         every channel LLR through it before decoding (the paper's
@@ -192,7 +184,7 @@ class BerRunner:
         self,
         code: _EncodableCode,
         decoder: BatchDecoder,
-        modulator: Modulator | None = None,
+        modulator: BPSKModulator | None = None,
         *,
         channel: str | Callable[[float, np.random.Generator], object] = "awgn",
         llr_quantizer: LLRQuantizer | None = None,
@@ -270,15 +262,9 @@ class BerRunner:
             codewords = self.code.encode_batch(info)
             symbols = self.modulator.modulate(codewords)
             channel = self._channel_factory(sigma, rng)
-            transmission = channel.transmit(symbols)
-            if isinstance(transmission, tuple):
-                received, gains = transmission
-            else:
-                received, gains = transmission, None
             llrs = self.modulator.demodulate_llr(
-                received,
+                channel.transmit(symbols),
                 channel.llr_noise_variance(np.iscomplexobj(symbols)),
-                gains=gains,
             )
             if self.llr_quantizer is not None:
                 llrs = self.llr_quantizer.quantize_to_real(llrs)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -10,15 +12,13 @@ from repro.channel import (
     BPSKModulator,
     ErrorRateAccumulator,
     LLRQuantizer,
-    QAM16Modulator,
-    QPSKModulator,
     QuantizationSpec,
-    RayleighFadingChannel,
     ebn0_to_noise_sigma,
     snr_db_to_linear,
 )
 from repro.channel.quantize import CHANNEL_LLR_SPEC, EXTRINSIC_SPEC
 from repro.errors import ConfigurationError, DecodingError
+from repro.sim import BatchLayeredDecoder, BerRunner
 
 
 class TestBPSK:
@@ -72,108 +72,13 @@ class TestBPSK:
         assert mod.modulate(np.array([0.0, 1.0])).tolist() == [1.0, -1.0]
         assert mod.modulate(np.array([False, True])).tolist() == [1.0, -1.0]
 
-    def test_gains_scale_llrs(self):
+    def test_rejects_channel_gains(self):
+        # ``gains=`` survives only as a keyword that forwarding wrappers may
+        # pass as None; BPSK over AWGN has no channel-state information.
         mod = BPSKModulator()
-        llr = mod.demodulate_llr(np.array([0.7]), 0.5, gains=np.array([2.0]))
-        assert llr[0] == pytest.approx(2 * 2.0 * 0.7 / 0.5)
-
-    def test_rejects_complex_gains_for_real_constellation(self):
-        with pytest.raises(DecodingError):
-            BPSKModulator().demodulate_llr(
-                np.array([1.0]), 0.5, gains=np.array([1.0 + 1j])
-            )
-
-
-class TestQPSK:
-    def test_unit_energy(self):
-        mod = QPSKModulator()
-        symbols = mod.modulate(np.array([0, 0, 0, 1, 1, 0, 1, 1]))
-        assert np.allclose(np.abs(symbols), 1.0)
-
-    def test_gray_mapping_independent_axes(self):
-        mod = QPSKModulator()
-        symbols = mod.modulate(np.array([0, 1]))
-        assert symbols[0].real > 0 and symbols[0].imag < 0
-
-    def test_llr_recovers_bits_noiseless(self):
-        mod = QPSKModulator()
-        bits = np.array([0, 1, 1, 0, 1, 1, 0, 0])
-        llrs = mod.demodulate_llr(mod.modulate(bits), noise_variance=1.0)
-        assert ((llrs < 0).astype(int) == bits).all()
-
-    def test_rejects_odd_bit_count(self):
-        with pytest.raises(DecodingError):
-            QPSKModulator().modulate(np.array([0, 1, 0]))
-
-    def test_llr_magnitude_pinned_with_channel_convention(self):
-        # Regression for the AWGNChannel.noise_variance bug: demapping QPSK
-        # with the per-dimension sigma^2 instead of llr_noise_variance(True)
-        # produced LLRs exactly 2x too hot.  Pin the correct magnitude.
-        mod = QPSKModulator()
-        channel = AWGNChannel(0.5)
-        nv = channel.llr_noise_variance(True)  # 2 * 0.5^2 = 0.5
-        llrs = mod.demodulate_llr(np.array([0.7 + 0.2j]), nv)
-        assert llrs[0] == pytest.approx(2 * np.sqrt(2) * 0.7 / 0.5)
-        assert llrs[1] == pytest.approx(2 * np.sqrt(2) * 0.2 / 0.5)
-
-    def test_csi_gains_equalize_and_reweight(self):
-        mod = QPSKModulator()
-        bits = np.array([0, 1, 1, 0])
-        clean = mod.modulate(bits)
-        h = np.array([0.5 * np.exp(1j * 0.7), 2.0 * np.exp(-1j * 1.1)])
-        faded = clean * h
-        llrs = mod.demodulate_llr(faded, 0.5, gains=h)
-        # Equalised observation is the clean symbol; LLR scale is |h|^2.
-        base = mod.demodulate_llr(clean, 0.5)
-        expected = base * np.repeat(np.abs(h) ** 2, 2)
-        assert np.allclose(llrs, expected)
-
-
-class TestQAM16:
-    def test_unit_average_energy(self):
-        mod = QAM16Modulator()
-        # All 16 bit patterns once: average symbol energy is exactly 1.
-        bits = np.array(
-            [[b >> 3 & 1, b >> 2 & 1, b >> 1 & 1, b & 1] for b in range(16)]
-        ).reshape(1, -1)
-        symbols = mod.modulate(bits)
-        assert np.mean(np.abs(symbols) ** 2) == pytest.approx(1.0)
-
-    def test_gray_mapping_neighbours_differ_in_one_bit(self):
-        mod = QAM16Modulator()
-        patterns = [(s, m) for s in (0, 1) for m in (0, 1)]
-        level_of = {}
-        for sign, mag in patterns:
-            sym = mod.modulate(np.array([sign, mag, 0, 0]))
-            level_of[(sign, mag)] = sym[0].real * np.sqrt(10)
-        ordered = sorted(level_of.items(), key=lambda kv: kv[1])
-        for (bits_a, _), (bits_b, _) in zip(ordered, ordered[1:]):
-            hamming = sum(a != b for a, b in zip(bits_a, bits_b))
-            assert hamming == 1
-
-    def test_llr_recovers_bits_noiseless(self):
-        mod = QAM16Modulator()
-        rng = np.random.default_rng(0)
-        bits = rng.integers(0, 2, size=(3, 64))
-        llrs = mod.demodulate_llr(mod.modulate(bits), noise_variance=0.5)
-        assert ((llrs < 0).astype(int) == bits).all()
-
-    def test_rejects_bit_count_not_multiple_of_four(self):
-        with pytest.raises(DecodingError):
-            QAM16Modulator().modulate(np.array([0, 1, 0]))
-
-    def test_batched_matches_rowwise(self):
-        mod = QAM16Modulator()
-        rng = np.random.default_rng(1)
-        bits = rng.integers(0, 2, size=(4, 16))
-        symbols = mod.modulate(bits)
-        noisy = symbols + 0.2 * (
-            rng.normal(size=symbols.shape) + 1j * rng.normal(size=symbols.shape)
-        )
-        llrs = mod.demodulate_llr(noisy, 0.3)
-        for row in range(bits.shape[0]):
-            assert np.array_equal(symbols[row], mod.modulate(bits[row]))
-            assert np.allclose(llrs[row], mod.demodulate_llr(noisy[row], 0.3))
+        assert mod.demodulate_llr(np.array([0.7]), 0.5, gains=None)[0] == pytest.approx(2.8)
+        with pytest.raises(DecodingError, match="gains"):
+            mod.demodulate_llr(np.array([0.7]), 0.5, gains=np.array([2.0]))
 
 
 class TestAWGN:
@@ -203,6 +108,18 @@ class TestAWGN:
         assert snr_db_to_linear(0.0) == pytest.approx(1.0)
         assert snr_db_to_linear(10.0) == pytest.approx(10.0)
 
+    @pytest.mark.parametrize("snr_db", [math.nan, math.inf, -math.inf, 1e300])
+    def test_snr_db_to_linear_rejects_non_finite(self, snr_db):
+        # Regression: nan came back as nan and 1e300 escaped as a raw
+        # OverflowError.
+        with pytest.raises(ConfigurationError, match="snr_db"):
+            snr_db_to_linear(snr_db)
+
+    def test_ebn0_to_noise_sigma_closed_form(self):
+        # Rate 1/2 BPSK at 0 dB: Es/N0 = 1/2, so sigma^2 = 1 / (2 * 1/2) = 1.
+        assert ebn0_to_noise_sigma(0.0, 0.5) == pytest.approx(1.0)
+        assert ebn0_to_noise_sigma(10.0, 0.5) == pytest.approx(math.sqrt(0.1))
+
     def test_ebn0_to_noise_sigma_decreases_with_snr(self):
         low = ebn0_to_noise_sigma(0.0, 0.5)
         high = ebn0_to_noise_sigma(4.0, 0.5)
@@ -220,52 +137,42 @@ class TestAWGN:
             ebn0_to_noise_sigma(2.0, 1.5)
 
 
-class TestRayleighFading:
-    def test_per_symbol_gains_shape_and_statistics(self):
-        channel = RayleighFadingChannel(0.01, np.random.default_rng(0))
-        symbols = np.ones((100, 500), dtype=complex)
-        received, gains = channel.transmit(symbols)
-        assert gains.shape == symbols.shape
-        assert received.shape == symbols.shape
-        assert np.mean(np.abs(gains) ** 2) == pytest.approx(1.0, rel=0.02)
+def _run_point(code, ebn0_db):
+    BerRunner(code, BatchLayeredDecoder(code.h), max_frames=1).run_point(ebn0_db)
 
-    def test_block_fading_one_gain_per_frame(self):
-        channel = RayleighFadingChannel(
-            0.01, np.random.default_rng(1), block_fading=True
-        )
-        symbols = np.ones((8, 64), dtype=complex)
-        received, gains = channel.transmit(symbols)
-        assert gains.shape == (8, 1)
-        assert len(np.unique(gains)) == 8
 
-    def test_real_symbols_get_rayleigh_amplitudes(self):
-        channel = RayleighFadingChannel(0.01, np.random.default_rng(2))
-        received, gains = channel.transmit(np.ones((4, 32)))
-        assert not np.iscomplexobj(gains)
-        assert (gains > 0).all()
-        assert not np.iscomplexobj(received)
-        assert np.mean(gains**2) == pytest.approx(1.0, rel=0.25)
-
-    def test_llr_noise_variance_matches_awgn_convention(self):
-        channel = RayleighFadingChannel(0.5)
-        awgn = AWGNChannel(0.5)
-        assert channel.llr_noise_variance(True) == awgn.llr_noise_variance(True)
-        assert channel.llr_noise_variance(False) == awgn.llr_noise_variance(False)
-
-    def test_rejects_non_positive_sigma(self):
-        with pytest.raises(ConfigurationError):
-            RayleighFadingChannel(0.0)
-
-    def test_csi_demap_recovers_bits_at_high_snr(self):
-        mod = QPSKModulator()
-        rng = np.random.default_rng(3)
-        bits = rng.integers(0, 2, size=(16, 128))
-        channel = RayleighFadingChannel(0.01, np.random.default_rng(4))
-        received, gains = channel.transmit(mod.modulate(bits))
-        llrs = mod.demodulate_llr(
-            received, channel.llr_noise_variance(True), gains=gains
-        )
-        assert ((llrs < 0).astype(int) == bits).all()
+@pytest.mark.parametrize(
+    "call",
+    [
+        # Regressions: these escaped as ValueError / OverflowError /
+        # ZeroDivisionError from the runner, or as NaN or all-zero LLRs.
+        lambda code: _run_point(code, math.nan),
+        lambda code: _run_point(code, math.inf),
+        lambda code: _run_point(code, -math.inf),
+        lambda code: _run_point(code, 1e300),
+        lambda code: _run_point(code, -1e300),
+        lambda code: ebn0_to_noise_sigma(math.nan, 0.5),
+        lambda code: AWGNChannel(math.nan),
+        lambda code: AWGNChannel(math.inf),
+        lambda code: BPSKModulator().demodulate_llr(np.ones(4), math.nan),
+        lambda code: BPSKModulator().demodulate_llr(np.ones(4), math.inf),
+    ],
+    ids=[
+        "run_point-nan",
+        "run_point-inf",
+        "run_point-neg-inf",
+        "run_point-1e300",
+        "run_point-neg-1e300",
+        "ebn0_to_noise_sigma-nan",
+        "awgn-sigma-nan",
+        "awgn-sigma-inf",
+        "demodulate-nan",
+        "demodulate-inf",
+    ],
+)
+def test_non_finite_channel_inputs_rejected(small_ldpc_code, call):
+    with pytest.raises(ConfigurationError):
+        call(small_ldpc_code)
 
 
 class TestQuantizer:

@@ -1,8 +1,8 @@
-"""Hypothesis property suites for the modulators and the LLR quantiser.
+"""Hypothesis property suites for the BPSK modulator and the LLR quantiser.
 
-Round-trip laws the channel layer must satisfy for *every* constellation and
-batch shape, plus the fixed-point quantiser's idempotence / saturation /
-negation-closure contracts — the properties the decoder datapaths lean on.
+Round-trip laws the channel layer must satisfy for every batch shape, plus
+the fixed-point quantiser's idempotence / saturation / negation-closure
+contracts — the properties the decoder datapaths lean on.
 """
 
 from __future__ import annotations
@@ -12,30 +12,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.channel import (
-    BPSKModulator,
-    LLRQuantizer,
-    QAM16Modulator,
-    QPSKModulator,
-    QuantizationSpec,
-    RayleighFadingChannel,
-)
-
-MODULATORS = [BPSKModulator(), QPSKModulator(), QAM16Modulator()]
-
-
-def random_bits(rng: np.random.Generator, batch: int, n_symbols: int, mod) -> np.ndarray:
-    return rng.integers(0, 2, size=(batch, n_symbols * mod.bits_per_symbol))
+from repro.channel import BPSKModulator, LLRQuantizer, QuantizationSpec
 
 
 @st.composite
 def bits_and_modulator(draw):
-    mod = draw(st.sampled_from(MODULATORS))
     batch = draw(st.integers(min_value=1, max_value=5))
     n_symbols = draw(st.integers(min_value=1, max_value=24))
     seed = draw(st.integers(min_value=0, max_value=2**31 - 1))
-    bits = random_bits(np.random.default_rng(seed), batch, n_symbols, mod)
-    return mod, bits
+    bits = np.random.default_rng(seed).integers(0, 2, size=(batch, n_symbols))
+    return BPSKModulator(), bits
 
 
 class TestModulatorRoundTrip:
@@ -55,32 +41,10 @@ class TestModulatorRoundTrip:
         symbols = mod.modulate(bits)
         rng = np.random.default_rng(0)
         noisy = symbols + 0.1 * rng.normal(size=symbols.shape)
-        if np.iscomplexobj(symbols):
-            noisy = noisy + 0.1j * rng.normal(size=symbols.shape)
         llrs = mod.demodulate_llr(noisy, 0.4)
         for row in range(bits.shape[0]):
             assert np.array_equal(mod.modulate(bits[row]), symbols[row])
             assert np.allclose(mod.demodulate_llr(noisy[row], 0.4), llrs[row])
-
-    @given(case=bits_and_modulator(), seed=st.integers(min_value=0, max_value=2**31 - 1))
-    @settings(max_examples=40, deadline=None)
-    def test_noiseless_fading_demap_recovers_bits(self, case, seed):
-        # Near-noiseless fading with perfect CSI must still recover every bit:
-        # the equalise-and-reweight path may scale LLRs but never flip signs.
-        mod, bits = case
-        symbols = mod.modulate(bits)
-        channel = RayleighFadingChannel(
-            1e-4,
-            np.random.default_rng(seed),
-            block_fading=bool(seed % 2),
-        )
-        received, gains = channel.transmit(symbols)
-        llrs = mod.demodulate_llr(
-            received,
-            channel.llr_noise_variance(np.iscomplexobj(symbols)),
-            gains=gains,
-        )
-        assert ((llrs < 0).astype(int) == bits).all()
 
     @given(
         scale=st.floats(min_value=0.1, max_value=10.0),

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import FrozenInstanceError, asdict, replace
 
 import numpy as np
@@ -68,6 +69,14 @@ class TestDecoderSpec:
         ],
     )
     def test_int_fields_must_be_ints(self, field, value):
+        with pytest.raises(ConfigurationError, match=field):
+            DecoderSpec(**{field: value})
+
+    @pytest.mark.parametrize("field", ["ldpc_clock_hz", "turbo_noc_clock_hz"])
+    @pytest.mark.parametrize("value", [0, -1.0, math.nan, math.inf, "300e6", True])
+    def test_clocks_must_be_finite_and_positive(self, field, value):
+        # Regression: NaN passed the old ``<= 0`` check and reported NaN Mb/s,
+        # and inf failed deep inside the power model.
         with pytest.raises(ConfigurationError, match=field):
             DecoderSpec(**{field: value})
 

@@ -15,7 +15,6 @@ from repro.channel import (
     AWGNChannel,
     BPSKModulator,
     ErrorRateAccumulator,
-    QPSKModulator,
     ebn0_to_noise_sigma,
 )
 from repro.core import DecoderSpec, DesignSpaceExplorer, NocDecoderArchitecture
@@ -80,18 +79,6 @@ class TestLdpcChainIntegration:
         layered = LayeredMinSumDecoder(small_ldpc_code.h).decode(llrs)
         flooding = FloodingDecoder(small_ldpc_code.h).decode(llrs)
         assert np.array_equal(layered.hard_bits, flooding.hard_bits)
-
-    def test_qpsk_chain(self, small_ldpc_code, rng):
-        modulator = QPSKModulator()
-        sigma = ebn0_to_noise_sigma(4.0, small_ldpc_code.rate, bits_per_symbol=2)
-        channel = AWGNChannel(sigma, rng)
-        decoder = LayeredMinSumDecoder(small_ldpc_code.h, max_iterations=15)
-        info = rng.integers(0, 2, small_ldpc_code.k)
-        codeword = small_ldpc_code.encode(info)
-        llrs = modulator.demodulate_llr(
-            channel.transmit(modulator.modulate(codeword)), channel.llr_noise_variance(True)
-        )
-        assert np.array_equal(decoder.decode(llrs).hard_bits, codeword)
 
 
 class TestTurboChainIntegration:

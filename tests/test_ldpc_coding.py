@@ -26,6 +26,7 @@ from repro.ldpc import (
     wimax_ldpc_code,
 )
 from repro.ldpc.wimax import WIMAX_CODE_RATES
+from repro.sim import BatchLayeredDecoder, BerRunner
 from tests.conftest import make_ldpc_llrs
 
 
@@ -281,3 +282,45 @@ class TestFloodingDecoder:
     def test_rejects_wrong_llr_length(self, small_ldpc_code):
         with pytest.raises(DecodingError):
             FloodingDecoder(small_ldpc_code.h).decode(np.zeros(10))
+
+
+class TestWifiScenarios:
+    @pytest.mark.parametrize("rate,ebn0", [("1/2", 2.5), ("5/6", 4.5)])
+    def test_wifi_codes_decode_through_runner(self, rate, ebn0):
+        code = wifi_ldpc_code(1944, rate)
+        assert code.n == 1944
+        point = BerRunner(
+            code,
+            BatchLayeredDecoder(code.h, max_iterations=10),
+            batch_size=16,
+            max_frames=32,
+            target_frame_errors=None,
+            seed=0,
+        ).run_point(ebn0)
+        assert point.frames == 32
+        assert point.ber < 1e-2
+
+    def test_wifi_codewords_satisfy_parity(self):
+        code = wifi_ldpc_code(1944, "1/2")
+        rng = np.random.default_rng(0)
+        codewords = code.encode_batch(rng.integers(0, 2, size=(4, code.k)))
+        dense = code.h.to_dense()
+        assert not ((dense @ codewords.T) % 2).any()
+
+    def test_wifi_advertised_by_service_registry(self):
+        from repro.service.registry import CodecSpec, default_registry
+
+        registry = default_registry()
+        assert "wifi" in registry.families
+        specs = registry.specs()
+        assert CodecSpec("wifi", 1944, "1/2") in specs
+        assert CodecSpec("wifi", 1944, "5/6") in specs
+        entry = registry.resolve("wifi", 1944, "5/6")
+        assert entry.n_bits == 1944
+        assert entry.k_bits == 1620
+
+    def test_wifi_rejects_unknown_parameters(self):
+        with pytest.raises(CodeDefinitionError):
+            wifi_ldpc_code(648, "1/2")
+        with pytest.raises(CodeDefinitionError):
+            wifi_ldpc_code(1944, "3/4")

@@ -31,7 +31,7 @@ from repro.channel import (
     AWGNChannel,
     BPSKModulator,
     LLRQuantizer,
-    QPSKModulator,
+    QuantizationSpec,
     ebn0_to_noise_sigma,
 )
 from repro.errors import ConfigurationError, DecodingError
@@ -47,13 +47,16 @@ from repro.sim import (
     BatchDecoder,
     BatchFloodingDecoder,
     BatchLayeredDecoder,
+    BatchTurboDecoder,
     BerRunner,
     EdgeIndex,
     min_sum_update,
+    resolve_code_rate,
     sum_product_update,
     wilson_interval,
 )
 from repro.sim.batch import extrinsic_table
+from repro.turbo import TurboEncoder
 
 
 def _llr_batch(code, batch: int, ebn0_db: float, seed: int) -> tuple[np.ndarray, np.ndarray]:
@@ -685,20 +688,6 @@ class TestBerRunner:
         assert point.frame_errors >= 3
         assert point.frames < 4096
 
-    def test_qpsk_path(self, small_ldpc_code):
-        runner = BerRunner(
-            small_ldpc_code,
-            BatchLayeredDecoder(small_ldpc_code.h, max_iterations=6),
-            modulator=QPSKModulator(),
-            batch_size=8,
-            max_frames=16,
-            target_frame_errors=None,
-            seed=5,
-        )
-        point = runner.run_point(4.0)
-        assert point.frames == 16
-        assert point.ber < 0.1
-
     def test_sweep_returns_one_point_per_ebn0(self, small_ldpc_code):
         runner = BerRunner(
             small_ldpc_code,
@@ -758,3 +747,163 @@ class TestBerRunner:
                 BatchLayeredDecoder(small_ldpc_code.h),
                 batch_size=0,
             )
+
+    def test_unknown_channel_name_rejected(self, small_ldpc_code):
+        decoder = BatchLayeredDecoder(small_ldpc_code.h)
+        with pytest.raises(ConfigurationError, match="rician"):
+            BerRunner(small_ldpc_code, decoder, channel="rician")
+        with pytest.raises(ConfigurationError):
+            BerRunner(small_ldpc_code, decoder, channel=123)  # type: ignore[arg-type]
+
+    def test_custom_channel_factory_accepted(self, small_ldpc_code):
+        # Wrappers (timing proxies, say) pass the channel as a factory.
+        def point(channel):
+            return BerRunner(
+                small_ldpc_code,
+                BatchLayeredDecoder(small_ldpc_code.h, max_iterations=10),
+                channel=channel,
+                batch_size=16,
+                max_frames=16,
+                target_frame_errors=None,
+                seed=0,
+            ).run_point(2.0)
+
+        custom = point(lambda sigma, rng: AWGNChannel(sigma, rng))
+        assert custom == point("awgn")
+
+
+class TestFixedPointScenarios:
+    THRESHOLD = 2e-4
+    GRID = (2.0, 2.25, 2.5, 2.75, 3.0)
+
+    @staticmethod
+    def _crossing(points, threshold):
+        """First grid Eb/N0 from which BER stays at or below ``threshold``."""
+        for index, point in enumerate(points):
+            if all(later.ber <= threshold for later in points[index:]):
+                return point.ebn0_db
+        return None
+
+    def test_quantized_within_half_db_of_float(self, small_ldpc_code):
+        # The paper's fixed-point datapath (7/1 channel LLRs through the
+        # runner's quantiser, 5/0 extrinsics) costs at most 0.5 dB against
+        # float at the BER~1e-4 crossing of a reduced sweep.
+        def sweep(decoder, llr_quantizer=None):
+            return BerRunner(
+                small_ldpc_code,
+                decoder,
+                llr_quantizer=llr_quantizer,
+                batch_size=64,
+                max_frames=384,
+                target_frame_errors=None,
+                seed=11,
+            ).run(self.GRID)
+
+        h = small_ldpc_code.h
+        float_points = sweep(BatchLayeredDecoder(h, max_iterations=10))
+        fixed_points = sweep(
+            BatchLayeredDecoder(h, max_iterations=10, fixed_point=True),
+            LLRQuantizer(CHANNEL_LLR_SPEC),
+        )
+        float_crossing = self._crossing(float_points, self.THRESHOLD)
+        fixed_crossing = self._crossing(fixed_points, self.THRESHOLD)
+        assert float_crossing is not None, "float sweep never reached BER~1e-4"
+        assert fixed_crossing is not None, "fixed-point sweep never reached BER~1e-4"
+        assert fixed_crossing - float_crossing <= 0.5 + 1e-9
+
+    def test_runner_counts_match_hand_built_chain(self, small_ldpc_code):
+        # Rebuild the runner's fixed-point chain by hand on the same seed
+        # tree (two batches): bits -> encode -> BPSK -> AWGN -> demap ->
+        # 7-bit quantiser -> fixed-point layered decode.
+        decoder = BatchLayeredDecoder(small_ldpc_code.h, max_iterations=10, fixed_point=True)
+        quantizer = LLRQuantizer(CHANNEL_LLR_SPEC)
+        runner = BerRunner(
+            small_ldpc_code,
+            decoder,
+            llr_quantizer=quantizer,
+            batch_size=8,
+            max_frames=16,
+            target_frame_errors=None,
+            seed=9,
+        )
+        point = runner.run_point(1.5)
+        modulator = BPSKModulator()
+        sigma = ebn0_to_noise_sigma(1.5, 0.5)
+        bit_errors = frame_errors = iterations = 0
+        for child in runner._point_seed_sequence(1.5).spawn(2):
+            rng = np.random.default_rng(child)
+            codewords = small_ldpc_code.encode_batch(
+                rng.integers(0, 2, size=(8, small_ldpc_code.k))
+            )
+            channel = AWGNChannel(sigma, rng)
+            received = channel.transmit(modulator.modulate(codewords))
+            llrs = modulator.demodulate_llr(received, channel.llr_noise_variance(False))
+            result = decoder.decode_batch(quantizer.quantize_to_real(llrs))
+            errors = np.count_nonzero(np.asarray(result.hard_bits) != codewords, axis=1)
+            bit_errors += int(errors.sum())
+            frame_errors += int(np.count_nonzero(errors))
+            iterations += int(result.iterations.sum())
+        assert bit_errors > 0, "the point should carry errors to compare"
+        assert (point.bit_errors, point.frame_errors) == (bit_errors, frame_errors)
+        assert point.avg_iterations == iterations / 16
+
+    def test_runner_quantizes_turbo_llrs(self):
+        encoder = TurboEncoder(n_couples=24)
+        point = BerRunner(
+            encoder,
+            BatchTurboDecoder(encoder, max_iterations=4),
+            llr_quantizer=LLRQuantizer(CHANNEL_LLR_SPEC),
+            batch_size=8,
+            max_frames=8,
+            target_frame_errors=None,
+            seed=1,
+        ).run_point(2.0)
+        assert point.total_bits == 8 * encoder.k
+
+    def test_runner_quantization_actually_bites(self, small_ldpc_code):
+        # A coarse 3-bit quantiser saturates at +-3: the decoder must see
+        # only its levels, not the float channel LLRs.
+        seen = []
+        layered = BatchLayeredDecoder(small_ldpc_code.h, max_iterations=10)
+
+        class Recording:
+            n_bits = small_ldpc_code.n
+
+            def decode_batch(self, llrs):
+                seen.append(llrs)
+                return layered.decode_batch(llrs)
+
+        quantizer = LLRQuantizer(QuantizationSpec(3, 0))
+        BerRunner(
+            small_ldpc_code,
+            Recording(),
+            llr_quantizer=quantizer,
+            batch_size=8,
+            max_frames=8,
+            target_frame_errors=None,
+            seed=2,
+        ).run_point(1.5)
+        (llrs,) = seen
+        assert set(np.unique(llrs)) <= {-3.0, -2.0, -1.0, 0.0, 1.0, 2.0, 3.0}
+        assert np.abs(llrs).max() == 3.0
+
+    def test_runner_rejects_bad_quantizer(self, small_ldpc_code):
+        with pytest.raises(ConfigurationError):
+            BerRunner(
+                small_ldpc_code,
+                BatchLayeredDecoder(small_ldpc_code.h),
+                llr_quantizer="7bits",  # type: ignore[arg-type]
+            )
+
+
+class TestResolveCodeRateValidation:
+    def test_rejects_out_of_range_rates(self):
+        # Regression: "5/4" (=1.25) and negative fractions used to parse
+        # fine and only blow up later inside ebn0_to_noise_sigma.
+        for bad in ("5/4", "-1/2", 1.25, -0.5, 0.0, "0"):
+            with pytest.raises(ConfigurationError):
+                resolve_code_rate(bad)
+
+    def test_accepts_boundary_and_interior(self):
+        assert resolve_code_rate(1.0) == pytest.approx(1.0)
+        assert resolve_code_rate("5/6") == pytest.approx(5 / 6)
