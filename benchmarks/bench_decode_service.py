@@ -55,8 +55,11 @@ SHARD_BURST_FRAMES = 768
 SHARD_PAIRS = 7
 TRICKLE_FRAMES = 8
 BASELINE_FRAMES = 12
-#: Per-frame baseline passes; its gates read the best one.
+#: Per-frame baseline passes of the sharded row; its gate reads the best one.
 BASELINE_TRIALS = 2
+#: Interleaved trials of every arm of the offered-loads row (per-frame,
+#: trickle, saturating); its gates read each arm's best.
+LOAD_TRIALS = 5
 #: Frames each burst submits untimed first (they start the executor).
 WARMUP_FRAMES = 2
 EBN0_DB = 2.0
@@ -164,7 +167,7 @@ def test_decode_service_throughput_vs_per_frame(registry, frames):
             ),
             "saturating": lambda: run_burst(frames, registry=registry, executor="thread"),
         },
-        {"per_frame": BASELINE_TRIALS, "trickle": 1, "saturating": 1},
+        LOAD_TRIALS,
     )
     timing = row(
         per_item(samples, {"per_frame": BASELINE_FRAMES, "trickle": TRICKLE_FRAMES,

@@ -29,6 +29,7 @@ import resource
 import numpy as np
 from repro.channel import AWGNChannel, BPSKModulator, ebn0_to_noise_sigma
 from repro.sim import BatchTurboDecoder, resolve_code_rate
+from repro.sim.turbo_batch import EXTRINSIC_SCALE
 from repro.turbo import DuoBinaryTrellis, TurboEncoder
 
 from benchmarks.harness import per_item, record, row, trials
@@ -335,7 +336,7 @@ class _BatchMajorTurboDecoder:
         apo = apo_raw - apo_raw[:, 0:1]
         extrinsic = apo - (systematic - systematic[:, 0:1])
         extrinsic -= apr_t - apr_t[:, 0:1]
-        extrinsic *= siso.extrinsic_scale
+        extrinsic *= EXTRINSIC_SCALE
         aposteriori = np.ascontiguousarray(apo.transpose(2, 0, 1))
         np.argmax(aposteriori, axis=2)  # the hard decisions the loop discarded
         return (

@@ -35,15 +35,9 @@ def turbo_sweep(
     batch_size: int,
     seed: int,
     bit_level: bool,
-    algorithm: str = "max-log",
 ):
     """One decoder configuration over a list of Eb/N0 points."""
-    decoder = BatchTurboDecoder(
-        encoder,
-        max_iterations=8,
-        algorithm=algorithm,
-        bit_level_exchange=bit_level,
-    )
+    decoder = BatchTurboDecoder(encoder, max_iterations=8, bit_level_exchange=bit_level)
     runner = BerRunner(
         encoder,
         decoder,

@@ -24,9 +24,8 @@ import numpy as np
 
 from repro.errors import DecodingError
 from repro.ldpc.hmatrix import ParityCheckMatrix
-from repro.sim.batch import BatchFloodingDecoder, validate_scaling
+from repro.sim.batch import BatchFloodingDecoder
 from repro.sim.kernels import sum_product_update
-from repro.utils.validation import require_int
 
 
 @dataclass
@@ -59,15 +58,17 @@ class FloodingDecoder:
 
     All message passing delegates to
     :class:`repro.sim.batch.BatchFloodingDecoder` with ``batch=1``, so this
-    class and the batch engine agree bit-for-bit by construction.
+    class and the batch engine agree bit-for-bit by construction.  A decoder
+    is configured once, at construction: its options are read-only.
     """
+
+    __slots__ = ("_h", "_batch")
 
     def __init__(
         self,
         h: ParityCheckMatrix,
         max_iterations: int = 20,
         kernel: str = "sum-product",
-        scaling: float = 0.75,
         early_termination: bool = True,
     ):
         self._h = h
@@ -75,49 +76,23 @@ class FloodingDecoder:
             h,
             max_iterations=max_iterations,
             kernel=kernel,
-            scaling=scaling,
             early_termination=early_termination,
         )
 
-    # The tunables live on the inner batch decoder (which reads them on every
-    # decode), so mutating them after construction keeps working as it did
-    # when this class held the loop itself.
     @property
     def max_iterations(self) -> int:
         """Maximum number of flooding iterations per frame."""
         return self._batch.max_iterations
-
-    @max_iterations.setter
-    def max_iterations(self, value: int) -> None:
-        require_int("max_iterations", value, 1, DecodingError)
-        self._batch.max_iterations = int(value)
 
     @property
     def kernel(self) -> str:
         """Check-node kernel: ``"sum-product"`` or ``"min-sum"``."""
         return self._batch.kernel
 
-    @kernel.setter
-    def kernel(self, value: str) -> None:
-        self._batch.kernel = value
-
-    @property
-    def scaling(self) -> float:
-        """Min-sum normalisation factor ``sigma`` (min-sum kernel only)."""
-        return self._batch.scaling
-
-    @scaling.setter
-    def scaling(self, value: float) -> None:
-        self._batch.scaling = validate_scaling(value)
-
     @property
     def early_termination(self) -> bool:
         """Stop a frame as soon as its hard decision is a codeword."""
         return self._batch.early_termination
-
-    @early_termination.setter
-    def early_termination(self, value: bool) -> None:
-        self._batch.early_termination = bool(value)
 
     def decode(self, channel_llrs: np.ndarray) -> FloodingDecoderResult:
         """Decode one frame of channel LLRs with the flooding schedule."""

@@ -27,8 +27,7 @@ import numpy as np
 
 from repro.errors import DecodingError
 from repro.ldpc.hmatrix import ParityCheckMatrix
-from repro.sim.batch import BatchLayeredDecoder, validate_scaling
-from repro.utils.validation import require_int
+from repro.sim.batch import BatchLayeredDecoder
 
 
 @dataclass
@@ -49,7 +48,10 @@ class LayeredMinSumDecoder:
 
     One frame at a time; delegates to
     :class:`repro.sim.batch.BatchLayeredDecoder` with ``batch=1`` so this
-    class and the batch engine agree bit-for-bit by construction.
+    class and the batch engine agree bit-for-bit by construction.  The
+    normalisation factor is the PEs' fixed ``sigma``,
+    :data:`repro.sim.batch.MIN_SUM_SCALING`.  A decoder is configured once,
+    at construction: its options are read-only.
 
     Parameters
     ----------
@@ -58,9 +60,6 @@ class LayeredMinSumDecoder:
     max_iterations:
         Maximum number of full iterations (every check processed once per
         iteration).  The paper uses 10 for WiMAX LDPC codes.
-    scaling:
-        Min-sum normalisation factor ``sigma``; 0.75 is the conventional
-        hardware-friendly choice (a shift-and-add multiplier).
     fixed_point:
         When true, channel LLRs are quantised to the paper's 7-bit format and
         extrinsic R messages to the 5-bit format before/after every update.
@@ -68,11 +67,12 @@ class LayeredMinSumDecoder:
         Stop as soon as the hard decision satisfies every parity check.
     """
 
+    __slots__ = ("_h", "_batch")
+
     def __init__(
         self,
         h: ParityCheckMatrix,
         max_iterations: int = 10,
-        scaling: float = 0.75,
         fixed_point: bool = False,
         early_termination: bool = True,
     ):
@@ -80,51 +80,24 @@ class LayeredMinSumDecoder:
         self._batch = BatchLayeredDecoder(
             h,
             max_iterations=max_iterations,
-            scaling=scaling,
-            kernel="min-sum",
             fixed_point=fixed_point,
             early_termination=early_termination,
         )
 
-    # The tunables live on the inner batch decoder (which reads them on every
-    # decode), so mutating them after construction keeps working as it did
-    # when this class held the loop itself.
     @property
     def max_iterations(self) -> int:
         """Maximum number of layered iterations per frame."""
         return self._batch.max_iterations
-
-    @max_iterations.setter
-    def max_iterations(self, value: int) -> None:
-        require_int("max_iterations", value, 1, DecodingError)
-        self._batch.max_iterations = int(value)
-
-    @property
-    def scaling(self) -> float:
-        """Min-sum normalisation factor ``sigma``."""
-        return self._batch.scaling
-
-    @scaling.setter
-    def scaling(self, value: float) -> None:
-        self._batch.scaling = validate_scaling(value)
 
     @property
     def fixed_point(self) -> bool:
         """Quantise to the paper's 7-bit/5-bit formats around every update."""
         return self._batch.fixed_point
 
-    @fixed_point.setter
-    def fixed_point(self, value: bool) -> None:
-        self._batch.fixed_point = bool(value)
-
     @property
     def early_termination(self) -> bool:
         """Stop a frame as soon as its hard decision is a codeword."""
         return self._batch.early_termination
-
-    @early_termination.setter
-    def early_termination(self, value: bool) -> None:
-        self._batch.early_termination = bool(value)
 
     @property
     def h(self) -> ParityCheckMatrix:

@@ -13,14 +13,19 @@ check node of every frame; this package amortises that overhead over a
 * :mod:`~repro.sim.kernels` — vectorised check-node updates (normalized
   min-sum, paper eq. (11), and the exact sum-product tanh rule) operating on
   ``(..., degree)`` arrays,
-* :class:`~repro.sim.batch.BatchFloodingDecoder` /
-  :class:`~repro.sim.batch.BatchLayeredDecoder` — schedule implementations
-  over ``(batch, n)`` LLR arrays with per-frame early termination; the
-  per-frame decoders in :mod:`repro.ldpc` delegate to these with ``batch=1``,
+* :class:`~repro.sim.batch.BatchLayeredDecoder` — the paper's schedule and
+  arithmetic: layered normalised min-sum with the PEs' fixed ``sigma``
+  (:data:`~repro.sim.batch.MIN_SUM_SCALING`), in float or the 7/5-bit
+  fixed-point datapath, and
+  :class:`~repro.sim.batch.BatchFloodingDecoder` — the two-phase reference
+  schedule with either kernel; both run over ``(batch, n)`` LLR arrays with
+  per-frame early termination, and the per-frame decoders in
+  :mod:`repro.ldpc` delegate to them with ``batch=1``,
 * :mod:`~repro.sim.turbo_batch` — the turbo half of the multi-standard
-  decoder: :class:`~repro.sim.turbo_batch.BatchBCJR` runs the duo-binary
+  decoder: :class:`~repro.sim.turbo_batch.BatchBCJR` runs the Max-Log-MAP
   alpha and beta recursions together in one loop over state-major
-  ``(4 edges, 16 states, batch)`` slabs, and
+  ``(4 edges, 16 states, batch)`` slabs, with the extrinsic scaled by the
+  fixed :data:`~repro.sim.turbo_batch.EXTRINSIC_SCALE`, and
   :class:`~repro.sim.turbo_batch.BatchTurboDecoder` alternates the
   two SISO activations with per-frame early exit on decision stability; the
   per-frame decoders in :mod:`repro.turbo` delegate with ``batch=1``,

@@ -17,7 +17,6 @@ iteration counts, same convergence flags.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from typing import TYPE_CHECKING, Protocol, runtime_checkable
 
 import numpy as np
@@ -32,6 +31,10 @@ if TYPE_CHECKING:  # imported lazily to avoid a cycle with repro.ldpc
     from repro.ldpc.hmatrix import ParityCheckMatrix
 
 _KERNELS = ("sum-product", "min-sum")
+
+#: Normalised min-sum factor ``sigma`` of paper eq. (11), hard-wired in the
+#: PEs as a shift-and-add multiplier.
+MIN_SUM_SCALING = 0.75
 
 
 @dataclass
@@ -107,14 +110,6 @@ class BatchDecoder(Protocol):
         ...
 
 
-def validate_scaling(scaling: float) -> float:
-    """``scaling`` as a float; :class:`DecodingError` unless it lies in ``(0, 1]``."""
-    value = float(scaling)
-    if not 0.0 < value <= 1.0:
-        raise DecodingError(f"scaling must be in (0, 1], got {scaling}")
-    return value
-
-
 def _validate_batch(llrs: np.ndarray, n_cols: int) -> np.ndarray:
     arr = np.asarray(llrs, dtype=np.float64)
     if arr.ndim != 2 or arr.shape[1] != n_cols:
@@ -135,7 +130,8 @@ class BatchFloodingDecoder:
     :class:`repro.ldpc.flooding.FloodingDecoder`.
 
     Parameters mirror the per-frame decoder: ``kernel`` selects the exact
-    sum-product tanh rule or the normalized min-sum of paper eq. (11).
+    sum-product tanh rule or the normalized min-sum of paper eq. (11) with
+    :data:`MIN_SUM_SCALING`.
     """
 
     def __init__(
@@ -143,7 +139,6 @@ class BatchFloodingDecoder:
         h: "ParityCheckMatrix",
         max_iterations: int = 20,
         kernel: str = "sum-product",
-        scaling: float = 0.75,
         early_termination: bool = True,
     ):
         require_int("max_iterations", max_iterations, 1, DecodingError)
@@ -154,7 +149,6 @@ class BatchFloodingDecoder:
         self._edges = EdgeIndex(h)
         self.max_iterations = int(max_iterations)
         self.kernel = kernel
-        self.scaling = validate_scaling(scaling)
         self.early_termination = bool(early_termination)
 
     @property
@@ -170,7 +164,7 @@ class BatchFloodingDecoder:
             if self.kernel == "sum-product":
                 out[:, group.edges] = sum_product_update(q)
             else:
-                out[:, group.edges] = min_sum_update(q, scaling=self.scaling)
+                out[:, group.edges] = min_sum_update(q, scaling=MIN_SUM_SCALING)
         return out
 
     def decode_batch(self, channel_llrs: np.ndarray) -> BatchDecodeResult:
@@ -248,6 +242,9 @@ def extrinsic_table(scaling: float) -> np.ndarray:
     return _r_levels(scaling * (np.arange(_Q_MAX + 1) * CHANNEL_LLR_SPEC.step))
 
 
+_EXTRINSIC_TABLE = extrinsic_table(MIN_SUM_SCALING)
+
+
 class BatchLayeredDecoder:
     """Layered (horizontal-schedule) decoder vectorised over frames and layers.
 
@@ -263,12 +260,14 @@ class BatchLayeredDecoder:
     n=576 r1/2).  The results are bit-identical to the check-by-check
     schedule.
 
-    The float decoder keeps ``(batch, n)`` float64 state and runs the check
-    kernel on ``(batch, z, d)`` tensors.  The fixed-point decoder runs on the
-    paper's integer words instead: int16 levels in a variable-major
-    ``(n, batch)`` layout, ``(z, d, batch)`` per layer, so the reductions over
-    the degree axis run on contiguous batch rows.  Its min-sum scales,
-    rounds and clips R through one lookup table (:func:`extrinsic_table`).
+    The check update is the paper's PE arithmetic, the normalised min-sum
+    of eq. (11) with ``sigma =`` :data:`MIN_SUM_SCALING`.  The float decoder
+    keeps ``(batch, n)`` float64 state and runs it on ``(batch, z, d)``
+    tensors.  The fixed-point decoder runs on the paper's integer words
+    instead: int16 levels in a variable-major ``(n, batch)`` layout,
+    ``(z, d, batch)`` per layer, so the reductions over the degree axis run
+    on contiguous batch rows.  Its min-sum scales, rounds and clips R
+    through one lookup table (:func:`extrinsic_table`), built once at import.
 
     ``converged`` matches :class:`repro.ldpc.layered.LayeredMinSumDecoder`:
     the latched "was ever a codeword" flag AND a zero final syndrome.
@@ -279,10 +278,6 @@ class BatchLayeredDecoder:
         Parity-check matrix of the code.
     max_iterations:
         Maximum full iterations (every check once); the paper uses 10.
-    scaling:
-        Min-sum normalisation factor ``sigma`` (min-sum kernel only).
-    kernel:
-        ``"min-sum"`` (the paper's PEs, default) or ``"sum-product"``.
     fixed_point:
         Hold channel/a-posteriori LLRs in the paper's 7-bit format and
         extrinsic R messages in the 5-bit format.
@@ -295,21 +290,13 @@ class BatchLayeredDecoder:
         self,
         h: "ParityCheckMatrix",
         max_iterations: int = 10,
-        scaling: float = 0.75,
-        kernel: str = "min-sum",
         fixed_point: bool = False,
         early_termination: bool = True,
     ):
         require_int("max_iterations", max_iterations, 1, DecodingError)
-        if kernel not in _KERNELS:
-            raise DecodingError(
-                f"kernel must be 'sum-product' or 'min-sum', got {kernel!r}"
-            )
         self._edges = EdgeIndex(h)
         self._layers = self._edges.layers()
         self.max_iterations = int(max_iterations)
-        self.scaling = validate_scaling(scaling)
-        self.kernel = kernel
         self.fixed_point = bool(fixed_point)
         self.early_termination = bool(early_termination)
         # Min-two keys ``|Q| << shift | position`` are distinct within a check;
@@ -330,29 +317,22 @@ class BatchLayeredDecoder:
         # full-size temporaries.
         q = lam[:, layer.cols]
         q -= r[:, layer.edges].reshape(q.shape)
-        if self.kernel == "sum-product":
-            r_new = sum_product_update(q)
-        else:
-            r_new = min_sum_update(q, scaling=self.scaling)
+        r_new = min_sum_update(q, scaling=MIN_SUM_SCALING)
         q += r_new
         lam[:, layer.cols] = q
         r[:, layer.edges] = r_new.reshape(q.shape[0], -1)
 
-    def _level_layer(self, lam: np.ndarray, r: np.ndarray, layer, table: np.ndarray) -> None:
+    def _level_layer(self, lam: np.ndarray, r: np.ndarray, layer) -> None:
         """One layer step on ``(n, batch)`` λ and ``(n_edges, batch)`` R int16 levels."""
         q = np.take(lam, layer.cols, axis=0)  # (z, d, active)
         q -= r[layer.edges].reshape(q.shape)
-        if self.kernel == "sum-product":
-            r_real = sum_product_update(np.moveaxis(q * CHANNEL_LLR_SPEC.step, 1, -1))
-            r_new = _r_levels(np.moveaxis(r_real, -1, 1))
-        else:
-            r_new = self._min_sum_levels(q, table)
+        r_new = self._min_sum_levels(q)
         q += r_new
         np.clip(q, _LAMBDA_MIN, _LAMBDA_MAX, out=q)
         lam[layer.cols] = q
         r[layer.edges] = r_new.reshape(-1, q.shape[-1])
 
-    def _min_sum_levels(self, q: np.ndarray, table: np.ndarray) -> np.ndarray:
+    def _min_sum_levels(self, q: np.ndarray) -> np.ndarray:
         """Normalised min-sum R levels over the degree axis (axis 1) of ``q``.
 
         Each edge sees the smallest ``|Q|`` of the other edges: min1 of its
@@ -377,8 +357,8 @@ class BatchLayeredDecoder:
         holder = keys >> (8 * keys.itemsize - 1)  # -1 at min1's edge, 0 elsewhere
         negative = q >> 15
         parity = np.bitwise_xor.reduce(negative, axis=1, keepdims=True)
-        first = (table[min1 >> shift] ^ parity) - parity
-        second = (table[min2 >> shift] ^ parity) - parity
+        first = (_EXTRINSIC_TABLE[min1 >> shift] ^ parity) - parity
+        second = (_EXTRINSIC_TABLE[min2 >> shift] ^ parity) - parity
         r_new = holder & (second - first)
         r_new += first
         r_new ^= negative
@@ -403,7 +383,7 @@ class BatchLayeredDecoder:
             frame_axis = 1
             act_lam = np.ascontiguousarray(_CHANNEL_QUANTIZER.quantize(llrs).T, dtype=np.int16)
             act_r = np.zeros((edges.n_edges, batch), dtype=np.int16)
-            layer_step = partial(self._level_layer, table=extrinsic_table(self.scaling))
+            layer_step = self._level_layer
         else:
             frame_axis = 0
             act_lam = llrs.copy()

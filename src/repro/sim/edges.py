@@ -173,10 +173,19 @@ class EdgeIndex:
         This is the a-posteriori accumulation of the flooding schedule: each
         variable receives the sum of the check-to-variable messages on its
         incident edges.  Columns without edges receive zero.
+
+        Each column sums from zero, one edge at a time in ascending row
+        order, so a frame's result does not depend on the batch it sits in.
+        (A ``sum`` over a gathered ``(batch, members, degree)`` tensor does:
+        NumPy sums a contiguous last axis pairwise from degree 8 on, which
+        at batch 1 rounds differently than the strided sum at batch > 1.)
         """
         out = np.zeros((edge_values.shape[0], self.n_cols), dtype=edge_values.dtype)
         for group in self.variable_groups:
-            out[:, group.members] = edge_values[:, group.edges].sum(axis=-1)
+            total = np.zeros((edge_values.shape[0], group.members.size), dtype=edge_values.dtype)
+            for position in range(group.degree):
+                total += edge_values[:, group.edges[:, position]]
+            out[:, group.members] = total
         return out
 
     def unsatisfied_counts(self, hard_bits: np.ndarray, axis: int = -1) -> np.ndarray:

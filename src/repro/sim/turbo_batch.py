@@ -5,10 +5,11 @@ This is the turbo twin of :mod:`repro.sim.batch`.  The per-frame BCJR in
 step of every frame; here one Python loop over the trellis serves the whole
 batch, and each step advances *both* recursions at once:
 
-* :class:`BatchBCJR` — one SISO activation over ``(batch, n_couples, 2)``
-  channel LLRs in Max-Log-MAP or Log-MAP flavour, with circular-state
-  inheritance (``initial_alpha`` / ``initial_beta`` per frame) and extrinsic
-  scaling, exactly mirroring :class:`repro.turbo.bcjr.BCJRDecoder`,
+* :class:`BatchBCJR` — one Max-Log-MAP SISO activation over
+  ``(batch, n_couples, 2)`` channel LLRs, with circular-state inheritance
+  (``initial_alpha`` / ``initial_beta`` per frame) and the extrinsic scaled
+  by :data:`EXTRINSIC_SCALE`, exactly mirroring
+  :class:`repro.turbo.bcjr.BCJRDecoder`,
 * :class:`BatchTurboDecoder` — the full iterative decoder: two SISO
   activations per iteration exchanging symbol-level (or bit-level, the NoC's
   BTS/STB path) extrinsic information through the CTC interleaver, with
@@ -39,7 +40,6 @@ hard symbols, extrinsics, iteration counts, convergence flags).
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -50,7 +50,9 @@ from repro.turbo.encoder import TurboEncoder
 from repro.turbo.trellis import NUM_STATES, NUM_SYMBOLS, DuoBinaryTrellis
 from repro.utils.validation import require_int
 
-_ALGORITHMS = ("max-log", "log-map")
+#: Extrinsic scaling factor ``sigma`` of paper Section II-A, hard-wired in
+#: the SISOs: it offsets the Max-Log-MAP approximation's overconfidence.
+EXTRINSIC_SCALE = 0.75
 
 #: Trellis steps whose branch-metric slabs the fused recursion gathers at
 #: once: enough to amortise the gather call, few enough to stay in cache.
@@ -76,7 +78,7 @@ class BatchBCJRResult:
 
     #: ``(B, n, 4)`` a-posteriori symbol log-probability differences.
     aposteriori: np.ndarray
-    #: ``(B, n, 4)`` extrinsic output (already scaled by ``extrinsic_scale``).
+    #: ``(B, n, 4)`` extrinsic output (already scaled by :data:`EXTRINSIC_SCALE`).
     extrinsic: np.ndarray
     #: ``(B, n)`` hard symbol decisions per trellis step.
     hard_symbols: np.ndarray
@@ -87,37 +89,17 @@ class BatchBCJRResult:
 
 
 class BatchBCJR:
-    """Max-Log-MAP / Log-MAP BCJR over ``(batch, n_couples, ...)`` tensors.
+    """Max-Log-MAP BCJR over ``(batch, n_couples, ...)`` tensors.
 
     :meth:`decode_state_major` is the one SISO core; :meth:`decode_batch` is
-    a batch-major adapter over it.  Parameters mirror
-    :class:`repro.turbo.bcjr.BCJRDecoder` (which delegates here with
-    ``batch=1``): ``algorithm`` selects plain maximum or the exact Jacobian
-    ``max*``; ``extrinsic_scale`` is the ``sigma <= 1`` factor of paper
-    Section II-A, forced to 1.0 for Log-MAP.
+    a batch-major adapter over it.  :class:`repro.turbo.bcjr.BCJRDecoder`
+    delegates here with ``batch=1``.  max* is the plain maximum, the paper's
+    choice for double-binary codes, and the extrinsic is scaled by
+    :data:`EXTRINSIC_SCALE`.
     """
 
-    def __init__(
-        self,
-        trellis: DuoBinaryTrellis | None = None,
-        algorithm: str = "max-log",
-        extrinsic_scale: float = 0.75,
-    ):
-        if algorithm not in _ALGORITHMS:
-            raise DecodingError(
-                f"algorithm must be 'max-log' or 'log-map', got {algorithm!r}"
-            )
-        if (
-            isinstance(extrinsic_scale, bool)
-            or not isinstance(extrinsic_scale, numbers.Real)
-            or not 0.0 < extrinsic_scale <= 1.0
-        ):
-            raise DecodingError(
-                f"extrinsic_scale must be a number in (0, 1], got {extrinsic_scale!r}"
-            )
+    def __init__(self, trellis: DuoBinaryTrellis | None = None):
         self.trellis = trellis if trellis is not None else DuoBinaryTrellis()
-        self.algorithm = algorithm
-        self.extrinsic_scale = 1.0 if algorithm == "log-map" else float(extrinsic_scale)
         next_state = self.trellis.next_state_table()  # (8, 4)
         in_state, in_symbol = self.trellis.incoming_table()  # (8, 4) each
         parity = self.trellis.parity_table().astype(np.int64)  # (8, 4, 2)
@@ -277,27 +259,8 @@ class BatchBCJR:
         systematic -= systematic[:, 0:1]
         extrinsic = np.subtract(apo, systematic, out=systematic)
         extrinsic -= apr_t - apr_t[:, 0:1]
-        extrinsic *= self.extrinsic_scale
+        extrinsic *= EXTRINSIC_SCALE
         return apo, extrinsic, final_alpha, final_beta
-
-    def _maxstar(self, edges: np.ndarray, axis: int, out: np.ndarray) -> None:
-        """Fold ``axis`` of ``edges`` into ``out`` with max* (``edges`` is consumed).
-
-        Log-MAP is ``peak + log(sum(exp(edge - peak)))`` with the
-        exponentials summed in index order along ``axis``.
-        """
-        if self.algorithm == "max-log":
-            np.maximum.reduce(edges, axis=axis, out=out)
-            return
-        peak = np.maximum.reduce(edges, axis=axis, keepdims=True)
-        edges -= peak
-        np.exp(edges, out=edges)
-        terms = np.moveaxis(edges, axis, 0)
-        np.add(terms[0], terms[1], out=out)
-        for term in terms[2:]:
-            out += term
-        np.log(out, out=out)
-        out += np.squeeze(peak, axis)
 
     def _recurse(self, metrics: np.ndarray, lattice: np.ndarray) -> None:
         """Fill ``lattice[1:]`` with the fused forward/backward recursion.
@@ -321,7 +284,7 @@ class BatchBCJR:
             for k in range(start, stop):
                 edges = lattice[k].take(self._step_rows, axis=0)  # (4, 16, batch)
                 edges += chunk[k - start]
-                self._maxstar(edges, 0, lattice[k + 1])
+                np.maximum.reduce(edges, axis=0, out=lattice[k + 1])
                 half = halves[k + 1]
                 half -= np.maximum.reduce(half, axis=1, keepdims=True)
 
@@ -342,7 +305,7 @@ class BatchBCJR:
             edges = metrics[start:stop].take(self._metric_index, axis=1)
             edges += alpha[start:stop]
             edges += beta_next[start:stop].take(self._next_state, axis=1)
-            self._maxstar(edges, 1, apo[start:stop])
+            np.maximum.reduce(edges, axis=1, out=apo[start:stop])
         return apo
 
     # ------------------------------------------------------------------ #
@@ -486,7 +449,8 @@ class BatchTurboDecoder:
     layout) and returns information-bit decisions.
 
     Parameters mirror :class:`repro.turbo.decoder.TurboDecoder`, which
-    delegates here with ``batch=1``.
+    delegates here with ``batch=1``.  The SISOs run Max-Log-MAP with the
+    extrinsic scaled by :data:`EXTRINSIC_SCALE`.
 
     Parameters
     ----------
@@ -496,9 +460,9 @@ class BatchTurboDecoder:
     max_iterations:
         Number of full iterations (two SISO activations each); the paper uses 8.
     algorithm:
-        ``"max-log"`` (paper's choice) or ``"log-map"``.
-    extrinsic_scale:
-        Scaling factor ``sigma`` applied to the extrinsic information.
+        Must be ``"max-log"``, the one SISO arithmetic; accepted so that
+        callers naming it keep working, and any other value raises
+        :class:`DecodingError`.
     bit_level_exchange:
         When true, extrinsic information is collapsed to bit level and rebuilt
         at the receiving SISO, mimicking the BTS/STB path used on the NoC
@@ -513,20 +477,17 @@ class BatchTurboDecoder:
         encoder: TurboEncoder,
         max_iterations: int = 8,
         algorithm: str = "max-log",
-        extrinsic_scale: float = 0.75,
         bit_level_exchange: bool = False,
         early_termination: bool = True,
     ):
         require_int("max_iterations", max_iterations, 1, DecodingError)
+        if algorithm != "max-log":
+            raise DecodingError(f"algorithm must be 'max-log', got {algorithm!r}")
         self.encoder = encoder
         self.max_iterations = int(max_iterations)
         self.bit_level_exchange = bool(bit_level_exchange)
         self.early_termination = bool(early_termination)
-        self._siso = BatchBCJR(
-            encoder.trellis,
-            algorithm=algorithm,
-            extrinsic_scale=extrinsic_scale,
-        )
+        self._siso = BatchBCJR(encoder.trellis)
         self._n_couples = encoder.n_couples
         # Interleaved couple i is natural couple perm[i], its bits A and B
         # swapped (symbols 1 and 2 exchanged) where the swap flag is set.
@@ -540,16 +501,6 @@ class BatchTurboDecoder:
         self._deinterleave_symbols[self._interleave_symbols] = np.arange(
             self._interleave_symbols.size
         )
-
-    @property
-    def algorithm(self) -> str:
-        """``"max-log"`` or ``"log-map"``."""
-        return self._siso.algorithm
-
-    @property
-    def extrinsic_scale(self) -> float:
-        """Scaling factor applied to the extrinsic information."""
-        return self._siso.extrinsic_scale
 
     #: The turbo decoder decides the (systematic) information bits, not the
     #: whole codeword — :class:`repro.sim.runner.BerRunner` reads this flag

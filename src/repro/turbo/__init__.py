@@ -10,8 +10,8 @@ almost-regular permutation.  This package provides:
   CTC interleaver,
 * :class:`~repro.turbo.encoder.TurboEncoder` — circular encoding and rate-1/2
   puncturing,
-* :class:`~repro.turbo.bcjr.BCJRDecoder` — Log-MAP / Max-Log-MAP symbol-level
-  BCJR (paper eqs. (1)-(5)),
+* :class:`~repro.turbo.bcjr.BCJRDecoder` — Max-Log-MAP symbol-level BCJR
+  (paper eqs. (1)-(5)) with the fixed extrinsic scaling ``sigma = 0.75``,
 * :class:`~repro.turbo.decoder.TurboDecoder` — the iterative exchange of
   extrinsic information between the two SISOs,
 * :mod:`~repro.turbo.bits` — bit-level <-> symbol-level extrinsic conversion

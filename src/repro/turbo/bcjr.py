@@ -4,12 +4,9 @@ Implements paper eqs. (1)-(5): branch metrics ``gamma`` from channel and
 a-priori information, forward/backward recursions ``alpha``/``beta`` with the
 max* operator, and a-posteriori / extrinsic outputs per uncoded symbol.
 
-Two flavours of max* are provided:
-
-* ``"max-log"`` — plain maximum (Max-Log-MAP), the paper's choice for
-  double-binary codes, optionally with extrinsic scaling ``sigma <= 1``;
-* ``"log-map"`` — maximum plus the Jacobian correction term (Log-MAP), the
-  exact algorithm the correction LUT approximates.
+max* is the plain maximum (Max-Log-MAP), the paper's choice for
+double-binary codes, and the extrinsic output is scaled by the SISOs' fixed
+``sigma``, :data:`repro.sim.turbo_batch.EXTRINSIC_SCALE` (0.75).
 
 Symbol-level quantities (a-priori, a-posteriori, extrinsic) are represented
 as length-4 vectors of log-probability differences with respect to symbol 0,
@@ -48,7 +45,7 @@ class BCJRResult:
 
 
 class BCJRDecoder:
-    """Max-Log-MAP / Log-MAP decoder over the duo-binary trellis.
+    """Max-Log-MAP decoder over the duo-binary trellis.
 
     All arithmetic delegates to :class:`repro.sim.turbo_batch.BatchBCJR`
     with ``batch=1``, so this class and the batch kernel agree bit-for-bit
@@ -58,41 +55,18 @@ class BCJRDecoder:
     ----------
     trellis:
         The (shared, stateless) trellis section.
-    algorithm:
-        ``"max-log"`` or ``"log-map"``.
-    extrinsic_scale:
-        The ``sigma <= 1`` factor applied to the extrinsic output
-        (paper Section II-A); 0.75 is the usual Max-Log-MAP choice and the
-        factor is forced to 1.0 for Log-MAP.
     """
 
-    def __init__(
-        self,
-        trellis: DuoBinaryTrellis | None = None,
-        algorithm: str = "max-log",
-        extrinsic_scale: float = 0.75,
-    ):
+    def __init__(self, trellis: DuoBinaryTrellis | None = None):
         # Imported lazily: repro.sim.turbo_batch itself imports repro.turbo.
         from repro.sim.turbo_batch import BatchBCJR
 
-        self._batch = BatchBCJR(
-            trellis, algorithm=algorithm, extrinsic_scale=extrinsic_scale
-        )
+        self._batch = BatchBCJR(trellis)
 
     @property
     def trellis(self) -> DuoBinaryTrellis:
         """The trellis section this decoder runs on."""
         return self._batch.trellis
-
-    @property
-    def algorithm(self) -> str:
-        """``"max-log"`` or ``"log-map"``."""
-        return self._batch.algorithm
-
-    @property
-    def extrinsic_scale(self) -> float:
-        """Scaling factor applied to the extrinsic output (1.0 for Log-MAP)."""
-        return self._batch.extrinsic_scale
 
     def decode(
         self,

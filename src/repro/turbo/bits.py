@@ -19,25 +19,17 @@ import numpy as np
 from repro.errors import DecodingError
 
 
-def _maxstar_pair(x: np.ndarray, y: np.ndarray, exact: bool) -> np.ndarray:
-    """Pairwise max* of two arrays."""
-    if not exact:
-        return np.maximum(x, y)
-    peak = np.maximum(x, y)
-    return peak + np.log1p(np.exp(-np.abs(x - y)))
-
-
-def symbol_to_bit_extrinsic(symbol_extrinsic: np.ndarray, exact: bool = False) -> np.ndarray:
+def symbol_to_bit_extrinsic(symbol_extrinsic: np.ndarray) -> np.ndarray:
     """Marginalise symbol-level extrinsic into bit-level LLRs (the STB unit).
+
+    Max-log marginalisation, the same max* as the SISOs: each bit LLR is the
+    largest symbol value with the bit at 0 minus the largest with it at 1.
 
     Parameters
     ----------
     symbol_extrinsic:
         ``(..., n_couples, 4)`` array of ``log p(u)/p(0)`` values; any leading
         axes (e.g. a batch axis) are preserved.
-    exact:
-        Use the exact Jacobian (log-sum-exp) marginalisation instead of the
-        max-log approximation.
 
     Returns
     -------
@@ -48,12 +40,8 @@ def symbol_to_bit_extrinsic(symbol_extrinsic: np.ndarray, exact: bool = False) -
     if vals.ndim < 2 or vals.shape[-1] != 4:
         raise DecodingError("symbol_extrinsic must have shape (..., n_couples, 4)")
     # Symbols: 0 = (A=0,B=0), 1 = (0,1), 2 = (1,0), 3 = (1,1).
-    llr_a = _maxstar_pair(vals[..., 0], vals[..., 1], exact) - _maxstar_pair(
-        vals[..., 2], vals[..., 3], exact
-    )
-    llr_b = _maxstar_pair(vals[..., 0], vals[..., 2], exact) - _maxstar_pair(
-        vals[..., 1], vals[..., 3], exact
-    )
+    llr_a = np.maximum(vals[..., 0], vals[..., 1]) - np.maximum(vals[..., 2], vals[..., 3])
+    llr_b = np.maximum(vals[..., 0], vals[..., 2]) - np.maximum(vals[..., 1], vals[..., 3])
     return np.stack([llr_a, llr_b], axis=-1)
 
 

@@ -23,7 +23,6 @@ import numpy as np
 
 from repro.errors import DecodingError
 from repro.turbo.encoder import TurboEncoder
-from repro.utils.validation import require_int
 
 if TYPE_CHECKING:  # imported lazily at runtime to avoid a cycle with repro.sim
     from repro.sim.turbo_batch import BatchTurboDecoder
@@ -46,7 +45,10 @@ class TurboDecoder:
 
     All message passing delegates to
     :class:`repro.sim.turbo_batch.BatchTurboDecoder` with ``batch=1``, so
-    this class and the batch engine agree bit-for-bit by construction.
+    this class and the batch engine agree bit-for-bit by construction.  The
+    SISOs run Max-Log-MAP with the extrinsic scaled by
+    :data:`repro.sim.turbo_batch.EXTRINSIC_SCALE`.  A decoder is configured
+    once, at construction: its options are read-only.
 
     Parameters
     ----------
@@ -56,9 +58,7 @@ class TurboDecoder:
     max_iterations:
         Number of full iterations (two SISO activations each); the paper uses 8.
     algorithm:
-        ``"max-log"`` (paper's choice) or ``"log-map"``.
-    extrinsic_scale:
-        Scaling factor ``sigma`` applied to the extrinsic information.
+        Must be ``"max-log"``, as for the batch decoder.
     bit_level_exchange:
         When true, extrinsic information is collapsed to bit level and rebuilt
         at the receiving SISO, mimicking the BTS/STB path used on the NoC
@@ -68,12 +68,13 @@ class TurboDecoder:
         iterations.
     """
 
+    __slots__ = ("_batch",)
+
     def __init__(
         self,
         encoder: TurboEncoder,
         max_iterations: int = 8,
         algorithm: str = "max-log",
-        extrinsic_scale: float = 0.75,
         bit_level_exchange: bool = False,
         early_termination: bool = True,
     ):
@@ -84,51 +85,29 @@ class TurboDecoder:
             encoder,
             max_iterations=max_iterations,
             algorithm=algorithm,
-            extrinsic_scale=extrinsic_scale,
             bit_level_exchange=bit_level_exchange,
             early_termination=early_termination,
         )
-        self.encoder = encoder
 
-    # The tunables live on the inner batch decoder (which reads them on every
-    # decode), so mutating them after construction keeps working.
+    @property
+    def encoder(self) -> TurboEncoder:
+        """The encoder whose frames this decoder decodes."""
+        return self._batch.encoder
+
     @property
     def max_iterations(self) -> int:
         """Maximum number of full turbo iterations per frame."""
         return self._batch.max_iterations
-
-    @max_iterations.setter
-    def max_iterations(self, value: int) -> None:
-        require_int("max_iterations", value, 1, DecodingError)
-        self._batch.max_iterations = int(value)
 
     @property
     def bit_level_exchange(self) -> bool:
         """Exchange bit-level (BTS/STB) instead of symbol-level extrinsics."""
         return self._batch.bit_level_exchange
 
-    @bit_level_exchange.setter
-    def bit_level_exchange(self, value: bool) -> None:
-        self._batch.bit_level_exchange = bool(value)
-
     @property
     def early_termination(self) -> bool:
         """Stop a frame once its hard decisions repeat across iterations."""
         return self._batch.early_termination
-
-    @early_termination.setter
-    def early_termination(self, value: bool) -> None:
-        self._batch.early_termination = bool(value)
-
-    @property
-    def algorithm(self) -> str:
-        """``"max-log"`` or ``"log-map"``."""
-        return self._batch.algorithm
-
-    @property
-    def extrinsic_scale(self) -> float:
-        """Scaling factor applied to the extrinsic information."""
-        return self._batch.extrinsic_scale
 
     # ------------------------------------------------------------------ #
     # Decoding

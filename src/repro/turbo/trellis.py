@@ -147,9 +147,10 @@ class DuoBinaryTrellis:
 
         Returns ``(in_state, in_symbol)``, each of shape ``(8, 4)``: entry
         ``[t, i]`` is the source state / input symbol of the ``i``-th edge
-        arriving at state ``t``, in flat ``(state, symbol)`` scan order —
-        the same order the scatter in the sequential recursion visits, which
-        is what keeps the batched Log-MAP bit-identical.
+        arriving at state ``t``, in flat ``(state, symbol)`` scan order,
+        the order the scatter in the sequential recursion visits.  The
+        Max-Log-MAP maximum is exact in any order, so the order only fixes
+        which edge is which.
         """
         return self._in_state.copy(), self._in_symbol.copy()
 

@@ -100,22 +100,6 @@ class TestTurboChainIntegration:
             result = decoder.decode(*decoder.split_llrs(llrs))
             assert np.array_equal(result.hard_bits, info)
 
-    def test_max_log_and_log_map_both_decode(self):
-        encoder = TurboEncoder(n_couples=48)
-        rng = np.random.default_rng(13)
-        modulator = BPSKModulator()
-        sigma = ebn0_to_noise_sigma(2.5, 0.5)
-        info = rng.integers(0, 2, encoder.k)
-        channel = AWGNChannel(sigma, rng)
-        llrs = modulator.demodulate_llr(
-            channel.transmit(modulator.modulate(encoder.encode(info).to_bit_array())),
-            channel.llr_noise_variance(False),
-        )
-        for algorithm in ("max-log", "log-map"):
-            decoder = TurboDecoder(encoder, max_iterations=8, algorithm=algorithm)
-            result = decoder.decode(*decoder.split_llrs(llrs))
-            assert np.array_equal(result.hard_bits, info)
-
 
 class TestSystemLevelIntegration:
     """Full design-flow integration on small instances."""

@@ -12,12 +12,14 @@ equivalence alone is circular.  :func:`_check_serial_layered` is the
 independent oracle: the seed's check-by-check loop over the scalar check
 kernel, with no edge index, no layers and no batch axis.  The layer-parallel
 batch decoder is pinned to it bit for bit (LLR bit patterns, ``-0.0``
-included).
+included).  :func:`_check_serial_flooding` does the same for the flooding
+decoder's two kernels.
 """
 
 from __future__ import annotations
 
-from functools import partial
+from functools import reduce
+from operator import add
 
 import numpy as np
 import pytest
@@ -56,7 +58,7 @@ from repro.sim import (
     wilson_interval,
 )
 from repro.sim.batch import extrinsic_table
-from repro.turbo import TurboEncoder
+from repro.turbo import TurboDecoder, TurboEncoder
 
 
 def _llr_batch(code, batch: int, ebn0_db: float, seed: int) -> tuple[np.ndarray, np.ndarray]:
@@ -188,19 +190,6 @@ class TestLayeredOracle:
             early_termination=early_termination, update=_min_sum_check,
         )
 
-    @pytest.mark.parametrize("code_name", sorted(_ORACLE_CODES))
-    @pytest.mark.parametrize("fixed_point", [False, True])
-    def test_sum_product(self, code_name, fixed_point):
-        code = _ORACLE_CODES[code_name]()
-        llrs = _mixed_snr_llrs(code, seed=29)
-        decoder = BatchLayeredDecoder(
-            code.h, max_iterations=6, kernel="sum-product", fixed_point=fixed_point
-        )
-        _assert_matches_oracle(
-            code.h, llrs, decoder.decode_batch(llrs), max_iterations=6,
-            fixed_point=fixed_point, early_termination=True, update=sum_product_update,
-        )
-
     @given(
         rows=st.lists(
             st.sets(st.integers(0, 7), min_size=2, max_size=4), min_size=2, max_size=8
@@ -225,19 +214,16 @@ class TestLayeredOracle:
         )
 
     @pytest.mark.parametrize("code_name", sorted(_ORACLE_CODES))
-    @pytest.mark.parametrize("scaling", [0.75, 0.8, 1.0])
-    def test_fixed_point_min_sum_scalings_and_edge_llrs(self, code_name, scaling):
+    def test_fixed_point_min_sum_edge_llrs(self, code_name):
         """Every iteration runs (no early exit), so saturated λ keeps recirculating."""
         code = _ORACLE_CODES[code_name]()
         llrs = _edge_case_llrs(code, seed=17)
         decoder = BatchLayeredDecoder(
-            code.h, max_iterations=6, scaling=scaling, fixed_point=True,
-            early_termination=False,
+            code.h, max_iterations=6, fixed_point=True, early_termination=False
         )
         _assert_matches_oracle(
             code.h, llrs, decoder.decode_batch(llrs), max_iterations=6,
-            fixed_point=True, early_termination=False,
-            update=partial(min_sum_check_update, scaling=scaling),
+            fixed_point=True, early_termination=False, update=_min_sum_check,
         )
 
     def test_fixed_point_min_sum_wide_check(self):
@@ -249,43 +235,11 @@ class TestLayeredOracle:
         )
         llrs = np.random.default_rng(3).normal(1.0, 40.0, (3, 300))
         llrs[0, :8] = _EDGE_LLRS
-        decoder = BatchLayeredDecoder(h, max_iterations=3, scaling=1.0, fixed_point=True)
+        decoder = BatchLayeredDecoder(h, max_iterations=3, fixed_point=True)
         _assert_matches_oracle(
             h, llrs, decoder.decode_batch(llrs), max_iterations=3, fixed_point=True,
-            early_termination=True, update=partial(min_sum_check_update, scaling=1.0),
+            early_termination=True, update=_min_sum_check,
         )
-
-    @pytest.mark.parametrize(
-        "before, change",
-        [
-            ({"scaling": 0.75, "fixed_point": True}, {"scaling": 0.8}),
-            ({"scaling": 0.8, "fixed_point": False}, {"fixed_point": True}),
-            ({"scaling": 0.8, "fixed_point": True}, {"fixed_point": False}),
-        ],
-        ids=["scaling", "fixed-point-on", "fixed-point-off"],
-    )
-    def test_facade_setters_reach_the_decode(self, before, change):
-        """Setters after construction decode like a fresh decoder and the oracle."""
-        code = _ORACLE_CODES["wimax576-1/2"]()
-        llrs = _edge_case_llrs(code, seed=17)
-        decoder = LayeredMinSumDecoder(code.h, max_iterations=6, **before)
-        decoder.decode(llrs[0])  # one decode at the old setting
-        for name, value in change.items():
-            setattr(decoder, name, value)
-        after = {**before, **change}
-        fresh = LayeredMinSumDecoder(code.h, max_iterations=6, **after)
-        for frame_llrs in llrs:
-            got, want = decoder.decode(frame_llrs), fresh.decode(frame_llrs)
-            assert np.array_equal(got.llrs.view(np.int64), want.llrs.view(np.int64))
-            assert got.iterations == want.iterations
-            assert got.unsatisfied_history == want.unsatisfied_history
-            lam, iterations, converged, _ = _check_serial_layered(
-                code.h, frame_llrs, max_iterations=6, fixed_point=after["fixed_point"],
-                early_termination=True,
-                update=partial(min_sum_check_update, scaling=after["scaling"]),
-            )
-            assert np.array_equal(got.llrs.view(np.int64), lam.view(np.int64))
-            assert (got.iterations, got.converged) == (iterations, converged)
 
     @given(scaling=st.floats(0.0, 1.0, exclude_min=True))
     @settings(max_examples=80, deadline=None)
@@ -299,27 +253,123 @@ class TestLayeredOracle:
         assert np.array_equal(table * CHANNEL_LLR_SPEC.step, expected)
 
 
-class TestScalingValidation:
-    @pytest.mark.parametrize("scaling", [-2.0, 0.0, 1.5, float("nan")])
-    def test_batch_constructors_reject(self, small_ldpc_code, scaling):
-        with pytest.raises(DecodingError):
-            BatchFloodingDecoder(small_ldpc_code.h, kernel="min-sum", scaling=scaling)
-        with pytest.raises(DecodingError):
-            BatchLayeredDecoder(small_ldpc_code.h, scaling=scaling)
+def _check_serial_flooding(h, channel_llrs, *, max_iterations, early_termination, update):
+    """Check-by-check two-phase (flooding) decode of one frame.
 
-    @pytest.mark.parametrize("facade", [LayeredMinSumDecoder, FloodingDecoder])
-    def test_facade_setters_reject(self, small_ldpc_code, facade):
-        decoder = facade(small_ldpc_code.h)
-        with pytest.raises(DecodingError):
-            decoder.scaling = 5.0
-        assert decoder.scaling == 0.75
-        decoder.scaling = 1.0
-        assert decoder.scaling == 1.0
+    Every check reads the previous iteration's posterior, and each column
+    then sums its incoming messages from zero in ascending check order.  Returns
+    ``(llrs, iterations, converged, unsatisfied_history)`` with the batch
+    decoder's semantics: ``converged`` latches at the first iteration whose
+    hard decision is a codeword.
+    """
+    rows = [h.row(r) for r in range(h.n_rows)]
+    llrs = np.asarray(channel_llrs, dtype=np.float64)
+    posterior = llrs.copy()
+    r_messages = [np.zeros(cols.size) for cols in rows]
+    history: list[int] = []
+    for _ in range(max_iterations):
+        r_messages = [update(posterior[cols] - r) for cols, r in zip(rows, r_messages)]
+        incoming: list[list[float]] = [[] for _ in range(h.n_cols)]
+        for cols, r_new in zip(rows, r_messages):
+            for col, message in zip(cols.tolist(), r_new):
+                incoming[col].append(message)
+        posterior = llrs + np.array([reduce(add, m, 0.0) for m in incoming])
+        history.append(int(h.syndrome(posterior < 0).sum()))
+        if history[-1] == 0 and early_termination:
+            break
+    return posterior, len(history), 0 in history, history
 
-    def test_unit_scaling_decodes_noiseless_frame(self, small_ldpc_code):
-        decoder = BatchFloodingDecoder(small_ldpc_code.h, kernel="min-sum", scaling=1.0)
-        result = decoder.decode_batch(np.ones((1, small_ldpc_code.n)))
-        assert result.converged.all() and not result.hard_bits.any()
+
+def _sum_product_check(q_values: np.ndarray) -> np.ndarray:
+    return sum_product_update(q_values[None, :])[0]
+
+
+_FLOODING_UPDATES = {"min-sum": _min_sum_check, "sum-product": _sum_product_check}
+
+
+def _assert_matches_flooding_oracle(h, llrs, result, **oracle_kwargs) -> None:
+    for frame in range(llrs.shape[0]):
+        posterior, iterations, converged, history = _check_serial_flooding(
+            h, llrs[frame], **oracle_kwargs
+        )
+        assert np.array_equal(result.llrs[frame].view(np.int64), posterior.view(np.int64))
+        assert int(result.iterations[frame]) == iterations
+        assert bool(result.converged[frame]) == converged
+        assert result.unsatisfied_history[frame] == history
+        assert int(result.syndrome_weights[frame]) == int(h.syndrome(posterior < 0).sum())
+
+
+class TestFloodingOracle:
+    """Edge-parallel flooding == the check-serial two-phase schedule, bit for bit.
+
+    The per-frame :class:`FloodingDecoder` delegates to the batch engine, so
+    only this scalar oracle witnesses either kernel's arithmetic.
+    """
+
+    @pytest.mark.parametrize("code_name", sorted(_ORACLE_CODES))
+    @pytest.mark.parametrize("kernel", ["min-sum", "sum-product"])
+    @pytest.mark.parametrize("early_termination", [True, False])
+    def test_flooding(self, code_name, kernel, early_termination):
+        code = _ORACLE_CODES[code_name]()
+        llrs = _mixed_snr_llrs(code, seed=29)
+        decoder = BatchFloodingDecoder(
+            code.h, max_iterations=6, kernel=kernel, early_termination=early_termination
+        )
+        result = decoder.decode_batch(llrs)
+        # Some frames reach a codeword and some never do.
+        assert 0 < sum(0 in h for h in result.unsatisfied_history) < llrs.shape[0]
+        _assert_matches_flooding_oracle(
+            code.h, llrs, result, max_iterations=6,
+            early_termination=early_termination, update=_FLOODING_UPDATES[kernel],
+        )
+
+    @pytest.mark.parametrize("code_name", sorted(_ORACLE_CODES))
+    @pytest.mark.parametrize("kernel", ["min-sum", "sum-product"])
+    def test_edge_llrs(self, code_name, kernel):
+        """Signed zeros and ±1e9 LLRs (clipped by sum-product) run every iteration."""
+        code = _ORACLE_CODES[code_name]()
+        llrs = _edge_case_llrs(code, seed=17)
+        decoder = BatchFloodingDecoder(
+            code.h, max_iterations=6, kernel=kernel, early_termination=False
+        )
+        _assert_matches_flooding_oracle(
+            code.h, llrs, decoder.decode_batch(llrs), max_iterations=6,
+            early_termination=False, update=_FLOODING_UPDATES[kernel],
+        )
+
+    @pytest.mark.parametrize("kernel", ["min-sum", "sum-product"])
+    def test_wide_check(self, kernel):
+        """A degree-300 check next to degree-2 ones: two check groups, one pass."""
+        h = ParityCheckMatrix(
+            [list(range(300))] + [[c, c + 1] for c in range(0, 300, 2)], 300
+        )
+        llrs = np.random.default_rng(3).normal(1.0, 4.0, (3, 300))
+        llrs[0, :8] = _EDGE_LLRS
+        decoder = BatchFloodingDecoder(h, max_iterations=3, kernel=kernel)
+        _assert_matches_flooding_oracle(
+            h, llrs, decoder.decode_batch(llrs), max_iterations=3,
+            early_termination=True, update=_FLOODING_UPDATES[kernel],
+        )
+
+    @pytest.mark.parametrize("kernel", ["min-sum", "sum-product"])
+    @given(
+        rows=st.lists(
+            st.sets(st.integers(0, 7), min_size=2, max_size=4), min_size=2, max_size=8
+        ),
+        seed=st.integers(0, 2**16),
+        early_termination=st.booleans(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_random_non_qc_matrix(self, kernel, rows, seed, early_termination):
+        h = ParityCheckMatrix([sorted(row) for row in rows], 8)
+        llrs = np.random.default_rng(seed).normal(1.0, 2.0, (3, 8))
+        decoder = BatchFloodingDecoder(
+            h, max_iterations=4, kernel=kernel, early_termination=early_termination
+        )
+        _assert_matches_flooding_oracle(
+            h, llrs, decoder.decode_batch(llrs), max_iterations=4,
+            early_termination=early_termination, update=_FLOODING_UPDATES[kernel],
+        )
 
 
 class TestIterationValidation:
@@ -329,15 +379,40 @@ class TestIterationValidation:
         with pytest.raises(DecodingError, match="max_iterations"):
             decoder_cls(small_ldpc_code.h, max_iterations=value)
 
-    @pytest.mark.parametrize("value", [0, -3, 2.7, True, "3"])
-    @pytest.mark.parametrize("facade", [LayeredMinSumDecoder, FloodingDecoder])
-    def test_facade_setters_reject(self, small_ldpc_code, facade, value):
-        decoder = facade(small_ldpc_code.h, max_iterations=4)
-        with pytest.raises(DecodingError, match="max_iterations"):
-            decoder.max_iterations = value
-        assert decoder.max_iterations == 4
-        decoder.max_iterations = np.int64(6)
-        assert decoder.max_iterations == 6 and type(decoder.max_iterations) is int
+
+#: Every option the per-frame facades take at construction, with a value to
+#: try assigning afterwards.  ``scaling`` is no option at all (sigma is a
+#: constant), so assigning it must not create a silently ignored attribute.
+_FACADE_OPTIONS = [
+    (LayeredMinSumDecoder, "max_iterations", 3),
+    (LayeredMinSumDecoder, "scaling", 0.8),
+    (LayeredMinSumDecoder, "fixed_point", "yes"),
+    (LayeredMinSumDecoder, "early_termination", False),
+    (FloodingDecoder, "max_iterations", 3),
+    (FloodingDecoder, "kernel", "bogus"),
+    (FloodingDecoder, "scaling", 0.8),
+    (FloodingDecoder, "early_termination", False),
+    (TurboDecoder, "max_iterations", 3),
+    (TurboDecoder, "bit_level_exchange", True),
+    (TurboDecoder, "early_termination", False),
+]
+
+
+@pytest.mark.parametrize(
+    "facade, option, value",
+    _FACADE_OPTIONS,
+    ids=[f"{facade.__name__}-{option}" for facade, option, _ in _FACADE_OPTIONS],
+)
+def test_facade_options_are_set_once(
+    small_ldpc_code, small_turbo_encoder, facade, option, value
+):
+    """A facade is configured at construction only: assigning an option raises."""
+    code = small_turbo_encoder if facade is TurboDecoder else small_ldpc_code.h
+    decoder = facade(code)
+    before = getattr(decoder, option, None)
+    with pytest.raises(AttributeError):
+        setattr(decoder, option, value)
+    assert getattr(decoder, option, None) == before
 
 
 class TestBatchSequentialEquivalence:
@@ -397,26 +472,17 @@ class TestBatchSequentialEquivalence:
             assert int(result.syndrome_weights[frame]) == reference.syndrome_weight
             assert result.unsatisfied_history[frame] == reference.unsatisfied_history
 
-    def test_layered_sum_product_kernel_batch_invariant(self, small_ldpc_code):
-        """The extra layered kernel has no per-frame twin; pin batch == batch-of-1."""
-        _, llrs = _llr_batch(small_ldpc_code, 4, ebn0_db=1.5, seed=5)
+    @pytest.mark.parametrize("fixed_point", [False, True])
+    def test_layered_rejects_single_edge_check(self, fixed_point):
         decoder = BatchLayeredDecoder(
-            small_ldpc_code.h, max_iterations=6, kernel="sum-product"
+            ParityCheckMatrix([[0], [0, 1]], 2), fixed_point=fixed_point
         )
-        result = decoder.decode_batch(llrs)
-        for frame in range(llrs.shape[0]):
-            single = decoder.decode_batch(llrs[frame][None, :])
-            assert np.array_equal(result.hard_bits[frame], single.hard_bits[0])
-            assert np.array_equal(result.llrs[frame], single.llrs[0])
-            assert int(result.iterations[frame]) == int(single.iterations[0])
-            assert bool(result.converged[frame]) == bool(single.converged[0])
+        with pytest.raises(DecodingError, match="at least two edge messages"):
+            decoder.decode_batch(np.ones((1, 2)))
 
     @pytest.mark.parametrize("kernel", ["min-sum", "sum-product"])
-    @pytest.mark.parametrize("fixed_point", [False, True])
-    def test_layered_rejects_single_edge_check(self, kernel, fixed_point):
-        decoder = BatchLayeredDecoder(
-            ParityCheckMatrix([[0], [0, 1]], 2), kernel=kernel, fixed_point=fixed_point
-        )
+    def test_flooding_rejects_single_edge_check(self, kernel):
+        decoder = BatchFloodingDecoder(ParityCheckMatrix([[0], [0, 1]], 2), kernel=kernel)
         with pytest.raises(DecodingError, match="at least two edge messages"):
             decoder.decode_batch(np.ones((1, 2)))
 
@@ -455,6 +521,16 @@ class TestKernels:
         out = min_sum_update(q, scaling=0.75)
         reference = min_sum_check_update(np.array(values), scaling=0.75)
         for row in range(batch):
+            assert np.array_equal(_bits(out[row]), _bits(reference))
+
+    @pytest.mark.parametrize("scaling", [0.5, 0.625, 0.8, 0.875, 1.0])
+    def test_min_sum_scaling_matches_scalar_reference(self, scaling):
+        """The kernel's sigma argument: every edge equals the scalar update bitwise."""
+        q = np.random.default_rng(5).normal(0.0, 6.0, (4, 7))
+        q[0, :4] = [0.0, -0.0, 1e9, -1e9]
+        out = min_sum_update(q, scaling=scaling)
+        for row in range(q.shape[0]):
+            reference = min_sum_check_update(q[row], scaling=scaling)
             assert np.array_equal(_bits(out[row]), _bits(reference))
 
     def test_min_sum_negative_zero_regression(self):
@@ -511,6 +587,15 @@ class TestEdgeIndex:
         counts = edges.unsatisfied_counts(words)
         for frame in range(words.shape[0]):
             assert counts[frame] == int(small_ldpc_code.h.syndrome(words[frame]).sum())
+
+    def test_accumulate_columns_is_batch_invariant(self, rng):
+        """802.11n columns have degree 11: a frame sums the same alone or stacked."""
+        edges = EdgeIndex(wifi_ldpc_code(1944, "1/2").h)
+        values = rng.normal(0.0, 10.0, (4, edges.n_edges))
+        accumulated = edges.accumulate_columns(values)
+        for frame in range(values.shape[0]):
+            alone = edges.accumulate_columns(values[frame : frame + 1])[0]
+            assert np.array_equal(alone.view(np.int64), accumulated[frame].view(np.int64))
 
     def test_accumulate_columns_matches_rowwise_scatter(self, small_ldpc_code, rng):
         edges = EdgeIndex(small_ldpc_code.h)

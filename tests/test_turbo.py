@@ -184,24 +184,6 @@ class TestBCJR:
         result = BCJRDecoder().decode(sys_llrs, par1)
         assert np.allclose(result.aposteriori[:, 0], 0.0)
 
-    def test_log_map_and_max_log_agree_at_high_snr(self, small_turbo_encoder, rng):
-        info = rng.integers(0, 2, small_turbo_encoder.k)
-        _, sys_llrs, par1 = self._noiseless_llrs(small_turbo_encoder, info)
-        max_log = BCJRDecoder(algorithm="max-log").decode(sys_llrs, par1)
-        log_map = BCJRDecoder(algorithm="log-map").decode(sys_llrs, par1)
-        assert np.array_equal(max_log.hard_symbols, log_map.hard_symbols)
-
-    def test_extrinsic_scale_applied(self, small_turbo_encoder, rng):
-        info = rng.integers(0, 2, small_turbo_encoder.k)
-        _, sys_llrs, par1 = self._noiseless_llrs(small_turbo_encoder, info)
-        full = BCJRDecoder(extrinsic_scale=1.0).decode(sys_llrs, par1)
-        scaled = BCJRDecoder(extrinsic_scale=0.5).decode(sys_llrs, par1)
-        assert np.allclose(scaled.extrinsic, 0.5 * full.extrinsic)
-
-    def test_rejects_bad_algorithm(self):
-        with pytest.raises(DecodingError):
-            BCJRDecoder(algorithm="viterbi")
-
     def test_rejects_shape_mismatch(self):
         decoder = BCJRDecoder()
         with pytest.raises(DecodingError):
@@ -229,12 +211,6 @@ class TestBitSymbolConversion:
         bits = np.array([[2.0, -1.0], [0.5, 0.25]])
         recovered = symbol_to_bit_extrinsic(bit_to_symbol_extrinsic(bits))
         assert np.allclose(recovered, bits)
-
-    def test_exact_marginalisation_differs_from_maxlog(self):
-        symbol_ext = np.array([[0.0, 0.5, 0.4, 0.1]])
-        approx = symbol_to_bit_extrinsic(symbol_ext, exact=False)
-        exact = symbol_to_bit_extrinsic(symbol_ext, exact=True)
-        assert not np.allclose(approx, exact)
 
     def test_rejects_bad_shapes(self):
         with pytest.raises(DecodingError):
