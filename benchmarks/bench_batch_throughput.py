@@ -67,7 +67,7 @@ def _make_llr_batch(code, batch: int, seed: int = 7, ebn0_db: float = EBN0_DB) -
 # Seed-repository per-frame algorithms (list-of-arrays message passing).
 # --------------------------------------------------------------------------- #
 def _seed_flooding_decode(h, rows, llrs_in: np.ndarray) -> np.ndarray:
-    """The seed FloodingDecoder.decode loop (min-sum kernel, no early exit)."""
+    """The seed repository's per-frame flooding loop (min-sum kernel, no early exit)."""
     n_rows = h.n_rows
     c2v = [np.zeros(row.size, dtype=np.float64) for row in rows]
     posterior = llrs_in.copy()
@@ -81,7 +81,7 @@ def _seed_flooding_decode(h, rows, llrs_in: np.ndarray) -> np.ndarray:
 
 
 def _seed_layered_decode(h, rows, llrs_in: np.ndarray) -> np.ndarray:
-    """The seed LayeredMinSumDecoder.decode loop (float, no early exit)."""
+    """The seed repository's per-frame layered loop (float, no early exit)."""
     lam = llrs_in.copy()
     r_messages = [np.zeros(row.size, dtype=np.float64) for row in rows]
     for _ in range(MAX_ITERATIONS):

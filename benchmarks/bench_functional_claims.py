@@ -17,8 +17,9 @@ from __future__ import annotations
 import numpy as np
 
 from repro.channel import AWGNChannel, BPSKModulator, ErrorRateAccumulator, ebn0_to_noise_sigma
-from repro.ldpc import FloodingDecoder, LayeredMinSumDecoder, wimax_ldpc_code
-from repro.turbo import TurboDecoder, TurboEncoder
+from repro.ldpc import wimax_ldpc_code
+from repro.sim import BatchFloodingDecoder, BatchLayeredDecoder, BatchTurboDecoder
+from repro.turbo import TurboEncoder
 
 from benchmarks.harness import full_benchmarks_enabled, record, row, trials
 
@@ -39,22 +40,27 @@ def _ldpc_frame_llrs(code, ebn0_db, rng):
     return codeword, llrs
 
 
+def _decode_one(decoder, llrs):
+    """Decode one frame as a one-frame batch: ``(hard_bits, iterations, converged)``."""
+    return decoder.decode_batch(llrs[None, :]).frame(0)
+
+
 def test_layered_vs_flooding_convergence():
     """Layered scheduling needs roughly half the iterations of flooding (Section II-B)."""
     code = wimax_ldpc_code(576, "1/2")
     frames = _frames(12)
 
     rng = np.random.default_rng(42)
-    layered = LayeredMinSumDecoder(code.h, max_iterations=40)
-    flooding = FloodingDecoder(code.h, max_iterations=40, kernel="min-sum")
+    layered = BatchLayeredDecoder(code.h, max_iterations=40)
+    flooding = BatchFloodingDecoder(code.h, max_iterations=40, kernel="min-sum")
     layered_iters, flooding_iters = [], []
     for _ in range(frames):
         _, llrs = _ldpc_frame_llrs(code, 2.6, rng)
-        layered_result = layered.decode(llrs)
-        flooding_result = flooding.decode(llrs)
-        if layered_result.converged and flooding_result.converged:
-            layered_iters.append(layered_result.iterations)
-            flooding_iters.append(flooding_result.iterations)
+        _, layered_iterations, layered_converged = _decode_one(layered, llrs)
+        _, flooding_iterations, flooding_converged = _decode_one(flooding, llrs)
+        if layered_converged and flooding_converged:
+            layered_iters.append(layered_iterations)
+            flooding_iters.append(flooding_iterations)
     layered_mean, flooding_mean = float(np.mean(layered_iters)), float(np.mean(flooding_iters))
     ratio = flooding_mean / layered_mean
     print(
@@ -80,13 +86,13 @@ def test_fixed_point_quantization_loss():
     frames = _frames(15)
 
     rng = np.random.default_rng(7)
-    float_decoder = LayeredMinSumDecoder(code.h, max_iterations=10)
-    fixed_decoder = LayeredMinSumDecoder(code.h, max_iterations=10, fixed_point=True)
+    float_decoder = BatchLayeredDecoder(code.h, max_iterations=10)
+    fixed_decoder = BatchLayeredDecoder(code.h, max_iterations=10, fixed_point=True)
     float_acc, fixed_acc = ErrorRateAccumulator(), ErrorRateAccumulator()
     for _ in range(frames):
         codeword, llrs = _ldpc_frame_llrs(code, 2.2, rng)
-        float_acc.update(codeword, float_decoder.decode(llrs).hard_bits)
-        fixed_acc.update(codeword, fixed_decoder.decode(llrs).hard_bits)
+        float_acc.update(codeword, _decode_one(float_decoder, llrs)[0])
+        fixed_acc.update(codeword, _decode_one(fixed_decoder, llrs)[0])
     float_report, fixed_report = float_acc.report(), fixed_acc.report()
     print(
         "\nFixed-point (7b channel / 5b extrinsic) vs floating point, n=576 r=1/2 at 2.2 dB:\n"
@@ -114,8 +120,8 @@ def test_bit_level_extrinsic_exchange_loss():
     rng = np.random.default_rng(11)
     modulator = BPSKModulator()
     sigma = ebn0_to_noise_sigma(1.6, 0.5)
-    symbol_decoder = TurboDecoder(encoder, max_iterations=8, bit_level_exchange=False)
-    bit_decoder = TurboDecoder(encoder, max_iterations=8, bit_level_exchange=True)
+    symbol_decoder = BatchTurboDecoder(encoder, max_iterations=8, bit_level_exchange=False)
+    bit_decoder = BatchTurboDecoder(encoder, max_iterations=8, bit_level_exchange=True)
     symbol_acc, bit_acc = ErrorRateAccumulator(), ErrorRateAccumulator()
     for _ in range(frames):
         info = rng.integers(0, 2, encoder.k)
@@ -124,9 +130,9 @@ def test_bit_level_extrinsic_exchange_loss():
             channel.transmit(modulator.modulate(encoder.encode(info).to_bit_array())),
             channel.llr_noise_variance(False),
         )
-        inputs = symbol_decoder.split_llrs(llrs)
-        symbol_acc.update(info, symbol_decoder.decode(*inputs).hard_bits)
-        bit_acc.update(info, bit_decoder.decode(*inputs).hard_bits)
+        inputs = symbol_decoder.split_llrs_batch(llrs[None, :])
+        symbol_acc.update(info, symbol_decoder.decode_split(*inputs).hard_bits[0])
+        bit_acc.update(info, bit_decoder.decode_split(*inputs).hard_bits[0])
     symbol_report, bit_report = symbol_acc.report(), bit_acc.report()
     print(
         "\nTurbo extrinsic exchange, WiMAX CTC N=96 couples at 1.6 dB:\n"
@@ -148,11 +154,11 @@ def test_bit_level_extrinsic_exchange_loss():
 def test_ldpc_decoding_throughput_software():
     """Software decoding speed of the layered core (context for the repro band note)."""
     code = wimax_ldpc_code(2304, "1/2")
-    decoder = LayeredMinSumDecoder(code.h, max_iterations=10)
+    decoder = BatchLayeredDecoder(code.h, max_iterations=10)
     rng = np.random.default_rng(0)
     codeword, llrs = _ldpc_frame_llrs(code, 3.0, rng)
 
-    samples, results = trials({"decode": lambda: decoder.decode(llrs)}, 5)
+    samples, results = trials({"decode": lambda: _decode_one(decoder, llrs)}, 5)
     timing = row(samples)
     record(
         "functional_claims",
@@ -161,4 +167,4 @@ def test_ldpc_decoding_throughput_software():
          "frames_per_sec_per_frame_path": round(1.0 / timing["arms"]["decode"]["median"], 2),
          "timing": timing},
     )
-    assert (results["decode"].hard_bits == codeword).all()
+    assert (results["decode"][0] == codeword).all()

@@ -68,12 +68,12 @@ def main() -> None:
     llrs = modulator.demodulate_llr(
         channel.transmit(modulator.modulate(codeword)), channel.llr_noise_variance(False)
     )
-    result = decoder.decode_ldpc_frame(small, llrs)
-    errors = int(np.count_nonzero(result.hard_bits != codeword))
+    bits, iterations, converged = decoder.decode_ldpc_frame(small, llrs).frame(0)
+    errors = int(np.count_nonzero(bits != codeword))
     print(
         f"functional decode of one n={small.n} frame at Eb/N0 = 2.5 dB: "
-        f"{errors} bit errors after {result.iterations} iterations "
-        f"(converged: {result.converged})"
+        f"{errors} bit errors after {iterations} iterations "
+        f"(converged: {converged})"
     )
 
 

@@ -27,7 +27,7 @@ from repro.core import (
     NocDecoderArchitecture,
     WIMAX_DECODER_SPEC,
 )
-from repro.ldpc import LayeredMinSumDecoder, WimaxLdpcCode, wimax_ldpc_code
+from repro.ldpc import WimaxLdpcCode, wimax_ldpc_code
 from repro.noc import NocConfiguration, RoutingAlgorithm
 from repro.sim import (
     BatchFloodingDecoder,
@@ -36,7 +36,7 @@ from repro.sim import (
     BerPoint,
     BerRunner,
 )
-from repro.turbo import TurboDecoder, TurboEncoder
+from repro.turbo import TurboEncoder
 
 __version__ = "1.0.0"
 
@@ -48,14 +48,12 @@ __all__ = [
     "DesignPoint",
     "wimax_ldpc_code",
     "WimaxLdpcCode",
-    "LayeredMinSumDecoder",
     "BatchFloodingDecoder",
     "BatchLayeredDecoder",
     "BatchTurboDecoder",
     "BerRunner",
     "BerPoint",
     "TurboEncoder",
-    "TurboDecoder",
     "NocConfiguration",
     "RoutingAlgorithm",
     "__version__",

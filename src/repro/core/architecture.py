@@ -14,7 +14,7 @@ configurable at run time for LDPC (layered normalized min-sum) or turbo
   and the power;
 * **functional decoding** — bit-true frame decoding in either mode (the NoC
   changes *when* messages arrive, not their values, so the functional path
-  reuses the substrate decoders directly);
+  runs the batch decoders of :mod:`repro.sim` on a one-frame batch);
 * **reporting** — structural and cost breakdowns used by the examples and the
   benchmark harness.
 """
@@ -28,11 +28,10 @@ import numpy as np
 
 from repro.core.config import DecoderSpec
 from repro.core.design_flow import DesignSpaceExplorer
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, DecodingError
 from repro.hw.area import AreaBreakdown, decoder_area
 from repro.hw.memory import DecoderMemoryPlan, plan_shared_memories
 from repro.hw.power import PowerModel, PowerReport
-from repro.ldpc.layered import LayeredDecoderResult, LayeredMinSumDecoder
 from repro.ldpc.wimax import WimaxLdpcCode
 from repro.mapping.ldpc_mapping import LdpcMapping
 from repro.mapping.turbo_mapping import TurboMapping
@@ -42,7 +41,8 @@ from repro.noc.topologies import Topology
 from repro.pe.ldpc_core import LdpcCoreModel
 from repro.pe.processing_element import ProcessingElement
 from repro.pe.siso_core import SisoCoreModel
-from repro.turbo.decoder import TurboDecoder, TurboDecoderResult
+from repro.sim.batch import BatchDecodeResult, BatchLayeredDecoder
+from repro.sim.turbo_batch import BatchTurboDecoder, BatchTurboResult
 from repro.turbo.encoder import TurboEncoder
 
 
@@ -250,14 +250,21 @@ class NocDecoderArchitecture:
         code: WimaxLdpcCode,
         channel_llrs: np.ndarray,
         fixed_point: bool = True,
-    ) -> LayeredDecoderResult:
-        """Bit-true LDPC decoding of one frame with the layered min-sum core."""
-        decoder = LayeredMinSumDecoder(
+    ) -> BatchDecodeResult:
+        """Bit-true LDPC decoding of one frame with the layered min-sum core.
+
+        ``channel_llrs`` is one ``(n,)`` frame; the result is a one-frame
+        batch, so the frame is row 0 of each array.
+        """
+        llrs = np.asarray(channel_llrs, dtype=np.float64)
+        if llrs.shape != (code.n,):
+            raise DecodingError(f"expected {code.n} channel LLRs, got shape {llrs.shape}")
+        decoder = BatchLayeredDecoder(
             code.h,
             max_iterations=self.spec.ldpc_max_iterations,
             fixed_point=fixed_point,
         )
-        return decoder.decode(channel_llrs)
+        return decoder.decode_batch(llrs[None, :])
 
     def decode_turbo_frame(
         self,
@@ -266,19 +273,34 @@ class NocDecoderArchitecture:
         parity1_llrs: np.ndarray,
         parity2_llrs: np.ndarray,
         bit_level_exchange: bool = True,
-    ) -> TurboDecoderResult:
-        """Bit-true turbo decoding of one frame with the Max-Log-MAP SISOs."""
+    ) -> BatchTurboResult:
+        """Bit-true turbo decoding of one frame with the Max-Log-MAP SISOs.
+
+        Each LLR array is one frame's ``(n_couples, 2)`` sub-block; the
+        result is a one-frame batch, so the frame is row 0 of each array.
+        """
         if encoder.n_couples < self.spec.parallelism:
             raise ConfigurationError(
                 f"frame of {encoder.n_couples} couples cannot occupy "
                 f"{self.spec.parallelism} SISOs"
             )
-        decoder = TurboDecoder(
+        expected = (encoder.n_couples, 2)
+        blocks = []
+        for name, llrs in (
+            ("systematic", systematic_llrs),
+            ("parity1", parity1_llrs),
+            ("parity2", parity2_llrs),
+        ):
+            arr = np.asarray(llrs, dtype=np.float64)
+            if arr.shape != expected:
+                raise DecodingError(f"{name} LLRs must have shape {expected}, got {arr.shape}")
+            blocks.append(arr[None, :, :])
+        decoder = BatchTurboDecoder(
             encoder,
             max_iterations=self.spec.turbo_max_iterations,
             bit_level_exchange=bit_level_exchange,
         )
-        return decoder.decode(systematic_llrs, parity1_llrs, parity2_llrs)
+        return decoder.decode_split(*blocks)
 
     # ------------------------------------------------------------------ #
     # Reporting

@@ -1,4 +1,4 @@
-"""LDPC substrate: QC-LDPC codes, the WiMAX (IEEE 802.16e) code class and decoders.
+"""LDPC substrate: QC-LDPC codes and the WiMAX (IEEE 802.16e) code class.
 
 The paper's design case is the full set of WiMAX LDPC codes; the worst case
 driving the NoC sizing is the ``n = 2304``, rate-1/2 code (1152 parity checks
@@ -11,16 +11,17 @@ of degree 6/7).  This package provides:
 * :mod:`~repro.ldpc.wifi` — the 802.11n (Wi-Fi) n=1944 code set, rates 1/2
   and 5/6, exercising the multi-standard claim through the same machinery,
 * :class:`~repro.ldpc.encoder.LDPCEncoder` — systematic encoding,
-* :class:`~repro.ldpc.layered.LayeredMinSumDecoder` — the layered
-  normalized-min-sum decoder of paper eqs. (6)-(11),
-* :class:`~repro.ldpc.flooding.FloodingDecoder` — two-phase belief propagation
-  used as a reference baseline,
+* :mod:`~repro.ldpc.checknode` — the scalar check-node update, the
+  reference the vectorised kernels are tested against,
 * :func:`~repro.ldpc.tanner.check_adjacency_graph` — the weighted
   check-to-check graph the mapping substrate partitions.
 
-Both decoders decode one frame per call; for Monte-Carlo work over many
-frames use their batched twins in :mod:`repro.sim`, which the per-frame
-classes delegate to (``batch=1``) and match bit-for-bit.
+The decoders live in :mod:`repro.sim`: the layered normalized-min-sum
+decoder of paper eqs. (6)-(11) is
+:class:`~repro.sim.batch.BatchLayeredDecoder`, and two-phase belief
+propagation, the reference schedule, is
+:class:`~repro.sim.batch.BatchFloodingDecoder`.  Both decode a
+``(batch, n)`` LLR array; one frame is a batch of one.
 """
 
 from repro.ldpc.hmatrix import ParityCheckMatrix
@@ -40,8 +41,6 @@ from repro.ldpc.wifi import (
 )
 from repro.ldpc.encoder import LDPCEncoder
 from repro.ldpc.tanner import check_adjacency_graph
-from repro.ldpc.layered import LayeredMinSumDecoder, LayeredDecoderResult
-from repro.ldpc.flooding import FloodingDecoder, FloodingDecoderResult
 from repro.ldpc.checknode import first_two_minima, min_sum_check_update
 
 __all__ = [
@@ -59,10 +58,6 @@ __all__ = [
     "list_wifi_codes",
     "LDPCEncoder",
     "check_adjacency_graph",
-    "LayeredMinSumDecoder",
-    "LayeredDecoderResult",
-    "FloodingDecoder",
-    "FloodingDecoderResult",
     "first_two_minima",
     "min_sum_check_update",
 ]

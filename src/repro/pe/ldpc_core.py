@@ -9,9 +9,8 @@ writes back the updated ``lambda_new`` (sent over the NoC) and ``R_new``
 pipeline depth is the ``latcore = 15`` cycles the paper plugs into eq. (12).
 
 The model is purely architectural (cycle counts, memory traffic, structure);
-the bit-true arithmetic lives in :mod:`repro.ldpc.layered` and
-:mod:`repro.ldpc.checknode`, which this core reuses so that timing and
-function cannot drift apart.
+the bit-true arithmetic lives in :class:`repro.sim.batch.BatchLayeredDecoder`,
+pinned to the scalar check update of :mod:`repro.ldpc.checknode`.
 """
 
 from __future__ import annotations

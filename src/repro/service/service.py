@@ -31,7 +31,7 @@ built for:
   slot, while queued and while decoding, so no caller ever hangs on a
   wedged service.  Results are bit-identical to a direct ``decode_batch``
   call on the same LLRs because the engines are row-independent (pinned by
-  the batch=1 facade property tests and again by ``tests/test_service.py``
+  the batch ≡ batch=1 property tests and again by ``tests/test_service.py``
   and the chaos suite in ``tests/test_service_resilience.py``).
 
 Backpressure is explicit and configurable: ``backpressure="wait"`` makes

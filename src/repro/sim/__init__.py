@@ -1,11 +1,11 @@
-"""Batched Monte-Carlo simulation engine for the functional decoders.
+"""The functional decoders and the Monte-Carlo simulation engine.
 
 The paper's functional claims (layered decoding "nearly doubles the
 convergence speed", the WiMAX BER behaviour backing the architectural
-choices) rest on Monte-Carlo simulation over many frames.  The per-frame
-decoders in :mod:`repro.ldpc` pay Python interpreter overhead for every
-check node of every frame; this package amortises that overhead over a
-*batch* axis so ensemble simulation runs at NumPy speed:
+choices) rest on Monte-Carlo simulation over many frames.  Every decoder
+here works on a *batch* axis, which amortises Python interpreter overhead
+over frames so ensemble simulation runs at NumPy speed; one frame is a
+batch of one.  These are the library's only decoder classes:
 
 * :class:`~repro.sim.edges.EdgeIndex` — flat edge-index arrays precomputed
   from a :class:`~repro.ldpc.hmatrix.ParityCheckMatrix`, grouping checks and
@@ -19,16 +19,14 @@ check node of every frame; this package amortises that overhead over a
   fixed-point datapath, and
   :class:`~repro.sim.batch.BatchFloodingDecoder` — the two-phase reference
   schedule with either kernel; both run over ``(batch, n)`` LLR arrays with
-  per-frame early termination, and the per-frame decoders in
-  :mod:`repro.ldpc` delegate to them with ``batch=1``,
+  per-frame early termination,
 * :mod:`~repro.sim.turbo_batch` — the turbo half of the multi-standard
   decoder: :class:`~repro.sim.turbo_batch.BatchBCJR` runs the Max-Log-MAP
   alpha and beta recursions together in one loop over state-major
   ``(4 edges, 16 states, batch)`` slabs, with the extrinsic scaled by the
   fixed :data:`~repro.sim.turbo_batch.EXTRINSIC_SCALE`, and
   :class:`~repro.sim.turbo_batch.BatchTurboDecoder` alternates the
-  two SISO activations with per-frame early exit on decision stability; the
-  per-frame decoders in :mod:`repro.turbo` delegate with ``batch=1``,
+  two SISO activations with per-frame early exit on decision stability,
 * :class:`~repro.sim.runner.BerRunner` — streams frames through the
   modulate → AWGN → demap → decode chain in configurable batch sizes for
   *either* code family (any :class:`~repro.sim.batch.BatchDecoder`) and

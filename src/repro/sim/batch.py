@@ -7,28 +7,27 @@ convergence flags.  Frames that satisfy every parity check leave the active
 set immediately (per-frame early exit), so a batch costs only as many
 iterations as its slowest member.
 
-The per-frame decoders :class:`repro.ldpc.flooding.FloodingDecoder` and
-:class:`repro.ldpc.layered.LayeredMinSumDecoder` delegate to these classes
-with ``batch=1``; the property tests in ``tests/test_sim_batch.py`` pin down
-that stacking frames into a batch changes nothing — same hard bits, same
-iteration counts, same convergence flags.
+They are the library's only LDPC decoders: one frame is a batch of one,
+``decode_batch(llrs[None])``.  The property tests in
+``tests/test_sim_batch.py`` pin down that stacking frames into a batch
+changes nothing — same hard bits, same iteration counts, same convergence
+flags as each frame decoded alone.  A decoder is configured once, at
+construction: its options are read-only properties.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Protocol, runtime_checkable
+from typing import Protocol, runtime_checkable
 
 import numpy as np
 
 from repro.channel.quantize import CHANNEL_LLR_SPEC, EXTRINSIC_SPEC, LLRQuantizer
 from repro.errors import DecodingError
+from repro.ldpc.hmatrix import ParityCheckMatrix
 from repro.sim.edges import EdgeIndex
 from repro.sim.kernels import min_sum_update, sum_product_update
-from repro.utils.validation import require_int
-
-if TYPE_CHECKING:  # imported lazily to avoid a cycle with repro.ldpc
-    from repro.ldpc.hmatrix import ParityCheckMatrix
+from repro.utils.validation import require_bool, require_int
 
 _KERNELS = ("sum-product", "min-sum")
 
@@ -52,7 +51,7 @@ class BatchDecodeResult:
         early-exits at iteration ``i`` reports ``i``).
     converged:
         ``(batch,)`` per-frame convergence flags (see each decoder for the
-        exact semantics, which mirror the per-frame decoders).
+        exact semantics).
     syndrome_weights:
         ``(batch,)`` number of unsatisfied checks of the final hard decision.
     unsatisfied_history:
@@ -126,17 +125,28 @@ class BatchFloodingDecoder:
     two-phase schedule): gather the posterior onto the edges, subtract the
     previous check-to-variable messages, run the check kernel per degree
     group, scatter-accumulate back into the posterior.  ``converged`` latches
-    as soon as a frame's hard decision satisfies every check, exactly like
-    :class:`repro.ldpc.flooding.FloodingDecoder`.
+    as soon as a frame's hard decision satisfies every check.  It is the
+    reference schedule the paper contrasts layered decoding with.
 
-    Parameters mirror the per-frame decoder: ``kernel`` selects the exact
-    sum-product tanh rule or the normalized min-sum of paper eq. (11) with
-    :data:`MIN_SUM_SCALING`.
+    Parameters
+    ----------
+    h:
+        Parity-check matrix of the code.
+    max_iterations:
+        Maximum number of flooding iterations per frame.
+    kernel:
+        ``"sum-product"`` (the exact tanh rule) or ``"min-sum"`` (the
+        normalized min-sum of paper eq. (11) with :data:`MIN_SUM_SCALING`).
+    early_termination:
+        Remove a frame from the active set as soon as its hard decision
+        satisfies every parity check.
     """
+
+    __slots__ = ("_edges", "_max_iterations", "_kernel", "_early_termination")
 
     def __init__(
         self,
-        h: "ParityCheckMatrix",
+        h: ParityCheckMatrix,
         max_iterations: int = 20,
         kernel: str = "sum-product",
         early_termination: bool = True,
@@ -146,10 +156,26 @@ class BatchFloodingDecoder:
             raise DecodingError(
                 f"kernel must be 'sum-product' or 'min-sum', got {kernel!r}"
             )
+        require_bool("early_termination", early_termination, DecodingError)
         self._edges = EdgeIndex(h)
-        self.max_iterations = int(max_iterations)
-        self.kernel = kernel
-        self.early_termination = bool(early_termination)
+        self._max_iterations = int(max_iterations)
+        self._kernel = kernel
+        self._early_termination = bool(early_termination)
+
+    @property
+    def max_iterations(self) -> int:
+        """Maximum number of flooding iterations per frame."""
+        return self._max_iterations
+
+    @property
+    def kernel(self) -> str:
+        """Check-node kernel: ``"sum-product"`` or ``"min-sum"``."""
+        return self._kernel
+
+    @property
+    def early_termination(self) -> bool:
+        """Stop a frame as soon as its hard decision is a codeword."""
+        return self._early_termination
 
     @property
     def n_bits(self) -> int:
@@ -161,7 +187,7 @@ class BatchFloodingDecoder:
         out = np.empty_like(v2c)
         for group in self._edges.check_groups:
             q = v2c[:, group.edges]
-            if self.kernel == "sum-product":
+            if self._kernel == "sum-product":
                 out[:, group.edges] = sum_product_update(q)
             else:
                 out[:, group.edges] = min_sum_update(q, scaling=MIN_SUM_SCALING)
@@ -181,7 +207,7 @@ class BatchFloodingDecoder:
         act_llrs = llrs.copy()
         act_post = llrs.copy()
         act_c2v = np.zeros((batch, edges.n_edges), dtype=np.float64)
-        for iteration in range(self.max_iterations):
+        for iteration in range(self._max_iterations):
             if act_idx.size == 0:
                 break
             # Variable-to-check phase: posterior minus own previous c2v.
@@ -194,7 +220,7 @@ class BatchFloodingDecoder:
                 histories[frame].append(int(unsatisfied[local]))
             newly = unsatisfied == 0
             converged[act_idx[newly]] = True
-            if self.early_termination and newly.any():
+            if self._early_termination and newly.any():
                 posterior[act_idx[newly]] = act_post[newly]
                 keep = ~newly
                 act_idx = act_idx[keep]
@@ -269,8 +295,8 @@ class BatchLayeredDecoder:
     on contiguous batch rows.  Its min-sum scales, rounds and clips R
     through one lookup table (:func:`extrinsic_table`), built once at import.
 
-    ``converged`` matches :class:`repro.ldpc.layered.LayeredMinSumDecoder`:
-    the latched "was ever a codeword" flag AND a zero final syndrome.
+    ``converged`` is the latched "was ever a codeword" flag AND a zero final
+    syndrome.
 
     Parameters
     ----------
@@ -286,25 +312,47 @@ class BatchLayeredDecoder:
         satisfies every parity check.
     """
 
+    __slots__ = (
+        "_edges", "_layers", "_max_iterations", "_fixed_point", "_early_termination",
+        "_key_shift", "_positions",
+    )
+
     def __init__(
         self,
-        h: "ParityCheckMatrix",
+        h: ParityCheckMatrix,
         max_iterations: int = 10,
         fixed_point: bool = False,
         early_termination: bool = True,
     ):
         require_int("max_iterations", max_iterations, 1, DecodingError)
+        require_bool("fixed_point", fixed_point, DecodingError)
+        require_bool("early_termination", early_termination, DecodingError)
         self._edges = EdgeIndex(h)
         self._layers = self._edges.layers()
-        self.max_iterations = int(max_iterations)
-        self.fixed_point = bool(fixed_point)
-        self.early_termination = bool(early_termination)
+        self._max_iterations = int(max_iterations)
+        self._fixed_point = bool(fixed_point)
+        self._early_termination = bool(early_termination)
         # Min-two keys ``|Q| << shift | position`` are distinct within a check;
         # they fit int16 up to degree 256.
         max_degree = max((layer.cols.shape[1] for layer in self._layers), default=1)
         self._key_shift = (max_degree - 1).bit_length()
         key_dtype = np.int16 if (_Q_MAX + 1) << self._key_shift <= 2**15 else np.int32
         self._positions = np.arange(max_degree, dtype=key_dtype)[:, None]
+
+    @property
+    def max_iterations(self) -> int:
+        """Maximum number of layered iterations per frame."""
+        return self._max_iterations
+
+    @property
+    def fixed_point(self) -> bool:
+        """Quantise to the paper's 7-bit/5-bit formats around every update."""
+        return self._fixed_point
+
+    @property
+    def early_termination(self) -> bool:
+        """Stop a frame as soon as its hard decision is a codeword."""
+        return self._early_termination
 
     @property
     def n_bits(self) -> int:
@@ -378,7 +426,7 @@ class BatchLayeredDecoder:
         llrs = _validate_batch(channel_llrs, self._edges.n_cols)
         batch = llrs.shape[0]
         edges = self._edges
-        if self.fixed_point:
+        if self._fixed_point:
             # Variable-major int16 levels: frames on the last axis.
             frame_axis = 1
             act_lam = np.ascontiguousarray(_CHANNEL_QUANTIZER.quantize(llrs).T, dtype=np.int16)
@@ -394,7 +442,7 @@ class BatchLayeredDecoder:
         converged = np.zeros(batch, dtype=bool)
         histories: list[list[int]] = [[] for _ in range(batch)]
         act_idx = np.arange(batch)
-        for iteration in range(self.max_iterations):
+        for iteration in range(self._max_iterations):
             if act_idx.size == 0:
                 break
             for layer in self._layers:
@@ -405,7 +453,7 @@ class BatchLayeredDecoder:
                 histories[frame].append(int(unsatisfied[local]))
             newly = unsatisfied == 0
             converged[act_idx[newly]] = True
-            if self.early_termination and newly.any():
+            if self._early_termination and newly.any():
                 lam_out[act_idx[newly]] = np.moveaxis(act_lam, frame_axis, 0)[newly]
                 keep = ~newly
                 act_idx = act_idx[keep]
@@ -414,7 +462,7 @@ class BatchLayeredDecoder:
         lam_out[act_idx] = np.moveaxis(act_lam, frame_axis, 0)
         hard = (lam_out < 0).astype(np.int8)
         syndrome_weights = edges.unsatisfied_counts(hard)
-        if self.fixed_point:
+        if self._fixed_point:
             lam_out = lam_out * CHANNEL_LLR_SPEC.step
         return BatchDecodeResult(
             hard_bits=hard,

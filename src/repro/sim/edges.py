@@ -1,7 +1,7 @@
 """Flat edge-index arrays for vectorised Tanner-graph message passing.
 
-The per-frame decoders walk H row by row (one Python loop iteration per
-check per frame).  The batch engine instead treats the Tanner graph as a
+A scalar decoder walks H row by row (one Python loop iteration per check
+per frame).  The batch engine instead treats the Tanner graph as a
 flat list of ``n_edges`` edges, stored row-major: edge ``e`` belongs to
 check ``r`` when ``row_ptr[r] <= e < row_ptr[r + 1]`` and touches variable
 ``edge_cols[e]``.  A ``(batch, n)`` LLR array is gathered into a
@@ -15,12 +15,11 @@ into the column-disjoint runs the layered schedule updates in one step.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
-if TYPE_CHECKING:  # imported lazily to keep repro.sim import-safe from repro.ldpc
-    from repro.ldpc.hmatrix import ParityCheckMatrix
+from repro.ldpc.hmatrix import ParityCheckMatrix
 
 #: The unsigned word that holds a given number of byte lanes.
 _WORD_OF_BYTES = {1: np.uint8, 2: np.uint16, 4: np.uint32, 8: np.uint64}
@@ -78,7 +77,7 @@ class EdgeIndex:
     inputs to the batched kernels in :mod:`repro.sim.kernels`.
     """
 
-    def __init__(self, h: "ParityCheckMatrix"):
+    def __init__(self, h: ParityCheckMatrix):
         rows = [h.row(r) for r in range(h.n_rows)]
         self.n_rows = int(h.n_rows)
         self.n_cols = int(h.n_cols)

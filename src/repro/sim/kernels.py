@@ -4,9 +4,8 @@ Both dense kernels operate on arrays whose *last* axis enumerates the edges
 of one check (the check degree ``d``); any number of leading axes is
 allowed.  The batch decoders call them with ``(batch, n_checks_d, d)``
 tensors (flooding, one call per degree group; layered, one call per layer
-of column-disjoint checks), and the per-frame decoders reuse exactly the
-same code with a single leading axis so sequential and batched results are
-bit-identical.
+of column-disjoint checks); a one-frame batch runs exactly the same code,
+so sequential and batched results are bit-identical.
 
 Sign convention (pinned by ``tests/test_sim_batch.py::TestKernels``): the
 sign of an LLR is its IEEE-754 sign *bit* (``np.signbit``), so ``-0.0``

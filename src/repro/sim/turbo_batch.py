@@ -1,15 +1,13 @@
 """Batched duo-binary turbo decoding: vectorised BCJR over ``(batch, ...)``.
 
-This is the turbo twin of :mod:`repro.sim.batch`.  The per-frame BCJR in
-:mod:`repro.turbo.bcjr` pays Python interpreter overhead for every trellis
-step of every frame; here one Python loop over the trellis serves the whole
-batch, and each step advances *both* recursions at once:
+This is the turbo twin of :mod:`repro.sim.batch`.  One Python loop over the
+trellis serves the whole batch, and each step advances *both* recursions at
+once:
 
-* :class:`BatchBCJR` — one Max-Log-MAP SISO activation over
-  ``(batch, n_couples, 2)`` channel LLRs, with circular-state inheritance
-  (``initial_alpha`` / ``initial_beta`` per frame) and the extrinsic scaled
-  by :data:`EXTRINSIC_SCALE`, exactly mirroring
-  :class:`repro.turbo.bcjr.BCJRDecoder`,
+* :class:`BatchBCJR` — one Max-Log-MAP SISO activation (paper eqs. (1)-(5))
+  over ``(batch, n_couples, 2)`` channel LLRs, with circular-state
+  inheritance (``initial_alpha`` / ``initial_beta`` per frame) and the
+  extrinsic scaled by :data:`EXTRINSIC_SCALE`,
 * :class:`BatchTurboDecoder` — the full iterative decoder: two SISO
   activations per iteration exchanging symbol-level (or bit-level, the NoC's
   BTS/STB path) extrinsic information through the CTC interleaver, with
@@ -31,11 +29,12 @@ metrics ``(8, batch)``) and runs every activation of a decode in one
 :class:`BCJRWorkspace`, so no SISO activation allocates the two large arrays
 or transposes anything.  See ``docs/turbo-batching.md``.
 
-The per-frame :class:`~repro.turbo.bcjr.BCJRDecoder` and
-:class:`~repro.turbo.decoder.TurboDecoder` delegate here with ``batch=1``;
+They are the library's only turbo decoders: one frame is a batch of one.
 ``tests/test_turbo_batch.py`` pins the kernel bit for bit to the seed
 per-frame recursion and shows that stacking frames changes nothing (same
-hard symbols, extrinsics, iteration counts, convergence flags).
+hard symbols, extrinsics, iteration counts, convergence flags as each frame
+decoded alone).  A decoder is configured once, at construction: its options
+are read-only properties.
 """
 
 from __future__ import annotations
@@ -48,7 +47,7 @@ from repro.errors import DecodingError
 from repro.turbo.bits import bit_to_symbol_extrinsic, symbol_to_bit_extrinsic
 from repro.turbo.encoder import TurboEncoder
 from repro.turbo.trellis import NUM_STATES, NUM_SYMBOLS, DuoBinaryTrellis
-from repro.utils.validation import require_int
+from repro.utils.validation import require_bool, require_int
 
 #: Extrinsic scaling factor ``sigma`` of paper Section II-A, hard-wired in
 #: the SISOs: it offsets the Max-Log-MAP approximation's overconfidence.
@@ -92,17 +91,25 @@ class BatchBCJR:
     """Max-Log-MAP BCJR over ``(batch, n_couples, ...)`` tensors.
 
     :meth:`decode_state_major` is the one SISO core; :meth:`decode_batch` is
-    a batch-major adapter over it.  :class:`repro.turbo.bcjr.BCJRDecoder`
-    delegates here with ``batch=1``.  max* is the plain maximum, the paper's
+    a batch-major adapter over it.  max* is the plain maximum, the paper's
     choice for double-binary codes, and the extrinsic is scaled by
     :data:`EXTRINSIC_SCALE`.
+
+    Symbol-level quantities (a-priori, a-posteriori, extrinsic) are
+    length-4 vectors of log-probability differences with respect to symbol
+    0: element ``u`` holds ``log p(u)/p(0)``.
     """
 
+    __slots__ = (
+        "_trellis", "_sym_a_sign", "_sym_b_sign", "_metric_index", "_next_state",
+        "_step_rows", "_step_metrics",
+    )
+
     def __init__(self, trellis: DuoBinaryTrellis | None = None):
-        self.trellis = trellis if trellis is not None else DuoBinaryTrellis()
-        next_state = self.trellis.next_state_table()  # (8, 4)
-        in_state, in_symbol = self.trellis.incoming_table()  # (8, 4) each
-        parity = self.trellis.parity_table().astype(np.int64)  # (8, 4, 2)
+        self._trellis = trellis if trellis is not None else DuoBinaryTrellis()
+        next_state = self._trellis.next_state_table()  # (8, 4)
+        in_state, in_symbol = self._trellis.incoming_table()  # (8, 4) each
+        parity = self._trellis.parity_table().astype(np.int64)  # (8, 4, 2)
         symbols = np.arange(NUM_SYMBOLS)
         # Correlation signs (1 - 2*bit) for the systematic bits A and B.
         self._sym_a_sign = (1 - 2 * ((symbols >> 1) & 1)).astype(np.float64)  # (4,)
@@ -122,6 +129,11 @@ class BatchBCJR:
             (self._metric_index[in_state, in_symbol].T, _DISTINCT + self._metric_index.T),
             axis=1,
         )
+
+    @property
+    def trellis(self) -> DuoBinaryTrellis:
+        """The trellis section this SISO runs on."""
+        return self._trellis
 
     # ------------------------------------------------------------------ #
     # Branch metrics
@@ -404,8 +416,7 @@ class BatchTurboResult:
         early-exits at iteration ``i`` reports ``i``).
     converged:
         ``(batch,)`` per-frame decision-stability flags (hard symbols
-        identical in two successive iterations — latched, like the
-        per-frame decoder).
+        identical in two successive iterations, latched).
     decision_changes:
         One list per frame of the symbol-decision changes after every
         iteration from the second onward (the early-exit statistic).
@@ -448,8 +459,8 @@ class BatchTurboDecoder:
     (systematic, parity1, parity2 — the :meth:`TurboCodeword.to_bit_array`
     layout) and returns information-bit decisions.
 
-    Parameters mirror :class:`repro.turbo.decoder.TurboDecoder`, which
-    delegates here with ``batch=1``.  The SISOs run Max-Log-MAP with the
+    Circular-trellis state metrics are inherited across iterations, the
+    standard approach for CRSC codes.  The SISOs run Max-Log-MAP with the
     extrinsic scaled by :data:`EXTRINSIC_SCALE`.
 
     Parameters
@@ -472,6 +483,12 @@ class BatchTurboDecoder:
         decisions are identical in two successive iterations.
     """
 
+    __slots__ = (
+        "_encoder", "_max_iterations", "_bit_level_exchange", "_early_termination",
+        "_siso", "_n_couples", "_interleave_symbols", "_interleave_bits",
+        "_deinterleave_symbols",
+    )
+
     def __init__(
         self,
         encoder: TurboEncoder,
@@ -483,10 +500,12 @@ class BatchTurboDecoder:
         require_int("max_iterations", max_iterations, 1, DecodingError)
         if algorithm != "max-log":
             raise DecodingError(f"algorithm must be 'max-log', got {algorithm!r}")
-        self.encoder = encoder
-        self.max_iterations = int(max_iterations)
-        self.bit_level_exchange = bool(bit_level_exchange)
-        self.early_termination = bool(early_termination)
+        require_bool("bit_level_exchange", bit_level_exchange, DecodingError)
+        require_bool("early_termination", early_termination, DecodingError)
+        self._encoder = encoder
+        self._max_iterations = int(max_iterations)
+        self._bit_level_exchange = bool(bit_level_exchange)
+        self._early_termination = bool(early_termination)
         self._siso = BatchBCJR(encoder.trellis)
         self._n_couples = encoder.n_couples
         # Interleaved couple i is natural couple perm[i], its bits A and B
@@ -508,9 +527,29 @@ class BatchTurboDecoder:
     decides_info_bits = True
 
     @property
+    def encoder(self) -> TurboEncoder:
+        """The encoder whose frames this decoder decodes."""
+        return self._encoder
+
+    @property
+    def max_iterations(self) -> int:
+        """Maximum number of full turbo iterations per frame."""
+        return self._max_iterations
+
+    @property
+    def bit_level_exchange(self) -> bool:
+        """Exchange bit-level (BTS/STB) instead of symbol-level extrinsics."""
+        return self._bit_level_exchange
+
+    @property
+    def early_termination(self) -> bool:
+        """Stop a frame once its hard decisions repeat across iterations."""
+        return self._early_termination
+
+    @property
     def n_bits(self) -> int:
         """Flat channel-LLR length each frame must have (``encoder.n``)."""
-        return self.encoder.n
+        return self._encoder.n
 
     def _maybe_bit_level(self, extrinsic: np.ndarray) -> np.ndarray:
         """Apply the STB -> network -> BTS round trip when bit-level exchange is on.
@@ -518,7 +557,7 @@ class BatchTurboDecoder:
         ``extrinsic`` is state-major ``(n, 4, batch)``; the conversion is
         elementwise per couple, so it runs on the symbol-last view.
         """
-        if not self.bit_level_exchange:
+        if not self._bit_level_exchange:
             return extrinsic
         symbol_last = np.moveaxis(extrinsic, 1, -1)
         return np.moveaxis(bit_to_symbol_extrinsic(symbol_to_bit_extrinsic(symbol_last)), -1, 1)
@@ -539,16 +578,17 @@ class BatchTurboDecoder:
         """
         arr = np.asarray(llrs, dtype=np.float64)
         n = self._n_couples
-        expected_len = 4 * n if self.encoder.rate == "1/2" else 6 * n
+        rate = self._encoder.rate
+        expected_len = 4 * n if rate == "1/2" else 6 * n
         if arr.ndim != 2 or arr.shape[1] != expected_len:
             raise DecodingError(
                 f"expected (batch, {expected_len}) LLRs for rate "
-                f"{self.encoder.rate}, got shape {arr.shape}"
+                f"{rate}, got shape {arr.shape}"
             )
         batch = arr.shape[0]
         blocks = np.zeros((3, n, 2, batch), dtype=np.float64)
         blocks[0] = arr[:, : 2 * n].reshape(batch, n, 2).transpose(1, 2, 0)
-        if self.encoder.rate == "1/2":
+        if rate == "1/2":
             blocks[1, :, 0] = arr[:, 2 * n : 3 * n].T
             blocks[2, :, 0] = arr[:, 3 * n : 4 * n].T
         else:
@@ -619,7 +659,7 @@ class BatchTurboDecoder:
         siso = self._siso.decode_state_major
         previous: np.ndarray | None = None
 
-        for iteration in range(self.max_iterations):
+        for iteration in range(self._max_iterations):
             if act_idx.size == 0:
                 break
             _, ext, alpha1, beta1 = siso(
@@ -644,7 +684,7 @@ class BatchTurboDecoder:
                 changes_hist[frame].append(int(changes[local]))
             stable = changes == 0
             converged[act_idx[stable]] = True
-            if self.early_termination and stable.any():
+            if self._early_termination and stable.any():
                 done = act_idx[stable]
                 hard_symbols_out[done] = hard[:, stable].T
                 apo_out[done] = apo_natural[:, :, stable].transpose(2, 0, 1)

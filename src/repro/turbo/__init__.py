@@ -10,17 +10,15 @@ almost-regular permutation.  This package provides:
   CTC interleaver,
 * :class:`~repro.turbo.encoder.TurboEncoder` — circular encoding and rate-1/2
   puncturing,
-* :class:`~repro.turbo.bcjr.BCJRDecoder` — Max-Log-MAP symbol-level BCJR
-  (paper eqs. (1)-(5)) with the fixed extrinsic scaling ``sigma = 0.75``,
-* :class:`~repro.turbo.decoder.TurboDecoder` — the iterative exchange of
-  extrinsic information between the two SISOs,
 * :mod:`~repro.turbo.bits` — bit-level <-> symbol-level extrinsic conversion
   (the BTS/STB units of paper Fig. 3).
 
-The per-frame decoders delegate to the batched turbo engine in
-:mod:`repro.sim.turbo_batch` with ``batch=1``; for Monte-Carlo BER work use
-:class:`repro.sim.turbo_batch.BatchTurboDecoder` through
-:class:`repro.sim.runner.BerRunner`.
+The decoders live in :mod:`repro.sim.turbo_batch`:
+:class:`~repro.sim.turbo_batch.BatchBCJR` is the Max-Log-MAP symbol-level
+BCJR of paper eqs. (1)-(5) with the fixed extrinsic scaling
+``sigma = 0.75``, and :class:`~repro.sim.turbo_batch.BatchTurboDecoder` the
+iterative exchange of extrinsic information between the two SISOs.  Both
+decode a batch of frames; one frame is a batch of one.
 """
 
 from repro.turbo.trellis import DuoBinaryTrellis, TrellisTransition
@@ -30,8 +28,6 @@ from repro.turbo.ctc_interleaver import (
     supported_ctc_block_sizes,
 )
 from repro.turbo.encoder import TurboEncoder, TurboCodeword
-from repro.turbo.bcjr import BCJRDecoder, BCJRResult
-from repro.turbo.decoder import TurboDecoder, TurboDecoderResult
 from repro.turbo.bits import symbol_to_bit_extrinsic, bit_to_symbol_extrinsic
 
 __all__ = [
@@ -42,10 +38,6 @@ __all__ = [
     "supported_ctc_block_sizes",
     "TurboEncoder",
     "TurboCodeword",
-    "BCJRDecoder",
-    "BCJRResult",
-    "TurboDecoder",
-    "TurboDecoderResult",
     "symbol_to_bit_extrinsic",
     "bit_to_symbol_extrinsic",
 ]

@@ -4,7 +4,8 @@ The public API of the library validates user-facing arguments eagerly and
 raises a typed :mod:`repro.errors` exception with an actionable message
 (:class:`~repro.errors.ConfigurationError` unless the caller names another).
 Booleans are rejected everywhere: ``True`` is an ``int`` to Python, never a
-count or a duration to a caller.
+count or a duration to a caller.  Flags, in turn, take only booleans: a
+string such as ``"no"`` is truthy, never a switched-off option.
 """
 
 from __future__ import annotations
@@ -13,7 +14,19 @@ import math
 import numbers
 from typing import Any
 
+import numpy as np
+
 from repro.errors import ConfigurationError, ReproError
+
+
+def require_bool(
+    name: str,
+    value: Any,
+    error: type[ReproError] = ConfigurationError,
+) -> None:
+    """Raise ``error`` unless ``value`` is a ``bool`` or a NumPy ``bool_``."""
+    if not isinstance(value, (bool, np.bool_)):
+        raise error(f"{name} must be a bool, got {value!r}")
 
 
 def require_int(

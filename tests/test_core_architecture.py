@@ -18,9 +18,10 @@ from repro.core import (
     turbo_throughput_bps,
 )
 from repro.core.throughput import meets_wimax_requirement
-from repro.errors import ConfigurationError, ModelError
+from repro.errors import ConfigurationError, DecodingError, ModelError
 from repro.ldpc import wimax_ldpc_code
 from repro.noc import NocConfiguration, NodeArchitecture, RoutingAlgorithm
+from repro.sim import BatchTurboDecoder
 from repro.turbo import TurboEncoder
 from tests.conftest import make_ldpc_llrs
 
@@ -194,17 +195,39 @@ class TestArchitectureEvaluation:
     ):
         codeword, llrs = make_ldpc_llrs(small_ldpc_code, ebn0_db=3.0, rng=rng)
         result = small_decoder_architecture.decode_ldpc_frame(small_ldpc_code, llrs)
-        assert np.array_equal(result.hard_bits, codeword)
+        assert result.batch_size == 1
+        assert np.array_equal(result.hard_bits[0], codeword)
 
     def test_functional_turbo_decoding_through_architecture(self, small_decoder_architecture, rng):
         encoder = TurboEncoder(n_couples=48, rate="1/2")
         info = rng.integers(0, 2, encoder.k)
         llrs = 8.0 * (1 - 2 * encoder.encode(info).to_bit_array().astype(float))
-        from repro.turbo import TurboDecoder
-
-        sys_llrs, par1, par2 = TurboDecoder(encoder).split_llrs(llrs)
+        split = BatchTurboDecoder(encoder).split_llrs_batch(llrs[None, :])
+        sys_llrs, par1, par2 = (block[0] for block in split)
         result = small_decoder_architecture.decode_turbo_frame(encoder, sys_llrs, par1, par2)
-        assert np.array_equal(result.hard_bits, info)
+        assert result.batch_size == 1
+        assert np.array_equal(result.hard_bits[0], info)
+
+    def test_functional_decoding_rejects_non_frame_shapes(
+        self, small_decoder_architecture, small_ldpc_code
+    ):
+        # One frame in, not a batch: the batch axis is the architecture's own.
+        with pytest.raises(DecodingError):
+            small_decoder_architecture.decode_ldpc_frame(
+                small_ldpc_code, np.zeros((1, small_ldpc_code.n))
+            )
+        with pytest.raises(DecodingError):
+            small_decoder_architecture.decode_ldpc_frame(
+                small_ldpc_code, np.zeros(small_ldpc_code.n - 1)
+            )
+        encoder = TurboEncoder(n_couples=48)
+        frame = np.zeros((48, 2))
+        for wrong in (np.zeros((1, 48, 2)), np.zeros((47, 2))):
+            for position in range(3):
+                blocks = [frame, frame, frame]
+                blocks[position] = wrong
+                with pytest.raises(DecodingError):
+                    small_decoder_architecture.decode_turbo_frame(encoder, *blocks)
 
     def test_turbo_frame_smaller_than_parallelism_rejected(self):
         arch = NocDecoderArchitecture(DecoderSpec(parallelism=30, degree=3, mapping_attempts=1))

@@ -18,9 +18,10 @@ from repro.channel import (
     ebn0_to_noise_sigma,
 )
 from repro.core import DecoderSpec, DesignSpaceExplorer, NocDecoderArchitecture
-from repro.ldpc import FloodingDecoder, LayeredMinSumDecoder, wimax_ldpc_code
+from repro.ldpc import wimax_ldpc_code
 from repro.noc import RoutingAlgorithm
-from repro.turbo import TurboDecoder, TurboEncoder
+from repro.sim import BatchFloodingDecoder, BatchLayeredDecoder, BatchTurboDecoder
+from repro.turbo import TurboEncoder
 
 
 class TestLdpcChainIntegration:
@@ -39,17 +40,17 @@ class TestLdpcChainIntegration:
                 channel.transmit(modulator.modulate(codeword)),
                 channel.llr_noise_variance(False),
             )
-            result = decoder.decode(llrs)
-            accumulator.update(codeword, result.hard_bits)
+            result = decoder.decode_batch(llrs[None, :])
+            accumulator.update(codeword, result.hard_bits[0])
         return accumulator.report()
 
     def test_rate_half_chain_error_free_at_high_snr(self, small_ldpc_code):
-        decoder = LayeredMinSumDecoder(small_ldpc_code.h, max_iterations=15)
+        decoder = BatchLayeredDecoder(small_ldpc_code.h, max_iterations=15)
         report = self._run_chain(small_ldpc_code, decoder, ebn0_db=3.0, frames=4)
         assert report.bit_errors == 0
 
     def test_high_rate_chain_error_free_at_high_snr(self, small_high_rate_code):
-        decoder = LayeredMinSumDecoder(small_high_rate_code.h, max_iterations=20)
+        decoder = BatchLayeredDecoder(small_high_rate_code.h, max_iterations=20)
         report = self._run_chain(small_high_rate_code, decoder, ebn0_db=5.5, frames=4)
         assert report.bit_errors == 0
 
@@ -58,7 +59,7 @@ class TestLdpcChainIntegration:
         rng = np.random.default_rng(5)
         modulator = BPSKModulator()
         sigma = ebn0_to_noise_sigma(3.0, small_ldpc_code.rate)
-        decoder = LayeredMinSumDecoder(small_ldpc_code.h, max_iterations=15)
+        decoder = BatchLayeredDecoder(small_ldpc_code.h, max_iterations=15)
         coded_errors, uncoded_errors = 0, 0
         for _ in range(4):
             info = rng.integers(0, 2, small_ldpc_code.k)
@@ -67,7 +68,7 @@ class TestLdpcChainIntegration:
             received = channel.transmit(modulator.modulate(codeword))
             llrs = modulator.demodulate_llr(received, channel.llr_noise_variance(False))
             coded_errors += int(
-                np.count_nonzero(decoder.decode(llrs).hard_bits != codeword)
+                np.count_nonzero(decoder.decode_batch(llrs[None, :]).hard_bits[0] != codeword)
             )
             uncoded_errors += int(np.count_nonzero((received < 0).astype(int) != codeword))
         assert coded_errors < uncoded_errors
@@ -76,8 +77,8 @@ class TestLdpcChainIntegration:
         info = rng.integers(0, 2, small_ldpc_code.k)
         codeword = small_ldpc_code.encode(info)
         llrs = 6.0 * (1 - 2 * codeword.astype(float))
-        layered = LayeredMinSumDecoder(small_ldpc_code.h).decode(llrs)
-        flooding = FloodingDecoder(small_ldpc_code.h).decode(llrs)
+        layered = BatchLayeredDecoder(small_ldpc_code.h).decode_batch(llrs[None, :])
+        flooding = BatchFloodingDecoder(small_ldpc_code.h).decode_batch(llrs[None, :])
         assert np.array_equal(layered.hard_bits, flooding.hard_bits)
 
 
@@ -90,15 +91,15 @@ class TestTurboChainIntegration:
         modulator = BPSKModulator()
         sigma = ebn0_to_noise_sigma(2.5, 0.5)
         for bit_level in (False, True):
-            decoder = TurboDecoder(encoder, max_iterations=8, bit_level_exchange=bit_level)
+            decoder = BatchTurboDecoder(encoder, max_iterations=8, bit_level_exchange=bit_level)
             info = rng.integers(0, 2, encoder.k)
             channel = AWGNChannel(sigma, rng)
             llrs = modulator.demodulate_llr(
                 channel.transmit(modulator.modulate(encoder.encode(info).to_bit_array())),
                 channel.llr_noise_variance(False),
             )
-            result = decoder.decode(*decoder.split_llrs(llrs))
-            assert np.array_equal(result.hard_bits, info)
+            result = decoder.decode_batch(llrs[None, :])
+            assert np.array_equal(result.hard_bits[0], info)
 
 
 class TestSystemLevelIntegration:

@@ -1,7 +1,8 @@
 """Unit tests for LDPC encoding and decoding.
 
-Covers :mod:`repro.ldpc.encoder`, :mod:`repro.ldpc.checknode`,
-:mod:`repro.ldpc.layered` and :mod:`repro.ldpc.flooding`.
+Covers :mod:`repro.ldpc.encoder` and :mod:`repro.ldpc.checknode`, and
+decodes single frames with :class:`~repro.sim.batch.BatchLayeredDecoder` and
+:class:`~repro.sim.batch.BatchFloodingDecoder` (a batch of one, row 0 read).
 """
 
 from __future__ import annotations
@@ -15,9 +16,7 @@ from hypothesis.extra.numpy import arrays
 from repro.channel import AWGNChannel, BPSKModulator, ebn0_to_noise_sigma
 from repro.errors import CodeDefinitionError, DecodingError
 from repro.ldpc import (
-    FloodingDecoder,
     LDPCEncoder,
-    LayeredMinSumDecoder,
     ParityCheckMatrix,
     first_two_minima,
     list_wifi_codes,
@@ -26,8 +25,13 @@ from repro.ldpc import (
     wimax_ldpc_code,
 )
 from repro.ldpc.wimax import WIMAX_CODE_RATES
-from repro.sim import BatchLayeredDecoder, BerRunner
+from repro.sim import BatchFloodingDecoder, BatchLayeredDecoder, BerRunner
 from tests.conftest import make_ldpc_llrs
+
+
+def _decode_one(decoder, llrs):
+    """Decode one frame of LLRs as a one-frame batch."""
+    return decoder.decode_batch(np.asarray(llrs)[None, :])
 
 
 class TestEncoder:
@@ -179,44 +183,47 @@ class TestLayeredDecoder:
         info = rng.integers(0, 2, small_ldpc_code.k)
         codeword = small_ldpc_code.encode(info)
         llrs = 10.0 * (1 - 2 * codeword.astype(float))
-        result = LayeredMinSumDecoder(small_ldpc_code.h, max_iterations=5).decode(llrs)
-        assert result.converged
-        assert result.iterations == 1
-        assert np.array_equal(result.hard_bits, codeword)
+        result = _decode_one(BatchLayeredDecoder(small_ldpc_code.h, max_iterations=5), llrs)
+        assert result.converged[0]
+        assert result.iterations[0] == 1
+        assert np.array_equal(result.hard_bits[0], codeword)
 
     def test_moderate_noise_corrected(self, small_ldpc_code, rng):
         codeword, llrs = make_ldpc_llrs(small_ldpc_code, ebn0_db=3.0, rng=rng)
-        result = LayeredMinSumDecoder(small_ldpc_code.h, max_iterations=20).decode(llrs)
-        assert result.converged
-        assert np.array_equal(result.hard_bits, codeword)
+        result = _decode_one(BatchLayeredDecoder(small_ldpc_code.h, max_iterations=20), llrs)
+        assert result.converged[0]
+        assert np.array_equal(result.hard_bits[0], codeword)
 
     def test_fixed_point_mode_still_corrects(self, small_ldpc_code, rng):
         codeword, llrs = make_ldpc_llrs(small_ldpc_code, ebn0_db=3.5, rng=rng)
-        decoder = LayeredMinSumDecoder(small_ldpc_code.h, max_iterations=20, fixed_point=True)
-        result = decoder.decode(llrs)
-        assert np.array_equal(result.hard_bits, codeword)
+        decoder = BatchLayeredDecoder(small_ldpc_code.h, max_iterations=20, fixed_point=True)
+        result = _decode_one(decoder, llrs)
+        assert np.array_equal(result.hard_bits[0], codeword)
 
     def test_unsatisfied_history_is_non_increasing_at_high_snr(self, small_ldpc_code, rng):
         _, llrs = make_ldpc_llrs(small_ldpc_code, ebn0_db=3.0, rng=rng)
-        result = LayeredMinSumDecoder(small_ldpc_code.h, max_iterations=20).decode(llrs)
-        history = result.unsatisfied_history
+        result = _decode_one(BatchLayeredDecoder(small_ldpc_code.h, max_iterations=20), llrs)
+        history = result.unsatisfied_history[0]
         assert history[-1] == 0
 
     def test_no_early_termination_runs_all_iterations(self, small_ldpc_code, rng):
         _, llrs = make_ldpc_llrs(small_ldpc_code, ebn0_db=4.0, rng=rng)
-        decoder = LayeredMinSumDecoder(
+        decoder = BatchLayeredDecoder(
             small_ldpc_code.h, max_iterations=7, early_termination=False
         )
-        assert decoder.decode(llrs).iterations == 7
+        assert _decode_one(decoder, llrs).iterations[0] == 7
 
-    def test_rejects_wrong_llr_length(self, small_ldpc_code):
-        decoder = LayeredMinSumDecoder(small_ldpc_code.h)
+    @pytest.mark.parametrize("extra", [1, -1], ids=["long", "short"])
+    def test_rejects_wrong_llr_length(self, small_ldpc_code, extra):
+        decoder = BatchLayeredDecoder(small_ldpc_code.h)
         with pytest.raises(DecodingError):
-            decoder.decode(np.zeros(small_ldpc_code.n + 1))
+            _decode_one(decoder, np.zeros(small_ldpc_code.n + extra))
+        with pytest.raises(DecodingError):  # one frame without its batch axis
+            decoder.decode_batch(np.zeros(small_ldpc_code.n))
 
     def test_rejects_bad_parameters(self, small_ldpc_code):
         with pytest.raises(DecodingError):
-            LayeredMinSumDecoder(small_ldpc_code.h, max_iterations=0)
+            BatchLayeredDecoder(small_ldpc_code.h, max_iterations=0)
 
 
 class TestFloodingDecoder:
@@ -224,15 +231,15 @@ class TestFloodingDecoder:
         info = rng.integers(0, 2, small_ldpc_code.k)
         codeword = small_ldpc_code.encode(info)
         llrs = 10.0 * (1 - 2 * codeword.astype(float))
-        result = FloodingDecoder(small_ldpc_code.h, max_iterations=5).decode(llrs)
-        assert result.converged
-        assert np.array_equal(result.hard_bits, codeword)
+        result = _decode_one(BatchFloodingDecoder(small_ldpc_code.h, max_iterations=5), llrs)
+        assert result.converged[0]
+        assert np.array_equal(result.hard_bits[0], codeword)
 
     def test_min_sum_kernel_corrects_noise(self, small_ldpc_code, rng):
         codeword, llrs = make_ldpc_llrs(small_ldpc_code, ebn0_db=3.0, rng=rng)
-        decoder = FloodingDecoder(small_ldpc_code.h, max_iterations=30, kernel="min-sum")
-        result = decoder.decode(llrs)
-        assert np.array_equal(result.hard_bits, codeword)
+        decoder = BatchFloodingDecoder(small_ldpc_code.h, max_iterations=30, kernel="min-sum")
+        result = _decode_one(decoder, llrs)
+        assert np.array_equal(result.hard_bits[0], codeword)
 
     def test_layered_converges_in_fewer_iterations_than_flooding(self, small_ldpc_code):
         """The paper's motivation for layered scheduling: ~2x faster convergence."""
@@ -248,23 +255,24 @@ class TestFloodingDecoder:
                 channel.transmit(modulator.modulate(codeword)),
                 channel.llr_noise_variance(False),
             )
-            layered = LayeredMinSumDecoder(small_ldpc_code.h, max_iterations=40).decode(llrs)
-            flooding = FloodingDecoder(
-                small_ldpc_code.h, max_iterations=40, kernel="min-sum"
-            ).decode(llrs)
-            if layered.converged and flooding.converged:
-                layered_iters.append(layered.iterations)
-                flooding_iters.append(flooding.iterations)
+            layered = _decode_one(BatchLayeredDecoder(small_ldpc_code.h, max_iterations=40), llrs)
+            flooding = _decode_one(
+                BatchFloodingDecoder(small_ldpc_code.h, max_iterations=40, kernel="min-sum"),
+                llrs,
+            )
+            if layered.converged[0] and flooding.converged[0]:
+                layered_iters.append(layered.iterations[0])
+                flooding_iters.append(flooding.iterations[0])
         assert layered_iters, "no frame converged under both schedules"
         assert np.mean(layered_iters) < np.mean(flooding_iters)
 
     def test_rejects_unknown_kernel(self, small_ldpc_code):
         with pytest.raises(DecodingError):
-            FloodingDecoder(small_ldpc_code.h, kernel="approximate")
+            BatchFloodingDecoder(small_ldpc_code.h, kernel="approximate")
 
     def test_rejects_wrong_llr_length(self, small_ldpc_code):
         with pytest.raises(DecodingError):
-            FloodingDecoder(small_ldpc_code.h).decode(np.zeros(10))
+            _decode_one(BatchFloodingDecoder(small_ldpc_code.h), np.zeros(10))
 
 
 class TestWifiScenarios:

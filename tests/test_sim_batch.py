@@ -3,14 +3,14 @@
 The load-bearing property: stacking frames on the batch axis changes
 *nothing* — the batched decoders return the same hard bits, the same
 iteration counts, the same convergence flags (and the same a-posteriori LLRs
-and unsatisfied-check histories) as the per-frame ``decode`` for every frame,
-for both schedules, both kernels, with and without early termination and
-fixed-point quantisation.
+and unsatisfied-check histories) for every frame as that frame decoded alone
+in a batch of one, for both schedules, both kernels, with and without early
+termination and fixed-point quantisation.
 
-The per-frame layered facade delegates to the batch decoder, so that
-equivalence alone is circular.  :func:`_check_serial_layered` is the
-independent oracle: the seed's check-by-check loop over the scalar check
-kernel, with no edge index, no layers and no batch axis.  The layer-parallel
+That equivalence says nothing about the arithmetic itself.
+:func:`_check_serial_layered` is the independent oracle: the seed's
+check-by-check loop over the scalar check kernel, with no edge index, no
+layers and no batch axis.  The layer-parallel
 batch decoder is pinned to it bit for bit (LLR bit patterns, ``-0.0``
 included).  :func:`_check_serial_flooding` does the same for the flooding
 decoder's two kernels.
@@ -38,14 +38,13 @@ from repro.channel import (
 )
 from repro.errors import ConfigurationError, DecodingError
 from repro.ldpc import (
-    FloodingDecoder,
-    LayeredMinSumDecoder,
     ParityCheckMatrix,
     wifi_ldpc_code,
     wimax_ldpc_code,
 )
 from repro.ldpc.checknode import min_sum_check_update
 from repro.sim import (
+    BatchBCJR,
     BatchDecoder,
     BatchFloodingDecoder,
     BatchLayeredDecoder,
@@ -58,7 +57,7 @@ from repro.sim import (
     wilson_interval,
 )
 from repro.sim.batch import extrinsic_table
-from repro.turbo import TurboDecoder, TurboEncoder
+from repro.turbo import TurboEncoder
 
 
 def _llr_batch(code, batch: int, ebn0_db: float, seed: int) -> tuple[np.ndarray, np.ndarray]:
@@ -302,8 +301,8 @@ def _assert_matches_flooding_oracle(h, llrs, result, **oracle_kwargs) -> None:
 class TestFloodingOracle:
     """Edge-parallel flooding == the check-serial two-phase schedule, bit for bit.
 
-    The per-frame :class:`FloodingDecoder` delegates to the batch engine, so
-    only this scalar oracle witnesses either kernel's arithmetic.
+    Only this scalar oracle witnesses either kernel's arithmetic: the
+    batch ≡ batch=1 tests run the same code on both sides.
     """
 
     @pytest.mark.parametrize("code_name", sorted(_ORACLE_CODES))
@@ -372,105 +371,123 @@ class TestFloodingOracle:
         )
 
 
+_LDPC_DECODERS = (BatchLayeredDecoder, BatchFloodingDecoder)
+
+#: Constructor options with values each LDPC decoder must reject: counts are
+#: ints, and flags are bools (``"no"`` is truthy, never a switched-off flag).
+_BAD_LDPC_OPTIONS = (
+    [(cls, "max_iterations", value) for cls in _LDPC_DECODERS for value in (0.5, 2.5, True, "3")]
+    + [
+        (BatchLayeredDecoder, "fixed_point", value)
+        for value in ("no", "yes", 1, None, np.array([1, 0]))
+    ]
+    + [(cls, "early_termination", value) for cls in _LDPC_DECODERS for value in ("false", 0)]
+)
+
+
 class TestIterationValidation:
-    @pytest.mark.parametrize("value", [0.5, 2.5, True, "3"])
-    @pytest.mark.parametrize("decoder_cls", [BatchLayeredDecoder, BatchFloodingDecoder])
-    def test_batch_constructors_reject_non_integers(self, small_ldpc_code, decoder_cls, value):
-        with pytest.raises(DecodingError, match="max_iterations"):
-            decoder_cls(small_ldpc_code.h, max_iterations=value)
+    @pytest.mark.parametrize(
+        "decoder_cls, option, value",
+        _BAD_LDPC_OPTIONS,
+        ids=[f"{cls.__name__}-{option}-{value!r}" for cls, option, value in _BAD_LDPC_OPTIONS],
+    )
+    def test_batch_constructors_reject_bad_options(
+        self, small_ldpc_code, decoder_cls, option, value
+    ):
+        with pytest.raises(DecodingError, match=option):
+            decoder_cls(small_ldpc_code.h, **{option: value})
+        # NumPy booleans are flags too, stored as plain bools.
+        decoder = decoder_cls(small_ldpc_code.h, early_termination=np.bool_(False))
+        assert decoder.early_termination is False
 
 
-#: Every option the per-frame facades take at construction, with a value to
-#: try assigning afterwards.  ``scaling`` is no option at all (sigma is a
-#: constant), so assigning it must not create a silently ignored attribute.
-_FACADE_OPTIONS = [
-    (LayeredMinSumDecoder, "max_iterations", 3),
-    (LayeredMinSumDecoder, "scaling", 0.8),
-    (LayeredMinSumDecoder, "fixed_point", "yes"),
-    (LayeredMinSumDecoder, "early_termination", False),
-    (FloodingDecoder, "max_iterations", 3),
-    (FloodingDecoder, "kernel", "bogus"),
-    (FloodingDecoder, "scaling", 0.8),
-    (FloodingDecoder, "early_termination", False),
-    (TurboDecoder, "max_iterations", 3),
-    (TurboDecoder, "bit_level_exchange", True),
-    (TurboDecoder, "early_termination", False),
+#: Every option the decoders take at construction, with a value to try
+#: assigning afterwards.  ``scaling`` and ``extrinsic_scale`` are no options
+#: at all (sigma is a constant), so assigning them must not create a silently
+#: ignored attribute.
+_SET_ONCE_OPTIONS = [
+    (BatchLayeredDecoder, "max_iterations", 0),
+    (BatchLayeredDecoder, "scaling", 0.8),
+    (BatchLayeredDecoder, "fixed_point", "yes"),
+    (BatchLayeredDecoder, "early_termination", False),
+    (BatchFloodingDecoder, "max_iterations", 3),
+    (BatchFloodingDecoder, "kernel", "bogus"),
+    (BatchFloodingDecoder, "scaling", 0.8),
+    (BatchFloodingDecoder, "early_termination", False),
+    (BatchTurboDecoder, "encoder", None),
+    (BatchTurboDecoder, "max_iterations", -3),
+    (BatchTurboDecoder, "extrinsic_scale", 0.5),
+    (BatchTurboDecoder, "bit_level_exchange", True),
+    (BatchTurboDecoder, "early_termination", False),
+    (BatchBCJR, "trellis", None),
 ]
 
 
 @pytest.mark.parametrize(
-    "facade, option, value",
-    _FACADE_OPTIONS,
-    ids=[f"{facade.__name__}-{option}" for facade, option, _ in _FACADE_OPTIONS],
+    "decoder_cls, option, value",
+    _SET_ONCE_OPTIONS,
+    ids=[f"{cls.__name__}-{option}" for cls, option, _ in _SET_ONCE_OPTIONS],
 )
-def test_facade_options_are_set_once(
-    small_ldpc_code, small_turbo_encoder, facade, option, value
+def test_options_are_set_once(
+    small_ldpc_code, small_turbo_encoder, decoder_cls, option, value
 ):
-    """A facade is configured at construction only: assigning an option raises."""
-    code = small_turbo_encoder if facade is TurboDecoder else small_ldpc_code.h
-    decoder = facade(code)
+    """A decoder is configured at construction only: assigning an option raises."""
+    if decoder_cls is BatchBCJR:
+        decoder = BatchBCJR()
+    elif decoder_cls is BatchTurboDecoder:
+        decoder = BatchTurboDecoder(small_turbo_encoder)
+    else:
+        decoder = decoder_cls(small_ldpc_code.h)
     before = getattr(decoder, option, None)
     with pytest.raises(AttributeError):
         setattr(decoder, option, value)
-    assert getattr(decoder, option, None) == before
+    assert getattr(decoder, option, None) is before
+
+
+def _assert_row_matches_alone(result, frame: int, alone) -> None:
+    """Row ``frame`` of a stacked decode equals the one-frame decode ``alone``."""
+    assert alone.batch_size == 1
+    assert np.array_equal(result.hard_bits[frame], alone.hard_bits[0])
+    assert np.array_equal(_bits(result.llrs[frame]), _bits(alone.llrs[0]))
+    assert result.iterations[frame] == alone.iterations[0]
+    assert result.converged[frame] == alone.converged[0]
+    assert result.syndrome_weights[frame] == alone.syndrome_weights[0]
+    assert result.unsatisfied_history[frame] == alone.unsatisfied_history[0]
 
 
 class TestBatchSequentialEquivalence:
-    """The tentpole property: batch == per-frame, field for field."""
+    """The tentpole property: batch == each frame decoded alone, field for field."""
 
     @pytest.mark.parametrize("kernel", ["sum-product", "min-sum"])
     @pytest.mark.parametrize("early_termination", [True, False])
     def test_flooding_schedule(self, small_ldpc_code, kernel, early_termination):
         # 1.4 dB leaves a mix of converging and non-converging frames.
         _, llrs = _llr_batch(small_ldpc_code, 6, ebn0_db=1.4, seed=11)
-        batch_decoder = BatchFloodingDecoder(
+        decoder = BatchFloodingDecoder(
             small_ldpc_code.h,
             max_iterations=8,
             kernel=kernel,
             early_termination=early_termination,
         )
-        sequential = FloodingDecoder(
-            small_ldpc_code.h,
-            max_iterations=8,
-            kernel=kernel,
-            early_termination=early_termination,
-        )
-        result = batch_decoder.decode_batch(llrs)
+        result = decoder.decode_batch(llrs)
         assert 0 < result.converged.sum() < llrs.shape[0]
         for frame in range(llrs.shape[0]):
-            reference = sequential.decode(llrs[frame])
-            assert np.array_equal(result.hard_bits[frame], reference.hard_bits)
-            assert np.array_equal(result.llrs[frame], reference.llrs)
-            assert int(result.iterations[frame]) == reference.iterations
-            assert bool(result.converged[frame]) == reference.converged
-            assert result.unsatisfied_history[frame] == reference.unsatisfied_history
+            _assert_row_matches_alone(result, frame, decoder.decode_batch(llrs[frame][None]))
 
     @pytest.mark.parametrize("fixed_point", [False, True])
     @pytest.mark.parametrize("early_termination", [True, False])
     def test_layered_schedule(self, small_ldpc_code, fixed_point, early_termination):
         _, llrs = _llr_batch(small_ldpc_code, 6, ebn0_db=1.2, seed=23)
-        batch_decoder = BatchLayeredDecoder(
+        decoder = BatchLayeredDecoder(
             small_ldpc_code.h,
             max_iterations=8,
             fixed_point=fixed_point,
             early_termination=early_termination,
         )
-        sequential = LayeredMinSumDecoder(
-            small_ldpc_code.h,
-            max_iterations=8,
-            fixed_point=fixed_point,
-            early_termination=early_termination,
-        )
-        result = batch_decoder.decode_batch(llrs)
+        result = decoder.decode_batch(llrs)
         assert 0 < result.converged.sum() < llrs.shape[0]
         for frame in range(llrs.shape[0]):
-            reference = sequential.decode(llrs[frame])
-            assert np.array_equal(result.hard_bits[frame], reference.hard_bits)
-            assert np.array_equal(result.llrs[frame], reference.llrs)
-            assert int(result.iterations[frame]) == reference.iterations
-            assert bool(result.converged[frame]) == reference.converged
-            assert int(result.syndrome_weights[frame]) == reference.syndrome_weight
-            assert result.unsatisfied_history[frame] == reference.unsatisfied_history
+            _assert_row_matches_alone(result, frame, decoder.decode_batch(llrs[frame][None]))
 
     @pytest.mark.parametrize("fixed_point", [False, True])
     def test_layered_rejects_single_edge_check(self, fixed_point):
@@ -554,16 +571,6 @@ class TestKernels:
             others = np.prod(np.delete(tanh_half, k))
             expected = 2.0 * np.arctanh(np.clip(others, -0.999999999999, 0.999999999999))
             assert out[k] == pytest.approx(expected, rel=1e-9, abs=1e-9)
-
-    def test_scalar_sum_product_wrapper_matches_kernel(self):
-        """The per-check wrapper in flooding.py is a view of the same kernel."""
-        from repro.ldpc.flooding import _sum_product_check_update
-
-        q = np.array([0.0, 3.0, -2.0, 0.4])
-        assert np.array_equal(_sum_product_check_update(q), sum_product_update(q[None, :])[0])
-        assert np.isfinite(_sum_product_check_update(q)).all()
-        with pytest.raises(DecodingError):
-            _sum_product_check_update(q[None, :])
 
     def test_sum_product_stable_at_zero_message(self):
         """A zero message must not trip division-by-zero (the seed's O(d^2) case)."""

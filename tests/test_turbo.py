@@ -1,8 +1,10 @@
 """Unit tests for the turbo substrate.
 
 Covers :mod:`repro.turbo.trellis`, :mod:`repro.turbo.ctc_interleaver`,
-:mod:`repro.turbo.encoder`, :mod:`repro.turbo.bcjr`, :mod:`repro.turbo.bits`
-and :mod:`repro.turbo.decoder`.
+:mod:`repro.turbo.encoder` and :mod:`repro.turbo.bits`, and decodes with
+:class:`~repro.sim.turbo_batch.BatchBCJR` and
+:class:`~repro.sim.turbo_batch.BatchTurboDecoder` one frame at a time (a
+batch of one, row 0 read).
 """
 
 from __future__ import annotations
@@ -12,11 +14,10 @@ import pytest
 
 from repro.channel import AWGNChannel, BPSKModulator, ebn0_to_noise_sigma
 from repro.errors import CodeDefinitionError, DecodingError
+from repro.sim.turbo_batch import BatchBCJR, BatchTurboDecoder
 from repro.turbo import (
-    BCJRDecoder,
     CTCInterleaver,
     DuoBinaryTrellis,
-    TurboDecoder,
     TurboEncoder,
     bit_to_symbol_extrinsic,
     supported_ctc_block_sizes,
@@ -173,26 +174,34 @@ class TestBCJR:
     def test_noiseless_decoding_recovers_symbols(self, small_turbo_encoder, rng):
         info = rng.integers(0, 2, small_turbo_encoder.k)
         codeword, sys_llrs, par1 = self._noiseless_llrs(small_turbo_encoder, info)
-        decoder = BCJRDecoder()
-        result = decoder.decode(sys_llrs, par1)
+        result = BatchBCJR().decode_batch(sys_llrs[None], par1[None])
         expected = TurboEncoder.bits_to_symbols(info)
-        assert np.array_equal(result.hard_symbols, expected)
+        assert np.array_equal(result.hard_symbols[0], expected)
 
     def test_aposteriori_reference_element_is_zero(self, small_turbo_encoder, rng):
         info = rng.integers(0, 2, small_turbo_encoder.k)
         _, sys_llrs, par1 = self._noiseless_llrs(small_turbo_encoder, info)
-        result = BCJRDecoder().decode(sys_llrs, par1)
-        assert np.allclose(result.aposteriori[:, 0], 0.0)
+        result = BatchBCJR().decode_batch(sys_llrs[None], par1[None])
+        assert np.allclose(result.aposteriori[0, :, 0], 0.0)
 
-    def test_rejects_shape_mismatch(self):
-        decoder = BCJRDecoder()
+    @pytest.mark.parametrize(
+        "systematic, parity",
+        [
+            (np.zeros((1, 10, 2)), np.zeros((1, 9, 2))),
+            (np.zeros((10, 2)), np.zeros((10, 2))),  # one frame without its batch axis
+            (np.zeros((1, 10, 3)), np.zeros((1, 10, 3))),
+        ],
+        ids=["length-mismatch", "no-batch-axis", "three-llrs-per-couple"],
+    )
+    def test_rejects_shape_mismatch(self, systematic, parity):
         with pytest.raises(DecodingError):
-            decoder.decode(np.zeros((10, 2)), np.zeros((9, 2)))
+            BatchBCJR().decode_batch(systematic, parity)
 
     def test_rejects_bad_apriori_shape(self):
-        decoder = BCJRDecoder()
         with pytest.raises(DecodingError):
-            decoder.decode(np.zeros((10, 2)), np.zeros((10, 2)), apriori=np.zeros((10, 3)))
+            BatchBCJR().decode_batch(
+                np.zeros((1, 10, 2)), np.zeros((1, 10, 2)), apriori=np.zeros((1, 10, 3))
+            )
 
 
 class TestBitSymbolConversion:
@@ -219,6 +228,11 @@ class TestBitSymbolConversion:
             bit_to_symbol_extrinsic(np.zeros((3, 3)))
 
 
+def _decode_one(decoder, llrs):
+    """Decode one flat frame of LLRs as a one-frame batch; row 0's result."""
+    return decoder.decode_batch(np.asarray(llrs)[None, :])
+
+
 class TestTurboDecoder:
     def _transmit(self, encoder, info, ebn0_db, rng):
         codeword = encoder.encode(info)
@@ -233,71 +247,86 @@ class TestTurboDecoder:
 
     def test_noiseless_decoding(self, small_turbo_encoder, rng):
         info = rng.integers(0, 2, small_turbo_encoder.k)
-        decoder = TurboDecoder(small_turbo_encoder, max_iterations=4)
+        decoder = BatchTurboDecoder(small_turbo_encoder, max_iterations=4)
         llrs = 8.0 * (1 - 2 * small_turbo_encoder.encode(info).to_bit_array().astype(float))
-        result = decoder.decode(*decoder.split_llrs(llrs))
-        assert np.array_equal(result.hard_bits, info)
+        result = _decode_one(decoder, llrs)
+        assert np.array_equal(result.hard_bits[0], info)
 
     def test_awgn_decoding_at_moderate_snr(self, small_turbo_encoder, rng):
-        decoder = TurboDecoder(small_turbo_encoder, max_iterations=8)
+        decoder = BatchTurboDecoder(small_turbo_encoder, max_iterations=8)
         errors = 0
         for _ in range(4):
             info = rng.integers(0, 2, small_turbo_encoder.k)
             llrs = self._transmit(small_turbo_encoder, info, ebn0_db=2.5, rng=rng)
-            result = decoder.decode(*decoder.split_llrs(llrs))
-            errors += int(np.count_nonzero(result.hard_bits != info))
+            result = _decode_one(decoder, llrs)
+            errors += int(np.count_nonzero(result.hard_bits[0] != info))
         assert errors == 0
 
     def test_bit_level_exchange_still_decodes(self, small_turbo_encoder, rng):
-        decoder = TurboDecoder(
+        decoder = BatchTurboDecoder(
             small_turbo_encoder, max_iterations=8, bit_level_exchange=True
         )
         info = rng.integers(0, 2, small_turbo_encoder.k)
         llrs = self._transmit(small_turbo_encoder, info, ebn0_db=3.0, rng=rng)
-        result = decoder.decode(*decoder.split_llrs(llrs))
-        assert np.array_equal(result.hard_bits, info)
+        result = _decode_one(decoder, llrs)
+        assert np.array_equal(result.hard_bits[0], info)
 
     def test_early_termination_reports_convergence(self, small_turbo_encoder, rng):
-        decoder = TurboDecoder(small_turbo_encoder, max_iterations=8)
+        decoder = BatchTurboDecoder(small_turbo_encoder, max_iterations=8)
         info = rng.integers(0, 2, small_turbo_encoder.k)
         llrs = self._transmit(small_turbo_encoder, info, ebn0_db=4.0, rng=rng)
-        result = decoder.decode(*decoder.split_llrs(llrs))
-        assert result.converged
-        assert result.iterations <= 8
+        result = _decode_one(decoder, llrs)
+        assert result.converged[0]
+        assert result.iterations[0] <= 8
 
     def test_iterations_help_at_low_snr(self, small_turbo_encoder):
         rng = np.random.default_rng(3)
-        one_it = TurboDecoder(small_turbo_encoder, max_iterations=1, early_termination=False)
-        many_it = TurboDecoder(small_turbo_encoder, max_iterations=8, early_termination=False)
+        one_it = BatchTurboDecoder(
+            small_turbo_encoder, max_iterations=1, early_termination=False
+        )
+        many_it = BatchTurboDecoder(
+            small_turbo_encoder, max_iterations=8, early_termination=False
+        )
         errors_one, errors_many = 0, 0
         for _ in range(6):
             info = rng.integers(0, 2, small_turbo_encoder.k)
             llrs = self._transmit(small_turbo_encoder, info, ebn0_db=1.5, rng=rng)
-            sys_llrs, par1, par2 = one_it.split_llrs(llrs)
-            errors_one += int(np.count_nonzero(one_it.decode(sys_llrs, par1, par2).hard_bits != info))
+            split = one_it.split_llrs_batch(llrs[None, :])
+            errors_one += int(np.count_nonzero(one_it.decode_split(*split).hard_bits[0] != info))
             errors_many += int(
-                np.count_nonzero(many_it.decode(sys_llrs, par1, par2).hard_bits != info)
+                np.count_nonzero(many_it.decode_split(*split).hard_bits[0] != info)
             )
         assert errors_many <= errors_one
 
     def test_split_llrs_shapes(self, small_turbo_encoder):
-        decoder = TurboDecoder(small_turbo_encoder)
-        sys_llrs, par1, par2 = decoder.split_llrs(np.zeros(small_turbo_encoder.n))
-        assert sys_llrs.shape == (48, 2)
-        assert par1.shape == (48, 2)
-        assert np.all(par1[:, 1] == 0)  # W punctured at rate 1/2
-        assert par2.shape == (48, 2)
+        decoder = BatchTurboDecoder(small_turbo_encoder)
+        sys_llrs, par1, par2 = decoder.split_llrs_batch(np.zeros((1, small_turbo_encoder.n)))
+        assert sys_llrs.shape == (1, 48, 2)
+        assert par1.shape == (1, 48, 2)
+        assert np.all(par1[:, :, 1] == 0)  # W punctured at rate 1/2
+        assert par2.shape == (1, 48, 2)
 
-    def test_split_llrs_rejects_wrong_length(self, small_turbo_encoder):
-        decoder = TurboDecoder(small_turbo_encoder)
+    @pytest.mark.parametrize("shape", [(1, 193), (192,)], ids=["wrong-length", "no-batch-axis"])
+    def test_split_llrs_rejects_wrong_length(self, small_turbo_encoder, shape):
+        decoder = BatchTurboDecoder(small_turbo_encoder)
+        assert small_turbo_encoder.n == 192
         with pytest.raises(DecodingError):
-            decoder.split_llrs(np.zeros(small_turbo_encoder.n + 1))
+            decoder.split_llrs_batch(np.zeros(shape))
 
-    def test_decode_rejects_wrong_shapes(self, small_turbo_encoder):
-        decoder = TurboDecoder(small_turbo_encoder)
+    @pytest.mark.parametrize(
+        "shapes",
+        [
+            ((1, 10, 2), (1, 10, 2), (1, 10, 2)),  # wrong couple count
+            ((48, 2), (48, 2), (48, 2)),  # one frame without its batch axis
+            ((1, 48, 2), (1, 48, 2), (1, 47, 2)),  # parity2 disagrees
+        ],
+        ids=["wrong-couples", "no-batch-axis", "parity-mismatch"],
+    )
+    def test_decode_rejects_wrong_shapes(self, small_turbo_encoder, shapes):
+        decoder = BatchTurboDecoder(small_turbo_encoder)
         with pytest.raises(DecodingError):
-            decoder.decode(np.zeros((10, 2)), np.zeros((10, 2)), np.zeros((10, 2)))
+            decoder.decode_split(*(np.zeros(shape) for shape in shapes))
 
     def test_rejects_bad_iteration_count(self, small_turbo_encoder):
         with pytest.raises(DecodingError):
-            TurboDecoder(small_turbo_encoder, max_iterations=0)
+            BatchTurboDecoder(small_turbo_encoder, max_iterations=0)

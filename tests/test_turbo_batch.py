@@ -8,13 +8,13 @@ LDPC engine:
   pinning reference), including extrinsics and the circular state metrics,
 * stacking frames on the batch axis changes nothing — the batched turbo
   decoder returns the same hard bits, iteration counts, convergence flags
-  and decision-change histories as the per-frame ``decode`` for every frame,
-  for both extrinsic-exchange modes, with and without early termination,
-  and for any batch split,
-* the turbo decoder and ``BCJRDecoder`` reproduce SHA-256 digests of all
-  their outputs recorded before the state-major exchange (the facades
-  delegate to the batch engine, so only recorded outputs can witness a
-  change in it),
+  and decision-change histories for every frame as that frame decoded alone
+  in a batch of one, for both extrinsic-exchange modes, with and without
+  early termination, and for any batch split,
+* the turbo decoder and one-frame ``BatchBCJR`` activations reproduce
+  SHA-256 digests of all their outputs recorded before the state-major
+  exchange (batch ≡ batch=1 runs the same code on both sides, so only
+  recorded outputs can witness a change in it),
 * ``TurboEncoder.encode_batch`` equals a scalar per-couple encoder loop
   (kept below as the oracle) and looped per-frame ``encode``.
 """
@@ -36,7 +36,7 @@ from repro.sim import (
     resolve_code_rate,
 )
 from repro.sim.turbo_batch import _CHUNK
-from repro.turbo import BCJRDecoder, DuoBinaryTrellis, TurboDecoder, TurboEncoder
+from repro.turbo import DuoBinaryTrellis, TurboEncoder
 
 _NEG_INF = -1.0e30
 
@@ -106,6 +106,23 @@ class _SeedBCJR:
         return apo, extrinsic, hard, alpha[n].copy(), beta[0].copy()
 
 
+def _bcjr_one_frame(sys_llrs, par_llrs, apriori=None, initial_alpha=None, initial_beta=None):
+    """One ``BatchBCJR`` activation on a one-frame batch, returned as
+    ``_SeedBCJR.decode`` returns it: ``(apo, ext, hard, alpha, beta)`` of row 0."""
+
+    def lift(array):
+        return None if array is None else np.asarray(array)[None]
+
+    result = BatchBCJR().decode_batch(
+        lift(sys_llrs), lift(par_llrs), apriori=lift(apriori),
+        initial_alpha=lift(initial_alpha), initial_beta=lift(initial_beta),
+    )
+    return (
+        result.aposteriori[0], result.extrinsic[0], result.hard_symbols[0],
+        result.final_alpha[0], result.final_beta[0],
+    )
+
+
 def _turbo_llr_batch(
     encoder: TurboEncoder, batch: int, ebn0_db: float, seed: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -140,19 +157,16 @@ class TestBCJRPinnedToSeedReference:
         init_alpha = rng.normal(0.0, 1.0, 8)
         init_beta = rng.normal(0.0, 1.0, 8)
 
-        result = BCJRDecoder().decode(
+        result = _bcjr_one_frame(
             sys_llrs, par_llrs, apriori=apriori,
             initial_alpha=init_alpha, initial_beta=init_beta,
         )
-        apo, ext, hard, falpha, fbeta = _SeedBCJR().decode(
+        expected = _SeedBCJR().decode(
             sys_llrs, par_llrs, apriori=apriori,
             initial_alpha=init_alpha, initial_beta=init_beta,
         )
-        assert np.array_equal(result.aposteriori, apo)
-        assert np.array_equal(result.extrinsic, ext)
-        assert np.array_equal(result.hard_symbols, hard)
-        assert np.array_equal(result.final_alpha, falpha)
-        assert np.array_equal(result.final_beta, fbeta)
+        for got, want in zip(result, expected, strict=True):
+            assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     @pytest.mark.parametrize("n", [1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 3, 48])
@@ -163,13 +177,10 @@ class TestBCJRPinnedToSeedReference:
         par_llrs = rng.normal(0.0, 4.0, (n, 2))
         par_llrs[rng.random((n, 2)) < 0.3] = 0.0  # punctured positions
 
-        result = BCJRDecoder().decode(sys_llrs, par_llrs)
-        apo, ext, hard, falpha, fbeta = _SeedBCJR().decode(sys_llrs, par_llrs)
-        assert np.array_equal(result.aposteriori, apo)
-        assert np.array_equal(result.extrinsic, ext)
-        assert np.array_equal(result.hard_symbols, hard)
-        assert np.array_equal(result.final_alpha, falpha)
-        assert np.array_equal(result.final_beta, fbeta)
+        result = _bcjr_one_frame(sys_llrs, par_llrs)
+        expected = _SeedBCJR().decode(sys_llrs, par_llrs)
+        for got, want in zip(result, expected, strict=True):
+            assert np.array_equal(got, want)
 
     def test_ctc2400_batch_matches_seed_frame_by_frame(self):
         # A full WiMAX CTC 2400 activation on a batch of two frames, each
@@ -201,6 +212,7 @@ class TestBCJRPinnedToSeedReference:
             assert np.array_equal(result.final_beta[frame], fbeta)
 
     def test_batched_activation_matches_per_frame(self):
+        """Random circular inits and a-priori per frame: stacking changes nothing."""
         rng = np.random.default_rng(5)
         batch, n = 5, 36
         sys_llrs = rng.normal(0.0, 3.0, (batch, n, 2))
@@ -212,17 +224,17 @@ class TestBCJRPinnedToSeedReference:
             sys_llrs, par_llrs, apriori=apriori,
             initial_alpha=init_alpha, initial_beta=init_beta,
         )
-        per_frame = BCJRDecoder()
+        stacked = (
+            result.aposteriori, result.extrinsic, result.hard_symbols,
+            result.final_alpha, result.final_beta,
+        )
         for frame in range(batch):
-            single = per_frame.decode(
+            alone = _bcjr_one_frame(
                 sys_llrs[frame], par_llrs[frame], apriori=apriori[frame],
                 initial_alpha=init_alpha[frame], initial_beta=init_beta[frame],
             )
-            assert np.array_equal(result.aposteriori[frame], single.aposteriori)
-            assert np.array_equal(result.extrinsic[frame], single.extrinsic)
-            assert np.array_equal(result.hard_symbols[frame], single.hard_symbols)
-            assert np.array_equal(result.final_alpha[frame], single.final_alpha)
-            assert np.array_equal(result.final_beta[frame], single.final_beta)
+            for rows, row in zip(stacked, alone, strict=True):
+                assert np.array_equal(rows[frame], row)
 
     def test_rejects_bad_shapes_and_parameters(self):
         kernel = BatchBCJR()
@@ -234,10 +246,9 @@ class TestBCJRPinnedToSeedReference:
             kernel.decode_batch(
                 np.zeros((1, 4, 2)), np.zeros((1, 4, 2)), apriori=np.zeros((1, 4, 3))
             )
-        with pytest.raises(DecodingError):
-            kernel.decode_batch(
-                np.zeros((2, 4, 2)), np.zeros((2, 4, 2)), initial_alpha=np.zeros(8)
-            )
+        for init in ("initial_alpha", "initial_beta"):
+            with pytest.raises(DecodingError):
+                kernel.decode_batch(np.zeros((2, 4, 2)), np.zeros((2, 4, 2)), **{init: np.zeros(8)})
 
 
 def _result_digest(*arrays, extra: str = "") -> str:
@@ -299,19 +310,13 @@ def _bcjr_case_digest(case, inits: bool = True) -> str:
     if inits:
         apriori = rng.normal(0.0, 1.0, (n, 4))
         apriori[:, 0] = 0.0
-        result = BCJRDecoder().decode(
+        result = _bcjr_one_frame(
             sys_llrs, par_llrs, apriori=apriori,
             initial_alpha=rng.normal(0.0, 1.0, 8), initial_beta=rng.normal(0.0, 1.0, 8),
         )
     else:
-        result = BCJRDecoder().decode(sys_llrs, par_llrs)
-    return _result_digest(
-        result.aposteriori,
-        result.extrinsic,
-        result.hard_symbols,
-        result.final_alpha,
-        result.final_beta,
-    )
+        result = _bcjr_one_frame(sys_llrs, par_llrs)
+    return _result_digest(*result)
 
 
 #: SHA-256 of every ``BatchTurboResult`` field per grid case, recorded with
@@ -431,7 +436,8 @@ TURBO_DIGESTS: dict = {
         "9fcd4b77c288bc8452e3156c4cfd538f828563e31e527c450b85ed76ff8ace41",
 }
 
-#: SHA-256 of every ``BCJRResult`` field with random circular inits.
+#: SHA-256 of every ``BatchBCJRResult`` field of a one-frame activation
+#: (row 0) with random circular inits.
 BCJR_DIGESTS: dict = {
     ("max-log", 1, 0):
         "49d23eb4938337f59bb5a357fb9f2f22c9158ac8f8b3b8d9123159ba0c0d46f6",
@@ -560,8 +566,8 @@ TURBO_DIGESTS_2DB: dict = {
         "41ccc752b88c1974b0ae9bb350398ceb29efe8fc7851959ae984d4bc7cbda334",
 }
 
-#: SHA-256 of every ``BCJRResult`` field with no a-priori input and no
-#: circular inits, recorded alongside :data:`TURBO_DIGESTS_2DB`.
+#: SHA-256 of every ``BatchBCJRResult`` field of a one-frame activation
+#: (row 0) with no a-priori input and no circular inits, recorded alongside :data:`TURBO_DIGESTS_2DB`.
 BCJR_DEFAULT_INIT_DIGESTS: dict = {
     ("max-log", 1, 0):
         "d7a9c94de6ea72a72f5e8b94b848f8a2688983ffebf6e75e81a46d8d39238eaf",
@@ -575,8 +581,8 @@ BCJR_DEFAULT_INIT_DIGESTS: dict = {
 
 
 class TestTurboGoldenDigests:
-    """Turbo outputs pinned to recorded digests, independent of the facades
-    (which delegate to the batch engine and so cannot witness a change)."""
+    """Turbo outputs pinned to recorded digests: batch ≡ batch=1 runs the same
+    code on both sides, so it cannot witness a change in the engine."""
 
     @pytest.mark.parametrize(
         "case",
@@ -611,6 +617,18 @@ class TestTurboGoldenDigests:
         assert _bcjr_case_digest(case, inits=False) == BCJR_DEFAULT_INIT_DIGESTS[case]
 
 
+def _assert_turbo_row_matches_alone(decoder, llrs, result, frame: int) -> None:
+    """Row ``frame`` of a stacked decode equals that frame decoded alone."""
+    alone = decoder.decode_batch(llrs[frame][None])
+    assert alone.batch_size == 1
+    assert np.array_equal(result.hard_bits[frame], alone.hard_bits[0])
+    assert np.array_equal(result.hard_symbols[frame], alone.hard_symbols[0])
+    assert np.array_equal(result.aposteriori[frame], alone.aposteriori[0])
+    assert result.iterations[frame] == alone.iterations[0]
+    assert result.converged[frame] == alone.converged[0]
+    assert result.decision_changes[frame] == alone.decision_changes[0]
+
+
 class TestBatchTurboEquivalence:
     """Stacking frames changes nothing — field for field."""
 
@@ -618,21 +636,13 @@ class TestBatchTurboEquivalence:
     def test_batch_matches_per_frame(self, small_turbo_encoder, bit_level):
         # 1.0 dB leaves a mix of converging and non-converging frames.
         _, _, llrs = _turbo_llr_batch(small_turbo_encoder, 8, ebn0_db=1.0, seed=17)
-        batch_decoder = BatchTurboDecoder(
+        decoder = BatchTurboDecoder(
             small_turbo_encoder, max_iterations=6, bit_level_exchange=bit_level
         )
-        per_frame = TurboDecoder(
-            small_turbo_encoder, max_iterations=6, bit_level_exchange=bit_level
-        )
-        result = batch_decoder.decode_batch(llrs)
+        result = decoder.decode_batch(llrs)
         assert 0 < result.converged.sum() < llrs.shape[0]
         for frame in range(llrs.shape[0]):
-            reference = per_frame.decode(*per_frame.split_llrs(llrs[frame]))
-            assert np.array_equal(result.hard_bits[frame], reference.hard_bits)
-            assert np.array_equal(result.hard_symbols[frame], reference.hard_symbols)
-            assert int(result.iterations[frame]) == reference.iterations
-            assert bool(result.converged[frame]) == reference.converged
-            assert result.decision_changes[frame] == reference.decision_changes
+            _assert_turbo_row_matches_alone(decoder, llrs, result, frame)
 
     @pytest.mark.parametrize("bit_level", [False, True])
     @pytest.mark.parametrize("early_termination", [True, False])
@@ -643,32 +653,21 @@ class TestBatchTurboEquivalence:
             max_iterations=6, bit_level_exchange=bit_level,
             early_termination=early_termination,
         )
-        result = BatchTurboDecoder(encoder, **options).decode_batch(llrs)
+        decoder = BatchTurboDecoder(encoder, **options)
+        result = decoder.decode_batch(llrs)
         assert 0 < result.converged.sum() < llrs.shape[0]
-        per_frame = TurboDecoder(encoder, **options)
         for frame in range(llrs.shape[0]):
-            reference = per_frame.decode(*per_frame.split_llrs(llrs[frame]))
-            assert np.array_equal(result.hard_bits[frame], reference.hard_bits)
-            assert np.array_equal(result.hard_symbols[frame], reference.hard_symbols)
-            assert int(result.iterations[frame]) == reference.iterations
-            assert bool(result.converged[frame]) == reference.converged
-            assert result.decision_changes[frame] == reference.decision_changes
+            _assert_turbo_row_matches_alone(decoder, llrs, result, frame)
 
     def test_without_early_termination(self, small_turbo_encoder):
         _, _, llrs = _turbo_llr_batch(small_turbo_encoder, 5, ebn0_db=1.5, seed=3)
-        batch_decoder = BatchTurboDecoder(
+        decoder = BatchTurboDecoder(
             small_turbo_encoder, max_iterations=5, early_termination=False
         )
-        per_frame = TurboDecoder(
-            small_turbo_encoder, max_iterations=5, early_termination=False
-        )
-        result = batch_decoder.decode_batch(llrs)
+        result = decoder.decode_batch(llrs)
         assert np.all(result.iterations == 5)
         for frame in range(llrs.shape[0]):
-            reference = per_frame.decode(*per_frame.split_llrs(llrs[frame]))
-            assert np.array_equal(result.hard_bits[frame], reference.hard_bits)
-            assert bool(result.converged[frame]) == reference.converged
-            assert result.decision_changes[frame] == reference.decision_changes
+            _assert_turbo_row_matches_alone(decoder, llrs, result, frame)
 
     def test_batch_split_invariance(self, small_turbo_encoder):
         """Decoding a batch in one call equals decoding any partition of it."""
@@ -686,17 +685,18 @@ class TestBatchTurboEquivalence:
                 assert np.array_equal(sub.iterations, whole.iterations[part])
                 assert np.array_equal(sub.converged, whole.converged[part])
 
-    def test_split_llrs_batch_matches_sequential(self, small_turbo_encoder):
+    @pytest.mark.parametrize("rate", ["1/2", "1/3"])
+    def test_split_llrs_batch_matches_sequential(self, rate):
+        encoder = TurboEncoder(n_couples=48, rate=rate)
         rng = np.random.default_rng(0)
-        decoder = BatchTurboDecoder(small_turbo_encoder)
-        per_frame = TurboDecoder(small_turbo_encoder)
-        flat = rng.normal(size=(3, small_turbo_encoder.n))
-        sys_b, par1_b, par2_b = decoder.split_llrs_batch(flat)
+        decoder = BatchTurboDecoder(encoder)
+        flat = rng.normal(size=(3, encoder.n))
+        stacked = decoder.split_llrs_batch(flat)
         for frame in range(3):
-            sys_s, par1_s, par2_s = per_frame.split_llrs(flat[frame])
-            assert np.array_equal(sys_b[frame], sys_s)
-            assert np.array_equal(par1_b[frame], par1_s)
-            assert np.array_equal(par2_b[frame], par2_s)
+            alone = decoder.split_llrs_batch(flat[frame][None])
+            for rows, row in zip(stacked, alone, strict=True):
+                assert row.shape == (1, 48, 2)
+                assert np.array_equal(rows[frame], row[0])
 
     def test_rate_third_path(self):
         encoder = TurboEncoder(n_couples=24, rate="1/3")
@@ -730,15 +730,17 @@ class TestBatchTurboEquivalence:
         "option, value",
         [("max_iterations", value) for value in (0.5, 2.5, True, "3")]
         # Max-Log-MAP is the one SISO arithmetic: the keyword takes one value.
-        + [("algorithm", value) for value in ("log-map", "viterbi", "Max-Log", None)],
+        + [("algorithm", value) for value in ("log-map", "viterbi", "Max-Log", None)]
+        # Flags take bools only: "no" is truthy, never a switched-off flag.
+        + [("bit_level_exchange", value) for value in ("no", 1, None)]
+        + [("early_termination", value) for value in ("false", 0, np.array([1, 0]))],
     )
-    @pytest.mark.parametrize("decoder_cls", [BatchTurboDecoder, TurboDecoder])
-    def test_constructors_reject_bad_options(
-        self, small_turbo_encoder, decoder_cls, option, value
-    ):
+    def test_constructors_reject_bad_options(self, small_turbo_encoder, option, value):
         with pytest.raises(DecodingError, match=option):
-            decoder_cls(small_turbo_encoder, **{option: value})
-        decoder_cls(small_turbo_encoder, algorithm="max-log")
+            BatchTurboDecoder(small_turbo_encoder, **{option: value})
+        BatchTurboDecoder(
+            small_turbo_encoder, algorithm="max-log", bit_level_exchange=np.bool_(True)
+        )
 
 
 def _oracle_constituent_parity(trellis: DuoBinaryTrellis, symbols: np.ndarray) -> np.ndarray:
