@@ -63,6 +63,7 @@ from repro.noc import (
 )
 from repro.noc import engine_batch, scheduler_cost_model, sweep
 from repro.noc.traffic import random_traffic_streams
+from repro.utils.pool import available_cpus, drop_pool
 
 from benchmarks.harness import (
     full_benchmarks_enabled,
@@ -522,17 +523,15 @@ def test_parallel_process_mode(monkeypatch):
     pool is joined: ``self`` for this process, ``children`` for its largest
     finished child (the pool workers among them).
     """
-    workers = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else (
-        os.cpu_count() or 1
-    )
-    shared_pool = sweep._shared_pool
+    workers = available_cpus()
+    shared_pool = sweep.shared_pool
     used: list[int] = []
 
     def spy(count):
         used.append(count)
         return shared_pool(count)
 
-    monkeypatch.setattr(sweep, "_shared_pool", spy)
+    monkeypatch.setattr(sweep, "shared_pool", spy)
     graphs: dict = {}
     kept: dict = {}
 
@@ -543,10 +542,10 @@ def test_parallel_process_mode(monkeypatch):
             shared_pool(count).submit(int).result()
 
     def cold(jobs, count):
-        sweep._drop_pool()
+        drop_pool()
         with stopwatch() as lap:
             kept["cold"] = run_noc_sweep(jobs, graphs, max_workers=workers)
-            sweep._drop_pool()
+            drop_pool()
         warm(count)
         return lap
 
@@ -606,7 +605,7 @@ def test_parallel_process_mode(monkeypatch):
             + (f", cold {vs['cold']['ratio']:.2f}x" if "cold" in vs else "")
             + " vs serial"
         )
-    sweep._drop_pool()
+    drop_pool()
     by_size = sorted(
         (entry["messages"], entry["timing"]["vs"]["pool"]["ratio"])
         for name, entry in out.items()

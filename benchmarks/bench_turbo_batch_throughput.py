@@ -15,24 +15,32 @@ batch 32, max-log, 1.0 dB): seed per-frame, batch with early exit and batch
 exhaustive.  A third, ``ctc2400_workspace``, pits the decoder against an
 inline copy of the batch-major exchange it replaced (fresh metrics and
 lattice arrays and transposes in every SISO activation) at the same point,
-with the minor page faults of each decode.  Every row is interleaved trials
-(:mod:`benchmarks.harness`) recorded per frame as median, IQR, n and best;
-the first two gates read best times, the workspace gate the median ratio.
+with the minor page faults of each decode.  A fourth, ``sharded_vs_serial``,
+times frame-sharded ``decode_batch`` against serial ``decode_split`` over a
+grid of code and batch sizes, which sizes the sharding rule.  Every row is
+interleaved trials (:mod:`benchmarks.harness`) recorded as median, IQR, n
+and best; the first two gates read best times, the workspace gate the
+median ratio and the sharding gate the median ratio against its spread.
+The timed arms call ``decode_split``, the serial core, except the sharded
+arm.
 
 Run with ``PYTHONPATH=src python -m pytest benchmarks/bench_turbo_batch_throughput.py -q -s``.
 """
 
 from __future__ import annotations
 
+import multiprocessing
 import resource
 
 import numpy as np
 from repro.channel import AWGNChannel, BPSKModulator, ebn0_to_noise_sigma
 from repro.sim import BatchTurboDecoder, resolve_code_rate
+from repro.sim import turbo_batch
 from repro.sim.turbo_batch import EXTRINSIC_SCALE
 from repro.turbo import DuoBinaryTrellis, TurboEncoder
+from repro.utils.pool import available_cpus
 
-from benchmarks.harness import per_item, record, row, trials
+from benchmarks.harness import per_item, ratio_spread, record, row, trials
 
 BATCH = 64
 MAX_ITERATIONS = 8
@@ -51,6 +59,16 @@ CTC2400_EBN0_DB = 1.0
 CTC2400_TRIALS = 5
 #: Interleaved trials of the workspace row (one batch decode per arm each).
 WORKSPACE_TRIALS = 7
+
+#: The ``sharded_vs_serial`` grid: CTC sizes x batch sizes, at the
+#: ``ber_ctc2400`` operating point.
+SHARD_COUPLES = [48, 240, 480, 2400]
+SHARD_BATCHES = [4, 8, 32, 64]
+SHARD_TRIALS = 7
+#: Fewest couple-frames one trial of a grid cell decodes: a small cell
+#: repeats its decode within the trial, so that every trial spans tens of
+#: milliseconds.
+SHARD_TRIAL_COUPLES = 9600
 
 _NEG_INF = -1.0e30
 
@@ -171,7 +189,7 @@ def test_turbo_batch_throughput_speedup():
             seed_decoder.decode(split[0][frame], split[1][frame], split[2][frame])
 
     samples, _ = trials(
-        {"seed": run_seed, "batch": lambda: batch_decoder.decode_batch(llrs)}, TRIALS
+        {"seed": run_seed, "batch": lambda: batch_decoder.decode_split(*split)}, TRIALS
     )
     timing = row(per_item(samples, {"seed": BASELINE_FRAMES, "batch": BATCH}), "seed", "s/frame")
     seed, batch = timing["arms"]["seed"]["best"], timing["arms"]["batch"]["best"]
@@ -204,7 +222,8 @@ def test_turbo_batch_early_exit_gain():
     exhaustive = BatchTurboDecoder(
         encoder, max_iterations=MAX_ITERATIONS, early_termination=False
     )
-    eager_result = eager.decode_batch(llrs)
+    split = eager.split_llrs_batch(llrs)
+    eager_result = eager.decode_split(*split)
     # At this operating point most frames stabilise early and leave the
     # active set (the converged flags latch), so the batch finishes in fewer
     # SISO activations than the exhaustive run.
@@ -212,8 +231,8 @@ def test_turbo_batch_early_exit_gain():
 
     samples, _ = trials(
         {
-            "exhaustive": lambda: exhaustive.decode_batch(llrs),
-            "early_exit": lambda: eager.decode_batch(llrs),
+            "exhaustive": lambda: exhaustive.decode_split(*split),
+            "early_exit": lambda: eager.decode_split(*split),
         },
         TRIALS,
     )
@@ -255,13 +274,15 @@ def test_turbo_ctc2400_throughput():
         return seed_decoder.decode(sys_llrs[0], par1[0], par2[0])
 
     # The baseline decodes the timed frame to the same hard symbols.
-    assert np.array_equal(run_seed(), exhaustive.decode_batch(llrs).hard_symbols[0])
-    eager.decode_batch(llrs)  # warm-up
+    assert np.array_equal(
+        run_seed(), exhaustive.decode_split(sys_llrs, par1, par2).hard_symbols[0]
+    )
+    eager.decode_split(sys_llrs, par1, par2)  # warm-up
     samples, _ = trials(
         {
             "seed": run_seed,
-            "early_exit": lambda: eager.decode_batch(llrs),
-            "exhaustive": lambda: exhaustive.decode_batch(llrs),
+            "early_exit": lambda: eager.decode_split(sys_llrs, par1, par2),
+            "exhaustive": lambda: exhaustive.decode_split(sys_llrs, par1, par2),
         },
         CTC2400_TRIALS,
     )
@@ -453,3 +474,98 @@ def test_turbo_ctc2400_workspace():
         },
     )
     assert vs["ratio"] > 1.0
+
+
+def _assert_same_result(first, second):
+    for name in ("hard_bits", "hard_symbols", "aposteriori", "iterations", "converged"):
+        a, b = getattr(first, name), getattr(second, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+    assert first.decision_changes == second.decision_changes
+
+
+def test_turbo_sharded_vs_serial(monkeypatch):
+    """Frame-sharded ``decode_batch`` against serial ``decode_split``.
+
+    Every cell of the grid is forced to shard (``_SHARD_MIN_COUPLES`` 0), so
+    ``sharded`` splits the batch into one shard per CPU (no more shards than
+    frames) on the warm shared pool, and ``serial`` decodes it in this
+    process.  Each trial times ``reps`` decodes of the same batch and the row
+    records seconds per decode.  ``shard_couples`` is each shard's work,
+    ``batch * n_couples / cpus`` couple-frames; ``measured_min_couples`` is
+    the fewest from which sharding won the median at that size and at every
+    larger one, the figure ``turbo_batch._SHARD_MIN_COUPLES`` is sized from.
+    The CTC 2400 batch-32 cell (the ``ber_ctc2400`` shape) must win by more
+    than its own spread (:func:`benchmarks.harness.ratio_spread`) wherever
+    the process may run on two CPUs or more.
+    """
+    cpus = available_cpus()
+    threshold = turbo_batch._SHARD_MIN_COUPLES
+    monkeypatch.setattr(turbo_batch, "_SHARD_MIN_COUPLES", 0)
+    cells: dict = {}
+    for n_couples in SHARD_COUPLES:
+        encoder = TurboEncoder(n_couples=n_couples)
+        decoder = BatchTurboDecoder(encoder, max_iterations=MAX_ITERATIONS)
+        for batch in SHARD_BATCHES:
+            llrs = _make_llr_batch(encoder, batch, ebn0_db=CTC2400_EBN0_DB)
+            split = decoder.split_llrs_batch(llrs)
+            reps = max(1, SHARD_TRIAL_COUPLES // (batch * n_couples))
+            # Untimed: the first call starts the pool; results must agree.
+            _assert_same_result(decoder.decode_batch(llrs), decoder.decode_split(*split))
+
+            def repeat(call, reps=reps):
+                for _ in range(reps):
+                    call()
+
+            samples, _ = trials(
+                {
+                    "serial": lambda: repeat(lambda: decoder.decode_split(*split)),
+                    "sharded": lambda: repeat(lambda: decoder.decode_batch(llrs)),
+                },
+                SHARD_TRIALS,
+            )
+            timing = row(per_item(samples, {"serial": reps, "sharded": reps}), "serial")
+            vs = timing["vs"]["sharded"]
+            cells[f"ctc{n_couples}_b{batch}"] = {
+                "n_couples": n_couples,
+                "batch": batch,
+                "shards": min(cpus, batch),
+                "shard_couples": batch * n_couples // cpus,
+                "reps": reps,
+                "timing": timing,
+            }
+            print(
+                f"\nCTC {n_couples} batch {batch}: sharded {vs['ratio']:.2f}x serial "
+                f"({vs['wins']}/{SHARD_TRIALS} wins, {reps} decodes per trial)"
+            )
+    by_size = sorted(
+        (cell["shard_couples"], cell["timing"]["vs"]["sharded"]["ratio"])
+        for cell in cells.values()
+    )
+    measured = next(
+        (m for i, (m, _) in enumerate(by_size) if all(r > 1 for _, r in by_size[i:])), None
+    )
+    print(
+        f"measured shard minimum: {measured} couple-frames per shard "
+        f"(constant: {threshold}), {cpus} CPUs"
+    )
+    record(
+        "turbo_batch_throughput",
+        "sharded_vs_serial",
+        {
+            "cpus": cpus,
+            "start_method": multiprocessing.get_start_method(),
+            "max_iterations": MAX_ITERATIONS,
+            "ebn0_db": CTC2400_EBN0_DB,
+            "shard_min_couples": threshold,
+            "measured_min_couples": measured,
+            "cells": cells,
+        },
+    )
+    if cpus > 1:
+        timing = cells[f"ctc{CTC2400_COUPLES}_b{CTC2400_BATCH}"]["timing"]
+        bound = 1 + ratio_spread(timing, "sharded")
+        ratio = timing["vs"]["sharded"]["ratio"]
+        assert ratio > bound, (
+            f"sharded CTC {CTC2400_COUPLES} batch {CTC2400_BATCH} decode at {ratio:.3f}x "
+            f"serial (bound {bound:.3f})"
+        )

@@ -15,16 +15,15 @@ engine per (graph, configuration).  This module replaces it with an
 3. the sweep is split into **chunks** — a batched group into at most one
    piece per worker, each of at least :data:`_SPLIT_MIN` jobs (a smaller
    group stays whole), and a scalar group into worker-sized pieces — and the
-   chunks go to the process's one shared
-   :class:`concurrent.futures.ProcessPoolExecutor` only when there are at
-   least two workers, at least two chunks and at least
-   :data:`_POOL_MIN_MESSAGES` messages to simulate; otherwise the sweep runs
-   serially with no executor at all.  The pool is started at the first
-   pooled sweep and kept for the next ones, so later sweeps pay only for
-   shipping each chunk's graph, traffic and results, not for starting
-   workers; a call that asks for a different worker count replaces it, a
-   broken pool is dropped, forked children forget it, and the
-   interpreter's exit joins it.  A pool does not multiply the serial speed
+   chunks go to the process's one shared worker pool
+   (:mod:`repro.utils.pool`, which the turbo decoder's frame shards use too)
+   only when there are at least two workers, at least two chunks and at
+   least :data:`_POOL_MIN_MESSAGES` messages to simulate; otherwise the
+   sweep runs serially with no executor at all.  The pool is started at the
+   first pooled call and kept for the next ones, so later sweeps pay only
+   for shipping each chunk's graph, traffic and results, not for starting
+   workers; a call that needs more workers than the live pool has replaces
+   it, and a broken pool is dropped.  A pool does not multiply the serial speed
    by the worker count: on two workers a Table-I row (twelve scalar jobs)
    ran 1.6x faster on the kept pool and 1.5x on a pool forked for the call,
    a 128-job phase-B cell split in halves 1.18x and 1.04x, and a batched
@@ -44,9 +43,7 @@ still reproduce exactly what two freshly seeded engines would.
 
 from __future__ import annotations
 
-import os
-import threading
-from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
+from concurrent.futures import BrokenExecutor
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -58,6 +55,7 @@ from repro.noc.results import SimulationResult
 from repro.noc.routing import build_routing_tables
 from repro.noc.topologies import build_topology
 from repro.noc.traffic import TrafficPattern
+from repro.utils.pool import available_cpus, drop_pool, shared_pool
 
 __all__ = [
     "NocSweepJob",
@@ -105,14 +103,13 @@ class NocSweepOutcome:
 _CHUNKS_PER_WORKER = 2
 
 #: Fewest messages a sweep must simulate before its chunks go to a process
-#: pool.  Sized from the ``parallel_process`` row of
-#: ``benchmarks/BENCH_noc_batch_sweep.json`` (two workers, fork) when every
-#: pooled sweep forked its own pool: the first four jobs of a Table-I row
-#: (29 184 messages) ran 0.94x against serial, the first six (43 776)
-#: 1.35x, and every larger shape won.  The row's ``cold`` arm still forks
-#: per call; on the kept pool (``pool`` arm) the pool pays from fewer
-#: messages (``measured_threshold``).
-_POOL_MIN_MESSAGES = 40_000
+#: pool.  Sized from the ``pool`` (warm, kept pool) arm of the
+#: ``parallel_process`` row of ``benchmarks/BENCH_noc_batch_sweep.json``
+#: (two workers, fork): the fewest messages from which the pool won the
+#: median at that prefix of a Table-I row and at every larger shape.  Three
+#: runs of the row read 43 776, 21 888 and 29 184 (the first six, three and
+#: four jobs); the constant is their median.
+_POOL_MIN_MESSAGES = 29_184
 
 #: Fewest jobs in each piece of a batched group split across the pool: a
 #: group of J jobs goes out as ``min(workers, J // _SPLIT_MIN)`` pieces.
@@ -195,9 +192,9 @@ def run_noc_sweep(
         shards the sweep's chunks (batched groups of at least
         ``2 * _SPLIT_MIN`` jobs split too) across the process's shared pool
         only when there are at least two chunks and at least
-        :data:`_POOL_MIN_MESSAGES` messages to simulate.  The pool is built
-        with one worker per chunk, at most ``max_workers``, and kept for
-        later sweeps that ask for the same count.  Both paths produce
+        :data:`_POOL_MIN_MESSAGES` messages to simulate.  It asks for one
+        worker per chunk, at most ``max_workers``; a live pool with that
+        many workers or more serves as it is.  Both paths produce
         bit-identical outcomes.
 
     Returns
@@ -234,7 +231,7 @@ def run_noc_sweep(
             graphs[graph_key] = (topology, build_routing_tables(topology))
 
     model = scheduler_cost_model()
-    workers = max_workers if max_workers is not None else _available_cpus()
+    workers = max_workers if max_workers is not None else available_cpus()
     chunks = _shard_groups(groups, model, len(jobs), workers) if workers > 1 else []
     results: list[SimulationResult | None] = [None] * len(jobs)
     if (
@@ -251,7 +248,7 @@ def run_noc_sweep(
             for i, result in zip(indices, group_results):
                 results[i] = result
     else:
-        pool = _shared_pool(min(workers, len(chunks)))
+        pool = shared_pool(min(workers, len(chunks)))
         futures = []
         try:
             for key, indices, batched in chunks:
@@ -273,21 +270,13 @@ def run_noc_sweep(
             for future, _ in futures:
                 future.cancel()
             if isinstance(exc, BrokenExecutor):
-                _drop_pool(pool)
+                drop_pool(pool)
                 raise SimulationError(
                     f"the sweep's worker pool broke before {len(jobs)} jobs finished "
                     f"(a worker process died): {exc}"
                 ) from exc
             raise
     return [NocSweepOutcome(job=job, result=result) for job, result in zip(jobs, results)]
-
-
-def _available_cpus() -> int:
-    """The CPUs this process may run on: its affinity mask where the
-    platform has one, else the machine's CPU count."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
 
 
 def _shard_groups(
@@ -341,49 +330,3 @@ def _run_chunk(graph, key, traffics, seeds, batched: bool) -> list[SimulationRes
         topology, config, routing_tables=tables, seed=0, max_cycles=max_cycles
     )
     return [engine.run(traffic, seed=seed) for traffic, seed in zip(traffics, seeds)]
-
-
-#: The process's one sweep pool and its worker count, built by
-#: :func:`_shared_pool` at the first pooled sweep.
-_POOL: ProcessPoolExecutor | None = None
-_POOL_WORKERS = 0
-_POOL_LOCK = threading.Lock()
-
-
-def _shared_pool(workers: int) -> ProcessPoolExecutor:
-    """The shared pool, built with ``workers`` workers if it has another count.
-
-    It uses the platform's default start method (``fork`` on Linux).  The
-    stdlib's exit hook for process pools joins it at interpreter exit.
-    """
-    global _POOL, _POOL_WORKERS
-    with _POOL_LOCK:
-        if _POOL is not None and _POOL_WORKERS != workers:
-            _POOL.shutdown(cancel_futures=True)
-            _POOL = None
-        if _POOL is None:
-            _POOL = ProcessPoolExecutor(max_workers=workers)
-            _POOL_WORKERS = workers
-        return _POOL
-
-
-def _drop_pool(pool: ProcessPoolExecutor | None = None) -> None:
-    """Shut the shared pool down and join its workers, if it is still
-    ``pool`` (any pool: ``None``).  The next pooled sweep builds a fresh one.
-    """
-    global _POOL
-    with _POOL_LOCK:
-        if _POOL is not None and pool in (None, _POOL):
-            _POOL.shutdown(cancel_futures=True)
-            _POOL = None
-
-
-def _forget_pool() -> None:
-    """In a forked child: the parent's pool and lock are not this process's."""
-    global _POOL, _POOL_LOCK
-    _POOL = None
-    _POOL_LOCK = threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_pool)

@@ -29,6 +29,12 @@ metrics ``(8, batch)``) and runs every activation of a decode in one
 :class:`BCJRWorkspace`, so no SISO activation allocates the two large arrays
 or transposes anything.  See ``docs/turbo-batching.md``.
 
+:meth:`BatchTurboDecoder.decode_batch` splits a batch large enough to pay
+for it into one frame shard per CPU on the process's worker pool
+(:mod:`repro.utils.pool`); :meth:`BatchTurboDecoder.decode_split` is the
+serial core every shard runs.  Frames never interact, so the split changes
+no output bit.
+
 They are the library's only turbo decoders: one frame is a batch of one.
 ``tests/test_turbo_batch.py`` pins the kernel bit for bit to the seed
 per-frame recursion and shows that stacking frames changes nothing (same
@@ -39,6 +45,8 @@ are read-only properties.
 
 from __future__ import annotations
 
+import multiprocessing
+from concurrent.futures import BrokenExecutor, wait
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -47,6 +55,7 @@ from repro.errors import DecodingError
 from repro.turbo.bits import bit_to_symbol_extrinsic, symbol_to_bit_extrinsic
 from repro.turbo.encoder import TurboEncoder
 from repro.turbo.trellis import NUM_STATES, NUM_SYMBOLS, DuoBinaryTrellis
+from repro.utils.pool import available_cpus, drop_pool, shared_pool
 from repro.utils.validation import require_bool, require_int
 
 #: Extrinsic scaling factor ``sigma`` of paper Section II-A, hard-wired in
@@ -65,6 +74,18 @@ _DISTINCT = 4 * NUM_SYMBOLS
 #: trade places, and an (A, B) pair reverses.
 _SYMBOL_ORDERS = np.array([[0, 1, 2, 3], [0, 2, 1, 3]])
 _PAIR_ORDERS = np.array([[0, 1], [1, 0]])
+
+#: Fewest couple-frames (frames x couples) each frame shard of
+#: :meth:`BatchTurboDecoder.decode_batch` must hold before the batch is split
+#: across processes.  Sized from the ``sharded_vs_serial`` grid of
+#: ``benchmarks/BENCH_turbo_batch_throughput.json`` (CTC 48 to 2400 at
+#: batches 4 to 64, two CPUs, warm pool): the fewest couple-frames per shard
+#: from which sharding won the median at that size and every larger one.
+#: Five runs of the grid read 7 680, 3 840, 7 680, 7 680 and 15 360; the
+#: constant is their median.  Smaller shards lose to the pool's round trip
+#: (0.60-0.93x at CTC 48 batches 4 and 8), and the decode service's CTC 48
+#: batches of 1-3 sit far below it.
+_SHARD_MIN_COUPLES = 7_680
 
 
 @dataclass
@@ -600,8 +621,52 @@ class BatchTurboDecoder:
     # Decoding
     # ------------------------------------------------------------------ #
     def decode_batch(self, channel_llrs: np.ndarray) -> BatchTurboResult:
-        """Decode flat ``(batch, n)`` channel LLRs (the BerRunner entry point)."""
-        return self.decode_split(*self.split_llrs_batch(channel_llrs))
+        """Decode flat ``(batch, n)`` channel LLRs (the BerRunner entry point).
+
+        A batch large enough (:func:`_shard_count`) is split into one
+        contiguous frame shard per CPU: all but the first go to the shared
+        worker pool (:mod:`repro.utils.pool`), the first is decoded here with
+        :meth:`decode_split`, and the shards' results are joined in frame
+        order.  Frames never interact, so the result is bit-identical to
+        :meth:`decode_split` on the whole batch.
+
+        Raises
+        ------
+        DecodingError
+            If the LLRs are malformed, or if the worker pool breaks (a worker
+            process died) while a shard is out; the pool's error is chained
+            and the next sharded call builds a fresh pool.
+        """
+        split = self.split_llrs_batch(channel_llrs)
+        batch = split[0].shape[0]
+        shards = _shard_count(batch, self._n_couples)
+        if shards == 1:
+            return self.decode_split(*split)
+        bounds = [batch * i // shards for i in range(shards + 1)]
+        llrs = np.asarray(channel_llrs, dtype=np.float64)
+        pool = shared_pool(shards - 1)
+        futures = []
+        try:
+            # Ship the remote shards first, so they decode while this one does.
+            futures = [
+                pool.submit(_decode_shard, self, llrs[lo:hi])
+                for lo, hi in zip(bounds[1:], bounds[2:])
+            ]
+            parts = [self.decode_split(*(block[: bounds[1]] for block in split))]
+            parts.extend(future.result() for future in futures)
+        except BaseException as exc:
+            # Leave the shared pool idle for the next call.
+            for future in futures:
+                future.cancel()
+            wait(futures)
+            if isinstance(exc, BrokenExecutor):
+                drop_pool(pool)
+                raise DecodingError(
+                    f"the decoder's worker pool broke before {batch} frames were "
+                    f"decoded (a worker process died): {exc}"
+                ) from exc
+            raise
+        return _join(parts)
 
     def decode_split(
         self,
@@ -720,3 +785,39 @@ class BatchTurboDecoder:
             converged=converged,
             decision_changes=changes_hist,
         )
+
+
+def _shard_count(batch: int, n_couples: int) -> int:
+    """Frame shards :meth:`BatchTurboDecoder.decode_batch` splits a batch into.
+
+    One (serial) unless the process may run on two CPUs or more, is not
+    itself a child process (a pool worker or a service shard never starts
+    a pool of its own), and each of the CPUs' shards would hold at least
+    :data:`_SHARD_MIN_COUPLES` couple-frames; then one shard per CPU, and
+    no more shards than frames.
+    """
+    cpus = available_cpus()
+    if (
+        cpus < 2
+        or multiprocessing.parent_process() is not None
+        or batch * n_couples < _SHARD_MIN_COUPLES * cpus
+    ):
+        return 1
+    return min(cpus, batch)
+
+
+def _decode_shard(decoder: BatchTurboDecoder, channel_llrs: np.ndarray) -> BatchTurboResult:
+    """Pool-worker entry point: decode one frame shard serially."""
+    return decoder.decode_split(*decoder.split_llrs_batch(channel_llrs))
+
+
+def _join(parts: list[BatchTurboResult]) -> BatchTurboResult:
+    """One result from the results of consecutive frame shards, in order."""
+    return BatchTurboResult(
+        hard_bits=np.concatenate([part.hard_bits for part in parts]),
+        hard_symbols=np.concatenate([part.hard_symbols for part in parts]),
+        aposteriori=np.concatenate([part.aposteriori for part in parts]),
+        iterations=np.concatenate([part.iterations for part in parts]),
+        converged=np.concatenate([part.converged for part in parts]),
+        decision_changes=[changes for part in parts for changes in part.decision_changes],
+    )

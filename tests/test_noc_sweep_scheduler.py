@@ -28,6 +28,7 @@ import numpy as np
 import pytest
 
 import repro.noc.sweep as sweep_mod
+import repro.utils.pool as pool_mod
 from repro.analysis import TABLE1_PARALLELISMS
 from repro.core import DecoderSpec, DesignSpaceExplorer
 from repro.errors import ConfigurationError, SimulationError
@@ -264,19 +265,19 @@ def _forbid_pool(monkeypatch):
     def boom(*args, **kwargs):
         raise AssertionError("ProcessPoolExecutor must not be constructed")
 
-    monkeypatch.setattr(sweep_mod, "ProcessPoolExecutor", boom)
+    monkeypatch.setattr(pool_mod, "ProcessPoolExecutor", boom)
 
 
 def _count_pools(monkeypatch) -> list[int]:
     """Record the worker count of every pool the scheduler builds."""
     pools: list[int] = []
-    real = sweep_mod.ProcessPoolExecutor
+    real = pool_mod.ProcessPoolExecutor
 
     def spy(*args, max_workers, **kwargs):
         pools.append(max_workers)
         return real(*args, max_workers=max_workers, **kwargs)
 
-    monkeypatch.setattr(sweep_mod, "ProcessPoolExecutor", spy)
+    monkeypatch.setattr(pool_mod, "ProcessPoolExecutor", spy)
     return pools
 
 
@@ -307,9 +308,9 @@ class TestWorkerPool:
         """Every test starts and ends without the shared pool, so the pools it
         counts or forbids are built in the test, and fresh workers see the
         test's patches."""
-        sweep_mod._drop_pool()
+        pool_mod.drop_pool()
         yield
-        sweep_mod._drop_pool()
+        pool_mod.drop_pool()
 
     def test_pool_bit_identical_to_serial(self, monkeypatch):
         jobs = _mixed_jobs()
@@ -448,17 +449,21 @@ class TestWorkerPool:
 
     def test_pool_is_built_once_and_reused(self, monkeypatch):
         """Two pooled calls asking for the same worker count share one pool;
-        asking for another count replaces it."""
+        asking for more replaces it, and asking for fewer reuses the larger
+        pool."""
         monkeypatch.setattr(sweep_mod, "_POOL_MIN_MESSAGES", 0)
         pools = _count_pools(monkeypatch)
         jobs = _mixed_jobs()
         first = run_noc_sweep(jobs, max_workers=2)
-        pool = sweep_mod._POOL
+        pool = pool_mod._POOL
         second = run_noc_sweep(jobs, max_workers=2)
-        assert pools == [2] and sweep_mod._POOL is pool
+        assert pools == [2] and pool_mod._POOL is pool
         _assert_same_outcomes(first, second)
         run_noc_sweep(jobs, max_workers=3)
-        assert pools == [2, 3] and sweep_mod._POOL is not pool
+        assert pools == [2, 3] and pool_mod._POOL is not pool
+        larger = pool_mod._POOL
+        _assert_same_outcomes(first, run_noc_sweep(jobs, max_workers=2))
+        assert pools == [2, 3] and pool_mod._POOL is larger
 
     def test_worker_error_propagates_typed_and_pool_survives(self, monkeypatch):
         """A job exceeding max_cycles in a worker raises its SimulationError
@@ -482,13 +487,13 @@ class TestWorkerPool:
         without it, and with a free lock."""
         monkeypatch.setattr(sweep_mod, "_POOL_MIN_MESSAGES", 0)
         run_noc_sweep(_mixed_jobs(), max_workers=2)
-        assert sweep_mod._POOL is not None
+        assert pool_mod._POOL is not None
         pid = os.fork()
         if pid == 0:  # the child: report through the exit status only
             code = 1
             try:
-                free = sweep_mod._POOL_LOCK.acquire(blocking=False)
-                code = 0 if sweep_mod._POOL is None and free else 1
+                free = pool_mod._POOL_LOCK.acquire(blocking=False)
+                code = 0 if pool_mod._POOL is None and free else 1
             finally:
                 os._exit(code)
         _, status = os.waitpid(pid, 0)
@@ -500,6 +505,7 @@ class TestWorkerPool:
         script = textwrap.dedent(
             """
             import repro.noc.sweep as sweep
+            import repro.utils.pool as pool
             from repro.noc import CollisionPolicy, NocConfiguration, NocSweepJob
             from repro.noc.traffic import random_traffic_streams
 
@@ -510,7 +516,7 @@ class TestWorkerPool:
                 for seed, traffic in enumerate(random_traffic_streams(8, 10, seed=1, count=4))
             ]
             sweep.run_noc_sweep(jobs, max_workers=2)
-            print(*sweep._POOL._processes)
+            print(*pool._POOL._processes)
             """
         )
         src = str(Path(sweep_mod.__file__).resolve().parents[2])
@@ -546,7 +552,7 @@ class TestWorkerPool:
             with pytest.raises(SimulationError, match="worker pool broke") as excinfo:
                 run_noc_sweep(jobs, max_workers=2)
         assert isinstance(excinfo.value.__cause__, BrokenExecutor)
-        assert sweep_mod._POOL is None
+        assert pool_mod._POOL is None
         _assert_same_outcomes(serial, run_noc_sweep(jobs, max_workers=2))
         assert pools == [2, 2]
 
