@@ -61,6 +61,10 @@ DEFAULT_PAYLOAD_BITS = 10
 class NocConfiguration:
     """Complete parameter set of one NoC simulation / area evaluation.
 
+    FIFO depth is measured, not configured: every simulator FIFO is
+    unbounded, and the peak occupancy a simulation reports is what sizes the
+    hardware FIFOs (and feeds the NoC area model).
+
     Attributes
     ----------
     routing_algorithm:
@@ -82,14 +86,6 @@ class NocConfiguration:
         Width of the destination memory location ``t'`` carried with each
         message (paper Fig. 1); part of the packet for PP, stored in the
         location memory for AP.
-    fifo_capacity:
-        Maximum input-FIFO depth used by the simulator.  The *observed*
-        maximum occupancy (reported by the simulation) is what sizes the
-        hardware FIFOs; the capacity here only bounds simulator memory and
-        applies backpressure when exceeded.  The default is large enough that
-        congested low-degree topologies never reach it (tight capacities can
-        deadlock a heavily loaded network, which the off-line traffic planning
-        of the real decoder avoids by construction).
     """
 
     routing_algorithm: RoutingAlgorithm = RoutingAlgorithm.SSP_FL
@@ -99,7 +95,6 @@ class NocConfiguration:
     collision_policy: CollisionPolicy = CollisionPolicy.SCM
     payload_bits: int = DEFAULT_PAYLOAD_BITS
     location_bits: int = 11
-    fifo_capacity: int = 4096
 
     def __post_init__(self) -> None:
         if not 0.0 < self.injection_rate <= 1.0:
@@ -111,10 +106,6 @@ class NocConfiguration:
         if self.location_bits < 0:
             raise ConfigurationError(
                 f"location_bits must be non-negative, got {self.location_bits}"
-            )
-        if self.fifo_capacity <= 0:
-            raise ConfigurationError(
-                f"fifo_capacity must be positive, got {self.fifo_capacity}"
             )
 
     # ------------------------------------------------------------------ #

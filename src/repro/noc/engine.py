@@ -25,13 +25,14 @@ order).  ``tests/test_noc_engine.py`` enforces this differentially on
 randomized configurations.
 
 The arbitration of the paper's routing policies is inherently sequential
-within a cycle (ports contend in serving order, backpressure sees earlier
-nodes' pops), so the inner loop advances flat integer state rather than
-calling NumPy per port — on the 8–36-node networks of the paper that is
-several times faster than both per-element ``ndarray`` indexing and the
-object simulator.  The NumPy side of the layout pays off at the boundaries:
-traffic arrives as flat arrays, and statistics (latencies, hops, misroutes)
-are reduced, as single vectorized array operations.
+within a cycle (ports contend in serving order, and SCM deflections draw
+from one stream shared by every node in node order), so the inner loop
+advances flat integer state rather than calling NumPy per port — on the
+8–36-node networks of the paper that is several times faster than both
+per-element ``ndarray`` indexing and the object simulator.  The NumPy side
+of the layout pays off at the boundaries: traffic arrives as flat arrays,
+and statistics (latencies, hops, misroutes) are reduced, as single
+vectorized array operations.
 
 Multi-point sweeps live one layer up: :func:`repro.noc.sweep.run_noc_sweep`
 groups jobs by (graph, configuration) and dispatches each group to the
@@ -39,8 +40,13 @@ job-batched kernel (:mod:`repro.noc.engine_batch`) when the group holds at
 least its collision policy's fixed crossover of jobs, and to this scalar
 engine otherwise, sharing precomputed topologies and routing tables across
 all points that use the same graph.  This engine remains the fastest path
-for small groups (and the kernel's own fallback for bounded-capacity
-configurations), so its per-run cost is as load-bearing as the kernel's.
+for small groups (and the kernel's own fallback for single-job batches and
+nodes of more than 32 output ports), so its per-run cost is as load-bearing
+as the kernel's.
+
+Every FIFO is unbounded, as in the reference simulator: no crossbar pass
+waits for room downstream, and every output port starts each pass free.
+The peak occupancies a run reports are what size the hardware FIFOs.
 """
 
 from __future__ import annotations
@@ -57,6 +63,7 @@ from repro.noc.results import SimulationResult
 from repro.noc.routing import RoutingTables, build_routing_tables
 from repro.noc.topologies import Topology
 from repro.noc.traffic import TrafficPattern
+from repro.utils.validation import require_int
 
 
 def as_seed(seed) -> int:
@@ -89,7 +96,7 @@ class BatchNocSimulator:
     topology:
         The NoC topology.
     config:
-        Simulation parameters (routing algorithm, R, RL, DCM/SCM, FIFO size).
+        Simulation parameters (routing algorithm, R, RL, DCM/SCM).
     routing_tables:
         Optional precomputed tables (recomputed from the topology if omitted).
     seed:
@@ -106,8 +113,7 @@ class BatchNocSimulator:
         seed: int = 0,
         max_cycles: int = 200_000,
     ):
-        if max_cycles <= 0:
-            raise SimulationError(f"max_cycles must be positive, got {max_cycles}")
+        require_int("max_cycles", max_cycles, 1, SimulationError)
         self.topology = topology
         self.config = config
         self.tables = (
@@ -183,8 +189,8 @@ class _StaticState:
         self.out_ranges: list[tuple[int, ...]] = [
             tuple(range(self.out_deg[node])) for node in range(n)
         ]
-        # All-output-ports-free bitmask per node (for runs where backpressure
-        # provably cannot bind).
+        # All-output-ports-free bitmask per node: FIFOs are unbounded, so
+        # every pass starts with every output port free.
         self.full_masks: list[int] = [(1 << self.out_deg[node]) - 1 for node in range(n)]
 
         # RR serving: every rotation of a node's input fids, prebuilt as the
@@ -208,7 +214,6 @@ class _StaticState:
         self.scm_mode = config.collision_policy is CollisionPolicy.SCM
         self.injection_rate = config.injection_rate
         self.route_local = config.route_local
-        self.capacity = config.fifo_capacity
         self.config = config
         self.topology = topology
 
@@ -221,7 +226,6 @@ def _run_engine(
 ) -> SimulationResult:
     """Advance the struct-of-arrays state cycle by cycle until all messages land."""
     n = st.n_nodes
-    cap = st.capacity
     rate = st.injection_rate
     route_local = st.route_local
     rr_mode, asp_mode, scm_mode = st.rr_mode, st.asp_mode, st.scm_mode
@@ -234,27 +238,7 @@ def _run_engine(
     # random.Random consumed in node/serving order through the bounded-draw
     # rejection procedure of repro.utils.rng.bounded_draw, inlined below.
     getrandbits = random.Random(seed).getrandbits
-
-    # Backpressure binds only on a full network FIFO.  A network FIFO's
-    # occupancy rises only in the arrival phase, by at most one per cycle (it
-    # terminates one arc, and an output port sends at most once per pass), so
-    # while ``peak`` — the largest network-FIFO occupancy seen so far — stays
-    # below cap - 1 at a cycle's start, every downstream-room check of that
-    # cycle would pass.  Such cycles skip the checks and start every output
-    # port free; the checks keep no state across cycles, so a run may switch
-    # to the checked path mid-run.  With cap > total messages no FIFO can
-    # ever fill.
-    #
-    # The check itself needs no count of this cycle's sends: each network
-    # FIFO terminates one arc, so exactly one output port feeds it, and a
-    # node builds its free mask before any of its own sends in the pass.
-    # When a node tests FIFO t, nothing has been sent into t this cycle
-    # (sends stay invisible to ``occ`` until the next arrival phase anyway),
-    # so the room test is ``occ[t] < cap`` — the reference simulator's
-    # occupancy-plus-scheduled test with the scheduled count always 0.
     total = traffic.total_messages
-    never_full = cap > total
-    peak = 0
 
     # Working copies of the flat message attributes as Python lists: the
     # arbitration loop touches one scalar at a time and plain list indexing is
@@ -326,20 +310,16 @@ def _run_engine(
                 f"{total - delivered} messages still in flight"
             )
 
-        unbounded = never_full or peak + 1 < cap
-
         # 1. Link arrivals scheduled on the previous cycle, in send order.
         for fid in pending:
             o = occ[fid] + 1
             occ[fid] = o
             if o > maxocc[fid]:
                 maxocc[fid] = o
-                if o > peak:
-                    peak = o
         pending = []
 
-        # 2. Crossbar pass on every node, in node order (backpressure sees
-        # earlier nodes' pops and sends exactly as in the reference simulator).
+        # 2. Crossbar pass on every node, in node order (the order the nodes
+        # draw from the shared deflection stream in the reference simulator).
         for node in node_range:
             fids, targets, sent, sp_row, ap_row, fmask = node_ctx[node]
             if rr_mode:
@@ -363,15 +343,8 @@ def _run_engine(
                 elif k > 2:
                     order.sort()
 
-            # Free output ports as a bitmask: bit q set when the downstream
-            # FIFO has room for one more message (see the proof above).
-            if unbounded:
-                free = fmask
-            else:
-                free = 0
-                for q in out_ranges[node]:
-                    if occ[targets[q]] < cap:
-                        free |= 1 << q
+            # Free output ports as a bitmask: every port starts the pass free.
+            free = fmask
             local_free = True
             rr_served = False
 
@@ -440,7 +413,7 @@ def _run_engine(
                 rr_ptr[node] = (start + 1) % len(fids)
 
         # 3. PE injection at rate R; local messages bypass the network when
-        # RL = 0 and consume neither credit nor FIFO space.
+        # RL = 0 and consume no credit.
         for node in node_range:
             ptr = inj_ptr[node]
             end = inj_end[node]
@@ -452,7 +425,7 @@ def _run_engine(
             pushed = 0
             while ptr < end:
                 bypass = bypass_l[ptr]
-                if not bypass and (c < 1.0 or occ[ifid] + pushed >= cap):
+                if not bypass and c < 1.0:
                     break
                 inj_cycle[ptr] = cycle
                 if bypass:

@@ -37,12 +37,12 @@ pairs:
 4. **PE injection** — open loop: the k-th network message of every row that
    has one enters its injection FIFO at the same precomputed firing cycle.
 
-Under the kernel's precondition (``fifo_capacity > max(total_messages)``) an
-injection FIFO can never block, so a row's injections depend on its traffic
-alone: every row still holding a network-bound message runs the scalar
-engine's credit recurrence (``c += R``; fire and ``c -= 1`` once
-``c >= 1``) with the same float operations from cycle 0, so the k-th network
-message of every row is injected at the same cycle ``fire[k]``.  A bypass
+FIFOs are unbounded, so an injection FIFO never blocks and a row's
+injections depend on its traffic alone: every row still holding a
+network-bound message runs the scalar engine's credit recurrence
+(``c += R``; fire and ``c -= 1`` once ``c >= 1``) with the same float
+operations from cycle 0, so the k-th network message of every row is
+injected at the same cycle ``fire[k]``.  A bypass
 message (RL = 0, local destination) needs no credit: the scalar engine's
 injection loop injects and delivers it together with the network message
 before it (at cycle 0 for a leading run), so its cycles are known up front
@@ -72,12 +72,10 @@ batched commit applies them with the waves' own grants.
 
 Jobs that finish early are masked out (their FIFOs are empty, so their
 serving orders vanish, and the per-job ``ncycles`` is latched the cycle they
-drain).  Configurations the job axis cannot express without cross-node
-sequencing — bounded FIFO capacities, where backpressure makes node n's pass
-observe node n-1's pops within the same cycle — and topologies with nodes of
-more than 32 output ports (the width of the int32 free-port masks) fall back
-to the scalar engine per job, so :meth:`BatchedNocKernel.run` is total over
-the configuration space.
+drain).  Topologies with nodes of more than 32 output ports (the width of
+the int32 free-port masks) and single-job batches fall back to the scalar
+engine per job, so :meth:`BatchedNocKernel.run` is total over the
+configuration space.
 
 The kernel is pinned *cycle-exact, per job*, against
 :class:`~repro.noc.engine.BatchNocSimulator` (which is itself pinned against
@@ -102,6 +100,7 @@ from repro.noc.results import SimulationResult
 from repro.noc.routing import RoutingTables, build_routing_tables
 from repro.noc.topologies import Topology
 from repro.noc.traffic import TrafficPattern
+from repro.utils.validation import require_int
 
 __all__ = ["BatchedNocKernel"]
 
@@ -226,8 +225,7 @@ class BatchedNocKernel:
         routing_tables: RoutingTables | None = None,
         max_cycles: int = 200_000,
     ):
-        if max_cycles <= 0:
-            raise SimulationError(f"max_cycles must be positive, got {max_cycles}")
+        require_int("max_cycles", max_cycles, 1, SimulationError)
         self.topology = topology
         self.config = config
         self.tables = (
@@ -272,16 +270,10 @@ class BatchedNocKernel:
                     f"traffic references {traffic.n_nodes} nodes but the topology has "
                     f"{self.topology.n_nodes}"
                 )
-        max_total = max(traffic.total_messages for traffic in traffics)
-        # The job axis cannot express bounded-capacity backpressure (node n's
-        # free-port view depends on node n-1's pops within the same cycle) or
-        # a node with more output ports than its int32 free-port mask has
-        # bits, and a batch of one gains nothing from stacking: all run scalar.
-        if (
-            len(traffics) == 1
-            or self.config.fifo_capacity <= max_total
-            or int(self.topology.out_degrees.max()) > 32
-        ):
+        # The job axis cannot express a node with more output ports than its
+        # int32 free-port mask has bits, and a batch of one gains nothing
+        # from stacking: both run scalar.
+        if len(traffics) == 1 or int(self.topology.out_degrees.max()) > 32:
             if self._scalar is None:
                 # Seed-independent: per-job seeds are passed to run() only.
                 self._scalar = BatchNocSimulator(

@@ -15,12 +15,9 @@ from repro.noc.message import Message
 
 
 class MessageFifo:
-    """Bounded FIFO with occupancy statistics."""
+    """Unbounded FIFO with occupancy statistics."""
 
-    def __init__(self, capacity: int, name: str = "fifo"):
-        if capacity <= 0:
-            raise SimulationError(f"FIFO capacity must be positive, got {capacity}")
-        self.capacity = int(capacity)
+    def __init__(self, name: str = "fifo"):
         self.name = name
         self._queue: deque[Message] = deque()
         self._max_occupancy = 0
@@ -29,12 +26,7 @@ class MessageFifo:
     # Queue operations
     # ------------------------------------------------------------------ #
     def push(self, message: Message) -> None:
-        """Append a message; raises when the FIFO is full (backpressure bug guard)."""
-        if self.is_full():
-            raise SimulationError(
-                f"{self.name}: push on a full FIFO (capacity {self.capacity}); "
-                "the simulator should have applied backpressure"
-            )
+        """Append a message."""
         self._queue.append(message)
         if len(self._queue) > self._max_occupancy:
             self._max_occupancy = len(self._queue)
@@ -58,15 +50,6 @@ class MessageFifo:
     def is_empty(self) -> bool:
         """True when the FIFO holds no messages."""
         return not self._queue
-
-    def is_full(self) -> bool:
-        """True when the FIFO is at capacity."""
-        return len(self._queue) >= self.capacity
-
-    @property
-    def occupancy(self) -> int:
-        """Current number of queued messages."""
-        return len(self._queue)
 
     @property
     def max_occupancy(self) -> int:

@@ -40,7 +40,7 @@ class RouterNode:
     out_degree / in_degree:
         Number of outgoing / incoming network links of this node.
     config:
-        The NoC configuration (routing algorithm, collision policy, FIFO size).
+        The NoC configuration (routing algorithm, collision policy).
     tables:
         Precomputed routing tables shared by all nodes.
     rng:
@@ -73,12 +73,9 @@ class RouterNode:
             self._draw = lambda n: int(rng.integers(0, n))
         # Input side: one FIFO per incoming link plus the PE injection FIFO.
         self.input_fifos = [
-            MessageFifo(config.fifo_capacity, name=f"node{node_id}.in{port}")
-            for port in range(in_degree)
+            MessageFifo(name=f"node{node_id}.in{port}") for port in range(in_degree)
         ]
-        self.injection_fifo = MessageFifo(
-            config.fifo_capacity, name=f"node{node_id}.inject"
-        )
+        self.injection_fifo = MessageFifo(name=f"node{node_id}.inject")
         # Round-robin pointer over input ports (including the injection port).
         self._rr_pointer = 0
         # ASP-FT statistic: messages sent per output port so far.

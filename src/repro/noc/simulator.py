@@ -41,6 +41,7 @@ from repro.noc.results import SimulationResult
 from repro.noc.routing import RoutingTables, build_routing_tables
 from repro.noc.topologies import Topology
 from repro.noc.traffic import TrafficPattern
+from repro.utils.validation import require_int
 
 __all__ = ["SimulationResult", "ReferenceNocSimulator"]
 
@@ -62,8 +63,7 @@ class ReferenceNocSimulator:
         seed: int = 0,
         max_cycles: int = 200_000,
     ):
-        if max_cycles <= 0:
-            raise SimulationError(f"max_cycles must be positive, got {max_cycles}")
+        require_int("max_cycles", max_cycles, 1, SimulationError)
         self.topology = topology
         self.config = config
         self.tables = (
@@ -144,10 +144,9 @@ class ReferenceNocSimulator:
             pending_arrivals = []
 
             # 2. Crossbar pass on every node.
-            scheduled_per_fifo: dict[tuple[int, int], int] = {}
             for node in nodes:
                 delivered_now, hops_now = self._crossbar_pass(
-                    node, nodes, out_port_map, pending_arrivals, scheduled_per_fifo, cycle, stats
+                    node, out_port_map, pending_arrivals, cycle, stats
                 )
                 delivered += delivered_now
                 total_hops_used += hops_now
@@ -167,9 +166,7 @@ class ReferenceNocSimulator:
                     destination = destinations[idx]
                     location = locations[idx]
                     is_bypass = destination == node_id and not self.config.route_local
-                    if not is_bypass and (
-                        injection_credit[node_id] < 1.0 or node.injection_fifo.is_full()
-                    ):
+                    if not is_bypass and injection_credit[node_id] < 1.0:
                         break
                     message = Message(
                         identifier=next_message_id,
@@ -216,27 +213,17 @@ class ReferenceNocSimulator:
     def _crossbar_pass(
         self,
         node: RouterNode,
-        nodes: list[RouterNode],
         out_port_map: list[list[tuple[int, int]]],
         pending_arrivals: list[tuple[int, int, Message]],
-        scheduled_per_fifo: dict[tuple[int, int], int],
         cycle: int,
         stats: MessageStatistics,
     ) -> tuple[int, int]:
         """Route at most one message per input FIFO and per output port; return
-        (messages delivered locally, hops consumed)."""
+        (messages delivered locally, hops consumed).  FIFOs are unbounded, so
+        every output port starts the pass free."""
         fifos = node.all_input_fifos()
         port_targets = out_port_map[node.node_id]
-
-        def downstream_has_room(output_port: int) -> bool:
-            target_node, target_port = port_targets[output_port]
-            fifo = nodes[target_node].input_fifos[target_port]
-            scheduled = scheduled_per_fifo.get((target_node, target_port), 0)
-            return fifo.occupancy + scheduled < fifo.capacity
-
-        free_ports = {
-            port for port in range(node.out_degree) if downstream_has_room(port)
-        }
+        free_ports = set(range(node.out_degree))
         local_port_free = True
         delivered_now = 0
         hops_now = 0
@@ -268,9 +255,6 @@ class ReferenceNocSimulator:
             free_ports.discard(output_port)
             node.record_send(output_port)
             target_node, target_port = port_targets[output_port]
-            scheduled_per_fifo[(target_node, target_port)] = (
-                scheduled_per_fifo.get((target_node, target_port), 0) + 1
-            )
             message.hops += 1
             hops_now += 1
             if deflected:

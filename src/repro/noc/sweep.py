@@ -10,13 +10,15 @@ engine per (graph, configuration).  This module replaces it with an
    (:class:`~repro.noc.engine_batch.BatchedNocKernel`) when it holds at
    least its collision policy's fixed crossover (:class:`SweepCostModel`,
    sized from a committed benchmark grid), and to the scalar engine
-   otherwise.  Configurations the job axis cannot express (bounded-capacity
-   backpressure) always run scalar, inside the kernel's own fallback;
+   otherwise.  Every configuration is expressible on the job axis (FIFOs
+   are unbounded); only topologies with a node of more than 32 output ports
+   run scalar, inside the kernel's own fallback;
 3. the sweep is split into **chunks** — a batched group into at most one
    piece per worker, each of at least :data:`_SPLIT_MIN` jobs (a smaller
    group stays whole), and a scalar group into worker-sized pieces — and the
    chunks go to the process's one shared worker pool
-   (:mod:`repro.utils.pool`, which the turbo decoder's frame shards use too)
+   (:mod:`repro.utils.pool`, which the turbo decoder's frame shards use
+   too, through the same :func:`~repro.utils.pool.run_on_pool` dispatch)
    only when there are at least two workers, at least two chunks and at
    least :data:`_POOL_MIN_MESSAGES` messages to simulate; otherwise the
    sweep runs serially with no executor at all.  The pool is started at the
@@ -43,7 +45,6 @@ still reproduce exactly what two freshly seeded engines would.
 
 from __future__ import annotations
 
-from concurrent.futures import BrokenExecutor
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -55,7 +56,8 @@ from repro.noc.results import SimulationResult
 from repro.noc.routing import build_routing_tables
 from repro.noc.topologies import build_topology
 from repro.noc.traffic import TrafficPattern
-from repro.utils.pool import available_cpus, drop_pool, shared_pool
+from repro.utils.pool import available_cpus, run_on_pool, shared_pool
+from repro.utils.validation import require_int
 
 __all__ = [
     "NocSweepJob",
@@ -88,6 +90,7 @@ class NocSweepJob:
         # One integer seed whatever integral type the caller passed, so the
         # scalar engine and the batched kernel agree.
         object.__setattr__(self, "seed", as_seed(self.seed))
+        require_int("max_cycles", self.max_cycles, 1, SimulationError)
 
 
 @dataclass(frozen=True)
@@ -117,9 +120,11 @@ _POOL_MIN_MESSAGES = 29_184
 #: ``benchmarks/BENCH_noc_batch_sweep.json`` (groups of 16 to 128 phase-B
 #: jobs halved over two workers, warm pool): the smallest piece at which
 #: the split won the median for both collision policies, and kept winning
-#: at every larger group.  Three runs of the row read 24, 16 and 32 (SCM
-#: pieces of 8 to 16 jobs win or lose within noise); the constant is their
-#: median, and the committed row reads 24.
+#: at every larger group.  Seven runs of the row have been measured: 24, 16
+#: and 32 when the constant was sized (it is their median), then 8, 32, 12
+#: and 16 in four later runs (the committed row reads 16).  Pieces of 8 to
+#: 16 jobs win or lose within noise, and ``noc_table1``'s 128-job groups
+#: split in two under any value from 8 to 64, so the constant stays.
 _SPLIT_MIN = 24
 
 
@@ -208,8 +213,9 @@ def run_noc_sweep(
         If the worker pool breaks (a worker process died, for example
         killed for lack of memory); the pool's error is chained and the
         next pooled sweep builds a fresh pool.  An error raised in a worker
-        (such as a job exceeding ``max_cycles``) propagates as raised, and
-        the call's unstarted chunks are cancelled.
+        (such as a job exceeding ``max_cycles``) propagates as raised once
+        the call's unstarted chunks are cancelled and its started ones have
+        finished, so the pool is idle for the next call.
     """
     jobs = list(jobs)
     if max_workers is not None and (
@@ -248,11 +254,10 @@ def run_noc_sweep(
             for i, result in zip(indices, group_results):
                 results[i] = result
     else:
-        pool = shared_pool(min(workers, len(chunks)))
-        futures = []
-        try:
-            for key, indices, batched in chunks:
-                future = pool.submit(
+        chunk_results = run_on_pool(
+            shared_pool(min(workers, len(chunks))),
+            [
+                (
                     _run_chunk,
                     graphs[key[:3]],
                     key,
@@ -260,22 +265,16 @@ def run_noc_sweep(
                     [jobs[i].seed for i in indices],
                     batched,
                 )
-                futures.append((future, indices))
-            for future, indices in futures:
-                for i, result in zip(indices, future.result()):
-                    results[i] = result
-        except BaseException as exc:
-            # Nobody waits for the rest: leave the shared pool free for the
-            # next call.
-            for future, _ in futures:
-                future.cancel()
-            if isinstance(exc, BrokenExecutor):
-                drop_pool(pool)
-                raise SimulationError(
-                    f"the sweep's worker pool broke before {len(jobs)} jobs finished "
-                    f"(a worker process died): {exc}"
-                ) from exc
-            raise
+                for key, indices, batched in chunks
+            ],
+            lambda exc: SimulationError(
+                f"the sweep's worker pool broke before {len(jobs)} jobs finished "
+                f"(a worker process died): {exc}"
+            ),
+        )
+        for (_, indices, _), group_results in zip(chunks, chunk_results):
+            for i, result in zip(indices, group_results):
+                results[i] = result
     return [NocSweepOutcome(job=job, result=result) for job, result in zip(jobs, results)]
 
 

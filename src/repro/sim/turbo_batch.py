@@ -46,7 +46,6 @@ are read-only properties.
 from __future__ import annotations
 
 import multiprocessing
-from concurrent.futures import BrokenExecutor, wait
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -55,7 +54,7 @@ from repro.errors import DecodingError
 from repro.turbo.bits import bit_to_symbol_extrinsic, symbol_to_bit_extrinsic
 from repro.turbo.encoder import TurboEncoder
 from repro.turbo.trellis import NUM_STATES, NUM_SYMBOLS, DuoBinaryTrellis
-from repro.utils.pool import available_cpus, drop_pool, shared_pool
+from repro.utils.pool import available_cpus, run_on_pool, shared_pool
 from repro.utils.validation import require_bool, require_int
 
 #: Extrinsic scaling factor ``sigma`` of paper Section II-A, hard-wired in
@@ -644,28 +643,16 @@ class BatchTurboDecoder:
             return self.decode_split(*split)
         bounds = [batch * i // shards for i in range(shards + 1)]
         llrs = np.asarray(channel_llrs, dtype=np.float64)
-        pool = shared_pool(shards - 1)
-        futures = []
-        try:
-            # Ship the remote shards first, so they decode while this one does.
-            futures = [
-                pool.submit(_decode_shard, self, llrs[lo:hi])
-                for lo, hi in zip(bounds[1:], bounds[2:])
-            ]
-            parts = [self.decode_split(*(block[: bounds[1]] for block in split))]
-            parts.extend(future.result() for future in futures)
-        except BaseException as exc:
-            # Leave the shared pool idle for the next call.
-            for future in futures:
-                future.cancel()
-            wait(futures)
-            if isinstance(exc, BrokenExecutor):
-                drop_pool(pool)
-                raise DecodingError(
-                    f"the decoder's worker pool broke before {batch} frames were "
-                    f"decoded (a worker process died): {exc}"
-                ) from exc
-            raise
+        # The remote shards are shipped first, so they decode while this one does.
+        parts = run_on_pool(
+            shared_pool(shards - 1),
+            [(_decode_shard, self, llrs[lo:hi]) for lo, hi in zip(bounds[1:], bounds[2:])],
+            lambda exc: DecodingError(
+                f"the decoder's worker pool broke before {batch} frames were "
+                f"decoded (a worker process died): {exc}"
+            ),
+            local=lambda: self.decode_split(*(block[: bounds[1]] for block in split)),
+        )
         return _join(parts)
 
     def decode_split(

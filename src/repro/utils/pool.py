@@ -12,9 +12,10 @@ kept here:
   one that needs more replaces it;
 * it uses the platform's default start method (``fork`` on Linux), so a
   worker starts with its parent's modules already imported;
-* a caller that sees the pool break (a worker process died) drops it with
-  :func:`drop_pool` and raises its own typed error, and the next call builds
-  a fresh pool;
+* a call dispatches its work with :func:`run_on_pool`, which collects the
+  results in order and, on any failure, leaves the pool idle: a broken pool
+  (a worker process died) is dropped and the caller's typed error raised,
+  and the next call builds a fresh pool;
 * forked children forget it, and the stdlib's exit hook for process pools
   joins its workers when the interpreter exits, so none outlives its parent.
 
@@ -26,9 +27,10 @@ from __future__ import annotations
 
 import os
 import threading
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import BrokenExecutor, Future, ProcessPoolExecutor, wait
+from typing import Any, Callable, Sequence
 
-__all__ = ["available_cpus", "drop_pool", "shared_pool"]
+__all__ = ["available_cpus", "drop_pool", "run_on_pool", "shared_pool"]
 
 #: The process's one pool and its worker count, built by :func:`shared_pool`.
 _POOL: ProcessPoolExecutor | None = None
@@ -69,6 +71,39 @@ def drop_pool(pool: ProcessPoolExecutor | None = None) -> None:
         if _POOL is not None and pool in (None, _POOL):
             _POOL.shutdown(cancel_futures=True)
             _POOL = None
+
+
+def run_on_pool(
+    pool: ProcessPoolExecutor,
+    calls: Sequence[tuple],
+    broken: Callable[[BaseException], Exception],
+    local: Callable[[], Any] | None = None,
+) -> list:
+    """Run each ``(fn, *args)`` of ``calls`` on ``pool``; return the results
+    in call order.
+
+    ``local``, when given, runs in this process once every call is
+    submitted, and its result leads the list.  On any failure the queued
+    calls are cancelled and the started ones waited for, so the pool is idle
+    when the error propagates.  A broken pool (a worker process died) is
+    dropped and ``broken(error)`` raised, chained to the pool's error; any
+    other error propagates as raised.
+    """
+    futures: list[Future] = []
+    try:
+        for fn, *args in calls:
+            futures.append(pool.submit(fn, *args))
+        results = [] if local is None else [local()]
+        results.extend(future.result() for future in futures)
+    except BaseException as exc:
+        for future in futures:
+            future.cancel()
+        wait(futures)
+        if isinstance(exc, BrokenExecutor):
+            drop_pool(pool)
+            raise broken(exc) from exc
+        raise
+    return results
 
 
 def _forget_pool() -> None:

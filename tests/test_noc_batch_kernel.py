@@ -7,8 +7,8 @@ per-node FIFO high-water marks, hop/latency totals and SCM deflection
 decisions for every (topology, configuration, traffic, seed) — whatever other
 jobs share the batch.  The hypothesis suite below drives randomized batches
 (mixed traffic sizes, empty jobs, distinct seeds) through both and compares
-every observable, including the both-raise behaviour when a job exceeds
-``max_cycles``.
+every observable; the contract tests pin the both-raise behaviour when a job
+exceeds ``max_cycles``.
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ from repro.noc import (
     build_topology,
     random_traffic,
     random_traffic_streams,
+    scheduler_cost_model,
 )
 from traffic_lists import traffic_from_lists
 
@@ -83,9 +84,6 @@ config_strategy = st.builds(
     collision_policy=st.sampled_from(list(CollisionPolicy)),
     injection_rate=st.sampled_from([0.25, 0.4, 0.5, 0.75, 1.0]),
     route_local=st.booleans(),
-    # Small capacities force the kernel's scalar fallback (bounded
-    # backpressure); large ones exercise the vectorized job axis.
-    fifo_capacity=st.sampled_from([3, 4096]),
 )
 
 
@@ -115,21 +113,14 @@ class TestDifferentialKernelVsEngine:
         kernel = BatchedNocKernel(
             topology, config, routing_tables=tables, max_cycles=30_000
         )
-        try:
-            expected = [
-                _observables(
-                    BatchNocSimulator(
-                        topology, config, routing_tables=tables, seed=seed,
-                        max_cycles=30_000,
-                    ).run(traffic)
-                )
-                for traffic, seed in zip(traffics, seeds)
-            ]
-        except SimulationError:
-            # Tight capacities can deadlock; the batch must diverge too.
-            with pytest.raises(SimulationError):
-                kernel.run(traffics, seeds)
-            return
+        expected = [
+            _observables(
+                BatchNocSimulator(
+                    topology, config, routing_tables=tables, seed=seed, max_cycles=30_000,
+                ).run(traffic)
+            )
+            for traffic, seed in zip(traffics, seeds)
+        ]
         actual = [_observables(r) for r in kernel.run(traffics, seeds)]
         assert actual == expected
 
@@ -170,24 +161,24 @@ class TestDifferentialKernelVsEngine:
         kernel = BatchedNocKernel(topology, config, routing_tables=tables)
         assert [_observables(r) for r in kernel.run(traffics, seeds)] == expected
 
-    @pytest.mark.parametrize("spec", TOPOLOGY_SPECS)
     @pytest.mark.parametrize("policy", list(CollisionPolicy))
-    def test_kernel_matches_engine_on_bounded_fifos(self, spec, policy):
-        """``fifo_capacity=3`` backpressure runs the kernel's scalar fallback."""
-        topology, tables = _topology_and_tables(spec)
-        config = NocConfiguration(collision_policy=policy, fifo_capacity=3)
-        traffics = [
-            random_traffic(topology.n_nodes, 10, seed=70 + index) for index in range(3)
-        ]
-        seeds = [0, 4, 9]
-        expected = [
-            _observables(
-                BatchNocSimulator(topology, config, routing_tables=tables, seed=s).run(t)
-            )
-            for t, s in zip(traffics, seeds)
-        ]
+    def test_crossover_group_beyond_4096_messages_runs_batched(self, policy):
+        """A crossover-sized group of jobs with more than 4 096 messages each
+        runs the job axis (no scalar fallback) and matches the scalar engine
+        job by job."""
+        topology, tables = _topology_and_tables(("generalized-kautz", 16, 3))
+        count = scheduler_cost_model().crossover(policy)
+        traffics = random_traffic_streams(16, 300, seed=61, count=count)
+        assert min(traffic.total_messages for traffic in traffics) > 4096
+        seeds = [5 * index + 2 for index in range(count)]
+        config = NocConfiguration(collision_policy=policy)
         kernel = BatchedNocKernel(topology, config, routing_tables=tables)
-        assert [_observables(r) for r in kernel.run(traffics, seeds)] == expected
+        actual = [_observables(r) for r in kernel.run(traffics, seeds)]
+        assert kernel._scalar is None
+        engine = BatchNocSimulator(topology, config, routing_tables=tables)
+        assert actual == [
+            _observables(engine.run(t, seed=s)) for t, s in zip(traffics, seeds)
+        ]
 
     @pytest.mark.parametrize("batch", [2, 8, 256])
     @pytest.mark.parametrize("algorithm", list(RoutingAlgorithm))
@@ -358,13 +349,6 @@ class TestKernelContract:
         kernel = BatchedNocKernel(topology, NocConfiguration(), routing_tables=reversed_tables)
         with pytest.raises(SimulationError, match="ascending"):
             kernel.run([random_traffic(16, 5, seed=1), random_traffic(16, 5, seed=2)])
-
-    def test_rejects_bad_max_cycles(self):
-        topology, tables = _topology_and_tables(("ring", 6, None))
-        with pytest.raises(SimulationError):
-            BatchedNocKernel(
-                topology, NocConfiguration(), routing_tables=tables, max_cycles=0
-            )
 
     def test_max_cycles_guard_raises_for_stuck_jobs(self):
         topology, tables = _topology_and_tables(("ring", 6, None))

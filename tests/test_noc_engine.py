@@ -6,8 +6,8 @@ be *cycle-exact* against the per-object reference
 counts, per-node maximum FIFO occupancies, hop/latency totals and SCM
 deflection decisions for any (topology, configuration, traffic, seed).  The
 hypothesis suite below drives randomized configurations x seeded traffic
-through both simulators and compares every observable, including the
-both-raise behaviour under deadlocking capacities.
+through both simulators and compares every observable.  Every FIFO is
+unbounded, so no configuration deadlocks.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 
 from repro.errors import MappingError, SimulationError
 from repro.noc import (
+    BatchedNocKernel,
     BatchNocSimulator,
     CollisionPolicy,
     NocConfiguration,
@@ -80,19 +81,17 @@ def _observables(result):
 
 
 #: Pinned non-default configurations: DCM head-of-line blocking under SSP-RR,
-#: bounded FIFOs with throttled ASP-FT injection, and two-slot FIFOs with
-#: local messages routed through the network.
+#: throttled ASP-FT injection, and local messages routed through the network.
 STRESS_CONFIGS = {
     "ssp-rr-dcm": NocConfiguration(
         routing_algorithm=RoutingAlgorithm.SSP_RR,
         collision_policy=CollisionPolicy.DCM,
     ),
-    "asp-ft-fifo3-half-rate": NocConfiguration(
+    "asp-ft-half-rate": NocConfiguration(
         routing_algorithm=RoutingAlgorithm.ASP_FT,
-        fifo_capacity=3,
         injection_rate=0.5,
     ),
-    "fifo2-route-local": NocConfiguration(fifo_capacity=2, route_local=True),
+    "route-local": NocConfiguration(route_local=True),
 }
 
 
@@ -102,7 +101,6 @@ config_strategy = st.builds(
     collision_policy=st.sampled_from(list(CollisionPolicy)),
     injection_rate=st.sampled_from([0.25, 0.4, 0.5, 0.75, 1.0]),
     route_local=st.booleans(),
-    fifo_capacity=st.sampled_from([2, 3, 5, 4096]),
 )
 
 
@@ -132,18 +130,7 @@ class TestDifferentialEngineVsReference:
         engine = BatchNocSimulator(
             topology, config, routing_tables=tables, seed=sim_seed, max_cycles=30_000
         )
-        try:
-            expected = _observables(reference.run(traffic))
-            reference_raised = False
-        except SimulationError:
-            reference_raised = True
-        if reference_raised:
-            # Tight capacities can deadlock (DCM cyclic waits); the engine
-            # must diverge in exactly the same way.
-            with pytest.raises(SimulationError):
-                engine.run(traffic)
-            return
-        assert _observables(engine.run(traffic)) == expected
+        assert _observables(engine.run(traffic)) == _observables(reference.run(traffic))
 
     @pytest.mark.parametrize("spec", TOPOLOGY_SPECS)
     @pytest.mark.parametrize("algorithm", list(RoutingAlgorithm))
@@ -207,14 +194,6 @@ class TestDifferentialEngineVsReference:
         assert eng.ncycles == 0
 
 
-def _observables_or_raised(simulator, traffic):
-    """The run's observables, or ``"raised"`` when it deadlocks."""
-    try:
-        return _observables(simulator.run(traffic))
-    except SimulationError:
-        return "raised"
-
-
 def _hotspot_traffic(n_nodes: int, messages_per_node: int, seed: int):
     """Random traffic with ~40% of every node's messages sent to node 0.
 
@@ -235,47 +214,25 @@ def _hotspot_traffic(n_nodes: int, messages_per_node: int, seed: int):
     return traffic_from_lists(destinations, label="hotspot")
 
 
-class TestCapacityProof:
-    """The engine skips the downstream-room checks on every cycle that starts
-    with the peak network-FIFO occupancy below ``fifo_capacity - 1``.  Pin
-    that regime against the reference at capacities below the message total,
-    where the static ``capacity > total`` rule alone would keep the checks,
-    and at capacities around the peak, where a run switches to the bounded
-    path mid-run."""
+class TestHighOccupancy:
+    """Hotspot traffic backs node 0's input FIFOs up to tens of messages;
+    the engine must still match the reference on every observable."""
 
     @pytest.mark.parametrize("spec", [("generalized-kautz", 8, 3), ("spidergon", 8, None)])
     @pytest.mark.parametrize("policy", list(CollisionPolicy))
     @pytest.mark.parametrize("algorithm", list(RoutingAlgorithm))
-    def test_engine_matches_reference_around_the_peak(self, spec, policy, algorithm):
+    def test_engine_matches_reference_at_high_occupancy(self, spec, policy, algorithm):
         topology, tables = _topology_and_tables(spec)
         traffic = _hotspot_traffic(topology.n_nodes, 40, seed=13)
-        total = traffic.total_messages
-
-        def run_both(capacity):
-            config = NocConfiguration(
-                collision_policy=policy, fifo_capacity=capacity
-            ).with_routing(algorithm)
-            return [
-                _observables_or_raised(
-                    simulator_cls(
-                        topology, config, routing_tables=tables, seed=11, max_cycles=30_000
-                    ),
-                    traffic,
-                )
-                for simulator_cls in (ReferenceNocSimulator, BatchNocSimulator)
-            ]
-
-        free_run, _ = run_both(total + 1)
-        peak = free_run["max_fifo"]
-        assert 10 < peak < total // 4
-        # At the total the proof holds on every cycle; at peak + 2 it holds
-        # until the peak is reached; at peak + 1 and below backpressure can
-        # bind (or deadlock, which both simulators must then report).
-        for capacity in (total, peak + 2, peak + 1, peak, peak - 1):
-            expected, actual = run_both(capacity)
-            assert actual == expected, capacity
-            if capacity > peak:
-                assert expected == free_run, capacity
+        config = NocConfiguration(collision_policy=policy).with_routing(algorithm)
+        expected, actual = (
+            _observables(
+                simulator_cls(topology, config, routing_tables=tables, seed=11).run(traffic)
+            )
+            for simulator_cls in (ReferenceNocSimulator, BatchNocSimulator)
+        )
+        assert actual == expected
+        assert 10 < expected["max_fifo"] < traffic.total_messages // 4
 
 
 SIMULATORS = pytest.mark.parametrize(
@@ -299,14 +256,22 @@ class TestEngineContract:
         with pytest.raises(SimulationError):
             simulator_cls(topology, NocConfiguration(), routing_tables=other_tables)
 
-    @SIMULATORS
-    @pytest.mark.parametrize("max_cycles", [0, -1])
-    def test_rejects_bad_max_cycles(self, simulator_cls, max_cycles):
+    @pytest.mark.parametrize("max_cycles", [0, -1, float("nan"), True, 2.5, None, "1000"])
+    @pytest.mark.parametrize(
+        "entry", [ReferenceNocSimulator, BatchNocSimulator, BatchedNocKernel, NocSweepJob],
+        ids=lambda cls: cls.__name__,
+    )
+    def test_rejects_bad_max_cycles(self, entry, max_cycles):
+        """``max_cycles`` is a run's only bound, so every entry point takes
+        nothing but an int >= 1: ``nan`` would disable the bound, ``True``
+        and ``2.5`` are no cycle counts."""
         topology, tables = _topology_and_tables(("ring", 6, None))
-        with pytest.raises(SimulationError):
-            simulator_cls(
-                topology, NocConfiguration(), routing_tables=tables, max_cycles=max_cycles
-            )
+        config = NocConfiguration()
+        with pytest.raises(SimulationError, match="max_cycles must be an int >= 1"):
+            if entry is NocSweepJob:
+                NocSweepJob("ring", 6, None, config, random_traffic(6, 2), max_cycles=max_cycles)
+            else:
+                entry(topology, config, routing_tables=tables, max_cycles=max_cycles)
 
     def test_max_cycles_guard_raises(self):
         topology, tables = _topology_and_tables(("ring", 6, None))

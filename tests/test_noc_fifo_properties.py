@@ -2,8 +2,8 @@
 
 A :class:`~repro.noc.fifo.MessageFifo` is modelled against a plain deque: any
 interleaving of pushes and pops must preserve FIFO ordering, track the
-occupancy high-water mark exactly, and lose no message under full-FIFO
-backpressure (a push on a full FIFO raises and leaves the contents intact).
+occupancy high-water mark exactly, and lose no message (a FIFO is
+unbounded; a pop on an empty one raises and leaves it empty).
 """
 
 from __future__ import annotations
@@ -24,9 +24,9 @@ ops_strategy = st.lists(st.booleans(), max_size=80)
 
 class TestFifoAgainstModel:
     @settings(max_examples=100, deadline=None, derandomize=True)
-    @given(capacity=st.integers(1, 8), ops=ops_strategy)
-    def test_fifo_matches_deque_model(self, capacity, ops):
-        fifo = MessageFifo(capacity, name="model")
+    @given(ops=ops_strategy)
+    def test_fifo_matches_deque_model(self, ops):
+        fifo = MessageFifo(name="model")
         model: deque[int] = deque()
         high_water = 0
         next_id = 0
@@ -34,15 +34,9 @@ class TestFifoAgainstModel:
             if is_push:
                 message = Message(identifier=next_id, source=0, destination=1)
                 next_id += 1
-                if len(model) >= capacity:
-                    # Backpressure: the push must raise and lose nothing.
-                    assert fifo.is_full()
-                    with pytest.raises(SimulationError):
-                        fifo.push(message)
-                else:
-                    fifo.push(message)
-                    model.append(message.identifier)
-                    high_water = max(high_water, len(model))
+                fifo.push(message)
+                model.append(message.identifier)
+                high_water = max(high_water, len(model))
             else:
                 if model:
                     assert fifo.pop().identifier == model.popleft()
@@ -51,9 +45,8 @@ class TestFifoAgainstModel:
                     with pytest.raises(SimulationError):
                         fifo.pop()
             # Invariants that must hold after every operation.
-            assert len(fifo) == len(model) == fifo.occupancy
+            assert len(fifo) == len(model)
             assert fifo.is_empty() == (not model)
-            assert fifo.is_full() == (len(model) >= capacity)
             head = fifo.head()
             assert (head.identifier if head is not None else None) == (
                 model[0] if model else None

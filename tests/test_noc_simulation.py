@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -59,8 +61,13 @@ class TestConfiguration:
             NocConfiguration(injection_rate=1.5)
         with pytest.raises(ConfigurationError):
             NocConfiguration(payload_bits=0)
-        with pytest.raises(ConfigurationError):
-            NocConfiguration(fifo_capacity=0)
+
+    def test_fifo_depth_is_not_a_parameter(self):
+        """FIFO depth is measured by the simulation, never configured."""
+        assert [field.name for field in fields(NocConfiguration)] == [
+            "routing_algorithm", "node_architecture", "injection_rate", "route_local",
+            "collision_policy", "payload_bits", "location_bits",
+        ]
 
     def test_describe_mentions_key_parameters(self):
         text = NocConfiguration().describe()
@@ -91,7 +98,7 @@ class TestMessageAndFifo:
         assert stats.count == 0
 
     def test_fifo_push_pop_order(self):
-        fifo = MessageFifo(capacity=4)
+        fifo = MessageFifo()
         for i in range(3):
             fifo.push(Message(i, 0, 1))
         assert fifo.pop().identifier == 0
@@ -99,26 +106,22 @@ class TestMessageAndFifo:
         assert len(fifo) == 2
 
     def test_fifo_tracks_max_occupancy(self):
-        fifo = MessageFifo(capacity=4)
+        fifo = MessageFifo()
         for i in range(3):
             fifo.push(Message(i, 0, 1))
         fifo.pop()
         assert fifo.max_occupancy == 3
 
-    def test_fifo_overflow_raises(self):
-        fifo = MessageFifo(capacity=1)
-        fifo.push(Message(0, 0, 1))
-        assert fifo.is_full()
-        with pytest.raises(SimulationError):
-            fifo.push(Message(1, 0, 1))
+    def test_fifo_is_unbounded(self):
+        fifo = MessageFifo()
+        for i in range(5000):
+            fifo.push(Message(i, 0, 1))
+        assert len(fifo) == fifo.max_occupancy == 5000
+        assert fifo.pop().identifier == 0
 
     def test_fifo_empty_pop_raises(self):
         with pytest.raises(SimulationError):
-            MessageFifo(capacity=1).pop()
-
-    def test_fifo_rejects_bad_capacity(self):
-        with pytest.raises(SimulationError):
-            MessageFifo(capacity=0)
+            MessageFifo().pop()
 
 
 class TestTrafficPattern:

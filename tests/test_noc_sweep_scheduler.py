@@ -21,7 +21,9 @@ import signal
 import subprocess
 import sys
 import textwrap
+import time
 from concurrent.futures import BrokenExecutor
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -283,6 +285,22 @@ def _count_pools(monkeypatch) -> list[int]:
 
 def _die_in_worker(*args):
     os._exit(1)
+
+
+#: ``max_cycles`` that marks the jobs :func:`_fail_first_chunk` acts on.
+_FAILING_MAX_CYCLES = 100_001
+_REAL_RUN_CHUNK = sweep_mod._run_chunk
+
+
+def _fail_first_chunk(graph, key, traffics, seeds, batched):
+    """Of marked jobs, the Kautz SSP-FL chunk raises at once and every other
+    chunk runs slowly, so it is still running when the error arrives.
+    Unmarked jobs run as usual (forked workers keep this patch)."""
+    if key[4] == _FAILING_MAX_CYCLES:
+        if key[0] == "generalized-kautz" and key[3].routing_algorithm is RoutingAlgorithm.SSP_FL:
+            raise SimulationError("chunk failed")
+        time.sleep(0.5)
+    return _REAL_RUN_CHUNK(graph, key, traffics, seeds, batched)
 
 
 def _group_jobs(config, count):
@@ -555,6 +573,22 @@ class TestWorkerPool:
         assert pool_mod._POOL is None
         _assert_same_outcomes(serial, run_noc_sweep(jobs, max_workers=2))
         assert pools == [2, 2]
+
+    def test_chunk_error_leaves_the_pool_idle(self, monkeypatch):
+        """A chunk that raises while a slower one runs: the call raises only
+        once the started chunks have finished, so the pool holds no work,
+        and the same pool then serves a correct sweep."""
+        monkeypatch.setattr(sweep_mod, "_POOL_MIN_MESSAGES", 0)
+        jobs = _mixed_jobs()
+        serial = run_noc_sweep(jobs, max_workers=1)
+        marked = [replace(job, max_cycles=_FAILING_MAX_CYCLES) for job in jobs]
+        monkeypatch.setattr(sweep_mod, "_run_chunk", _fail_first_chunk)
+        with pytest.raises(SimulationError, match="chunk failed"):
+            run_noc_sweep(marked, max_workers=2)
+        pool = pool_mod._POOL
+        assert pool is not None and not pool._pending_work_items
+        _assert_same_outcomes(serial, run_noc_sweep(jobs, max_workers=2))
+        assert pool_mod._POOL is pool
 
 
 class TestDispatchRule:
