@@ -13,6 +13,13 @@ The ``fixed_vs_float`` rows time the layered decoder's two datapaths against
 each other (no gate): the fixed-point one on int16 levels in a
 variable-major layout, the float64 one (the baseline) frames-first.
 
+The ``fx_layout`` rows time the fixed-point layered decoder, whose layer
+tensors are degree-major ``(d, z, batch)``, against an inline copy of the
+check-major ``(z, d, batch)`` layer step and min-sum kernel it replaced,
+at batches 1, 3 and 64; the batch-3 and batch-64 rows are gated on the
+degree-major step winning, and the batch-1 rows, whose margin is within
+host noise, are recorded only.
+
 The ``encode`` and ``syndrome`` rows time the BER chain's two LDPC stages
 outside the check kernel against inline copies of the implementations they
 replaced: the int64 GF(2) encode product, and the syndrome count on
@@ -29,9 +36,11 @@ import numpy as np
 import pytest
 
 from repro.channel import AWGNChannel, BPSKModulator, ebn0_to_noise_sigma
+from repro.errors import DecodingError
 from repro.ldpc import wimax_ldpc_code
 from repro.ldpc.checknode import hard_decision, min_sum_check_update
 from repro.sim import BatchFloodingDecoder, BatchLayeredDecoder, EdgeIndex
+from repro.sim.batch import _EXTRINSIC_TABLE, _LAMBDA_MAX, _LAMBDA_MIN
 
 from benchmarks.harness import per_item, record, row, trials
 
@@ -44,6 +53,8 @@ BASELINE_FRAMES = 8
 TRIALS = 3
 #: Interleaved (float, fixed) trials of the fixed_vs_float rows.
 DATAPATH_TRIALS = 7
+#: Interleaved (check-major, degree-major) trials of the fx_layout rows.
+LAYOUT_TRIALS = 9
 #: Interleaved (baseline, current) trials of the encode and syndrome rows,
 #: and the calls each arm's trial times (so that one trial spans milliseconds).
 STAGE_TRIALS = 15
@@ -202,6 +213,99 @@ def test_layered_fixed_vs_float(n, rate, ebn0_db, batch):
         {"n": n, "rate": rate, "batch": batch, "max_iterations": MAX_ITERATIONS,
          "ebn0_db": ebn0_db, "timing": timing},
     )
+
+
+class _CheckMajorLayeredDecoder(BatchLayeredDecoder):
+    """The replaced fixed-point layer step: check-major ``(z, d, active)`` tensors.
+
+    ``decode_batch`` is inherited, so the two arms differ in the layer step
+    and the min-sum kernel only.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, h):
+        super().__init__(h, max_iterations=MAX_ITERATIONS, fixed_point=True)
+        self._layers = tuple(
+            layer._replace(cols=np.ascontiguousarray(layer.cols.T)) for layer in self._layers
+        )
+        self._positions = self._positions.reshape(-1, 1)
+
+    def _level_layer(self, lam, r, layer):
+        q = np.take(lam, layer.cols, axis=0)  # (z, d, active)
+        q -= r[layer.edges].reshape(q.shape)
+        r_new = self._min_sum_levels(q)
+        q += r_new
+        np.clip(q, _LAMBDA_MIN, _LAMBDA_MAX, out=q)
+        lam[layer.cols] = q
+        r[layer.edges] = r_new.reshape(-1, q.shape[-1])
+
+    def _min_sum_levels(self, q):
+        if q.shape[1] < 2:
+            raise DecodingError("check update needs at least two edge messages")
+        shift = self._key_shift
+        keys = np.abs(q).astype(self._positions.dtype, copy=False)
+        keys <<= shift
+        keys |= self._positions[: q.shape[1]]
+        min1 = keys.min(axis=1, keepdims=True)
+        keys -= min1 + 1
+        min2 = keys.view(f"u{keys.itemsize}").min(axis=1, keepdims=True).view(keys.dtype)
+        min2 += min1 + 1
+        holder = keys >> (8 * keys.itemsize - 1)
+        negative = q >> 15
+        parity = np.bitwise_xor.reduce(negative, axis=1, keepdims=True)
+        first = (_EXTRINSIC_TABLE[min1 >> shift] ^ parity) - parity
+        second = (_EXTRINSIC_TABLE[min2 >> shift] ^ parity) - parity
+        r_new = holder & (second - first)
+        r_new += first
+        r_new ^= negative
+        r_new -= negative
+        return r_new.astype(np.int16, copy=False)
+
+
+@pytest.mark.parametrize("batch", [1, 3, BATCH])
+@pytest.mark.parametrize("n, rate, ebn0_db", [(576, "1/2", EBN0_DB), (2304, "5/6", 4.0)])
+def test_fixed_point_degree_major_vs_check_major(n, rate, ebn0_db, batch):
+    """Fixed-point layered decodes, degree-major vs check-major layer tensors.
+
+    Each arm decodes the same 64 frames, ``batch`` at a time, with early
+    termination; the degree-major step must win from batch 3 up.
+    """
+    code = wimax_ldpc_code(n, rate)
+    llrs = _make_llr_batch(code, BATCH, ebn0_db=ebn0_db)
+    chunks = [llrs[start:start + batch] for start in range(0, BATCH, batch)]
+    decoders = {
+        "baseline": _CheckMajorLayeredDecoder(code.h),
+        "current": BatchLayeredDecoder(code.h, max_iterations=MAX_ITERATIONS, fixed_point=True),
+    }
+    for chunk in chunks:
+        before, after = (d.decode_batch(chunk) for d in decoders.values())
+        assert np.array_equal(before.llrs, after.llrs)
+        assert np.array_equal(before.iterations, after.iterations)
+
+    def arm(decoder):
+        def run():
+            for chunk in chunks:
+                decoder.decode_batch(chunk)
+
+        return run
+
+    samples, _ = trials({name: arm(d) for name, d in decoders.items()}, LAYOUT_TRIALS)
+    timing = row(per_item(samples, dict.fromkeys(decoders, BATCH)), "baseline", "s/frame")
+    vs = timing["vs"]["current"]
+    print(
+        f"\nfx_layout n={n} r{rate} batch {batch}: degree-major "
+        f"{vs['ratio']:5.2f}x check-major ({vs['wins']}/{LAYOUT_TRIALS} wins, "
+        f"median of {LAYOUT_TRIALS})"
+    )
+    record(
+        "batch_throughput",
+        f"fx_layout_{n}_r{rate}_b{batch}",
+        {"n": n, "rate": rate, "batch": batch, "max_iterations": MAX_ITERATIONS,
+         "ebn0_db": ebn0_db, "timing": timing},
+    )
+    if batch > 1:
+        assert vs["ratio"] > 1.0
 
 
 # --------------------------------------------------------------------------- #

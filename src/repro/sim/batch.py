@@ -291,9 +291,10 @@ class BatchLayeredDecoder:
     keeps ``(batch, n)`` float64 state and runs it on ``(batch, z, d)``
     tensors.  The fixed-point decoder runs on the paper's integer words
     instead: int16 levels in a variable-major ``(n, batch)`` layout,
-    ``(z, d, batch)`` per layer, so the reductions over the degree axis run
-    on contiguous batch rows.  Its min-sum scales, rounds and clips R
-    through one lookup table (:func:`extrinsic_table`), built once at import.
+    degree-major ``(d, z, batch)`` per layer, so the reductions over the
+    degree axis run over axis 0, across contiguous ``(z, batch)`` rows.  Its
+    min-sum scales, rounds and clips R through one lookup table
+    (:func:`extrinsic_table`), built once at import.
 
     ``converged`` is the latched "was ever a codeword" flag AND a zero final
     syndrome.
@@ -334,10 +335,10 @@ class BatchLayeredDecoder:
         self._early_termination = bool(early_termination)
         # Min-two keys ``|Q| << shift | position`` are distinct within a check;
         # they fit int16 up to degree 256.
-        max_degree = max((layer.cols.shape[1] for layer in self._layers), default=1)
+        max_degree = max((layer.cols.shape[0] for layer in self._layers), default=1)
         self._key_shift = (max_degree - 1).bit_length()
         key_dtype = np.int16 if (_Q_MAX + 1) << self._key_shift <= 2**15 else np.int32
-        self._positions = np.arange(max_degree, dtype=key_dtype)[:, None]
+        self._positions = np.arange(max_degree, dtype=key_dtype)[:, None, None]
 
     @property
     def max_iterations(self) -> int:
@@ -363,16 +364,21 @@ class BatchLayeredDecoder:
         """One layer step on ``(batch, n)`` float64 λ and ``(batch, n_edges)`` R."""
         # (active, z, d) tensors, updated in place to keep the step free of
         # full-size temporaries.
-        q = lam[:, layer.cols]
+        cols = layer.cols.T
+        q = lam[:, cols]
         q -= r[:, layer.edges].reshape(q.shape)
         r_new = min_sum_update(q, scaling=MIN_SUM_SCALING)
         q += r_new
-        lam[:, layer.cols] = q
+        lam[:, cols] = q
         r[:, layer.edges] = r_new.reshape(q.shape[0], -1)
 
     def _level_layer(self, lam: np.ndarray, r: np.ndarray, layer) -> None:
-        """One layer step on ``(n, batch)`` λ and ``(n_edges, batch)`` R int16 levels."""
-        q = np.take(lam, layer.cols, axis=0)  # (z, d, active)
+        """One layer step on ``(n, batch)`` λ and ``(n_edges, batch)`` R int16 levels.
+
+        The layer's span of R holds its edges degree-major, in the ``(d, z)``
+        order of ``layer.cols``; nothing else reads R, and it starts at zero.
+        """
+        q = np.take(lam, layer.cols, axis=0)  # (d, z, active)
         q -= r[layer.edges].reshape(q.shape)
         r_new = self._min_sum_levels(q)
         q += r_new
@@ -381,36 +387,41 @@ class BatchLayeredDecoder:
         r[layer.edges] = r_new.reshape(-1, q.shape[-1])
 
     def _min_sum_levels(self, q: np.ndarray) -> np.ndarray:
-        """Normalised min-sum R levels over the degree axis (axis 1) of ``q``.
+        """Normalised min-sum R levels over the degree axis (axis 0) of ``q``.
 
+        ``q`` is a degree-major ``(d, z, active)`` int16 tensor, so every
+        reduction runs across contiguous ``(z, active)`` rows and min1, min2
+        and the sign parity come out as contiguous ``(z, active)`` arrays.
         Each edge sees the smallest ``|Q|`` of the other edges: min1 of its
         check, or min2 for the one edge holding min1.  Keys
         ``|Q| << shift | position`` are distinct, so one ``min`` finds min1;
         subtracting ``min1 + 1`` leaves -1 at its holder only, which an
         unsigned ``min`` then skips to find min2.  Signs are the all-ones
-        masks ``Q >> 15``, applied as two's-complement ``(x ^ m) - m``; a
-        zero Q's sign reaches no output, since the other edges of its check
-        see magnitude 0 and its own output excludes its sign.
+        masks ``Q >> 15``; XOR-ing in the check's parity leaves each edge
+        the sign product of the other edges, applied to the table magnitude
+        as two's-complement ``(x ^ m) - m``.  A zero Q's sign reaches no
+        output, since the other edges of its check see magnitude 0 and its
+        own output excludes its sign.
         """
-        if q.shape[1] < 2:
+        if q.shape[0] < 2:
             raise DecodingError("check update needs at least two edge messages")
         shift = self._key_shift
         keys = np.abs(q).astype(self._positions.dtype, copy=False)
         keys <<= shift
-        keys |= self._positions[: q.shape[1]]
-        min1 = keys.min(axis=1, keepdims=True)
-        keys -= min1 + 1
-        min2 = keys.view(f"u{keys.itemsize}").min(axis=1, keepdims=True).view(keys.dtype)
-        min2 += min1 + 1
+        keys |= self._positions[: q.shape[0]]
+        min1 = keys.min(axis=0)
+        above = min1 + 1
+        keys -= above
+        min2 = keys.view(f"u{keys.itemsize}").min(axis=0).view(keys.dtype)
+        min2 += above
         holder = keys >> (8 * keys.itemsize - 1)  # -1 at min1's edge, 0 elsewhere
-        negative = q >> 15
-        parity = np.bitwise_xor.reduce(negative, axis=1, keepdims=True)
-        first = (_EXTRINSIC_TABLE[min1 >> shift] ^ parity) - parity
-        second = (_EXTRINSIC_TABLE[min2 >> shift] ^ parity) - parity
-        r_new = holder & (second - first)
+        sign = q >> 15
+        sign ^= np.bitwise_xor.reduce(sign, axis=0)
+        first = _EXTRINSIC_TABLE.take(min1 >> shift)
+        r_new = holder & (_EXTRINSIC_TABLE.take(min2 >> shift) - first)
         r_new += first
-        r_new ^= negative
-        r_new -= negative
+        r_new ^= sign
+        r_new -= sign
         return r_new.astype(np.int16, copy=False)
 
     def decode_batch(self, channel_llrs: np.ndarray) -> BatchDecodeResult:

@@ -61,7 +61,11 @@ class Layer(NamedTuple):
     edges:
         The layer's contiguous span of the flat edge axis.
     cols:
-        ``(len(rows), degree)`` column index of every edge of the layer.
+        ``(degree, len(rows))`` column index of every edge of the layer,
+        degree-major like :attr:`EdgeIndex.check_cols`: row ``i`` holds the
+        ``i``-th column of every check, column ``j`` the columns of check
+        ``rows[j]``.  It is a transposed view of the layer's span of
+        :attr:`EdgeIndex.edge_cols`, so no column is stored twice.
     """
 
     rows: range
@@ -155,7 +159,7 @@ class EdgeIndex:
         layers = []
         for start, stop in zip(bounds[:-1], bounds[1:]):
             span = slice(int(self.row_ptr[start]), int(self.row_ptr[stop]))
-            cols = self.edge_cols[span].reshape(stop - start, degree_list[start])
+            cols = self.edge_cols[span].reshape(stop - start, degree_list[start]).T
             layers.append(Layer(range(start, stop), span, cols))
         return tuple(layers)
 

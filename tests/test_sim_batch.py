@@ -56,7 +56,7 @@ from repro.sim import (
     sum_product_update,
     wilson_interval,
 )
-from repro.sim.batch import extrinsic_table
+from repro.sim.batch import _EXTRINSIC_TABLE, _Q_MAX, extrinsic_table
 from repro.turbo import TurboEncoder
 
 
@@ -168,6 +168,16 @@ def _edge_case_llrs(code, seed: int) -> np.ndarray:
     return np.vstack([llrs, np.resize(_EDGE_LLRS, code.n)])
 
 
+#: Decoders whose ``_min_sum_levels`` runs on int16 (widest check 8) and
+#: int32 (widest check 300) min-two keys.
+_LEVEL_DECODERS = {
+    wide: BatchLayeredDecoder(
+        ParityCheckMatrix([list(range(degree))], degree), fixed_point=True
+    )
+    for wide, degree in ((False, 8), (True, 300))
+}
+
+
 class TestLayeredOracle:
     """Layer-parallel decoding == the check-serial schedule, bit for bit."""
 
@@ -225,6 +235,23 @@ class TestLayeredOracle:
             fixed_point=True, early_termination=False, update=_min_sum_check,
         )
 
+    @pytest.mark.parametrize("code_name", ["wimax576-1/2", "wimax2304-5/6"])
+    @pytest.mark.parametrize("batch", [1, 19])
+    @pytest.mark.parametrize("early_termination", [True, False])
+    def test_fixed_point_edge_llrs_at_batch(self, code_name, batch, early_termination):
+        """A lone frame and an odd 19-frame batch, both seeded with corner LLRs."""
+        code = _ORACLE_CODES[code_name]()
+        blocks = np.vstack([_edge_case_llrs(code, seed) for seed in range(17, 21)])
+        # Row 1 is the first frame seeded with the corner LLRs.
+        llrs = blocks[1 : 1 + batch]
+        decoder = BatchLayeredDecoder(
+            code.h, max_iterations=6, fixed_point=True, early_termination=early_termination
+        )
+        _assert_matches_oracle(
+            code.h, llrs, decoder.decode_batch(llrs), max_iterations=6,
+            fixed_point=True, early_termination=early_termination, update=_min_sum_check,
+        )
+
     def test_fixed_point_min_sum_wide_check(self):
         """A degree-300 check needs int32 min-two keys; still the oracle's result."""
         # Loud LLRs and the degree-2 checks, which move λ between visits of
@@ -239,6 +266,38 @@ class TestLayeredOracle:
             h, llrs, decoder.decode_batch(llrs), max_iterations=3, fixed_point=True,
             early_termination=True, update=_min_sum_check,
         )
+
+    @given(data=st.data(), wide=st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_min_sum_levels_matches_scalar_loop(self, data, wide):
+        """``_min_sum_levels`` on degree-major ``(d, z, batch)`` int16 levels ==
+        per-check scalar min-sum: min over the other edges, sign product, table.
+
+        ``wide`` runs the same tensors through the int32 min-two keys of a
+        decoder whose widest check exceeds degree 256.  A zero Q counts as
+        either sign in the scalar loop: the result must not depend on it.
+        """
+        decoder = _LEVEL_DECODERS[wide]
+        d = data.draw(st.integers(2, 8), label="degree")
+        z = data.draw(st.integers(1, 4), label="checks")
+        batch = data.draw(st.integers(1, 70), label="batch")
+        q = data.draw(arrays(np.int16, (d, z, batch), elements=st.integers(-_Q_MAX, _Q_MAX)))
+        # Force min1 ties on some checks: edges 0 and 1 both at the minimum.
+        tie = data.draw(arrays(np.bool_, (z, batch)))
+        smallest = np.abs(q).min(axis=0)
+        for edge in (0, 1):
+            q[edge] = np.where(tie, np.where(q[edge] < 0, -smallest, smallest), q[edge])
+        zero_negative = data.draw(arrays(np.bool_, (d, z, batch)))
+        r_new = decoder._min_sum_levels(q.copy())
+        assert r_new.dtype == np.int16 and r_new.shape == q.shape
+        negative = (q < 0) | ((q == 0) & zero_negative)
+        for j in range(z):
+            for b in range(batch):
+                for i in range(d):
+                    others = [k for k in range(d) if k != i]
+                    magnitude = int(np.abs(q[others, j, b]).min())
+                    sign = -1 if np.count_nonzero(negative[others, j, b]) % 2 else 1
+                    assert r_new[i, j, b] == sign * _EXTRINSIC_TABLE[magnitude]
 
     @given(scaling=st.floats(0.0, 1.0, exclude_min=True))
     @settings(max_examples=80, deadline=None)
@@ -681,13 +740,15 @@ class TestLayers:
                 int(edges.row_ptr[layer.rows.start]), int(edges.row_ptr[layer.rows.stop])
             )
             assert np.unique(layer.cols).size == layer.cols.size
+            # Degree-major: one column of ``cols`` per check.
+            assert layer.cols.shape == (len(rows[layer.rows.start]), len(layer.rows))
             for i, row in enumerate(layer.rows):
-                assert np.array_equal(layer.cols[i], h.row(row))
+                assert np.array_equal(layer.cols[:, i], h.row(row))
         # Greedy: each layer starts where its first check could not join the
         # previous one.
         for before, layer in zip(layers, layers[1:]):
             first = set(rows[layer.rows.start])
-            assert len(first) != before.cols.shape[1] or first & set(
+            assert len(first) != before.cols.shape[0] or first & set(
                 before.cols.ravel().tolist()
             )
 
